@@ -20,6 +20,7 @@ from .errors import IntegrationError, WallError
 from .levelt import LeveltData, build_levelt_solution, compute_levelt_exponents
 from .matrixcore import as_square
 from .isoflow import UPath
+from .odeengine import Leg, fuchsian_ode, transport_matrix
 
 
 @dataclass(frozen=True)
@@ -169,53 +170,11 @@ def integrate_schlesinger(
     return final, trace
 
 
-def _loop_segments(z0: complex, center: complex, radius: float, refine: int = 12):
-    """Spoke-circle-spoke loop around one pole, as (z(t), dz(t)) callables."""
+def _loop_legs(z0: complex, center: complex, radius: float) -> list[Leg]:
+    """Spoke-circle-spoke loop around one pole, counterclockwise."""
     d = center - z0
     entry = center - radius * d / abs(d)  # circle point nearest the basepoint
-
-    segs = []
-
-    def line(a, b):
-        def zf(t, a=a, b=b):
-            return a + t * (b - a)
-
-        def dzf(t, a=a, b=b):
-            return b - a
-
-        return zf, dzf
-
-    segs.append(line(z0, entry))
-    phi0 = math.atan2((entry - center).imag, (entry - center).real)
-    for k in range(refine):
-        t0 = phi0 + 2 * math.pi * k / refine
-        t1 = phi0 + 2 * math.pi * (k + 1) / refine
-
-        def zf(t, t0=t0, t1=t1):
-            th = t0 + t * (t1 - t0)
-            return center + radius * complex(math.cos(th), math.sin(th))
-
-        def dzf(t, t0=t0, t1=t1):
-            th = t0 + t * (t1 - t0)
-            return 1j * (t1 - t0) * radius * complex(math.cos(th), math.sin(th))
-
-        segs.append((zf, dzf))
-    segs.append(line(entry, z0))
-    return segs
-
-
-def _transport(rhs, Y0, segs, tol):
-    n = Y0.shape[0]
-    Y = Y0
-    for zf, dzf in segs:
-        def f(t, y):
-            return (dzf(t) * (rhs(zf(t)) @ y.reshape(n, n))).ravel()
-
-        sol = solve_ivp(f, (0.0, 1.0), Y.ravel(), method="DOP853", rtol=tol, atol=tol)
-        if not sol.success:
-            raise IntegrationError(f"monodromy transport failed: {sol.message}")
-        Y = sol.y[:, -1].reshape(n, n)
-    return Y
+    return [Leg(z0, entry), Leg(entry, entry, center=center, sweep=2 * math.pi), Leg(entry, z0)]
 
 
 def default_basepoint(sys: FuchsianSystem) -> complex:
@@ -229,10 +188,11 @@ def default_basepoint(sys: FuchsianSystem) -> complex:
 def _infinity_frame(sys: FuchsianSystem, z0: complex, tol: float) -> np.ndarray:
     """Value at z0 of the solution normalized to I at z = infinity.
 
-    In w = 1/z the system reads dY/dw = -sum_i A_i u_i/(1 - u_i w) Y, which
-    is regular at w = 0 because the residues sum to zero; a straight
-    w-segment from 0 to 1/z0 stays clear of the singularities 1/u_i when the
-    basepoint lies outside the pole configuration.
+    In w = 1/z the system reads dY/dw = -sum_i A_i u_i/(1 - u_i w) Y
+    = sum_{u_i != 0} A_i/(w - 1/u_i) Y, which is regular at w = 0 because the
+    residues sum to zero: a Fuchsian system with poles 1/u_i.  A straight
+    w-segment from 0 to 1/z0 stays clear of them when the basepoint lies
+    outside the pole configuration.
     """
     w0 = 1.0 / z0
     for ui in sys.poles:
@@ -244,14 +204,11 @@ def _infinity_frame(sys: FuchsianSystem, z0: complex, tol: float) -> np.ndarray:
                 "infinity-normalized frame"
             )
 
-    def rhs_w(w):
-        W = np.zeros((sys.n, sys.n), dtype=complex)
-        for ui, Ai in zip(sys.poles, sys.residues):
-            W -= Ai * ui / (1.0 - ui * w)
-        return W
-
-    seg = ((lambda t: t * w0), (lambda t: w0))
-    return _transport(rhs_w, np.eye(sys.n, dtype=complex), [seg], tol)
+    inner = [(1.0 / ui, Ai) for ui, Ai in zip(sys.poles, sys.residues) if ui != 0]
+    if not inner:
+        return np.eye(sys.n, dtype=complex)
+    ode = fuchsian_ode([w for w, _ in inner], [Ai for _, Ai in inner])
+    return transport_matrix(ode, np.eye(sys.n, dtype=complex), [Leg(0j, w0)], tol)
 
 
 def fuchs_monodromy(
@@ -281,11 +238,12 @@ def fuchs_monodromy(
         if normalize_at_infinity
         else np.eye(sys.n, dtype=complex)
     )
+    ode = fuchsian_ode(sys.poles, sys.residues)
     out = []
     for i in range(sys.N):
         radius = radius_factor * sys.nearest_gap(i)
-        segs = _loop_segments(z0, complex(sys.poles[i]), radius)
-        Yi = _transport(sys.coefficient, Y0, segs, tol)
+        legs = _loop_legs(z0, complex(sys.poles[i]), radius)
+        Yi = transport_matrix(ode, Y0, legs, tol)
         out.append(np.linalg.solve(Y0, Yi))
     return out
 

@@ -7,8 +7,8 @@ directions, so the full ray set is pi-periodic on the universal cover.
 
 Walls in u-space combine the coalescence locus Delta (some u_i = u_j) with
 the crossing locus X(tau): some arg(u_i - u_j) = 3 pi/2 - tau mod pi.
-Cell membership is probed by straight-segment sampling, which is a
-sufficient check for the straight path only.
+`same_cell` decides exactly whether a straight segment stays in one cell;
+`wall_hits` samples a segment for plotting.
 """
 
 from __future__ import annotations
@@ -347,18 +347,30 @@ def wall_hits(u, v, tau: float, samples: int = 10_000, tol: float = 1e-8):
     return hits
 
 
-def same_cell(u, v, tau: float, samples: int = 10_000, tol: float = 1e-8) -> bool:
-    """True iff the sampled straight segment between u and v avoids the walls.
+def same_cell(u, v, tau: float, tol: float = 1e-8) -> bool:
+    """True iff the straight segment between u and v avoids the walls.
 
-    Endpoints on a wall are rejected.  A clean sweep certifies only the
-    straight path; it is a sufficient check for the acceptance geometry, not
-    an arrangement computation.
+    Endpoints on a wall are rejected.  Along the segment every difference
+    d_ij(t) = d_ij(0) + t (d_ij(1) - d_ij(0)) is affine in t, so the check is
+    exact: the segment crosses X(tau) iff Im(e^{-i phi} d_ij), phi =
+    3 pi/2 - tau, changes sign between the endpoints, and it meets Delta iff
+    some d_ij([0, 1]) passes within tol of 0.
     """
     for name, pt in (("u", u), ("u'", v)):
         rep = classify_point(pt, tau, tol=tol)
         if rep.on_wall:
             raise WallError(f"endpoint {name} lies on W(tau): {rep}")
-    return not wall_hits(u, v, tau, samples=samples, tol=tol)
+    a, b = _as_uvec(u), _as_uvec(v)
+    if len(a) != len(b):
+        raise ValueError("endpoints must have the same length")
+    i, j = np.triu_indices(len(a), 1)
+    d0, d1 = a[i] - a[j], b[i] - b[j]
+    rot = complex(math.cos(1.5 * math.pi - tau), -math.sin(1.5 * math.pi - tau))
+    if np.any(np.imag(rot * d0) * np.imag(rot * d1) <= 0):
+        return False
+    e = d1 - d0
+    t = np.clip(-np.real(np.conj(e) * d0) / np.maximum(np.abs(e) ** 2, 1e-300), 0.0, 1.0)
+    return bool(np.all(np.abs(d0 + t * e) > tol))
 
 
 def rays_to_csv(rayset: RaySet, path) -> None:

@@ -2,13 +2,40 @@
 
 Paths live on the universal cover: every waypoint carries both the complex
 value z and a continuous argument, and no implicit principal branch is used
-anywhere.  Transport integrates dY/dz = W(z) Y along parametrized segments
-(lines and origin-centered arcs) with an adaptive high-order Runge-Kutta
-scheme; the Wronskian identity
+anywhere.
+
+Every z-plane transport, irregular or Fuchsian, runs through one engine,
+`transport_matrix`, for a linear ODE with polynomial coefficients
+
+    P(z) Y' = Q(z) Y,        P scalar, Q an n x n matrix polynomial
+
+(D-finite analytic continuation: van der Hoeven, TCS 210 (1999); Mezzarobba,
+arXiv:1607.01967).  At every step P and Q are re-expanded about the current
+point z0, and the Taylor coefficients of Y(z0 + h) = sum_k Y_k h^k follow
+from the recurrence
+
+    sum_i P_i (k + 1 - i) Y_{k+1-i} = sum_i Q_i Y_{k-i};
+
+for dY/dz = (Lambda + A/z) Y, where P = z, it is the two-term recurrence
+Y_{k+1} = ((z0 Lambda + A - k) Y_k + Lambda Y_{k-1}) / (z0 (k + 1)).
+
+Step rule: steps are chords along the path's lines and arcs with
+|h| <= STEP_RADIUS dist(z0, zeros of P), so the series converges at least
+like STEP_RADIUS^k, and |h| ||Lambda|| <= STEP_GROWTH, so the exponential
+part of a step stays O(1).  Tail criterion: the sum stops when two
+consecutive terms fall below TAIL_FRACTION * tol relative to the value at
+the start of the step; the fraction keeps the error accumulated over the
+few dozen steps of a path, and its amplification by the exponential
+regrading of Stokes quotients, at or below what tol promises.  A path that
+runs into a zero of P drives the step below STEP_FLOOR times max(|z0|,
+segment length); the engine then raises IntegrationError naming the segment
+and the singular point.
+
+The Wronskian identity
 
     det Y(z) = det Y(z0) * exp((z - z0) tr Lambda) * (z/z0)^{tr A}
 
-is monitored on every call and its drift reported with the result.
+is monitored by integrate_path and its drift reported with the result.
 
 Sectorial solutions Y_r are seeded with the optimally truncated formal
 series on the mid-half-plane direction of S_r and carried to the requested
@@ -21,11 +48,13 @@ so that no exponentially graded matrix is ever inverted.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrace.py rebinds it
 
 from .errors import BranchMismatchError, IntegrationError, SectorError
 from .formal import (
@@ -42,6 +71,12 @@ from .levelt import LeveltData, eval_levelt
 DEFAULT_TOL = 1e-11
 DEFAULT_SEED_RADIUS = 20.0
 MAX_ARC_SWEEP = math.pi / 2
+# step rule of the Taylor engine (see the module docstring)
+STEP_RADIUS = 0.25
+STEP_GROWTH = 2.0
+STEP_FLOOR = 1e-9
+TAIL_FRACTION = 1e-2
+MAX_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -91,29 +126,11 @@ class Segment:
             if abs(self.b.arg - self.a.arg) >= math.pi:
                 raise ValueError("line segment with |Delta arg| >= pi; re-route")
 
-    def parametrize(self):
-        """Return (z(t), dz/dt(t)) on t in [0, 1]."""
+    @property
+    def leg(self) -> "Leg":
         if self.kind == "line":
-            za, zb = self.a.z, self.b.z
-
-            def zfun(t):
-                return za + t * (zb - za)
-
-            def dzfun(t):
-                return zb - za
-
-        else:
-            rho = self.a.radius
-            t0, t1 = self.a.arg, self.b.arg
-
-            def zfun(t):
-                th = t0 + t * (t1 - t0)
-                return rho * complex(math.cos(th), math.sin(th))
-
-            def dzfun(t):
-                return 1j * (t1 - t0) * zfun(t)
-
-        return zfun, dzfun
+            return Leg(self.a.z, self.b.z)
+        return Leg(self.a.z, self.b.z, center=0j, sweep=self.b.arg - self.a.arg)
 
 
 @dataclass(frozen=True)
@@ -188,37 +205,185 @@ class SolutionHandle:
         object.__setattr__(self, "value", V)
 
 
-def transport_matrix(rhs, Y0, segments, tol: float = DEFAULT_TOL):
-    """Integrate dY/dz = rhs(z) Y along parametrized segments.
+@dataclass(frozen=True)
+class Leg:
+    """The straight line from a to b or, with a `center`, the arc about it
+    from a to b turning by `sweep` radians.  The engine steps along it by
+    chords, so the region between a leg and its chords must be regular."""
 
-    `rhs(z)` returns the coefficient matrix; Y0 may be a full matrix or a
-    single column.  Raises IntegrationError on solver failure.  Returns the
-    final value.
+    a: complex
+    b: complex
+    center: complex | None = None
+    sweep: float = 0.0
+
+    @property
+    def length(self) -> float:
+        if self.center is None:
+            return abs(self.b - self.a)
+        return abs(self.a - self.center) * abs(self.sweep)
+
+    def point(self, t: float) -> complex:
+        if t >= 1.0:
+            return self.b
+        if self.center is None:
+            return self.a + t * (self.b - self.a)
+        return self.center + (self.a - self.center) * cmath.exp(1j * self.sweep * t)
+
+    def __str__(self) -> str:
+        if self.center is None:
+            return f"line {self.a:.6g} -> {self.b:.6g}"
+        return f"arc {self.a:.6g} -> {self.b:.6g} about {self.center:.6g}"
+
+
+@dataclass(frozen=True)
+class LinearODE:
+    """P(z) Y' = Q(z) Y with scalar P and n x n matrix polynomial Q.
+
+    `P` (d + 1,) and `Q` (d + 1, n, n) hold coefficients in ascending powers
+    of z - center, padded to one degree d; `roots` are the zeros of P, the
+    only singular points.  `growth` bounds ||Q/P|| at infinity.
+    """
+
+    center: complex
+    P: np.ndarray
+    Q: np.ndarray
+    roots: np.ndarray
+
+    @property
+    def growth(self) -> float:
+        top = abs(self.P[-1])
+        return float(np.abs(self.Q[-1]).sum(axis=1).max()) / top if top else 0.0
+
+    def local(self, z0: complex):
+        """Coefficients of P and Q in powers of h = z - z0."""
+        binom, idx = _shift_tables(len(self.P))
+        T = binom * (complex(z0 - self.center) ** np.arange(len(self.P)))[idx]
+        return T @ self.P, (T @ self.Q.reshape(len(T), -1)).reshape(self.Q.shape)
+
+
+@lru_cache(maxsize=None)
+def _shift_tables(m: int):
+    """binom[i, j] = C(j, i) for j >= i (else 0) and idx[i, j] = max(j - i, 0):
+    the Taylor shift of degree m - 1 is T = binom * x0 ** idx."""
+    i, j = np.indices((m, m))
+    binom = np.array(
+        [[math.comb(c, r) for c in range(m)] for r in range(m)], dtype=float
+    )
+    return binom, np.maximum(j - i, 0)
+
+
+def irregular_ode(sys: IrregularSystem, shift_u: complex = 0.0,
+                  shift_b: complex = 0.0) -> LinearODE:
+    """z^p Y' = (z^p (Lambda - shift_u) + z^{p-1} (A - shift_b)
+    + sum_m z^{p-m} A_m) Y, p = 1 + number of higher poles.
+
+    The shifts give the scalar gauge y e^{-shift_u z} z^{-shift_b} of one
+    column."""
+    p = 1 + len(sys.higher)
+    n = sys.n
+    eye = np.eye(n, dtype=complex)
+    Q = np.zeros((p + 1, n, n), dtype=complex)
+    Q[p] = np.diag(sys.u) - shift_u * eye
+    Q[p - 1] = sys.A - shift_b * eye
+    for m, H in enumerate(sys.higher, start=2):
+        Q[p - m] += H
+    P = np.zeros(p + 1, dtype=complex)
+    P[p] = 1.0
+    return LinearODE(center=0j, P=P, Q=Q, roots=np.zeros(p, dtype=complex))
+
+
+def fuchsian_ode(poles, residues) -> LinearODE:
+    """prod_k (z - u_k) Y' = sum_i A_i prod_{k != i} (z - u_k) Y."""
+    poles = np.asarray(poles, dtype=complex).reshape(-1)
+    N = len(poles)
+    n = residues[0].shape[0]
+    center = complex(np.mean(poles))
+    x = poles - center
+    Q = np.zeros((N + 1, n, n), dtype=complex)
+    for i, Ai in enumerate(residues):
+        Q[:N] += np.atleast_1d(np.poly(np.delete(x, i)))[::-1, None, None] * Ai
+    return LinearODE(center=center, P=np.poly(x)[::-1].astype(complex), Q=Q, roots=poles)
+
+
+def transport_matrix(ode: LinearODE, Y0, legs, tol: float = DEFAULT_TOL):
+    """Carry a solution of P Y' = Q Y along the legs by Taylor steps.
+
+    Y0 may be a full matrix or a single column.  Raises IntegrationError
+    when a leg runs into a singular point or a series fails to converge.
+    Returns the final value.
     """
     Y = np.asarray(Y0, dtype=complex)
     shape = Y.shape
-    n = shape[0]
-    cols = 1 if Y.ndim == 1 else shape[1]
-    for seg in segments:
-        zfun, dzfun = seg.parametrize()
+    Y = Y.reshape(shape[0], -1)
+    growth = ode.growth
+    for idx, leg in enumerate(legs):
+        length = leg.length
+        t, z0 = 0.0, leg.a
+        while t < 1.0:
+            dist = np.abs(ode.roots - z0)
+            near = int(np.argmin(dist))
+            hmax = STEP_RADIUS * float(dist[near])
+            if growth:
+                hmax = min(hmax, STEP_GROWTH / growth)
+            if not hmax > STEP_FLOOR * max(abs(z0), length):
+                raise IntegrationError(
+                    f"transport on segment {idx} ({leg}) runs into the singular "
+                    f"point {ode.roots[near]:.6g} (distance {dist[near]:.3g} "
+                    f"at z = {z0:.6g})"
+                )
+            t = 1.0 if t * length + hmax >= length else t + hmax / length
+            z1 = leg.point(t)
+            Y = _taylor_step(ode, Y, z0, z1 - z0, tol, idx, leg)
+            z0 = z1
+    return Y.reshape(shape)
 
-        def f(t, y):
-            z = zfun(t)
-            return (dzfun(t) * (rhs(z) @ y.reshape(n, cols))).ravel()
 
-        sol = solve_ivp(
-            f,
-            (0.0, 1.0),
-            Y.ravel(),
-            method="DOP853",
-            rtol=tol,
-            atol=tol,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise IntegrationError(f"transport failed on {seg.kind} segment: {sol.message}")
-        Y = sol.y[:, -1].reshape(shape)
-    return Y
+def _taylor_step(ode, Y, z0, h, tol, idx, leg):
+    """Y(z0 + h) from Y(z0) by the scaled recurrence for c_k = Y_k h^k.
+
+    With E_k = k c_k and the local coefficients scaled to p_i h^i / p_0 and
+    h q_i h^i / p_0, a term is E_{k+1} = sum_i q_i c_{k-i}
+    - sum_{i>=1} p_i E_{k+1-i}: one product of a fixed matrix with the
+    window of the last d + 1 pairs (c_j, E_j), stored flat in G.
+    """
+    P, Q = ode.local(z0)
+    d = len(P) - 1
+    n, cols = Y.shape
+    m = 2 * n
+    hp = h ** np.arange(d + 1)
+    p = P * hp / P[0]
+    q = Q * (h * hp / P[0])[:, None, None]
+    # block s of M acts on (c_j, E_j), j = k - d + s: [q_{d-s}, -p_{d+1-s} I]
+    M = np.zeros((n, d + 1, 2, n), dtype=complex)
+    M[:, :, 0, :] = q[::-1].transpose(1, 0, 2)
+    M[:, 1:, 1, :] = -p[None, :0:-1, None] * np.eye(n)[:, None, :]
+    M = np.tile(M.reshape(n, -1), (2, 1))  # rows of c_{k+1}, then of E_{k+1}
+    scale = _term_scale(n)
+    G = np.zeros(((MAX_TERMS + d + 1) * m, cols), dtype=complex)
+    G[d * m : d * m + n] = Y
+    tol2 = (TAIL_FRACTION * tol) ** 2 * np.vdot(Y, Y).real
+    small = 0
+    for k in range(MAX_TERMS):
+        out = G[(k + d + 1) * m : (k + d + 2) * m]
+        np.multiply(M @ G[k * m : (k + d + 1) * m], scale[k], out=out)
+        if np.vdot(out[:n], out[:n]).real <= tol2:
+            small += 1
+            if small == 2:
+                terms = G[d * m : (k + d + 2) * m].reshape(k + 2, m, cols)
+                return terms[:, :n].sum(axis=0)
+        else:
+            small = 0
+    raise IntegrationError(
+        f"Taylor series did not converge on segment {idx} ({leg}) at z = {z0:.6g}"
+    )
+
+
+@lru_cache(maxsize=None)
+def _term_scale(n: int) -> np.ndarray:
+    """scale[k] turns E_{k+1} into (c_{k+1}, E_{k+1}) = (E_{k+1} / (k + 1), E_{k+1})."""
+    scale = np.ones((MAX_TERMS, 2 * n, 1))
+    scale[:, :n, 0] = 1.0 / np.arange(1, MAX_TERMS + 1)[:, None]
+    return scale
 
 
 def integrate_path(
@@ -240,9 +405,11 @@ def integrate_path(
             f"path starts on branch arg = {s.arg:.6g} but the handle sits on "
             f"arg = {start.point.arg:.6g}"
         )
-    Y = transport_matrix(sys.coefficient, start.value, path.segments, tol=tol)
+    Y = transport_matrix(
+        irregular_ode(sys), start.value, [seg.leg for seg in path.segments], tol=tol
+    )
     end = path.end
-    # Wronskian: d log det Y = (tr Lambda + tr A / z) dz along the path
+    # Wronskian: d log det Y = (tr Lambda + tr A / z + sum_m tr A_m z^-m) dz
     trL = np.trace(sys.Lambda)
     trA = np.trace(sys.A)
     w0 = np.log(abs(s.z)) + 1j * s.arg
@@ -250,6 +417,8 @@ def integrate_path(
     sg0, ld0 = np.linalg.slogdet(start.value)
     sg1, ld1 = np.linalg.slogdet(Y)
     predicted = ld0 + np.log(sg0) + trL * (end.z - s.z) + trA * (w1 - w0)
+    for m, H in enumerate(sys.higher, start=2):
+        predicted += np.trace(H) * (end.z ** (1 - m) - s.z ** (1 - m)) / (1 - m)
     actual = ld1 + np.log(sg1)
     drift = abs(np.exp(actual - predicted) - 1.0)
     return replace(
@@ -373,27 +542,21 @@ def actual_solution(
             weight = min(1.0, float(abs(sys.u[i] - sys.u[j])))
             leakage = max(leakage, weight * math.exp(-radius * max(depth, 0.0)))
     # argument sweeps at large |z| let the dominant exponential swamp the
-    # recessive one inside the step-error control; sweep at moderate radius
+    # recessive one inside the relative tail criterion; sweep at moderate radius
     rho_max = float(np.max(np.abs(sys.u[:, None] - sys.u[None, :])))
     rho_arc = min(zstar.radius, radius, max(0.5, 4.0 / max(rho_max, 1e-6)))
     n = sys.n
-    eye = np.eye(n, dtype=complex)
     w_star = np.log(zstar.radius) + 1j * zstar.arg
     Y = np.empty((n, n), dtype=complex)
     for j in range(n):
         seed_pt = PathPoint.from_polar(radius, float(angles[j]))
         # transport in the column's own scalar gauge y e^{-z u_j} z^{-b_j},
-        # which stays O(1) along the whole path and keeps the step-error
-        # control meaningful for exponentially small columns
+        # which stays O(1) along the whole path, so the relative tail
+        # criterion is meaningful for exponentially small columns
         col = eval_series_factor(fs, seed_pt.z, K=k_opt)[:, j]
         uj, bj = fs.u[j], fs.b[j]
-
-        def gauged(z, uj=uj, bj=bj):
-            return sys.coefficient(z) - (uj + bj / z) * eye
-
-        tilde = transport_matrix(
-            gauged, col, _column_path(seed_pt, zstar, rho_arc).segments, tol=tol
-        )
+        legs = [seg.leg for seg in _column_path(seed_pt, zstar, rho_arc).segments]
+        tilde = transport_matrix(irregular_ode(sys, uj, bj), col, legs, tol=tol)
         Y[:, j] = tilde * np.exp(uj * zstar.z + bj * w_star)
     return SolutionHandle(
         system=sys,

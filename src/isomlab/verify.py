@@ -96,7 +96,7 @@ def collect_data(
         if not adm:
             raise AdmissibilityError(f"tau not admissible at sample {s}")
     for a, b in zip(sample_pts[:-1], sample_pts[1:]):
-        if not same_cell(a, b, tau, samples=2000):
+        if not same_cell(a, b, tau):
             raise WallError(f"segment {a} -> {b} crosses W(tau); samples not in one cell")
 
     ld0 = compute_levelt_exponents(state.A)

@@ -286,3 +286,34 @@ class TestErrorHandling:
         )
         assert code == 2
         assert json.loads(out)["verdict"] == "FAIL"
+
+
+def test_schlesinger_monodromy_regression(tmp_path, capsys):
+    # a seeded draw whose monodromy drift the earlier Runge-Kutta transport
+    # put at 2.5e-5, over the 1e-6 threshold
+    poles = [[-0.6993635615545937, -0.22501147931151683],
+             [0.1951421186343474, 0.9291746478799239],
+             [0.16368429055135178, -0.20109518029171994]]
+    residues = [
+        [[[-0.41322663171922114, 0.6886299964613771], [0.5572770602364209, 0.6602275252072273]],
+         [[-0.8391422681193936, 0.09445605320085952], [-0.3098258911511651, -0.8017781657354427]]],
+        [[[0.30337063034655243, 0.8564783371436632], [0.4657278057128517, -0.09325033239288989]],
+         [[-0.07499967842344807, 0.23334577798177158], [0.07401210595862588, -0.47657245391348113]]],
+        [[[0.10985600137266871, -1.5451083336050404], [-1.0230048659492725, -0.5669771928143373]],
+         [[0.9141419465428418, -0.3278018311826311], [0.2358137851925392, 1.2783506196489238]]],
+    ]
+    waypoints = [
+        poles,
+        [[-0.6998199163756956, -0.3902604413576942], [0.09998543503591621, 0.8495341751207948],
+         [0.12013352849966782, -0.3348804712354793]],
+        [[-0.7002762711967976, -0.5555094034038717], [0.004828751437485013, 0.7698937023616655],
+         [0.07658276644798388, -0.4686657621792387]],
+    ]
+    sys_file = write_json(tmp_path / "fuchs.json",
+                          {"fuchsian": {"poles": poles, "residues": residues}})
+    path_file = write_json(tmp_path / "path.json", {"waypoints": waypoints})
+    code, out, _ = run(capsys, ["schlesinger", "--system", sys_file, "--path", path_file,
+                                "--monodromy", "--tol", "1e-12"])
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "PASS"
+    assert doc["monodromy_drift"] < 1e-6

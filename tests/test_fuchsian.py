@@ -1,7 +1,11 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from isomlab.errors import WallError
+from isomlab.errors import IntegrationError, WallError
 from isomlab.fuchsian import (
     FuchsianSystem,
     fuchs_monodromy,
@@ -129,6 +133,33 @@ class TestFuchsMonodromy:
         M1 = fuchs_monodromy(sys)[0]
         spectrum = np.sort_complex(np.linalg.eigvals(M1))
         assert np.max(np.abs(spectrum - np.array([-1.0, 1.0]))) < 1e-8
+
+
+    def test_diagonal_residues_exact(self):
+        # Y = prod_i (z - u_i)^{A_i} is diagonal, so each loop gives e^{2 pi i A_i}
+        poles = np.array([0.0, 1.0 + 0.5j, -0.4 + 1.2j, 1.7 - 0.3j])
+        diags = [np.array([0.3 + 0.1j, -0.2]), np.array([-0.45, 0.15 - 0.2j]),
+                 np.array([0.05j, 0.4])]
+        diags.append(-sum(diags))
+        residues = tuple(np.diag(d) for d in diags)
+        sys = FuchsianSystem(poles=poles, residues=residues)
+        for normalize in (True, False):
+            mons = fuchs_monodromy(sys, normalize_at_infinity=normalize, tol=1e-12)
+            for M, A in zip(mons, residues):
+                assert np.max(np.abs(M - expm(2j * np.pi * A))) < 1e-11
+
+    def test_spoke_through_pole_is_refused(self):
+        # from the default basepoint below, the spokes to i and 2i run
+        # through the pole at 0
+        rng = np.random.default_rng(3)
+        sys = random_fuchsian(rng)
+        sys = FuchsianSystem(poles=[0.0, 1j, 2j], residues=sys.residues)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t0 = time.perf_counter()
+            with pytest.raises(IntegrationError, match=r"segment 0 .* singular point 0"):
+                fuchs_monodromy(sys)
+            assert time.perf_counter() - t0 < 1.0
 
 
 class TestKvFamily:

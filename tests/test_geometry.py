@@ -1,3 +1,4 @@
+import cmath
 import csv
 import math
 
@@ -158,7 +159,7 @@ class TestSameCell:
         assert same_cell([0.0, 1.0], [0.0, 1.0], tau=0.4)
 
     def test_segment_through_delta(self):
-        assert not same_cell([0.0, 1.0], [0.0, -1.0], tau=math.pi / 4, samples=2001)
+        assert not same_cell([0.0, 1.0], [0.0, -1.0], tau=math.pi / 4)
 
     def test_clean_segment(self):
         assert same_cell([0.0, 1.0], [0.1 + 0.05j, 1.1], tau=0.3)
@@ -166,6 +167,30 @@ class TestSameCell:
     def test_endpoint_on_wall_rejected(self):
         with pytest.raises(WallError):
             same_cell([0.0, 0.0], [0.0, 1.0], tau=0.3)
+
+    def test_transversal_crossing_between_samples(self):
+        # u_0 - u_1 = e^{i(phi -+ 0.3)} turns through the wall direction phi at
+        # t = 1/2, between the samples of a sweep with an even sample count
+        tau = 0.3
+        phi = 1.5 * math.pi - tau
+        for side in (1.0, -1.0):  # both rays of X(tau)
+            u = [0.0, -side * cmath.exp(1j * (phi - 0.3))]
+            v = [0.0, -side * cmath.exp(1j * (phi + 0.3))]
+            assert not same_cell(u, v, tau)
+            assert not same_cell(v, u, tau)
+
+    def test_agrees_with_dense_sweep(self):
+        rng = np.random.default_rng(8)
+        tau = 0.3
+        for _ in range(40):
+            u = rng.normal(size=3) + 1j * rng.normal(size=3)
+            v = u + 0.4 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+            t = np.linspace(0.0, 1.0, 4001)[:, None]
+            pts = u + t * (v - u)
+            rot = np.exp(-1j * (1.5 * math.pi - tau))
+            side = [np.sign(np.imag(rot * (p[:, None] - p[None, :]))) for p in pts]
+            swept = all(np.array_equal(side[0], s) for s in side)
+            assert same_cell(u, v, tau) == swept
 
 
 class TestCsvExport:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from isomlab.errors import BranchMismatchError, SectorError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
@@ -91,6 +92,49 @@ class TestIntegratePath:
         h = SolutionHandle(system=sys, point=a, value=np.eye(3))
         got = integrate_path(sys, h, ZPath.arc(a, 1.1), tol=1e-12)
         assert got.wronskian_drift < 1e-9
+
+
+class TestTaylorEngine:
+    def test_scalar_power_exponential_beyond_one_turn(self):
+        # y' = (u + a/z) y has y = z^a e^{uz}; the path winds 1.3 times, so
+        # the answer depends on the arg carried along it
+        u, a = 0.7 - 0.3j, 0.35 + 0.2j
+        sys = IrregularSystem(u=[u], A=[[a]])
+        p0 = PathPoint(2.0 + 0.0j, 0.0)
+        turn = 2 * math.pi * 1.3
+        path = (
+            ZPath.radial(p0, 1.0)
+            .then(ZPath.arc(PathPoint(1.0 + 0.0j, 0.0), turn))
+            .then(ZPath.radial(PathPoint.from_polar(1.0, turn), 3.0))
+        )
+        h = SolutionHandle(system=sys, point=p0, value=np.eye(1))
+        got = integrate_path(sys, h, path, tol=1e-12)
+        end = path.end
+        w1 = math.log(end.radius) + 1j * end.arg
+        expect = np.exp(a * (w1 - math.log(2.0)) + u * (end.z - p0.z))
+        assert abs(got.value[0, 0] / expect - 1.0) < 1e-11
+        assert got.wronskian_drift < 1e-11
+
+    def test_higher_pole_against_dop853(self):
+        rng = np.random.default_rng(55)
+        A2 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        sys = IrregularSystem(u=[0.0, 1.0], A=GENERIC_A, higher=(A2,))
+        corners = [1.5 + 0.0j, 2.5 + 1.0j, 0.8 + 1.6j]
+        ref = np.eye(2, dtype=complex)
+        h = SolutionHandle(system=sys, point=PathPoint(corners[0], 0.0), value=ref)
+        for za, zb in zip(corners[:-1], corners[1:]):
+
+            def f(t, y, za=za, zb=zb):
+                W = sys.coefficient(za + t * (zb - za))
+                return ((zb - za) * (W @ y.reshape(2, 2))).ravel()
+
+            sol = solve_ivp(f, (0.0, 1.0), ref.ravel(), method="DOP853",
+                            rtol=1e-13, atol=1e-13)
+            ref = sol.y[:, -1].reshape(2, 2)
+            nxt = PathPoint(zb, math.atan2(zb.imag, zb.real))
+            h = integrate_path(sys, h, ZPath.line(h.point, nxt), tol=1e-12)
+        assert np.max(np.abs(h.value - ref)) < 1e-11 * np.max(np.abs(ref))
+        assert h.wronskian_drift < 1e-11
 
 
 class TestActualSolution:

@@ -308,9 +308,11 @@ def fuchsian_ode(poles, residues) -> LinearODE:
 def transport_matrix(ode: LinearODE, Y0, legs, tol: float = DEFAULT_TOL):
     """Carry a solution of P Y' = Q Y along the legs by Taylor steps.
 
-    Y0 may be a full matrix or a single column.  Raises IntegrationError
-    when a leg runs into a singular point or a series fails to converge.
-    Returns the final value.
+    Y0 may be a full matrix or a single column; `tol` is the relative
+    accuracy asked of the whole transport (the step rule and tail criterion
+    are in the module docstring).  Raises IntegrationError when a leg runs
+    into a singular point or a series fails to converge.  Returns the final
+    value.
     """
     Y = np.asarray(Y0, dtype=complex)
     shape = Y.shape

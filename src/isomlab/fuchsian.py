@@ -1,6 +1,10 @@
 """Fuchsian systems dY/dz = sum_i A_i/(z - u_i) Y with sum_i A_i = 0.
 
 Schlesinger flow dA_i = sum_{j != i} [A_j, A_i] d(u_j - u_i)/(u_j - u_i),
+integrated by the flow driver of `isoflow` (exact pole-collision guard, a
+`FlowTrace` of the residues) with the right-hand side
+dA_i = [sum_j K_ij A_j, A_i], K the difference quotients of the pole
+velocities; `schlesinger_rhs` is the per-direction reference.  Also
 numeric monodromy with a deterministic loop basis, per-pole Levelt data in
 the local variable x = z - u_i, the finite-difference Schlesinger residual
 separating strong (Schlesinger) from weak (non-Schlesinger) families, and
@@ -14,12 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrace.py rebinds it
 
-from .errors import IntegrationError, WallError
+from .errors import WallError
 from .levelt import LeveltData, build_levelt_solution, compute_levelt_exponents
 from .matrixcore import as_square
-from .isoflow import UPath
+from .isoflow import FlowTrace, UPath, _difference_quotients, _integrate
 from .odeengine import Leg, fuchsian_ode, transport_matrix
 
 
@@ -98,76 +102,36 @@ def schlesinger_rhs(sys: FuchsianSystem) -> np.ndarray:
     return out
 
 
-@dataclass
-class SchlesingerTrace:
-    t: np.ndarray
-    u: np.ndarray  # (m, N)
-    A: np.ndarray  # (m, N, n, n)
+def _schlesinger_velocity(A, u, du) -> np.ndarray:
+    """sum_j du_j dA_i/du_j = [B_i, A_i] with B_i = sum_j K_ij A_j, for the
+    (N, n, n) residue stack A."""
+    B = np.einsum("ij,jab->iab", _difference_quotients(u, du), A)
+    return B @ A - A @ B
 
 
 def integrate_schlesinger(
-    sys: FuchsianSystem, path: UPath, tol: float = 1e-11,
-    samples_per_segment: int = 9, guard: float | None = None,
-) -> tuple[FuchsianSystem, SchlesingerTrace]:
+    sys: FuchsianSystem, path: UPath, tol: float = 1e-11, guard: float | None = None,
+) -> tuple[FuchsianSystem, FlowTrace]:
     """Transport the residues along a pole-position path.
 
-    The path lives in the space of pole tuples; segments whose sampled poles
-    collide within the guard band are refused.
+    The path lives in the space of pole tuples; paths on which two poles
+    come closer than the guard band (default 1e-6 times the pole scale) are
+    refused with a WallError naming the pairs.  The trace holds the
+    residues as an (m, N, n, n) stack.
     """
     N, n = sys.N, sys.n
     if len(path.waypoints[0]) != N:
         raise ValueError("path dimension disagrees with the number of poles")
     if np.linalg.norm(path.waypoints[0] - sys.poles) > 1e-12:
         raise ValueError("path must start at the system's poles")
-    scale = max(1.0, float(np.max(np.abs(path.waypoints))))
-    if guard is None:
-        guard = 1e-6 * scale
-    if path.min_gap() < guard:
-        raise WallError("path approaches a pole collision")
 
-    y = np.concatenate([A.ravel() for A in sys.residues])
-    ts, us, As = [], [], []
-    for seg_idx, (a, b) in enumerate(zip(path.waypoints[:-1], path.waypoints[1:])):
-        delta = b - a
+    def rhs(u, du, y):
+        return _schlesinger_velocity(y.reshape(N, n, n), u, du).ravel()
 
-        def f(t, yv):
-            u = a + t * delta
-            mats = [yv[k * n * n : (k + 1) * n * n].reshape(n, n) for k in range(N)]
-            out = []
-            for i in range(N):
-                dAi = np.zeros((n, n), dtype=complex)
-                for j in range(N):
-                    if j == i:
-                        continue
-                    C = (mats[j] @ mats[i] - mats[i] @ mats[j]) / (u[j] - u[i])
-                    dAi += C * (delta[j] - delta[i])
-                out.append(dAi.ravel())
-            return np.concatenate(out)
-
-        sol = solve_ivp(
-            f, (0.0, 1.0), y, method="DOP853", rtol=tol, atol=tol,
-            t_eval=np.linspace(0.0, 1.0, samples_per_segment),
-        )
-        if not sol.success:
-            raise IntegrationError(
-                f"Schlesinger flow failed on segment {seg_idx}: {sol.message}"
-            )
-        for m, t in enumerate(sol.t):
-            ts.append(seg_idx + t)
-            us.append(a + t * delta)
-            col = sol.y[:, m]
-            As.append(
-                np.array([col[k * n * n : (k + 1) * n * n].reshape(n, n) for k in range(N)])
-            )
-        y = sol.y[:, -1]
-
-    final = FuchsianSystem(
-        poles=path.waypoints[-1],
-        residues=tuple(y[k * n * n : (k + 1) * n * n].reshape(n, n) for k in range(N)),
-        zero_sum_tol=1e-8,
-    )
-    trace = SchlesingerTrace(t=np.array(ts), u=np.array(us), A=np.array(As))
-    return final, trace
+    t, u, ys = _integrate("Schlesinger flow", path, np.ravel(sys.residues), rhs, tol, guard)
+    A = ys.reshape(len(t), N, n, n)
+    final = FuchsianSystem(poles=path.waypoints[-1], residues=tuple(A[-1]), zero_sum_tol=1e-8)
+    return final, FlowTrace(t=t, u=u, A=A)
 
 
 def _loop_legs(z0: complex, center: complex, radius: float) -> list[Leg]:

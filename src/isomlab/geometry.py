@@ -7,7 +7,8 @@ directions, so the full ray set is pi-periodic on the universal cover.
 
 Walls in u-space combine the coalescence locus Delta (some u_i = u_j) with
 the crossing locus X(tau): some arg(u_i - u_j) = 3 pi/2 - tau mod pi.
-`same_cell` decides exactly whether a straight segment stays in one cell;
+`same_cell` decides exactly whether a straight segment stays in one cell,
+with the closed-form pair gap `segment_min_abs` that `UPath.min_gap` shares;
 `wall_hits` samples a segment for plotting.
 """
 
@@ -368,9 +369,21 @@ def same_cell(u, v, tau: float, tol: float = 1e-8) -> bool:
     rot = complex(math.cos(1.5 * math.pi - tau), -math.sin(1.5 * math.pi - tau))
     if np.any(np.imag(rot * d0) * np.imag(rot * d1) <= 0):
         return False
+    return bool(np.all(segment_min_abs(d0, d1) > tol))
+
+
+def segment_min_abs(d0, d1) -> np.ndarray:
+    """Elementwise min over t in [0, 1] of |d0 + t (d1 - d0)|.
+
+    The distance from 0 to the complex segment [d0, d1], in closed form: the
+    foot of the perpendicular, clipped to the segment.  Pair differences
+    along a straight segment in u-space are affine in t, so this is the exact
+    minimal gap of each pair.
+    """
+    d0, d1 = np.asarray(d0, dtype=complex), np.asarray(d1, dtype=complex)
     e = d1 - d0
     t = np.clip(-np.real(np.conj(e) * d0) / np.maximum(np.abs(e) ** 2, 1e-300), 0.0, 1.0)
-    return bool(np.all(np.abs(d0 + t * e) > tol))
+    return np.abs(d0 + t * e)
 
 
 def rays_to_csv(rayset: RaySet, path) -> None:

@@ -1,10 +1,20 @@
-"""The nonlinear isomonodromy flow dA/du_j = [omega_j(0,u), A].
+"""The nonlinear isomonodromy flow dA/du_j = [omega_j(0,u), A], and the
+driver it shares with the Schlesinger flow of `fuchsian`.
 
 omega_j(0,u) = [F_1(u), E_j] + D_j(u), with entries
 A_ab (delta_aj - delta_bj)/(u_a - u_b) plus an optional diagonal gauge D_j.
 Strong flows have D = 0; weak flows carry a polynomial diagonal D(u) whose
 partials D_j = dD/du_j are differentiated exactly, so the closedness of
-sum_j D_j du_j is automatic.
+sum_j D_j du_j is automatic.  Along a velocity du the flow needs only
+Omega = sum_j du_j omega_j(0) = A o K + diag(sum_j du_j D_j), with the
+difference quotients K_ab = (du_a - du_b)/(u_a - u_b): one O(n^2) build and
+one commutator per right-hand side.  `omega_zero_part` is the per-direction
+reference.
+
+Both nonlinear flows run through one driver: an exact coalescence guard
+(every pair gap u_i - u_j is affine along a straight segment), one DOP853
+call per segment, and a `FlowTrace` sampled at TRACE_SAMPLES points per
+segment.
 
 Also here: the Frobenius-integrability residual probed by finite
 differences, the vanishing-order fit A_ij = O(u_i - u_j) used near the
@@ -22,8 +32,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, ResonanceError, WallError
+from .geometry import segment_min_abs
 from .matrixcore import as_square, solve_sylvester
 from .odeengine import PathPoint
+
+TRACE_SAMPLES = 17  # trace points per path segment, both ends included
 
 
 @dataclass(frozen=True)
@@ -128,16 +141,18 @@ class UPath:
     def line(a, b) -> "UPath":
         return UPath(waypoints=(a, b))
 
-    def min_gap(self, samples: int = 256) -> float:
-        """Smallest pairwise |u_i - u_j| over sampled segment points."""
-        best = math.inf
-        for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            for t in np.linspace(0.0, 1.0, samples):
-                u = a + t * (b - a)
-                d = np.abs(u[:, None] - u[None, :])
-                d[np.diag_indices(len(u))] = np.inf
-                best = min(best, float(d.min()))
-        return best
+    def min_gap(self) -> float:
+        """Smallest pairwise |u_i - u_j| along the path, exactly."""
+        return min(_pair_gaps(self).values(), default=math.inf)
+
+
+def _pair_gaps(path: UPath) -> dict[tuple[int, int], float]:
+    """Exact minimum of |u_i - u_j| along the path, for each pair i < j."""
+    W = np.array(path.waypoints)
+    i, j = np.triu_indices(W.shape[1], 1)
+    d = W[:, i] - W[:, j]
+    gaps = segment_min_abs(d[:-1], d[1:]).min(axis=0)
+    return dict(zip(zip(i.tolist(), j.tolist()), gaps.tolist()))
 
 
 def omega_zero_part(A, u, j: int, Dj=None) -> np.ndarray:
@@ -165,18 +180,26 @@ def omega_zero_part(A, u, j: int, Dj=None) -> np.ndarray:
     return W
 
 
-def _omega_stack(A, u, gauge):
-    """All omega_j(0,u) as an (n, n, n) stack."""
-    n = A.shape[0]
-    out = np.empty((n, n, n), dtype=complex)
-    for j in range(n):
-        Dj = gauge.partial(u, j) if gauge is not None else None
-        out[j] = omega_zero_part(A, u, j, Dj=Dj)
-    return out
+def _difference_quotients(u, du) -> np.ndarray:
+    """K_ab = (du_a - du_b)/(u_a - u_b): zero on the diagonal, symmetric."""
+    diff = u[:, None] - u[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return (du[:, None] - du[None, :]) / diff
+
+
+def _omega_sum(A, u, du, gauge=None) -> np.ndarray:
+    """sum_j du_j omega_j(0,u) = A o K + diag(sum_j du_j D_j)."""
+    Om = A * _difference_quotients(u, du)
+    if gauge is not None:
+        Om += np.diag(sum(du[j] * gauge.partial(u, j) for j in range(len(u))))
+    return Om
 
 
 @dataclass
 class FlowTrace:
+    """Samples of a flow: A is (m, n, n), or (m, N, n, n) residues for the
+    Schlesinger flow; G and Y are the carried gauge and frame, if any."""
+
     t: np.ndarray
     u: np.ndarray
     A: np.ndarray
@@ -192,6 +215,42 @@ class FlowResult:
     frame_value: np.ndarray | None = None
 
 
+def _integrate(flow: str, path: UPath, y, rhs, tol: float, guard: float | None):
+    """Integrate dy = rhs(u, du, y) dt from the complex vector y along each
+    segment u = a + t du of the path.
+
+    Refuses the path if some pair gap |u_i - u_j| falls below `guard`
+    (default 1e-6 times the u scale) anywhere on it; the gaps are exact, so
+    a pair that dips below the guard between waypoints is caught.  Returns
+    the trace (t, u, y) at TRACE_SAMPLES points per segment, t running from
+    0 to the number of segments; y[-1] is the end value.
+    """
+    if guard is None:
+        guard = 1e-6 * max(1.0, float(np.max(np.abs(path.waypoints))))
+    gap = path.min_gap()
+    if gap < guard:
+        close = sorted(p for p, g in _pair_gaps(path).items() if g < guard)
+        raise WallError(
+            f"{flow} path approaches the coalescence locus (min gap {gap:.3e} < "
+            f"guard {guard:.3e}) for pairs {close}"
+        )
+    t_eval = np.linspace(0.0, 1.0, TRACE_SAMPLES)
+    ts, us, ys = [], [], []
+    for seg, (a, b) in enumerate(zip(path.waypoints[:-1], path.waypoints[1:])):
+        du = b - a
+        sol = solve_ivp(
+            lambda t, yv: rhs(a + t * du, du, yv), (0.0, 1.0), y,
+            method="DOP853", rtol=tol, atol=tol, t_eval=t_eval,
+        )
+        if not sol.success:
+            raise IntegrationError(f"{flow} failed on segment {seg}: {sol.message}")
+        ts.append(seg + sol.t)
+        us.append(a + sol.t[:, None] * du)
+        ys.append(sol.y.T)
+        y = sol.y[:, -1]
+    return np.concatenate(ts), np.concatenate(us), np.concatenate(ys)
+
+
 def integrate_flow(
     state: DeformationState,
     path: UPath,
@@ -199,9 +258,7 @@ def integrate_flow(
     rhs_sign: float = 1.0,
     carry_gauge=None,
     carry_frame: tuple[PathPoint, np.ndarray] | None = None,
-    samples_per_segment: int = 17,
     guard: float | None = None,
-    exempt_pairs: frozenset | set = frozenset(),
 ) -> FlowResult:
     """Integrate dA = sum_j [omega_j(0,u), A] du_j along a piecewise-straight path.
 
@@ -211,132 +268,43 @@ def integrate_flow(
     (PathPoint, Y0)).  `rhs_sign` scales the whole right-hand side; -1 is the
     corrupted flow used by sensitivity checks.
 
-    A guard band refuses segments whose sampled minimal pair gap falls below
-    `guard` (default 1e-6 times the u scale) unless every shrinking pair is
-    listed in `exempt_pairs` (pairs whose vanishing check already passed).
+    Paths whose exact minimal pair gap falls below `guard` (default 1e-6
+    times the u scale) are refused with a WallError naming the pairs.
     """
     if len(path.waypoints[0]) != state.n:
         raise ValueError("path dimension disagrees with the state")
     if np.linalg.norm(path.waypoints[0] - state.u) > 1e-12:
         raise ValueError("path must start at the state's u")
-    n = state.n
-    scale = max(1.0, float(np.max(np.abs(path.waypoints))))
-    if guard is None:
-        guard = 1e-6 * scale
-    gap = path.min_gap()
-    if gap < guard:
-        close = _closest_pairs(path)
-        if not set(close) <= set(exempt_pairs):
-            raise WallError(
-                f"path approaches the coalescence locus (min gap {gap:.3e} < "
-                f"guard {guard:.3e}) for pairs {sorted(close)}"
-            )
-
-    gauge = state.gauge
-    blocks = [n * n]
+    n, gauge = state.n, state.gauge
+    blocks = [state.A]  # A, then the carried G and Y
     if carry_gauge is not None:
-        blocks.append(n * n)
+        blocks.append(carry_gauge)
+    z = None
     if carry_frame is not None:
-        blocks.append(n * n)
+        z = carry_frame[0].z
+        blocks.append(carry_frame[1])
 
-    y0_parts = [state.A.ravel()]
-    if carry_gauge is not None:
-        y0_parts.append(np.asarray(carry_gauge, dtype=complex).ravel())
-    zfixed = None
-    if carry_frame is not None:
-        pt, Y0 = carry_frame
-        zfixed = pt.z
-        y0_parts.append(np.asarray(Y0, dtype=complex).ravel())
-    y = np.concatenate(y0_parts)
+    def rhs(u, du, y):
+        X = y.reshape(-1, n, n)
+        Om = _omega_sum(X[0], u, du, gauge)
+        dX = Om @ X
+        dX[0] -= X[0] @ Om
+        if z is not None:
+            dX[-1] += (z * du)[:, None] * X[-1]
+        return rhs_sign * dX.ravel()
 
-    ts, us, As, Gs, Ys = [], [], [], [], []
-
-    for seg_idx, (a, b) in enumerate(zip(path.waypoints[:-1], path.waypoints[1:])):
-        delta = b - a
-
-        def f(t, yv):
-            u = a + t * delta
-            A = yv[: n * n].reshape(n, n)
-            W = _omega_stack(A, u, gauge)
-            dA = np.zeros((n, n), dtype=complex)
-            for j in range(n):
-                dA += delta[j] * (W[j] @ A - A @ W[j])
-            parts = [rhs_sign * dA.ravel()]
-            off = n * n
-            if carry_gauge is not None:
-                G = yv[off : off + n * n].reshape(n, n)
-                dG = np.zeros((n, n), dtype=complex)
-                for j in range(n):
-                    dG += delta[j] * (W[j] @ G)
-                parts.append(rhs_sign * dG.ravel())
-                off += n * n
-            if carry_frame is not None:
-                Y = yv[off : off + n * n].reshape(n, n)
-                dY = np.zeros((n, n), dtype=complex)
-                for j in range(n):
-                    Ej = np.zeros((n, n), dtype=complex)
-                    Ej[j, j] = zfixed
-                    dY += delta[j] * ((Ej + W[j]) @ Y)
-                parts.append(rhs_sign * dY.ravel())
-            return np.concatenate(parts)
-
-        t_eval = np.linspace(0.0, 1.0, samples_per_segment)
-        sol = solve_ivp(
-            f, (0.0, 1.0), y, method="DOP853", rtol=tol, atol=tol, t_eval=t_eval
-        )
-        if not sol.success:
-            raise IntegrationError(f"flow failed on segment {seg_idx}: {sol.message}")
-        for m, t in enumerate(sol.t):
-            ts.append(seg_idx + t)
-            us.append(a + t * delta)
-            col = sol.y[:, m]
-            As.append(col[: n * n].reshape(n, n))
-            off = n * n
-            if carry_gauge is not None:
-                Gs.append(col[off : off + n * n].reshape(n, n))
-                off += n * n
-            if carry_frame is not None:
-                Ys.append(col[off : off + n * n].reshape(n, n))
-        y = sol.y[:, -1]
-
-    A_end = y[: n * n].reshape(n, n)
-    off = n * n
-    G_end = None
-    if carry_gauge is not None:
-        G_end = y[off : off + n * n].reshape(n, n)
-        off += n * n
-    Y_end = None
-    if carry_frame is not None:
-        Y_end = y[off : off + n * n].reshape(n, n)
-
-    trace = FlowTrace(
-        t=np.array(ts),
-        u=np.array(us),
-        A=np.array(As),
-        G=np.array(Gs) if Gs else None,
-        Y=np.array(Ys) if Ys else None,
+    y0 = np.concatenate([np.asarray(B, dtype=complex).ravel() for B in blocks])
+    t, u, ys = _integrate("isomonodromy flow", path, y0, rhs, tol, guard)
+    X = ys.reshape(len(t), -1, n, n)
+    G = X[:, 1] if carry_gauge is not None else None
+    Y = X[:, -1] if carry_frame is not None else None
+    trace = FlowTrace(t=t, u=u, A=X[:, 0], G=G, Y=Y)
+    final = DeformationState(u=path.waypoints[-1], A=X[-1, 0], gauge=gauge)
+    return FlowResult(
+        state=final, trace=trace,
+        gauge_matrix=None if G is None else G[-1],
+        frame_value=None if Y is None else Y[-1],
     )
-    final = DeformationState(u=path.waypoints[-1], A=A_end, gauge=gauge)
-    return FlowResult(state=final, trace=trace, gauge_matrix=G_end, frame_value=Y_end)
-
-
-def _closest_pairs(path: UPath, samples: int = 256):
-    """Pairs attaining (near-)minimal gaps along the path."""
-    n = len(path.waypoints[0])
-    best = math.inf
-    pairs = set()
-    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-        for t in np.linspace(0.0, 1.0, samples):
-            u = a + t * (b - a)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    g = abs(u[i] - u[j])
-                    if g < best * 0.999:
-                        best = g
-                        pairs = {(i, j)}
-                    elif g <= best * 1.5:
-                        pairs.add((i, j))
-    return pairs
 
 
 def integrability_residual(state: DeformationState, h: float = 1e-5,
@@ -368,7 +336,7 @@ def integrability_residual(state: DeformationState, h: float = 1e-5,
             )
             disp[(k, sgn)] = res.state
 
-    W0 = _omega_stack(state.A, u0, state.gauge)
+    W0 = [omega_at(u0, state.A, j) for j in range(n)]
     worst = 0.0
     for j in range(n):
         for k in range(j + 1, n):

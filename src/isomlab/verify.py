@@ -326,13 +326,7 @@ def ray_family_series(A0, uC, v, order: int = 4):
                         R[t][a, b] += acc
         out = np.zeros((n, n), dtype=complex)
         for t in range(m + 1):
-            Wsum = np.zeros((n, n), dtype=complex)
-            for j in range(n):
-                Wj = np.zeros((n, n), dtype=complex)
-                Wj[j, :] = R[t][j, :]
-                Wj[:, j] = -R[t][:, j]
-                Wj[j, j] = 0.0
-                Wsum += v[j] * Wj
+            Wsum = R[t] * gmat  # sum_j v_j W_j: entry (a, b) is R_ab (v_a - v_b)
             out += Wsum @ coeffs[m - t] - coeffs[m - t] @ Wsum
         return out
 
@@ -512,7 +506,6 @@ def verify_coalescence(
         UPath(waypoints=tuple(ref + g * v for g in reversed(gaps))),
         tol=tol,
         guard=0.0,
-        exempt_pairs=frozenset(pairs),
     )
     flow_vs_germ = float(np.max(np.abs(flow.state.A - A_k[0])))
 

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from isomlab.errors import IntegrationError, WallError
 from isomlab.fuchsian import (
     FuchsianSystem,
+    _schlesinger_velocity,
     fuchs_monodromy,
     integrate_schlesinger,
     kv_family,
@@ -53,6 +54,18 @@ class TestSchlesingerRhs:
         rhs = schlesinger_rhs(sys)
         # dA_1/du_2 = [A_2, A_1]/(u_2 - u_1) = diag(-1, 1)
         assert np.allclose(rhs[0, 1], np.diag([-1.0, 1.0]))
+
+    def test_closed_form_velocity_matches_reference(self):
+        # the flow's right-hand side: [sum_j K_ij A_j, A_i], K the difference
+        # quotients of (u, du), equals sum_j du_j dA_i/du_j
+        rng = np.random.default_rng(8)
+        residues = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
+        residues.append(-sum(residues))
+        sys = FuchsianSystem(poles=[0.0, 1.0, 2.0 + 0.5j, -0.7 + 1.2j], residues=tuple(residues))
+        du = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ref = np.einsum("j,ijab->iab", du, schlesinger_rhs(sys))
+        fast = _schlesinger_velocity(np.array(sys.residues), sys.poles, du)
+        assert np.max(np.abs(fast - ref)) < 1e-14 * np.max(np.abs(ref))
 
     def test_row_sums_and_total_zero(self):
         rng = np.random.default_rng(6)
@@ -108,6 +121,15 @@ class TestIntegrateSchlesinger:
         sys = random_fuchsian(rng)
         with pytest.raises(WallError):
             integrate_schlesinger(sys, UPath.line(sys.poles, [1.0, 1.0, 2.0]))
+
+    def test_guard_catches_collision_between_waypoints(self):
+        # poles 0 and 1 pass within 1e-7 of each other at t = 1/2 only
+        rng = np.random.default_rng(17)
+        residues = random_fuchsian(rng).residues
+        sys = FuchsianSystem(poles=[0.0, -1.0 + 1e-7j, 3.0], residues=residues)
+        path = UPath.line(sys.poles, [0.0, 1.0 + 1e-7j, 3.0])
+        with pytest.raises(WallError, match=r"Schlesinger flow .* pairs \[\(0, 1\)\]"):
+            integrate_schlesinger(sys, path)
 
 
 class TestFuchsMonodromy:

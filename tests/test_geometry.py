@@ -17,6 +17,7 @@ from isomlab.geometry import (
     wall_hits,
     wall_hits_to_csv,
 )
+from isomlab.isoflow import UPath
 
 
 class TestStokesRays:
@@ -191,6 +192,13 @@ class TestSameCell:
             side = [np.sign(np.imag(rot * (p[:, None] - p[None, :]))) for p in pts]
             swept = all(np.array_equal(side[0], s) for s in side)
             assert same_cell(u, v, tau) == swept
+            # the exact minimal pair gap lies below the sweep's, within the
+            # distance the gaps can move between two sweep points
+            i, j = np.triu_indices(3, 1)
+            swept_gap = np.abs(pts[:, i] - pts[:, j]).min()
+            speed = np.abs((v - u)[i] - (v - u)[j]).max()
+            exact_gap = UPath.line(u, v).min_gap()
+            assert swept_gap - speed / 4000 <= exact_gap <= swept_gap + 1e-15
 
 
 class TestCsvExport:

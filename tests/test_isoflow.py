@@ -8,6 +8,7 @@ from isomlab.isoflow import (
     DiagonalGauge,
     LaurentCoefficients,
     UPath,
+    _omega_sum,
     integrability_residual,
     integrate_flow,
     laurent_reduce,
@@ -66,6 +67,21 @@ class TestOmegaZeroPart:
         with pytest.raises(WallError):
             omega_zero_part(GENERIC_A, np.array([1.0, 1.0]), 0)
 
+    def test_closed_form_sum_matches_reference(self):
+        # the flow's right-hand side builds sum_j du_j omega_j(0) in one go as
+        # A o K + diag(sum_j du_j D_j), K_ab = (du_a - du_b)/(u_a - u_b)
+        rng = np.random.default_rng(15)
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u = np.array([0.0, 1.0, 2.3, -1.0 + 0.8j])
+        du = rng.normal(size=4) + 1j * rng.normal(size=4)
+        gauge = DiagonalGauge(n=4, terms=(
+            (0, 0.7, (1, 0, 0, 0)), (1, -0.3 + 0.2j, (0, 2, 1, 0)), (3, 1.1, (1, 1, 0, 2)),
+        ))
+        ref = sum(du[j] * omega_zero_part(A, u, j, Dj=gauge.partial(u, j)) for j in range(4))
+        assert np.max(np.abs(_omega_sum(A, u, du, gauge) - ref)) < 1e-14 * np.max(np.abs(ref))
+        ref0 = sum(du[j] * omega_zero_part(A, u, j) for j in range(4))
+        assert np.max(np.abs(_omega_sum(A, u, du) - ref0)) < 1e-14 * np.max(np.abs(ref0))
+
 
 class TestIntegrateFlow:
     def test_diagonal_residue_constant(self):
@@ -109,6 +125,15 @@ class TestIntegrateFlow:
         state = DeformationState(u=U0, A=GENERIC_A)
         with pytest.raises(WallError):
             integrate_flow(state, UPath.line(U0, np.array([1.0, 1.0])))
+
+    def test_guard_catches_gap_between_waypoints(self):
+        # u_1 - u_0 runs from -1 to 1 at height 1e-7: the gap dips to 1e-7 at
+        # t = 1/2 only, far below the default guard 1e-6
+        u0 = np.array([0.0, -1.0 + 1e-7j])
+        path = UPath.line(u0, np.array([0.0, 1.0 + 1e-7j]))
+        assert abs(path.min_gap() - 1e-7) < 1e-15
+        with pytest.raises(WallError, match=r"isomonodromy flow .* pairs \[\(0, 1\)\]"):
+            integrate_flow(DeformationState(u=u0, A=GENERIC_A), path)
 
 
 class TestIntegrabilityResidual:

@@ -35,6 +35,7 @@ from .fuchsian import (
     kv_family,
     max_integer_spread,
     pole_levelt,
+    product_relation_residual,
     schlesinger_residual,
     schlesinger_rhs,
 )

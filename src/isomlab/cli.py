@@ -26,6 +26,7 @@ from .fuchsian import (
     fuchs_monodromy,
     integrate_schlesinger,
     kv_family,
+    product_relation_residual,
     schlesinger_residual,
 )
 from .isoflow import DeformationState, UPath, integrate_flow
@@ -228,6 +229,11 @@ def cmd_schlesinger(args) -> int:
             float(np.max(np.abs(a - b))) for a, b in zip(M0, M1)
         )
         report["monodromy_drift"] = drift
+        # reported only: the loop basis is not yet ordered by angle, so the
+        # basis-order product need not close
+        report["product_relation_residual"] = [
+            product_relation_residual(M0), product_relation_residual(M1)
+        ]
         ok = spec_drift <= args.mtol and drift <= args.mtol
     else:
         ok = spec_drift <= args.mtol

@@ -387,12 +387,14 @@ def optimal_truncation(fs: FormalSolution, radius: float) -> tuple[int, float]:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    best_k, best = 0, np.inf
-    for k in range(1, fs.K + 1):
-        t = float(np.linalg.norm(fs.F[k - 1], 2)) * radius ** (-k)
-        if t < best:
-            best_k, best = k, t
-    return best_k, best
+    if fs.K == 0:
+        return 0, np.inf
+    norms = np.linalg.svd(np.asarray(fs.F[: fs.K]), compute_uv=False)[:, 0]
+    terms = norms * float(radius) ** -np.arange(1, fs.K + 1)
+    k = int(np.argmin(np.where(np.isnan(terms), np.inf, terms)))
+    if not terms[k] < np.inf:
+        return 0, np.inf
+    return k + 1, float(terms[k])
 
 
 def ode_laurent_residuals(sys: IrregularSystem, fs: FormalSolution) -> list[float]:

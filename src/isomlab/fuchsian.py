@@ -149,8 +149,9 @@ def default_basepoint(sys: FuchsianSystem) -> complex:
     return complex(mean.real, float(sys.poles.imag.min()) - offset)
 
 
-def _infinity_frame(sys: FuchsianSystem, z0: complex, tol: float) -> np.ndarray:
-    """Value at z0 of the solution normalized to I at z = infinity.
+def _infinity_frame(sys: FuchsianSystem, z0: complex):
+    """The transport that gives, at z0, the solution normalized to I at
+    z = infinity: an (ode, Y0, legs) job, or None when that solution is I.
 
     In w = 1/z the system reads dY/dw = -sum_i A_i u_i/(1 - u_i w) Y
     = sum_{u_i != 0} A_i/(w - 1/u_i) Y, which is regular at w = 0 because the
@@ -170,9 +171,9 @@ def _infinity_frame(sys: FuchsianSystem, z0: complex, tol: float) -> np.ndarray:
 
     inner = [(1.0 / ui, Ai) for ui, Ai in zip(sys.poles, sys.residues) if ui != 0]
     if not inner:
-        return np.eye(sys.n, dtype=complex)
+        return None
     ode = fuchsian_ode([w for w, _ in inner], [Ai for _, Ai in inner])
-    return transport_matrix(ode, np.eye(sys.n, dtype=complex), [Leg(0j, w0)], tol)
+    return ode, np.eye(sys.n, dtype=complex), [Leg(0j, w0)]
 
 
 def fuchs_monodromy(
@@ -185,31 +186,42 @@ def fuchs_monodromy(
     distance, joined to the basepoint by straight spokes; composition order is
     increasing pole index.  With the default basepoint below the poles and a
     configuration angularly ordered by index, the basis-order product
-    M_1 M_2 ... M_N = I up to tolerance (z = infinity is regular).
+    M_1 M_2 ... M_N = I up to tolerance (z = infinity is regular);
+    `product_relation_residual` measures how far it is.
 
     By default the underlying solution is normalized to the identity at
     z = infinity, the frame in which Schlesinger flows keep the monodromy
     matrices constant entrywise; `normalize_at_infinity=False` uses
     Y(z0) = I instead (same conjugacy classes, u-dependent frame).
+
+    The N loops carry the identity at z0, in one transport batch with the
+    infinity frame Y0; by linearity M_i = Y0^{-1} T_i Y0 for the loop
+    transport T_i of the identity.
     """
     if z0 is None:
         z0 = default_basepoint(sys)
     z0 = complex(z0)
     if np.min(np.abs(sys.poles - z0)) < 1e-9:
         raise ValueError("basepoint coincides with a pole")
-    Y0 = (
-        _infinity_frame(sys, z0, tol)
-        if normalize_at_infinity
-        else np.eye(sys.n, dtype=complex)
-    )
     ode = fuchsian_ode(sys.poles, sys.residues)
-    out = []
-    for i in range(sys.N):
-        radius = radius_factor * sys.nearest_gap(i)
-        legs = _loop_legs(z0, complex(sys.poles[i]), radius)
-        Yi = transport_matrix(ode, Y0, legs, tol)
-        out.append(np.linalg.solve(Y0, Yi))
-    return out
+    eye = np.eye(sys.n, dtype=complex)
+    jobs = [
+        (ode, eye, _loop_legs(z0, complex(ui), radius_factor * sys.nearest_gap(i)))
+        for i, ui in enumerate(sys.poles)
+    ]
+    frame = _infinity_frame(sys, z0) if normalize_at_infinity else None
+    if frame is not None:
+        jobs.append(frame)
+    ends = transport_matrix(*zip(*jobs), tol)
+    Y0 = ends[sys.N] if frame is not None else eye
+    return [np.linalg.solve(Y0, T @ Y0) for T in ends[: sys.N]]
+
+
+def product_relation_residual(mons) -> float:
+    """max |M_1 M_2 ... M_N - I|: zero for a loop basis whose basis-order
+    product is the loop around every pole, i.e. around z = infinity."""
+    prod = np.linalg.multi_dot(mons) if len(mons) > 1 else mons[0]
+    return float(np.max(np.abs(prod - np.eye(len(prod)))))
 
 
 def pole_levelt(sys: FuchsianSystem, i: int, K: int = 20, tol: float = 1e-8) -> LeveltData:

@@ -13,8 +13,8 @@ reference.
 
 Both nonlinear flows run through one driver: an exact coalescence guard
 (every pair gap u_i - u_j is affine along a straight segment), one DOP853
-call per segment, and a `FlowTrace` sampled at TRACE_SAMPLES points per
-segment.
+call per segment with a budget of MAX_RHS_EVALS right-hand side
+evaluations, and a `FlowTrace` sampled at TRACE_SAMPLES points per segment.
 
 Also here: the Frobenius-integrability residual probed by finite
 differences, the vanishing-order fit A_ij = O(u_i - u_j) used near the
@@ -37,6 +37,10 @@ from .matrixcore import as_square, solve_sylvester
 from .odeengine import PathPoint
 
 TRACE_SAMPLES = 17  # trace points per path segment, both ends included
+# work budget of one flow segment: a segment of the tier-1 tests uses at
+# most ~200 evaluations and a benchmark op ~1k in all, while DOP853 creeping
+# past a near-collision (guard=0.0) would run on without end
+MAX_RHS_EVALS = 20_000
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,9 @@ def _integrate(flow: str, path: UPath, y, rhs, tol: float, guard: float | None):
 
     Refuses the path if some pair gap |u_i - u_j| falls below `guard`
     (default 1e-6 times the u scale) anywhere on it; the gaps are exact, so
-    a pair that dips below the guard between waypoints is caught.  Returns
+    a pair that dips below the guard between waypoints is caught.  A
+    segment that needs more than MAX_RHS_EVALS right-hand side evaluations
+    raises IntegrationError naming the flow and the segment.  Returns
     the trace (t, u, y) at TRACE_SAMPLES points per segment, t running from
     0 to the number of segments; y[-1] is the end value.
     """
@@ -238,9 +244,20 @@ def _integrate(flow: str, path: UPath, y, rhs, tol: float, guard: float | None):
     ts, us, ys = [], [], []
     for seg, (a, b) in enumerate(zip(path.waypoints[:-1], path.waypoints[1:])):
         du = b - a
+        evals = 0
+
+        def f(t, yv):
+            nonlocal evals
+            evals += 1
+            if evals > MAX_RHS_EVALS:
+                raise IntegrationError(
+                    f"{flow} used up its budget of {MAX_RHS_EVALS} right-hand side "
+                    f"evaluations on segment {seg} at t = {t:.6g}"
+                )
+            return rhs(a + t * du, du, yv)
+
         sol = solve_ivp(
-            lambda t, yv: rhs(a + t * du, du, yv), (0.0, 1.0), y,
-            method="DOP853", rtol=tol, atol=tol, t_eval=t_eval,
+            f, (0.0, 1.0), y, method="DOP853", rtol=tol, atol=tol, t_eval=t_eval,
         )
         if not sol.success:
             raise IntegrationError(f"{flow} failed on segment {seg}: {sol.message}")

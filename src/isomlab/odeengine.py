@@ -22,14 +22,32 @@ Y_{k+1} = ((z0 Lambda + A - k) Y_k + Lambda Y_{k-1}) / (z0 (k + 1)).
 Step rule: steps are chords along the path's lines and arcs with
 |h| <= STEP_RADIUS dist(z0, zeros of P), so the series converges at least
 like STEP_RADIUS^k, and |h| ||Lambda|| <= STEP_GROWTH, so the exponential
-part of a step stays O(1).  Tail criterion: the sum stops when two
-consecutive terms fall below TAIL_FRACTION * tol relative to the value at
-the start of the step; the fraction keeps the error accumulated over the
-few dozen steps of a path, and its amplification by the exponential
-regrading of Stokes quotients, at or below what tol promises.  A path that
-runs into a zero of P drives the step below STEP_FLOOR times max(|z0|,
-segment length); the engine then raises IntegrationError naming the segment
-and the singular point.
+part of a step stays O(1).  The steps depend on the geometry alone (z0, the
+zeros of P and the growth of Q/P), so they are laid out before any series
+is summed.  A path that runs into a zero of P drives the step below
+STEP_FLOOR times max(|z0|, segment length); the engine then raises
+IntegrationError naming the transport, the segment and the singular point.
+
+Lockstep batches: `transport_matrix` takes one transport or a list of them
+and runs every column of every transport as one member of a single term
+loop.  Members are padded to a common dimension and degree, and shorter
+step schedules with h = 0 (identity) steps; at each step the local P, Q and
+the recurrence matrix of all members are built at once, and every term is
+one batched product over the window of the last terms.  Stop rule: the loop
+ends once every member has had two consecutive terms below
+TAIL_FRACTION * tol relative to its own value at the start of the step, and
+every member sums every computed term, so a member that converged early
+only gains accuracy.  The fraction keeps the error accumulated over the few
+dozen steps of a path, and its amplification by the exponential regrading
+of Stokes quotients, at or below what tol promises.  The term buffer is not
+sized for MAX_TERMS, which only bounds a series that fails to converge: it
+holds a few dozen terms, and when it is full the terms before the current
+window are folded into a running sum, so it never grows.
+
+Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
+function that assembles it from their end values, and run all of them in
+one batch: `sectorial_plan`, `stokes_plan` and `connection_plan` are the
+plan steps of `actual_solution`, `stokes_matrix` and `connection_matrix`.
 
 The Wronskian identity
 
@@ -52,6 +70,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Any, Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrace.py rebinds it
@@ -254,11 +273,6 @@ class LinearODE:
         top = abs(self.P[-1])
         return float(np.abs(self.Q[-1]).sum(axis=1).max()) / top if top else 0.0
 
-    def local(self, z0: complex):
-        """Coefficients of P and Q in powers of h = z - z0."""
-        binom, idx = _shift_tables(len(self.P))
-        T = binom * (complex(z0 - self.center) ** np.arange(len(self.P)))[idx]
-        return T @ self.P, (T @ self.Q.reshape(len(T), -1)).reshape(self.Q.shape)
 
 
 @lru_cache(maxsize=None)
@@ -305,87 +319,178 @@ def fuchsian_ode(poles, residues) -> LinearODE:
     return LinearODE(center=center, P=np.poly(x)[::-1].astype(complex), Q=Q, roots=poles)
 
 
-def transport_matrix(ode: LinearODE, Y0, legs, tol: float = DEFAULT_TOL):
-    """Carry a solution of P Y' = Q Y along the legs by Taylor steps.
+def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
+    """Carry solutions of P Y' = Q Y along legs by Taylor steps.
 
-    Y0 may be a full matrix or a single column; `tol` is the relative
-    accuracy asked of the whole transport (the step rule and tail criterion
-    are in the module docstring).  Raises IntegrationError when a leg runs
-    into a singular point or a series fails to converge.  Returns the final
-    value.
+    One transport: `ode` is a LinearODE, Y0 a full matrix or a single
+    column and `legs` a sequence of Legs; the final value is returned.  A
+    batch: `ode`, `Y0` and `legs` are equal-length sequences, one entry per
+    transport (ODE, dimension, degree and path may differ between entries),
+    and the list of final values is returned.  Either way every column runs
+    in one lockstep term loop (module docstring).  `tol` is the relative
+    accuracy asked of each transport.  Raises IntegrationError, naming the
+    transport and its segment, when a leg runs into a singular point (before
+    any series is summed) or a series fails to converge.
     """
-    Y = np.asarray(Y0, dtype=complex)
-    shape = Y.shape
-    Y = Y.reshape(shape[0], -1)
+    if isinstance(ode, LinearODE):
+        return transport_matrix([ode], [Y0], [legs], tol)[0]
+    values = [np.asarray(Y, dtype=complex) for Y in Y0]
+    schedules = [_schedule(o, lg, job) for job, (o, lg) in enumerate(zip(ode, legs))]
+    # one member per column of every transport, padded to a common dimension
+    # and degree; a member past the end of its schedule takes h = 0 steps
+    widths = [V.reshape(len(V), -1).shape[1] for V in values]
+    B = sum(widths)
+    n = max((o.Q.shape[1] for o in ode), default=1)
+    m = max((len(o.P) for o in ode), default=1)
+    steps = max((len(sc[0]) for sc in schedules), default=0)
+    P = np.zeros((m, B), dtype=complex)
+    Q = np.zeros((m, n, n, B), dtype=complex)
+    Y = np.zeros((n, B), dtype=complex)
+    center = np.zeros(B, dtype=complex)
+    Z0 = np.zeros((steps, B), dtype=complex)
+    H = np.zeros((steps, B), dtype=complex)
+    b = 0
+    for o, V, w, (z0s, hs, _) in zip(ode, values, widths, schedules):
+        e = b + w
+        P[: len(o.P), b:e] = o.P[:, None]
+        Q[: len(o.P), : len(V), : len(V), b:e] = o.Q[..., None]
+        Y[: len(V), b:e] = V.reshape(len(V), w)
+        center[b:e] = o.center
+        Z0[: len(z0s), b:e] = z0s[:, None]
+        H[: len(hs), b:e] = hs[:, None]
+        b = e
+    job_of = np.repeat(np.arange(len(values)), widths)
+    binom, idx = _shift_tables(m)
+    powers = np.arange(m)[:, None]
+    d = m - 1
+    # the latest series terms (c_j, E_j); when the buffer is full, the terms
+    # before the current window are folded into the running sum
+    G = np.zeros((2 * m + 16, 2 * n, B), dtype=complex)
+    for s in range(steps):
+        M = _step_matrix(P, Q, Z0[s] - center, H[s], binom, idx, powers)
+        G[:d] = 0
+        G[d, :n], G[d, n:] = Y, 0
+        tol2 = (TAIL_FRACTION * tol) ** 2 * (Y.real**2 + Y.imag**2).sum(axis=0)
+        total = np.zeros_like(Y)
+        small = np.zeros(B, dtype=bool)  # the member's last term was small
+        done = np.zeros(B, dtype=bool)  # two consecutive small terms seen
+        j = 0  # buffer slot where the window of the last m terms starts
+        for k in range(MAX_TERMS):
+            if j + m == len(G):
+                total += G[:j, :n].sum(axis=0)
+                G[:m] = G[j:]
+                j = 0
+            c, E = G[j + m, :n], G[j + m, n:]
+            np.einsum("wib,wb->ib", M, G[j : j + m].reshape(-1, B), out=E)
+            np.divide(E, k + 1, out=c)
+            j += 1
+            a = np.abs(c)
+            tiny = np.einsum("ib,ib->b", a, a) <= tol2
+            done |= small & tiny
+            small = tiny
+            if np.count_nonzero(done) == B:
+                break
+        else:
+            job = int(job_of[np.argmin(done)])
+            seg = int(schedules[job][2][s])
+            raise IntegrationError(
+                f"Taylor series of transport {job} did not converge on segment "
+                f"{seg} ({legs[job][seg]}) at z = {schedules[job][0][s]:.6g}"
+            )
+        Y = total + G[: j + m, :n].sum(axis=0)
+    out, b = [], 0
+    for V, w in zip(values, widths):
+        out.append(Y[: len(V), b : b + w].reshape(V.shape))
+        b += w
+    return out
+
+
+def _schedule(ode: LinearODE, legs, job: int):
+    """Start points, increments and segment indices of the steps of one
+    transport.  They depend on the geometry alone (step rule in the module
+    docstring), so a path into a singular point is refused up front."""
+    roots = [complex(r) for r in ode.roots]
     growth = ode.growth
+    z0s, hs, segs = [], [], []
     for idx, leg in enumerate(legs):
         length = leg.length
         t, z0 = 0.0, leg.a
         while t < 1.0:
-            dist = np.abs(ode.roots - z0)
-            near = int(np.argmin(dist))
-            hmax = STEP_RADIUS * float(dist[near])
+            near = min(roots, key=lambda r: abs(r - z0))
+            hmax = STEP_RADIUS * abs(near - z0)
             if growth:
                 hmax = min(hmax, STEP_GROWTH / growth)
             if not hmax > STEP_FLOOR * max(abs(z0), length):
                 raise IntegrationError(
-                    f"transport on segment {idx} ({leg}) runs into the singular "
-                    f"point {ode.roots[near]:.6g} (distance {dist[near]:.3g} "
+                    f"transport {job}, segment {idx} ({leg}), runs into the "
+                    f"singular point {near:.6g} (distance {abs(near - z0):.3g} "
                     f"at z = {z0:.6g})"
                 )
             t = 1.0 if t * length + hmax >= length else t + hmax / length
             z1 = leg.point(t)
-            Y = _taylor_step(ode, Y, z0, z1 - z0, tol, idx, leg)
+            z0s.append(z0)
+            hs.append(z1 - z0)
+            segs.append(idx)
             z0 = z1
-    return Y.reshape(shape)
+    return np.array(z0s, dtype=complex), np.array(hs, dtype=complex), np.array(segs, dtype=int)
 
 
-def _taylor_step(ode, Y, z0, h, tol, idx, leg):
-    """Y(z0 + h) from Y(z0) by the scaled recurrence for c_k = Y_k h^k.
+def _step_matrix(P, Q, x0, h, binom, idx, powers):
+    """The recurrence of one lockstep step, for every member at once.
 
-    With E_k = k c_k and the local coefficients scaled to p_i h^i / p_0 and
-    h q_i h^i / p_0, a term is E_{k+1} = sum_i q_i c_{k-i}
-    - sum_{i>=1} p_i E_{k+1-i}: one product of a fixed matrix with the
-    window of the last d + 1 pairs (c_j, E_j), stored flat in G.
+    P (m, B) and Q (m, n, n, B) hold the members' coefficients about their
+    centres, x0 (B,) the step starts relative to them and h (B,) the steps.
+    With c_k = Y_k h^k, E_k = k c_k and the local coefficients scaled to
+    p_i h^i / p_0 and h q_i h^i / p_0, a term is E_{k+1} = sum_i q_i c_{k-i}
+    - sum_{i>=1} p_i E_{k+1-i}: E_{k+1} = sum_w M[w] * window[w] over the
+    window of the last m pairs (c_j, E_j).  Returns M of shape (2 m n, n, B).
     """
-    P, Q = ode.local(z0)
-    d = len(P) - 1
-    n, cols = Y.shape
-    m = 2 * n
-    hp = h ** np.arange(d + 1)
-    p = P * hp / P[0]
-    q = Q * (h * hp / P[0])[:, None, None]
-    # block s of M acts on (c_j, E_j), j = k - d + s: [q_{d-s}, -p_{d+1-s} I]
-    M = np.zeros((n, d + 1, 2, n), dtype=complex)
-    M[:, :, 0, :] = q[::-1].transpose(1, 0, 2)
-    M[:, 1:, 1, :] = -p[None, :0:-1, None] * np.eye(n)[:, None, :]
-    M = np.tile(M.reshape(n, -1), (2, 1))  # rows of c_{k+1}, then of E_{k+1}
-    scale = _term_scale(n)
-    G = np.zeros(((MAX_TERMS + d + 1) * m, cols), dtype=complex)
-    G[d * m : d * m + n] = Y
-    tol2 = (TAIL_FRACTION * tol) ** 2 * np.vdot(Y, Y).real
-    small = 0
-    for k in range(MAX_TERMS):
-        out = G[(k + d + 1) * m : (k + d + 2) * m]
-        np.multiply(M @ G[k * m : (k + d + 1) * m], scale[k], out=out)
-        if np.vdot(out[:n], out[:n]).real <= tol2:
-            small += 1
-            if small == 2:
-                terms = G[d * m : (k + d + 2) * m].reshape(k + 2, m, cols)
-                return terms[:, :n].sum(axis=0)
-        else:
-            small = 0
-    raise IntegrationError(
-        f"Taylor series did not converge on segment {idx} ({leg}) at z = {z0:.6g}"
-    )
+    m, n, B = Q.shape[0], Q.shape[1], Q.shape[-1]
+    T = binom[..., None] * (x0 ** powers)[idx]  # Taylor shift to x0, (m, m, B)
+    Pl = np.einsum("ijb,jb->ib", T, P)
+    Ql = np.einsum("ijb,jrcb->ircb", T, Q)
+    hp = h**powers
+    P0 = np.where(h == 0, 1.0, Pl[0])  # p_0 only scales; an h = 0 step is I
+    p = Pl * hp / P0
+    q = Ql * (h * hp / P0)[:, None, None]
+    # slot s of the window holds j = k - d + s: q_{d-s} acts on c_j and
+    # -p_{d+1-s} I on E_j
+    M = np.zeros((m, 2, n, n, B), dtype=complex)
+    M[:, 0] = q[::-1].transpose(0, 2, 1, 3)
+    M[1:, 1] = -p[:0:-1, None, None] * np.eye(n)[..., None]
+    return M.reshape(2 * m * n, n, B)
 
 
-@lru_cache(maxsize=None)
-def _term_scale(n: int) -> np.ndarray:
-    """scale[k] turns E_{k+1} into (c_{k+1}, E_{k+1}) = (E_{k+1} / (k + 1), E_{k+1})."""
-    scale = np.ones((MAX_TERMS, 2 * n, 1))
-    scale[:, :n, 0] = 1.0 / np.arange(1, MAX_TERMS + 1)[:, None]
-    return scale
+@dataclass(frozen=True)
+class Plan:
+    """Transports to run and what to make of their final values.
+
+    `jobs` holds (ode, Y0, legs) triples for transport_matrix; `assemble`
+    maps the list of their final values to the result.  Plans are built
+    first and run together, so that a whole pipeline is one lockstep batch.
+    """
+
+    jobs: tuple
+    assemble: Callable[[list], Any]
+
+
+def join_plans(plans, combine: Callable[..., Any] = lambda *results: list(results)) -> Plan:
+    """One plan running all of `plans`; its result is combine(*their results)."""
+    plans = list(plans)
+
+    def assemble(ends):
+        results, b = [], 0
+        for p in plans:
+            results.append(p.assemble(ends[b : b + len(p.jobs)]))
+            b += len(p.jobs)
+        return combine(*results)
+
+    return Plan(tuple(job for p in plans for job in p.jobs), assemble)
+
+
+def run_plan(plan: Plan, tol: float = DEFAULT_TOL):
+    """Run every transport of the plan in one transport_matrix batch."""
+    return plan.assemble(transport_matrix(*zip(*plan.jobs), tol) if plan.jobs else [])
 
 
 def integrate_path(
@@ -493,29 +598,19 @@ def _column_path(seed_pt: PathPoint, zstar: PathPoint, rho_arc: float) -> ZPath:
     return path
 
 
-def actual_solution(
+def sectorial_plan(
     sys: IrregularSystem,
     r: int,
     tau: float,
     radius: float = DEFAULT_SEED_RADIUS,
     zstar: PathPoint | None = None,
-    tol: float = DEFAULT_TOL,
     fs: FormalSolution | None = None,
     order: int = 30,
     widened: bool = False,
     uC=None,
     coalesce_tol: float = 0.0,
-) -> SolutionHandle:
-    """Sectorial solution Y_r assembled at `zstar` (default: sector midpoint
-    at the seed radius).
-
-    Each column is seeded with the optimally truncated formal series at
-    |z| = radius on the direction inside S_r where its exponential is most
-    recessive (there the seed's contamination by other solutions is below
-    the truncation error) and transported to the common point.  The reported
-    `seed_error` is the first-omitted-term bound, inflated by exp(R d) when
-    some column is only recessive up to a defect d < 0.
-    """
+) -> Plan:
+    """The column transports of actual_solution, assembled into its handle."""
     frame = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
     if zstar is None:
         zstar = PathPoint.from_polar(radius, frame.midpoint)
@@ -547,25 +642,57 @@ def actual_solution(
     # recessive one inside the relative tail criterion; sweep at moderate radius
     rho_max = float(np.max(np.abs(sys.u[:, None] - sys.u[None, :])))
     rho_arc = min(zstar.radius, radius, max(0.5, 4.0 / max(rho_max, 1e-6)))
-    n = sys.n
-    w_star = np.log(zstar.radius) + 1j * zstar.arg
-    Y = np.empty((n, n), dtype=complex)
-    for j in range(n):
+    jobs = []
+    for j in range(sys.n):
         seed_pt = PathPoint.from_polar(radius, float(angles[j]))
         # transport in the column's own scalar gauge y e^{-z u_j} z^{-b_j},
         # which stays O(1) along the whole path, so the relative tail
         # criterion is meaningful for exponentially small columns
         col = eval_series_factor(fs, seed_pt.z, K=k_opt)[:, j]
-        uj, bj = fs.u[j], fs.b[j]
         legs = [seg.leg for seg in _column_path(seed_pt, zstar, rho_arc).segments]
-        tilde = transport_matrix(irregular_ode(sys, uj, bj), col, legs, tol=tol)
-        Y[:, j] = tilde * np.exp(uj * zstar.z + bj * w_star)
-    return SolutionHandle(
-        system=sys,
-        point=zstar,
-        value=Y,
-        provenance=f"formal-seeded({r})",
-        seed_error=float(bound + leakage),
+        jobs.append((irregular_ode(sys, fs.u[j], fs.b[j]), col, legs))
+    w_star = np.log(zstar.radius) + 1j * zstar.arg
+    gauge = np.exp(fs.u * zstar.z + fs.b * w_star)
+
+    def assemble(cols):
+        return SolutionHandle(
+            system=sys,
+            point=zstar,
+            value=np.stack(cols, axis=1) * gauge,
+            provenance=f"formal-seeded({r})",
+            seed_error=float(bound + leakage),
+        )
+
+    return Plan(tuple(jobs), assemble)
+
+
+def actual_solution(
+    sys: IrregularSystem,
+    r: int,
+    tau: float,
+    radius: float = DEFAULT_SEED_RADIUS,
+    zstar: PathPoint | None = None,
+    tol: float = DEFAULT_TOL,
+    fs: FormalSolution | None = None,
+    order: int = 30,
+    widened: bool = False,
+    uC=None,
+    coalesce_tol: float = 0.0,
+) -> SolutionHandle:
+    """Sectorial solution Y_r assembled at `zstar` (default: sector midpoint
+    at the seed radius).
+
+    Each column is seeded with the optimally truncated formal series at
+    |z| = radius on the direction inside S_r where its exponential is most
+    recessive (there the seed's contamination by other solutions is below
+    the truncation error) and transported to the common point.  The reported
+    `seed_error` is the first-omitted-term bound, inflated by exp(R d) when
+    some column is only recessive up to a defect d < 0.
+    """
+    return run_plan(
+        sectorial_plan(sys, r, tau, radius=radius, zstar=zstar, fs=fs, order=order,
+                       widened=widened, uC=uC, coalesce_tol=coalesce_tol),
+        tol,
     )
 
 
@@ -588,15 +715,10 @@ class StokesResult:
     error_estimate: float
 
 
-def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
-                  fs: FormalSolution | None = None,
-                  coalesce_tol: float = 0.0) -> StokesResult:
-    """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint, |z*| = R/2.
-
-    Both sectorial solutions are transported to the same point of the cover;
-    the quotient is formed in the F-gauge and regraded entrywise, so required
-    zeros are damped rather than amplified.
-    """
+def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
+                fs: FormalSolution | None = None,
+                coalesce_tol: float = 0.0) -> Plan:
+    """The transports of stokes_matrix, assembled into its StokesResult."""
     frame_r = _frame(sys, r, cfg)
     frame_r1 = _frame(sys, r + 1, cfg)
     lo, hi = frame_r1.lo, frame_r.hi
@@ -606,48 +728,63 @@ def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
     zstar = PathPoint.from_polar(cfg.radius / 2.0, theta)
     if fs is None:
         fs = compute_formal_coefficients(sys, K=cfg.order, coalesce_tol=coalesce_tol)
-    Yr = actual_solution(
-        sys, r, cfg.tau, radius=cfg.radius, zstar=zstar, tol=cfg.tol, fs=fs,
-        widened=cfg.widened, uC=cfg.uC,
-    )
-    Yr1 = actual_solution(
-        sys, r + 1, cfg.tau, radius=cfg.radius, zstar=zstar, tol=cfg.tol, fs=fs,
-        widened=cfg.widened, uC=cfg.uC,
-    )
-    n = sys.n
-    w = np.log(zstar.radius) + 1j * zstar.arg
-    grading = np.exp(fs.b * w + zstar.z * sys.u)  # E(z*) diagonal
-    Fr = Yr.value / grading[None, :]
-    Fr1 = Yr1.value / grading[None, :]
-    try:
-        W = np.linalg.solve(Fr, Fr1)
-    except np.linalg.LinAlgError as exc:
-        raise IntegrationError(f"conditioning failure at z* = {zstar.z:.6g}: {exc}") from exc
-    ratio = grading[None, :] / grading[:, None]  # E_jj / E_ii
-    S = W * ratio
+    sectorial = [
+        sectorial_plan(sys, k, cfg.tau, radius=cfg.radius, zstar=zstar, fs=fs,
+                       widened=cfg.widened, uC=cfg.uC)
+        for k in (r, r + 1)
+    ]
 
-    ed = complex(math.cos(theta), math.sin(theta))
-    req = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and (ed * (sys.u[i] - sys.u[j])).real > 0:
-                req.append(((i, j), float(abs(S[i, j]))))
-    diag_residual = float(np.max(np.abs(np.diag(S) - 1.0)))
-    amp = float(np.max(np.abs(ratio)))
-    # seed admixtures act as basis-coefficient perturbations, so they enter
-    # the quotient scaled by the size of S itself; regrading only amplifies
-    # round-off and integration noise
-    s_scale = 1.0 + float(np.max(np.abs(S)))
-    err = (Yr.seed_error + Yr1.seed_error) * s_scale + amp * (10 * cfg.tol + 1e-14)
-    return StokesResult(
-        r=r,
-        S=S,
-        zstar=zstar,
-        overlap=(lo, hi),
-        diag_residual=diag_residual,
-        required_zero=tuple(req),
-        error_estimate=float(err),
-    )
+    def assemble(Yr, Yr1):
+        n = sys.n
+        w = np.log(zstar.radius) + 1j * zstar.arg
+        grading = np.exp(fs.b * w + zstar.z * sys.u)  # E(z*) diagonal
+        Fr = Yr.value / grading[None, :]
+        Fr1 = Yr1.value / grading[None, :]
+        try:
+            W = np.linalg.solve(Fr, Fr1)
+        except np.linalg.LinAlgError as exc:
+            raise IntegrationError(
+                f"conditioning failure at z* = {zstar.z:.6g}: {exc}"
+            ) from exc
+        ratio = grading[None, :] / grading[:, None]  # E_jj / E_ii
+        S = W * ratio
+
+        ed = complex(math.cos(theta), math.sin(theta))
+        req = []
+        for i in range(n):
+            for j in range(n):
+                if i != j and (ed * (sys.u[i] - sys.u[j])).real > 0:
+                    req.append(((i, j), float(abs(S[i, j]))))
+        diag_residual = float(np.max(np.abs(np.diag(S) - 1.0)))
+        amp = float(np.max(np.abs(ratio)))
+        # seed admixtures act as basis-coefficient perturbations, so they
+        # enter the quotient scaled by the size of S itself; regrading only
+        # amplifies round-off and integration noise
+        s_scale = 1.0 + float(np.max(np.abs(S)))
+        err = (Yr.seed_error + Yr1.seed_error) * s_scale + amp * (10 * cfg.tol + 1e-14)
+        return StokesResult(
+            r=r,
+            S=S,
+            zstar=zstar,
+            overlap=(lo, hi),
+            diag_residual=diag_residual,
+            required_zero=tuple(req),
+            error_estimate=float(err),
+        )
+
+    return join_plans(sectorial, assemble)
+
+
+def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
+                  fs: FormalSolution | None = None,
+                  coalesce_tol: float = 0.0) -> StokesResult:
+    """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint, |z*| = R/2.
+
+    Both sectorial solutions are transported to the same point of the cover;
+    the quotient is formed in the F-gauge and regraded entrywise, so required
+    zeros are damped rather than amplified.
+    """
+    return run_plan(stokes_plan(sys, r, cfg, fs=fs, coalesce_tol=coalesce_tol), cfg.tol)
 
 
 def levelt_handle(
@@ -670,6 +807,36 @@ def levelt_handle(
     return SolutionHandle(system=sys, point=pt, value=Y0, provenance="levelt")
 
 
+def connection_plan(
+    sys: IrregularSystem,
+    r: int,
+    ld: LeveltData,
+    tau: float,
+    radius: float = DEFAULT_SEED_RADIUS,
+    fs: FormalSolution | None = None,
+    zstar: PathPoint | None = None,
+    widened: bool = False,
+    uC=None,
+) -> Plan:
+    """The transports of connection_matrix (the columns of Y_r and the
+    radial Levelt leg), assembled into C_r."""
+    frame = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
+    if zstar is None:
+        zstar = PathPoint.from_polar(radius / 2.0, frame.midpoint)
+    elif not frame.contains(zstar.arg):
+        raise SectorError("zstar outside the sector of Y_r")
+    lev = levelt_handle(sys, ld, zstar.arg)
+    legs = [seg.leg for seg in ZPath.radial(lev.point, zstar.radius).segments]
+    return join_plans(
+        [
+            sectorial_plan(sys, r, tau, radius=radius, zstar=zstar, fs=fs,
+                           widened=widened, uC=uC),
+            Plan(((irregular_ode(sys), lev.value, legs),), lambda ends: ends[0]),
+        ],
+        lambda Yr, Ylev: np.linalg.solve(Ylev, Yr.value),
+    )
+
+
 def connection_matrix(
     sys: IrregularSystem,
     r: int,
@@ -688,18 +855,11 @@ def connection_matrix(
     transported outward radially; both factors therefore carry the same arg
     bookkeeping and the quotient is branch-consistent.
     """
-    frame = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
-    if zstar is None:
-        zstar = PathPoint.from_polar(radius / 2.0, frame.midpoint)
-    elif not frame.contains(zstar.arg):
-        raise SectorError("zstar outside the sector of Y_r")
-    Yr = actual_solution(
-        sys, r, tau, radius=radius, zstar=zstar, tol=tol, fs=fs,
-        widened=widened, uC=uC,
+    return run_plan(
+        connection_plan(sys, r, ld, tau, radius=radius, fs=fs, zstar=zstar,
+                        widened=widened, uC=uC),
+        tol,
     )
-    lev = levelt_handle(sys, ld, zstar.arg)
-    lev = integrate_path(sys, lev, ZPath.radial(lev.point, zstar.radius), tol=tol)
-    return np.linalg.solve(lev.value, Yr.value)
 
 
 def monodromy_loop(

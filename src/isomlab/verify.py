@@ -43,8 +43,10 @@ from .odeengine import (
     DEFAULT_SEED_RADIUS,
     DEFAULT_TOL,
     StokesConfig,
-    connection_matrix,
-    stokes_matrix,
+    connection_plan,
+    join_plans,
+    run_plan,
+    stokes_plan,
 )
 
 
@@ -100,59 +102,56 @@ def collect_data(
             raise WallError(f"segment {a} -> {b} crosses W(tau); samples not in one cell")
 
     ld0 = compute_levelt_exponents(state.A)
-    out = []
-    cur = state
-    G = ld0.G
-    for idx, target in enumerate(sample_pts):
-        if idx > 0:
-            res = integrate_flow(cur, UPath.line(cur.u, target), tol=tol, carry_gauge=G)
-            cur = res.state
-            G = res.gauge_matrix
-        out.append(
-            _extract_one(
-                cur, G, ld0, r, tau, radius=radius, tol=tol, order=order,
-                levelt_order=levelt_order, with_extras=with_extras,
-            )
-        )
-    return out
+    states, gauges = [state], [ld0.G]
+    for target in sample_pts[1:]:
+        res = integrate_flow(states[-1], UPath.line(states[-1].u, target), tol=tol,
+                             carry_gauge=gauges[-1])
+        states.append(res.state)
+        gauges.append(res.gauge_matrix)
+    plans = [
+        _extract_plan(cur, G, ld0, r, tau, radius=radius, tol=tol, order=order,
+                      levelt_order=levelt_order, with_extras=with_extras)
+        for cur, G in zip(states, gauges)
+    ]
+    return run_plan(join_plans(plans), tol)
 
 
-def _extract_one(
-    state, G, ld0, r, tau, radius, tol, order, levelt_order, with_extras,
-    widened=False, uC=None, coalesce_tol=0.0,
-):
+def _extract_plan(state, G, ld0, r, tau, radius, tol, order, levelt_order, with_extras):
+    """The transports of one sample's data set, assembled into it."""
     sys = IrregularSystem(u=state.u, A=state.A)
-    fs = compute_formal_coefficients(sys, K=order, coalesce_tol=coalesce_tol)
-    cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order,
-                       widened=widened, uC=uC)
-    res_r = stokes_matrix(sys, r, cfg, fs=fs, coalesce_tol=coalesce_tol)
-    res_r1 = stokes_matrix(sys, r + 1, cfg, fs=fs, coalesce_tol=coalesce_tol)
-    ld = with_gauge(ld0, G, state.A) if G is not None else compute_levelt_exponents(state.A)
+    fs = compute_formal_coefficients(sys, K=order)
+    cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order)
+    ld = with_gauge(ld0, G, state.A)
     ld = build_levelt_solution(state.A, lambda m: sys.Lambda if m == 0 else np.zeros_like(state.A),
                                ld=ld, K=levelt_order)
-    C_r = connection_matrix(sys, r, ld, tau, radius=radius, tol=tol, fs=fs,
-                            widened=widened, uC=uC)
-    S_r2 = None
-    C_r1 = None
+    plans = [
+        stokes_plan(sys, r, cfg, fs=fs),
+        stokes_plan(sys, r + 1, cfg, fs=fs),
+        connection_plan(sys, r, ld, tau, radius=radius, fs=fs),
+    ]
     if with_extras:
-        res_r2 = stokes_matrix(sys, r + 2, cfg, fs=fs, coalesce_tol=coalesce_tol)
-        S_r2 = res_r2.S
-        C_r1 = connection_matrix(sys, r + 1, ld, tau, radius=radius, tol=tol, fs=fs,
-                                 widened=widened, uC=uC)
-    return MonodromyDataSet(
-        u=state.u.copy(),
-        r=r,
-        S_r=res_r.S,
-        S_r1=res_r1.S,
-        b=np.diag(state.A).copy(),
-        d=ld.d.copy(),
-        L=ld.L,
-        C_r=C_r,
-        S_r2=S_r2,
-        C_r1=C_r1,
-        diag_residuals=(res_r.diag_residual, res_r1.diag_residual),
-        stokes_error=max(res_r.error_estimate, res_r1.error_estimate),
-    )
+        plans += [
+            stokes_plan(sys, r + 2, cfg, fs=fs),
+            connection_plan(sys, r + 1, ld, tau, radius=radius, fs=fs),
+        ]
+
+    def assemble(res_r, res_r1, C_r, res_r2=None, C_r1=None):
+        return MonodromyDataSet(
+            u=state.u.copy(),
+            r=r,
+            S_r=res_r.S,
+            S_r1=res_r1.S,
+            b=np.diag(state.A).copy(),
+            d=ld.d.copy(),
+            L=ld.L,
+            C_r=C_r,
+            S_r2=None if res_r2 is None else res_r2.S,
+            C_r1=C_r1,
+            diag_residuals=(res_r.diag_residual, res_r1.diag_residual),
+            stokes_error=max(res_r.error_estimate, res_r1.error_estimate),
+        )
+
+    return join_plans(plans, assemble)
 
 
 def data_drift(datasets: list[MonodromyDataSet]) -> dict[str, float]:
@@ -487,15 +486,17 @@ def verify_coalescence(
     fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=ctol)
     cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order,
                        widened=True, uC=ref)
-    S0_frozen = stokes_matrix(frozen, r, cfg, fs=fs0, coalesce_tol=ctol)
-    S1_frozen = stokes_matrix(frozen, r + 1, cfg, fs=fs0, coalesce_tol=ctol)
     ld_frozen = compute_levelt_exponents(A0)
     ld_frozen = build_levelt_solution(
         A0, lambda m: frozen.Lambda if m == 0 else np.zeros_like(A0),
         ld=ld_frozen, K=20,
     )
-    C_frozen = connection_matrix(frozen, r, ld_frozen, tau, radius=radius, tol=tol,
-                                 fs=fs0, widened=True, uC=ref)
+    plans = [
+        stokes_plan(frozen, r, cfg, fs=fs0, coalesce_tol=ctol),
+        stokes_plan(frozen, r + 1, cfg, fs=fs0, coalesce_tol=ctol),
+        connection_plan(frozen, r, ld_frozen, tau, radius=radius, fs=fs0,
+                        widened=True, uC=ref),
+    ]
 
     # sampled family: Taylor germ along the ray, flow-validated
     coeffs = ray_family_series(A0, ref, v, order=germ_order)
@@ -509,22 +510,22 @@ def verify_coalescence(
     )
     flow_vs_germ = float(np.max(np.abs(flow.state.A - A_k[0])))
 
-    S_samples, S1_samples = [], []
-    S_driven, S1_driven = [], []
-    floors = []
+    # per sample r and r + 1, self-seeded (each sample's own formal series)
+    # and frozen-seeded (only the frozen system's series, with the sample's
+    # own exponentials); all of it is one transport batch
     for g, Ak in zip(gaps, A_k):
         sysk = IrregularSystem(u=ref + g * v, A=Ak)
         fsk = compute_formal_coefficients(sysk, K=order)
-        res_r = stokes_matrix(sysk, r, cfg, fs=fsk)
-        res_r1 = stokes_matrix(sysk, r + 1, cfg, fs=fsk)
-        S_samples.append(res_r.S)
-        S1_samples.append(res_r1.S)
-        floors.append(max(res_r.error_estimate, res_r1.error_estimate))
-        # frozen-seeded pass: only the frozen system's series is used, with
-        # the sample's own exponentials
         fs_driven = FormalSolution(b=fs0.b, u=sysk.u, F=fs0.F, mode="frozen-seeded")
-        S_driven.append(stokes_matrix(sysk, r, cfg, fs=fs_driven).S)
-        S1_driven.append(stokes_matrix(sysk, r + 1, cfg, fs=fs_driven).S)
+        plans += [stokes_plan(sysk, k, cfg, fs=fs) for fs in (fsk, fs_driven)
+                  for k in (r, r + 1)]
+    S0_frozen, S1_frozen, C_frozen, *sampled = run_plan(join_plans(plans), tol)
+    self_r, self_r1, driven_r, driven_r1 = (sampled[i::4] for i in range(4))
+    S_samples = [res.S for res in self_r]
+    S1_samples = [res.S for res in self_r1]
+    floors = [max(a.error_estimate, b.error_estimate) for a, b in zip(self_r, self_r1)]
+    S_driven = [res.S for res in driven_r]
+    S1_driven = [res.S for res in driven_r1]
 
     limit_errors = np.array(
         [

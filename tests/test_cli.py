@@ -195,6 +195,26 @@ class TestSchlesingerCommand:
         assert doc["verdict"] == "PASS"
         assert doc["spectrum_drift"] <= 1e-8
 
+    def test_product_relation_residual_reported(self, capsys, tmp_path):
+        # criterion-4 residues on a ray: the basis-order product closes at
+        # both endpoints, and the report carries it without gating on it
+        rng = np.random.default_rng(104)
+        residues = [rng.normal(size=(2, 2)) * 0.5 + 0.5j * rng.normal(size=(2, 2))
+                    for _ in range(2)]
+        residues.append(-sum(residues))
+        sys_file = write_json(tmp_path / "fuchs.json", {"fuchsian": {
+            "poles": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            "residues": [[[[z.real, z.imag] for z in row] for row in R] for R in residues]}})
+        path_file = write_json(tmp_path / "path.json", {"waypoints": [
+            [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            [[0.0, 0.1], [0.9, 0.0], [2.2, 0.0]]]})
+        code, out, _ = run(capsys, ["schlesinger", "--system", sys_file, "--path",
+                                    path_file, "--monodromy", "--tol", "1e-12"])
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] == "PASS"
+        assert len(doc["product_relation_residual"]) == 2
+        assert max(doc["product_relation_residual"]) < 1e-8
+
 
 class TestKvCommand:
     def test_check_passes(self, capsys):

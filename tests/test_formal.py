@@ -152,6 +152,21 @@ class TestEvaluation:
             eval_truncated_formal(fs, z, arg, K=0),
         )
 
+    def test_optimal_truncation_matches_term_scan(self):
+        # reference: scan the terms ||F_k|| R^-k in order, keeping the first
+        # strict minimum
+        rng = np.random.default_rng(12)
+        terminating = IrregularSystem(u=[0.0, 1.0], A=np.array([[0, 1], [1, 0]], dtype=complex))
+        for sys in (random_system(rng, 3), terminating):
+            fs = compute_formal_coefficients(sys, K=24)
+            for radius in (0.5, 4.0, 20.0):
+                best_k, best = 0, np.inf
+                for k in range(1, fs.K + 1):
+                    t = float(np.linalg.norm(fs.F[k - 1], 2)) * radius ** (-k)
+                    if t < best:
+                        best_k, best = k, t
+                assert optimal_truncation(fs, radius) == (best_k, best)
+
     def test_matches_ode_solution_within_optimal_truncation(self):
         # cross-validation against transport seeded much farther out
         from isomlab.odeengine import PathPoint, ZPath, SolutionHandle, integrate_path

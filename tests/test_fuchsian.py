@@ -14,6 +14,7 @@ from isomlab.fuchsian import (
     kv_family,
     max_integer_spread,
     pole_levelt,
+    product_relation_residual,
     schlesinger_residual,
     schlesinger_rhs,
 )
@@ -131,6 +132,18 @@ class TestIntegrateSchlesinger:
         with pytest.raises(WallError, match=r"Schlesinger flow .* pairs \[\(0, 1\)\]"):
             integrate_schlesinger(sys, path)
 
+    def test_work_budget_stops_unguarded_collision(self):
+        # the same near-collision with the guard switched off: DOP853 creeps
+        # past it until the segment's evaluation budget runs out
+        rng = np.random.default_rng(17)
+        residues = random_fuchsian(rng).residues
+        sys = FuchsianSystem(poles=[0.0, -1.0 + 1e-7j, 3.0], residues=residues)
+        path = UPath.line(sys.poles, [0.0, 1.0 + 1e-7j, 3.0])
+        t0 = time.perf_counter()
+        with pytest.raises(IntegrationError, match=r"Schlesinger flow .* segment 0"):
+            integrate_schlesinger(sys, path, guard=0.0)
+        assert time.perf_counter() - t0 < 5.0
+
 
 class TestFuchsMonodromy:
     def test_zero_residues(self):
@@ -148,6 +161,21 @@ class TestFuchsMonodromy:
         for M in Ms:
             prod = prod @ M  # basis order: M_1 M_2 ... M_N
         assert np.max(np.abs(prod - np.eye(2))) < 1e-6
+
+    def test_product_relation_residual(self):
+        # criterion-4 residues: the basis-order product closes on poles 0, 1,
+        # 2, but not on 0.02, i, -0.02 + 2i, whose spokes from the basepoint
+        # below meet the poles out of index order; M_2 M_1 M_3 closes there
+        rng = np.random.default_rng(104)
+        residues = [rng.normal(size=(2, 2)) * 0.5 + 0.5j * rng.normal(size=(2, 2))
+                    for _ in range(2)]
+        residues.append(-sum(residues))
+        ordered = FuchsianSystem(poles=[0.0, 1.0, 2.0], residues=tuple(residues))
+        assert product_relation_residual(fuchs_monodromy(ordered, tol=1e-12)) < 1e-8
+        shuffled = FuchsianSystem(poles=[0.02, 1j, -0.02 + 2j], residues=tuple(residues))
+        M = fuchs_monodromy(shuffled, tol=1e-12)
+        assert product_relation_residual(M) > 1.0
+        assert product_relation_residual([M[1], M[0], M[2]]) < 1e-6
 
     def test_local_exponent_spectrum(self):
         A1 = np.diag([0.5, 0.0]).astype(complex)

@@ -1,23 +1,28 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from isomlab.errors import BranchMismatchError, SectorError
+from isomlab.errors import BranchMismatchError, IntegrationError, SectorError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.levelt import build_levelt_solution
 from isomlab.odeengine import (
+    Leg,
     PathPoint,
     SolutionHandle,
     StokesConfig,
     ZPath,
     actual_solution,
     connection_matrix,
+    fuchsian_ode,
     integrate_path,
+    irregular_ode,
     levelt_handle,
     monodromy_loop,
     stokes_matrix,
+    transport_matrix,
 )
 
 GENERIC_A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
@@ -135,6 +140,61 @@ class TestTaylorEngine:
             h = integrate_path(sys, h, ZPath.line(h.point, nxt), tol=1e-12)
         assert np.max(np.abs(h.value - ref)) < 1e-11 * np.max(np.abs(ref))
         assert h.wronskian_drift < 1e-11
+
+
+class TestBatchedEngine:
+    @staticmethod
+    def mixed_jobs():
+        """Gauged 3x3 irregular columns with different shifts, legs and step
+        counts, a full-matrix irregular arc, and 2x2 Fuchsian loops."""
+        rng = np.random.default_rng(8)
+        sys = IrregularSystem(
+            u=[0.0, 1.0, 0.4 + 0.8j],
+            A=0.4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))),
+        )
+        cols = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        b = np.diag(sys.A)
+        arc = ZPath.arc(PathPoint.from_polar(2.0, 0.3), 2.1)
+        jobs = [
+            (irregular_ode(sys, sys.u[0], b[0]), cols[0],
+             [Leg(12.0 + 0j, 2.0 + 0j), Leg(2.0 + 0j, 2j, center=0j, sweep=math.pi / 2)]),
+            (irregular_ode(sys, sys.u[1], b[1]), cols[1], [Leg(8.0 + 1j, 1.5 - 0.5j)]),
+            (irregular_ode(sys, sys.u[2], b[2]), cols[2],
+             [Leg(-6.0 + 2j, -1.0 + 0.5j), Leg(-1.0 + 0.5j, 1.0 + 1j)]),
+            (irregular_ode(sys), np.eye(3, dtype=complex), [seg.leg for seg in arc.segments]),
+        ]
+        A1 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        A2 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        ode = fuchsian_ode([0.0, 1.0, 0.5j], [A1, A2, -A1 - A2])
+        for pole in (0.0, 1.0):
+            loop = [Leg(0.5 - 1j, pole - 0.25j),
+                    Leg(pole - 0.25j, pole - 0.25j, center=pole, sweep=2 * math.pi),
+                    Leg(pole - 0.25j, 0.5 - 1j)]
+            jobs.append((ode, np.eye(2, dtype=complex), loop))
+        return jobs
+
+    def test_mixed_batch_matches_separate_transports(self):
+        jobs = self.mixed_jobs()
+        batch = transport_matrix(*zip(*jobs), tol=1e-12)
+        for job, got in zip(jobs, batch):
+            alone = transport_matrix(*job, tol=1e-12)
+            ref = transport_matrix(*job, tol=1e-14)
+            assert got.shape == np.shape(job[1])
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - alone)) < 1e-12 * scale
+            assert np.max(np.abs(got - ref)) < 1e-12 * scale
+
+    def test_member_into_a_pole_is_named(self):
+        jobs = self.mixed_jobs()
+        # transport 2 now crosses the origin on its second segment
+        ode, col, _ = jobs[2]
+        jobs[2] = (ode, col, [Leg(-6.0 + 2j, -1.0 + 0j), Leg(-1.0 + 0j, 1.0 + 0j)])
+        t0 = time.perf_counter()
+        with pytest.raises(
+            IntegrationError, match=r"transport 2, segment 1 .* singular point 0\+0j"
+        ):
+            transport_matrix(*zip(*jobs))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestActualSolution:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isomlab import odeengine
 from isomlab.errors import ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.isoflow import DeformationState, DiagonalGauge
@@ -20,6 +21,20 @@ from isomlab.verify import (
 GENERIC_A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
 U0 = np.array([0.0, 1.0], dtype=complex)
 U1 = np.array([0.3 + 0.2j, 1.2], dtype=complex)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """A list that gets one entry per call of the transport engine."""
+    calls = []
+    engine = odeengine.transport_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(odeengine, "transport_matrix", counted)
+    return calls
 
 
 class TestCollectData:
@@ -69,6 +84,15 @@ class TestCollectData:
         )
         drift = data_drift(data)
         assert drift["C_r"] > 1e-3
+
+    def test_one_transport_batch_whatever_the_sample_count(self, engine_calls):
+        counts = []
+        for samples in ([U0, U1], [U0, 0.5 * (U0 + U1), U1]):
+            engine_calls.clear()
+            collect_data(DeformationState(u=U0, A=GENERIC_A), samples, r=0, tau=0.3,
+                         order=32, with_extras=True)
+            counts.append(len(engine_calls))
+        assert counts[0] == counts[1] > 0
 
     def test_wall_sample_rejected(self):
         with pytest.raises(WallError):
@@ -207,6 +231,17 @@ class TestVerifyCoalescence:
     def test_eps_bound_enforced(self):
         with pytest.raises(WallError):
             verify_coalescence(A3, UC3, tau=0.3, eps=5.0)
+
+    def test_one_transport_batch_whatever_the_sample_count(self, engine_calls):
+        # the frozen data and both passes over every sample share one batch
+        # of the engine; per-sample engine calls would make this grow (the
+        # entry-decay fit needs at least five gaps)
+        counts = []
+        for n_gaps in (5, 10):
+            engine_calls.clear()
+            verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=n_gaps)
+            counts.append(len(engine_calls))
+        assert counts[0] == counts[1] > 0
 
     def test_csv_export(self, tmp_path):
         rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)

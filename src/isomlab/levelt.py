@@ -31,9 +31,6 @@ from .matrixcore import (
     as_square,
     matrix_power,
     similar_to_jordan,
-    solve_sylvester,
-    solve_sylvester_lstsq,
-    sylvester_spectral_gap,
 )
 
 
@@ -230,21 +227,32 @@ def build_levelt_solution(
         ld = compute_levelt_exponents(M, tol=tol)
     n = ld.n
     Ginv = np.linalg.inv(ld.G)
-    H = [Ginv @ as_square(hol_taylor(m)) @ ld.G for m in range(K)]
+    # the nonzero H_m only: the irregular system at z = 0 has H_0 alone
+    H = {}
+    for m in range(K):
+        Hm = as_square(hol_taylor(m))
+        if np.any(Hm):
+            H[m] = Ginv @ Hm @ ld.G
     J = ld.J
-    eye = np.eye(n, dtype=complex)
+    # J is upper triangular, so eig(k I - J) = k - diag(J) and the order-k
+    # operator X -> (k I - J) X + X J, k I + F on column-major vec(X), is
+    # singular exactly when k is a difference of two diagonal entries
+    F = np.kron(J.T, np.eye(n)) - np.kron(np.eye(n), J)
+    diffs = (np.diag(J)[:, None] - np.diag(J)[None, :]).ravel()
+    singular = tol * max(np.linalg.norm(J, 2), 1.0)
 
-    Psi = []
+    Phi = [np.eye(n, dtype=complex)]  # I, Psi_1, Psi_2, ...
     resonant = []
-    Phi = [eye]
     for k in range(1, K + 1):
         rhs = np.zeros((n, n), dtype=complex)
-        for m in range(0, k):
-            rhs += H[m] @ Phi[k - 1 - m]
-        P = k * eye - J
-        gap, _ = sylvester_spectral_gap(P, -J)
-        if gap <= tol * max(np.linalg.norm(J, 2), 1.0):
-            X, resid = solve_sylvester_lstsq(P, -J, rhs)
+        for m, Hm in H.items():
+            if m < k:
+                rhs += Hm @ Phi[k - 1 - m]
+        op = F + k * np.eye(n * n)
+        r = rhs.reshape(-1, order="F")
+        if np.min(np.abs(k - diffs)) <= singular:
+            x = np.linalg.lstsq(op, r, rcond=1e-12)[0]
+            resid = float(np.linalg.norm(op @ x - r))
             if resid > lstsq_tol * max(np.linalg.norm(rhs), 1.0):
                 raise ResonanceError(
                     f"resonant order {k} inconsistent (residual {resid:.3e})",
@@ -252,10 +260,9 @@ def build_levelt_solution(
                 )
             resonant.append(k)
         else:
-            X = solve_sylvester(P, -J, rhs, tol=tol)
-        Psi.append(X)
-        Phi.append(X)
-    return replace(ld, Psi=tuple(Psi), resonant_orders=tuple(resonant))
+            x = np.linalg.solve(op, r)
+        Phi.append(x.reshape((n, n), order="F"))
+    return replace(ld, Psi=tuple(Phi[1:]), resonant_orders=tuple(resonant))
 
 
 def eval_levelt(ld: LeveltData, z: complex, arg_branch: float, K: int | None = None) -> np.ndarray:

@@ -28,21 +28,29 @@ is summed.  A path that runs into a zero of P drives the step below
 STEP_FLOOR times max(|z0|, segment length); the engine then raises
 IntegrationError naming the transport, the segment and the singular point.
 
-Lockstep batches: `transport_matrix` takes one transport or a list of them
-and runs every column of every transport as one member of a single term
-loop.  Members are padded to a common dimension and degree, and shorter
-step schedules with h = 0 (identity) steps; at each step the local P, Q and
-the recurrence matrix of all members are built at once, and every term is
-one batched product over the window of the last terms.  Stop rule: the loop
-ends once every member has had two consecutive terms below
-TAIL_FRACTION * tol relative to its own value at the start of the step, and
-every member sums every computed term, so a member that converged early
+Lockstep batches: `transport_matrix` takes one transport or a list of them.
+Since the steps of every transport are known before any series is summed,
+they are all summed at once: each step is one member of a single term loop,
+its transfer matrix T_s (the value at the end of the step of the solution
+that is I at its start), seeded with c_0 = I.  Coefficients are padded to a
+common dimension and degree; the local P, Q and the recurrence of all
+members are built at once, and every term is one batched product over the
+window of the last terms, shared by the n columns of a member.  The members
+are summed in chunks of STEP_CHUNK steps, so that the arrays of the term
+loop do not grow with the number of steps (only the transfer matrices do,
+16 n^2 bytes a step).  The transports are then carried through their
+transfer matrices, Y <- T_s Y, in one loop over the step index, in which a
+transport whose schedule has ended drops out.
+
+Stop rule: the loop over a chunk ends once every member has had two
+consecutive terms with ||c_k||_F <= TAIL_FRACTION * tol, which bounds
+|c_k y| <= TAIL_FRACTION * tol * |y| for every column y the step carries,
+and every member sums every computed term, so a member that converged early
 only gains accuracy.  The fraction keeps the error accumulated over the few
 dozen steps of a path, and its amplification by the exponential regrading
-of Stokes quotients, at or below what tol promises.  The term buffer is not
-sized for MAX_TERMS, which only bounds a series that fails to converge: it
-holds a few dozen terms, and when it is full the terms before the current
-window are folded into a running sum, so it never grows.
+of Stokes quotients, at or below what tol promises.  MAX_TERMS only bounds
+a series that fails to converge; the term buffer holds 2m terms and moves
+the window of the last m to its front when it is full.
 
 Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
 function that assembles it from their end values, and run all of them in
@@ -96,6 +104,7 @@ STEP_GROWTH = 2.0
 STEP_FLOOR = 1e-9
 TAIL_FRACTION = 1e-2
 MAX_TERMS = 200
+STEP_CHUNK = 512  # steps summed together (bounds the term loop's arrays)
 
 
 @dataclass(frozen=True)
@@ -326,83 +335,101 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
     column and `legs` a sequence of Legs; the final value is returned.  A
     batch: `ode`, `Y0` and `legs` are equal-length sequences, one entry per
     transport (ODE, dimension, degree and path may differ between entries),
-    and the list of final values is returned.  Either way every column runs
-    in one lockstep term loop (module docstring).  `tol` is the relative
-    accuracy asked of each transport.  Raises IntegrationError, naming the
-    transport and its segment, when a leg runs into a singular point (before
-    any series is summed) or a series fails to converge.
+    and the list of final values is returned.  Either way the series of all
+    steps are summed in one lockstep term loop and then chained (module
+    docstring).  `tol` is the relative accuracy asked of each transport.
+    Raises IntegrationError, naming the transport and its segment, when a
+    leg runs into a singular point (before any series is summed) or a
+    series fails to converge.
     """
     if isinstance(ode, LinearODE):
         return transport_matrix([ode], [Y0], [legs], tol)[0]
+    if not ode:
+        return []
     values = [np.asarray(Y, dtype=complex) for Y in Y0]
     schedules = [_schedule(o, lg, job) for job, (o, lg) in enumerate(zip(ode, legs))]
-    # one member per column of every transport, padded to a common dimension
-    # and degree; a member past the end of its schedule takes h = 0 steps
-    widths = [V.reshape(len(V), -1).shape[1] for V in values]
-    B = sum(widths)
-    n = max((o.Q.shape[1] for o in ode), default=1)
-    m = max((len(o.P) for o in ode), default=1)
-    steps = max((len(sc[0]) for sc in schedules), default=0)
-    P = np.zeros((m, B), dtype=complex)
-    Q = np.zeros((m, n, n, B), dtype=complex)
-    Y = np.zeros((n, B), dtype=complex)
-    center = np.zeros(B, dtype=complex)
-    Z0 = np.zeros((steps, B), dtype=complex)
-    H = np.zeros((steps, B), dtype=complex)
-    b = 0
-    for o, V, w, (z0s, hs, _) in zip(ode, values, widths, schedules):
-        e = b + w
-        P[: len(o.P), b:e] = o.P[:, None]
-        Q[: len(o.P), : len(V), : len(V), b:e] = o.Q[..., None]
-        Y[: len(V), b:e] = V.reshape(len(V), w)
-        center[b:e] = o.center
-        Z0[: len(z0s), b:e] = z0s[:, None]
-        H[: len(hs), b:e] = hs[:, None]
-        b = e
-    job_of = np.repeat(np.arange(len(values)), widths)
+    # coefficients of every transport, padded to a common dimension and degree
+    n = max(o.Q.shape[1] for o in ode)
+    m = max(len(o.P) for o in ode)
+    P = np.zeros((m, len(ode)), dtype=complex)
+    Q = np.zeros((m, n, n, len(ode)), dtype=complex)
+    for job, o in enumerate(ode):
+        P[: len(o.P), job] = o.P
+        Q[: len(o.P), : o.Q.shape[1], : o.Q.shape[1], job] = o.Q
+    center = np.array([o.center for o in ode], dtype=complex)
+    # every step of every transport, ordered by step index and, within one,
+    # longest schedule first: the transports still running at step index s
+    # are then the first ones of `order`
+    counts = np.array([len(sc[0]) for sc in schedules])
+    order = np.argsort(-counts, kind="stable")
+    s_of, rank = np.nonzero(np.arange(counts.max())[:, None] < counts[order])
+    job_of = order[rank]
+    flat = np.concatenate([[0], np.cumsum(counts)])[job_of] + s_of
+    z0 = np.concatenate([sc[0] for sc in schedules])[flat]
+    h = np.concatenate([sc[1] for sc in schedules])[flat]
     binom, idx = _shift_tables(m)
     powers = np.arange(m)[:, None]
     d = m - 1
-    # the latest series terms (c_j, E_j); when the buffer is full, the terms
-    # before the current window are folded into the running sum
-    G = np.zeros((2 * m + 16, 2 * n, B), dtype=complex)
-    for s in range(steps):
-        M = _step_matrix(P, Q, Z0[s] - center, H[s], binom, idx, powers)
-        G[:d] = 0
-        G[d, :n], G[d, n:] = Y, 0
-        tol2 = (TAIL_FRACTION * tol) ** 2 * (Y.real**2 + Y.imag**2).sum(axis=0)
-        total = np.zeros_like(Y)
-        small = np.zeros(B, dtype=bool)  # the member's last term was small
+    tol2 = (TAIL_FRACTION * tol) ** 2
+    # transfer matrices of the steps, summed STEP_CHUNK steps at a time
+    T = np.empty((len(job_of), n, n), dtype=complex)
+    for a in range(0, len(job_of), STEP_CHUNK):
+        sl = slice(a, a + STEP_CHUNK)
+        jobs = job_of[sl]
+        B = len(jobs)
+        M, slope = _step_matrix(P[:, jobs], Q[..., jobs], z0[sl] - center[jobs], h[sl],
+                                binom, idx, powers)
+        diag = _diagonal(M)
+        diag0 = diag.copy()
+        # the latest terms c_j, seeded with c_0 = I; when the buffer is full
+        # the window of the last m terms moves to its front
+        G = np.zeros((2 * m, n, n, B), dtype=complex)
+        G[d] = np.eye(n)[..., None]
+        total = G[d].copy()
+        small = np.zeros(B, dtype=bool)  # the step's last term was small
         done = np.zeros(B, dtype=bool)  # two consecutive small terms seen
-        j = 0  # buffer slot where the window of the last m terms starts
+        j = 0  # buffer slot where the window starts
         for k in range(MAX_TERMS):
             if j + m == len(G):
-                total += G[:j, :n].sum(axis=0)
                 G[:m] = G[j:]
                 j = 0
-            c, E = G[j + m, :n], G[j + m, n:]
-            np.einsum("wib,wb->ib", M, G[j : j + m].reshape(-1, B), out=E)
-            np.divide(E, k + 1, out=c)
+            np.add(diag0, k * slope[:, None], out=diag)
+            c = G[j + m]
+            np.einsum("iwb,wcb->icb", M, G[j : j + m].reshape(-1, n, B), out=c)
+            c *= 1.0 / (k + 1)
+            total += c
             j += 1
-            a = np.abs(c)
-            tiny = np.einsum("ib,ib->b", a, a) <= tol2
+            tiny = _sum_squares(c) <= tol2
             done |= small & tiny
             small = tiny
             if np.count_nonzero(done) == B:
                 break
         else:
-            job = int(job_of[np.argmin(done)])
+            e = a + int(np.argmin(done))
+            job, s = int(job_of[e]), int(s_of[e])
             seg = int(schedules[job][2][s])
             raise IntegrationError(
                 f"Taylor series of transport {job} did not converge on segment "
                 f"{seg} ({legs[job][seg]}) at z = {schedules[job][0][s]:.6g}"
             )
-        Y = total + G[: j + m, :n].sum(axis=0)
-    out, b = [], 0
-    for V, w in zip(values, widths):
-        out.append(Y[: len(V), b : b + w].reshape(V.shape))
-        b += w
-    return out
+        T[sl] = total.transpose(2, 0, 1)
+    # chain them, one step index at a time
+    cols = [V.reshape(len(V), -1) for V in values]
+    Y = np.zeros((len(ode), n, max(V.shape[1] for V in cols)), dtype=complex)
+    for job, V in enumerate(cols):
+        Y[job, : V.shape[0], : V.shape[1]] = V
+    starts = np.searchsorted(s_of, np.arange(counts.max() + 1))
+    for a, b in zip(starts[:-1], starts[1:]):
+        running = order[: b - a]
+        Y[running] = T[a:b] @ Y[running]
+    return [Y[job, : V.shape[0], : V.shape[1]].reshape(values[job].shape)
+            for job, V in enumerate(cols)]
+
+
+def _sum_squares(c):
+    """|c|_F^2 of every member of c (n, n, B)."""
+    v = c.reshape(-1, c.shape[-1])
+    return (v.real**2 + v.imag**2).sum(axis=0)
 
 
 def _schedule(ode: LinearODE, legs, job: int):
@@ -436,29 +463,40 @@ def _schedule(ode: LinearODE, legs, job: int):
 
 
 def _step_matrix(P, Q, x0, h, binom, idx, powers):
-    """The recurrence of one lockstep step, for every member at once.
+    """The recurrence of a chunk of steps, for all of them at once.
 
-    P (m, B) and Q (m, n, n, B) hold the members' coefficients about their
+    P (m, B) and Q (m, n, n, B) hold the steps' coefficients about their
     centres, x0 (B,) the step starts relative to them and h (B,) the steps.
-    With c_k = Y_k h^k, E_k = k c_k and the local coefficients scaled to
-    p_i h^i / p_0 and h q_i h^i / p_0, a term is E_{k+1} = sum_i q_i c_{k-i}
-    - sum_{i>=1} p_i E_{k+1-i}: E_{k+1} = sum_w M[w] * window[w] over the
-    window of the last m pairs (c_j, E_j).  Returns M of shape (2 m n, n, B).
+    With c_k = Y_k h^k and the local coefficients scaled to p_i h^i / p_0 and
+    h q_i h^i / p_0, a term is
+
+        (k + 1) c_{k+1} = sum_i q_i c_{k-i} - sum_{i>=1} p_i (k + 1 - i) c_{k+1-i},
+
+    a sum over the window of the last m terms, in which slot s holds
+    c_{k-d+s}.  Returns M (n, m n, B), with (k + 1) c_{k+1} = sum_w M[:, w]
+    window[w] at k = 0, and the slope (m, B) by which the diagonal of each
+    slot's block of M grows with k.
     """
     m, n, B = Q.shape[0], Q.shape[1], Q.shape[-1]
-    T = binom[..., None] * (x0 ** powers)[idx]  # Taylor shift to x0, (m, m, B)
-    Pl = np.einsum("ijb,jb->ib", T, P)
-    Ql = np.einsum("ijb,jrcb->ircb", T, Q)
-    hp = h**powers
-    P0 = np.where(h == 0, 1.0, Pl[0])  # p_0 only scales; an h = 0 step is I
-    p = Pl * hp / P0
-    q = Ql * (h * hp / P0)[:, None, None]
-    # slot s of the window holds j = k - d + s: q_{d-s} acts on c_j and
-    # -p_{d+1-s} I on E_j
-    M = np.zeros((m, 2, n, n, B), dtype=complex)
-    M[:, 0] = q[::-1].transpose(0, 2, 1, 3)
-    M[1:, 1] = -p[:0:-1, None, None] * np.eye(n)[..., None]
-    return M.reshape(2 * m * n, n, B)
+    shift = binom[..., None] * (x0 ** powers)[idx]  # Taylor shift to x0, (m, m, B)
+    Pl = np.einsum("ijb,jb->ib", shift, P)
+    Ql = np.einsum("ijb,jrcb->ircb", shift, Q)
+    hp = h**powers / Pl[0]
+    # slot s: q_{d-s} acts on c_{k-d+s}, and so does -p_{d+1-s} (k - d + s)
+    # (p_{d+1} = 0)
+    q = Ql[::-1] * (h * hp[::-1])[:, None, None]
+    M = np.ascontiguousarray(q.transpose(1, 0, 2, 3)).reshape(n, m * n, B)
+    slope = np.zeros((m, B), dtype=complex)
+    slope[1:] = -(Pl * hp)[:0:-1]
+    diag = _diagonal(M)
+    diag += (slope * np.arange(1 - m, 1)[:, None])[:, None]
+    return M, slope
+
+
+def _diagonal(M):
+    """The diagonals of the slot blocks of M (n, m n, B), a view (m, n, B)."""
+    n, B = M.shape[0], M.shape[-1]
+    return np.einsum("isib->sib", M.reshape(n, -1, n, B))
 
 
 @dataclass(frozen=True)
@@ -546,10 +584,14 @@ class StokesConfig:
     uC: tuple | None = None
 
 
-def _frame(sys, r, cfg: StokesConfig) -> SectorFrame:
-    return sector_bounds(
-        sys.u, cfg.tau, r, widened=cfg.widened, uC=cfg.uC
-    )
+def _frame(frames: dict | None, sys, r, tau, widened, uC) -> SectorFrame:
+    """The frame of sector r, taken from or added to `frames`, the frames of
+    sys already computed with these settings, by sector index."""
+    if frames is None:
+        frames = {}
+    if r not in frames:
+        frames[r] = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
+    return frames[r]
 
 
 def _column_seed_directions(u, frame: SectorFrame, grid: int = 720):
@@ -609,9 +651,12 @@ def sectorial_plan(
     widened: bool = False,
     uC=None,
     coalesce_tol: float = 0.0,
+    frame: SectorFrame | None = None,
 ) -> Plan:
-    """The column transports of actual_solution, assembled into its handle."""
-    frame = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
+    """The column transports of actual_solution, assembled into its handle;
+    `frame`, when given, is the frame of sector r with these settings."""
+    if frame is None:
+        frame = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
     if zstar is None:
         zstar = PathPoint.from_polar(radius, frame.midpoint)
     elif not frame.contains(zstar.arg):
@@ -717,10 +762,14 @@ class StokesResult:
 
 def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
                 fs: FormalSolution | None = None,
-                coalesce_tol: float = 0.0) -> Plan:
-    """The transports of stokes_matrix, assembled into its StokesResult."""
-    frame_r = _frame(sys, r, cfg)
-    frame_r1 = _frame(sys, r + 1, cfg)
+                coalesce_tol: float = 0.0, frames: dict | None = None) -> Plan:
+    """The transports of stokes_matrix, assembled into its StokesResult.
+
+    `frames` may hold sector frames of sys with the settings of cfg, by
+    sector index; the plan takes frames r and r + 1 from it and adds those
+    it computes, so that plans of one system share them."""
+    frame_r, frame_r1 = (_frame(frames, sys, k, cfg.tau, cfg.widened, cfg.uC)
+                         for k in (r, r + 1))
     lo, hi = frame_r1.lo, frame_r.hi
     if not hi - lo > 1e-9:
         raise SectorError(f"sectors {r} and {r + 1} do not overlap: ({lo}, {hi})")
@@ -730,8 +779,8 @@ def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
         fs = compute_formal_coefficients(sys, K=cfg.order, coalesce_tol=coalesce_tol)
     sectorial = [
         sectorial_plan(sys, k, cfg.tau, radius=cfg.radius, zstar=zstar, fs=fs,
-                       widened=cfg.widened, uC=cfg.uC)
-        for k in (r, r + 1)
+                       widened=cfg.widened, uC=cfg.uC, frame=frame)
+        for k, frame in ((r, frame_r), (r + 1, frame_r1))
     ]
 
     def assemble(Yr, Yr1):
@@ -817,10 +866,11 @@ def connection_plan(
     zstar: PathPoint | None = None,
     widened: bool = False,
     uC=None,
+    frames: dict | None = None,
 ) -> Plan:
     """The transports of connection_matrix (the columns of Y_r and the
-    radial Levelt leg), assembled into C_r."""
-    frame = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
+    radial Levelt leg), assembled into C_r; `frames` as for stokes_plan."""
+    frame = _frame(frames, sys, r, tau, widened, uC)
     if zstar is None:
         zstar = PathPoint.from_polar(radius / 2.0, frame.midpoint)
     elif not frame.contains(zstar.arg):
@@ -830,7 +880,7 @@ def connection_plan(
     return join_plans(
         [
             sectorial_plan(sys, r, tau, radius=radius, zstar=zstar, fs=fs,
-                           widened=widened, uC=uC),
+                           widened=widened, uC=uC, frame=frame),
             Plan(((irregular_ode(sys), lev.value, legs),), lambda ends: ends[0]),
         ],
         lambda Yr, Ylev: np.linalg.solve(Ylev, Yr.value),

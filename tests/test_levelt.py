@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from isomlab.errors import ResonanceError
 from isomlab.formal import IrregularSystem
 from isomlab.levelt import (
     build_levelt_solution,
@@ -11,6 +12,12 @@ from isomlab.levelt import (
     monodromy_exponential,
     taylor_radius_check,
     with_gauge,
+)
+from isomlab.matrixcore import (
+    as_square,
+    solve_sylvester,
+    solve_sylvester_lstsq,
+    sylvester_spectral_gap,
 )
 
 
@@ -135,3 +142,53 @@ class TestBuildSolution:
         ld = compute_levelt_exponents(A)
         with pytest.raises(ValueError):
             with_gauge(ld, np.eye(2), A + 1.0)
+
+
+def kronecker_psi(A, hol_taylor, K=20, tol=1e-8):
+    """Psi_1..Psi_K by a general Sylvester solve at every order, with the
+    resonant orders found from the eigenvalues of k I - J and -J."""
+    ld = compute_levelt_exponents(A, tol=tol)
+    Ginv = np.linalg.inv(ld.G)
+    H = [Ginv @ as_square(hol_taylor(m)) @ ld.G for m in range(K)]
+    J = ld.J
+    Phi = [np.eye(ld.n, dtype=complex)]
+    for k in range(1, K + 1):
+        rhs = sum(H[m] @ Phi[k - 1 - m] for m in range(k))
+        P = k * np.eye(ld.n) - J
+        gap, _ = sylvester_spectral_gap(P, -J)
+        if gap <= tol * max(np.linalg.norm(J, 2), 1.0):
+            X, _ = solve_sylvester_lstsq(P, -J, rhs)
+        else:
+            X = solve_sylvester(P, -J, rhs, tol=tol)
+        Phi.append(X)
+    return Phi[1:]
+
+
+class TestResonanceScan:
+    """The closed-form scan of the resonant orders and the order-k operator
+    k I + F give the coefficients of a general Sylvester solve."""
+
+    @pytest.mark.parametrize("A, hol, resonant", [
+        # diagonalizable, full holomorphic part at every order
+        (np.array([[0.2, 1.0, 0.1], [0.7, -0.4, 0.3], [0.0, 0.5, 0.35j]]),
+         lambda m: np.array([[0.5, 0.2, 0.0], [0.1, -0.3, 0.4], [0.2, 0.0, 0.1j]]) / (m + 1),
+         ()),
+        # one Jordan block, irregular caller's H_0 = Lambda only
+        (np.array([[0.3, 1.0], [0.0, 0.3]]), hol_const(np.diag([0.0, 1.0])), ()),
+        # eigenvalues 1.5 and 0.5: resonant and consistent at order 1
+        (np.diag([1.5, 0.5]), hol_const(np.diag([0.0, 1.0])), (1,)),
+    ])
+    def test_matches_kronecker_solve(self, A, hol, resonant):
+        ld = build_levelt_solution(A, hol, K=20)
+        ref = kronecker_psi(A, hol, K=20)
+        assert ld.resonant_orders == resonant
+        scale = max(np.max(np.abs(X)) for X in ref)
+        for got, want in zip(ld.Psi, ref):
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_inconsistent_resonance_names_its_order(self):
+        # exponents 1 and 0 meet at order 1, where the coupling has no solution
+        offdiag = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        with pytest.raises(ResonanceError, match="resonant order 1") as err:
+            build_levelt_solution(np.diag([1.0, 0.0]), hol_const(offdiag), K=5)
+        assert err.value.order == 1

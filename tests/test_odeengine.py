@@ -1,10 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from isomlab import odeengine
 from isomlab.errors import BranchMismatchError, IntegrationError, SectorError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.levelt import build_levelt_solution
@@ -195,6 +197,91 @@ class TestBatchedEngine:
         ):
             transport_matrix(*zip(*jobs))
         assert time.perf_counter() - t0 < 1.0
+
+    @staticmethod
+    def short_and_long_jobs():
+        """A 1-step transport and one of about 400 steps (15 turns about the
+        origin), next to a gauged column and a Fuchsian loop."""
+        sys = generic_system()
+        ode = irregular_ode(sys)
+        turns = ZPath.loop(PathPoint(0.5 + 0j, 0.0), 15)
+        jobs = TestBatchedEngine.mixed_jobs()[1::4] + [
+            (ode, np.eye(2, dtype=complex), [Leg(2.0 + 0j, 2.3 + 0.1j)]),
+            (ode, np.eye(2, dtype=complex), [seg.leg for seg in turns.segments]),
+        ]
+        steps = [len(odeengine._schedule(o, lg, 0)[0]) for o, _, lg in jobs]
+        assert steps[-2] == 1 and 400 <= steps[-1] <= 450
+        return jobs
+
+    def test_one_step_and_long_transports_in_one_batch(self):
+        jobs = self.short_and_long_jobs()
+        batch = transport_matrix(*zip(*jobs), tol=1e-12)
+        for job, got in zip(jobs, batch):
+            alone = transport_matrix(*job, tol=1e-12)
+            ref = transport_matrix(*job, tol=1e-14)
+            assert got.shape == np.shape(job[1])
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - alone)) < 1e-12 * scale
+            assert np.max(np.abs(got - ref)) < 1e-12 * scale
+
+    def test_chunks_split_a_step_index(self, monkeypatch):
+        # chunks of 7 steps end inside the steps of one step index
+        jobs = self.short_and_long_jobs()
+        whole = transport_matrix(*zip(*jobs), tol=1e-12)
+        monkeypatch.setattr(odeengine, "STEP_CHUNK", 7)
+        for got, ref in zip(transport_matrix(*zip(*jobs), tol=1e-12), whole):
+            assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_term_loop_passes_do_not_grow_with_steps(self, monkeypatch):
+        passes, chunks = [], []
+        sum_squares, step_matrix = odeengine._sum_squares, odeengine._step_matrix
+
+        def counted_pass(c):
+            passes.append(1)
+            return sum_squares(c)
+
+        def counted_chunk(*args):
+            chunks.append(1)
+            return step_matrix(*args)
+
+        monkeypatch.setattr(odeengine, "_sum_squares", counted_pass)
+        monkeypatch.setattr(odeengine, "_step_matrix", counted_chunk)
+        jobs = self.short_and_long_jobs()
+        counts = []
+        for batch in (jobs[-2:-1], jobs):
+            passes.clear()
+            chunks.clear()
+            transport_matrix(*zip(*batch), tol=1e-12)
+            counts.append((len(passes), len(chunks)))
+        (one_step, _), (all_steps, nchunks) = counts
+        # one pass per series term: the ~470 steps of the batch take about
+        # as many passes as its one-step transport alone, not ~20 per step
+        assert nchunks == 1
+        assert all_steps <= 2 * one_step
+
+    def test_coalescence_batch_memory(self, monkeypatch):
+        # the batch of one verify_coalescence call: ~160 transports, ~3000 steps
+        from isomlab.verify import verify_coalescence
+
+        batches = []
+
+        def captured(*args):
+            batches.append(args)
+            return transport_matrix(*args)
+
+        monkeypatch.setattr(odeengine, "transport_matrix", captured)
+        A0 = np.array([[0.10, 0.00, 0.06], [0.00, 0.10, 0.09], [0.075, -0.05, 0.45]])
+        verify_coalescence(A0, [0.0, 0.0, 1.0], tau=0.3, eps=0.1)
+        (odes, Y0s, legs, tol), = batches
+        steps = sum(len(odeengine._schedule(o, lg, 0)[0]) for o, lg in zip(odes, legs))
+        assert len(odes) > 100 and steps > 2000
+        tracemalloc.start()
+        try:
+            transport_matrix(odes, Y0s, legs, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
 
 class TestActualSolution:

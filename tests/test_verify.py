@@ -243,6 +243,19 @@ class TestVerifyCoalescence:
             counts.append(len(engine_calls))
         assert counts[0] == counts[1] > 0
 
+    def test_each_sector_frame_computed_once(self, monkeypatch):
+        frames = []
+        sector_bounds = odeengine.sector_bounds
+
+        def counted(u, tau, r, widened=False, uC=None, **kwargs):
+            frames.append((np.asarray(u).tobytes(), tau, r, widened))
+            return sector_bounds(u, tau, r, widened=widened, uC=uC, **kwargs)
+
+        monkeypatch.setattr(odeengine, "sector_bounds", counted)
+        verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
+        # sectors r, r + 1, r + 2 of the frozen system and of each sample
+        assert len(frames) == len(set(frames)) == 3 * (1 + 5)
+
     def test_csv_export(self, tmp_path):
         rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
         out = tmp_path / "entries.csv"

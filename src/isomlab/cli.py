@@ -13,6 +13,7 @@ are deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -443,8 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call (parsing leaves it as
+    it is, so every call can share it)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except IsomlabError as exc:

@@ -29,18 +29,20 @@ STEP_FLOOR times max(|z0|, segment length); the engine then raises
 IntegrationError naming the transport, the segment and the singular point.
 
 Lockstep batches: `transport_matrix` takes one transport or a list of them.
-Since the steps of every transport are known before any series is summed,
-they are all summed at once: each step is one member of a single term loop,
-its transfer matrix T_s (the value at the end of the step of the solution
-that is I at its start), seeded with c_0 = I.  Coefficients are padded to a
-common dimension and degree; the local P, Q and the recurrence of all
-members are built at once, and every term is one batched product over the
-window of the last terms, shared by the n columns of a member.  The members
-are summed in chunks of STEP_CHUNK steps, so that the arrays of the term
-loop do not grow with the number of steps (only the transfer matrices do,
-16 n^2 bytes a step).  The transports are then carried through their
-transfer matrices, Y <- T_s Y, in one loop over the step index, in which a
-transport whose schedule has ended drops out.
+The unit of work is the distinct leg: ODEs are keyed by their coefficients
+and legs by value, and each distinct (ODE, leg) pair is stepped and summed
+once, however many transports run it.  The steps of all distinct legs are
+laid out together, one step index at a time, and summed at once: each step
+is one member of a single term loop, its transfer matrix T_s (the value at
+the end of the step of the solution that is I at its start), seeded with
+c_0 = I.  Coefficients are padded to a common dimension and degree; the
+local P, Q and the recurrence of all members are built at once, and every
+term is one batched product over the window of the last terms, shared by
+the n columns of a member.  The members are summed in chunks of STEP_CHUNK
+steps, so that the arrays of the term loop do not grow with the number of
+steps (only the transfer matrices do, 16 n^2 bytes a step).  The steps of
+each leg are multiplied into its matrix, one step index at a time, and each
+transport is carried through the matrices of its legs, Y <- L Y.
 
 Stop rule: the loop over a chunk ends once every member has had two
 consecutive terms with ||c_k||_F <= TAIL_FRACTION * tol, which bounds
@@ -56,6 +58,9 @@ Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
 function that assembles it from their end values, and run all of them in
 one batch: `sectorial_plan`, `stokes_plan` and `connection_plan` are the
 plan steps of `actual_solution`, `stokes_matrix` and `connection_matrix`.
+The plans of one pipeline share a memo dict, so that sector frames, seed
+directions, truncation orders, seed columns and column ODEs are computed
+once each, and the engine finds the legs they have in common.
 
 The Wronskian identity
 
@@ -74,7 +79,6 @@ so that no exponentially graded matrix is ever inverted.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -88,7 +92,6 @@ from .formal import (
     FormalSolution,
     IrregularSystem,
     compute_formal_coefficients,
-    eval_series_factor,
     eval_truncated_formal,
     optimal_truncation,
 )
@@ -105,6 +108,10 @@ STEP_FLOOR = 1e-9
 TAIL_FRACTION = 1e-2
 MAX_TERMS = 200
 STEP_CHUNK = 512  # steps summed together (bounds the term loop's arrays)
+
+
+def _polar(radius: float, arg: float) -> complex:
+    return radius * complex(math.cos(arg), math.sin(arg))
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ class PathPoint:
     def from_polar(radius: float, arg: float) -> "PathPoint":
         if radius <= 0:
             raise ValueError("radius must be positive")
-        return PathPoint(z=radius * complex(math.cos(arg), math.sin(arg)), arg=arg)
+        return PathPoint(z=_polar(radius, arg), arg=arg)
 
 
 @dataclass(frozen=True)
@@ -250,13 +257,6 @@ class Leg:
             return abs(self.b - self.a)
         return abs(self.a - self.center) * abs(self.sweep)
 
-    def point(self, t: float) -> complex:
-        if t >= 1.0:
-            return self.b
-        if self.center is None:
-            return self.a + t * (self.b - self.a)
-        return self.center + (self.a - self.center) * cmath.exp(1j * self.sweep * t)
-
     def __str__(self) -> str:
         if self.center is None:
             return f"line {self.a:.6g} -> {self.b:.6g}"
@@ -335,50 +335,59 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
     column and `legs` a sequence of Legs; the final value is returned.  A
     batch: `ode`, `Y0` and `legs` are equal-length sequences, one entry per
     transport (ODE, dimension, degree and path may differ between entries),
-    and the list of final values is returned.  Either way the series of all
-    steps are summed in one lockstep term loop and then chained (module
-    docstring).  `tol` is the relative accuracy asked of each transport.
-    Raises IntegrationError, naming the transport and its segment, when a
-    leg runs into a singular point (before any series is summed) or a
-    series fails to converge.
+    and the list of final values is returned.  Either way each distinct
+    (ODE, leg) pair is stepped and summed once, and the transports are
+    chained through the matrices of their legs (module docstring).  `tol` is
+    the relative accuracy asked of each transport.  Raises IntegrationError,
+    naming the transport and its segment, when a leg runs into a singular
+    point (before any series is summed) or a series fails to converge.
     """
     if isinstance(ode, LinearODE):
         return transport_matrix([ode], [Y0], [legs], tol)[0]
     if not ode:
         return []
-    values = [np.asarray(Y, dtype=complex) for Y in Y0]
-    schedules = [_schedule(o, lg, job) for job, (o, lg) in enumerate(zip(ode, legs))]
-    # coefficients of every transport, padded to a common dimension and degree
-    n = max(o.Q.shape[1] for o in ode)
-    m = max(len(o.P) for o in ode)
-    P = np.zeros((m, len(ode)), dtype=complex)
-    Q = np.zeros((m, n, n, len(ode)), dtype=complex)
-    for job, o in enumerate(ode):
-        P[: len(o.P), job] = o.P
-        Q[: len(o.P), : o.Q.shape[1], : o.Q.shape[1], job] = o.Q
-    center = np.array([o.center for o in ode], dtype=complex)
-    # every step of every transport, ordered by step index and, within one,
-    # longest schedule first: the transports still running at step index s
-    # are then the first ones of `order`
-    counts = np.array([len(sc[0]) for sc in schedules])
-    order = np.argsort(-counts, kind="stable")
-    s_of, rank = np.nonzero(np.arange(counts.max())[:, None] < counts[order])
-    job_of = order[rank]
-    flat = np.concatenate([[0], np.cumsum(counts)])[job_of] + s_of
-    z0 = np.concatenate([sc[0] for sc in schedules])[flat]
-    h = np.concatenate([sc[1] for sc in schedules])[flat]
+    # the distinct ODEs, keyed by their coefficients, and the distinct
+    # (ODE, leg) pairs, numbered in order of first use; `names` holds the
+    # (transport, segment) of each pair's first use, `route` the pairs of
+    # each transport in path order
+    ode_index, odes = {}, []
+    pair_index, pair_ode, pair_leg, names = {}, [], [], []
+    route = np.full((len(ode), max(map(len, legs), default=0)), -1)
+    for job, (o, path) in enumerate(zip(ode, legs)):
+        k = ode_index.setdefault(
+            (o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()), len(odes))
+        if k == len(odes):
+            odes.append(o)
+        for seg, leg in enumerate(path):
+            p = pair_index.setdefault((k, leg), len(names))
+            if p == len(names):
+                pair_ode.append(k)
+                pair_leg.append(leg)
+                names.append((job, seg))
+            route[job, seg] = p
+    z0, h, leg_of, starts = _schedule([odes[k] for k in pair_ode], pair_leg, names)
+    ode_of = np.array(pair_ode, dtype=int)[leg_of]
+    # coefficients of every ODE, padded to a common dimension and degree
+    n = max(o.Q.shape[1] for o in odes)
+    m = max(len(o.P) for o in odes)
+    P = np.zeros((m, len(odes)), dtype=complex)
+    Q = np.zeros((m, n, n, len(odes)), dtype=complex)
+    for k, o in enumerate(odes):
+        P[: len(o.P), k] = o.P
+        Q[: len(o.P), : o.Q.shape[1], : o.Q.shape[1], k] = o.Q
+    center = np.array([o.center for o in odes], dtype=complex)
     binom, idx = _shift_tables(m)
     powers = np.arange(m)[:, None]
     d = m - 1
     tol2 = (TAIL_FRACTION * tol) ** 2
     # transfer matrices of the steps, summed STEP_CHUNK steps at a time
-    T = np.empty((len(job_of), n, n), dtype=complex)
-    for a in range(0, len(job_of), STEP_CHUNK):
+    T = np.empty((len(z0), n, n), dtype=complex)
+    for a in range(0, len(z0), STEP_CHUNK):
         sl = slice(a, a + STEP_CHUNK)
-        jobs = job_of[sl]
-        B = len(jobs)
-        M, slope = _step_matrix(P[:, jobs], Q[..., jobs], z0[sl] - center[jobs], h[sl],
-                                binom, idx, powers)
+        members = ode_of[sl]
+        B = len(members)
+        M, slope = _step_matrix(P[:, members], Q[..., members], z0[sl] - center[members],
+                                h[sl], binom, idx, powers)
         diag = _diagonal(M)
         diag0 = diag.copy()
         # the latest terms c_j, seeded with c_0 = I; when the buffer is full
@@ -406,22 +415,26 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
                 break
         else:
             e = a + int(np.argmin(done))
-            job, s = int(job_of[e]), int(s_of[e])
-            seg = int(schedules[job][2][s])
+            job, seg = names[leg_of[e]]
             raise IntegrationError(
                 f"Taylor series of transport {job} did not converge on segment "
-                f"{seg} ({legs[job][seg]}) at z = {schedules[job][0][s]:.6g}"
+                f"{seg} ({pair_leg[leg_of[e]]}) at z = {z0[e]:.6g}"
             )
         T[sl] = total.transpose(2, 0, 1)
-    # chain them, one step index at a time
+    # the matrix of each distinct leg, one step index at a time
+    L = np.tile(np.eye(n, dtype=complex), (len(pair_leg), 1, 1))
+    for a, b in zip(starts[:-1], starts[1:]):
+        running = leg_of[a:b]
+        L[running] = T[a:b] @ L[running]
+    # the transports, one leg at a time
+    values = [np.asarray(V, dtype=complex) for V in Y0]
     cols = [V.reshape(len(V), -1) for V in values]
     Y = np.zeros((len(ode), n, max(V.shape[1] for V in cols)), dtype=complex)
     for job, V in enumerate(cols):
         Y[job, : V.shape[0], : V.shape[1]] = V
-    starts = np.searchsorted(s_of, np.arange(counts.max() + 1))
-    for a, b in zip(starts[:-1], starts[1:]):
-        running = order[: b - a]
-        Y[running] = T[a:b] @ Y[running]
+    for seg in range(route.shape[1]):
+        running = np.flatnonzero(route[:, seg] >= 0)
+        Y[running] = L[route[running, seg]] @ Y[running]
     return [Y[job, : V.shape[0], : V.shape[1]].reshape(values[job].shape)
             for job, V in enumerate(cols)]
 
@@ -432,34 +445,79 @@ def _sum_squares(c):
     return (v.real**2 + v.imag**2).sum(axis=0)
 
 
-def _schedule(ode: LinearODE, legs, job: int):
-    """Start points, increments and segment indices of the steps of one
-    transport.  They depend on the geometry alone (step rule in the module
-    docstring), so a path into a singular point is refused up front."""
-    roots = [complex(r) for r in ode.roots]
-    growth = ode.growth
-    z0s, hs, segs = [], [], []
-    for idx, leg in enumerate(legs):
-        length = leg.length
-        t, z0 = 0.0, leg.a
-        while t < 1.0:
-            near = min(roots, key=lambda r: abs(r - z0))
-            hmax = STEP_RADIUS * abs(near - z0)
-            if growth:
-                hmax = min(hmax, STEP_GROWTH / growth)
-            if not hmax > STEP_FLOOR * max(abs(z0), length):
-                raise IntegrationError(
-                    f"transport {job}, segment {idx} ({leg}), runs into the "
-                    f"singular point {near:.6g} (distance {abs(near - z0):.3g} "
-                    f"at z = {z0:.6g})"
-                )
-            t = 1.0 if t * length + hmax >= length else t + hmax / length
-            z1 = leg.point(t)
-            z0s.append(z0)
-            hs.append(z1 - z0)
-            segs.append(idx)
-            z0 = z1
-    return np.array(z0s, dtype=complex), np.array(hs, dtype=complex), np.array(segs, dtype=int)
+def _schedule(ode, legs, job):
+    """The Taylor steps of `legs` on `ode` (a LinearODE, or one per leg),
+    laid out for all legs at once, one step index at a time.
+
+    The steps depend on the geometry alone (step rule in the module
+    docstring), so a leg into a singular point is refused up front;
+    IntegrationError names it by `job`, its transport index, or by the
+    (transport, segment) of each leg.  Returns the start points z0 and
+    increments h of the steps, the leg index of each, ordered by step index
+    and then by leg, and the offsets at which each step index begins.
+    """
+    if isinstance(ode, LinearODE):
+        ode = [ode] * len(legs)
+    if isinstance(job, int):
+        job = [(job, seg) for seg in range(len(legs))]
+    # the singular points and growth bound of each leg's ODE, padded with
+    # points at infinity
+    first = {}
+    which = np.array([first.setdefault(id(o), len(first)) for o in ode], dtype=int)
+    distinct = list({id(o): o for o in ode}.values())
+    roots = np.full((len(distinct), max((len(o.roots) for o in distinct), default=0)),
+                    np.inf, dtype=complex)
+    for k, o in enumerate(distinct):
+        roots[k, : len(o.roots)] = o.roots
+    growth = np.array([o.growth for o in distinct])
+    hgrow = np.full(len(distinct), np.inf)
+    np.divide(STEP_GROWTH, growth, out=hgrow, where=growth > 0)
+    roots, hgrow = roots[which], hgrow[which]
+    a = np.array([leg.a for leg in legs], dtype=complex)
+    b = np.array([leg.b for leg in legs], dtype=complex)
+    arc = np.array([leg.center is not None for leg in legs], dtype=bool)
+    c = np.array([0j if leg.center is None else leg.center for leg in legs], dtype=complex)
+    sweep = np.array([leg.sweep for leg in legs], dtype=float)
+    length = np.array([leg.length for leg in legs], dtype=float)
+    t = np.zeros(len(legs))
+    z = a.copy()
+    live = np.arange(len(legs))
+    refused = {}  # leg -> (singular point, its distance, z) where it stalls
+    # steps by step index, after an empty first entry
+    z0s, hs, legs_of = [np.zeros(0, dtype=complex)], [np.zeros(0, dtype=complex)], [live[:0]]
+    while live.size:
+        z0 = z[live]
+        dist = np.abs(roots[live] - z0[:, None])
+        near = np.argmin(dist, axis=1)
+        gap = dist[np.arange(len(live)), near]
+        hmax = np.minimum(STEP_RADIUS * gap, hgrow[live])
+        ok = hmax > STEP_FLOOR * np.maximum(np.abs(z0), length[live])
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                refused[int(live[i])] = (roots[live[i], near[i]], gap[i], z0[i])
+            live, z0, hmax = live[ok], z0[ok], hmax[ok]
+        tl, ll = t[live], length[live]
+        end = tl * ll + hmax >= ll
+        tn = np.where(end, 1.0, tl + hmax / np.where(end, 1.0, ll))
+        al, cl = a[live], c[live]
+        z1 = np.where(arc[live], cl + (al - cl) * np.exp(1j * sweep[live] * tn),
+                      al + tn * (b[live] - al))
+        z1[end] = b[live[end]]
+        z0s.append(z0)
+        hs.append(z1 - z0)
+        legs_of.append(live)
+        t[live], z[live] = tn, z1
+        live = live[~end]
+    if refused:
+        k = min(refused)
+        near, gap, z0 = refused[k]
+        raise IntegrationError(
+            f"transport {job[k][0]}, segment {job[k][1]} ({legs[k]}), runs into the "
+            f"singular point {complex(near):.6g} (distance {gap:.3g} "
+            f"at z = {complex(z0):.6g})"
+        )
+    starts = np.cumsum([len(s) for s in legs_of])
+    return np.concatenate(z0s), np.concatenate(hs), np.concatenate(legs_of), starts
 
 
 def _step_matrix(P, Q, x0, h, binom, idx, powers):
@@ -584,14 +642,30 @@ class StokesConfig:
     uC: tuple | None = None
 
 
-def _frame(frames: dict | None, sys, r, tau, widened, uC) -> SectorFrame:
-    """The frame of sector r, taken from or added to `frames`, the frames of
-    sys already computed with these settings, by sector index."""
-    if frames is None:
-        frames = {}
-    if r not in frames:
-        frames[r] = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
-    return frames[r]
+def _memoized(memo: dict, key: tuple, compute: Callable[[], Any]):
+    """memo[key], computed by compute() the first time it is asked for."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _frame(memo: dict, sys, r, tau, widened, uC) -> SectorFrame:
+    """The frame of sector r of sys with these settings, once per memo."""
+    key = ("frame", sys.u.tobytes(), r, tau, widened,
+           None if uC is None else np.asarray(uC, dtype=complex).tobytes())
+    return _memoized(memo, key, lambda: sector_bounds(sys.u, tau, r, widened=widened, uC=uC))
+
+
+def _seeds(memo: dict, sys, r, tau, radius, widened, uC):
+    """The frame of sector r, the seed direction of every column in it and
+    the Stokes leakage of seeds there at `radius`, once per memo."""
+    frame = _frame(memo, sys, r, tau, widened, uC)
+
+    def compute():
+        angles, _ = _column_seed_directions(sys.u, frame)
+        return angles, _leakage(sys.u, angles, radius)
+
+    return (frame, *_memoized(memo, ("seeds", sys.u.tobytes(), frame, radius), compute))
 
 
 def _column_seed_directions(u, frame: SectorFrame, grid: int = 720):
@@ -604,40 +678,33 @@ def _column_seed_directions(u, frame: SectorFrame, grid: int = 720):
     margin > 0 means genuinely recessive with that depth.
     """
     u = np.asarray(u, dtype=complex)
-    n = len(u)
     pad = min(0.05, 0.1 * frame.opening)
     thetas = np.linspace(frame.lo + pad, frame.hi - pad, grid)
-    e = np.exp(1j * thetas)  # (grid,)
-    best_angles = np.empty(n)
-    best_margins = np.empty(n)
-    for j in range(n):
-        depth = np.full(grid, np.inf)
-        total = np.zeros(grid)
-        for i in range(n):
-            if i == j or u[i] == u[j]:
-                continue
-            d = -np.real(e * (u[j] - u[i]))
-            depth = np.minimum(depth, d)
-            total += d
-        if not np.any(np.isfinite(depth)):
-            depth = np.zeros(grid)
-        # tie-break flat plateaus (tightly coalescing pairs cap the min) in
-        # favour of directions recessive against the remaining pairs too
-        k = int(np.argmax(depth + 1e-3 * total))
-        best_angles[j] = thetas[k]
-        best_margins[j] = depth[k]
-    return best_angles, best_margins
+    diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
+    other = (diff != 0)[..., None]  # i != j and u_i != u_j
+    d = -np.real(np.exp(1j * thetas) * diff[..., None])  # (n, n, grid)
+    depth = np.where(other, d, np.inf).min(axis=1)
+    depth[np.isinf(depth).all(axis=1)] = 0.0
+    # tie-break flat plateaus (tightly coalescing pairs cap the min) in
+    # favour of directions recessive against the remaining pairs too
+    best = np.argmax(depth + 1e-3 * np.where(other, d, 0.0).sum(axis=1), axis=1)
+    return thetas[best], depth[np.arange(len(u)), best]
 
 
-def _column_path(seed_pt: PathPoint, zstar: PathPoint, rho_arc: float) -> ZPath:
-    """Radial leg in, argument sweep at moderate radius, radial leg out."""
-    path = ZPath.radial(seed_pt, rho_arc)
-    path = path.then(ZPath.arc(PathPoint.from_polar(rho_arc, seed_pt.arg), zstar.arg))
-    if abs(zstar.radius - rho_arc) > 1e-12:
-        path = path.then(
-            ZPath.radial(PathPoint.from_polar(rho_arc, zstar.arg), zstar.radius)
-        )
-    return path
+def _leakage(u, angles, radius) -> float:
+    """Largest admixture of another solution in the seeds at `angles`.
+
+    A column seeded at recessive depth d against pair (i, j) can still pick
+    up an admixture of that solution at the e^{-R d} level (the Stokes
+    leakage of the sector boundary); with no recessive direction available
+    (d <= 0) the admixture is order of the pair's Stokes activity, which
+    near-coalescing pairs of vanishing-compatible families reduce with the
+    separation.
+    """
+    diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
+    depth = -np.real(np.exp(1j * np.asarray(angles))[:, None] * diff)
+    admixture = np.minimum(1.0, np.abs(diff)) * np.exp(-radius * np.maximum(depth, 0.0))
+    return float(np.max(admixture[diff != 0], initial=0.0))
 
 
 def sectorial_plan(
@@ -651,12 +718,15 @@ def sectorial_plan(
     widened: bool = False,
     uC=None,
     coalesce_tol: float = 0.0,
-    frame: SectorFrame | None = None,
+    memo: dict | None = None,
 ) -> Plan:
-    """The column transports of actual_solution, assembled into its handle;
-    `frame`, when given, is the frame of sector r with these settings."""
-    if frame is None:
-        frame = sector_bounds(sys.u, tau, r, widened=widened, uC=uC)
+    """The column transports of actual_solution, assembled into its handle.
+
+    Each column runs a radial leg in from its seed, an argument sweep at
+    moderate radius and a radial leg out to z*; `memo` as for stokes_plan.
+    """
+    memo = {} if memo is None else memo
+    frame, angles, leakage = _seeds(memo, sys, r, tau, radius, widened, uC)
     if zstar is None:
         zstar = PathPoint.from_polar(radius, frame.midpoint)
     elif not frame.contains(zstar.arg):
@@ -666,36 +736,33 @@ def sectorial_plan(
         )
     if fs is None:
         fs = compute_formal_coefficients(sys, K=order, coalesce_tol=coalesce_tol)
-    k_opt, bound = optimal_truncation(fs, radius)
-    angles, margins = _column_seed_directions(sys.u, frame)
-    # a column seeded at recessive depth d against pair (i, j) can still pick
-    # up an admixture of that solution at the e^{-R d} level (the Stokes
-    # leakage of the sector boundary); with no recessive direction available
-    # (d <= 0) the admixture is order of the pair's Stokes activity, which
-    # near-coalescing pairs of vanishing-compatible families reduce with the
-    # separation
-    leakage = 0.0
-    for j in range(sys.n):
-        ej = np.exp(1j * float(angles[j]))
-        for i in range(sys.n):
-            if i == j or sys.u[i] == sys.u[j]:
-                continue
-            depth = -float(np.real(ej * (sys.u[j] - sys.u[i])))
-            weight = min(1.0, float(abs(sys.u[i] - sys.u[j])))
-            leakage = max(leakage, weight * math.exp(-radius * max(depth, 0.0)))
+    F = np.asarray(fs.F, dtype=complex).reshape(-1, sys.n, sys.n)
+    series = F.tobytes()
+    k_opt, bound = _memoized(memo, ("truncation", series, radius),
+                             lambda: optimal_truncation(fs, radius))
+    powers = -np.arange(1.0, k_opt + 1)
     # argument sweeps at large |z| let the dominant exponential swamp the
     # recessive one inside the relative tail criterion; sweep at moderate radius
     rho_max = float(np.max(np.abs(sys.u[:, None] - sys.u[None, :])))
     rho_arc = min(zstar.radius, radius, max(0.5, 4.0 / max(rho_max, 1e-6)))
+    out = _polar(rho_arc, zstar.arg)
+    system = (sys.u.tobytes(), sys.A.tobytes(), tuple(H.tobytes() for H in sys.higher))
     jobs = []
-    for j in range(sys.n):
-        seed_pt = PathPoint.from_polar(radius, float(angles[j]))
+    for j, theta in enumerate(angles):
+        seed, turn = _polar(radius, theta), _polar(rho_arc, theta)
+        legs = [Leg(seed, turn)] if rho_arc < radius else []
+        legs.append(Leg(turn, out, center=0j, sweep=zstar.arg - theta))
+        if abs(zstar.radius - rho_arc) > 1e-12:
+            legs.append(Leg(out, zstar.z))
         # transport in the column's own scalar gauge y e^{-z u_j} z^{-b_j},
         # which stays O(1) along the whole path, so the relative tail
         # criterion is meaningful for exponentially small columns
-        col = eval_series_factor(fs, seed_pt.z, K=k_opt)[:, j]
-        legs = [seg.leg for seg in _column_path(seed_pt, zstar, rho_arc).segments]
-        jobs.append((irregular_ode(sys, fs.u[j], fs.b[j]), col, legs))
+        ode = _memoized(memo, ("ode", system, fs.u[j], fs.b[j]),
+                        lambda: irregular_ode(sys, fs.u[j], fs.b[j]))
+        # column j of the optimally truncated series I + sum_k F_k z^-k
+        col = _memoized(memo, ("seed", series, seed, k_opt, j),
+                        lambda: np.eye(sys.n)[j] + F[:k_opt, :, j].T @ seed**powers)
+        jobs.append((ode, col, legs))
     w_star = np.log(zstar.radius) + 1j * zstar.arg
     gauge = np.exp(fs.u * zstar.z + fs.b * w_star)
 
@@ -762,13 +829,15 @@ class StokesResult:
 
 def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
                 fs: FormalSolution | None = None,
-                coalesce_tol: float = 0.0, frames: dict | None = None) -> Plan:
+                coalesce_tol: float = 0.0, memo: dict | None = None) -> Plan:
     """The transports of stokes_matrix, assembled into its StokesResult.
 
-    `frames` may hold sector frames of sys with the settings of cfg, by
-    sector index; the plan takes frames r and r + 1 from it and adds those
-    it computes, so that plans of one system share them."""
-    frame_r, frame_r1 = (_frame(frames, sys, k, cfg.tau, cfg.widened, cfg.uC)
+    `memo` holds what the plans of one pipeline share: sector frames, seed
+    directions, truncation orders, seed columns and column ODEs, each keyed
+    by what it depends on.  A plan takes what it needs from it and adds what
+    it computes, so each is computed once per pipeline."""
+    memo = {} if memo is None else memo
+    frame_r, frame_r1 = (_frame(memo, sys, k, cfg.tau, cfg.widened, cfg.uC)
                          for k in (r, r + 1))
     lo, hi = frame_r1.lo, frame_r.hi
     if not hi - lo > 1e-9:
@@ -779,8 +848,8 @@ def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
         fs = compute_formal_coefficients(sys, K=cfg.order, coalesce_tol=coalesce_tol)
     sectorial = [
         sectorial_plan(sys, k, cfg.tau, radius=cfg.radius, zstar=zstar, fs=fs,
-                       widened=cfg.widened, uC=cfg.uC, frame=frame)
-        for k, frame in ((r, frame_r), (r + 1, frame_r1))
+                       widened=cfg.widened, uC=cfg.uC, memo=memo)
+        for k in (r, r + 1)
     ]
 
     def assemble(Yr, Yr1):
@@ -866,22 +935,23 @@ def connection_plan(
     zstar: PathPoint | None = None,
     widened: bool = False,
     uC=None,
-    frames: dict | None = None,
+    memo: dict | None = None,
 ) -> Plan:
     """The transports of connection_matrix (the columns of Y_r and the
-    radial Levelt leg), assembled into C_r; `frames` as for stokes_plan."""
-    frame = _frame(frames, sys, r, tau, widened, uC)
+    radial Levelt leg), assembled into C_r; `memo` as for stokes_plan."""
+    memo = {} if memo is None else memo
+    frame = _frame(memo, sys, r, tau, widened, uC)
     if zstar is None:
         zstar = PathPoint.from_polar(radius / 2.0, frame.midpoint)
     elif not frame.contains(zstar.arg):
         raise SectorError("zstar outside the sector of Y_r")
     lev = levelt_handle(sys, ld, zstar.arg)
-    legs = [seg.leg for seg in ZPath.radial(lev.point, zstar.radius).segments]
     return join_plans(
         [
             sectorial_plan(sys, r, tau, radius=radius, zstar=zstar, fs=fs,
-                           widened=widened, uC=uC, frame=frame),
-            Plan(((irregular_ode(sys), lev.value, legs),), lambda ends: ends[0]),
+                           widened=widened, uC=uC, memo=memo),
+            Plan(((irregular_ode(sys), lev.value, [Leg(lev.point.z, zstar.z)]),),
+                 lambda ends: ends[0]),
         ],
         lambda Yr, Ylev: np.linalg.solve(Ylev, Yr.value),
     )

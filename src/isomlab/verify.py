@@ -124,16 +124,16 @@ def _extract_plan(state, G, ld0, r, tau, radius, tol, order, levelt_order, with_
     ld = with_gauge(ld0, G, state.A)
     ld = build_levelt_solution(state.A, lambda m: sys.Lambda if m == 0 else np.zeros_like(state.A),
                                ld=ld, K=levelt_order)
-    frames = {}  # the sample's sector frames, shared by its plans
+    memo = {}  # what the sample's plans share (see stokes_plan)
     plans = [
-        stokes_plan(sys, r, cfg, fs=fs, frames=frames),
-        stokes_plan(sys, r + 1, cfg, fs=fs, frames=frames),
-        connection_plan(sys, r, ld, tau, radius=radius, fs=fs, frames=frames),
+        stokes_plan(sys, r, cfg, fs=fs, memo=memo),
+        stokes_plan(sys, r + 1, cfg, fs=fs, memo=memo),
+        connection_plan(sys, r, ld, tau, radius=radius, fs=fs, memo=memo),
     ]
     if with_extras:
         plans += [
-            stokes_plan(sys, r + 2, cfg, fs=fs, frames=frames),
-            connection_plan(sys, r + 1, ld, tau, radius=radius, fs=fs, frames=frames),
+            stokes_plan(sys, r + 2, cfg, fs=fs, memo=memo),
+            connection_plan(sys, r + 1, ld, tau, radius=radius, fs=fs, memo=memo),
         ]
 
     def assemble(res_r, res_r1, C_r, res_r2=None, C_r1=None):
@@ -492,12 +492,14 @@ def verify_coalescence(
         A0, lambda m: frozen.Lambda if m == 0 else np.zeros_like(A0),
         ld=ld_frozen, K=20,
     )
-    frames = {}  # sector frames of the frozen system, shared by its plans
+    # what the plans of the whole pipeline share (see stokes_plan): the
+    # frozen-seeded passes reuse the frozen series and its truncation
+    memo = {}
     plans = [
-        stokes_plan(frozen, r, cfg, fs=fs0, coalesce_tol=ctol, frames=frames),
-        stokes_plan(frozen, r + 1, cfg, fs=fs0, coalesce_tol=ctol, frames=frames),
+        stokes_plan(frozen, r, cfg, fs=fs0, coalesce_tol=ctol, memo=memo),
+        stokes_plan(frozen, r + 1, cfg, fs=fs0, coalesce_tol=ctol, memo=memo),
         connection_plan(frozen, r, ld_frozen, tau, radius=radius, fs=fs0,
-                        widened=True, uC=ref, frames=frames),
+                        widened=True, uC=ref, memo=memo),
     ]
 
     # sampled family: Taylor germ along the ray, flow-validated
@@ -520,8 +522,7 @@ def verify_coalescence(
         sysk = IrregularSystem(u=ref + g * v, A=Ak)
         fsk = compute_formal_coefficients(sysk, K=order)
         fs_driven = FormalSolution(b=fs0.b, u=sysk.u, F=fs0.F, mode="frozen-seeded")
-        frames = {}
-        plans += [stokes_plan(sysk, k, cfg, fs=fs, frames=frames)
+        plans += [stokes_plan(sysk, k, cfg, fs=fs, memo=memo)
                   for fs in (fsk, fs_driven) for k in (r, r + 1)]
     S0_frozen, S1_frozen, C_frozen, *sampled = run_plan(join_plans(plans), tol)
     self_r, self_r1, driven_r, driven_r1 = (sampled[i::4] for i in range(4))

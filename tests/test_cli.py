@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from isomlab import cli
 from isomlab.cli import main
 
 
@@ -272,6 +273,45 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS"
         assert (tmp_path / "csv" / "coalescence_entries.csv").exists()
+
+
+class TestParser:
+    def test_subcommands_in_a_row(self, capsys, system_file):
+        formal = ["formal", "--system", system_file, "--order", "3"]
+        kv = ["kv-example", "--h", "1", "--u", "0.5", "--check"]
+        first = run(capsys, formal)
+        assert run(capsys, kv)[0] == 0
+        assert run(capsys, formal) == first
+        # each parse gets the defaults and handler of its own subcommand,
+        # as from a parser built for it alone
+        for argv in (formal, kv, formal):
+            assert vars(cli._parser().parse_args(argv)) == vars(
+                cli.build_parser().parse_args(argv))
+        # usage errors exit the same way every time
+        for argv in ([], ["formal"], ["formal", "--system", system_file, "--order", "x"]):
+            exits = []
+            for _ in range(2):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                exits.append((exc.value.code, capsys.readouterr().err))
+            assert exits[0] == exits[1] and exits[0][0] == 2
+
+    def test_parser_built_once(self, capsys, system_file, monkeypatch):
+        builds = []
+        build_parser = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            run(capsys, ["formal", "--system", system_file, "--order", "3"])
+            run(capsys, ["kv-example", "--h", "1", "--u", "0.5"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
 
 
 class TestErrorHandling:

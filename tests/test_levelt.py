@@ -16,9 +16,9 @@ from isomlab.levelt import (
 from isomlab.matrixcore import (
     as_square,
     solve_sylvester,
-    solve_sylvester_lstsq,
     sylvester_spectral_gap,
 )
+from reference_solvers import solve_sylvester_lstsq
 
 
 def hol_const(Lam):

@@ -9,8 +9,8 @@ from isomlab.matrixcore import (
     matrix_power,
     similar_to_jordan,
     solve_sylvester,
-    solve_sylvester_lstsq,
 )
+from reference_solvers import solve_sylvester_lstsq
 
 
 class TestClusterEigenvalues:

@@ -284,6 +284,92 @@ class TestBatchedEngine:
         assert peak <= 3e6
 
 
+class TestDistinctLegs:
+    @staticmethod
+    def shared_jobs():
+        """Gauged 3x3 columns with a common radial leg and different arcs
+        (one ODE built twice, equal in value), next to Fuchsian loops, two of
+        them around the same pole."""
+        rng = np.random.default_rng(21)
+        sys = IrregularSystem(
+            u=[0.0, 1.0, 0.4 + 0.8j],
+            A=0.4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))),
+        )
+        b = np.diag(sys.A)
+        col = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        radial = Leg(12.0 + 0j, 3.0 + 0j)
+
+        def arc(turn):
+            return Leg(3.0 + 0j, 3.0 * np.exp(1j * turn), center=0j, sweep=turn)
+
+        out = Leg(3.0 * np.exp(0.8j), 7.0 * np.exp(0.8j))
+        gauged = [irregular_ode(sys, sys.u[j], b[j]) for j in (0, 1, 0)]
+        A1 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        A2 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        fuchs = fuchsian_ode([0.0, 1.0, 0.5j], [A1, A2, -A1 - A2])
+
+        def loop(pole):
+            return [Leg(0.5 - 1j, pole - 0.25j),
+                    Leg(pole - 0.25j, pole - 0.25j, center=pole, sweep=2 * math.pi),
+                    Leg(pole - 0.25j, 0.5 - 1j)]
+
+        eye = np.eye(2, dtype=complex)
+        return [
+            (gauged[0], col[0], [radial, arc(0.8), out]),
+            (gauged[0], col[1], [radial, arc(-0.6)]),
+            (gauged[1], col[2], [radial, arc(0.8)]),
+            (gauged[2], col[:, :2], [radial, arc(0.8)]),
+            (fuchs, eye, loop(0.0)),
+            (fuchs, 2 * eye, loop(1.0)),
+            (fuchs, eye[:, 0], loop(0.0)),
+        ]
+
+    def test_matches_separate_transports(self):
+        jobs = self.shared_jobs()
+        batch = transport_matrix(*zip(*jobs), tol=1e-12)
+        for job, got in zip(jobs, batch):
+            alone = transport_matrix(*job, tol=1e-12)
+            ref = transport_matrix(*job, tol=1e-14)
+            assert got.shape == np.shape(job[1])
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - alone)) < 1e-12 * scale
+            assert np.max(np.abs(got - ref)) < 1e-12 * scale
+
+    def test_each_distinct_leg_summed_once(self, monkeypatch):
+        jobs = self.shared_jobs()
+        distinct = {(o.P.tobytes(), o.Q.tobytes(), leg): (o, leg)
+                    for o, _, path in jobs for leg in path}
+        # repeats: the radial leg of gauged[0] (built twice) twice, its
+        # arc(0.8) once, and the three legs of the loop around pole 0
+        assert len(distinct) == sum(len(path) for _, _, path in jobs) - 6
+        expected = sum(len(odeengine._schedule(o, [leg], 0)[0])
+                       for o, leg in distinct.values())
+        summed = []
+        step_matrix = odeengine._step_matrix
+
+        def counted(P, Q, x0, h, *args):
+            summed.append(len(h))
+            return step_matrix(P, Q, x0, h, *args)
+
+        monkeypatch.setattr(odeengine, "_step_matrix", counted)
+        transport_matrix(*zip(*jobs), tol=1e-12)
+        assert sum(summed) == expected
+
+    def test_refusal_on_a_shared_leg_is_named(self):
+        jobs = self.shared_jobs()
+        # transports 1 and 3 share a leg through the origin, transport 1
+        # at its second segment
+        through = Leg(-3.0 + 0j, 3.0 + 0j)
+        ode, col, path = jobs[1]
+        jobs[1] = (ode, col, [path[0], through])
+        ode, col, path = jobs[3]
+        jobs[3] = (ode, col, [through])
+        with pytest.raises(
+            IntegrationError, match=r"transport 1, segment 1 .* singular point 0\+0j"
+        ):
+            transport_matrix(*zip(*jobs))
+
+
 class TestActualSolution:
     def test_diagonal_system_is_exact(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, -0.3]))

@@ -256,6 +256,29 @@ class TestVerifyCoalescence:
         # sectors r, r + 1, r + 2 of the frozen system and of each sample
         assert len(frames) == len(set(frames)) == 3 * (1 + 5)
 
+    def test_seed_data_computed_once(self, monkeypatch):
+        seeds, truncations = [], []
+        directions = odeengine._column_seed_directions
+        truncation = odeengine.optimal_truncation
+
+        def counted_directions(u, frame, **kwargs):
+            seeds.append((np.asarray(u).tobytes(), frame))
+            return directions(u, frame, **kwargs)
+
+        def counted_truncation(fs, radius):
+            truncations.append((np.asarray(fs.F).tobytes(), radius))
+            return truncation(fs, radius)
+
+        monkeypatch.setattr(odeengine, "_column_seed_directions", counted_directions)
+        monkeypatch.setattr(odeengine, "optimal_truncation", counted_truncation)
+        verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
+        # seed directions in sectors r, r + 1, r + 2 of the frozen system and
+        # of each sample, shared by its self- and frozen-seeded passes
+        assert len(seeds) == len(set(seeds)) == 3 * (1 + 5)
+        # the frozen series (frozen system and frozen-seeded passes) and the
+        # series of each sample, all at the one seed radius
+        assert len(truncations) == len(set(truncations)) == 1 + 5
+
     def test_csv_export(self, tmp_path):
         rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
         out = tmp_path / "entries.csv"

@@ -102,11 +102,13 @@ def schlesinger_rhs(sys: FuchsianSystem) -> np.ndarray:
     return out
 
 
-def _schlesinger_velocity(A, u, du) -> np.ndarray:
+def _schlesinger_velocity(A, u, du, K=None) -> np.ndarray:
     """sum_j du_j dA_i/du_j = [B_i, A_i] with B_i = sum_j K_ij A_j, for the
-    (N, n, n) residue stack A."""
-    B = np.einsum("ij,jab->iab", _difference_quotients(u, du), A)
-    return B @ A - A @ B
+    (N, n, n) residue stack A at the poles u, or for A (N, n, n, ...) and u
+    (N, ...) with the same trailing axes; K, if given, is
+    _difference_quotients(u, du)."""
+    B = np.einsum("ij...,jab...->iab...", _difference_quotients(u, du) if K is None else K, A)
+    return np.einsum("iab...,ibc...->iac...", B, A) - np.einsum("iab...,ibc...->iac...", A, B)
 
 
 def integrate_schlesinger(
@@ -125,10 +127,11 @@ def integrate_schlesinger(
     if np.linalg.norm(path.waypoints[0] - sys.poles) > 1e-12:
         raise ValueError("path must start at the system's poles")
 
-    def rhs(u, du, y):
-        return _schlesinger_velocity(y.reshape(N, n, n), u, du).ravel()
+    def field(u, du):
+        K = _difference_quotients(u, du)
+        return lambda y: _schlesinger_velocity(y.reshape(N, n, n, -1), u, du, K).reshape(y.shape)
 
-    t, u, ys = _integrate("Schlesinger flow", path, np.ravel(sys.residues), rhs, tol, guard)
+    t, u, ys = _integrate("Schlesinger flow", path, np.ravel(sys.residues), field, tol, guard)
     A = ys.reshape(len(t), N, n, n)
     final = FuchsianSystem(poles=path.waypoints[-1], residues=tuple(A[-1]), zero_sum_tol=1e-8)
     return final, FlowTrace(t=t, u=u, A=A)

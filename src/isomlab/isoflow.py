@@ -11,10 +11,13 @@ difference quotients K_ab = (du_a - du_b)/(u_a - u_b): one O(n^2) build and
 one commutator per right-hand side.  `omega_zero_part` is the per-direction
 reference.
 
-Both nonlinear flows run through one driver: an exact coalescence guard
-(every pair gap u_i - u_j is affine along a straight segment), one DOP853
-call per segment with a budget of MAX_RHS_EVALS right-hand side
-evaluations, and a `FlowTrace` sampled at TRACE_SAMPLES points per segment.
+Both nonlinear flows run through one driver, `_integrate`: an exact
+coalescence guard (every pair gap u_i - u_j is affine along a straight
+segment), then Chebyshev-Picard collocation steps (Clenshaw & Norton,
+Computer J. 6, 1963; Bai & Junkins, J. Astronaut. Sci. 58, 2011), each sweep
+one right-hand side over all COLLOCATION_NODES nodes of the step.  The node
+axis is the last axis of every stack, so that the many 2x2 to 4x4 products
+of a right-hand side run as elementwise numpy loops along it.
 
 Also here: the Frobenius-integrability residual probed by finite
 differences, the vanishing-order fit A_ij = O(u_i - u_j) used near the
@@ -29,18 +32,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrace.py rebinds it
 
 from .errors import IntegrationError, ResonanceError, WallError
 from .geometry import segment_min_abs
 from .matrixcore import as_square, solve_sylvester
-from .odeengine import PathPoint
+from .odeengine import TAIL_FRACTION, PathPoint
 
 TRACE_SAMPLES = 17  # trace points per path segment, both ends included
-# work budget of one flow segment: a segment of the tier-1 tests uses at
-# most ~200 evaluations and a benchmark op ~1k in all, while DOP853 creeping
-# past a near-collision (guard=0.0) would run on without end
-MAX_RHS_EVALS = 20_000
+COLLOCATION_NODES = 16  # Chebyshev-Lobatto nodes of a flow step
+# step budget of one flow segment, accepted and rejected steps (see _integrate)
+MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,15 @@ class DiagonalGauge:
         return out
 
     def partial(self, u, j: int) -> np.ndarray:
-        """Diagonal of D_j(u) = dD/du_j."""
+        """Diagonal of D_j(u) = dD/du_j; u may carry trailing axes."""
         u = np.asarray(u, dtype=complex)
-        out = np.zeros(self.n, dtype=complex)
+        out = np.zeros(u.shape, dtype=complex)
         for a, c, alpha in self.terms:
             if alpha[j] == 0:
                 continue
             dalpha = list(alpha)
             dalpha[j] -= 1
-            out[a] += c * alpha[j] * np.prod(u**np.array(dalpha))
+            out[a] += c * alpha[j] * np.prod(u.T ** np.array(dalpha), axis=-1)
         return out
 
 
@@ -185,17 +187,23 @@ def omega_zero_part(A, u, j: int, Dj=None) -> np.ndarray:
 
 
 def _difference_quotients(u, du) -> np.ndarray:
-    """K_ab = (du_a - du_b)/(u_a - u_b): zero on the diagonal, symmetric."""
+    """K_ab = (du_a - du_b)/(u_a - u_b): zero on the diagonal, symmetric.
+    u may carry trailing axes (points of a step), and K then carries them."""
+    n = len(u)
     diff = u[:, None] - u[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return (du[:, None] - du[None, :]) / diff
+    diff[range(n), range(n)] = 1.0
+    dd = du[:, None] - du[None, :]
+    return dd.reshape(dd.shape + (1,) * (u.ndim - 1)) / diff
 
 
-def _omega_sum(A, u, du, gauge=None) -> np.ndarray:
-    """sum_j du_j omega_j(0,u) = A o K + diag(sum_j du_j D_j)."""
-    Om = A * _difference_quotients(u, du)
+def _omega_sum(A, u, du, gauge=None, K=None) -> np.ndarray:
+    """sum_j du_j omega_j(0,u) = A o K + diag(sum_j du_j D_j), for one (A, u)
+    or for A (n, n, ...) and u (n, ...) with the same trailing axes; K, if
+    given, is _difference_quotients(u, du)."""
+    Om = A * (_difference_quotients(u, du) if K is None else K)
     if gauge is not None:
-        Om += np.diag(sum(du[j] * gauge.partial(u, j) for j in range(len(u))))
+        n = len(u)
+        Om[range(n), range(n)] += sum(du[j] * gauge.partial(u, j) for j in range(n))
     return Om
 
 
@@ -219,17 +227,85 @@ class FlowResult:
     frame_value: np.ndarray | None = None
 
 
-def _integrate(flow: str, path: UPath, y, rhs, tol: float, guard: float | None):
-    """Integrate dy = rhs(u, du, y) dt from the complex vector y along each
-    segment u = a + t du of the path.
+def _chebyshev_tables(p: int):
+    """Chebyshev-Lobatto nodes of [0, 1], ascending, and two matrices acting
+    on node values from the right (the node axis is the last): to the
+    Chebyshev coefficients of their degree p - 1 interpolant, and, for the
+    values of an integrand, to the values of its integral from 0."""
+    theta = np.pi * np.arange(p - 1, -1, -1) / (p - 1)
+    values = np.cos(np.outer(theta, np.arange(p + 1)))  # T_k at the nodes
+    to_coeffs = np.linalg.inv(values[:, :p])
+    # antiderivative of T_k on [-1, 1]: T_{k+1}/2(k+1) - T_{k-1}/2(k-1)
+    # (T_1 for k = 0, T_2/4 for k = 1), made to vanish at -1
+    anti = np.zeros((p + 1, p))
+    anti[1, 0] = 1.0
+    for k in range(1, p):
+        anti[k + 1, k] = 1.0 / (2 * (k + 1))
+        if k >= 2:
+            anti[k - 1, k] = -1.0 / (2 * (k - 1))
+    anti[0] = -((-1.0) ** np.arange(p + 1)) @ anti
+    integrate = 0.5 * values @ anti @ to_coeffs  # dt = (h / 2) dtau
+    return (1.0 + np.cos(theta)) / 2.0, to_coeffs.T, integrate.T
+
+
+NODES, TO_COEFFS, INTEGRATE = _chebyshev_tables(COLLOCATION_NODES)
+
+
+def _sweeps(f, y, h: float, tol: float):
+    """Node values (len(y), p) of one collocation step from y over a time h,
+    or None if the step is rejected.
+
+    Picard sweeps X <- y + h f(X) S, S the integration matrix of the nodes,
+    run from X = y.  The step is accepted when a sweep moves no component by
+    more than TAIL_FRACTION * tol times its scale 1 + |y| and the last two
+    Chebyshev coefficients of X are within tol times that scale.  A sweep
+    that moves X no less than the one before has either reached the
+    round-off of the sweep, which for a large state can lie above
+    TAIL_FRACTION * tol, and ends the sweeps if it moved X by tol at most;
+    or else h is too long for the iteration to contract, and the step is
+    abandoned there, long before anything could overflow.
+    """
+    y = y[:, None]
+    scale = 1.0 + np.abs(y)
+    X = np.broadcast_to(y, (len(y), len(NODES)))
+    last = np.inf
+    while True:
+        new = y + h * (f(X) @ INTEGRATE)
+        moved = float((np.abs(new - X) / scale).max())
+        X = new
+        if moved <= TAIL_FRACTION * tol:
+            break
+        if not moved < last:  # round-off once within tol, else no contraction
+            if moved <= tol:
+                break
+            return None
+        last = moved
+    tail = (np.abs(X @ TO_COEFFS[:, -2:]) / scale).max()
+    return X if tail <= tol else None
+
+
+def _integrate(flow: str, path: UPath, y, field, tol: float, guard: float | None):
+    """Integrate dy/dt = f(y) from the complex vector y along each segment
+    u = a + t du of the path.  `field(u, du)` returns f at the nodes u of a
+    step, (n, p): a function of the (len(y), p) stack of y at those nodes.
 
     Refuses the path if some pair gap |u_i - u_j| falls below `guard`
     (default 1e-6 times the u scale) anywhere on it; the gaps are exact, so
-    a pair that dips below the guard between waypoints is caught.  A
-    segment that needs more than MAX_RHS_EVALS right-hand side evaluations
-    raises IntegrationError naming the flow and the segment.  Returns
-    the trace (t, u, y) at TRACE_SAMPLES points per segment, t running from
-    0 to the number of segments; y[-1] is the end value.
+    a pair that dips below the guard between waypoints is caught.  Each
+    step is a collocation step on COLLOCATION_NODES Chebyshev-Lobatto nodes
+    (see `_sweeps`).  Its length h starts at the rest of the segment, at
+    most the time distance to the nearest complex collision u_i = u_j, which
+    is 1 / max |K_ab| with K_ab = (du_a - du_b)/(u_a - u_b), and at most
+    twice the last step (once the last step, if that one was halved); a
+    rejected step is halved.  The steps needed to pass a collision grow like
+    log(1/gap), and a segment that needs more than MAX_STEPS steps, accepted
+    and rejected, raises IntegrationError naming the flow and the segment:
+    every segment of the tests and the benchmark takes at most 3, while the
+    2x2 strong flow of the tests takes 54 steps to pass a collision within
+    1e-4 of the segment length, and 74 within 1e-5 (with guard=0.0).
+    Returns the trace (t, u, y) at TRACE_SAMPLES points per segment, read
+    off the step interpolants, t running from 0 to the number of segments;
+    y[-1] is the end value.
     """
     if guard is None:
         guard = 1e-6 * max(1.0, float(np.max(np.abs(path.waypoints))))
@@ -241,30 +317,42 @@ def _integrate(flow: str, path: UPath, y, rhs, tol: float, guard: float | None):
             f"guard {guard:.3e}) for pairs {close}"
         )
     t_eval = np.linspace(0.0, 1.0, TRACE_SAMPLES)
+    degrees = np.arange(COLLOCATION_NODES)
+    i, j = np.triu_indices(len(path.waypoints[0]), 1)
     ts, us, ys = [], [], []
     for seg, (a, b) in enumerate(zip(path.waypoints[:-1], path.waypoints[1:])):
         du = b - a
-        evals = 0
-
-        def f(t, yv):
-            nonlocal evals
-            evals += 1
-            if evals > MAX_RHS_EVALS:
-                raise IntegrationError(
-                    f"{flow} used up its budget of {MAX_RHS_EVALS} right-hand side "
-                    f"evaluations on segment {seg} at t = {t:.6g}"
-                )
-            return rhs(a + t * du, du, yv)
-
-        sol = solve_ivp(
-            f, (0.0, 1.0), y, method="DOP853", rtol=tol, atol=tol, t_eval=t_eval,
-        )
-        if not sol.success:
-            raise IntegrationError(f"{flow} failed on segment {seg}: {sol.message}")
-        ts.append(seg + sol.t)
-        us.append(a + sol.t[:, None] * du)
-        ys.append(sol.y.T)
-        y = sol.y[:, -1]
+        moving = du[i] != du[j]
+        collide = (a[j] - a[i])[moving] / (du[i] - du[j])[moving]  # complex t
+        samples = [y[None]]
+        t, h, steps, k = 0.0, math.inf, 0, 1  # k: next trace sample
+        while t < 1.0:
+            reach = float(np.min(np.abs(collide - t), initial=math.inf))
+            h = min(1.0 - t, reach, h)
+            grow = 2.0
+            while True:
+                steps += 1
+                if steps > MAX_STEPS:
+                    raise IntegrationError(
+                        f"{flow} used up its budget of {MAX_STEPS} steps on "
+                        f"segment {seg} at t = {t:.6g}"
+                    )
+                X = _sweeps(field(a[:, None] + (t + h * NODES) * du[:, None], du), y, h, tol)
+                if X is not None:
+                    break
+                h, grow = h / 2, 1.0
+            t_end = 1.0 if h >= 1.0 - t else t + h
+            end = k + int(np.searchsorted(t_eval[k:], t_end, side="right"))
+            if end > k:
+                tau = np.clip(2.0 * (t_eval[k:end] - t) / h - 1.0, -1.0, 1.0)
+                T = np.cos(np.outer(degrees, np.arccos(tau)))  # T_k at the samples
+                samples.append((X @ TO_COEFFS @ T).T)
+                k = end
+            y, t, h = X[:, -1], t_end, grow * h
+        samples[-1][-1] = y  # the end value itself, not its interpolant
+        ts.append(seg + t_eval)
+        us.append(a + t_eval[:, None] * du)
+        ys.append(np.concatenate(samples))
     return np.concatenate(ts), np.concatenate(us), np.concatenate(ys)
 
 
@@ -301,17 +389,22 @@ def integrate_flow(
         z = carry_frame[0].z
         blocks.append(carry_frame[1])
 
-    def rhs(u, du, y):
-        X = y.reshape(-1, n, n)
-        Om = _omega_sum(X[0], u, du, gauge)
-        dX = Om @ X
-        dX[0] -= X[0] @ Om
-        if z is not None:
-            dX[-1] += (z * du)[:, None] * X[-1]
-        return rhs_sign * dX.ravel()
+    def field(u, du):
+        K = _difference_quotients(u, du)
+
+        def f(y):
+            X = y.reshape(-1, n, n, y.shape[-1])
+            Om = _omega_sum(X[0], u, du, gauge, K=K)
+            dX = np.einsum("ab...,kbc...->kac...", Om, X)
+            dX[0] -= np.einsum("ab...,bc...->ac...", X[0], Om)
+            if z is not None:
+                dX[-1] += (z * du)[:, None, None] * X[-1]
+            return rhs_sign * dX.reshape(y.shape)
+
+        return f
 
     y0 = np.concatenate([np.asarray(B, dtype=complex).ravel() for B in blocks])
-    t, u, ys = _integrate("isomonodromy flow", path, y0, rhs, tol, guard)
+    t, u, ys = _integrate("isomonodromy flow", path, y0, field, tol, guard)
     X = ys.reshape(len(t), -1, n, n)
     G = X[:, 1] if carry_gauge is not None else None
     Y = X[:, -1] if carry_frame is not None else None

@@ -354,6 +354,9 @@ def ray_family_series(A0, uC, v, order: int = 4):
         xmap = {p: x[i] for i, p in enumerate(unknowns)}
         Gm = g_coeff(coeffs, m, xmap)
         Anext = Gm / (m + 1)
+        # diag [Omega, A] = 0 for symmetric K: B = diag(A) is constant along
+        # a strong family, and is kept so exactly, not up to round-off
+        np.fill_diagonal(Anext, 0.0)
         for i, p in enumerate(unknowns):
             Anext[p] = x[i]
         coeffs.append(Anext)

@@ -144,6 +144,26 @@ class TestIntegrateSchlesinger:
             integrate_schlesinger(sys, path, guard=0.0)
         assert time.perf_counter() - t0 < 5.0
 
+    def test_trace_matches_separate_integrations(self):
+        # the residue trace, read off the step interpolants, agrees with
+        # integrations that end at each sample, on both segments (the
+        # second takes two steps)
+        from isomlab.isoflow import TRACE_SAMPLES
+
+        rng = np.random.default_rng(17)
+        sys = random_fuchsian(rng)
+        pts = (sys.poles, sys.poles + np.array([0.2j, -0.1, 0.25]),
+               sys.poles + np.array([0.1 + 0.3j, 0.5 - 0.2j, 0.1]))
+        tol = 1e-11
+        _, trace = integrate_schlesinger(sys, UPath(waypoints=pts), tol=tol)
+        m = TRACE_SAMPLES - 1
+        for seg in range(2):
+            for k in range(1, m):
+                u = pts[seg] + k / m * (pts[seg + 1] - pts[seg])
+                part, _ = integrate_schlesinger(sys, UPath(waypoints=(*pts[:seg + 1], u)), tol=tol)
+                row = seg * TRACE_SAMPLES + k
+                assert np.max(np.abs(trace.A[row] - np.array(part.residues))) <= 10 * tol
+
 
 class TestFuchsMonodromy:
     def test_zero_residues(self):

@@ -1,12 +1,15 @@
+import time
+
 import numpy as np
 import pytest
 
-from isomlab.errors import ResonanceError, WallError
+from isomlab.errors import IntegrationError, ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.isoflow import (
     DeformationState,
     DiagonalGauge,
     LaurentCoefficients,
+    TRACE_SAMPLES,
     UPath,
     _omega_sum,
     integrability_residual,
@@ -134,6 +137,37 @@ class TestIntegrateFlow:
         assert abs(path.min_gap() - 1e-7) < 1e-15
         with pytest.raises(WallError, match=r"isomonodromy flow .* pairs \[\(0, 1\)\]"):
             integrate_flow(DeformationState(u=u0, A=GENERIC_A), path)
+
+    def test_work_budget_stops_unguarded_collision(self):
+        # the same near-collision with the guard switched off: the steps
+        # shrink with the distance to the complex collision until the
+        # segment's step budget runs out
+        u0 = np.array([0.0, -1.0 + 1e-7j])
+        path = UPath.line(u0, np.array([0.0, 1.0 + 1e-7j]))
+        t0 = time.perf_counter()
+        with pytest.raises(IntegrationError, match=r"isomonodromy flow .* segment 0"):
+            integrate_flow(DeformationState(u=u0, A=GENERIC_A), path, guard=0.0)
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_trace_matches_separate_integrations(self):
+        # the trace is read off the step interpolants; each sample agrees
+        # with an integration that ends there, on both segments of the path
+        # (the second takes two steps)
+        rng = np.random.default_rng(31)
+        A = 0.4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        pts = (np.array([0.0, 1.0, 0.4 + 0.9j]), np.array([0.2, 1.3 - 0.1j, 0.3 + 1.2j]),
+               np.array([-0.1 + 0.2j, 1.1, 0.7 + 1.0j]))
+        state, tol = DeformationState(u=pts[0], A=A), 1e-11
+        res = integrate_flow(state, UPath(waypoints=pts), tol=tol)
+        m = TRACE_SAMPLES - 1
+        for seg in range(2):
+            for k in range(1, m):
+                u = pts[seg] + k / m * (pts[seg + 1] - pts[seg])
+                row = seg * TRACE_SAMPLES + k
+                assert res.trace.t[row] == seg + k / m
+                assert np.max(np.abs(res.trace.u[row] - u)) < 1e-15
+                part = integrate_flow(state, UPath(waypoints=(*pts[:seg + 1], u)), tol=tol)
+                assert np.max(np.abs(res.trace.A[row] - part.state.A)) <= 10 * tol
 
 
 class TestIntegrabilityResidual:

@@ -166,6 +166,17 @@ class TestRayFamilySeries:
         for C in coeffs[1:]:
             assert np.max(np.abs(np.diag(C))) < 1e-12
 
+    def test_diagonal_exact_along_family(self):
+        # B = diag(A) is constant along a strong family: the coefficients
+        # past A_0 have an exactly zero diagonal, so every sample keeps
+        # diag(A_0) bit for bit (and its column ODEs equal the frozen ones)
+        v = coalescing_direction(UC3, 0.3)
+        coeffs = ray_family_series(A3, UC3, v, order=6)
+        for C in coeffs[1:]:
+            assert not np.diag(C).any()
+        for g in 0.1 * 2.0 ** -np.arange(1, 11):
+            assert np.array_equal(np.diag(eval_ray_family(coeffs, g)), np.diag(A3))
+
     def test_formal_coefficients_bounded_near_delta(self):
         # along the vanishing-compatible family the series coefficients stay
         # bounded as the gap shrinks

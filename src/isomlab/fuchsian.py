@@ -102,12 +102,12 @@ def schlesinger_rhs(sys: FuchsianSystem) -> np.ndarray:
     return out
 
 
-def _schlesinger_velocity(A, u, du, K=None) -> np.ndarray:
+def _schlesinger_velocity(A, K) -> np.ndarray:
     """sum_j du_j dA_i/du_j = [B_i, A_i] with B_i = sum_j K_ij A_j, for the
-    (N, n, n) residue stack A at the poles u, or for A (N, n, n, ...) and u
-    (N, ...) with the same trailing axes; K, if given, is
-    _difference_quotients(u, du)."""
-    B = np.einsum("ij...,jab...->iab...", _difference_quotients(u, du) if K is None else K, A)
+    (N, n, n) residue stack A and K = _difference_quotients(u, du) at the
+    poles u, or for A (N, n, n, ...) and K (N, N, ...) with the same
+    trailing axes."""
+    B = np.einsum("ij...,jab...->iab...", K, A)
     return np.einsum("iab...,ibc...->iac...", B, A) - np.einsum("iab...,ibc...->iac...", A, B)
 
 
@@ -129,7 +129,7 @@ def integrate_schlesinger(
 
     def field(u, du):
         K = _difference_quotients(u, du)
-        return lambda y: _schlesinger_velocity(y.reshape(N, n, n, -1), u, du, K).reshape(y.shape)
+        return lambda y: _schlesinger_velocity(y.reshape(N, n, n, -1), K).reshape(y.shape)
 
     t, u, ys = _integrate("Schlesinger flow", path, np.ravel(sys.residues), field, tol, guard)
     A = ys.reshape(len(t), N, n, n)

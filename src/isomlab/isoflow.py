@@ -41,8 +41,9 @@ from .odeengine import TAIL_FRACTION, PathPoint
 
 TRACE_SAMPLES = 17  # trace points per path segment, both ends included
 COLLOCATION_NODES = 16  # Chebyshev-Lobatto nodes of a flow step
-# step budget of one flow segment, accepted and rejected steps (see _integrate)
-MAX_STEPS = 64
+MAX_SWEEPS = 40  # Picard sweeps of one step before it is rejected
+MAX_STEPS = 1000  # step budget of one flow segment, accepted and rejected steps
+STEP_FLOOR = 0.25  # shortest step, in units of the default guard (see _integrate)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class DiagonalGauge:
                 continue
             dalpha = list(alpha)
             dalpha[j] -= 1
-            out[a] += c * alpha[j] * np.prod(u.T ** np.array(dalpha), axis=-1)
+            out[a] += c * alpha[j] * np.prod(np.moveaxis(u, 0, -1) ** np.array(dalpha), axis=-1)
         return out
 
 
@@ -196,11 +197,11 @@ def _difference_quotients(u, du) -> np.ndarray:
     return dd.reshape(dd.shape + (1,) * (u.ndim - 1)) / diff
 
 
-def _omega_sum(A, u, du, gauge=None, K=None) -> np.ndarray:
+def _omega_sum(A, u, du, K, gauge=None) -> np.ndarray:
     """sum_j du_j omega_j(0,u) = A o K + diag(sum_j du_j D_j), for one (A, u)
-    or for A (n, n, ...) and u (n, ...) with the same trailing axes; K, if
-    given, is _difference_quotients(u, du)."""
-    Om = A * (_difference_quotients(u, du) if K is None else K)
+    or for A (n, n, ...) and u (n, ...) with the same trailing axes; K is
+    _difference_quotients(u, du), built once per step by the caller."""
+    Om = A * K
     if gauge is not None:
         n = len(u)
         Om[range(n), range(n)] += sum(du[j] * gauge.partial(u, j) for j in range(n))
@@ -259,27 +260,33 @@ def _sweeps(f, y, h: float, tol: float):
     run from X = y.  The step is accepted when a sweep moves no component by
     more than TAIL_FRACTION * tol times its scale 1 + |y| and the last two
     Chebyshev coefficients of X are within tol times that scale.  A sweep
-    that moves X no less than the one before has either reached the
-    round-off of the sweep, which for a large state can lie above
-    TAIL_FRACTION * tol, and ends the sweeps if it moved X by tol at most;
-    or else h is too long for the iteration to contract, and the step is
-    abandoned there, long before anything could overflow.
+    that moves X no less than the one before has either reached the noise
+    floor of the sweeps, which for a large state can lie above
+    TAIL_FRACTION * tol of its small components, and ends the sweeps if it
+    moved no component by more than tol (1 + max |y|); or else h is too
+    long for the iteration to contract, and the step is abandoned there,
+    long before anything could overflow.  So is a step that has not
+    converged after MAX_SWEEPS sweeps.
     """
     y = y[:, None]
     scale = 1.0 + np.abs(y)
+    noise = tol * float(scale.max())
     X = np.broadcast_to(y, (len(y), len(NODES)))
     last = np.inf
-    while True:
+    for _ in range(MAX_SWEEPS):
         new = y + h * (f(X) @ INTEGRATE)
-        moved = float((np.abs(new - X) / scale).max())
+        diff = np.abs(new - X)
+        moved = float((diff / scale).max())
         X = new
         if moved <= TAIL_FRACTION * tol:
             break
-        if not moved < last:  # round-off once within tol, else no contraction
-            if moved <= tol:
+        if not moved < last:  # noise floor once within tol, else no contraction
+            if diff.max() <= noise:
                 break
             return None
         last = moved
+    else:
+        return None
     tail = (np.abs(X @ TO_COEFFS[:, -2:]) / scale).max()
     return X if tail <= tol else None
 
@@ -293,22 +300,30 @@ def _integrate(flow: str, path: UPath, y, field, tol: float, guard: float | None
     (default 1e-6 times the u scale) anywhere on it; the gaps are exact, so
     a pair that dips below the guard between waypoints is caught.  Each
     step is a collocation step on COLLOCATION_NODES Chebyshev-Lobatto nodes
-    (see `_sweeps`).  Its length h starts at the rest of the segment, at
-    most the time distance to the nearest complex collision u_i = u_j, which
-    is 1 / max |K_ab| with K_ab = (du_a - du_b)/(u_a - u_b), and at most
-    twice the last step (once the last step, if that one was halved); a
-    rejected step is halved.  The steps needed to pass a collision grow like
-    log(1/gap), and a segment that needs more than MAX_STEPS steps, accepted
-    and rejected, raises IntegrationError naming the flow and the segment:
-    every segment of the tests and the benchmark takes at most 3, while the
-    2x2 strong flow of the tests takes 54 steps to pass a collision within
-    1e-4 of the segment length, and 74 within 1e-5 (with guard=0.0).
+    (see `_sweeps`).  The collisions u_i = u_j of a segment lie at complex
+    times c, where the solution may be singular; a step [t, t + h] keeps
+    every c outside the Bernstein ellipse about it on which the Chebyshev
+    coefficients of an analytic solution fall off like rho^-k, with
+    rho = tol^(-1/(p - 2)) so that the tail test of `_sweeps` passes:
+    h <= 2 (a |c - t| - Re(c - t)) / (a^2 - 1), a = (rho + 1/rho) / 2.
+    h is also at most the rest of the segment and twice the last step (once
+    the last step, if that one was halved); a rejected step is halved.
+    Near a collision at a gap g this keeps h >= 2 g / (|du_i - du_j|
+    sqrt(a^2 - 1)), 0.6 g / |du_i - du_j| at tol = 1e-11.  A step shorter
+    than STEP_FLOOR times the default guard over max |du_i - du_j| raises
+    IntegrationError naming the flow and the segment: the path passes a
+    collision closer than the default guard admits (possible with
+    guard=0.0), or the state grows so fast that the sweeps contract only on
+    such steps.  So does a segment that needs more than MAX_STEPS steps,
+    accepted and rejected, which bounds its work to MAX_STEPS * MAX_SWEEPS
+    right-hand sides.
     Returns the trace (t, u, y) at TRACE_SAMPLES points per segment, read
     off the step interpolants, t running from 0 to the number of segments;
     y[-1] is the end value.
     """
+    default = 1e-6 * max(1.0, float(np.max(np.abs(path.waypoints))))
     if guard is None:
-        guard = 1e-6 * max(1.0, float(np.max(np.abs(path.waypoints))))
+        guard = default
     gap = path.min_gap()
     if gap < guard:
         close = sorted(p for p, g in _pair_gaps(path).items() if g < guard)
@@ -316,19 +331,25 @@ def _integrate(flow: str, path: UPath, y, field, tol: float, guard: float | None
             f"{flow} path approaches the coalescence locus (min gap {gap:.3e} < "
             f"guard {guard:.3e}) for pairs {close}"
         )
+    rho = tol ** (-1.0 / (COLLOCATION_NODES - 2))
+    a2 = ((rho + 1.0 / rho) / 2.0) ** 2
     t_eval = np.linspace(0.0, 1.0, TRACE_SAMPLES)
     degrees = np.arange(COLLOCATION_NODES)
     i, j = np.triu_indices(len(path.waypoints[0]), 1)
     ts, us, ys = [], [], []
     for seg, (a, b) in enumerate(zip(path.waypoints[:-1], path.waypoints[1:])):
         du = b - a
-        moving = du[i] != du[j]
+        rate = np.abs(du[i] - du[j])
+        moving = rate > 0
         collide = (a[j] - a[i])[moving] / (du[i] - du[j])[moving]  # complex t
+        fastest = float(np.max(rate, initial=0.0))
+        floor = STEP_FLOOR * default / fastest if fastest > 0 else 0.0
         samples = [y[None]]
         t, h, steps, k = 0.0, math.inf, 0, 1  # k: next trace sample
         while t < 1.0:
-            reach = float(np.min(np.abs(collide - t), initial=math.inf))
-            h = min(1.0 - t, reach, h)
+            c = collide - t
+            reach = 2.0 * np.min(np.sqrt(a2) * np.abs(c) - c.real, initial=math.inf) / (a2 - 1.0)
+            h = min(1.0 - t, float(reach), h)
             grow = 2.0
             while True:
                 steps += 1
@@ -336,6 +357,12 @@ def _integrate(flow: str, path: UPath, y, field, tol: float, guard: float | None
                     raise IntegrationError(
                         f"{flow} used up its budget of {MAX_STEPS} steps on "
                         f"segment {seg} at t = {t:.6g}"
+                    )
+                if h < min(floor, 1.0 - t):
+                    raise IntegrationError(
+                        f"{flow} needs steps shorter than {floor:.3e} on segment "
+                        f"{seg} at t = {t:.6g}, closer to a collision than the "
+                        f"default guard admits or with a state growing that fast"
                     )
                 X = _sweeps(field(a[:, None] + (t + h * NODES) * du[:, None], du), y, h, tol)
                 if X is not None:
@@ -394,7 +421,7 @@ def integrate_flow(
 
         def f(y):
             X = y.reshape(-1, n, n, y.shape[-1])
-            Om = _omega_sum(X[0], u, du, gauge, K=K)
+            Om = _omega_sum(X[0], u, du, K, gauge)
             dX = np.einsum("ab...,kbc...->kac...", Om, X)
             dX[0] -= np.einsum("ab...,bc...->ac...", X[0], Om)
             if z is not None:

@@ -18,7 +18,7 @@ from isomlab.fuchsian import (
     schlesinger_residual,
     schlesinger_rhs,
 )
-from isomlab.isoflow import UPath
+from isomlab.isoflow import UPath, _difference_quotients
 
 
 def random_fuchsian(rng, N=3, n=2):
@@ -65,7 +65,7 @@ class TestSchlesingerRhs:
         sys = FuchsianSystem(poles=[0.0, 1.0, 2.0 + 0.5j, -0.7 + 1.2j], residues=tuple(residues))
         du = rng.normal(size=4) + 1j * rng.normal(size=4)
         ref = np.einsum("j,ijab->iab", du, schlesinger_rhs(sys))
-        fast = _schlesinger_velocity(np.array(sys.residues), sys.poles, du)
+        fast = _schlesinger_velocity(np.array(sys.residues), _difference_quotients(sys.poles, du))
         assert np.max(np.abs(fast - ref)) < 1e-14 * np.max(np.abs(ref))
 
     def test_row_sums_and_total_zero(self):
@@ -143,6 +143,23 @@ class TestIntegrateSchlesinger:
         with pytest.raises(IntegrationError, match=r"Schlesinger flow .* segment 0"):
             integrate_schlesinger(sys, path, guard=0.0)
         assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize("gap", [0.03, 0.01])
+    def test_close_pass_admitted_by_guard_integrates(self, gap):
+        # the poles of the budget test above pass at a gap the default guard
+        # admits; the residues grow to 1e3-1e4 on the way and come back to ~150
+        rng = np.random.default_rng(17)
+        residues = random_fuchsian(rng).residues
+        sys = FuchsianSystem(poles=[0.0, -1.0 + gap * 1j, 3.0], residues=residues)
+        final, _ = integrate_schlesinger(sys, UPath.line(sys.poles, [0.0, 1.0 + gap * 1j, 3.0]))
+        # the traces and the zero sum are conserved; the eigenvalues of these
+        # far from normal residues move by sqrt(scale * error)
+        scale = np.max(np.abs(final.residues))
+        assert np.max(np.abs(sum(final.residues))) < 1e-9 * scale
+        for A0, A1 in zip(residues, final.residues):
+            assert abs(np.trace(A1) - np.trace(A0)) < 1e-9 * scale
+            ev0, ev1 = np.linalg.eigvals(A0), np.linalg.eigvals(A1)
+            assert np.max(np.min(np.abs(ev0[:, None] - ev1[None, :]), axis=1)) < 1e-5 * scale
 
     def test_trace_matches_separate_integrations(self):
         # the residue trace, read off the step interpolants, agrees with

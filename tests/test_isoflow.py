@@ -11,6 +11,7 @@ from isomlab.isoflow import (
     LaurentCoefficients,
     TRACE_SAMPLES,
     UPath,
+    _difference_quotients,
     _omega_sum,
     integrability_residual,
     integrate_flow,
@@ -81,9 +82,10 @@ class TestOmegaZeroPart:
             (0, 0.7, (1, 0, 0, 0)), (1, -0.3 + 0.2j, (0, 2, 1, 0)), (3, 1.1, (1, 1, 0, 2)),
         ))
         ref = sum(du[j] * omega_zero_part(A, u, j, Dj=gauge.partial(u, j)) for j in range(4))
-        assert np.max(np.abs(_omega_sum(A, u, du, gauge) - ref)) < 1e-14 * np.max(np.abs(ref))
+        K = _difference_quotients(u, du)
+        assert np.max(np.abs(_omega_sum(A, u, du, K, gauge) - ref)) < 1e-14 * np.max(np.abs(ref))
         ref0 = sum(du[j] * omega_zero_part(A, u, j) for j in range(4))
-        assert np.max(np.abs(_omega_sum(A, u, du) - ref0)) < 1e-14 * np.max(np.abs(ref0))
+        assert np.max(np.abs(_omega_sum(A, u, du, K) - ref0)) < 1e-14 * np.max(np.abs(ref0))
 
 
 class TestIntegrateFlow:
@@ -138,10 +140,22 @@ class TestIntegrateFlow:
         with pytest.raises(WallError, match=r"isomonodromy flow .* pairs \[\(0, 1\)\]"):
             integrate_flow(DeformationState(u=u0, A=GENERIC_A), path)
 
+    @pytest.mark.parametrize("gap", [1e-4, 1e-5, 2e-6])
+    def test_close_pass_admitted_by_guard_integrates(self, gap):
+        # u_0 and u_1 pass at a gap the default guard admits (2e-6 is twice
+        # the guard); A grows by two to three orders near the pass and comes
+        # back; diag(A) and the spectrum are invariants of the strong flow
+        u0 = np.array([0.0, -1.0 + gap * 1j])
+        path = UPath.line(u0, np.array([0.0, 1.0 + gap * 1j]))
+        A = integrate_flow(DeformationState(u=u0, A=GENERIC_A), path).state.A
+        assert np.max(np.abs(np.diag(A) - np.diag(GENERIC_A))) < 1e-9
+        ev0, ev1 = np.sort_complex(np.linalg.eigvals(GENERIC_A)), np.sort_complex(np.linalg.eigvals(A))
+        assert np.max(np.abs(ev0 - ev1)) < 1e-9
+
     def test_work_budget_stops_unguarded_collision(self):
-        # the same near-collision with the guard switched off: the steps
-        # shrink with the distance to the complex collision until the
-        # segment's step budget runs out
+        # the same near-collision with the guard switched off: passing it
+        # takes steps shorter than any the default guard's gap needs, and
+        # the driver refuses them
         u0 = np.array([0.0, -1.0 + 1e-7j])
         path = UPath.line(u0, np.array([0.0, 1.0 + 1e-7j]))
         t0 = time.perf_counter()
@@ -237,6 +251,18 @@ class TestWeakFlow:
         assert np.allclose(g.value(u), [0.3 * u[0], 0.1 * u[0] - 0.2 * u[1]])
         assert np.allclose(g.partial(u, 0), [0.3, 0.1])
         assert np.allclose(g.partial(u, 1), [0.0, -0.2])
+
+    def test_partial_broadcasts_over_trailing_axes(self):
+        g = DiagonalGauge(n=3, terms=((0, 0.7, (1, 0, 0)), (1, -0.3 + 0.2j, (0, 2, 1)),
+                                      (2, 1.1, (1, 1, 2))))
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=(3, 2, 5)) + 1j * rng.normal(size=(3, 2, 5))
+        for j in range(3):
+            D = g.partial(u, j)
+            assert D.shape == u.shape
+            for p in range(2):
+                for q in range(5):
+                    assert np.allclose(D[:, p, q], g.partial(u[:, p, q], j), rtol=1e-15, atol=0)
 
     def test_monodromy_of_weak_family_constant(self):
         # the weak Pfaffian family Y(z, u) keeps its monodromy while flowing;

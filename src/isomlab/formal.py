@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointsError, ResonanceError
+from .geometry import coalescence_labels
 from .matrixcore import as_square
 
 
@@ -72,11 +73,6 @@ class IrregularSystem:
             zm *= z
             W = W + H / zm
         return W
-
-    def min_gap(self) -> float:
-        d = np.abs(self.u[:, None] - self.u[None, :])
-        d[np.diag_indices(self.n)] = np.inf
-        return float(d.min())
 
 
 @dataclass(frozen=True)
@@ -138,26 +134,21 @@ def _higher_term(sys, F_all, order):
     return out
 
 
-def _coalesced_entries(sys, F_all, Fk, k, groups, pattern_tol):
+def _coalesced_entries(sys, F_all, Fk, k, label):
     """Fill entries of F_k for coalesced pairs from the order-(k+1) relation.
 
-    For each column j and each coalescence group containing at least two
-    indices, the relation at order k+1 couples the unknown entries
-    (F_k)_{ij} (i in the group, i != j) linearly; the diagonal coefficient is
-    A_ii - A_jj + k, nonzero when diag(A) has no negative-integer resonance
-    inside the group.
+    For each column j and each coalescence group (indices sharing a `label`)
+    containing at least two indices, the relation at order k+1 couples the
+    unknown entries (F_k)_{ij} (i in the group, i != j) linearly; the
+    diagonal coefficient is A_ii - A_jj + k, nonzero when diag(A) has no
+    negative-integer resonance inside the group.
     """
     A = sys.A
     n = sys.n
     d = np.diag(A)
-    group_of = {}
-    for g, idxs in enumerate(groups):
-        for i in idxs:
-            group_of[i] = g
     hi = _higher_term(sys, F_all, k + 1)
     for j in range(n):
-        gj = group_of[j]
-        rows = [i for i in groups[gj] if i != j]
+        rows = [i for i in range(n) if i != j and label[i] == label[j]]
         if not rows:
             continue
         m = len(rows)
@@ -169,7 +160,7 @@ def _coalesced_entries(sys, F_all, Fk, k, groups, pattern_tol):
             for p in range(n):
                 if p == i:
                     continue
-                if p != j and group_of.get(p) == gj:
+                if p != j and label[p] == label[j]:
                     # unknown within the same group couples into the system
                     Mmat[a, rows.index(p)] += A[i, p]
                 else:
@@ -197,10 +188,10 @@ def compute_formal_coefficients(
     """Compute F_1..F_K of the formal solution.
 
     mode="generic" runs the z-side Laurent recursion; it requires pairwise
-    distinct u_i unless `coalesce_tol` > 0, in which case pairs with
-    |u_i - u_j| <= coalesce_tol are treated as coalesced (their A-entries
-    must vanish to `pattern_tol`, and their diagonal entries must not differ
-    by negative integers).
+    distinct u_i unless `coalesce_tol` > 0, in which case the pairs of each
+    group that `coalescence_labels` forms at coalesce_tol are treated as
+    coalesced (their A-entries must vanish to `pattern_tol`, and their
+    diagonal entries must not differ by negative integers).
 
     mode="isomonodromic" determines off-diagonal entries of F_{l+1} from the
     u-side relation [F_{l+1}, E_i] = [F_1, E_i] F_l - d_i F_l using the
@@ -219,45 +210,25 @@ def compute_formal_coefficients(
     n = sys.n
     d = np.diag(A)
 
-    # coalescence bookkeeping
-    groups: list[tuple[int, ...]] = []
-    if coalesce_tol > 0:
-        seen = set()
-        for i in range(n):
-            if i in seen:
-                continue
-            grp = [i] + [
-                j for j in range(i + 1, n) if abs(u[i] - u[j]) <= coalesce_tol
-            ]
-            seen.update(grp)
-            groups.append(tuple(grp))
-        for grp in groups:
-            for i in grp:
-                for j in grp:
-                    if i != j and abs(A[i, j]) > pattern_tol:
-                        raise CoincidentPointsError(
-                            f"vanishing condition violated: A[{i},{j}] = "
-                            f"{A[i, j]:.3e} but u_{i} = u_{j}"
-                        )
-                    if i != j:
-                        kk = round((d[i] - d[j]).real)
-                        if kk < 0 and abs(d[i] - d[j] - kk) <= pattern_tol:
-                            raise ResonanceError(
-                                "diagonal entries of coalesced pair differ by a "
-                                f"non-zero integer ({i},{j}): formal solution not unique",
-                                pair=(complex(d[i]), complex(d[j])),
-                            )
-    else:
-        if sys.min_gap() == 0.0:
-            raise CoincidentPointsError("coincident u_i; recursion divides by u_j - u_i")
-        groups = [(i,) for i in range(n)]
-
-    coalesced_pair = np.zeros((n, n), dtype=bool)
-    for grp in groups:
-        for i in grp:
-            for j in grp:
-                if i != j:
-                    coalesced_pair[i, j] = True
+    # coalescence bookkeeping: the pairs of one group are coalesced
+    label = coalescence_labels(u, max(coalesce_tol, 0.0))
+    coalesced = (label[:, None] == label[None, :]) & ~np.eye(n, dtype=bool)
+    any_coalesced = bool(coalesced.any())
+    if coalesce_tol <= 0 and any_coalesced:
+        raise CoincidentPointsError("coincident u_i; recursion divides by u_j - u_i")
+    for i, j in zip(*np.nonzero(coalesced)):
+        if abs(A[i, j]) > pattern_tol:
+            raise CoincidentPointsError(
+                f"vanishing condition violated: A[{i},{j}] = "
+                f"{A[i, j]:.3e} but u_{i} = u_{j}"
+            )
+        kk = round((d[i] - d[j]).real)
+        if kk < 0 and abs(d[i] - d[j] - kk) <= pattern_tol:
+            raise ResonanceError(
+                "diagonal entries of coalesced pair differ by a "
+                f"non-zero integer ({i},{j}): formal solution not unique",
+                pair=(complex(d[i]), complex(d[j])),
+            )
 
     F_all: list[np.ndarray] = []
     for k in range(1, K + 1):
@@ -267,14 +238,14 @@ def compute_formal_coefficients(
         if mode == "generic":
             for i in range(n):
                 for j in range(n):
-                    if i == j or coalesced_pair[i, j]:
+                    if i == j or coalesced[i, j]:
                         continue
                     num = (d[i] - d[j] + k - 1) * Fprev[i, j]
                     num += sum(A[i, p] * Fprev[p, j] for p in range(n) if p != i)
                     num += hi[i, j]
                     Fk[i, j] = num / (u[j] - u[i])
         else:
-            if any(len(g) > 1 for g in groups):
+            if any_coalesced:
                 raise ValueError("isomonodromic mode does not support coalesced u")
             dF = du(k - 1)  # list over i of d/du_i F_{k-1}; for k=1, d F_0 = 0
             F1 = F_all[0] if F_all else _first_coefficient(sys)
@@ -290,8 +261,8 @@ def compute_formal_coefficients(
                 for b in range(n):
                     if b != i:
                         Fk[i, b] = -Rhs[i, b]
-        if any(len(g) > 1 for g in groups):
-            _coalesced_entries(sys, F_all, Fk, k, groups, pattern_tol)
+        if any_coalesced:
+            _coalesced_entries(sys, F_all, Fk, k, label)
         # diagonal rule shared by both modes
         hi_diag = _higher_term(sys, F_all + [Fk], k + 1)
         for i in range(n):

@@ -6,10 +6,14 @@ theta = 3 pi/2 - arg(u_i - u_j) mod 2 pi.  Ordered pairs give antipodal
 directions, so the full ray set is pi-periodic on the universal cover.
 
 Walls in u-space combine the coalescence locus Delta (some u_i = u_j) with
-the crossing locus X(tau): some arg(u_i - u_j) = 3 pi/2 - tau mod pi.
-`same_cell` decides exactly whether a straight segment stays in one cell,
-with the closed-form pair gap `segment_min_abs` that `UPath.min_gap` shares;
-`wall_hits` samples a segment for plotting.
+the crossing locus X(tau): some arg(u_i - u_j) = 3 pi/2 - tau mod pi, that
+is, tau on a Stokes ray mod pi.  Everything here is closed-form algebra on
+the pair differences u_i - u_j: one ray computation answers admissibility
+and the X(tau) test at a point, `coalescence_labels` groups coalescing
+indices for every module, and along a straight segment, where each
+difference is affine in t, `wall_hits` finds the wall events exactly (the
+roots of Im(e^{-i phi}(u_i - u_j)) and the closest approaches that
+`segment_min_abs` and `UPath.min_gap` share), which decides `same_cell`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, WallError
+from .matrixcore import _chain_groups
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,15 +63,10 @@ class RaySet:
     """Stokes ray directions with their generating ordered pairs.
 
     Directions repeat with period 2 pi per ordered pair; the union over both
-    orientations of each pair is pi-periodic (`pi_periodic` is always True
-    for a full ordered-pair sweep and recorded for clarity).
+    orientations of each pair is pi-periodic.
     """
 
     rays: tuple[StokesRay, ...]
-    pi_periodic: bool = True
-
-    def directions(self) -> np.ndarray:
-        return np.array([r.theta for r in self.rays])
 
     def base_directions(self, tol: float = 1e-12) -> np.ndarray:
         """Distinct directions mod pi, sorted, representing the ray family."""
@@ -80,6 +80,32 @@ class RaySet:
         return np.array(out)
 
 
+def coalescence_labels(u, tol: float = 0.0) -> np.ndarray:
+    """Coalescence group of each index of u, as a label 0, 1, ...
+
+    Indices i and j share a label iff a chain of pair gaps |u_k - u_l| <= tol
+    joins them; labels number the groups in the order of their smallest
+    index, so with tol = 0 the groups are the sets of equal entries.
+    """
+    uv = np.asarray(u, dtype=complex).reshape(-1).tolist()
+    label = [0] * len(uv)
+    groups = _chain_groups(len(uv), lambda i, j: abs(uv[i] - uv[j]) <= tol)
+    for g, idxs in enumerate(groups):
+        for i in idxs:
+            label[i] = g
+    return np.array(label)
+
+
+def _ray_angle(d) -> float:
+    """The Stokes ray 3 pi/2 - arg d mod 2 pi of a pair with u_i - u_j = d != 0."""
+    return mod_angle(1.5 * math.pi - math.atan2(d.imag, d.real))
+
+
+def _margin(tau: float, thetas) -> float:
+    """Angular distance mod pi from tau to the nearest ray direction."""
+    return min((angular_distance(tau, th, math.pi) for th in thetas), default=math.inf)
+
+
 def stokes_ray_directions(u, subclass_at=None) -> RaySet:
     """Ray directions 3 pi/2 - arg(u_i - u_j) mod 2 pi for all ordered pairs.
 
@@ -89,21 +115,17 @@ def stokes_ray_directions(u, subclass_at=None) -> RaySet:
     """
     uv = _as_uvec(u)
     n = len(uv)
-    ref = _as_uvec(subclass_at) if subclass_at is not None else None
-    if ref is not None and len(ref) != n:
-        raise ValueError("subclass_at must have the same length as u")
-    rays = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if ref is not None and ref[i] == ref[j]:
-                continue
-            diff = uv[i] - uv[j]
-            if diff == 0:
-                continue
-            theta = mod_angle(1.5 * math.pi - math.atan2(diff.imag, diff.real))
-            rays.append(StokesRay(theta=theta, i=i, j=j))
+    label = range(n)  # without a sub-class each index is a group of its own
+    if subclass_at is not None:
+        ref = _as_uvec(subclass_at)
+        if len(ref) != n:
+            raise ValueError("subclass_at must have the same length as u")
+        label = coalescence_labels(ref)
+    rays = [
+        StokesRay(theta=_ray_angle(uv[i] - uv[j]), i=i, j=j)
+        for i in range(n) for j in range(n)
+        if label[i] != label[j] and uv[i] != uv[j]
+    ]
     if not rays:
         raise WallError("all selected u_i coincide; no Stokes rays exist")
     rays.sort(key=lambda r: (r.theta, r.i, r.j))
@@ -128,12 +150,10 @@ def is_admissible(tau: float, u, tol: float = 1e-8, subclass_at=None) -> Admissi
     direction is admissible with infinite margin.
     """
     try:
-        rayset = stokes_ray_directions(u, subclass_at=subclass_at)
+        rays = stokes_ray_directions(u, subclass_at=subclass_at).rays
     except WallError:
-        return Admissibility(admissible=True, margin=math.inf)
-    margin = min(
-        angular_distance(tau, th, period=math.pi) for th in rayset.base_directions()
-    )
+        rays = ()
+    margin = _margin(tau, (r.theta for r in rays))
     return Admissibility(admissible=margin > tol, margin=float(margin))
 
 
@@ -173,27 +193,15 @@ class SectorFrame:
         return 0.5 * (self.lo + self.hi)
 
 
-def _nearest_ray_above(base: np.ndarray, a: float) -> float:
-    """Smallest element of base + pi Z strictly above a."""
+def _nearest_ray(base: np.ndarray, a: float, side: int) -> float:
+    """Nearest element of base + pi Z strictly above a (side = 1) or below
+    it (side = -1)."""
     best = math.inf
     for b in base:
-        k = math.ceil((a - b) / math.pi)
-        cand = b + k * math.pi
-        if cand <= a + 1e-14:
-            cand += math.pi
-        best = min(best, cand)
-    return best
-
-
-def _nearest_ray_below(base: np.ndarray, a: float) -> float:
-    best = -math.inf
-    for b in base:
-        k = math.floor((a - b) / math.pi)
-        cand = b + k * math.pi
-        if cand >= a - 1e-14:
-            cand -= math.pi
-        best = max(best, cand)
-    return best
+        # side * (the nearest image of b on that side of a, or at a)
+        cand = side * (b + side * math.ceil(side * (a - b) / math.pi) * math.pi)
+        best = min(best, cand + math.pi if cand <= side * a + 1e-14 else cand)
+    return side * best
 
 
 def sector_bounds(
@@ -213,32 +221,26 @@ def sector_bounds(
     """
     lo_hp = tau + (r - 2) * math.pi
     hi_hp = tau + (r - 1) * math.pi
+    uC_key = None
     if widened:
         if uC is None:
             raise ValueError("widened sectors need the coalescence point uC")
-        ref = _as_uvec(uC)
-        uC_key = tuple(complex(x) for x in ref)
-        if np.all(ref[:, None] == ref[None, :]):
+        uC_key = tuple(complex(x) for x in _as_uvec(uC))
+        if not coalescence_labels(uC).any():
             return SectorFrame(
                 tau=tau, r=r, lo=lo_hp - math.pi / 2, hi=hi_hp + math.pi / 2,
                 widened=True, degenerate=True, uC=uC_key,
             )
-        adm = is_admissible(tau, u, tol=tol, subclass_at=ref)
-        if not adm:
-            raise AdmissibilityError(
-                f"tau = {tau:.6g} is within {adm.margin:.3e} of a sub-class Stokes ray"
-            )
-        base = stokes_ray_directions(u, subclass_at=ref).base_directions()
-    else:
-        uC_key = None
-        adm = is_admissible(tau, u, tol=tol)
-        if not adm:
-            raise AdmissibilityError(
-                f"tau = {tau:.6g} is within {adm.margin:.3e} of a Stokes ray"
-            )
-        base = stokes_ray_directions(u).base_directions()
-    lo = _nearest_ray_below(base, lo_hp)
-    hi = _nearest_ray_above(base, hi_hp)
+    rays = stokes_ray_directions(u, subclass_at=uC if widened else None)
+    margin = _margin(tau, (r.theta for r in rays.rays))
+    if not margin > tol:
+        raise AdmissibilityError(
+            f"tau = {tau:.6g} is within {margin:.3e} of a "
+            f"{'sub-class ' if widened else ''}Stokes ray"
+        )
+    base = rays.base_directions()
+    lo = _nearest_ray(base, lo_hp, -1)
+    hi = _nearest_ray(base, hi_hp, 1)
     return SectorFrame(tau=tau, r=r, lo=lo, hi=hi, widened=widened, uC=uC_key)
 
 
@@ -267,40 +269,40 @@ class CellReport:
         return self.in_delta or self.in_crossing
 
 
+def _across_wall(d, tau: float) -> np.ndarray:
+    """Im(e^{-i phi} d) with phi = 3 pi/2 - tau: the signed distance of d from
+    the line of direction phi through 0, which the X(tau) wall asks d to lie on."""
+    phi = 1.5 * math.pi - tau
+    return np.imag(complex(math.cos(phi), -math.sin(phi)) * np.asarray(d))
+
+
 def epsilon_bound(uC, tau: float) -> float:
     """Footnote bound for the polydisc radius around u^C.
 
     Distance between parallel lines of direction 3 pi/2 - tau through
-    u_i^C and u_j^C is |Im(e^{-i phi}(u_i^C - u_j^C))| with phi the line
-    direction; minimized over pairs with u_i^C != u_j^C.
+    u_i^C and u_j^C, |Im(e^{-i phi}(u_i^C - u_j^C))| with phi the line
+    direction, minimized over pairs with u_i^C != u_j^C.
     """
     ref = _as_uvec(uC)
-    phi = 1.5 * math.pi - tau
-    e = complex(math.cos(phi), math.sin(phi))
-    best = math.inf
-    n = len(ref)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = ref[i] - ref[j]
-            if d == 0:
-                continue
-            best = min(best, abs((d / e).imag))
-    if not math.isfinite(best):
+    i, j = np.triu_indices(len(ref), 1)
+    d = ref[i] - ref[j]
+    d = d[d != 0]
+    if not len(d):
         raise WallError("all components of uC coincide; bound undefined")
-    return float(best)
+    return float(np.min(np.abs(_across_wall(d, tau))))
 
 
 def classify_point(u, tau: float, tol: float = 1e-8, uC=None) -> CellReport:
     """Membership of u in Delta and in the crossing locus X(tau).
 
-    Delta: some |u_i - u_j| <= tol.  X(tau): some arg(u_i - u_j) within tol
-    of 3 pi/2 - tau mod pi (only for u_i != u_j).  Both tests depend on
-    differences only, hence are invariant under common translation and under
-    relabeling.
+    Delta: some |u_i - u_j| <= tol.  X(tau): over the other pairs, tau is
+    within tol of a Stokes ray mod pi, the test of `is_admissible`; that is,
+    arg(u_i - u_j) lies within tol of 3 pi/2 - tau mod pi.  Both tests
+    depend on differences only, hence are invariant under common translation
+    and under relabeling.
     """
     uv = _as_uvec(u)
     n = len(uv)
-    target = 1.5 * math.pi - tau
     delta_pairs, crossing_pairs = [], []
     min_gap = math.inf
     for i in range(n):
@@ -310,13 +312,8 @@ def classify_point(u, tau: float, tol: float = 1e-8, uC=None) -> CellReport:
             min_gap = min(min_gap, gap)
             if gap <= tol:
                 delta_pairs.append((i, j))
-                continue
-            ang = math.atan2(d.imag, d.real)
-            if angular_distance(ang, target, period=math.pi) <= tol:
+            elif _margin(tau, (_ray_angle(d), _ray_angle(-d))) <= tol:
                 crossing_pairs.append((i, j))
-    eps = None
-    if uC is not None:
-        eps = epsilon_bound(uC, tau)
     return CellReport(
         u=uv,
         tau=tau,
@@ -325,65 +322,71 @@ def classify_point(u, tau: float, tol: float = 1e-8, uC=None) -> CellReport:
         min_pair_gap=float(min_gap),
         delta_pairs=tuple(delta_pairs),
         crossing_pairs=tuple(crossing_pairs),
-        epsilon_bound=eps,
+        epsilon_bound=None if uC is None else epsilon_bound(uC, tau),
     )
 
 
-def wall_hits(u, v, tau: float, samples: int = 10_000, tol: float = 1e-8):
-    """Sampled wall crossings of the straight segment from u to v.
+def wall_hits(u, v, tau: float, tol: float = 1e-8) -> list[tuple[float, str]]:
+    """Wall events of the straight segment from u to v, sorted by t.
 
-    Returns a list of (t, kind) with kind in {"delta", "crossing"}; purely a
-    sampling check at the given resolution.
+    Each event is (t, kind) with kind in {"delta", "crossing"}.  Along the
+    segment every pair difference d_ij(t) = d_ij(0) + t (d_ij(1) - d_ij(0))
+    is affine in t, so the events are exact: a pair meets X(tau) at the root
+    of the affine Im(e^{-i phi} d_ij(t)), phi = 3 pi/2 - tau, where it is not
+    in Delta, and meets Delta at its closest approach to 0 when that lies
+    within tol.  An endpoint on a wall (`classify_point`) is an event at
+    t = 0 or t = 1.
     """
     a, b = _as_uvec(u), _as_uvec(v)
     if len(a) != len(b):
         raise ValueError("endpoints must have the same length")
-    hits = []
-    for t in np.linspace(0.0, 1.0, samples):
-        rep = classify_point(a + t * (b - a), tau, tol=tol)
-        if rep.in_delta:
-            hits.append((float(t), "delta"))
-        elif rep.in_crossing:
-            hits.append((float(t), "crossing"))
-    return hits
+    hits = set()
+    for t, pt in ((0.0, a), (1.0, b)):
+        rep = classify_point(pt, tau, tol=tol)
+        if rep.on_wall:
+            hits.add((t, "delta" if rep.in_delta else "crossing"))
+    i, j = np.triu_indices(len(a), 1)
+    d0, d1 = a[i] - a[j], b[i] - b[j]
+    t_near, gap = _closest_approach(d0, d1)
+    hits.update((float(t), "delta") for t in t_near[gap <= tol])
+    y0, y1 = _across_wall(d0, tau), _across_wall(d1, tau)
+    root = (y0 * y1 <= 0) & (y0 != y1)
+    t_root = y0[root] / (y0 - y1)[root]
+    off_delta = np.abs(d0[root] + t_root * (d1 - d0)[root]) > tol
+    hits.update((float(t), "crossing") for t in t_root[off_delta])
+    return sorted(hits)
 
 
 def same_cell(u, v, tau: float, tol: float = 1e-8) -> bool:
     """True iff the straight segment between u and v avoids the walls.
 
-    Endpoints on a wall are rejected.  Along the segment every difference
-    d_ij(t) = d_ij(0) + t (d_ij(1) - d_ij(0)) is affine in t, so the check is
-    exact: the segment crosses X(tau) iff Im(e^{-i phi} d_ij), phi =
-    3 pi/2 - tau, changes sign between the endpoints, and it meets Delta iff
-    some d_ij([0, 1]) passes within tol of 0.
+    Exact: the segment stays in one cell iff `wall_hits` finds no event on
+    it.  An endpoint on a wall, an event at t = 0 or t = 1, is rejected.
     """
-    for name, pt in (("u", u), ("u'", v)):
-        rep = classify_point(pt, tau, tol=tol)
-        if rep.on_wall:
-            raise WallError(f"endpoint {name} lies on W(tau): {rep}")
-    a, b = _as_uvec(u), _as_uvec(v)
-    if len(a) != len(b):
-        raise ValueError("endpoints must have the same length")
-    i, j = np.triu_indices(len(a), 1)
-    d0, d1 = a[i] - a[j], b[i] - b[j]
-    rot = complex(math.cos(1.5 * math.pi - tau), -math.sin(1.5 * math.pi - tau))
-    if np.any(np.imag(rot * d0) * np.imag(rot * d1) <= 0):
-        return False
-    return bool(np.all(segment_min_abs(d0, d1) > tol))
+    hits = wall_hits(u, v, tau, tol=tol)
+    for t, kind in hits:
+        if t in (0.0, 1.0):
+            raise WallError(f"endpoint t = {t:g} of the segment lies on the {kind} wall")
+    return not hits
+
+
+def _closest_approach(d0, d1):
+    """(t, |d(t)|) at the t in [0, 1] where d(t) = d0 + t (d1 - d0) comes
+    closest to 0, elementwise: the foot of the perpendicular, clipped."""
+    d0, d1 = np.asarray(d0, dtype=complex), np.asarray(d1, dtype=complex)
+    e = d1 - d0
+    t = np.clip(-np.real(np.conj(e) * d0) / np.maximum(np.abs(e) ** 2, 1e-300), 0.0, 1.0)
+    return t, np.abs(d0 + t * e)
 
 
 def segment_min_abs(d0, d1) -> np.ndarray:
     """Elementwise min over t in [0, 1] of |d0 + t (d1 - d0)|.
 
-    The distance from 0 to the complex segment [d0, d1], in closed form: the
-    foot of the perpendicular, clipped to the segment.  Pair differences
-    along a straight segment in u-space are affine in t, so this is the exact
-    minimal gap of each pair.
+    The distance from 0 to the complex segment [d0, d1], in closed form.
+    Pair differences along a straight segment in u-space are affine in t, so
+    this is the exact minimal gap of each pair.
     """
-    d0, d1 = np.asarray(d0, dtype=complex), np.asarray(d1, dtype=complex)
-    e = d1 - d0
-    t = np.clip(-np.real(np.conj(e) * d0) / np.maximum(np.abs(e) ** 2, 1e-300), 0.0, 1.0)
-    return np.abs(d0 + t * e)
+    return _closest_approach(d0, d1)[1]
 
 
 def rays_to_csv(rayset: RaySet, path) -> None:
@@ -396,7 +399,7 @@ def rays_to_csv(rayset: RaySet, path) -> None:
 
 
 def wall_hits_to_csv(hits, path) -> None:
-    """Write sampled wall hits as rows (sample_t, wall_type)."""
+    """Write wall events as rows (sample_t, wall_type)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample_t", "wall_type"])

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ResonanceError
 from .matrixcore import (
     JordanData,
+    _chain_groups,
     as_square,
     matrix_power,
     similar_to_jordan,
@@ -94,33 +95,18 @@ def _block_permutation(jd: JordanData, tol: float):
         for s in sizes:
             blocks.append((lam, pos, s))
             pos += s
-    # group block eigenvalues by integer differences (chained)
-    m = len(blocks)
-    parent = list(range(m))
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(m):
-        for b in range(a + 1, m):
-            diff = blocks[a][0] - blocks[b][0]
-            if abs(diff - round(diff.real)) <= tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    classes: dict[int, list[int]] = {}
-    for a in range(m):
-        classes.setdefault(find(a), []).append(a)
+    def integer_apart(a, b):
+        diff = blocks[a][0] - blocks[b][0]
+        return abs(diff - round(diff.real)) <= tol
 
     # fractional representative with 0 <= Re sigma < 1, from the smallest member
     def frac(lam):
         return lam - np.floor(lam.real)
 
     cls = []
-    for idxs in classes.values():
+    # block eigenvalues grouped by integer differences (chained)
+    for idxs in _chain_groups(len(blocks), integer_apart):
         lam0 = blocks[idxs[0]][0]
         sigma = frac(lam0)
         # sort member blocks by descending integer offset, then descending size

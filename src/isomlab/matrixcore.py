@@ -28,6 +28,32 @@ def as_square(A) -> np.ndarray:
     return M
 
 
+def _chain_groups(n: int, linked) -> list[list[int]]:
+    """Indices 0..n-1 joined by chains of pairs i < j with linked(i, j).
+
+    Union-find with path halving; each group lists its members ascending,
+    and the groups come in the order of their smallest members.
+    """
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if linked(i, j):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 @dataclass(frozen=True)
 class EigenClusters:
     """Eigenvalues of a matrix grouped by single-linkage chaining at `tol`.
@@ -63,29 +89,8 @@ def cluster_eigenvalues(A, tol: float = 1e-8) -> EigenClusters:
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue solver failed: {exc}") from exc
 
-    n = len(eigs)
-    # union-find over the gap graph
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
     reps, mults, members = [], [], []
-    for idx in groups.values():
+    for idx in _chain_groups(len(eigs), lambda i, j: abs(eigs[i] - eigs[j]) <= tol):
         reps.append(complex(np.mean(eigs[idx])))
         mults.append(len(idx))
         members.append(tuple(idx))
@@ -113,7 +118,6 @@ class JordanData:
     J: np.ndarray
     blocks: tuple[tuple[complex, tuple[int, ...]], ...]
     residual: float
-    cond_G: float
 
     @property
     def n(self) -> int:
@@ -234,12 +238,11 @@ def similar_to_jordan(A, tol: float = 1e-8) -> JordanData:
     except np.linalg.LinAlgError as exc:
         raise JordanChainError(f"similarity matrix singular: {exc}") from exc
     residual = float(np.linalg.norm(Ginv @ M @ G - J, 2))
-    cond_G = float(np.linalg.cond(G))
     if residual > 10 * tol * scale:
         raise JordanChainError(
             f"Jordan residual {residual:.3e} exceeds 10*tol*||A|| = {10 * tol * scale:.3e}"
         )
-    return JordanData(G=G, J=J, blocks=tuple(blocks), residual=residual, cond_G=cond_G)
+    return JordanData(G=G, J=J, blocks=tuple(blocks), residual=residual)
 
 
 def sylvester_spectral_gap(P, Q):

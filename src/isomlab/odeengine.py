@@ -92,7 +92,6 @@ from .formal import (
     FormalSolution,
     IrregularSystem,
     compute_formal_coefficients,
-    eval_truncated_formal,
     optimal_truncation,
 )
 from .geometry import SectorFrame, sector_bounds
@@ -828,8 +827,7 @@ class StokesResult:
 
 
 def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
-                fs: FormalSolution | None = None,
-                coalesce_tol: float = 0.0, memo: dict | None = None) -> Plan:
+                fs: FormalSolution | None = None, memo: dict | None = None) -> Plan:
     """The transports of stokes_matrix, assembled into its StokesResult.
 
     `memo` holds what the plans of one pipeline share: sector frames, seed
@@ -845,7 +843,7 @@ def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
     theta = 0.5 * (lo + hi)
     zstar = PathPoint.from_polar(cfg.radius / 2.0, theta)
     if fs is None:
-        fs = compute_formal_coefficients(sys, K=cfg.order, coalesce_tol=coalesce_tol)
+        fs = compute_formal_coefficients(sys, K=cfg.order)
     sectorial = [
         sectorial_plan(sys, k, cfg.tau, radius=cfg.radius, zstar=zstar, fs=fs,
                        widened=cfg.widened, uC=cfg.uC, memo=memo)
@@ -894,15 +892,14 @@ def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
 
 
 def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
-                  fs: FormalSolution | None = None,
-                  coalesce_tol: float = 0.0) -> StokesResult:
+                  fs: FormalSolution | None = None) -> StokesResult:
     """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint, |z*| = R/2.
 
     Both sectorial solutions are transported to the same point of the cover;
     the quotient is formed in the F-gauge and regraded entrywise, so required
     zeros are damped rather than amplified.
     """
-    return run_plan(stokes_plan(sys, r, cfg, fs=fs, coalesce_tol=coalesce_tol), cfg.tol)
+    return run_plan(stokes_plan(sys, r, cfg, fs=fs), cfg.tol)
 
 
 def levelt_handle(

@@ -30,7 +30,13 @@ from .formal import (
     check_resonances,
     compute_formal_coefficients,
 )
-from .geometry import classify_point, epsilon_bound, is_admissible, same_cell
+from .geometry import (
+    classify_point,
+    coalescence_labels,
+    epsilon_bound,
+    is_admissible,
+    same_cell,
+)
 from .isoflow import (
     DeformationState,
     UPath,
@@ -91,12 +97,9 @@ def collect_data(
     if np.linalg.norm(sample_pts[0] - state.u) > 1e-12:
         raise ValueError("first sample must be the state's own u")
     for s in sample_pts:
-        rep = classify_point(s, tau)
-        if rep.on_wall:
+        # off the walls, tau is admissible at s: the X(tau) test is admissibility
+        if classify_point(s, tau).on_wall:
             raise WallError(f"sample {s} lies on W(tau)")
-        adm = is_admissible(tau, s)
-        if not adm:
-            raise AdmissibilityError(f"tau not admissible at sample {s}")
     for a, b in zip(sample_pts[:-1], sample_pts[1:]):
         if not same_cell(a, b, tau):
             raise WallError(f"segment {a} -> {b} crosses W(tau); samples not in one cell")
@@ -284,14 +287,11 @@ def ray_family_series(A0, uC, v, order: int = 4):
     ref = np.asarray(uC, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
     n = len(ref)
-    pairs = coalescing_pairs(ref)
-    co = set()
-    for i, j in pairs:
-        co.add((i, j))
-        co.add((j, i))
-        if v[i] == v[j]:
-            raise ValueError("direction does not split a coalescing pair")
-    unknowns = sorted(co)
+    label = coalescence_labels(ref, 1e-12)
+    unknowns = [(a, b) for a in range(n) for b in range(n) if a != b and label[a] == label[b]]
+    if any(v[a] == v[b] for a, b in unknowns):
+        raise ValueError("direction does not split a coalescing pair")
+    co = set(unknowns)
 
     dmat = ref[:, None] - ref[None, :]
     gmat = v[:, None] - v[None, :]
@@ -370,14 +370,6 @@ def eval_ray_family(coeffs, s: float) -> np.ndarray:
     return out
 
 
-def coalescing_pairs(uC, tol: float = 1e-12):
-    ref = np.asarray(uC, dtype=complex).reshape(-1)
-    n = len(ref)
-    return tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if abs(ref[i] - ref[j]) <= tol
-    )
-
-
 def coalescing_direction(uC, tau: float, trials: int = 16) -> np.ndarray:
     """A unit-gap direction splitting the coalescing group, off the walls.
 
@@ -388,14 +380,8 @@ def coalescing_direction(uC, tau: float, trials: int = 16) -> np.ndarray:
     """
     ref = np.asarray(uC, dtype=complex).reshape(-1)
     n = len(ref)
-    groups: list[list[int]] = []
-    seen: set[int] = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        grp = [i] + [j for j in range(i + 1, n) if ref[i] == ref[j]]
-        seen.update(grp)
-        groups.append(grp)
+    label = coalescence_labels(ref)
+    groups = [np.flatnonzero(label == g) for g in range(label.max() + 1)]
     for k in range(trials):
         phi = 0.35 + k * (math.pi / trials)
         e = complex(math.cos(phi), math.sin(phi))
@@ -411,13 +397,9 @@ def coalescing_direction(uC, tau: float, trials: int = 16) -> np.ndarray:
             for i in grp for j in grp if i < j
         )
         v = v / gap
-        probe = ref + 0.01 * v
-        rep = classify_point(probe, tau)
-        if rep.on_wall:
-            continue
-        if not is_admissible(tau, probe):
-            continue
-        return v
+        # off the walls, tau is admissible at the probe
+        if not classify_point(ref + 0.01 * v, tau).on_wall:
+            return v
     raise WallError("no wall-avoiding coalescing direction found; supply one")
 
 
@@ -453,7 +435,9 @@ def verify_coalescence(
     """
     A0 = np.asarray(A0, dtype=complex)
     ref = np.asarray(uC, dtype=complex).reshape(-1)
-    pairs = coalescing_pairs(ref)
+    label = coalescence_labels(ref, 1e-12)
+    pairs = tuple((i, j) for i in range(len(ref)) for j in range(i + 1, len(ref))
+                  if label[i] == label[j])
     if not pairs:
         raise ValueError("uC has no coalescing pair")
     for i, j in pairs:
@@ -472,7 +456,7 @@ def verify_coalescence(
     adm = is_admissible(tau, ref, subclass_at=ref)
     if not adm:
         raise AdmissibilityError("tau not admissible at u^C in the sub-class sense")
-    if any(ref[i] != ref[j] for i in range(len(ref)) for j in range(i + 1, len(ref))):
+    if np.any(ref != ref[0]):
         bound = epsilon_bound(ref, tau)
         if eps > bound:
             raise WallError(f"eps = {eps} exceeds the parallel-line bound {bound:.6g}")
@@ -486,8 +470,7 @@ def verify_coalescence(
 
     # frozen system data in the widened frame (coalescence-aware recursion)
     frozen = IrregularSystem(u=ref, A=A0)
-    ctol = 1e-9
-    fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=ctol)
+    fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=1e-9)
     cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order,
                        widened=True, uC=ref)
     ld_frozen = compute_levelt_exponents(A0)
@@ -499,8 +482,8 @@ def verify_coalescence(
     # frozen-seeded passes reuse the frozen series and its truncation
     memo = {}
     plans = [
-        stokes_plan(frozen, r, cfg, fs=fs0, coalesce_tol=ctol, memo=memo),
-        stokes_plan(frozen, r + 1, cfg, fs=fs0, coalesce_tol=ctol, memo=memo),
+        stokes_plan(frozen, r, cfg, fs=fs0, memo=memo),
+        stokes_plan(frozen, r + 1, cfg, fs=fs0, memo=memo),
         connection_plan(frozen, r, ld_frozen, tau, radius=radius, fs=fs0,
                         widened=True, uC=ref, memo=memo),
     ]

@@ -131,6 +131,26 @@ class TestGeometryCommands:
         assert doc["same_cell"] is True
         assert doc["points"][0]["in_delta"] is False
 
+    def test_cells_transversal_crossing(self, capsys, system_file, tmp_path):
+        # u_0 - u_1 turns through the wall direction 3 pi/2 - tau between the
+        # endpoints, on either ray of X(tau)
+        tau = 0.3
+        phi = 1.5 * np.pi - tau
+        for side in (1.0, -1.0):
+            ends = [-side * np.exp(1j * (phi + s)) for s in (-0.3, 0.3)]
+            path_file = write_json(
+                tmp_path / "path.json",
+                {"waypoints": [[[0.0, 0.0], [z.real, z.imag]] for z in ends]},
+            )
+            code, out, _ = run(
+                capsys,
+                ["cells", "--system", system_file, "--path", path_file, "--tau", str(tau)],
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["same_cell"] is False
+            assert not any(p["in_crossing"] for p in doc["points"])
+
 
 class TestLeveltCommand:
     def test_exponents(self, capsys, tmp_path):

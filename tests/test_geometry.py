@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from isomlab.errors import AdmissibilityError, WallError
 from isomlab.geometry import (
@@ -149,6 +152,22 @@ class TestClassifyPoint:
         assert base.in_crossing == shifted.in_crossing == perm.in_crossing
         assert abs(base.min_pair_gap - perm.min_pair_gap) < 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        st.sampled_from([1e-8, 1e-4, 0.05]),
+        st.floats(-3.0, 3.0),
+    )
+    def test_crossing_test_is_admissibility(self, xs, tol, offset):
+        # tau is drawn near the ray of pair (0, 1) so that both verdicts occur
+        u = np.array(xs[:3]) + 1j * np.array(xs[3:])
+        i, j = np.triu_indices(3, 1)
+        assume(np.abs(u[i] - u[j]).min() > tol)
+        d = u[0] - u[1]
+        tau = 1.5 * math.pi - math.atan2(d.imag, d.real) + offset * tol
+        rep = classify_point(u, tau, tol)
+        assert rep.in_crossing == (not is_admissible(tau, u, tol))
+
     def test_epsilon_bound_reported(self):
         rep = classify_point([0.05, -0.05, 1.0], 0.3, uC=[0.0, 0.0, 1.0])
         assert rep.epsilon_bound is not None
@@ -192,6 +211,7 @@ class TestSameCell:
             side = [np.sign(np.imag(rot * (p[:, None] - p[None, :]))) for p in pts]
             swept = all(np.array_equal(side[0], s) for s in side)
             assert same_cell(u, v, tau) == swept
+            assert same_cell(u, v, tau) == (not wall_hits(u, v, tau))
             # the exact minimal pair gap lies below the sweep's, within the
             # distance the gaps can move between two sweep points
             i, j = np.triu_indices(3, 1)
@@ -199,6 +219,42 @@ class TestSameCell:
             speed = np.abs((v - u)[i] - (v - u)[j]).max()
             exact_gap = UPath.line(u, v).min_gap()
             assert swept_gap - speed / 4000 <= exact_gap <= swept_gap + 1e-15
+
+
+class TestWallHits:
+    def test_crossing_times_are_affine_roots(self):
+        rng = np.random.default_rng(4)
+        tau = 0.3
+        rot = cmath.exp(-1j * (1.5 * math.pi - tau))
+        count = 0
+        for _ in range(40):
+            u = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v = u + rng.normal(size=4) + 1j * rng.normal(size=4)
+            expect = []
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    def y(t):
+                        return (rot * ((u[a] - u[b]) + t * ((v - u)[a] - (v - u)[b]))).imag
+                    if y(0.0) * y(1.0) < 0:
+                        expect.append(brentq(y, 0.0, 1.0, xtol=1e-15))
+            got = [t for t, kind in wall_hits(u, v, tau) if kind == "crossing"]
+            assert len(got) == len(expect)
+            assert np.allclose(got, sorted(expect), rtol=0.0, atol=1e-12)
+            count += len(got)
+        assert count > 20
+
+    def test_coincidence_gives_delta_event(self):
+        # u_0 - u_1 = 1.25 t - 0.5 passes through 0 at t = 0.4
+        hits = wall_hits([0.0, 0.5, 3j], [1.0, 0.25, 3j], tau=0.3)
+        deltas = [t for t, kind in hits if kind == "delta"]
+        assert len(deltas) == 1 and abs(deltas[0] - 0.4) < 1e-15
+        assert all(kind == "delta" for t, kind in hits if abs(t - deltas[0]) < 1e-9)
+
+    def test_endpoint_on_wall_is_an_event(self):
+        tau = 0.3
+        on_wall = [0.0, cmath.exp(1j * (0.5 * math.pi - tau))]  # arg(u_0 - u_1) = 3 pi/2 - tau
+        assert wall_hits(on_wall, [0.0, 1.0], tau)[0] == (0.0, "crossing")
+        assert wall_hits([0.0, 1.0], [0.0, 0.0], tau)[-1] == (1.0, "delta")
 
 
 class TestCsvExport:
@@ -212,7 +268,7 @@ class TestCsvExport:
         assert float(rows[1][2]) in [r.theta for r in stokes_ray_directions([0.0, 1.0]).rays]
 
     def test_wall_hits_csv(self, tmp_path):
-        hits = wall_hits([0.0, 1.0], [0.0, -1.0], tau=0.3, samples=501)
+        hits = wall_hits([0.0, 1.0], [0.0, -1.0], tau=0.3)
         assert any(kind == "delta" for _, kind in hits)
         path = tmp_path / "hits.csv"
         wall_hits_to_csv(hits, path)

@@ -5,7 +5,8 @@ integrated by the flow driver of `isoflow` (exact pole-collision guard, a
 `FlowTrace` of the residues) with the right-hand side
 dA_i = [sum_j K_ij A_j, A_i], K the difference quotients of the pole
 velocities; `schlesinger_rhs` is the per-direction reference.  Also
-numeric monodromy with a deterministic loop basis, per-pole Levelt data in
+numeric monodromy with a deterministic loop basis (`monodromy_plan`, whose
+plans for several systems join into one engine batch), per-pole Levelt data in
 the local variable x = z - u_i, the finite-difference Schlesinger residual
 separating strong (Schlesinger) from weak (non-Schlesinger) families, and
 the explicit rational counterexample family with trivial monodromy but
@@ -24,7 +25,7 @@ from .errors import WallError
 from .levelt import LeveltData, build_levelt_solution, compute_levelt_exponents
 from .matrixcore import as_square
 from .isoflow import FlowTrace, UPath, _difference_quotients, _integrate
-from .odeengine import Leg, fuchsian_ode, transport_matrix
+from .odeengine import Leg, Plan, fuchsian_ode, run_plan
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,35 @@ def _infinity_frame(sys: FuchsianSystem, z0: complex):
     return ode, np.eye(sys.n, dtype=complex), [Leg(0j, w0)]
 
 
+def monodromy_plan(
+    sys: FuchsianSystem, z0: complex | None = None, radius_factor: float = 0.25,
+    normalize_at_infinity: bool = True,
+) -> Plan:
+    """The transports of fuchs_monodromy, assembled into M_1..M_N: the N
+    loops carry the identity at z0 next to the infinity frame Y0, and by
+    linearity M_i = Y0^{-1} T_i Y0 for the loop transport T_i of I."""
+    if z0 is None:
+        z0 = default_basepoint(sys)
+    z0 = complex(z0)
+    if np.min(np.abs(sys.poles - z0)) < 1e-9:
+        raise ValueError("basepoint coincides with a pole")
+    ode = fuchsian_ode(sys.poles, sys.residues)
+    eye = np.eye(sys.n, dtype=complex)
+    jobs = [
+        (ode, eye, _loop_legs(z0, complex(ui), radius_factor * sys.nearest_gap(i)))
+        for i, ui in enumerate(sys.poles)
+    ]
+    frame = _infinity_frame(sys, z0) if normalize_at_infinity else None
+    if frame is not None:
+        jobs.append(frame)
+
+    def assemble(ends):
+        Y0 = ends[sys.N] if frame is not None else eye
+        return [np.linalg.solve(Y0, T @ Y0) for T in ends[: sys.N]]
+
+    return Plan(tuple(jobs), assemble)
+
+
 def fuchs_monodromy(
     sys: FuchsianSystem, z0: complex | None = None, tol: float = 1e-12,
     radius_factor: float = 0.25, normalize_at_infinity: bool = True,
@@ -196,28 +226,8 @@ def fuchs_monodromy(
     z = infinity, the frame in which Schlesinger flows keep the monodromy
     matrices constant entrywise; `normalize_at_infinity=False` uses
     Y(z0) = I instead (same conjugacy classes, u-dependent frame).
-
-    The N loops carry the identity at z0, in one transport batch with the
-    infinity frame Y0; by linearity M_i = Y0^{-1} T_i Y0 for the loop
-    transport T_i of the identity.
     """
-    if z0 is None:
-        z0 = default_basepoint(sys)
-    z0 = complex(z0)
-    if np.min(np.abs(sys.poles - z0)) < 1e-9:
-        raise ValueError("basepoint coincides with a pole")
-    ode = fuchsian_ode(sys.poles, sys.residues)
-    eye = np.eye(sys.n, dtype=complex)
-    jobs = [
-        (ode, eye, _loop_legs(z0, complex(ui), radius_factor * sys.nearest_gap(i)))
-        for i, ui in enumerate(sys.poles)
-    ]
-    frame = _infinity_frame(sys, z0) if normalize_at_infinity else None
-    if frame is not None:
-        jobs.append(frame)
-    ends = transport_matrix(*zip(*jobs), tol)
-    Y0 = ends[sys.N] if frame is not None else eye
-    return [np.linalg.solve(Y0, T @ Y0) for T in ends[: sys.N]]
+    return run_plan(monodromy_plan(sys, z0, radius_factor, normalize_at_infinity), tol)
 
 
 def product_relation_residual(mons) -> float:

@@ -57,7 +57,8 @@ the window of the last m to its front when it is full.
 Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
 function that assembles it from their end values, and run all of them in
 one batch: `sectorial_plan`, `stokes_plan` and `connection_plan` are the
-plan steps of `actual_solution`, `stokes_matrix` and `connection_matrix`.
+plan steps of `actual_solution`, `stokes_matrix` and `connection_matrix`,
+and `fuchsian.monodromy_plan` that of `fuchs_monodromy`.
 The plans of one pipeline share a memo dict, so that sector frames, seed
 directions, truncation orders, seed columns and column ODEs are computed
 once each, and the engine finds the legs they have in common.
@@ -81,7 +82,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 from typing import Any, Callable
 
 import numpy as np
@@ -315,16 +317,31 @@ def irregular_ode(sys: IrregularSystem, shift_u: complex = 0.0,
 
 
 def fuchsian_ode(poles, residues) -> LinearODE:
-    """prod_k (z - u_k) Y' = sum_i A_i prod_{k != i} (z - u_k) Y."""
+    """prod_k (z - u_k) Y' = sum_i A_i prod_{k != i} (z - u_k) Y.
+
+    The products are those of np.poly, bit for bit: multiplied out factor by
+    factor in index order (the product without u_i continues that of the
+    first i factors), and made real when their roots are closed under
+    conjugation."""
     poles = np.asarray(poles, dtype=complex).reshape(-1)
     N = len(poles)
     n = residues[0].shape[0]
     center = complex(np.mean(poles))
     x = poles - center
+    factors = np.stack([np.ones(N, dtype=complex), -x], axis=1)
+    prefix = list(accumulate(factors, np.convolve, initial=np.ones(1, dtype=complex)))
+    points = list(zip(x.real.tolist(), x.imag.tolist()))
+
+    def real_if_closed(c, roots):
+        closed = sorted(roots) == sorted((re, -im) for re, im in roots)
+        return c.real.astype(complex) if closed else c
+
     Q = np.zeros((N + 1, n, n), dtype=complex)
     for i, Ai in enumerate(residues):
-        Q[:N] += np.atleast_1d(np.poly(np.delete(x, i)))[::-1, None, None] * Ai
-    return LinearODE(center=center, P=np.poly(x)[::-1].astype(complex), Q=Q, roots=poles)
+        c = reduce(np.convolve, factors[i + 1 :], prefix[i])
+        Q[:N] += real_if_closed(c, points[:i] + points[i + 1 :])[::-1, None, None] * Ai
+    return LinearODE(center=center, P=real_if_closed(prefix[N], points)[::-1], Q=Q,
+                     roots=poles)
 
 
 def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
@@ -454,6 +471,11 @@ def _schedule(ode, legs, job):
     (transport, segment) of each leg.  Returns the start points z0 and
     increments h of the steps, the leg index of each, ordered by step index
     and then by leg, and the offsets at which each step index begins.
+
+    Every leg is z(t) = base + span e(t), 0 <= t <= 1, with e = t on a line
+    and e = exp(i sweep t) on an arc.  The per-leg arrays hold the running
+    legs only; they are compacted on the step indices where a leg ends or
+    is refused.
     """
     if isinstance(ode, LinearODE):
         ode = [ode] * len(legs)
@@ -475,38 +497,37 @@ def _schedule(ode, legs, job):
     a = np.array([leg.a for leg in legs], dtype=complex)
     b = np.array([leg.b for leg in legs], dtype=complex)
     arc = np.array([leg.center is not None for leg in legs], dtype=bool)
-    c = np.array([0j if leg.center is None else leg.center for leg in legs], dtype=complex)
-    sweep = np.array([leg.sweep for leg in legs], dtype=float)
+    base = np.where(arc, [0j if leg.center is None else leg.center for leg in legs], a)
+    span = np.where(arc, a - base, b - a)
+    isweep = 1j * np.array([leg.sweep for leg in legs], dtype=float)
     length = np.array([leg.length for leg in legs], dtype=float)
-    t = np.zeros(len(legs))
-    z = a.copy()
     live = np.arange(len(legs))
+    t = np.zeros(len(legs))
+    z = a
     refused = {}  # leg -> (singular point, its distance, z) where it stalls
     # steps by step index, after an empty first entry
     z0s, hs, legs_of = [np.zeros(0, dtype=complex)], [np.zeros(0, dtype=complex)], [live[:0]]
     while live.size:
-        z0 = z[live]
-        dist = np.abs(roots[live] - z0[:, None])
-        near = np.argmin(dist, axis=1)
-        gap = dist[np.arange(len(live)), near]
-        hmax = np.minimum(STEP_RADIUS * gap, hgrow[live])
-        ok = hmax > STEP_FLOOR * np.maximum(np.abs(z0), length[live])
-        if not ok.all():
+        dist = np.abs(roots - z[:, None])
+        gap = dist.min(axis=1)
+        hmax = np.minimum(STEP_RADIUS * gap, hgrow)
+        ok = hmax > STEP_FLOOR * np.maximum(np.abs(z), length)
+        end = t * length + hmax >= length
+        t = np.where(end, 1.0, t + hmax / np.where(end, 1.0, length))
+        z1 = base + span * np.where(arc, np.exp(isweep * t), t)
+        if not ok.all():  # refusals raise below, so this layout is never used
             for i in np.flatnonzero(~ok):
-                refused[int(live[i])] = (roots[live[i], near[i]], gap[i], z0[i])
-            live, z0, hmax = live[ok], z0[ok], hmax[ok]
-        tl, ll = t[live], length[live]
-        end = tl * ll + hmax >= ll
-        tn = np.where(end, 1.0, tl + hmax / np.where(end, 1.0, ll))
-        al, cl = a[live], c[live]
-        z1 = np.where(arc[live], cl + (al - cl) * np.exp(1j * sweep[live] * tn),
-                      al + tn * (b[live] - al))
-        z1[end] = b[live[end]]
-        z0s.append(z0)
-        hs.append(z1 - z0)
+                refused[int(live[i])] = (roots[i, np.argmin(dist[i])], gap[i], z[i])
+            end |= ~ok
+        z1[end] = b[end]
+        z0s.append(z)
+        hs.append(z1 - z)
         legs_of.append(live)
-        t[live], z[live] = tn, z1
-        live = live[~end]
+        z = z1
+        if end.any():
+            keep = ~end
+            live, roots, hgrow, length, b, arc, base, span, isweep, t, z = (
+                x[keep] for x in (live, roots, hgrow, length, b, arc, base, span, isweep, t, z))
     if refused:
         k = min(refused)
         near, gap, z0 = refused[k]

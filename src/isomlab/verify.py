@@ -518,19 +518,10 @@ def verify_coalescence(
     S_driven = [res.S for res in driven_r]
     S1_driven = [res.S for res in driven_r1]
 
-    limit_errors = np.array(
-        [
-            max(float(np.max(np.abs(S - S0_frozen.S))),
-                float(np.max(np.abs(S1 - S1_frozen.S))))
-            for S, S1 in zip(S_samples, S1_samples)
-        ]
-    )
-    driven_limit_errors = np.array(
-        [
-            max(float(np.max(np.abs(S - S0_frozen.S))),
-                float(np.max(np.abs(S1 - S1_frozen.S))))
-            for S, S1 in zip(S_driven, S1_driven)
-        ]
+    limit_errors, driven_limit_errors = (
+        np.array([max(float(np.max(np.abs(S - S0_frozen.S))),
+                      float(np.max(np.abs(S1 - S1_frozen.S)))) for S, S1 in zip(Ss, S1s)])
+        for Ss, S1s in ((S_samples, S1_samples), (S_driven, S1_driven))
     )
 
     entry_floor = 30.0 * max(floors)

@@ -236,6 +236,26 @@ class TestSchlesingerCommand:
         assert len(doc["product_relation_residual"]) == 2
         assert max(doc["product_relation_residual"]) < 1e-8
 
+    def test_monodromy_of_both_ends_in_one_batch(self, capsys, fuchsian_file, tmp_path,
+                                                 monkeypatch):
+        from isomlab import odeengine
+
+        calls = []
+        transport = odeengine.transport_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return transport(*args)
+
+        monkeypatch.setattr(odeengine, "transport_matrix", counted)
+        path_file = write_json(tmp_path / "path.json", {"waypoints": [
+            [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            [[0.0, 0.1], [0.9, 0.0], [2.2, 0.0]]]})
+        code, out, _ = run(capsys, ["schlesinger", "--system", fuchsian_file, "--path",
+                                    path_file, "--monodromy"])
+        assert code == 0 and json.loads(out)["verdict"] == "PASS"
+        assert len(calls) == 1
+
 
 class TestKvCommand:
     def test_check_passes(self, capsys):

@@ -13,12 +13,14 @@ from isomlab.fuchsian import (
     integrate_schlesinger,
     kv_family,
     max_integer_spread,
+    monodromy_plan,
     pole_levelt,
     product_relation_residual,
     schlesinger_residual,
     schlesinger_rhs,
 )
 from isomlab.isoflow import UPath, _difference_quotients
+from isomlab.odeengine import join_plans, run_plan
 
 
 def random_fuchsian(rng, N=3, n=2):
@@ -213,6 +215,21 @@ class TestFuchsMonodromy:
         M = fuchs_monodromy(shuffled, tol=1e-12)
         assert product_relation_residual(M) > 1.0
         assert product_relation_residual([M[1], M[0], M[2]]) < 1e-6
+
+    def test_joined_plans_match_separate_calls(self):
+        # one batch for two systems (N = 3 and N = 4) sums more terms per
+        # step than either alone, within the tolerance asked for
+        rng = np.random.default_rng(23)
+        residues = [0.5 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                    for _ in range(3)]
+        residues.append(-sum(residues))
+        systems = [random_fuchsian(rng),
+                   FuchsianSystem(poles=[0.0, 1.0 + 0.3j, 2.0, 0.8 + 1.5j],
+                                  residues=tuple(residues))]
+        joined = run_plan(join_plans([monodromy_plan(s) for s in systems]), 1e-12)
+        for sys, mons in zip(systems, joined):
+            for got, ref in zip(mons, fuchs_monodromy(sys, tol=1e-12)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_local_exponent_spectrum(self):
         A1 = np.diag([0.5, 0.0]).astype(complex)

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_solvers import poly_fuchsian_ode, schedule_reference
 from scipy.integrate import solve_ivp
 
 from isomlab import odeengine
@@ -368,6 +371,71 @@ class TestDistinctLegs:
             IntegrationError, match=r"transport 1, segment 1 .* singular point 0\+0j"
         ):
             transport_matrix(*zip(*jobs))
+
+
+class TestScheduleAndCoefficients:
+    """The step layout and the Fuchsian coefficients, against the reference
+    implementations they must reproduce bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "real", "conjugate-closed"])
+    def test_fuchsian_ode_matches_np_poly(self, kind):
+        rng = np.random.default_rng(5)
+        for N in range(1, 6):
+            for _ in range(10):
+                if kind == "random":
+                    poles = rng.normal(size=N) + 1j * rng.normal(size=N)
+                elif kind == "real":
+                    poles = rng.normal(size=N)
+                else:
+                    half = rng.normal(size=N // 2) + 1j * rng.normal(size=N // 2)
+                    poles = np.concatenate([half, half.conj(), rng.normal(size=N % 2)])
+                    poles = poles[rng.permutation(N)]
+                residues = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                            for _ in range(N)]
+                ode = fuchsian_ode(poles, residues)
+                P, Q = poly_fuchsian_ode(poles, residues)
+                assert ode.P.tobytes() == P.tobytes()
+                assert ode.Q.tobytes() == Q.tobytes()
+
+    ODES = (
+        irregular_ode(generic_system()),
+        irregular_ode(IrregularSystem(u=[0.0, 1.0, 0.4 + 0.8j], A=np.diag([0.2, 0.1, -0.3]),
+                                      higher=[0.1 * np.eye(3)]), 1.0, 0.1),
+        fuchsian_ode([0.0, 1.0, 0.5j], [GENERIC_A, -2 * GENERIC_A, GENERIC_A]),
+        fuchsian_ode([-1.0, 1.0 + 1j], [GENERIC_A, -GENERIC_A]),
+    )
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 2))
+    point = st.builds(complex, coordinate, coordinate)
+    legs = st.one_of(
+        st.builds(Leg, point, point),
+        # arcs about the origin and about a pole, up to a full turn
+        st.builds(lambda r, th, sw, centre: Leg(
+            centre + r * np.exp(1j * th), centre + r * np.exp(1j * (th + sw)),
+            center=centre, sweep=sw),
+            st.floats(0.05, 3.0), st.floats(-math.pi, math.pi),
+            st.floats(-2 * math.pi, 2 * math.pi), st.sampled_from([0j, 1.0 + 0j, 0.5j])),
+        # lines through or into a singular point, which are refused
+        st.builds(lambda p, q: Leg(p, q), st.sampled_from([-1.0 + 0j, 0.5 - 0.5j]),
+                  st.sampled_from([1.0 + 0j, 0j, 1.5 + 1.5j])),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(range(len(ODES))), legs),
+                    min_size=1, max_size=8))
+    def test_schedule_matches_reference(self, batch):
+        ode = [self.ODES[k] for k, _ in batch]
+        legs = [leg for _, leg in batch]
+        job = [(i, 0) for i in range(len(legs))]
+        try:
+            expected = schedule_reference(ode, legs, job)
+        except IntegrationError as exc:
+            with pytest.raises(IntegrationError) as got:
+                odeengine._schedule(ode, legs, job)
+            assert str(got.value) == str(exc)
+            return
+        got = odeengine._schedule(ode, legs, job)
+        for x, y in zip(got, expected):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestActualSolution:

@@ -8,7 +8,6 @@ verification pipelines for data constancy and the coalescence limit.
 
 from .errors import (
     AdmissibilityError,
-    BranchMismatchError,
     CoincidentPointsError,
     EigenSolverError,
     InputFormatError,
@@ -81,7 +80,6 @@ from .odeengine import (
     SolutionHandle,
     StokesConfig,
     StokesResult,
-    ZPath,
     actual_solution,
     connection_matrix,
     integrate_path,

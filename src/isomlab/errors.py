@@ -47,10 +47,6 @@ class SectorError(IsomlabError):
     """A point or direction violates sector bounds, or a sector overlap is empty."""
 
 
-class BranchMismatchError(IsomlabError):
-    """Two solution handles disagree on the branch of arg z."""
-
-
 class WallError(IsomlabError):
     """A u-path touches the coalescence locus or the crossing locus."""
 

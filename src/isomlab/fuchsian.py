@@ -27,6 +27,8 @@ from .matrixcore import as_square
 from .isoflow import FlowTrace, UPath, _difference_quotients, _integrate
 from .odeengine import Leg, Plan, fuchsian_ode, run_plan
 
+LOOP_RADIUS = 0.25  # monodromy loop radius over the nearest-other-pole distance
+
 
 @dataclass(frozen=True)
 class FuchsianSystem:
@@ -181,8 +183,7 @@ def _infinity_frame(sys: FuchsianSystem, z0: complex):
 
 
 def monodromy_plan(
-    sys: FuchsianSystem, z0: complex | None = None, radius_factor: float = 0.25,
-    normalize_at_infinity: bool = True,
+    sys: FuchsianSystem, z0: complex | None = None, normalize_at_infinity: bool = True,
 ) -> Plan:
     """The transports of fuchs_monodromy, assembled into M_1..M_N: the N
     loops carry the identity at z0 next to the infinity frame Y0, and by
@@ -195,7 +196,7 @@ def monodromy_plan(
     ode = fuchsian_ode(sys.poles, sys.residues)
     eye = np.eye(sys.n, dtype=complex)
     jobs = [
-        (ode, eye, _loop_legs(z0, complex(ui), radius_factor * sys.nearest_gap(i)))
+        (ode, eye, _loop_legs(z0, complex(ui), LOOP_RADIUS * sys.nearest_gap(i)))
         for i, ui in enumerate(sys.poles)
     ]
     frame = _infinity_frame(sys, z0) if normalize_at_infinity else None
@@ -211,11 +212,11 @@ def monodromy_plan(
 
 def fuchs_monodromy(
     sys: FuchsianSystem, z0: complex | None = None, tol: float = 1e-12,
-    radius_factor: float = 0.25, normalize_at_infinity: bool = True,
+    normalize_at_infinity: bool = True,
 ) -> list[np.ndarray]:
     """Monodromy matrices M_1..M_N with Y(gamma_i z) = Y(z) M_i.
 
-    Loops are circles of radius `radius_factor` times the nearest-other-pole
+    Loops are circles of radius LOOP_RADIUS times the nearest-other-pole
     distance, joined to the basepoint by straight spokes; composition order is
     increasing pole index.  With the default basepoint below the poles and a
     configuration angularly ordered by index, the basis-order product
@@ -227,7 +228,7 @@ def fuchs_monodromy(
     matrices constant entrywise; `normalize_at_infinity=False` uses
     Y(z0) = I instead (same conjugacy classes, u-dependent frame).
     """
-    return run_plan(monodromy_plan(sys, z0, radius_factor, normalize_at_infinity), tol)
+    return run_plan(monodromy_plan(sys, z0, normalize_at_infinity), tol)
 
 
 def product_relation_residual(mons) -> float:

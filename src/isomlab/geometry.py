@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,12 @@ from .errors import AdmissibilityError, WallError
 from .matrixcore import _chain_groups
 
 TWO_PI = 2.0 * math.pi
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int):
+    """The pairs i < j of n indices, np.triu_indices(n, 1), once per n."""
+    return np.triu_indices(n, 1)
 
 
 def _as_uvec(u) -> np.ndarray:
@@ -284,7 +291,7 @@ def epsilon_bound(uC, tau: float) -> float:
     direction, minimized over pairs with u_i^C != u_j^C.
     """
     ref = _as_uvec(uC)
-    i, j = np.triu_indices(len(ref), 1)
+    i, j = _pairs(len(ref))
     d = ref[i] - ref[j]
     d = d[d != 0]
     if not len(d):
@@ -302,24 +309,21 @@ def classify_point(u, tau: float, tol: float = 1e-8, uC=None) -> CellReport:
     and under relabeling.
     """
     uv = _as_uvec(u)
-    n = len(uv)
+    i, j = _pairs(len(uv))
+    d = uv[i] - uv[j]  # the pair differences wall_hits starts from
+    gap = np.abs(d)
     delta_pairs, crossing_pairs = [], []
-    min_gap = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = uv[i] - uv[j]
-            gap = abs(d)
-            min_gap = min(min_gap, gap)
-            if gap <= tol:
-                delta_pairs.append((i, j))
-            elif _margin(tau, (_ray_angle(d), _ray_angle(-d))) <= tol:
-                crossing_pairs.append((i, j))
+    for pair, dp, gp in zip(zip(i.tolist(), j.tolist()), d.tolist(), gap.tolist()):
+        if gp <= tol:
+            delta_pairs.append(pair)
+        elif _margin(tau, (_ray_angle(dp), _ray_angle(-dp))) <= tol:
+            crossing_pairs.append(pair)
     return CellReport(
         u=uv,
         tau=tau,
         in_delta=bool(delta_pairs),
         in_crossing=bool(crossing_pairs),
-        min_pair_gap=float(min_gap),
+        min_pair_gap=float(gap.min(initial=math.inf)),
         delta_pairs=tuple(delta_pairs),
         crossing_pairs=tuple(crossing_pairs),
         epsilon_bound=None if uC is None else epsilon_bound(uC, tau),
@@ -334,8 +338,9 @@ def wall_hits(u, v, tau: float, tol: float = 1e-8) -> list[tuple[float, str]]:
     is affine in t, so the events are exact: a pair meets X(tau) at the root
     of the affine Im(e^{-i phi} d_ij(t)), phi = 3 pi/2 - tau, where it is not
     in Delta, and meets Delta at its closest approach to 0 when that lies
-    within tol.  An endpoint on a wall (`classify_point`) is an event at
-    t = 0 or t = 1.
+    within tol.  Events at t = 0 or t = 1 come from `classify_point` alone,
+    so that both say the same of an endpoint; the affine tests only add
+    events with 0 < t < 1.
     """
     a, b = _as_uvec(u), _as_uvec(v)
     if len(a) != len(b):
@@ -345,15 +350,15 @@ def wall_hits(u, v, tau: float, tol: float = 1e-8) -> list[tuple[float, str]]:
         rep = classify_point(pt, tau, tol=tol)
         if rep.on_wall:
             hits.add((t, "delta" if rep.in_delta else "crossing"))
-    i, j = np.triu_indices(len(a), 1)
+    i, j = _pairs(len(a))
     d0, d1 = a[i] - a[j], b[i] - b[j]
     t_near, gap = _closest_approach(d0, d1)
-    hits.update((float(t), "delta") for t in t_near[gap <= tol])
+    hits.update((float(t), "delta") for t in t_near[(gap <= tol) & (t_near > 0) & (t_near < 1)])
     y0, y1 = _across_wall(d0, tau), _across_wall(d1, tau)
     root = (y0 * y1 <= 0) & (y0 != y1)
     t_root = y0[root] / (y0 - y1)[root]
     off_delta = np.abs(d0[root] + t_root * (d1 - d0)[root]) > tol
-    hits.update((float(t), "crossing") for t in t_root[off_delta])
+    hits.update((float(t), "crossing") for t in t_root[off_delta & (t_root > 0) & (t_root < 1)])
     return sorted(hits)
 
 

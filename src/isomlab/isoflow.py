@@ -37,7 +37,7 @@ from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrac
 from .errors import IntegrationError, ResonanceError, WallError
 from .geometry import segment_min_abs
 from .matrixcore import as_square, solve_sylvester
-from .odeengine import TAIL_FRACTION, PathPoint
+from .odeengine import TAIL_FRACTION
 
 TRACE_SAMPLES = 17  # trace points per path segment, both ends included
 COLLOCATION_NODES = 16  # Chebyshev-Lobatto nodes of a flow step
@@ -389,7 +389,7 @@ def integrate_flow(
     tol: float = 1e-11,
     rhs_sign: float = 1.0,
     carry_gauge=None,
-    carry_frame: tuple[PathPoint, np.ndarray] | None = None,
+    carry_frame: tuple[complex, np.ndarray] | None = None,
     guard: float | None = None,
 ) -> FlowResult:
     """Integrate dA = sum_j [omega_j(0,u), A] du_j along a piecewise-straight path.
@@ -397,7 +397,7 @@ def integrate_flow(
     Optionally co-integrates a gauge matrix G with dG = (sum_j omega_j(0) du_j) G
     (`carry_gauge` = initial G) and a fundamental-matrix frame at a fixed
     z-point with dY = sum_j (z E_j + omega_j(0)) du_j Y (`carry_frame` =
-    (PathPoint, Y0)).  `rhs_sign` scales the whole right-hand side; -1 is the
+    (z, Y0)).  `rhs_sign` scales the whole right-hand side; -1 is the
     corrupted flow used by sensitivity checks.
 
     Paths whose exact minimal pair gap falls below `guard` (default 1e-6
@@ -413,7 +413,7 @@ def integrate_flow(
         blocks.append(carry_gauge)
     z = None
     if carry_frame is not None:
-        z = carry_frame[0].z
+        z = complex(carry_frame[0])
         blocks.append(carry_frame[1])
 
     def field(u, du):

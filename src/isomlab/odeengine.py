@@ -1,8 +1,9 @@
 """High-accuracy transport of fundamental solutions in the punctured z-plane.
 
-Paths live on the universal cover: every waypoint carries both the complex
-value z and a continuous argument, and no implicit principal branch is used
-anywhere.
+Paths are sequences of `Leg`s (lines and arcs) on the universal cover: a
+`PathPoint` carries z with a continuous argument, which `integrate_path`
+moves by each leg's turn (an arc's sweep, a line's angle(b / a)), so no
+implicit principal branch is used anywhere.
 
 Every z-plane transport, irregular or Fuchsian, runs through one engine,
 `transport_matrix`, for a linear ODE with polynomial coefficients
@@ -89,7 +90,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrace.py rebinds it
 
-from .errors import BranchMismatchError, IntegrationError, SectorError
+from .errors import IntegrationError, SectorError
 from .formal import (
     FormalSolution,
     IrregularSystem,
@@ -101,7 +102,6 @@ from .levelt import LeveltData, eval_levelt
 
 DEFAULT_TOL = 1e-11
 DEFAULT_SEED_RADIUS = 20.0
-MAX_ARC_SWEEP = math.pi / 2
 # step rule of the Taylor engine (see the module docstring)
 STEP_RADIUS = 0.25
 STEP_GROWTH = 2.0
@@ -145,89 +145,12 @@ class PathPoint:
 
 
 @dataclass(frozen=True)
-class Segment:
-    kind: str  # "line" | "arc"
-    a: PathPoint
-    b: PathPoint
-
-    def __post_init__(self):
-        if self.kind not in ("line", "arc"):
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.kind == "arc":
-            if abs(self.a.radius - self.b.radius) > 1e-9 * max(self.a.radius, 1.0):
-                raise ValueError("arc endpoints must share the same radius")
-            if abs(self.b.arg - self.a.arg) > MAX_ARC_SWEEP + 1e-12:
-                raise ValueError("arc sweep exceeds pi/2; split the arc")
-        else:
-            if abs(self.b.arg - self.a.arg) >= math.pi:
-                raise ValueError("line segment with |Delta arg| >= pi; re-route")
-
-    @property
-    def leg(self) -> "Leg":
-        if self.kind == "line":
-            return Leg(self.a.z, self.b.z)
-        return Leg(self.a.z, self.b.z, center=0j, sweep=self.b.arg - self.a.arg)
-
-
-@dataclass(frozen=True)
-class ZPath:
-    """Piecewise path on the cover; consecutive points are joined by segments."""
-
-    segments: tuple[Segment, ...]
-
-    @property
-    def start(self) -> PathPoint:
-        return self.segments[0].a
-
-    @property
-    def end(self) -> PathPoint:
-        return self.segments[-1].b
-
-    @staticmethod
-    def line(a: PathPoint, b: PathPoint) -> "ZPath":
-        return ZPath(segments=(Segment("line", a, b),))
-
-    @staticmethod
-    def arc(a: PathPoint, arg_to: float) -> "ZPath":
-        """Origin-centered arc from a to the given argument, split in <= pi/2 sweeps."""
-        sweeps = []
-        cur = a
-        total = arg_to - a.arg
-        nseg = max(1, math.ceil(abs(total) / MAX_ARC_SWEEP))
-        for k in range(1, nseg + 1):
-            nxt = PathPoint.from_polar(a.radius, a.arg + total * k / nseg)
-            sweeps.append(Segment("arc", cur, nxt))
-            cur = nxt
-        return ZPath(segments=tuple(sweeps))
-
-    @staticmethod
-    def radial(a: PathPoint, radius_to: float) -> "ZPath":
-        b = PathPoint.from_polar(radius_to, a.arg)
-        return ZPath(segments=(Segment("line", a, b),))
-
-    @staticmethod
-    def loop(a: PathPoint, winding: int) -> "ZPath":
-        """Circle |z| = |a| traversed `winding` times (sign = orientation)."""
-        if winding == 0:
-            return ZPath(segments=())
-        return ZPath.arc(a, a.arg + 2 * math.pi * winding)
-
-    def then(self, other: "ZPath") -> "ZPath":
-        if self.segments and other.segments:
-            ea, sb = self.end, other.start
-            if abs(ea.z - sb.z) > 1e-9 or abs(ea.arg - sb.arg) > 1e-9:
-                raise ValueError("paths do not join")
-        return ZPath(segments=self.segments + other.segments)
-
-
-@dataclass(frozen=True)
 class SolutionHandle:
     """A fundamental-matrix value anchored at a point of the cover."""
 
     system: IrregularSystem
     point: PathPoint
     value: np.ndarray
-    provenance: str = "identity"
     seed_error: float = 0.0
     wronskian_drift: float = 0.0
 
@@ -610,28 +533,30 @@ def run_plan(plan: Plan, tol: float = DEFAULT_TOL):
 
 
 def integrate_path(
-    sys: IrregularSystem, start: SolutionHandle, path: ZPath, tol: float = DEFAULT_TOL
+    sys: IrregularSystem, start: SolutionHandle, legs, tol: float = DEFAULT_TOL
 ) -> SolutionHandle:
-    """Transport a solution handle along a path of the cover.
+    """Transport a solution handle along legs (lines, and arcs about 0) from
+    its z, each leg starting where the previous one ends.
 
-    The path must begin at the handle's basepoint (same z and same branch of
-    arg).  The Wronskian drift |log det Y(end) - predicted| accumulates into
+    The end point's arg is the handle's plus each leg's turn: an arc's
+    sweep, a line's angle(b / a) (a chord that avoids 0 turns by less than
+    pi).  The Wronskian drift |log det Y(end) - predicted| accumulates into
     the returned handle.
     """
-    if not path.segments:
+    if not legs:
         return start
-    s = path.start
-    if abs(s.z - start.point.z) > 1e-9:
-        raise ValueError("path does not start at the handle's basepoint")
-    if abs(s.arg - start.point.arg) > 1e-9:
-        raise BranchMismatchError(
-            f"path starts on branch arg = {s.arg:.6g} but the handle sits on "
-            f"arg = {start.point.arg:.6g}"
-        )
-    Y = transport_matrix(
-        irregular_ode(sys), start.value, [seg.leg for seg in path.segments], tol=tol
-    )
-    end = path.end
+    s = start.point
+    z, arg = s.z, s.arg
+    for k, leg in enumerate(legs):
+        if abs(leg.a - z) > 1e-9:
+            raise ValueError("path does not start at the handle's basepoint" if k == 0
+                             else f"leg {k} does not start where leg {k - 1} ends")
+        if leg.center not in (None, 0):
+            raise ValueError(f"leg {k} is an arc about {leg.center:.6g}, not about 0")
+        arg += leg.sweep if leg.center is not None else float(np.angle(leg.b / leg.a))
+        z = leg.b
+    end = PathPoint(z, arg)
+    Y = transport_matrix(irregular_ode(sys), start.value, legs, tol=tol)
     # Wronskian: d log det Y = (tr Lambda + tr A / z + sum_m tr A_m z^-m) dz
     trL = np.trace(sys.Lambda)
     trA = np.trace(sys.A)
@@ -791,7 +716,6 @@ def sectorial_plan(
             system=sys,
             point=zstar,
             value=np.stack(cols, axis=1) * gauge,
-            provenance=f"formal-seeded({r})",
             seed_error=float(bound + leakage),
         )
 
@@ -940,7 +864,7 @@ def levelt_handle(
         radius = 0.1 if len(nz) < sys.n else 0.5 * float(nz.min())
     pt = PathPoint.from_polar(radius, arg)
     Y0 = eval_levelt(ld, pt.z, pt.arg)
-    return SolutionHandle(system=sys, point=pt, value=Y0, provenance="levelt")
+    return SolutionHandle(system=sys, point=pt, value=Y0)
 
 
 def connection_plan(
@@ -1009,5 +933,7 @@ def monodromy_loop(
     """M with Y(after loop) = Y(before) M for a loop of given winding around 0."""
     if winding == 0:
         return np.eye(sys.n, dtype=complex)
-    after = integrate_path(sys, start, ZPath.loop(start.point, winding), tol=tol)
+    z = start.point.z
+    after = integrate_path(sys, start, [Leg(z, z, center=0j, sweep=2 * math.pi * winding)],
+                           tol=tol)
     return np.linalg.solve(start.value, after.value)

@@ -55,6 +55,8 @@ from .odeengine import (
     stokes_plan,
 )
 
+LEVELT_ORDER = 20  # Taylor terms of every Levelt solution the pipelines build
+
 
 @dataclass(frozen=True)
 class MonodromyDataSet:
@@ -82,7 +84,6 @@ def collect_data(
     radius: float = DEFAULT_SEED_RADIUS,
     tol: float = DEFAULT_TOL,
     order: int = 30,
-    levelt_order: int = 20,
     with_extras: bool = False,
 ) -> list[MonodromyDataSet]:
     """Flow the state through the samples and extract data at each one.
@@ -113,20 +114,20 @@ def collect_data(
         gauges.append(res.gauge_matrix)
     plans = [
         _extract_plan(cur, G, ld0, r, tau, radius=radius, tol=tol, order=order,
-                      levelt_order=levelt_order, with_extras=with_extras)
+                      with_extras=with_extras)
         for cur, G in zip(states, gauges)
     ]
     return run_plan(join_plans(plans), tol)
 
 
-def _extract_plan(state, G, ld0, r, tau, radius, tol, order, levelt_order, with_extras):
+def _extract_plan(state, G, ld0, r, tau, radius, tol, order, with_extras):
     """The transports of one sample's data set, assembled into it."""
     sys = IrregularSystem(u=state.u, A=state.A)
     fs = compute_formal_coefficients(sys, K=order)
     cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order)
     ld = with_gauge(ld0, G, state.A)
     ld = build_levelt_solution(state.A, lambda m: sys.Lambda if m == 0 else np.zeros_like(state.A),
-                               ld=ld, K=levelt_order)
+                               ld=ld, K=LEVELT_ORDER)
     memo = {}  # what the sample's plans share (see stokes_plan)
     plans = [
         stokes_plan(sys, r, cfg, fs=fs, memo=memo),
@@ -476,7 +477,7 @@ def verify_coalescence(
     ld_frozen = compute_levelt_exponents(A0)
     ld_frozen = build_levelt_solution(
         A0, lambda m: frozen.Lambda if m == 0 else np.zeros_like(A0),
-        ld=ld_frozen, K=20,
+        ld=ld_frozen, K=LEVELT_ORDER,
     )
     # what the plans of the whole pipeline share (see stokes_plan): the
     # frozen-seeded passes reuse the frozen series and its truncation

@@ -32,7 +32,7 @@ from isomlab.isoflow import (
     laurent_reduce,
 )
 from isomlab.levelt import monodromy_exponential
-from isomlab.odeengine import PathPoint, ZPath, actual_solution, integrate_path, monodromy_loop
+from isomlab.odeengine import Leg, actual_solution, integrate_path, monodromy_loop
 from isomlab.verify import collect_data, data_drift, stokes_relation_check, verify_coalescence
 
 GENERIC_A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
@@ -226,7 +226,7 @@ def test_criterion_6_relation_suite(strong_run):
         sys0 = IrregularSystem(u=U_START, A=GENERIC_A)
         fs = compute_formal_coefficients(sys0, K=32)
         h = actual_solution(sys0, 0, TAU, radius=20.0, zstar=None, fs=fs, tol=1e-12)
-        h = integrate_path(sys0, h, ZPath.radial(h.point, 1.0), tol=1e-12)
+        h = integrate_path(sys0, h, [Leg(h.point.z, h.point.z / h.point.radius)], tol=1e-12)
         M = monodromy_loop(sys0, h, winding=1, tol=1e-12)
         from isomlab.levelt import build_levelt_solution
 

@@ -169,7 +169,7 @@ class TestEvaluation:
 
     def test_matches_ode_solution_within_optimal_truncation(self):
         # cross-validation against transport seeded much farther out
-        from isomlab.odeengine import PathPoint, ZPath, SolutionHandle, integrate_path
+        from isomlab.odeengine import Leg, PathPoint, SolutionHandle, integrate_path
 
         sys = IrregularSystem(
             u=[0.0, 1.0], A=np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
@@ -182,10 +182,9 @@ class TestEvaluation:
             system=sys,
             point=far,
             value=eval_truncated_formal(fs, far.z, far.arg, K=k_far),
-            provenance="seed",
         )
         near = PathPoint.from_polar(10.0, theta)
-        transported = integrate_path(sys, handle, ZPath.radial(far, 10.0), tol=1e-12)
+        transported = integrate_path(sys, handle, [Leg(far.z, near.z)], tol=1e-12)
         k10, bound10 = optimal_truncation(fs, 10.0)
         direct = eval_truncated_formal(fs, near.z, near.arg, K=k10)
         scale = np.abs(transported.value).max()
@@ -194,7 +193,7 @@ class TestEvaluation:
     def test_terminating_series_is_exact(self):
         # for this system F_k = 0 for k >= 2, so the truncated factor solves
         # the equation exactly; check against a transported solution
-        from isomlab.odeengine import PathPoint, ZPath, SolutionHandle, integrate_path
+        from isomlab.odeengine import Leg, PathPoint, SolutionHandle, integrate_path
 
         sys = IrregularSystem(u=[0.0, 1.0], A=np.array([[0, 1], [1, 0]], dtype=complex))
         fs = compute_formal_coefficients(sys, K=6)
@@ -205,9 +204,8 @@ class TestEvaluation:
             system=sys,
             point=a,
             value=eval_truncated_formal(fs, a.z, a.arg, K=1),
-            provenance="seed",
         )
-        got = integrate_path(sys, handle, ZPath.radial(a, 5.0), tol=1e-12)
+        got = integrate_path(sys, handle, [Leg(a.z, a.z / 2)], tol=1e-12)
         expect = eval_truncated_formal(fs, got.point.z, got.point.arg, K=1)
         scale = np.abs(expect).max()
         assert np.max(np.abs(got.value - expect)) < 1e-9 * scale

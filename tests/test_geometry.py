@@ -250,6 +250,18 @@ class TestWallHits:
         assert len(deltas) == 1 and abs(deltas[0] - 0.4) < 1e-15
         assert all(kind == "delta" for t, kind in hits if abs(t - deltas[0]) < 1e-9)
 
+    def test_endpoint_events_agree_with_classify_point(self):
+        # |d| lands on tol with np.abs but just above it with scalar abs; both
+        # checks must take the same side of the Delta wall at t = 0
+        d = 0.9034701816518086 + 0.09401229776087457j
+        tol, tau = 0.9083483259544387, 0.3
+        u, v = [0.0, d], [0.0, 2 * d]
+        assert classify_point(u, tau, tol).in_delta
+        assert not classify_point(v, tau, tol).on_wall
+        assert wall_hits(u, v, tau, tol) == [(0.0, "delta")]
+        with pytest.raises(WallError, match="t = 0 .* delta"):
+            same_cell(u, v, tau, tol)
+
     def test_endpoint_on_wall_is_an_event(self):
         tau = 0.3
         on_wall = [0.0, cmath.exp(1j * (0.5 * math.pi - tau))]  # arg(u_0 - u_1) = 3 pi/2 - tau

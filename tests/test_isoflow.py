@@ -286,7 +286,7 @@ class TestWeakFlow:
             fs=compute_formal_coefficients(sys0, K=32),
         )
         res = integrate_flow(
-            state, UPath.line(U0, target), tol=1e-12, carry_frame=(zs, Y0.value)
+            state, UPath.line(U0, target), tol=1e-12, carry_frame=(zs.z, Y0.value)
         )
         sys1 = IrregularSystem(u=target, A=res.state.A)
         M0 = monodromy_loop(sys0, Y0, winding=1, tol=1e-12)
@@ -309,7 +309,7 @@ class TestWeakFlow:
             fs=compute_formal_coefficients(sys0, K=32),
         )
         res = integrate_flow(
-            state, UPath.line(U0, target), tol=1e-12, carry_frame=(zs, Y0.value)
+            state, UPath.line(U0, target), tol=1e-12, carry_frame=(zs.z, Y0.value)
         )
         sys1 = IrregularSystem(u=target, A=res.state.A)
         Y1 = actual_solution(

@@ -10,7 +10,7 @@ from reference_solvers import poly_fuchsian_ode, schedule_reference
 from scipy.integrate import solve_ivp
 
 from isomlab import odeengine
-from isomlab.errors import BranchMismatchError, IntegrationError, SectorError
+from isomlab.errors import IntegrationError, SectorError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.levelt import build_levelt_solution
 from isomlab.odeengine import (
@@ -18,7 +18,6 @@ from isomlab.odeengine import (
     PathPoint,
     SolutionHandle,
     StokesConfig,
-    ZPath,
     actual_solution,
     connection_matrix,
     fuchsian_ode,
@@ -46,7 +45,7 @@ class TestIntegratePath:
         sys = IrregularSystem(u=[0.0, 1.0], A=np.zeros((2, 2)))
         a = PathPoint(1.0 + 0.0j, 0.0)
         h = SolutionHandle(system=sys, point=a, value=np.eye(2))
-        got = integrate_path(sys, h, ZPath.line(a, PathPoint(2.0 + 0.0j, 0.0)), tol=1e-12)
+        got = integrate_path(sys, h, [Leg(1.0 + 0.0j, 2.0 + 0.0j)], tol=1e-12)
         # d/dz Y = (Lambda + 0/z) Y has solution scaled by e^{(z2-z1) Lambda};
         # the z^0 power from the zero residue is trivial
         expect = np.diag(np.exp((2.0 - 1.0) * sys.u))
@@ -58,13 +57,10 @@ class TestIntegratePath:
         a = PathPoint(3.0 + 0.0j, 0.0)
         h = SolutionHandle(system=sys, point=a, value=np.eye(2))
         square = [3.0 + 0.0j, 3.0 + 1.0j, 4.0 + 1.0j, 4.0 + 0.0j, 3.0 + 0.0j]
-        path = ZPath(segments=())
-        for p, q in zip(square[:-1], square[1:]):
-            path = path.then(
-                ZPath.line(PathPoint(p, np.angle(p)), PathPoint(q, np.angle(q)))
-            )
+        path = [Leg(p, q) for p, q in zip(square[:-1], square[1:])]
         got = integrate_path(sys, h, path, tol=1e-12)
         assert np.max(np.abs(got.value - np.eye(2))) < 1e-10
+        assert got.point.z == a.z and abs(got.point.arg) < 1e-15
 
     def test_power_solution_loop(self):
         sys = IrregularSystem(u=[0.0, 0.0], A=np.diag([0.5, 0.0]))
@@ -78,19 +74,37 @@ class TestIntegratePath:
         fs = compute_formal_coefficients(sys, K=20)
         h = actual_solution(sys, 0, 0.3, radius=16.0, zstar=None, fs=fs)
         # loop at small radius where the columns stay comparable
-        h = integrate_path(sys, h, ZPath.radial(h.point, 1.0), tol=1e-12)
+        h = integrate_path(sys, h, [Leg(h.point.z, h.point.z / h.point.radius)], tol=1e-12)
         Mp = monodromy_loop(sys, h, winding=1, tol=1e-12)
         Mm = monodromy_loop(sys, h, winding=-1, tol=1e-12)
         assert np.max(np.abs(Mp @ Mm - np.eye(2))) < 1e-8
         assert np.max(np.abs(monodromy_loop(sys, h, 0) - np.eye(2))) == 0.0
 
-    def test_branch_mismatch_rejected(self):
+    def test_off_basepoint_rejected(self):
         sys = generic_system()
-        a = PathPoint(1.0 + 0.0j, 0.0)
-        h = SolutionHandle(system=sys, point=a, value=np.eye(2))
-        bad_start = PathPoint(1.0 + 0.0j, 2 * math.pi)
-        with pytest.raises(BranchMismatchError):
-            integrate_path(sys, h, ZPath.arc(bad_start, 2 * math.pi + 0.3))
+        h = SolutionHandle(system=sys, point=PathPoint(1.0 + 0.0j, 0.0), value=np.eye(2))
+        with pytest.raises(ValueError, match="basepoint"):
+            integrate_path(sys, h, [Leg(1.0 + 0.1j, 2.0 + 0.0j)])
+
+    def test_arc_about_nonzero_centre_rejected(self):
+        sys = generic_system()
+        h = SolutionHandle(system=sys, point=PathPoint(1.0 + 0.0j, 0.0), value=np.eye(2))
+        with pytest.raises(ValueError, match="not about 0"):
+            integrate_path(sys, h, [Leg(1.0 + 0j, 1.0 + 0j, center=2.0 + 0j, sweep=math.pi)])
+
+    def test_legs_that_do_not_join_rejected(self):
+        sys = generic_system()
+        h = SolutionHandle(system=sys, point=PathPoint(1.0 + 0.0j, 0.0), value=np.eye(2))
+        with pytest.raises(ValueError, match="leg 1 does not start where leg 0 ends"):
+            integrate_path(sys, h, [Leg(1.0 + 0j, 2.0 + 0j), Leg(2.0 + 1e-6j, 3.0 + 0j)])
+
+    def test_double_winding_is_the_square(self):
+        sys = generic_system()
+        h = SolutionHandle(system=sys, point=PathPoint(0.8 + 0.3j, math.atan2(0.3, 0.8)),
+                           value=np.eye(2))
+        M = monodromy_loop(sys, h, winding=1, tol=1e-12)
+        M2 = monodromy_loop(sys, h, winding=2, tol=1e-12)
+        assert np.max(np.abs(M2 - M @ M)) < 1e-10
 
     def test_wronskian_drift_tracked(self):
         rng = np.random.default_rng(4)
@@ -100,7 +114,8 @@ class TestIntegratePath:
         )
         a = PathPoint(2.0 + 0.0j, 0.0)
         h = SolutionHandle(system=sys, point=a, value=np.eye(3))
-        got = integrate_path(sys, h, ZPath.arc(a, 1.1), tol=1e-12)
+        got = integrate_path(sys, h, [Leg(2.0 + 0.0j, 2.0 * np.exp(1.1j), center=0j, sweep=1.1)],
+                             tol=1e-12)
         assert got.wronskian_drift < 1e-9
 
 
@@ -112,14 +127,12 @@ class TestTaylorEngine:
         sys = IrregularSystem(u=[u], A=[[a]])
         p0 = PathPoint(2.0 + 0.0j, 0.0)
         turn = 2 * math.pi * 1.3
-        path = (
-            ZPath.radial(p0, 1.0)
-            .then(ZPath.arc(PathPoint(1.0 + 0.0j, 0.0), turn))
-            .then(ZPath.radial(PathPoint.from_polar(1.0, turn), 3.0))
-        )
+        e = np.exp(1j * turn)
+        path = [Leg(2.0 + 0j, 1.0 + 0j), Leg(1.0 + 0j, e, center=0j, sweep=turn), Leg(e, 3.0 * e)]
         h = SolutionHandle(system=sys, point=p0, value=np.eye(1))
         got = integrate_path(sys, h, path, tol=1e-12)
-        end = path.end
+        end = got.point
+        assert abs(end.arg - turn) < 1e-12 and abs(end.z - 3.0 * e) < 1e-15
         w1 = math.log(end.radius) + 1j * end.arg
         expect = np.exp(a * (w1 - math.log(2.0)) + u * (end.z - p0.z))
         assert abs(got.value[0, 0] / expect - 1.0) < 1e-11
@@ -141,8 +154,7 @@ class TestTaylorEngine:
             sol = solve_ivp(f, (0.0, 1.0), ref.ravel(), method="DOP853",
                             rtol=1e-13, atol=1e-13)
             ref = sol.y[:, -1].reshape(2, 2)
-            nxt = PathPoint(zb, math.atan2(zb.imag, zb.real))
-            h = integrate_path(sys, h, ZPath.line(h.point, nxt), tol=1e-12)
+            h = integrate_path(sys, h, [Leg(za, zb)], tol=1e-12)
         assert np.max(np.abs(h.value - ref)) < 1e-11 * np.max(np.abs(ref))
         assert h.wronskian_drift < 1e-11
 
@@ -159,14 +171,18 @@ class TestBatchedEngine:
         )
         cols = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = np.diag(sys.A)
-        arc = ZPath.arc(PathPoint.from_polar(2.0, 0.3), 2.1)
+        # the arc from arg 0.3 to 2.1 in two sweeps
+        args = [0.3, 0.3 + 0.9, 0.3 + 1.8]
+        ends = [PathPoint.from_polar(2.0, t).z for t in args]
+        arc = [Leg(ends[k], ends[k + 1], center=0j, sweep=args[k + 1] - args[k])
+               for k in range(2)]
         jobs = [
             (irregular_ode(sys, sys.u[0], b[0]), cols[0],
              [Leg(12.0 + 0j, 2.0 + 0j), Leg(2.0 + 0j, 2j, center=0j, sweep=math.pi / 2)]),
             (irregular_ode(sys, sys.u[1], b[1]), cols[1], [Leg(8.0 + 1j, 1.5 - 0.5j)]),
             (irregular_ode(sys, sys.u[2], b[2]), cols[2],
              [Leg(-6.0 + 2j, -1.0 + 0.5j), Leg(-1.0 + 0.5j, 1.0 + 1j)]),
-            (irregular_ode(sys), np.eye(3, dtype=complex), [seg.leg for seg in arc.segments]),
+            (irregular_ode(sys), np.eye(3, dtype=complex), arc),
         ]
         A1 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         A2 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -207,10 +223,14 @@ class TestBatchedEngine:
         origin), next to a gauged column and a Fuchsian loop."""
         sys = generic_system()
         ode = irregular_ode(sys)
-        turns = ZPath.loop(PathPoint(0.5 + 0j, 0.0), 15)
+        # 15 turns of radius 0.5 as 60 quarter-turn arcs, each a distinct leg
+        args = [2 * math.pi * 15 * k / 60 for k in range(61)]
+        ends = [PathPoint.from_polar(0.5, t).z for t in args]
+        turns = [Leg(ends[k], ends[k + 1], center=0j, sweep=args[k + 1] - args[k])
+                 for k in range(60)]
         jobs = TestBatchedEngine.mixed_jobs()[1::4] + [
             (ode, np.eye(2, dtype=complex), [Leg(2.0 + 0j, 2.3 + 0.1j)]),
-            (ode, np.eye(2, dtype=complex), [seg.leg for seg in turns.segments]),
+            (ode, np.eye(2, dtype=complex), turns),
         ]
         steps = [len(odeengine._schedule(o, lg, 0)[0]) for o, _, lg in jobs]
         assert steps[-2] == 1 and 400 <= steps[-1] <= 450

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Each subcommand maps onto one laboratory pipeline and prints a single JSON
-report on stdout; `--csv DIR` additionally writes plot tables.  Exit codes:
-0 for success / PASS, 2 for a FAIL verdict, 1 for malformed input or a
-violated precondition (the diagnostic is printed on stderr).
+report on stdout; `--csv DIR` (stokes-rays, cells, verify-coalescence)
+additionally writes plot tables.  Exit codes: 0 for success / PASS, 2 for a
+FAIL verdict, 1 for malformed input or a violated precondition (the
+diagnostic is printed on stderr).
 
-Tolerances are flags with documented defaults: --tol 1e-10 (integration),
---mtol 1e-6 (matrix comparisons), --order 10 (series truncation).  Reports
-are deterministic for identical inputs and flags.
+Tolerances are flags with documented defaults, each offered only by the
+subcommands that read it: --tol 1e-10 (integration), --mtol 1e-6 (matrix
+comparisons), --order 10 (series truncation; 30 for stokes-matrix and the
+verify commands).  Reports are deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .fuchsian import (
     product_relation_residual,
     schlesinger_residual,
 )
-from .isoflow import DeformationState, UPath, integrate_flow
+from .isoflow import DeformationState, integrate_flow
 from .levelt import build_levelt_solution, compute_levelt_exponents, monodromy_exponential
 from .odeengine import StokesConfig, join_plans, run_plan, stokes_matrix
 from .verify import collect_data, data_drift, stokes_relation_check, verify_coalescence
@@ -64,22 +66,7 @@ def _need_fuchsian(parts):
 
 def cmd_formal(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
-    du = None
-    if args.mode == "isomonodromic":
-        from .formal import flow_derivative_oracle
-
-        def flow_step(j, delta):
-            target = sys_.u.copy()
-            target[j] += delta
-            res = integrate_flow(
-                DeformationState(u=sys_.u, A=sys_.A),
-                UPath.line(sys_.u, target),
-                tol=args.tol,
-            )
-            return res.state.A
-
-        du = flow_derivative_oracle(sys_, flow_step, K=args.order)
-    fs = compute_formal_coefficients(sys_, K=args.order, mode=args.mode, du=du)
+    fs = compute_formal_coefficients(sys_, K=args.order, mode=args.mode)
     report = {
         "command": "formal",
         "order": args.order,
@@ -374,53 +361,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, system=True, path=False):
+    flags = {
+        "tol": dict(type=float, default=1e-10, help="integration tolerance"),
+        "mtol": dict(type=float, default=1e-6, help="matrix comparison tolerance"),
+        "order": dict(type=int, default=10, help="series truncation order"),
+        "csv": dict(default=None, help="directory for CSV tables"),
+    }
+
+    def common(sp, *names, system=True, path=False):
+        """--system, --path and those of the flags above that sp reads."""
         if system:
             sp.add_argument("--system", required=True, help="system JSON file")
         if path:
             sp.add_argument("--path", required=True, help="u-path JSON file")
-        sp.add_argument("--tol", type=float, default=1e-10, help="integration tolerance")
-        sp.add_argument("--mtol", type=float, default=1e-6, help="matrix comparison tolerance")
-        sp.add_argument("--order", type=int, default=10, help="series truncation order")
-        sp.add_argument("--csv", default=None, help="directory for CSV tables")
+        for name in names:
+            sp.add_argument(f"--{name}", **flags[name])
 
     sp = sub.add_parser("formal", help="formal solution coefficients")
-    common(sp)
+    common(sp, "mtol", "order")
     sp.add_argument("--mode", choices=["generic", "isomonodromic"], default="generic")
     sp.set_defaults(fn=cmd_formal)
 
     sp = sub.add_parser("stokes-rays", help="Stokes ray directions")
-    common(sp)
+    common(sp, "csv")
     sp.set_defaults(fn=cmd_stokes_rays)
 
     sp = sub.add_parser("cells", help="wall membership / same-cell check")
-    common(sp)
+    common(sp, "mtol", "csv")
     sp.add_argument("--path", default=None, help="optional u-path of points to classify")
     sp.add_argument("--tau", type=float, required=True)
     sp.set_defaults(fn=cmd_cells)
 
     sp = sub.add_parser("levelt", help="Levelt exponents and solution")
-    common(sp)
+    common(sp, "mtol", "order")
     sp.set_defaults(fn=cmd_levelt)
 
     sp = sub.add_parser("stokes-matrix", help="Stokes matrix S_r")
-    common(sp)
+    common(sp, "tol", "mtol", "order")
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--radius", type=float, default=20.0, help="seed radius")
     sp.set_defaults(fn=cmd_stokes_matrix, order=30)
 
     sp = sub.add_parser("flow", help="strong isomonodromy flow along a u-path")
-    common(sp, path=True)
+    common(sp, "tol", "mtol", path=True)
     sp.set_defaults(fn=cmd_flow)
 
     sp = sub.add_parser("schlesinger", help="Schlesinger flow along a pole path")
-    common(sp, path=True)
+    common(sp, "tol", "mtol", path=True)
     sp.add_argument("--monodromy", action="store_true", help="compare endpoint monodromy")
     sp.set_defaults(fn=cmd_schlesinger)
 
     sp = sub.add_parser("kv-example", help="the explicit non-Schlesinger family")
-    common(sp, system=False)
+    common(sp, "tol", system=False)
     sp.add_argument("--h", type=float, nargs="+", default=[1.0],
                     help="polynomial coefficients of h (constant first)")
     sp.add_argument("--u", type=float, default=0.5)
@@ -428,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_kv_example)
 
     sp = sub.add_parser("verify-strong", help="essential-data constancy along a flow")
-    common(sp, path=True)
+    common(sp, "tol", "mtol", "order", path=True)
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--tau", type=float, required=True)
     sp.set_defaults(fn=cmd_verify_strong, order=30)
 
     sp = sub.add_parser("verify-coalescence", help="coalescence-limit pipeline")
-    common(sp)
+    common(sp, "tol", "order", "csv")
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)

@@ -181,7 +181,6 @@ def compute_formal_coefficients(
     sys: IrregularSystem,
     K: int = 10,
     mode: str = "generic",
-    du=None,
     coalesce_tol: float = 0.0,
     pattern_tol: float = 1e-10,
 ) -> FormalSolution:
@@ -194,16 +193,19 @@ def compute_formal_coefficients(
     diagonal entries must not differ by negative integers).
 
     mode="isomonodromic" determines off-diagonal entries of F_{l+1} from the
-    u-side relation [F_{l+1}, E_i] = [F_1, E_i] F_l - d_i F_l using the
-    supplied derivative oracle `du(l) -> list of d/du_i F_l`, and diagonals
-    from the z-side diagonal rule, which both sides share.
+    u-side relation [F_{l+1}, E_i] = [F_1, E_i] F_l - d_i F_l, and diagonals
+    from the z-side diagonal rule, which both sides share.  F_1 and the exact
+    derivatives d_i F_l along the strong isomonodromy flow come from the
+    generic recursion and its tangent (`_u_derivatives`).  The u-side
+    relation holds only for the simple-pole system at distinct u, so higher
+    poles and coalesced u raise ValueError.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     if mode not in ("generic", "isomonodromic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "isomonodromic" and du is None:
-        raise ValueError("isomonodromic mode needs a derivative oracle du")
+    if mode == "isomonodromic" and any(np.any(H != 0) for H in sys.higher):
+        raise ValueError("isomonodromic mode does not support higher poles")
 
     A = sys.A
     u = sys.u
@@ -230,6 +232,12 @@ def compute_formal_coefficients(
                 pair=(complex(d[i]), complex(d[j])),
             )
 
+    if mode == "isomonodromic":
+        if any_coalesced:
+            raise ValueError("isomonodromic mode does not support coalesced u")
+        F_gen = compute_formal_coefficients(sys, max(K, 1)).F
+        dF = _u_derivatives(sys, F_gen)
+
     F_all: list[np.ndarray] = []
     for k in range(1, K + 1):
         Fk = np.zeros((n, n), dtype=complex)
@@ -245,22 +253,12 @@ def compute_formal_coefficients(
                     num += hi[i, j]
                     Fk[i, j] = num / (u[j] - u[i])
         else:
-            if any_coalesced:
-                raise ValueError("isomonodromic mode does not support coalesced u")
-            dF = du(k - 1)  # list over i of d/du_i F_{k-1}; for k=1, d F_0 = 0
-            F1 = F_all[0] if F_all else _first_coefficient(sys)
-            Fl = Fprev
             for i in range(n):
-                comm = _commutator_with_E(F1, i)
-                Rhs = comm @ Fl - dF[i]
-                # [F_{l+1}, E_i] has column i equal to (F_{l+1})_{ai}, row i
-                # equal to -(F_{l+1})_{ib}
-                for a in range(n):
-                    if a != i:
-                        Fk[a, i] = Rhs[a, i]
-                for b in range(n):
-                    if b != i:
-                        Fk[i, b] = -Rhs[i, b]
+                Rhs = _omega(F_gen[0], i) @ Fprev - dF[k - 1][i]
+                # [F_k, E_i] has column i equal to (F_k)_{ai}, row i equal to
+                # -(F_k)_{ib}; the diagonal is set below
+                Fk[:, i] = Rhs[:, i]
+                Fk[i, :] = -Rhs[i, :]
         if any_coalesced:
             _coalesced_entries(sys, F_all, Fk, k, label)
         # diagonal rule shared by both modes
@@ -273,51 +271,38 @@ def compute_formal_coefficients(
     return FormalSolution(b=d.copy(), u=u.copy(), F=tuple(F_all), mode=mode)
 
 
-def _first_coefficient(sys):
-    """Closed form F_1: (F_1)_{ij} = A_ij/(u_j - u_i), diagonal by the k=1 rule."""
-    fs = compute_formal_coefficients(sys, K=1)
-    return fs.F[0]
+def _omega(F1, i):
+    """omega_i(0) = [F_1, E_i]: column i of F_1 minus its row i."""
+    W = np.zeros_like(F1)
+    W[:, i] = F1[:, i]
+    W[i, :] -= F1[i, :]
+    return W
 
 
-def _commutator_with_E(M, i):
-    E = np.zeros_like(M)
-    E[i, i] = 1.0
-    return M @ E - E @ M
-
-
-def flow_derivative_oracle(sys, flow_step, h: float = 1e-5, K: int = 10):
-    """Centered finite-difference oracle for d/du_i F_l along a flow.
-
-    `flow_step(j, delta)` must return the matrix A at u + delta*e_j obtained
-    by the isomonodromy flow.  The oracle computes the generic-recursion
-    coefficients at the displaced points, so combining it with
-    mode="isomonodromic" cross-validates the two recursions.
-    """
-    n = sys.n
-    cache: dict[tuple[int, int], FormalSolution] = {}
-
-    def displaced(j, sgn):
-        key = (j, sgn)
-        if key not in cache:
-            A_disp = flow_step(j, sgn * h)
-            u_disp = sys.u.copy()
-            u_disp[j] += sgn * h
-            cache[key] = compute_formal_coefficients(
-                IrregularSystem(u=u_disp, A=A_disp, higher=sys.higher), K=K
-            )
-        return cache[key]
-
-    def du(l):
-        if l == 0:
-            return [np.zeros((n, n), dtype=complex) for _ in range(n)]
-        out = []
-        for j in range(n):
-            fp = displaced(j, +1).F[l - 1]
-            fm = displaced(j, -1).F[l - 1]
-            out.append((fp - fm) / (2 * h))
-        return out
-
-    return du
+def _u_derivatives(sys, F):
+    """d/du_i F_l for l = 0..len(F) - 1, each stacked over i, along the strong
+    isomonodromy flow u' = e_i, A' = [omega_i(0), A]: the tangent of the
+    generic recursion of a simple pole at distinct u, (u_j - u_i)(F_l)_{ij} =
+    (A F_{l-1} - F_{l-1} B + (l - 1) F_{l-1})_{ij} and
+    l (F_l)_{ii} = -((A - B) F_l)_{ii}, B = diag(A)."""
+    A, u, n = sys.A, sys.u, sys.n
+    eye = np.eye(n)
+    off = 1.0 - eye
+    W = np.array([_omega(F[0], i) for i in range(n)])
+    dA = W @ A - A @ W
+    dd = np.einsum("iaa->ia", dA)[:, None, :]  # d/du_i diag(A), as rows
+    du = eye[:, None, :] - eye[:, :, None]  # (e_i)_b - (e_i)_a at (i, a, b)
+    gap = u[None, :] - u[:, None] + eye
+    Fs = [eye] + list(F)
+    dF = [np.zeros((n, n, n), dtype=complex)]
+    for l in range(1, len(F)):
+        P, dP = Fs[l - 1], dF[-1]
+        dN = dA @ P + A @ dP - dP * np.diag(A) - P * dd + (l - 1) * dP
+        dFl = off * (dN - du * Fs[l]) / gap
+        diag = np.einsum("iab,ba->ia", off * dA, Fs[l]) + np.einsum("ab,iba->ia", off * A, dFl)
+        dFl[:, range(n), range(n)] = -diag / l
+        dF.append(dFl)
+    return dF
 
 
 def eval_series_factor(fs: FormalSolution, z: complex, K: int | None = None) -> np.ndarray:

@@ -19,11 +19,11 @@ one right-hand side over all COLLOCATION_NODES nodes of the step.  The node
 axis is the last axis of every stack, so that the many 2x2 to 4x4 products
 of a right-hand side run as elementwise numpy loops along it.
 
-Also here: the Frobenius-integrability residual probed by finite
-differences, the vanishing-order fit A_ij = O(u_i - u_j) used near the
-coalescence locus, and the Laurent reduction of Pfaffian coefficients with
-poles in z (downward Sylvester chain, which forces all negative coefficients
-to vanish for non-resonant A).
+Also here: the Frobenius-integrability residual, in closed form from the
+flow's own right-hand side; the vanishing-order fit A_ij = O(u_i - u_j) used
+near the coalescence locus; and the Laurent reduction of Pfaffian
+coefficients with poles in z (downward Sylvester chain, which forces all
+negative coefficients to vanish for non-resonant A).
 """
 
 from __future__ import annotations
@@ -444,44 +444,29 @@ def integrate_flow(
     )
 
 
-def integrability_residual(state: DeformationState, h: float = 1e-5,
-                           rhs_sign: float = 1.0) -> float:
-    """Max-norm Frobenius mismatch d_k omega_j(0) - d_j omega_k(0) + [omega_j, omega_k].
+def integrability_residual(state: DeformationState, rhs_sign: float = 1.0) -> float:
+    """Largest spectral norm, over j < k, of the Frobenius mismatch
+    d_k omega_j(0) - d_j omega_k(0) + [omega_j, omega_k] along the flow.
 
-    Partial derivatives are centered finite differences taken along the flow
-    itself: A(u +- h e_k) is obtained by integrating the deformation equations
-    over the short displacement, so a corrupted flow (`rhs_sign` = -1) shows
-    up as an O(1) residual while a faithful one converges at O(h^2).  For
-    n = 2 the residual vanishes structurally (omega_1 = -omega_0 plus
-    translation invariance), so sensitivity checks need n >= 3.
+    In closed form (Jimbo, Miwa & Ueno, Physica D 2, 1981): along the flow
+    dA/du_k = rhs_sign [omega_k, A], and omega_j(0) is linear in A, so
+    d_k omega_j = omega_j^0(dA/du_k) + (explicit u-partial) + d_k D_j, where
+    omega_j^0 is `omega_zero_part` without its gauge.  The explicit
+    u-partials -A_ab (delta_aj - delta_bj)(delta_ak - delta_bk)/(u_a - u_b)^2
+    and the gauge partials d_k d_j D are symmetric in j and k and cancel.  So
+    a faithful flow reads round-off and a corrupted one (`rhs_sign` = -1)
+    O(1).  For n = 2 the residual vanishes structurally (omega_1 = -omega_0
+    plus translation invariance), so sensitivity checks need n >= 3.
     """
-    n = state.n
-    u0 = state.u
-
-    def omega_at(u_disp, A_disp, j):
-        Dj = state.gauge.partial(u_disp, j) if state.gauge is not None else None
-        return omega_zero_part(A_disp, u_disp, j, Dj=Dj)
-
-    # displaced states along the flow
-    disp = {}
-    for k in range(n):
-        for sgn in (+1, -1):
-            target = u0.copy()
-            target[k] += sgn * h
-            res = integrate_flow(
-                state, UPath.line(u0, target), tol=1e-12, rhs_sign=rhs_sign
-            )
-            disp[(k, sgn)] = res.state
-
-    W0 = [omega_at(u0, state.A, j) for j in range(n)]
+    n, u, A, gauge = state.n, state.u, state.A, state.gauge
+    W = [omega_zero_part(A, u, j, None if gauge is None else gauge.partial(u, j))
+         for j in range(n)]
+    dA = [rhs_sign * (Wk @ A - A @ Wk) for Wk in W]
     worst = 0.0
     for j in range(n):
         for k in range(j + 1, n):
-            sp, sm = disp[(k, +1)], disp[(k, -1)]
-            dWj_duk = (omega_at(sp.u, sp.A, j) - omega_at(sm.u, sm.A, j)) / (2 * h)
-            sp, sm = disp[(j, +1)], disp[(j, -1)]
-            dWk_duj = (omega_at(sp.u, sp.A, k) - omega_at(sm.u, sm.A, k)) / (2 * h)
-            resid = dWj_duk - dWk_duj + W0[j] @ W0[k] - W0[k] @ W0[j]
+            resid = (omega_zero_part(dA[k], u, j) - omega_zero_part(dA[j], u, k)
+                     + W[j] @ W[k] - W[k] @ W[j])
             worst = max(worst, float(np.linalg.norm(resid, 2)))
     return worst
 

@@ -307,7 +307,7 @@ def test_criterion_9_mutation_sensitivity(strong_run):
         stokes_break = float(np.max(np.abs(S_bad - strong_run[0].S_r)))
 
         resid_break = integrability_residual(
-            DeformationState(u=U_START, A=GENERIC_A), h=1e-4, rhs_sign=-1.0
+            DeformationState(u=U_START, A=GENERIC_A), rhs_sign=-1.0
         )
         # for n = 2 the integrability residual is structurally blind, so the
         # Stokes constancy check must catch the corruption

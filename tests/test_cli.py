@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -77,14 +78,28 @@ class TestFormalCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["mode"] == "isomonodromic"
-        # agrees with the generic recursion to finite-difference accuracy
+        # agrees with the generic recursion: the u-derivatives are exact
         _, out_gen, _ = run(
             capsys, ["formal", "--system", generic_system_file, "--order", "4"]
         )
         gen = json.loads(out_gen)
         for Fi, Fg in zip(doc["F"], gen["F"]):
             diff = np.max(np.abs(np.array(Fi) - np.array(Fg)))
-            assert diff < 1e-6
+            assert diff <= 1e-10
+
+    def test_isomonodromic_mode_rejects_higher_poles(self, capsys, tmp_path):
+        f = write_json(
+            tmp_path / "higher.json",
+            {
+                "u": [[0.0, 0.0], [1.0, 0.0]],
+                "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]],
+                "higher": [[[[0.1, 0.0], [0.3, 0.0]], [[-0.2, 0.0], [0.05, 0.0]]]],
+            },
+        )
+        code, out, err = run(capsys, ["formal", "--system", f, "--mode", "isomonodromic"])
+        assert code == 1 and out == ""
+        assert "higher poles" in err
+        assert run(capsys, ["formal", "--system", f])[0] == 0
 
     def test_deterministic_output(self, capsys, generic_system_file):
         _, out1, _ = run(capsys, ["formal", "--system", generic_system_file])
@@ -335,6 +350,26 @@ class TestParser:
                     main(argv)
                 exits.append((exc.value.code, capsys.readouterr().err))
             assert exits[0] == exits[1] and exits[0][0] == 2
+
+    def test_shared_flags_only_where_read(self):
+        reads = {
+            "formal": {"mtol", "order"},
+            "stokes-rays": {"csv"},
+            "cells": {"mtol", "csv"},
+            "levelt": {"mtol", "order"},
+            "stokes-matrix": {"tol", "mtol", "order"},
+            "flow": {"tol", "mtol"},
+            "schlesinger": {"tol", "mtol"},
+            "kv-example": {"tol"},
+            "verify-strong": {"tol", "mtol", "order"},
+            "verify-coalescence": {"tol", "order", "csv"},
+        }
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(reads)
+        for name, sp in sub.choices.items():
+            dests = {a.dest for a in sp._actions}
+            assert dests & {"tol", "mtol", "order", "csv"} == reads[name], name
 
     def test_parser_built_once(self, capsys, system_file, monkeypatch):
         builds = []

@@ -7,7 +7,6 @@ from isomlab.formal import (
     check_resonances,
     compute_formal_coefficients,
     eval_truncated_formal,
-    flow_derivative_oracle,
     formal_monodromy,
     ode_laurent_residuals,
     optimal_truncation,
@@ -222,27 +221,30 @@ class TestEvaluation:
 
 
 class TestIsomonodromicMode:
-    def test_requires_oracle(self):
-        sys = IrregularSystem(u=[0.0, 1.0], A=[[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            compute_formal_coefficients(sys, K=2, mode="isomonodromic")
-
     def test_agrees_with_generic_along_strong_flow(self):
-        from isomlab.isoflow import DeformationState, UPath, integrate_flow
-
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
-        sys = IrregularSystem(u=[0.0, 1.0], A=A)
+        systems = [IrregularSystem(u=[0.0, 1.0], A=A), random_system(np.random.default_rng(3), 3)]
+        for sys in systems:
+            fs_iso = compute_formal_coefficients(sys, K=5, mode="isomonodromic")
+            fs_gen = compute_formal_coefficients(sys, K=5)
+            assert fs_iso.mode == "isomonodromic"
+            for Fi, Fg in zip(fs_iso.F, fs_gen.F):
+                assert np.max(np.abs(Fi - Fg)) <= 1e-10  # exact derivatives
 
-        def flow_step(j, delta):
-            target = sys.u.copy()
-            target[j] += delta
-            res = integrate_flow(
-                DeformationState(u=sys.u, A=A), UPath.line(sys.u, target), tol=1e-12
-            )
-            return res.state.A
-
-        du = flow_derivative_oracle(sys, flow_step, h=1e-5, K=6)
-        fs_iso = compute_formal_coefficients(sys, K=5, mode="isomonodromic", du=du)
-        fs_gen = compute_formal_coefficients(sys, K=5)
+    def test_higher_poles_rejected(self):
+        A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
+        A2 = np.array([[0.1, 0.3], [-0.2, 0.05]], dtype=complex)
+        sys = IrregularSystem(u=[0.0, 1.0], A=A, higher=(A2,))
+        with pytest.raises(ValueError, match="higher poles"):
+            compute_formal_coefficients(sys, K=3, mode="isomonodromic")
+        # a vanishing higher coefficient is the simple-pole system
+        zero = IrregularSystem(u=[0.0, 1.0], A=A, higher=(0 * A2,))
+        fs_iso = compute_formal_coefficients(zero, K=5, mode="isomonodromic")
+        fs_gen = compute_formal_coefficients(zero, K=5)
         for Fi, Fg in zip(fs_iso.F, fs_gen.F):
-            assert np.max(np.abs(Fi - Fg)) < 1e-6  # centered FD accuracy
+            assert np.max(np.abs(Fi - Fg)) <= 1e-10
+
+    def test_coalesced_u_rejected(self):
+        sys = IrregularSystem(u=[0.0, 0.0], A=[[0.2, 0.0], [0.0, -0.4]])
+        with pytest.raises(ValueError, match="coalesced"):
+            compute_formal_coefficients(sys, K=3, mode="isomonodromic", coalesce_tol=1e-9)

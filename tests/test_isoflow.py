@@ -189,23 +189,80 @@ class TestIntegrabilityResidual:
         A = np.diag([0.4, -0.2]).astype(complex)
         assert integrability_residual(DeformationState(u=U0, A=A)) < 1e-9
 
-    def test_second_order_in_h(self):
-        # n = 2 is structurally exact, so probe a 3x3 system
-        rng = np.random.default_rng(21)
-        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        state = DeformationState(u=np.array([0.0, 1.0, 0.5 + 1.0j]), A=A)
-        r1 = integrability_residual(state, h=2e-4)
-        r2 = integrability_residual(state, h=1e-4)
-        # centered differences: residual ~ C h^2
-        assert r1 < 1e-5
-        assert r2 < r1 / 2.5
+    @staticmethod
+    def seeded_state(n, gauge=None):
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return DeformationState(u=u, A=A, gauge=gauge)
+
+    @staticmethod
+    def nonlinear_gauge(n):
+        # D_00 = (0.7 + 0.2i) u_0^2 u_1, D_11 = -0.3 u_1 u_2^3
+        return DiagonalGauge(n=n, terms=(
+            (0, 0.7 + 0.2j, (2, 1) + (0,) * (n - 2)),
+            (1, -0.3 + 0j, (0, 1, 3) + (0,) * (n - 3)),
+        ))
+
+    def test_exact_on_strong_states(self):
+        # n = 2 is structurally exact, so probe n >= 3
+        for n in (3, 4, 5):
+            assert integrability_residual(self.seeded_state(n)) <= 1e-12
+
+    def test_exact_on_gauged_states(self):
+        for n in (3, 4, 5):
+            state = self.seeded_state(n, self.nonlinear_gauge(n))
+            assert integrability_residual(state) <= 1e-12
 
     def test_corrupted_flow_detected(self):
         # a wrong-sign RHS breaks the mixed-partial identity at O(1)
         rng = np.random.default_rng(21)
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         state = DeformationState(u=np.array([0.0, 1.0, 0.5 + 1.0j]), A=A)
-        assert integrability_residual(state, h=1e-4, rhs_sign=-1.0) > 0.1
+        assert integrability_residual(state, rhs_sign=-1.0) > 0.1
+        gauged = self.seeded_state(3, self.nonlinear_gauge(3))
+        assert integrability_residual(gauged, rhs_sign=-1.0) > 0.1
+
+    def test_matches_finite_differences_of_the_flow(self):
+        # reference: d_k omega_j by centred differences of omega_j along short
+        # flows; a corrupted gauged flow makes the residual O(1), so the
+        # closed form must reproduce it, gauge terms included
+        h = 5e-5
+        state = self.seeded_state(3, self.nonlinear_gauge(3))
+        u0, n = state.u, state.n
+
+        def omega(s, j):
+            return omega_zero_part(s.A, s.u, j, state.gauge.partial(s.u, j))
+
+        for rhs_sign in (1.0, -1.0):
+            ends = {}
+            for k in range(n):
+                for sgn in (1, -1):
+                    target = u0.copy()
+                    target[k] += sgn * h
+                    ends[k, sgn] = integrate_flow(
+                        state, UPath.line(u0, target), tol=1e-13, rhs_sign=rhs_sign).state
+            worst = 0.0
+            for j in range(n):
+                for k in range(j + 1, n):
+                    dj = (omega(ends[k, 1], j) - omega(ends[k, -1], j)) / (2 * h)
+                    dk = (omega(ends[j, 1], k) - omega(ends[j, -1], k)) / (2 * h)
+                    Wj, Wk = omega(state, j), omega(state, k)
+                    worst = max(worst, np.linalg.norm(dj - dk + Wj @ Wk - Wk @ Wj, 2))
+            exact = integrability_residual(state, rhs_sign=rhs_sign)
+            assert abs(exact - worst) <= 1e-6 * max(worst, 1.0)
+
+    def test_runs_no_flow(self, monkeypatch):
+        import isomlab.isoflow as isoflow
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrability_residual ran a flow")
+
+        monkeypatch.setattr(isoflow, "integrate_flow", refuse)
+        monkeypatch.setattr(isoflow, "_integrate", refuse)
+        state = self.seeded_state(4, self.nonlinear_gauge(4))
+        assert integrability_residual(state) <= 1e-12
+        assert integrability_residual(state, rhs_sign=-1.0) > 0.1
 
 
 class TestVanishingCheck:

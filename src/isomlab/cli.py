@@ -100,6 +100,8 @@ def cmd_cells(args) -> int:
     points = [sys_.u]
     if args.path:
         points = list(io.load_upath(args.path).waypoints)
+    if args.csv and len(points) != 2:
+        raise IsomlabError(f"--csv needs a --path of two waypoints; got {len(points)} point(s)")
     reports = []
     for pt in points:
         rep = geometry.classify_point(pt, args.tau, tol=args.mtol)
@@ -282,7 +284,6 @@ def cmd_verify_strong(args) -> int:
         tau=args.tau,
         tol=args.tol,
         order=args.order,
-        with_extras=True,
     )
     drift = data_drift(data)
     rel = stokes_relation_check(data[0])

@@ -59,7 +59,8 @@ Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
 function that assembles it from their end values, and run all of them in
 one batch: `sectorial_plan`, `stokes_plan` and `connection_plan` are the
 plan steps of `actual_solution`, `stokes_matrix` and `connection_matrix`,
-and `fuchsian.monodromy_plan` that of `fuchs_monodromy`.
+and `fuchsian.monodromy_plan` that of `fuchs_monodromy`; the sector plans
+take all their settings as one `StokesConfig`.
 The plans of one pipeline share a memo dict, so that sector frames, seed
 directions, truncation orders, seed columns and column ODEs are computed
 once each, and the engine finds the legs they have in common.
@@ -579,12 +580,22 @@ def integrate_path(
 
 @dataclass(frozen=True)
 class StokesConfig:
+    """Settings of the sector plans: the sector frames (tau, and with
+    `widened` the coalescence point uC), seed radius, series order (when no
+    series is given) and transport tol.  uC is kept as a tuple of complex,
+    so that configs hash and compare by value."""
+
     tau: float
     radius: float = DEFAULT_SEED_RADIUS
     tol: float = DEFAULT_TOL
     order: int = 30
     widened: bool = False
     uC: tuple | None = None
+
+    def __post_init__(self):
+        if self.uC is not None:
+            uC = np.asarray(self.uC, dtype=complex).reshape(-1)
+            object.__setattr__(self, "uC", tuple(complex(x) for x in uC))
 
 
 def _memoized(memo: dict, key: tuple, compute: Callable[[], Any]):
@@ -594,23 +605,23 @@ def _memoized(memo: dict, key: tuple, compute: Callable[[], Any]):
     return memo[key]
 
 
-def _frame(memo: dict, sys, r, tau, widened, uC) -> SectorFrame:
-    """The frame of sector r of sys with these settings, once per memo."""
-    key = ("frame", sys.u.tobytes(), r, tau, widened,
-           None if uC is None else np.asarray(uC, dtype=complex).tobytes())
-    return _memoized(memo, key, lambda: sector_bounds(sys.u, tau, r, widened=widened, uC=uC))
+def _frame(memo: dict, sys, r, cfg: StokesConfig) -> SectorFrame:
+    """The frame of sector r of sys under cfg, once per memo."""
+    key = ("frame", sys.u.tobytes(), r, cfg.tau, cfg.widened, cfg.uC)
+    return _memoized(memo, key, lambda: sector_bounds(sys.u, cfg.tau, r, widened=cfg.widened,
+                                                      uC=cfg.uC))
 
 
-def _seeds(memo: dict, sys, r, tau, radius, widened, uC):
+def _seeds(memo: dict, sys, r, cfg: StokesConfig):
     """The frame of sector r, the seed direction of every column in it and
-    the Stokes leakage of seeds there at `radius`, once per memo."""
-    frame = _frame(memo, sys, r, tau, widened, uC)
+    the Stokes leakage of seeds there at the seed radius, once per memo."""
+    frame = _frame(memo, sys, r, cfg)
 
     def compute():
         angles, _ = _column_seed_directions(sys.u, frame)
-        return angles, _leakage(sys.u, angles, radius)
+        return angles, _leakage(sys.u, angles, cfg.radius)
 
-    return (frame, *_memoized(memo, ("seeds", sys.u.tobytes(), frame, radius), compute))
+    return (frame, *_memoized(memo, ("seeds", sys.u.tobytes(), frame, cfg.radius), compute))
 
 
 def _column_seed_directions(u, frame: SectorFrame, grid: int = 720):
@@ -652,26 +663,19 @@ def _leakage(u, angles, radius) -> float:
     return float(np.max(admixture[diff != 0], initial=0.0))
 
 
-def sectorial_plan(
-    sys: IrregularSystem,
-    r: int,
-    tau: float,
-    radius: float = DEFAULT_SEED_RADIUS,
-    zstar: PathPoint | None = None,
-    fs: FormalSolution | None = None,
-    order: int = 30,
-    widened: bool = False,
-    uC=None,
-    coalesce_tol: float = 0.0,
-    memo: dict | None = None,
-) -> Plan:
-    """The column transports of actual_solution, assembled into its handle.
+def sectorial_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
+                   zstar: PathPoint | None = None, fs: FormalSolution | None = None,
+                   memo: dict | None = None) -> Plan:
+    """The column transports of Y_r at `zstar` (default: the sector midpoint
+    at the seed radius), assembled into its handle.
 
     Each column runs a radial leg in from its seed, an argument sweep at
-    moderate radius and a radial leg out to z*; `memo` as for stokes_plan.
+    moderate radius and a radial leg out to z*.  Without `fs` the series is
+    computed to cfg.order; `memo` as for stokes_plan.
     """
     memo = {} if memo is None else memo
-    frame, angles, leakage = _seeds(memo, sys, r, tau, radius, widened, uC)
+    radius = cfg.radius
+    frame, angles, leakage = _seeds(memo, sys, r, cfg)
     if zstar is None:
         zstar = PathPoint.from_polar(radius, frame.midpoint)
     elif not frame.contains(zstar.arg):
@@ -680,7 +684,7 @@ def sectorial_plan(
             f"({frame.lo:.6g}, {frame.hi:.6g})"
         )
     if fs is None:
-        fs = compute_formal_coefficients(sys, K=order, coalesce_tol=coalesce_tol)
+        fs = compute_formal_coefficients(sys, K=cfg.order)
     F = np.asarray(fs.F, dtype=complex).reshape(-1, sys.n, sys.n)
     series = F.tobytes()
     k_opt, bound = _memoized(memo, ("truncation", series, radius),
@@ -743,13 +747,13 @@ def actual_solution(
     recessive (there the seed's contamination by other solutions is below
     the truncation error) and transported to the common point.  The reported
     `seed_error` is the first-omitted-term bound, inflated by exp(R d) when
-    some column is only recessive up to a defect d < 0.
+    some column is only recessive up to a defect d < 0.  Without `fs` the
+    series is computed to `order` with `coalesce_tol`.
     """
-    return run_plan(
-        sectorial_plan(sys, r, tau, radius=radius, zstar=zstar, fs=fs, order=order,
-                       widened=widened, uC=uC, coalesce_tol=coalesce_tol),
-        tol,
-    )
+    cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order, widened=widened, uC=uC)
+    if fs is None:
+        fs = compute_formal_coefficients(sys, K=order, coalesce_tol=coalesce_tol)
+    return run_plan(sectorial_plan(sys, r, cfg, zstar=zstar, fs=fs), tol)
 
 
 @dataclass(frozen=True)
@@ -780,8 +784,7 @@ def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
     by what it depends on.  A plan takes what it needs from it and adds what
     it computes, so each is computed once per pipeline."""
     memo = {} if memo is None else memo
-    frame_r, frame_r1 = (_frame(memo, sys, k, cfg.tau, cfg.widened, cfg.uC)
-                         for k in (r, r + 1))
+    frame_r, frame_r1 = (_frame(memo, sys, k, cfg) for k in (r, r + 1))
     lo, hi = frame_r1.lo, frame_r.hi
     if not hi - lo > 1e-9:
         raise SectorError(f"sectors {r} and {r + 1} do not overlap: ({lo}, {hi})")
@@ -789,11 +792,7 @@ def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
     zstar = PathPoint.from_polar(cfg.radius / 2.0, theta)
     if fs is None:
         fs = compute_formal_coefficients(sys, K=cfg.order)
-    sectorial = [
-        sectorial_plan(sys, k, cfg.tau, radius=cfg.radius, zstar=zstar, fs=fs,
-                       widened=cfg.widened, uC=cfg.uC, memo=memo)
-        for k in (r, r + 1)
-    ]
+    sectorial = [sectorial_plan(sys, k, cfg, zstar=zstar, fs=fs, memo=memo) for k in (r, r + 1)]
 
     def assemble(Yr, Yr1):
         n = sys.n
@@ -847,51 +846,35 @@ def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
     return run_plan(stokes_plan(sys, r, cfg, fs=fs), cfg.tol)
 
 
-def levelt_handle(
-    sys: IrregularSystem,
-    ld: LeveltData,
-    arg: float,
-    radius: float | None = None,
-) -> SolutionHandle:
+def levelt_handle(sys: IrregularSystem, ld: LeveltData, arg: float) -> SolutionHandle:
     """Levelt solution evaluated near the origin on the requested branch.
 
     The Taylor factor converges on all of C for this system, but the
-    truncated series is accurate only near 0; the default evaluation radius
-    is 0.5 min |u_i| over nonzero entries, or 0.1 if Lambda has zero entries.
+    truncated series is accurate only near 0; it is evaluated at radius
+    0.5 min |u_i| over nonzero entries, or 0.1 if Lambda has zero entries.
     """
-    if radius is None:
-        nz = np.abs(sys.u[np.abs(sys.u) > 0])
-        radius = 0.1 if len(nz) < sys.n else 0.5 * float(nz.min())
+    nz = np.abs(sys.u[np.abs(sys.u) > 0])
+    radius = 0.1 if len(nz) < sys.n else 0.5 * float(nz.min())
     pt = PathPoint.from_polar(radius, arg)
     Y0 = eval_levelt(ld, pt.z, pt.arg)
     return SolutionHandle(system=sys, point=pt, value=Y0)
 
 
-def connection_plan(
-    sys: IrregularSystem,
-    r: int,
-    ld: LeveltData,
-    tau: float,
-    radius: float = DEFAULT_SEED_RADIUS,
-    fs: FormalSolution | None = None,
-    zstar: PathPoint | None = None,
-    widened: bool = False,
-    uC=None,
-    memo: dict | None = None,
-) -> Plan:
+def connection_plan(sys: IrregularSystem, r: int, ld: LeveltData, cfg: StokesConfig,
+                    fs: FormalSolution | None = None, zstar: PathPoint | None = None,
+                    memo: dict | None = None) -> Plan:
     """The transports of connection_matrix (the columns of Y_r and the
     radial Levelt leg), assembled into C_r; `memo` as for stokes_plan."""
     memo = {} if memo is None else memo
-    frame = _frame(memo, sys, r, tau, widened, uC)
+    frame = _frame(memo, sys, r, cfg)
     if zstar is None:
-        zstar = PathPoint.from_polar(radius / 2.0, frame.midpoint)
+        zstar = PathPoint.from_polar(cfg.radius / 2.0, frame.midpoint)
     elif not frame.contains(zstar.arg):
         raise SectorError("zstar outside the sector of Y_r")
     lev = levelt_handle(sys, ld, zstar.arg)
     return join_plans(
         [
-            sectorial_plan(sys, r, tau, radius=radius, zstar=zstar, fs=fs,
-                           widened=widened, uC=uC, memo=memo),
+            sectorial_plan(sys, r, cfg, zstar=zstar, fs=fs, memo=memo),
             Plan(((irregular_ode(sys), lev.value, [Leg(lev.point.z, zstar.z)]),),
                  lambda ends: ends[0]),
         ],
@@ -899,29 +882,17 @@ def connection_plan(
     )
 
 
-def connection_matrix(
-    sys: IrregularSystem,
-    r: int,
-    ld: LeveltData,
-    tau: float,
-    radius: float = DEFAULT_SEED_RADIUS,
-    tol: float = DEFAULT_TOL,
-    fs: FormalSolution | None = None,
-    zstar: PathPoint | None = None,
-    widened: bool = False,
-    uC=None,
-) -> np.ndarray:
-    """C_r with Y_r = Y^{(0)} C_r, matched at a common point of the cover.
+def connection_matrix(sys: IrregularSystem, r: int, ld: LeveltData, cfg: StokesConfig,
+                      fs: FormalSolution | None = None,
+                      zstar: PathPoint | None = None) -> np.ndarray:
+    """C_r with Y_r = Y^{(0)} C_r, matched at a common point of the cover
+    (default: the sector midpoint at half the seed radius).
 
     The Levelt solution is evaluated at small radius on the branch of z* and
     transported outward radially; both factors therefore carry the same arg
     bookkeeping and the quotient is branch-consistent.
     """
-    return run_plan(
-        connection_plan(sys, r, ld, tau, radius=radius, fs=fs, zstar=zstar,
-                        widened=widened, uC=uC),
-        tol,
-    )
+    return run_plan(connection_plan(sys, r, ld, cfg, fs=fs, zstar=zstar), cfg.tol)
 
 
 def monodromy_loop(

@@ -46,7 +46,6 @@ from .isoflow import (
 )
 from .levelt import build_levelt_solution, compute_levelt_exponents, with_gauge
 from .odeengine import (
-    DEFAULT_SEED_RADIUS,
     DEFAULT_TOL,
     StokesConfig,
     connection_plan,
@@ -56,6 +55,14 @@ from .odeengine import (
 )
 
 LEVELT_ORDER = 20  # Taylor terms of every Levelt solution the pipelines build
+# verify_coalescence: germ order, the |A0| entry at a coalescing pair that
+# counts as zero, and the thresholds of its limit, pattern and slope verdicts
+GERM_ORDER = 6
+PATTERN_TOL = 1e-10
+LIMIT_THRESHOLD = 1e-5
+PATTERN_THRESHOLD = 1e-6
+SLOPE_THRESHOLD = 0.9
+DIRECTION_TRIALS = 16  # angles coalescing_direction tries
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,8 @@ class MonodromyDataSet:
     d: np.ndarray  # Levelt integer exponents
     L: np.ndarray
     C_r: np.ndarray
-    S_r2: np.ndarray | None = None
-    C_r1: np.ndarray | None = None
+    S_r2: np.ndarray
+    C_r1: np.ndarray
     diag_residuals: tuple[float, float] = (0.0, 0.0)
     stokes_error: float = 0.0
 
@@ -81,12 +88,12 @@ def collect_data(
     samples,
     r: int,
     tau: float,
-    radius: float = DEFAULT_SEED_RADIUS,
     tol: float = DEFAULT_TOL,
     order: int = 30,
-    with_extras: bool = False,
 ) -> list[MonodromyDataSet]:
-    """Flow the state through the samples and extract data at each one.
+    """Flow the state through the samples and extract data at each one:
+    S_r, S_{r+1} and C_r, and the extras S_{r+2} and C_{r+1} of
+    stokes_relation_check, all at the default seed radius.
 
     The samples must lie in one tau-cell (checked pointwise for wall
     membership); the Levelt gauge is computed once at the first sample and
@@ -112,19 +119,15 @@ def collect_data(
                              carry_gauge=gauges[-1])
         states.append(res.state)
         gauges.append(res.gauge_matrix)
-    plans = [
-        _extract_plan(cur, G, ld0, r, tau, radius=radius, tol=tol, order=order,
-                      with_extras=with_extras)
-        for cur, G in zip(states, gauges)
-    ]
+    cfg = StokesConfig(tau=tau, tol=tol, order=order)
+    plans = [_extract_plan(cur, G, ld0, r, cfg) for cur, G in zip(states, gauges)]
     return run_plan(join_plans(plans), tol)
 
 
-def _extract_plan(state, G, ld0, r, tau, radius, tol, order, with_extras):
+def _extract_plan(state, G, ld0, r, cfg: StokesConfig):
     """The transports of one sample's data set, assembled into it."""
     sys = IrregularSystem(u=state.u, A=state.A)
-    fs = compute_formal_coefficients(sys, K=order)
-    cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order)
+    fs = compute_formal_coefficients(sys, K=cfg.order)
     ld = with_gauge(ld0, G, state.A)
     ld = build_levelt_solution(state.A, lambda m: sys.Lambda if m == 0 else np.zeros_like(state.A),
                                ld=ld, K=LEVELT_ORDER)
@@ -132,15 +135,12 @@ def _extract_plan(state, G, ld0, r, tau, radius, tol, order, with_extras):
     plans = [
         stokes_plan(sys, r, cfg, fs=fs, memo=memo),
         stokes_plan(sys, r + 1, cfg, fs=fs, memo=memo),
-        connection_plan(sys, r, ld, tau, radius=radius, fs=fs, memo=memo),
+        connection_plan(sys, r, ld, cfg, fs=fs, memo=memo),
+        stokes_plan(sys, r + 2, cfg, fs=fs, memo=memo),
+        connection_plan(sys, r + 1, ld, cfg, fs=fs, memo=memo),
     ]
-    if with_extras:
-        plans += [
-            stokes_plan(sys, r + 2, cfg, fs=fs, memo=memo),
-            connection_plan(sys, r + 1, ld, tau, radius=radius, fs=fs, memo=memo),
-        ]
 
-    def assemble(res_r, res_r1, C_r, res_r2=None, C_r1=None):
+    def assemble(res_r, res_r1, C_r, res_r2, C_r1):
         return MonodromyDataSet(
             u=state.u.copy(),
             r=r,
@@ -150,7 +150,7 @@ def _extract_plan(state, G, ld0, r, tau, radius, tol, order, with_extras):
             d=ld.d.copy(),
             L=ld.L,
             C_r=C_r,
-            S_r2=None if res_r2 is None else res_r2.S,
+            S_r2=res_r2.S,
             C_r1=C_r1,
             diag_residuals=(res_r.diag_residual, res_r1.diag_residual),
             stokes_error=max(res_r.error_estimate, res_r1.error_estimate),
@@ -196,12 +196,7 @@ def data_drift(datasets: list[MonodromyDataSet]) -> dict[str, float]:
 
 
 def stokes_relation_check(data: MonodromyDataSet) -> dict[str, float]:
-    """Residuals of S_{r+2} = e^{-2 pi i B} S_r e^{2 pi i B} and C_{r+1} = C_r S_r.
-
-    Requires the extras (S_{r+2}, C_{r+1}) collected alongside the base data.
-    """
-    if data.S_r2 is None or data.C_r1 is None:
-        raise ValueError("dataset lacks extras; collect with with_extras=True")
+    """Residuals of S_{r+2} = e^{-2 pi i B} S_r e^{2 pi i B} and C_{r+1} = C_r S_r."""
     phase = np.exp(2j * np.pi * data.b)
     conj = data.S_r * (phase[None, :] / phase[:, None])  # e^{-2pi i B} S e^{2pi i B}
     return {
@@ -214,7 +209,9 @@ def stokes_relation_check(data: MonodromyDataSet) -> dict[str, float]:
 class CoalescenceReport:
     """Everything the coalescence pipeline measured, plus the verdicts.
 
-    Two extraction passes feed the report.  The self-seeded pass (each
+    `S_frozen` and `S1_frozen` are S_r and S_{r+1} of the frozen system at
+    u^C, the limit the samples are compared against.  Two extraction passes
+    over the samples feed the report.  The self-seeded pass (each
     sample seeded with its own formal series) is the accurate one and gates
     the limit and zero-pattern thresholds.  The frozen-seeded pass (every
     sample seeded with the formal series of the frozen system, the only data
@@ -236,8 +233,6 @@ class CoalescenceReport:
     pairs: tuple[tuple[int, int], ...]
     S_frozen: np.ndarray
     S1_frozen: np.ndarray
-    L_frozen_spectrum: np.ndarray
-    C_frozen: np.ndarray
     S_samples: list[np.ndarray]
     S1_samples: list[np.ndarray]
     limit_errors: np.ndarray
@@ -371,7 +366,7 @@ def eval_ray_family(coeffs, s: float) -> np.ndarray:
     return out
 
 
-def coalescing_direction(uC, tau: float, trials: int = 16) -> np.ndarray:
+def coalescing_direction(uC, tau: float) -> np.ndarray:
     """A unit-gap direction splitting the coalescing group, off the walls.
 
     Spreads each coalescence group symmetrically along a common angle chosen
@@ -383,8 +378,8 @@ def coalescing_direction(uC, tau: float, trials: int = 16) -> np.ndarray:
     n = len(ref)
     label = coalescence_labels(ref)
     groups = [np.flatnonzero(label == g) for g in range(label.max() + 1)]
-    for k in range(trials):
-        phi = 0.35 + k * (math.pi / trials)
+    for k in range(DIRECTION_TRIALS):
+        phi = 0.35 + k * (math.pi / DIRECTION_TRIALS)
         e = complex(math.cos(phi), math.sin(phi))
         v = np.zeros(n, dtype=complex)
         for grp in groups:
@@ -401,7 +396,7 @@ def coalescing_direction(uC, tau: float, trials: int = 16) -> np.ndarray:
         # off the walls, tau is admissible at the probe
         if not classify_point(ref + 0.01 * v, tau).on_wall:
             return v
-    raise WallError("no wall-avoiding coalescing direction found; supply one")
+    raise WallError("no wall-avoiding coalescing direction found")
 
 
 def verify_coalescence(
@@ -409,17 +404,10 @@ def verify_coalescence(
     uC,
     tau: float,
     eps: float,
-    direction=None,
     r: int = 0,
     n_gaps: int = 6,
-    germ_order: int = 6,
-    radius: float = DEFAULT_SEED_RADIUS,
     tol: float = DEFAULT_TOL,
     order: int = 30,
-    pattern_tol: float = 1e-10,
-    limit_threshold: float = 1e-5,
-    pattern_threshold: float = 1e-6,
-    slope_threshold: float = 0.9,
 ) -> CoalescenceReport:
     """Run the coalescence-limit pipeline and assemble the report.
 
@@ -442,7 +430,7 @@ def verify_coalescence(
     if not pairs:
         raise ValueError("uC has no coalescing pair")
     for i, j in pairs:
-        if abs(A0[i, j]) > pattern_tol or abs(A0[j, i]) > pattern_tol:
+        if abs(A0[i, j]) > PATTERN_TOL or abs(A0[j, i]) > PATTERN_TOL:
             raise WallError(
                 f"vanishing condition violated at u^C: A[{i},{j}] or A[{j},{i}] nonzero"
             )
@@ -462,9 +450,7 @@ def verify_coalescence(
         if eps > bound:
             raise WallError(f"eps = {eps} exceeds the parallel-line bound {bound:.6g}")
 
-    v = coalescing_direction(ref, tau) if direction is None else np.asarray(
-        direction, dtype=complex
-    ).reshape(-1)
+    v = coalescing_direction(ref, tau)
 
     gaps = np.array([eps * 2.0 ** (-k) for k in range(1, n_gaps + 1)])
     samples = np.array([ref + g * v for g in gaps])
@@ -472,25 +458,17 @@ def verify_coalescence(
     # frozen system data in the widened frame (coalescence-aware recursion)
     frozen = IrregularSystem(u=ref, A=A0)
     fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=1e-9)
-    cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order,
-                       widened=True, uC=ref)
-    ld_frozen = compute_levelt_exponents(A0)
-    ld_frozen = build_levelt_solution(
-        A0, lambda m: frozen.Lambda if m == 0 else np.zeros_like(A0),
-        ld=ld_frozen, K=LEVELT_ORDER,
-    )
+    cfg = StokesConfig(tau=tau, tol=tol, order=order, widened=True, uC=ref)
     # what the plans of the whole pipeline share (see stokes_plan): the
     # frozen-seeded passes reuse the frozen series and its truncation
     memo = {}
     plans = [
         stokes_plan(frozen, r, cfg, fs=fs0, memo=memo),
         stokes_plan(frozen, r + 1, cfg, fs=fs0, memo=memo),
-        connection_plan(frozen, r, ld_frozen, tau, radius=radius, fs=fs0,
-                        widened=True, uC=ref, memo=memo),
     ]
 
     # sampled family: Taylor germ along the ray, flow-validated
-    coeffs = ray_family_series(A0, ref, v, order=germ_order)
+    coeffs = ray_family_series(A0, ref, v, order=GERM_ORDER)
     A_k = [eval_ray_family(coeffs, g) for g in gaps]
     state = DeformationState(u=ref + gaps[-1] * v, A=A_k[-1])
     flow = integrate_flow(
@@ -511,7 +489,7 @@ def verify_coalescence(
         fs_driven = FormalSolution(b=fs0.b, u=sysk.u, F=fs0.F, mode="frozen-seeded")
         plans += [stokes_plan(sysk, k, cfg, fs=fs, memo=memo)
                   for fs in (fsk, fs_driven) for k in (r, r + 1)]
-    S0_frozen, S1_frozen, C_frozen, *sampled = run_plan(join_plans(plans), tol)
+    S0_frozen, S1_frozen, *sampled = run_plan(join_plans(plans), tol)
     self_r, self_r1, driven_r, driven_r1 = (sampled[i::4] for i in range(4))
     S_samples = [res.S for res in self_r]
     S1_samples = [res.S for res in self_r1]
@@ -533,20 +511,20 @@ def verify_coalescence(
             mags = np.array([abs(S[a, b]) for S in S_samples])
             entry_magnitudes[(a, b)] = mags
             entry_fits[(a, b)] = vanishing_order_check(
-                gaps, mags, pair=(a, b), slope_threshold=slope_threshold,
+                gaps, mags, pair=(a, b), slope_threshold=SLOPE_THRESHOLD,
                 floor=entry_floor,
             )
             dmags = np.array([abs(S[a, b]) for S in S_driven])
             driven_entry_magnitudes[(a, b)] = dmags
             driven_entry_slopes[(a, b)] = vanishing_order_check(
-                gaps, dmags, pair=(a, b), slope_threshold=slope_threshold
+                gaps, dmags, pair=(a, b), slope_threshold=SLOPE_THRESHOLD
             ).slope
 
     a_entry_slopes = {}
     for p in pairs:
         mags = np.array([abs(Ak[p]) for Ak in A_k])
         a_entry_slopes[p] = vanishing_order_check(
-            gaps, mags, pair=p, slope_threshold=slope_threshold
+            gaps, mags, pair=p, slope_threshold=SLOPE_THRESHOLD
         ).slope
 
     pattern_magnitude = max(
@@ -558,11 +536,11 @@ def verify_coalescence(
     # noise scale, far below the threshold, are exempt)
     monotone = all(
         driven_limit_errors[k + 1]
-        <= max(1.5 * driven_limit_errors[k], 0.01 * limit_threshold)
+        <= max(1.5 * driven_limit_errors[k], 0.01 * LIMIT_THRESHOLD)
         for k in range(len(gaps) - 1)
     )
-    limit_ok = bool(limit_errors[-1] <= limit_threshold) and monotone
-    pattern_ok = bool(pattern_magnitude <= pattern_threshold)
+    limit_ok = bool(limit_errors[-1] <= LIMIT_THRESHOLD) and monotone
+    pattern_ok = bool(pattern_magnitude <= PATTERN_THRESHOLD)
 
     return CoalescenceReport(
         uC=ref,
@@ -574,8 +552,6 @@ def verify_coalescence(
         pairs=pairs,
         S_frozen=S0_frozen.S,
         S1_frozen=S1_frozen.S,
-        L_frozen_spectrum=np.sort_complex(np.linalg.eigvals(ld_frozen.L)),
-        C_frozen=C_frozen,
         S_samples=S_samples,
         S1_samples=S1_samples,
         limit_errors=limit_errors,
@@ -592,8 +568,8 @@ def verify_coalescence(
         limit_ok=limit_ok,
         pattern_ok=pattern_ok,
         thresholds={
-            "limit": limit_threshold,
-            "pattern": pattern_threshold,
-            "slope": slope_threshold,
+            "limit": LIMIT_THRESHOLD,
+            "pattern": PATTERN_THRESHOLD,
+            "slope": SLOPE_THRESHOLD,
         },
     )

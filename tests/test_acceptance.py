@@ -177,9 +177,7 @@ def test_criterion_4_schlesinger_flow():
 @pytest.fixture(scope="module")
 def strong_run():
     state = DeformationState(u=U_START, A=GENERIC_A)
-    data = collect_data(
-        state, [U_START, U_END], r=0, tau=TAU, tol=1e-11, order=32, with_extras=True
-    )
+    data = collect_data(state, [U_START, U_END], r=0, tau=TAU, tol=1e-11, order=32)
     return data
 
 

@@ -146,6 +146,20 @@ class TestGeometryCommands:
         assert doc["same_cell"] is True
         assert doc["points"][0]["in_delta"] is False
 
+    def test_cells_csv_needs_two_waypoints(self, capsys, system_file, tmp_path):
+        pts = [[[0.0, 0.0], [1.0, 0.0]], [[0.1, 0.05], [1.1, 0.0]], [[0.2, 0.1], [1.2, 0.0]]]
+        for k, csv in ((2, "ok"), (None, "one"), (3, "three")):
+            argv = ["cells", "--system", system_file, "--tau", "0.3",
+                    "--csv", str(tmp_path / csv)]
+            if k:
+                argv += ["--path", write_json(tmp_path / f"path{k}.json", {"waypoints": pts[:k]})]
+            code, out, err = run(capsys, argv)
+            if k == 2:
+                assert code == 0 and (tmp_path / csv / "wall_hits.csv").exists()
+            else:
+                assert code == 1 and out == "" and "two waypoints" in err
+                assert not (tmp_path / csv).exists()
+
     def test_cells_transversal_crossing(self, capsys, system_file, tmp_path):
         # u_0 - u_1 turns through the wall direction 3 pi/2 - tau between the
         # endpoints, on either ray of X(tau)

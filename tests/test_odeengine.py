@@ -25,6 +25,8 @@ from isomlab.odeengine import (
     irregular_ode,
     levelt_handle,
     monodromy_loop,
+    run_plan,
+    sectorial_plan,
     stokes_matrix,
     transport_matrix,
 )
@@ -38,6 +40,23 @@ def generic_system():
 
 def hol_const(sys):
     return lambda m: sys.Lambda if m == 0 else np.zeros((sys.n, sys.n), dtype=complex)
+
+
+# sector frames as (system, config, coalesce_tol of its formal series, None
+# for the plan's own series): the plain frames of GENERIC_A, and the widened
+# frames of the criterion-7 frozen system at its coalescence point
+CRIT7_UC = np.array([0.0, 0.0, 1.0], dtype=complex)
+FRAMES = pytest.mark.parametrize("sys, cfg, coalesce_tol", [
+    (generic_system(), StokesConfig(tau=0.3, order=32), None),
+    (IrregularSystem(u=CRIT7_UC, A=[[0.10, 0.00, 0.06], [0.00, 0.10, 0.09],
+                                    [0.075, -0.05, 0.45]]),
+     StokesConfig(tau=0.3, order=32, widened=True, uC=CRIT7_UC), 1e-9),
+], ids=["generic", "widened"])
+
+
+def frame_series(sys, cfg, coalesce_tol):
+    return None if coalesce_tol is None else compute_formal_coefficients(
+        sys, K=cfg.order, coalesce_tol=coalesce_tol)
 
 
 class TestIntegratePath:
@@ -481,6 +500,16 @@ class TestActualSolution:
             y1.seed_error + y2.seed_error
         ) * scale * 5
 
+    @FRAMES
+    def test_runs_the_sectorial_plan(self, sys, cfg, coalesce_tol):
+        # actual_solution builds its config from its keywords
+        got = actual_solution(sys, 0, cfg.tau, order=cfg.order, widened=cfg.widened,
+                              uC=cfg.uC, coalesce_tol=coalesce_tol or 0.0)
+        want = run_plan(sectorial_plan(sys, 0, cfg, fs=frame_series(sys, cfg, coalesce_tol)),
+                        cfg.tol)
+        assert got.point == want.point and got.seed_error == want.seed_error
+        assert got.value.tobytes() == want.value.tobytes()
+
     def test_zstar_outside_sector_rejected(self):
         sys = generic_system()
         with pytest.raises(SectorError):
@@ -490,6 +519,13 @@ class TestActualSolution:
 
 
 class TestStokesMatrix:
+    def test_config_compares_by_value(self):
+        uC = np.array([0.0, 0.0, 1.0])
+        cfg = StokesConfig(tau=0.3, widened=True, uC=uC)
+        same = StokesConfig(tau=0.3, widened=True, uC=list(uC))
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != StokesConfig(tau=0.3, widened=True, uC=uC + 0.5)
+
     def test_diagonal_system_identity(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, -0.3]))
         for r in (0, 1):
@@ -553,21 +589,21 @@ class TestConnectionMatrix:
         frame_mid = sector_bounds(sys.u, 0.3, 0).midpoint
         vals = [
             connection_matrix(
-                sys, 0, ld, 0.3, radius=16.0,
-                zstar=PathPoint.from_polar(rho, frame_mid), tol=1e-12,
+                sys, 0, ld, StokesConfig(tau=0.3, radius=16.0, tol=1e-12),
+                zstar=PathPoint.from_polar(rho, frame_mid),
             )
             for rho in (5.0, 6.5, 8.0)
         ]
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
         assert np.max(np.abs(vals[1] - vals[2])) < 1e-8
 
-    def test_connection_chain(self):
-        sys = generic_system()
-        fs = compute_formal_coefficients(sys, K=32)
-        ld = build_levelt_solution(GENERIC_A, hol_const(sys), K=25)
-        C0 = connection_matrix(sys, 0, ld, 0.3, fs=fs)
-        C1 = connection_matrix(sys, 1, ld, 0.3, fs=fs)
-        S0 = stokes_matrix(sys, 0, StokesConfig(tau=0.3, order=32)).S
+    @FRAMES
+    def test_connection_chain(self, sys, cfg, coalesce_tol):
+        fs = frame_series(sys, cfg, coalesce_tol)
+        ld = build_levelt_solution(sys.A, hol_const(sys), K=25)
+        C0 = connection_matrix(sys, 0, ld, cfg, fs=fs)
+        C1 = connection_matrix(sys, 1, ld, cfg, fs=fs)
+        S0 = stokes_matrix(sys, 0, cfg, fs=fs).S
         assert np.max(np.abs(C1 - C0 @ S0)) < 1e-6
 
     def test_monodromy_consistency(self):
@@ -577,7 +613,7 @@ class TestConnectionMatrix:
         sys = generic_system()
         fs = compute_formal_coefficients(sys, K=32)
         ld = build_levelt_solution(GENERIC_A, hol_const(sys), K=25)
-        C0 = connection_matrix(sys, 0, ld, 0.3, fs=fs)
+        C0 = connection_matrix(sys, 0, ld, StokesConfig(tau=0.3), fs=fs)
         from isomlab.geometry import sector_bounds
         frame_mid = sector_bounds(sys.u, 0.3, 0).midpoint
         zs = PathPoint.from_polar(1.0, frame_mid)

@@ -51,8 +51,7 @@ class TestCollectData:
 
     def test_strong_flow_constancy(self):
         data = collect_data(
-            DeformationState(u=U0, A=GENERIC_A), [U0, U1], r=0, tau=0.3,
-            order=32, with_extras=True,
+            DeformationState(u=U0, A=GENERIC_A), [U0, U1], r=0, tau=0.3, order=32,
         )
         drift = data_drift(data)
         assert drift["S_r"] <= 1e-6
@@ -90,7 +89,7 @@ class TestCollectData:
         for samples in ([U0, U1], [U0, 0.5 * (U0 + U1), U1]):
             engine_calls.clear()
             collect_data(DeformationState(u=U0, A=GENERIC_A), samples, r=0, tau=0.3,
-                         order=32, with_extras=True)
+                         order=32)
             counts.append(len(engine_calls))
         assert counts[0] == counts[1] > 0
 
@@ -133,12 +132,6 @@ class TestStokesRelationCheck:
         C0 = np.array([[1.0, 0.2], [-0.4, 0.9]], dtype=complex)
         ds = self._dataset([0.0, 0.0], S0, S0, C0=C0, C1=C0 @ S0)
         assert stokes_relation_check(ds)["connection_chain"] < 1e-15
-
-    def test_needs_extras(self):
-        ds = self._dataset([0.0, 0.0], np.eye(2), np.eye(2))
-        object.__setattr__(ds, "S_r2", None)
-        with pytest.raises(ValueError):
-            stokes_relation_check(ds)
 
 
 UC3 = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -200,7 +193,15 @@ class TestRayFamilySeries:
 
 
 class TestVerifyCoalescence:
-    def test_pipeline_passes(self):
+    def test_pipeline_passes(self, monkeypatch):
+        import isomlab.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_coalescence built connection data")
+
+        # no connection matrix is reported, so none is computed
+        monkeypatch.setattr(verify, "connection_plan", refuse)
+        monkeypatch.setattr(verify, "build_levelt_solution", refuse)
         rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, order=30)
         assert rep.decay_ok and rep.limit_ok and rep.pattern_ok
         assert rep.verdict

@@ -50,7 +50,6 @@ from .geometry import (
     stokes_ray_directions,
 )
 from .isoflow import (
-    DeformationState,
     DiagonalGauge,
     LaurentCoefficients,
     UPath,

@@ -33,7 +33,7 @@ from .fuchsian import (
     product_relation_residual,
     schlesinger_residual,
 )
-from .isoflow import DeformationState, integrate_flow
+from .isoflow import integrate_flow
 from .levelt import build_levelt_solution, compute_levelt_exponents, monodromy_exponential
 from .odeengine import StokesConfig, join_plans, run_plan, stokes_matrix
 from .verify import collect_data, data_drift, stokes_relation_check, verify_coalescence
@@ -177,17 +177,15 @@ def cmd_stokes_matrix(args) -> int:
 
 def cmd_flow(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
-    path = io.load_upath(args.path)
-    state = DeformationState(u=path.waypoints[0], A=sys_.A)
-    res = integrate_flow(state, path, tol=args.tol)
+    final, _ = integrate_flow(sys_, io.load_upath(args.path), tol=args.tol)
     spec0 = np.sort_complex(np.linalg.eigvals(sys_.A))
-    spec1 = np.sort_complex(np.linalg.eigvals(res.state.A))
-    diag_drift = float(np.max(np.abs(np.diag(res.state.A) - np.diag(sys_.A))))
+    spec1 = np.sort_complex(np.linalg.eigvals(final.A))
+    diag_drift = float(np.max(np.abs(np.diag(final.A) - np.diag(sys_.A))))
     spec_drift = float(np.max(np.abs(spec1 - spec0)))
     report = {
         "command": "flow",
-        "A_final": io.cmat_to_json(res.state.A),
-        "u_final": io.cvec_to_json(res.state.u),
+        "A_final": io.cmat_to_json(final.A),
+        "u_final": io.cvec_to_json(final.u),
         "diag_drift": diag_drift,
         "spectrum_drift": spec_drift,
     }
@@ -275,11 +273,9 @@ def cmd_kv_example(args) -> int:
 
 def cmd_verify_strong(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
-    path = io.load_upath(args.path)
-    state = DeformationState(u=path.waypoints[0], A=sys_.A)
     data = collect_data(
-        state,
-        list(path.waypoints),
+        sys_,
+        list(io.load_upath(args.path).waypoints),
         r=args.r,
         tau=args.tau,
         tol=args.tol,

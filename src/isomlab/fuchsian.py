@@ -2,15 +2,16 @@
 
 Schlesinger flow dA_i = sum_{j != i} [A_j, A_i] d(u_j - u_i)/(u_j - u_i),
 integrated by the flow driver of `isoflow` (exact pole-collision guard, a
-`FlowTrace` of the residues) with the right-hand side
+path that must start at the poles) with the right-hand side
 dA_i = [sum_j K_ij A_j, A_i], K the difference quotients of the pole
-velocities; `schlesinger_rhs` is the per-direction reference.  Also
-numeric monodromy with a deterministic loop basis (`monodromy_plan`, whose
-plans for several systems join into one engine batch), per-pole Levelt data in
-the local variable x = z - u_i, the finite-difference Schlesinger residual
-separating strong (Schlesinger) from weak (non-Schlesinger) families, and
-the explicit rational counterexample family with trivial monodromy but
-u-dependent connection matrix.
+velocities; it takes a system and returns it at the path's end, as
+`isoflow.integrate_flow` does.  `schlesinger_rhs` is the per-direction
+reference.  Also numeric monodromy with a deterministic loop basis
+(`monodromy_plan`, whose plans for several systems join into one engine
+batch), per-pole Levelt data in the local variable x = z - u_i, the
+finite-difference Schlesinger residual separating strong (Schlesinger) from
+weak (non-Schlesinger) families, and the explicit rational counterexample
+family with trivial monodromy but u-dependent connection matrix.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def _schlesinger_velocity(A, K) -> np.ndarray:
 def integrate_schlesinger(
     sys: FuchsianSystem, path: UPath, tol: float = 1e-11, guard: float | None = None,
 ) -> tuple[FuchsianSystem, FlowTrace]:
-    """Transport the residues along a pole-position path.
+    """Transport the residues along a pole-position path from sys.poles;
+    returns the system at the path's end and the trace.
 
     The path lives in the space of pole tuples; paths on which two poles
     come closer than the guard band (default 1e-6 times the pole scale) are
@@ -125,16 +127,13 @@ def integrate_schlesinger(
     residues as an (m, N, n, n) stack.
     """
     N, n = sys.N, sys.n
-    if len(path.waypoints[0]) != N:
-        raise ValueError("path dimension disagrees with the number of poles")
-    if np.linalg.norm(path.waypoints[0] - sys.poles) > 1e-12:
-        raise ValueError("path must start at the system's poles")
 
     def field(u, du):
         K = _difference_quotients(u, du)
         return lambda y: _schlesinger_velocity(y.reshape(N, n, n, -1), K).reshape(y.shape)
 
-    t, u, ys = _integrate("Schlesinger flow", path, np.ravel(sys.residues), field, tol, guard)
+    t, u, ys = _integrate("Schlesinger flow", path, sys.poles, np.ravel(sys.residues),
+                          field, tol, guard)
     A = ys.reshape(len(t), N, n, n)
     final = FuchsianSystem(poles=path.waypoints[-1], residues=tuple(A[-1]), zero_sum_tol=1e-8)
     return final, FlowTrace(t=t, u=u, A=A)

@@ -1,5 +1,8 @@
 """The nonlinear isomonodromy flow dA/du_j = [omega_j(0,u), A], and the
-driver it shares with the Schlesinger flow of `fuchsian`.
+driver it shares with the Schlesinger flow of `fuchsian`.  Both flows take
+a system (here the point (u, A) of the deformation space, which is the
+`IrregularSystem` dY/dz = (Lambda(u) + A/z) Y) and return it at the end of
+their path, with a `FlowTrace`.
 
 omega_j(0,u) = [F_1(u), E_j] + D_j(u), with entries
 A_ab (delta_aj - delta_bj)/(u_a - u_b) plus an optional diagonal gauge D_j.
@@ -35,6 +38,7 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrace.py rebinds it
 
 from .errors import IntegrationError, ResonanceError, WallError
+from .formal import IrregularSystem
 from .geometry import segment_min_abs
 from .matrixcore import as_square, solve_sylvester
 from .odeengine import TAIL_FRACTION
@@ -96,34 +100,6 @@ class DiagonalGauge:
             dalpha[j] -= 1
             out[a] += c * alpha[j] * np.prod(np.moveaxis(u, 0, -1) ** np.array(dalpha), axis=-1)
         return out
-
-
-@dataclass(frozen=True)
-class DeformationState:
-    """A point (u, A) of the deformation space, plus the gauge selecting the mode.
-
-    gauge=None runs the strong flow (D = 0); a DiagonalGauge runs the weak
-    flow.  Along strong flows diag(A) and the spectrum of A are invariants;
-    along weak flows only the spectrum is.
-    """
-
-    u: np.ndarray
-    A: np.ndarray
-    gauge: DiagonalGauge | None = None
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex).reshape(-1)
-        A = as_square(self.A)
-        if A.shape[0] != len(u):
-            raise ValueError("A and u dimensions disagree")
-        if self.gauge is not None and self.gauge.n != len(u):
-            raise ValueError("gauge dimension disagrees with u")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "A", A)
-
-    @property
-    def n(self) -> int:
-        return len(self.u)
 
 
 @dataclass(frozen=True)
@@ -211,21 +187,14 @@ def _omega_sum(A, u, du, K, gauge=None) -> np.ndarray:
 @dataclass
 class FlowTrace:
     """Samples of a flow: A is (m, n, n), or (m, N, n, n) residues for the
-    Schlesinger flow; G and Y are the carried gauge and frame, if any."""
+    Schlesinger flow; G and Y are the gauge and frame `integrate_flow`
+    carries, if any, and G[-1], Y[-1] their end values."""
 
     t: np.ndarray
     u: np.ndarray
     A: np.ndarray
     G: np.ndarray | None = None
     Y: np.ndarray | None = None
-
-
-@dataclass
-class FlowResult:
-    state: DeformationState
-    trace: FlowTrace
-    gauge_matrix: np.ndarray | None = None
-    frame_value: np.ndarray | None = None
 
 
 def _chebyshev_tables(p: int):
@@ -291,10 +260,11 @@ def _sweeps(f, y, h: float, tol: float):
     return X if tail <= tol else None
 
 
-def _integrate(flow: str, path: UPath, y, field, tol: float, guard: float | None):
+def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float | None):
     """Integrate dy/dt = f(y) from the complex vector y along each segment
     u = a + t du of the path.  `field(u, du)` returns f at the nodes u of a
     step, (n, p): a function of the (len(y), p) stack of y at those nodes.
+    The path must start at `start`, the system's u or poles.
 
     Refuses the path if some pair gap |u_i - u_j| falls below `guard`
     (default 1e-6 times the u scale) anywhere on it; the gaps are exact, so
@@ -321,6 +291,11 @@ def _integrate(flow: str, path: UPath, y, field, tol: float, guard: float | None
     off the step interpolants, t running from 0 to the number of segments;
     y[-1] is the end value.
     """
+    w0 = path.waypoints[0]
+    if len(w0) != len(start):
+        raise ValueError(f"{flow} path has dimension {len(w0)}, the system {len(start)}")
+    if np.linalg.norm(w0 - start) > 1e-12:
+        raise ValueError(f"{flow} path starts at {w0}, not at the system's {start}")
     default = 1e-6 * max(1.0, float(np.max(np.abs(path.waypoints))))
     if guard is None:
         guard = default
@@ -383,32 +358,41 @@ def _integrate(flow: str, path: UPath, y, field, tol: float, guard: float | None
     return np.concatenate(ts), np.concatenate(us), np.concatenate(ys)
 
 
+def _check_flowable(sys: IrregularSystem, gauge: DiagonalGauge | None, what: str):
+    """Refuses nonzero higher poles, which no flow carries, and a misfit gauge."""
+    if any(np.any(H) for H in sys.higher):
+        raise ValueError(f"{what} does not support higher poles")
+    if gauge is not None and gauge.n != sys.n:
+        raise ValueError(f"gauge dimension {gauge.n} disagrees with the system's {sys.n}")
+
+
 def integrate_flow(
-    state: DeformationState,
+    sys: IrregularSystem,
     path: UPath,
     tol: float = 1e-11,
+    gauge: DiagonalGauge | None = None,
     rhs_sign: float = 1.0,
     carry_gauge=None,
     carry_frame: tuple[complex, np.ndarray] | None = None,
     guard: float | None = None,
-) -> FlowResult:
-    """Integrate dA = sum_j [omega_j(0,u), A] du_j along a piecewise-straight path.
+) -> tuple[IrregularSystem, FlowTrace]:
+    """Integrate dA = sum_j [omega_j(0,u), A] du_j along a piecewise-straight
+    path from sys.u; returns the system at the path's end and the trace.
+    gauge=None runs the strong flow (D = 0, which keeps diag(A) as well as
+    the spectrum of A), a DiagonalGauge the weak flow.
 
     Optionally co-integrates a gauge matrix G with dG = (sum_j omega_j(0) du_j) G
     (`carry_gauge` = initial G) and a fundamental-matrix frame at a fixed
     z-point with dY = sum_j (z E_j + omega_j(0)) du_j Y (`carry_frame` =
-    (z, Y0)).  `rhs_sign` scales the whole right-hand side; -1 is the
-    corrupted flow used by sensitivity checks.
+    (z, Y0)), into trace.G and trace.Y.  `rhs_sign` scales the whole
+    right-hand side; -1 is the corrupted flow used by sensitivity checks.
 
     Paths whose exact minimal pair gap falls below `guard` (default 1e-6
     times the u scale) are refused with a WallError naming the pairs.
     """
-    if len(path.waypoints[0]) != state.n:
-        raise ValueError("path dimension disagrees with the state")
-    if np.linalg.norm(path.waypoints[0] - state.u) > 1e-12:
-        raise ValueError("path must start at the state's u")
-    n, gauge = state.n, state.gauge
-    blocks = [state.A]  # A, then the carried G and Y
+    _check_flowable(sys, gauge, "the isomonodromy flow")
+    n = sys.n
+    blocks = [sys.A]  # A, then the carried G and Y
     if carry_gauge is not None:
         blocks.append(carry_gauge)
     z = None
@@ -431,20 +415,16 @@ def integrate_flow(
         return f
 
     y0 = np.concatenate([np.asarray(B, dtype=complex).ravel() for B in blocks])
-    t, u, ys = _integrate("isomonodromy flow", path, y0, field, tol, guard)
+    t, u, ys = _integrate("isomonodromy flow", path, sys.u, y0, field, tol, guard)
     X = ys.reshape(len(t), -1, n, n)
     G = X[:, 1] if carry_gauge is not None else None
     Y = X[:, -1] if carry_frame is not None else None
-    trace = FlowTrace(t=t, u=u, A=X[:, 0], G=G, Y=Y)
-    final = DeformationState(u=path.waypoints[-1], A=X[-1, 0], gauge=gauge)
-    return FlowResult(
-        state=final, trace=trace,
-        gauge_matrix=None if G is None else G[-1],
-        frame_value=None if Y is None else Y[-1],
-    )
+    final = IrregularSystem(u=path.waypoints[-1], A=X[-1, 0])
+    return final, FlowTrace(t=t, u=u, A=X[:, 0], G=G, Y=Y)
 
 
-def integrability_residual(state: DeformationState, rhs_sign: float = 1.0) -> float:
+def integrability_residual(sys: IrregularSystem, gauge: DiagonalGauge | None = None,
+                           rhs_sign: float = 1.0) -> float:
     """Largest spectral norm, over j < k, of the Frobenius mismatch
     d_k omega_j(0) - d_j omega_k(0) + [omega_j, omega_k] along the flow.
 
@@ -456,9 +436,11 @@ def integrability_residual(state: DeformationState, rhs_sign: float = 1.0) -> fl
     and the gauge partials d_k d_j D are symmetric in j and k and cancel.  So
     a faithful flow reads round-off and a corrupted one (`rhs_sign` = -1)
     O(1).  For n = 2 the residual vanishes structurally (omega_1 = -omega_0
-    plus translation invariance), so sensitivity checks need n >= 3.
+    plus translation invariance), so sensitivity checks need n >= 3.  `gauge`
+    is the weak flow's, as in `integrate_flow`.
     """
-    n, u, A, gauge = state.n, state.u, state.A, state.gauge
+    _check_flowable(sys, gauge, "the integrability residual")
+    n, u, A = sys.n, sys.u, sys.A
     W = [omega_zero_part(A, u, j, None if gauge is None else gauge.partial(u, j))
          for j in range(n)]
     dA = [rhs_sign * (Wk @ A - A @ Wk) for Wk in W]
@@ -486,28 +468,24 @@ def vanishing_order_check(gaps, magnitudes, pair=(0, 1), slope_threshold: float 
     """Fit log|A_ij| against log|u_i - u_j| and compare the slope to 0.9.
 
     Entries identically below `floor` pass with slope = +inf (the zero-entry
-    convention).  Requires at least 5 samples.
+    convention).  One sample above `floor` fixes no line: it passes the same
+    way if it is the sample at the largest gap, and otherwise fails with
+    slope = -inf.  Requires at least 5 samples.
     """
     g = np.asarray(gaps, dtype=float)
     m = np.asarray(magnitudes, dtype=float)
     if len(g) != len(m) or len(g) < 5:
         raise ValueError("need at least 5 (gap, magnitude) samples")
-    if np.all(m <= floor):
-        return VanishingFit(
-            slope=math.inf, intercept=-math.inf, pair=tuple(pair), passed=True,
-            gaps=g, magnitudes=m,
-        )
     mask = m > floor
-    x, yv = np.log(g[mask]), np.log(m[mask])
-    slope, intercept = np.polyfit(x, yv, 1)
-    return VanishingFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        pair=tuple(pair),
-        passed=bool(slope >= slope_threshold),
-        gaps=g,
-        magnitudes=m,
-    )
+    if np.count_nonzero(mask) > 1:
+        slope, intercept = map(float, np.polyfit(np.log(g[mask]), np.log(m[mask]), 1))
+        passed = slope >= slope_threshold
+    else:
+        passed = not mask.any() or bool(mask[np.argmax(g)])
+        slope = math.inf if passed else -math.inf
+        intercept = -slope
+    return VanishingFit(slope=slope, intercept=intercept, pair=tuple(pair), passed=passed,
+                        gaps=g, magnitudes=m)
 
 
 def vanishing_from_trace(trace: FlowTrace, pair: tuple[int, int],
@@ -584,7 +562,7 @@ def laurent_reduce(
         prev = X
     negative.reverse()  # stored omega^(-p) .. omega^(-1)
 
-    om1 = raw.positive[0] if raw.positive else _unit_diag(n, j)
+    om1 = raw.positive[0] if raw.positive else np.diag(np.eye(n, dtype=complex)[j])
     om1 = as_square(om1)
     # diagonal rule of the z^0 relation
     diag_expected = np.zeros(n, dtype=complex)
@@ -624,9 +602,3 @@ def laurent_reduce(
         truncated_positive=n_positive,
     )
     return out, report
-
-
-def _unit_diag(n, j):
-    E = np.zeros((n, n), dtype=complex)
-    E[j, j] = 1.0
-    return E

@@ -1,9 +1,9 @@
 """End-to-end verification suites.
 
-Strong-isomonodromy runs flow a system between in-cell sample points while
-transporting the Levelt gauge (dG = sum_j omega_j(0) du_j G keeps the Jordan
-form constant), then extract the essential monodromy data
-(S_r, S_{r+1}, B, D, L, C_r) per sample and compare.
+Strong-isomonodromy runs flow a system from its own u through in-cell
+sample points while transporting the Levelt gauge (dG = sum_j omega_j(0)
+du_j G keeps the Jordan form constant), then extract the essential
+monodromy data (S_r, S_{r+1}, B, D, L, C_r) per sample and compare.
 
 Coalescence runs probe the limit u -> u^C for a residue matrix carrying the
 required zero pattern on coalescing pairs.  For each gap in a geometric
@@ -38,9 +38,10 @@ from .geometry import (
     same_cell,
 )
 from .isoflow import (
-    DeformationState,
+    DiagonalGauge,
     UPath,
     VanishingFit,
+    _check_flowable,
     integrate_flow,
     vanishing_order_check,
 )
@@ -84,26 +85,29 @@ class MonodromyDataSet:
 
 
 def collect_data(
-    state: DeformationState,
+    sys: IrregularSystem,
     samples,
     r: int,
     tau: float,
     tol: float = DEFAULT_TOL,
     order: int = 30,
+    gauge: DiagonalGauge | None = None,
 ) -> list[MonodromyDataSet]:
-    """Flow the state through the samples and extract data at each one:
-    S_r, S_{r+1} and C_r, and the extras S_{r+2} and C_{r+1} of
-    stokes_relation_check, all at the default seed radius.
+    """Flow the system through the samples (weakly if `gauge` is given) and
+    extract data at each one: S_r, S_{r+1} and C_r, and the extras S_{r+2}
+    and C_{r+1} of stokes_relation_check, all at the default seed radius.
 
-    The samples must lie in one tau-cell (checked pointwise for wall
-    membership); the Levelt gauge is computed once at the first sample and
-    transported along the flow, which is what makes C_r comparable across
-    samples (per-sample re-diagonalization would scramble the eigenvector
-    normalization).
+    The first sample must be sys.u; nonzero higher poles, which the flow
+    cannot carry, are refused.  The samples must lie in one tau-cell (checked
+    pointwise for wall membership); the Levelt gauge is computed once at
+    the first sample and transported along the flow, which is what makes
+    C_r comparable across samples (per-sample re-diagonalization would
+    scramble the eigenvector normalization).
     """
+    _check_flowable(sys, gauge, "data collection along the flow")
     sample_pts = [np.asarray(s, dtype=complex).reshape(-1) for s in samples]
-    if np.linalg.norm(sample_pts[0] - state.u) > 1e-12:
-        raise ValueError("first sample must be the state's own u")
+    if np.linalg.norm(sample_pts[0] - sys.u) > 1e-12:
+        raise ValueError(f"first sample {sample_pts[0]} is not the system's u {sys.u}")
     for s in sample_pts:
         # off the walls, tau is admissible at s: the X(tau) test is admissibility
         if classify_point(s, tau).on_wall:
@@ -112,24 +116,23 @@ def collect_data(
         if not same_cell(a, b, tau):
             raise WallError(f"segment {a} -> {b} crosses W(tau); samples not in one cell")
 
-    ld0 = compute_levelt_exponents(state.A)
-    states, gauges = [state], [ld0.G]
+    ld0 = compute_levelt_exponents(sys.A)
+    systems, gauges = [sys], [ld0.G]
     for target in sample_pts[1:]:
-        res = integrate_flow(states[-1], UPath.line(states[-1].u, target), tol=tol,
-                             carry_gauge=gauges[-1])
-        states.append(res.state)
-        gauges.append(res.gauge_matrix)
+        cur, trace = integrate_flow(systems[-1], UPath.line(systems[-1].u, target), tol=tol,
+                                    gauge=gauge, carry_gauge=gauges[-1])
+        systems.append(cur)
+        gauges.append(trace.G[-1])
     cfg = StokesConfig(tau=tau, tol=tol, order=order)
-    plans = [_extract_plan(cur, G, ld0, r, cfg) for cur, G in zip(states, gauges)]
+    plans = [_extract_plan(cur, G, ld0, r, cfg) for cur, G in zip(systems, gauges)]
     return run_plan(join_plans(plans), tol)
 
 
-def _extract_plan(state, G, ld0, r, cfg: StokesConfig):
+def _extract_plan(sys, G, ld0, r, cfg: StokesConfig):
     """The transports of one sample's data set, assembled into it."""
-    sys = IrregularSystem(u=state.u, A=state.A)
     fs = compute_formal_coefficients(sys, K=cfg.order)
-    ld = with_gauge(ld0, G, state.A)
-    ld = build_levelt_solution(state.A, lambda m: sys.Lambda if m == 0 else np.zeros_like(state.A),
+    ld = with_gauge(ld0, G, sys.A)
+    ld = build_levelt_solution(sys.A, lambda m: sys.Lambda if m == 0 else np.zeros_like(sys.A),
                                ld=ld, K=LEVELT_ORDER)
     memo = {}  # what the sample's plans share (see stokes_plan)
     plans = [
@@ -142,11 +145,11 @@ def _extract_plan(state, G, ld0, r, cfg: StokesConfig):
 
     def assemble(res_r, res_r1, C_r, res_r2, C_r1):
         return MonodromyDataSet(
-            u=state.u.copy(),
+            u=sys.u.copy(),
             r=r,
             S_r=res_r.S,
             S_r1=res_r1.S,
-            b=np.diag(state.A).copy(),
+            b=np.diag(sys.A).copy(),
             d=ld.d.copy(),
             L=ld.L,
             C_r=C_r,
@@ -470,14 +473,9 @@ def verify_coalescence(
     # sampled family: Taylor germ along the ray, flow-validated
     coeffs = ray_family_series(A0, ref, v, order=GERM_ORDER)
     A_k = [eval_ray_family(coeffs, g) for g in gaps]
-    state = DeformationState(u=ref + gaps[-1] * v, A=A_k[-1])
-    flow = integrate_flow(
-        state,
-        UPath(waypoints=tuple(ref + g * v for g in reversed(gaps))),
-        tol=tol,
-        guard=0.0,
-    )
-    flow_vs_germ = float(np.max(np.abs(flow.state.A - A_k[0])))
+    end, _ = integrate_flow(IrregularSystem(u=samples[-1], A=A_k[-1]),
+                            UPath(waypoints=tuple(samples[::-1])), tol=tol, guard=0.0)
+    flow_vs_germ = float(np.max(np.abs(end.A - A_k[0])))
 
     # per sample r and r + 1, self-seeded (each sample's own formal series)
     # and frozen-seeded (only the frozen system's series, with the sample's

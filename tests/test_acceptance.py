@@ -24,7 +24,6 @@ from isomlab.fuchsian import (
     schlesinger_residual,
 )
 from isomlab.isoflow import (
-    DeformationState,
     LaurentCoefficients,
     UPath,
     integrability_residual,
@@ -176,8 +175,8 @@ def test_criterion_4_schlesinger_flow():
 
 @pytest.fixture(scope="module")
 def strong_run():
-    state = DeformationState(u=U_START, A=GENERIC_A)
-    data = collect_data(state, [U_START, U_END], r=0, tau=TAU, tol=1e-11, order=32)
+    sys0 = IrregularSystem(u=U_START, A=GENERIC_A)
+    data = collect_data(sys0, [U_START, U_END], r=0, tau=TAU, tol=1e-11, order=32)
     return data
 
 
@@ -192,13 +191,13 @@ def test_criterion_5_strong_isomonodromy(strong_run):
         assert drift["D"] == 0.0
 
         # spectrum of A constant along the flow
-        res = integrate_flow(
-            DeformationState(u=U_START, A=GENERIC_A),
+        end, _ = integrate_flow(
+            IrregularSystem(u=U_START, A=GENERIC_A),
             UPath.line(U_START, U_END),
             tol=1e-11,
         )
         s0 = np.sort_complex(np.linalg.eigvals(GENERIC_A))
-        s1 = np.sort_complex(np.linalg.eigvals(res.state.A))
+        s1 = np.sort_complex(np.linalg.eigvals(end.A))
         assert np.max(np.abs(s0 - s1)) <= 1e-8
 
         # unit diagonal and required triangular zeros
@@ -292,20 +291,19 @@ def test_criterion_8_laurent_reduction():
 def test_criterion_9_mutation_sensitivity(strong_run):
     with Stopwatch("criterion 9 (mutation sensitivity)", 120.0):
         # corrupted flow: wrong-sign right-hand side
-        res_bad = integrate_flow(
-            DeformationState(u=U_START, A=GENERIC_A),
+        sys_bad, _ = integrate_flow(
+            IrregularSystem(u=U_START, A=GENERIC_A),
             UPath.line(U_START, U_END),
             tol=1e-11,
             rhs_sign=-1.0,
         )
         from isomlab.odeengine import StokesConfig, stokes_matrix
 
-        sys_bad = IrregularSystem(u=U_END, A=res_bad.state.A)
         S_bad = stokes_matrix(sys_bad, 0, StokesConfig(tau=TAU, order=32)).S
         stokes_break = float(np.max(np.abs(S_bad - strong_run[0].S_r)))
 
         resid_break = integrability_residual(
-            DeformationState(u=U_START, A=GENERIC_A), rhs_sign=-1.0
+            IrregularSystem(u=U_START, A=GENERIC_A), rhs_sign=-1.0
         )
         # for n = 2 the integrability residual is structurally blind, so the
         # Stokes constancy check must catch the corruption

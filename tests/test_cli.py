@@ -1,5 +1,7 @@
 import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,12 +380,19 @@ class TestParser:
             "verify-strong": {"tol", "mtol", "order"},
             "verify-coalescence": {"tol", "order", "csv"},
         }
+        shared = {"tol", "mtol", "order", "csv"}
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert set(sub.choices) == set(reads)
         for name, sp in sub.choices.items():
             dests = {a.dest for a in sp._actions}
-            assert dests & {"tol", "mtol", "order", "csv"} == reads[name], name
+            assert dests & shared == reads[name], name
+        # the README's `| flag | meaning | subcommands |` table says the same
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = re.findall(r"^\| `--(\w+)[^`]*` \|[^|]*\| ([^|]*?) \|$", readme, re.M)
+        assert {flag: set(names.split(", ")) for flag, names in rows} == {
+            flag: {name for name, read in reads.items() if flag in read} for flag in shared
+        }
 
     def test_parser_built_once(self, capsys, system_file, monkeypatch):
         builds = []
@@ -419,6 +428,33 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "fuchsian" in err
+
+    @pytest.mark.parametrize("command", ["flow", "verify-strong"])
+    @pytest.mark.parametrize("case", ["u", "higher"])
+    def test_flow_commands_refuse_what_the_file_does_not_say(self, capsys, tmp_path,
+                                                             command, case):
+        # the path starts at [0, 1]; the file's u, or its higher-pole block,
+        # describes another system, which the flow must not silently replace
+        doc = {"u": [[0.0, 0.0], [1.0, 0.0]],
+               "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]]}
+        if case == "u":
+            doc["u"] = [[5.0, 0.0], [9.0, 3.0]]
+        else:
+            doc["higher"] = [[[[0.1, 0.0], [0.3, 0.0]], [[-0.2, 0.0], [0.05, 0.0]]]]
+        sys_file = write_json(tmp_path / "sys.json", doc)
+        path_file = write_json(
+            tmp_path / "path.json",
+            {"waypoints": [[[0.0, 0.0], [1.0, 0.0]], [[0.3, 0.2], [1.2, 0.0]]]},
+        )
+        argv = [command, "--system", sys_file, "--path", path_file]
+        if command == "verify-strong":
+            argv += ["--tau", "0.3"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        if case == "u":
+            assert "the system's" in err and "9.+3.j" in err
+        else:
+            assert "does not support higher poles" in err
 
     def test_fail_verdict_exit_code(self, capsys, tmp_path):
         # impossibly tight comparison tolerance forces a FAIL verdict

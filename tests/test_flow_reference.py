@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 
 from isomlab.fuchsian import FuchsianSystem, integrate_schlesinger
-from isomlab.isoflow import DeformationState, UPath, integrate_flow
+from isomlab.formal import IrregularSystem
+from isomlab.isoflow import UPath, integrate_flow
 
 
 def mp_matrices(y, count, n):
@@ -71,8 +72,8 @@ def test_isomonodromy_flow_matches_mpmath():
     # criterion 5's flow: GENERIC_A along U_START -> U_END
     A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
     a, b = np.array([0.0, 1.0], dtype=complex), np.array([0.3 + 0.2j, 1.2])
-    res = integrate_flow(DeformationState(u=a, A=A), UPath.line(a, b), tol=1e-13)
-    assert np.max(np.abs(res.state.A - isomonodromy_reference(A, a, b))) <= 1e-11
+    end, _ = integrate_flow(IrregularSystem(u=a, A=A), UPath.line(a, b), tol=1e-13)
+    assert np.max(np.abs(end.A - isomonodromy_reference(A, a, b))) <= 1e-11
 
 
 def test_schlesinger_flow_matches_mpmath():

@@ -5,8 +5,8 @@ import pytest
 
 from isomlab.errors import IntegrationError, ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
+from isomlab.fuchsian import FuchsianSystem, integrate_schlesinger
 from isomlab.isoflow import (
-    DeformationState,
     DiagonalGauge,
     LaurentCoefficients,
     TRACE_SAMPLES,
@@ -91,45 +91,45 @@ class TestOmegaZeroPart:
 class TestIntegrateFlow:
     def test_diagonal_residue_constant(self):
         A = np.diag([0.4, -0.2]).astype(complex)
-        res = integrate_flow(
-            DeformationState(u=U0, A=A), UPath.line(U0, U0 + [0.2, -0.1])
+        end, _ = integrate_flow(
+            IrregularSystem(u=U0, A=A), UPath.line(U0, U0 + [0.2, -0.1])
         )
-        assert np.max(np.abs(res.state.A - A)) < 1e-12
+        assert np.max(np.abs(end.A - A)) < 1e-12
 
     def test_path_independence(self):
-        state = DeformationState(u=U0, A=GENERIC_A)
+        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
         target = np.array([0.3 + 0.2j, 1.2])
-        direct = integrate_flow(state, UPath.line(U0, target), tol=1e-12)
-        detour = integrate_flow(
-            state,
+        direct, _ = integrate_flow(sys0, UPath.line(U0, target), tol=1e-12)
+        detour, _ = integrate_flow(
+            sys0,
             UPath(waypoints=(U0, np.array([-0.2 - 0.3j, 1.4]), target)),
             tol=1e-12,
         )
-        assert np.max(np.abs(direct.state.A - detour.state.A)) < 1e-10
+        assert np.max(np.abs(direct.A - detour.A)) < 1e-10
 
     def test_isospectral_and_diagonal_invariants(self):
-        state = DeformationState(u=U0, A=GENERIC_A)
-        res = integrate_flow(state, UPath.line(U0, np.array([0.4, 1.3 + 0.2j])), tol=1e-12)
+        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
+        end, _ = integrate_flow(sys0, UPath.line(U0, np.array([0.4, 1.3 + 0.2j])), tol=1e-12)
         s0 = np.sort_complex(np.linalg.eigvals(GENERIC_A))
-        s1 = np.sort_complex(np.linalg.eigvals(res.state.A))
+        s1 = np.sort_complex(np.linalg.eigvals(end.A))
         assert np.max(np.abs(s0 - s1)) < 1e-8
-        assert np.max(np.abs(np.diag(res.state.A) - np.diag(GENERIC_A))) < 1e-10
+        assert np.max(np.abs(np.diag(end.A) - np.diag(GENERIC_A))) < 1e-10
 
     def test_gauge_transport_preserves_jordan(self):
         from isomlab.levelt import compute_levelt_exponents
 
         ld = compute_levelt_exponents(GENERIC_A)
-        state = DeformationState(u=U0, A=GENERIC_A)
-        res = integrate_flow(
-            state, UPath.line(U0, np.array([0.25, 1.15])), tol=1e-12, carry_gauge=ld.G
+        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
+        end, trace = integrate_flow(
+            sys0, UPath.line(U0, np.array([0.25, 1.15])), tol=1e-12, carry_gauge=ld.G
         )
-        recon = np.linalg.solve(res.gauge_matrix, res.state.A @ res.gauge_matrix)
+        recon = np.linalg.solve(trace.G[-1], end.A @ trace.G[-1])
         assert np.max(np.abs(recon - ld.J)) < 1e-9
 
     def test_guard_band(self):
-        state = DeformationState(u=U0, A=GENERIC_A)
+        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
         with pytest.raises(WallError):
-            integrate_flow(state, UPath.line(U0, np.array([1.0, 1.0])))
+            integrate_flow(sys0, UPath.line(U0, np.array([1.0, 1.0])))
 
     def test_guard_catches_gap_between_waypoints(self):
         # u_1 - u_0 runs from -1 to 1 at height 1e-7: the gap dips to 1e-7 at
@@ -138,7 +138,7 @@ class TestIntegrateFlow:
         path = UPath.line(u0, np.array([0.0, 1.0 + 1e-7j]))
         assert abs(path.min_gap() - 1e-7) < 1e-15
         with pytest.raises(WallError, match=r"isomonodromy flow .* pairs \[\(0, 1\)\]"):
-            integrate_flow(DeformationState(u=u0, A=GENERIC_A), path)
+            integrate_flow(IrregularSystem(u=u0, A=GENERIC_A), path)
 
     @pytest.mark.parametrize("gap", [1e-4, 1e-5, 2e-6])
     def test_close_pass_admitted_by_guard_integrates(self, gap):
@@ -147,7 +147,7 @@ class TestIntegrateFlow:
         # back; diag(A) and the spectrum are invariants of the strong flow
         u0 = np.array([0.0, -1.0 + gap * 1j])
         path = UPath.line(u0, np.array([0.0, 1.0 + gap * 1j]))
-        A = integrate_flow(DeformationState(u=u0, A=GENERIC_A), path).state.A
+        A = integrate_flow(IrregularSystem(u=u0, A=GENERIC_A), path)[0].A
         assert np.max(np.abs(np.diag(A) - np.diag(GENERIC_A))) < 1e-9
         ev0, ev1 = np.sort_complex(np.linalg.eigvals(GENERIC_A)), np.sort_complex(np.linalg.eigvals(A))
         assert np.max(np.abs(ev0 - ev1)) < 1e-9
@@ -160,8 +160,25 @@ class TestIntegrateFlow:
         path = UPath.line(u0, np.array([0.0, 1.0 + 1e-7j]))
         t0 = time.perf_counter()
         with pytest.raises(IntegrationError, match=r"isomonodromy flow .* segment 0"):
-            integrate_flow(DeformationState(u=u0, A=GENERIC_A), path, guard=0.0)
+            integrate_flow(IrregularSystem(u=u0, A=GENERIC_A), path, guard=0.0)
         assert time.perf_counter() - t0 < 5.0
+
+    def test_refuses_nonzero_higher_poles(self):
+        H = np.array([[0.1, 0.3], [-0.2, 0.05]], dtype=complex)
+        path = UPath.line(U0, U0 + 0.1)
+        with pytest.raises(ValueError, match="isomonodromy flow does not support higher poles"):
+            integrate_flow(IrregularSystem(u=U0, A=GENERIC_A, higher=(H,)), path)
+        # a zero block adds nothing to the system, and the flow drops it
+        end, _ = integrate_flow(IrregularSystem(u=U0, A=GENERIC_A, higher=(0 * H,)), path)
+        assert end.higher == ()
+
+    def test_gauge_of_another_dimension_refused(self):
+        gauge = DiagonalGauge.linear(np.eye(3))
+        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
+        with pytest.raises(ValueError, match="gauge dimension 3 disagrees with the system's 2"):
+            integrate_flow(sys0, UPath.line(U0, U0 + 0.1), gauge=gauge)
+        with pytest.raises(ValueError, match="gauge dimension 3 disagrees with the system's 2"):
+            integrability_residual(sys0, gauge)
 
     def test_trace_matches_separate_integrations(self):
         # the trace is read off the step interpolants; each sample agrees
@@ -171,30 +188,46 @@ class TestIntegrateFlow:
         A = 0.4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         pts = (np.array([0.0, 1.0, 0.4 + 0.9j]), np.array([0.2, 1.3 - 0.1j, 0.3 + 1.2j]),
                np.array([-0.1 + 0.2j, 1.1, 0.7 + 1.0j]))
-        state, tol = DeformationState(u=pts[0], A=A), 1e-11
-        res = integrate_flow(state, UPath(waypoints=pts), tol=tol)
+        sys0, tol = IrregularSystem(u=pts[0], A=A), 1e-11
+        _, trace = integrate_flow(sys0, UPath(waypoints=pts), tol=tol)
         m = TRACE_SAMPLES - 1
         for seg in range(2):
             for k in range(1, m):
                 u = pts[seg] + k / m * (pts[seg + 1] - pts[seg])
                 row = seg * TRACE_SAMPLES + k
-                assert res.trace.t[row] == seg + k / m
-                assert np.max(np.abs(res.trace.u[row] - u)) < 1e-15
-                part = integrate_flow(state, UPath(waypoints=(*pts[:seg + 1], u)), tol=tol)
-                assert np.max(np.abs(res.trace.A[row] - part.state.A)) <= 10 * tol
+                assert trace.t[row] == seg + k / m
+                assert np.max(np.abs(trace.u[row] - u)) < 1e-15
+                part, _ = integrate_flow(sys0, UPath(waypoints=(*pts[:seg + 1], u)), tol=tol)
+                assert np.max(np.abs(trace.A[row] - part.A)) <= 10 * tol
+
+
+@pytest.mark.parametrize("flow", ["isomonodromy flow", "Schlesinger flow"])
+def test_path_must_fit_the_system(flow):
+    # both flows share one interface, and the driver checks the path for both
+    if flow == "isomonodromy flow":
+        sys0, start, run = IrregularSystem(u=U0, A=GENERIC_A), U0, integrate_flow
+    else:
+        start = np.array([0.0, 1.0, 2.0], dtype=complex)
+        sys0 = FuchsianSystem(poles=start, residues=(GENERIC_A, -GENERIC_A, 0 * GENERIC_A))
+        run = integrate_schlesinger
+    longer = np.append(start, 5.0)
+    with pytest.raises(ValueError, match=f"{flow} path has dimension {len(start) + 1}"):
+        run(sys0, UPath.line(longer, longer + 0.1))
+    with pytest.raises(ValueError, match=f"{flow} path starts at"):
+        run(sys0, UPath.line(start + 0.5j, start + 0.1))
 
 
 class TestIntegrabilityResidual:
     def test_diagonal_system_zero(self):
         A = np.diag([0.4, -0.2]).astype(complex)
-        assert integrability_residual(DeformationState(u=U0, A=A)) < 1e-9
+        assert integrability_residual(IrregularSystem(u=U0, A=A)) < 1e-9
 
     @staticmethod
-    def seeded_state(n, gauge=None):
+    def seeded_system(n):
         rng = np.random.default_rng(n)
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        return DeformationState(u=u, A=A, gauge=gauge)
+        return IrregularSystem(u=u, A=A)
 
     @staticmethod
     def nonlinear_gauge(n):
@@ -207,32 +240,32 @@ class TestIntegrabilityResidual:
     def test_exact_on_strong_states(self):
         # n = 2 is structurally exact, so probe n >= 3
         for n in (3, 4, 5):
-            assert integrability_residual(self.seeded_state(n)) <= 1e-12
+            assert integrability_residual(self.seeded_system(n)) <= 1e-12
 
     def test_exact_on_gauged_states(self):
         for n in (3, 4, 5):
-            state = self.seeded_state(n, self.nonlinear_gauge(n))
-            assert integrability_residual(state) <= 1e-12
+            gauge = self.nonlinear_gauge(n)
+            assert integrability_residual(self.seeded_system(n), gauge) <= 1e-12
 
     def test_corrupted_flow_detected(self):
         # a wrong-sign RHS breaks the mixed-partial identity at O(1)
         rng = np.random.default_rng(21)
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        state = DeformationState(u=np.array([0.0, 1.0, 0.5 + 1.0j]), A=A)
-        assert integrability_residual(state, rhs_sign=-1.0) > 0.1
-        gauged = self.seeded_state(3, self.nonlinear_gauge(3))
-        assert integrability_residual(gauged, rhs_sign=-1.0) > 0.1
+        sys0 = IrregularSystem(u=np.array([0.0, 1.0, 0.5 + 1.0j]), A=A)
+        assert integrability_residual(sys0, rhs_sign=-1.0) > 0.1
+        gauge = self.nonlinear_gauge(3)
+        assert integrability_residual(self.seeded_system(3), gauge, rhs_sign=-1.0) > 0.1
 
     def test_matches_finite_differences_of_the_flow(self):
         # reference: d_k omega_j by centred differences of omega_j along short
         # flows; a corrupted gauged flow makes the residual O(1), so the
         # closed form must reproduce it, gauge terms included
         h = 5e-5
-        state = self.seeded_state(3, self.nonlinear_gauge(3))
-        u0, n = state.u, state.n
+        sys0, gauge = self.seeded_system(3), self.nonlinear_gauge(3)
+        u0, n = sys0.u, sys0.n
 
         def omega(s, j):
-            return omega_zero_part(s.A, s.u, j, state.gauge.partial(s.u, j))
+            return omega_zero_part(s.A, s.u, j, gauge.partial(s.u, j))
 
         for rhs_sign in (1.0, -1.0):
             ends = {}
@@ -240,16 +273,16 @@ class TestIntegrabilityResidual:
                 for sgn in (1, -1):
                     target = u0.copy()
                     target[k] += sgn * h
-                    ends[k, sgn] = integrate_flow(
-                        state, UPath.line(u0, target), tol=1e-13, rhs_sign=rhs_sign).state
+                    ends[k, sgn], _ = integrate_flow(sys0, UPath.line(u0, target), tol=1e-13,
+                                                     gauge=gauge, rhs_sign=rhs_sign)
             worst = 0.0
             for j in range(n):
                 for k in range(j + 1, n):
                     dj = (omega(ends[k, 1], j) - omega(ends[k, -1], j)) / (2 * h)
                     dk = (omega(ends[j, 1], k) - omega(ends[j, -1], k)) / (2 * h)
-                    Wj, Wk = omega(state, j), omega(state, k)
+                    Wj, Wk = omega(sys0, j), omega(sys0, k)
                     worst = max(worst, np.linalg.norm(dj - dk + Wj @ Wk - Wk @ Wj, 2))
-            exact = integrability_residual(state, rhs_sign=rhs_sign)
+            exact = integrability_residual(sys0, gauge, rhs_sign=rhs_sign)
             assert abs(exact - worst) <= 1e-6 * max(worst, 1.0)
 
     def test_runs_no_flow(self, monkeypatch):
@@ -260,9 +293,9 @@ class TestIntegrabilityResidual:
 
         monkeypatch.setattr(isoflow, "integrate_flow", refuse)
         monkeypatch.setattr(isoflow, "_integrate", refuse)
-        state = self.seeded_state(4, self.nonlinear_gauge(4))
-        assert integrability_residual(state) <= 1e-12
-        assert integrability_residual(state, rhs_sign=-1.0) > 0.1
+        sys0, gauge = self.seeded_system(4), self.nonlinear_gauge(4)
+        assert integrability_residual(sys0, gauge) <= 1e-12
+        assert integrability_residual(sys0, gauge, rhs_sign=-1.0) > 0.1
 
 
 class TestVanishingCheck:
@@ -281,6 +314,14 @@ class TestVanishingCheck:
         fit = vanishing_order_check(gaps, np.full(8, 0.2))
         assert not fit.passed
         assert abs(fit.slope) < 1e-9
+
+    def test_single_point_above_floor_fits_no_line(self):
+        # one magnitude above the floor: pass only if it sits at the largest gap
+        gaps = 0.05 * 2.0 ** -np.arange(5)
+        fit = vanishing_order_check(gaps, [1e-3] + [1e-14] * 4, floor=1e-13)
+        assert fit.passed and fit.slope == np.inf
+        fit = vanishing_order_check(gaps, [1e-14] * 4 + [1e-3], floor=1e-13)
+        assert not fit.passed and fit.slope == -np.inf
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):
@@ -333,7 +374,6 @@ class TestWeakFlow:
         )
 
         gauge = DiagonalGauge.linear(np.array([[0.3, 0.0], [0.1, -0.2]]))
-        state = DeformationState(u=U0, A=GENERIC_A, gauge=gauge)
         target = np.array([0.25 + 0.1j, 1.15])
         sys0 = IrregularSystem(u=U0, A=GENERIC_A)
         theta = sector_bounds(U0, 0.3, 0).midpoint
@@ -342,12 +382,11 @@ class TestWeakFlow:
             sys0, 0, 0.3, radius=20.0, zstar=zs, tol=1e-12,
             fs=compute_formal_coefficients(sys0, K=32),
         )
-        res = integrate_flow(
-            state, UPath.line(U0, target), tol=1e-12, carry_frame=(zs.z, Y0.value)
+        sys1, trace = integrate_flow(
+            sys0, UPath.line(U0, target), tol=1e-12, gauge=gauge, carry_frame=(zs.z, Y0.value)
         )
-        sys1 = IrregularSystem(u=target, A=res.state.A)
         M0 = monodromy_loop(sys0, Y0, winding=1, tol=1e-12)
-        h1 = SolutionHandle(system=sys1, point=zs, value=res.frame_value)
+        h1 = SolutionHandle(system=sys1, point=zs, value=trace.Y[-1])
         M1 = monodromy_loop(sys1, h1, winding=1, tol=1e-12)
         assert np.max(np.abs(M0 - M1)) < 1e-7
 
@@ -356,7 +395,6 @@ class TestWeakFlow:
         from isomlab.odeengine import PathPoint, actual_solution
 
         gauge = DiagonalGauge.linear(np.array([[0.3, 0.0], [0.1, -0.2]]))
-        state = DeformationState(u=U0, A=GENERIC_A, gauge=gauge)
         target = np.array([0.25 + 0.1j, 1.15])
         sys0 = IrregularSystem(u=U0, A=GENERIC_A)
         theta = sector_bounds(U0, 0.3, 0).midpoint
@@ -365,15 +403,14 @@ class TestWeakFlow:
             sys0, 0, 0.3, radius=20.0, zstar=zs, tol=1e-12,
             fs=compute_formal_coefficients(sys0, K=32),
         )
-        res = integrate_flow(
-            state, UPath.line(U0, target), tol=1e-12, carry_frame=(zs.z, Y0.value)
+        sys1, trace = integrate_flow(
+            sys0, UPath.line(U0, target), tol=1e-12, gauge=gauge, carry_frame=(zs.z, Y0.value)
         )
-        sys1 = IrregularSystem(u=target, A=res.state.A)
         Y1 = actual_solution(
             sys1, 0, 0.3, radius=20.0, zstar=zs, tol=1e-12,
             fs=compute_formal_coefficients(sys1, K=32),
         )
-        H_end = np.linalg.solve(Y1.value, res.frame_value)
+        H_end = np.linalg.solve(Y1.value, trace.Y[-1])
         predicted = np.diag(np.exp(gauge.value(target) - gauge.value(U0)))
         assert np.max(np.abs(H_end - predicted)) < 1e-6
 
@@ -411,7 +448,7 @@ class TestLaurentReduce:
 
     def test_flow_rhs_identity(self):
         # with omega^(-1) = 0, dA/du_j - [omega^(0), A] vanishes along the flow
-        state = DeformationState(u=U0, A=GENERIC_A)
+        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
         h = 1e-6
         j = 1
         raw = LaurentCoefficients(j=j, negative=(), omega0=None, positive=())
@@ -419,8 +456,8 @@ class TestLaurentReduce:
         tgt_p, tgt_m = U0.copy(), U0.copy()
         tgt_p[j] += h
         tgt_m[j] -= h
-        Ap = integrate_flow(state, UPath.line(U0, tgt_p), tol=1e-13).state.A
-        Am = integrate_flow(state, UPath.line(U0, tgt_m), tol=1e-13).state.A
+        Ap = integrate_flow(sys0, UPath.line(U0, tgt_p), tol=1e-13)[0].A
+        Am = integrate_flow(sys0, UPath.line(U0, tgt_m), tol=1e-13)[0].A
         fd = (Ap - Am) / (2 * h)
         comm = out.omega0 @ GENERIC_A - GENERIC_A @ out.omega0
         assert np.max(np.abs(fd - comm)) < 1e-7

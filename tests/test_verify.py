@@ -4,7 +4,7 @@ import pytest
 from isomlab import odeengine
 from isomlab.errors import ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
-from isomlab.isoflow import DeformationState, DiagonalGauge
+from isomlab.isoflow import DiagonalGauge
 from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
 from isomlab.odeengine import connection_matrix
 from isomlab.verify import (
@@ -41,7 +41,7 @@ class TestCollectData:
     def test_diagonal_family_trivial(self):
         A = np.diag([0.4, -0.2]).astype(complex)
         data = collect_data(
-            DeformationState(u=U0, A=A), [U0, U1], r=0, tau=0.3, order=16
+            IrregularSystem(u=U0, A=A), [U0, U1], r=0, tau=0.3, order=16
         )
         for d in data:
             assert np.max(np.abs(d.S_r - np.eye(2))) < 1e-7
@@ -51,7 +51,7 @@ class TestCollectData:
 
     def test_strong_flow_constancy(self):
         data = collect_data(
-            DeformationState(u=U0, A=GENERIC_A), [U0, U1], r=0, tau=0.3, order=32,
+            IrregularSystem(u=U0, A=GENERIC_A), [U0, U1], r=0, tau=0.3, order=32,
         )
         drift = data_drift(data)
         assert drift["S_r"] <= 1e-6
@@ -66,7 +66,7 @@ class TestCollectData:
         for _ in range(3):
             A = rng.normal(size=(2, 2)) + 0.5j * rng.normal(size=(2, 2))
             data = collect_data(
-                DeformationState(u=U0, A=A),
+                IrregularSystem(u=U0, A=A),
                 [U0, U0 + np.array([0.12 - 0.1j, 0.15])],
                 r=0, tau=0.3, order=32,
             )
@@ -78,8 +78,8 @@ class TestCollectData:
     def test_weak_flow_connection_drifts(self):
         gauge = DiagonalGauge.linear(np.array([[0.5, 0.0], [0.2, -0.4]]))
         data = collect_data(
-            DeformationState(u=U0, A=GENERIC_A, gauge=gauge),
-            [U0, U1], r=0, tau=0.3, order=32,
+            IrregularSystem(u=U0, A=GENERIC_A),
+            [U0, U1], r=0, tau=0.3, order=32, gauge=gauge,
         )
         drift = data_drift(data)
         assert drift["C_r"] > 1e-3
@@ -88,7 +88,7 @@ class TestCollectData:
         counts = []
         for samples in ([U0, U1], [U0, 0.5 * (U0 + U1), U1]):
             engine_calls.clear()
-            collect_data(DeformationState(u=U0, A=GENERIC_A), samples, r=0, tau=0.3,
+            collect_data(IrregularSystem(u=U0, A=GENERIC_A), samples, r=0, tau=0.3,
                          order=32)
             counts.append(len(engine_calls))
         assert counts[0] == counts[1] > 0
@@ -96,7 +96,7 @@ class TestCollectData:
     def test_wall_sample_rejected(self):
         with pytest.raises(WallError):
             collect_data(
-                DeformationState(u=np.array([0.0, 0.0]), A=np.zeros((2, 2))),
+                IrregularSystem(u=np.array([0.0, 0.0]), A=np.zeros((2, 2))),
                 [np.array([0.0, 0.0])], r=0, tau=0.3,
             )
 
@@ -147,11 +147,11 @@ class TestRayFamilySeries:
         v = coalescing_direction(UC3, 0.3)
         coeffs = ray_family_series(A3, UC3, v, order=5)
         s = 0.01
-        state = DeformationState(u=UC3 + s * v, A=eval_ray_family(coeffs, s))
-        res = integrate_flow(
-            state, UPath.line(state.u, UC3 + 2 * s * v), tol=1e-13, guard=0.0
+        sys0 = IrregularSystem(u=UC3 + s * v, A=eval_ray_family(coeffs, s))
+        end, _ = integrate_flow(
+            sys0, UPath.line(sys0.u, UC3 + 2 * s * v), tol=1e-13, guard=0.0
         )
-        assert np.max(np.abs(res.state.A - eval_ray_family(coeffs, 2 * s))) < 1e-11
+        assert np.max(np.abs(end.A - eval_ray_family(coeffs, 2 * s))) < 1e-11
 
     def test_preserves_diagonal(self):
         v = coalescing_direction(UC3, 0.3)

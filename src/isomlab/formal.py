@@ -36,8 +36,9 @@ class IrregularSystem:
     """The data (Lambda, A, optional higher poles) of the linear system.
 
     `u` holds the eigenvalues of Lambda = diag(u_1..u_n); `higher` holds the
-    coefficients A_2..A_p of additional poles at z = 0.  Distinctness of the
-    u_i is *not* enforced here; operations that need it check at call time.
+    coefficients A_2..A_p of additional poles at z = 0.  All entries must be
+    finite.  Distinctness of the u_i is *not* enforced here; operations that
+    need it check at call time.
     """
 
     u: np.ndarray
@@ -46,6 +47,8 @@ class IrregularSystem:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex).reshape(-1)
+        if not np.isfinite(u).all():
+            raise ValueError(f"u entries must be finite, got {u}")
         A = as_square(self.A)
         if A.shape[0] != len(u):
             raise ValueError(f"A is {A.shape} but u has length {len(u)}")
@@ -341,16 +344,27 @@ def optimal_truncation(fs: FormalSolution, radius: float) -> tuple[int, float]:
     Stops before the smallest-magnitude term of the divergent series; the
     returned bound is the magnitude of the first omitted term.
     """
+    return optimal_truncations([fs.F], radius)[0]
+
+
+def optimal_truncations(series, radius: float) -> list[tuple[int, float]]:
+    """optimal_truncation of each series, given as its F_1..F_K; the norms
+    of all of them come from one stacked SVD, so the series must share n."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if fs.K == 0:
-        return 0, np.inf
-    norms = np.linalg.svd(np.asarray(fs.F[: fs.K]), compute_uv=False)[:, 0]
-    terms = norms * float(radius) ** -np.arange(1, fs.K + 1)
-    k = int(np.argmin(np.where(np.isnan(terms), np.inf, terms)))
-    if not terms[k] < np.inf:
-        return 0, np.inf
-    return k + 1, float(terms[k])
+    stacks = [np.asarray(F) for F in series]
+    full = [F for F in stacks if len(F)]
+    norms = np.linalg.svd(np.concatenate(full), compute_uv=False)[:, 0] if full else None
+    out, a = [], 0
+    for F in stacks:
+        if not len(F):
+            out.append((0, np.inf))
+            continue
+        terms = norms[a : a + len(F)] * float(radius) ** -np.arange(1, len(F) + 1)
+        a += len(F)
+        k = int(np.argmin(np.where(np.isnan(terms), np.inf, terms)))
+        out.append((k + 1, float(terms[k])) if terms[k] < np.inf else (0, np.inf))
+    return out
 
 
 def ode_laurent_residuals(sys: IrregularSystem, fs: FormalSolution) -> list[float]:

@@ -77,14 +77,19 @@ class RaySet:
 
     def base_directions(self, tol: float = 1e-12) -> np.ndarray:
         """Distinct directions mod pi, sorted, representing the ray family."""
-        if not self.rays:
-            return np.array([])
-        vals = sorted(mod_angle(r.theta, math.pi) for r in self.rays)
-        out = [vals[0]]
-        for v in vals[1:]:
-            if v - out[-1] > tol and (math.pi - v + out[0]) > tol:
-                out.append(v)
-        return np.array(out)
+        return _base_directions([r.theta for r in self.rays], tol)
+
+
+def _base_directions(thetas, tol: float = 1e-12) -> np.ndarray:
+    """Distinct directions mod pi of the rays at `thetas`, sorted."""
+    if not thetas:
+        return np.array([])
+    vals = sorted(mod_angle(th, math.pi) for th in thetas)
+    out = [vals[0]]
+    for v in vals[1:]:
+        if v - out[-1] > tol and (math.pi - v + out[0]) > tol:
+            out.append(v)
+    return np.array(out)
 
 
 def coalescence_labels(u, tol: float = 0.0) -> np.ndarray:
@@ -113,6 +118,20 @@ def _margin(tau: float, thetas) -> float:
     return min((angular_distance(tau, th, math.pi) for th in thetas), default=math.inf)
 
 
+def _rays(uv: list, label) -> list[tuple[float, int, int]]:
+    """(theta, i, j) of the ordered pairs with label[i] != label[j] and
+    u_i != u_j, uv and label given as lists."""
+    n = len(uv)
+    rays = [
+        (_ray_angle(uv[i] - uv[j]), i, j)
+        for i in range(n) for j in range(n)
+        if label[i] != label[j] and uv[i] != uv[j]
+    ]
+    if not rays:
+        raise WallError("all selected u_i coincide; no Stokes rays exist")
+    return rays
+
+
 def stokes_ray_directions(u, subclass_at=None) -> RaySet:
     """Ray directions 3 pi/2 - arg(u_i - u_j) mod 2 pi for all ordered pairs.
 
@@ -121,22 +140,13 @@ def stokes_ray_directions(u, subclass_at=None) -> RaySet:
     point); the differences themselves are still taken at `u`.
     """
     uv = _as_uvec(u)
-    n = len(uv)
-    label = range(n)  # without a sub-class each index is a group of its own
+    label = range(len(uv))  # without a sub-class each index is a group of its own
     if subclass_at is not None:
         ref = _as_uvec(subclass_at)
-        if len(ref) != n:
+        if len(ref) != len(uv):
             raise ValueError("subclass_at must have the same length as u")
-        label = coalescence_labels(ref)
-    rays = [
-        StokesRay(theta=_ray_angle(uv[i] - uv[j]), i=i, j=j)
-        for i in range(n) for j in range(n)
-        if label[i] != label[j] and uv[i] != uv[j]
-    ]
-    if not rays:
-        raise WallError("all selected u_i coincide; no Stokes rays exist")
-    rays.sort(key=lambda r: (r.theta, r.i, r.j))
-    return RaySet(rays=tuple(rays))
+        label = coalescence_labels(ref).tolist()
+    return RaySet(rays=tuple(StokesRay(*ray) for ray in sorted(_rays(uv.tolist(), label))))
 
 
 @dataclass(frozen=True)
@@ -211,44 +221,62 @@ def _nearest_ray(base: np.ndarray, a: float, side: int) -> float:
     return side * best
 
 
-def sector_bounds(
-    u,
+def sector_frames(
+    us,
     tau: float,
-    r: int,
+    rs,
     widened: bool = False,
     uC=None,
     tol: float = 1e-8,
-) -> SectorFrame:
-    """Bounds of S_r(u), or of the widened sector when `widened` is set.
+) -> list[tuple[SectorFrame, ...]]:
+    """Bounds of S_r(u), or of the widened sector when `widened` is set, for
+    each r of `rs` and each u of `us`, from one computation of the rays of
+    each u.
 
     In widened mode only rays of pairs with u_i^C != u_j^C bound the sector
     (tau must then be admissible at u^C in the sub-class sense).  If that
     sub-class is empty the fallback policy returns the half-plane extended by
     pi/2 on each side, flagged as degenerate.
     """
-    lo_hp = tau + (r - 2) * math.pi
-    hi_hp = tau + (r - 1) * math.pi
-    uC_key = None
+    half_planes = [(tau + (r - 2) * math.pi, tau + (r - 1) * math.pi) for r in rs]
+    uC_key = label = None
     if widened:
         if uC is None:
             raise ValueError("widened sectors need the coalescence point uC")
-        uC_key = tuple(complex(x) for x in _as_uvec(uC))
-        if not coalescence_labels(uC).any():
-            return SectorFrame(
-                tau=tau, r=r, lo=lo_hp - math.pi / 2, hi=hi_hp + math.pi / 2,
-                widened=True, degenerate=True, uC=uC_key,
+        ref = _as_uvec(uC)
+        uC_key = tuple(complex(x) for x in ref)
+        label = coalescence_labels(ref).tolist()
+        if not any(label):
+            return [tuple(
+                SectorFrame(tau=tau, r=r, lo=lo - math.pi / 2, hi=hi + math.pi / 2,
+                            widened=True, degenerate=True, uC=uC_key)
+                for r, (lo, hi) in zip(rs, half_planes)
+            )] * len(us)
+    out = []
+    for u in us:
+        uv = _as_uvec(u).tolist()
+        if label is not None and len(label) != len(uv):
+            raise ValueError("uC must have the same length as u")
+        thetas = [theta for theta, _, _ in _rays(uv, range(len(uv)) if label is None else label)]
+        margin = _margin(tau, thetas)
+        if not margin > tol:
+            raise AdmissibilityError(
+                f"tau = {tau:.6g} is within {margin:.3e} of a "
+                f"{'sub-class ' if widened else ''}Stokes ray"
             )
-    rays = stokes_ray_directions(u, subclass_at=uC if widened else None)
-    margin = _margin(tau, (r.theta for r in rays.rays))
-    if not margin > tol:
-        raise AdmissibilityError(
-            f"tau = {tau:.6g} is within {margin:.3e} of a "
-            f"{'sub-class ' if widened else ''}Stokes ray"
-        )
-    base = rays.base_directions()
-    lo = _nearest_ray(base, lo_hp, -1)
-    hi = _nearest_ray(base, hi_hp, 1)
-    return SectorFrame(tau=tau, r=r, lo=lo, hi=hi, widened=widened, uC=uC_key)
+        base = _base_directions(thetas)
+        out.append(tuple(
+            SectorFrame(tau=tau, r=r, lo=_nearest_ray(base, lo, -1), hi=_nearest_ray(base, hi, 1),
+                        widened=widened, uC=uC_key)
+            for r, (lo, hi) in zip(rs, half_planes)
+        ))
+    return out
+
+
+def sector_bounds(u, tau: float, r: int, widened: bool = False, uC=None,
+                  tol: float = 1e-8) -> SectorFrame:
+    """The frame of the one sector r of u (see sector_frames)."""
+    return sector_frames([u], tau, (r,), widened=widened, uC=uC, tol=tol)[0][0]
 
 
 @dataclass(frozen=True)

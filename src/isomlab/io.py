@@ -12,6 +12,7 @@ carry u-space waypoints.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -22,12 +23,14 @@ from .isoflow import UPath
 
 
 def complex_from_pair(obj, where: str) -> complex:
+    """[re, im] as a complex; booleans and non-finite numbers are refused."""
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   and math.isfinite(x) for x in obj)
     ):
-        raise InputFormatError(f"{where}: expected [re, im], got {obj!r}")
+        raise InputFormatError(f"{where}: expected [re, im] of finite numbers, got {obj!r}")
     return complex(obj[0], obj[1])
 
 
@@ -76,8 +79,11 @@ def load_system(path) -> dict:
             raise InputFormatError("irregular system needs both 'u' and 'A'")
         u = cvec_from_json(doc["u"], "u")
         A = cmat_from_json(doc["A"], "A")
-        if "n" in doc and int(doc["n"]) != len(u):
-            raise InputFormatError(f"n = {doc['n']} disagrees with len(u) = {len(u)}")
+        n = doc.get("n", len(u))
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputFormatError(f"n: expected an integer, got {n!r}")
+        if n != len(u):
+            raise InputFormatError(f"n = {n} disagrees with len(u) = {len(u)}")
         if A.shape != (len(u), len(u)):
             raise InputFormatError(f"A has shape {A.shape}, expected {(len(u),) * 2}")
         higher = tuple(

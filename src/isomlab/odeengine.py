@@ -57,13 +57,21 @@ the window of the last m to its front when it is full.
 
 Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
 function that assembles it from their end values, and run all of them in
-one batch: `sectorial_plan`, `stokes_plan` and `connection_plan` are the
-plan steps of `actual_solution`, `stokes_matrix` and `connection_matrix`,
-and `fuchsian.monodromy_plan` that of `fuchs_monodromy`; the sector plans
-take all their settings as one `StokesConfig`.
-The plans of one pipeline share a memo dict, so that sector frames, seed
-directions, truncation orders, seed columns and column ODEs are computed
-once each, and the engine finds the legs they have in common.
+one batch.  `sector_plan` plans a list of `SectorRequest`s (a sectorial
+solution Y_r, a Stokes matrix S_r or a connection matrix C_r of some system
+and series) under one `StokesConfig`; `actual_solution`, `stokes_matrix` and
+`connection_matrix` run it on one request, `collect_data` and
+`verify_coalescence` on all of theirs, and `fuchsian.monodromy_plan` is the
+plan of `fuchs_monodromy`.  The requests of one plan share one
+`SectorTable`: the frames of every (system, sector) pair from one ray
+computation per system, the seed directions and Stokes leakage of all
+frames of each system in one array pass, and the truncations of all
+distinct series in one stacked SVD.  The plan lays out the legs of each
+(system, sector, z*) and the seed columns of each (system, series, sector)
+once, so the engine finds the legs they have in common, and assembles all
+Stokes matrices in one stacked pass.  Every number is the one the per-result computation gives,
+bit for bit: angles stay on math.atan2, and scalar complex arithmetic is
+not moved into arrays, whose products round differently.
 
 The Wronskian identity
 
@@ -96,9 +104,9 @@ from .formal import (
     FormalSolution,
     IrregularSystem,
     compute_formal_coefficients,
-    optimal_truncation,
+    optimal_truncations,
 )
-from .geometry import SectorFrame, sector_bounds
+from .geometry import sector_frames
 from .levelt import LeveltData, eval_levelt
 
 DEFAULT_TOL = 1e-11
@@ -598,132 +606,283 @@ class StokesConfig:
             object.__setattr__(self, "uC", tuple(complex(x) for x in uC))
 
 
-def _memoized(memo: dict, key: tuple, compute: Callable[[], Any]):
-    """memo[key], computed by compute() the first time it is asked for."""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+@dataclass(frozen=True)
+class SectorRequest:
+    """One result of a sector plan, for `sys` seeded with the series `fs`:
+    the Stokes matrix S_r (kind "stokes"), the sectorial solution Y_r at
+    `zstar` ("sectorial"; z* defaults to the sector midpoint at the seed
+    radius) or the connection matrix C_r against the Levelt solution `ld`
+    ("connection"; z* defaults to the sector midpoint at half the seed
+    radius)."""
+
+    sys: IrregularSystem
+    r: int
+    fs: FormalSolution
+    kind: str = "stokes"
+    zstar: PathPoint | None = None
+    ld: LeveltData | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("stokes", "sectorial", "connection"):
+            raise ValueError(f"unknown sector request kind {self.kind!r}")
+        if (self.kind == "connection") != (self.ld is not None):
+            raise ValueError("a connection request, and only one, needs its Levelt data")
+
+    @property
+    def sectors(self) -> tuple[int, ...]:
+        """The sectors whose solutions make up the result."""
+        return (self.r, self.r + 1) if self.kind == "stokes" else (self.r,)
 
 
-def _frame(memo: dict, sys, r, cfg: StokesConfig) -> SectorFrame:
-    """The frame of sector r of sys under cfg, once per memo."""
-    key = ("frame", sys.u.tobytes(), r, cfg.tau, cfg.widened, cfg.uC)
-    return _memoized(memo, key, lambda: sector_bounds(sys.u, cfg.tau, r, widened=cfg.widened,
-                                                      uC=cfg.uC))
+class SectorTable:
+    """What the requests of one sector plan share, each computed once.
+
+    `systems` are the distinct systems of the requests and `series` their
+    distinct series (F_1..F_K as one (K, n, n) array), both in order of first
+    use; requests share a series when they share its F tuple, as the
+    frozen-seeded passes of verify_coalescence share the frozen one.
+    `frames`, `angles` and `leakage` map (system index, sector) to the sector
+    frame, the seed direction of every column in it and the Stokes leakage of
+    seeds there at the seed radius, for every system in every sector that any
+    request uses; `truncations` holds the optimal truncation (k, bound) of
+    each series at the seed radius.  The Stokes rays of each system are found
+    once for all its sectors, the seed grids of the frames of each system are
+    one array pass (so its arrays do not grow with the number of systems),
+    and the truncations of all series are one stacked SVD, so all systems
+    must share n.
+    """
+
+    def __init__(self, cfg: StokesConfig, requests):
+        systems = {id(q.sys): q.sys for q in requests}
+        series = {id(q.fs.F): q.fs.F for q in requests}
+        self.system_index = {key: k for k, key in enumerate(systems)}
+        self.series_index = {key: k for k, key in enumerate(series)}
+        self.systems = list(systems.values())
+        if len({s.n for s in self.systems}) > 1:
+            raise ValueError("the systems of one sector table must share n")
+        n = self.systems[0].n
+        sectors = sorted({k for q in requests for k in q.sectors})
+        frames = sector_frames([sys.u for sys in self.systems], cfg.tau, sectors,
+                               widened=cfg.widened, uC=cfg.uC)
+        self.frames = {(s, r): frame for s, row in enumerate(frames)
+                       for r, frame in zip(sectors, row)}
+        self.angles, self.leakage = {}, {}
+        for s, (sys, row) in enumerate(zip(self.systems, frames)):
+            angles, leakage = _seed_directions(sys.u, np.array([f.lo for f in row]),
+                                               np.array([f.hi for f in row]), cfg.radius)
+            self.angles.update(((s, r), a) for r, a in zip(sectors, angles))
+            self.leakage.update(((s, r), x) for r, x in zip(sectors, leakage.tolist()))
+        self.series = [np.asarray(F, dtype=complex).reshape(-1, n, n) for F in series.values()]
+        self.truncations = optimal_truncations(self.series, cfg.radius)
 
 
-def _seeds(memo: dict, sys, r, cfg: StokesConfig):
-    """The frame of sector r, the seed direction of every column in it and
-    the Stokes leakage of seeds there at the seed radius, once per memo."""
-    frame = _frame(memo, sys, r, cfg)
-
-    def compute():
-        angles, _ = _column_seed_directions(sys.u, frame)
-        return angles, _leakage(sys.u, angles, cfg.radius)
-
-    return (frame, *_memoized(memo, ("seeds", sys.u.tobytes(), frame, cfg.radius), compute))
-
-
-def _column_seed_directions(u, frame: SectorFrame, grid: int = 720):
-    """Per-column seed directions: the deepest recessive angle in the sector.
+def _seed_directions(u, lo, hi, radius: float, grid: int = 720):
+    """Per-column seed directions in the frames (lo, hi), two (F,) arrays, of
+    the system with exponents u, and the Stokes leakage of seeds there, for
+    all those frames in one array pass.
 
     For column j the contamination of the truncated-series seed by other
     solutions scales like exp(|z| Re(e^{i theta}(u_j - u_i))); picking theta
     where u_j is most recessive against every other exponential drives those
-    admixtures below the truncation error.  Returns (angles, margins) where
-    margin > 0 means genuinely recessive with that depth.
+    admixtures below the truncation error.  A column seeded at recessive
+    depth d against pair (i, j) can still pick up an admixture of that
+    solution at the e^{-R d} level, R = `radius` (the Stokes leakage of the
+    sector boundary); with no recessive direction available (d <= 0) the
+    admixture is order of the pair's Stokes activity, which near-coalescing
+    pairs of vanishing-compatible families reduce with the separation.
+    Returns the angles (F, n) and the largest admixture in each frame (F,).
     """
-    u = np.asarray(u, dtype=complex)
-    pad = min(0.05, 0.1 * frame.opening)
-    thetas = np.linspace(frame.lo + pad, frame.hi - pad, grid)
+    pad = np.minimum(0.05, 0.1 * (hi - lo))
+    thetas = np.linspace(lo + pad, hi - pad, grid, axis=-1)  # (F, grid)
     diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
     other = (diff != 0)[..., None]  # i != j and u_i != u_j
-    d = -np.real(np.exp(1j * thetas) * diff[..., None])  # (n, n, grid)
-    depth = np.where(other, d, np.inf).min(axis=1)
-    depth[np.isinf(depth).all(axis=1)] = 0.0
+    d = -np.real(np.exp(1j * thetas)[:, None, None] * diff[..., None])  # (F, n, n, grid)
+    depth = np.where(other, d, np.inf).min(axis=2)
+    depth[np.isinf(depth).all(axis=2)] = 0.0
     # tie-break flat plateaus (tightly coalescing pairs cap the min) in
     # favour of directions recessive against the remaining pairs too
-    best = np.argmax(depth + 1e-3 * np.where(other, d, 0.0).sum(axis=1), axis=1)
-    return thetas[best], depth[np.arange(len(u)), best]
-
-
-def _leakage(u, angles, radius) -> float:
-    """Largest admixture of another solution in the seeds at `angles`.
-
-    A column seeded at recessive depth d against pair (i, j) can still pick
-    up an admixture of that solution at the e^{-R d} level (the Stokes
-    leakage of the sector boundary); with no recessive direction available
-    (d <= 0) the admixture is order of the pair's Stokes activity, which
-    near-coalescing pairs of vanishing-compatible families reduce with the
-    separation.
-    """
-    diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
-    depth = -np.real(np.exp(1j * np.asarray(angles))[:, None] * diff)
+    best = np.argmax(depth + 1e-3 * np.where(other, d, 0.0).sum(axis=2), axis=2)
+    angles = np.take_along_axis(thetas, best, axis=1)
+    depth = -np.real(np.exp(1j * angles)[..., None] * diff)
     admixture = np.minimum(1.0, np.abs(diff)) * np.exp(-radius * np.maximum(depth, 0.0))
-    return float(np.max(admixture[diff != 0], initial=0.0))
+    return angles, np.max(admixture, axis=(1, 2), where=diff != 0, initial=0.0)
 
 
-def sectorial_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
-                   zstar: PathPoint | None = None, fs: FormalSolution | None = None,
-                   memo: dict | None = None) -> Plan:
-    """The column transports of Y_r at `zstar` (default: the sector midpoint
-    at the seed radius), assembled into its handle.
-
-    Each column runs a radial leg in from its seed, an argument sweep at
-    moderate radius and a radial leg out to z*.  Without `fs` the series is
-    computed to cfg.order; `memo` as for stokes_plan.
-    """
-    memo = {} if memo is None else memo
-    radius = cfg.radius
-    frame, angles, leakage = _seeds(memo, sys, r, cfg)
-    if zstar is None:
-        zstar = PathPoint.from_polar(radius, frame.midpoint)
-    elif not frame.contains(zstar.arg):
-        raise SectorError(
-            f"zstar argument {zstar.arg:.6g} outside sector "
-            f"({frame.lo:.6g}, {frame.hi:.6g})"
-        )
-    if fs is None:
-        fs = compute_formal_coefficients(sys, K=cfg.order)
-    F = np.asarray(fs.F, dtype=complex).reshape(-1, sys.n, sys.n)
-    series = F.tobytes()
-    k_opt, bound = _memoized(memo, ("truncation", series, radius),
-                             lambda: optimal_truncation(fs, radius))
-    powers = -np.arange(1.0, k_opt + 1)
+def _column_legs(angles, zstar: PathPoint, radius: float, rho_max: float):
+    """The seed point of each column, at |z| = radius on its angle, and its
+    legs to zstar: a radial leg in from the seed, an argument sweep at
+    moderate radius and a radial leg out to z*."""
     # argument sweeps at large |z| let the dominant exponential swamp the
     # recessive one inside the relative tail criterion; sweep at moderate radius
-    rho_max = float(np.max(np.abs(sys.u[:, None] - sys.u[None, :])))
     rho_arc = min(zstar.radius, radius, max(0.5, 4.0 / max(rho_max, 1e-6)))
     out = _polar(rho_arc, zstar.arg)
-    system = (sys.u.tobytes(), sys.A.tobytes(), tuple(H.tobytes() for H in sys.higher))
-    jobs = []
-    for j, theta in enumerate(angles):
+    seeds, paths = [], []
+    for theta in angles:
         seed, turn = _polar(radius, theta), _polar(rho_arc, theta)
         legs = [Leg(seed, turn)] if rho_arc < radius else []
         legs.append(Leg(turn, out, center=0j, sweep=zstar.arg - theta))
         if abs(zstar.radius - rho_arc) > 1e-12:
             legs.append(Leg(out, zstar.z))
-        # transport in the column's own scalar gauge y e^{-z u_j} z^{-b_j},
-        # which stays O(1) along the whole path, so the relative tail
-        # criterion is meaningful for exponentially small columns
-        ode = _memoized(memo, ("ode", system, fs.u[j], fs.b[j]),
-                        lambda: irregular_ode(sys, fs.u[j], fs.b[j]))
-        # column j of the optimally truncated series I + sum_k F_k z^-k
-        col = _memoized(memo, ("seed", series, seed, k_opt, j),
-                        lambda: np.eye(sys.n)[j] + F[:k_opt, :, j].T @ seed**powers)
-        jobs.append((ode, col, legs))
-    w_star = np.log(zstar.radius) + 1j * zstar.arg
-    gauge = np.exp(fs.u * zstar.z + fs.b * w_star)
+        seeds.append(seed)
+        paths.append(legs)
+    return seeds, paths
 
-    def assemble(cols):
-        return SolutionHandle(
-            system=sys,
-            point=zstar,
-            value=np.stack(cols, axis=1) * gauge,
-            seed_error=float(bound + leakage),
-        )
+
+def sector_plan(cfg: StokesConfig, requests) -> Plan:
+    """The transports of `requests` (SectorRequests), assembled into their
+    results in request order: a StokesResult, a SolutionHandle or a
+    connection matrix each.
+
+    The requests share one SectorTable.  Each (system, sector, z*) lays out
+    its column legs once and each (system, series, sector) its seed columns
+    once, however many results are made of them.  Every column runs in its
+    own scalar gauge y e^{-z u_j} z^{-b_j}, which stays O(1) along the whole
+    path, so the relative tail criterion is meaningful for exponentially
+    small columns.  The solutions Y_k of all requests, and the Stokes
+    matrices among the results, are each assembled in one stacked pass.
+    """
+    requests = list(requests)
+    table = SectorTable(cfg, requests)
+    R = cfg.radius
+    n = table.systems[0].n
+    eye = np.eye(n)
+    rho_max = np.abs(np.array([s.u[:, None] - s.u[None, :] for s in table.systems])
+                     ).max(axis=(1, 2)).tolist()
+    overlaps, paths, seeds, odes = {}, {}, {}, {}
+    jobs, first, levelt = [], [], {}
+    stokes, spans = [], []  # the Stokes requests and their sector overlaps
+    # per Y_k: its first job, z*, log z* and series, and its seed error
+    starts, points, logs, series, seed_error = [], [], [], [], []
+    for p, q in enumerate(requests):
+        s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
+        if q.kind == "stokes":
+            if (s, q.r) not in overlaps:
+                lo, hi = table.frames[s, q.r + 1].lo, table.frames[s, q.r].hi
+                if not hi - lo > 1e-9:
+                    raise SectorError(f"sectors {q.r} and {q.r + 1} do not overlap: ({lo}, {hi})")
+                # z* of S_r: the midpoint of the overlap, at half the seed radius
+                overlaps[s, q.r] = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi)), (lo, hi)
+            zstar, span = overlaps[s, q.r]
+            stokes.append(p)
+            spans.append(span)
+        else:
+            frame = table.frames[s, q.r]
+            zstar = q.zstar
+            if zstar is None:
+                zstar = PathPoint.from_polar(R if q.kind == "sectorial" else R / 2.0,
+                                             frame.midpoint)
+            elif not frame.contains(zstar.arg):
+                raise SectorError(
+                    f"zstar argument {zstar.arg:.6g} outside sector "
+                    f"({frame.lo:.6g}, {frame.hi:.6g})"
+                )
+        w = np.log(zstar.radius) + 1j * zstar.arg
+        column_odes = []
+        for j, shift in enumerate(zip(q.fs.u.tolist(), q.fs.b.tolist())):
+            if (s, shift) not in odes:
+                odes[s, shift] = irregular_ode(q.sys, q.fs.u[j], q.fs.b[j])
+            column_odes.append(odes[s, shift])
+        first.append(len(starts))
+        for k in q.sectors:
+            if (s, k, zstar) not in paths:
+                paths[s, k, zstar] = _column_legs(table.angles[s, k].tolist(), zstar, R,
+                                                  rho_max[s])
+            at, legs = paths[s, k, zstar]
+            if (s, f, k) not in seeds:
+                # column j of the optimally truncated series I + sum_k F_k z^-k
+                k_opt = table.truncations[f][0]
+                F = table.series[f][:k_opt].transpose(2, 1, 0)  # F[j] = F[:k_opt, :, j].T
+                z = np.array(at)[:, None] ** -np.arange(1.0, k_opt + 1)
+                seeds[s, f, k] = [eye[j] + F[j] @ z[j] for j in range(n)]
+            starts.append(len(jobs))
+            points.append(zstar)
+            logs.append(w)
+            series.append(q.fs)
+            seed_error.append(table.truncations[f][1] + table.leakage[s, k])
+            jobs += zip(column_odes, seeds[s, f, k], legs)
+        if q.kind == "connection":
+            lev = levelt_handle(q.sys, q.ld, zstar.arg)
+            levelt[p] = len(jobs)
+            jobs.append((irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)]))
+
+    # E(z*) = z*^B e^{z* Lambda} of every Y_k, in the exponents of its series
+    logs = np.array(logs)
+    gauge = np.exp(np.array([fs.u for fs in series]) * np.array([z.z for z in points])[:, None]
+                   + np.array([fs.b for fs in series]) * logs[:, None])
+    seed_error = np.array(seed_error)
+    blocks = np.array([first[p] for p in stokes], dtype=int)  # Y_r of each S_r
+
+    def assemble(ends):
+        cols = np.array([ends[a + j] for a in starts for j in range(n)])
+        Y = np.ascontiguousarray(cols.reshape(-1, n, n).transpose(0, 2, 1)) * gauge[:, None, :]
+        sign, logdet = np.linalg.slogdet(Y)
+        if np.any((sign == 0) | ~np.isfinite(logdet)):
+            raise ValueError("fundamental matrix must be invertible")
+        results = {}
+        if stokes:
+            results = dict(zip(stokes, _stokes_results(
+                [requests[p] for p in stokes], [points[b] for b in blocks], logs[blocks], spans,
+                Y[blocks], Y[blocks + 1], seed_error[blocks] + seed_error[blocks + 1], cfg.tol,
+            )))
+        for p, q in enumerate(requests):
+            b = first[p]
+            if q.kind == "sectorial":
+                results[p] = SolutionHandle(system=q.sys, point=points[b], value=Y[b],
+                                            seed_error=float(seed_error[b]))
+            elif q.kind == "connection":
+                results[p] = np.linalg.solve(ends[levelt[p]], Y[b])
+        return [results[p] for p in range(len(requests))]
 
     return Plan(tuple(jobs), assemble)
+
+
+def _stokes_results(requests, zstars, w, overlaps, Yr, Yr1, seed_error, tol: float):
+    """The StokesResults of `requests` from their Y_r and Y_{r+1} at z*, two
+    (P, n, n) stacks, in one stacked pass (see stokes_matrix); `w` holds
+    log z*, and `seed_error` the sum of the seed errors of each pair."""
+    n = Yr.shape[-1]
+    u = np.array([q.sys.u for q in requests])
+    # E(z*) diagonals
+    grading = np.exp(np.array([q.fs.b for q in requests]) * w[:, None]
+                     + np.array([z.z for z in zstars])[:, None] * u)
+    Fr = Yr / grading[:, None, :]
+    Fr1 = Yr1 / grading[:, None, :]
+    try:
+        W = np.linalg.solve(Fr, Fr1)
+    except np.linalg.LinAlgError:
+        for z, a, b in zip(zstars, Fr, Fr1):
+            try:
+                np.linalg.solve(a, b)
+            except np.linalg.LinAlgError as exc:
+                raise IntegrationError(f"conditioning failure at z* = {z.z:.6g}: {exc}") from exc
+        raise
+    ratio = grading[:, None, :] / grading[:, :, None]  # E_jj / E_ii
+    S = W * ratio
+    # the entries forced to vanish, Re(e^{i arg z*}(u_i - u_j)) > 0 off the
+    # diagonal, with the real part rounded as a scalar complex product rounds it
+    e = np.array([complex(math.cos(z.arg), math.sin(z.arg)) for z in zstars])[:, None, None]
+    d = u[:, :, None] - u[:, None, :]
+    forced = (e.real * d.real - e.imag * d.imag > 0) & ~np.eye(n, dtype=bool)
+    diag_residual = np.abs(np.diagonal(S, axis1=1, axis2=2) - 1.0).max(axis=1)
+    amp = np.abs(ratio).max(axis=(1, 2))
+    # seed admixtures act as basis-coefficient perturbations, so they
+    # enter the quotient scaled by the size of S itself; regrading only
+    # amplifies round-off and integration noise
+    err = seed_error * (1.0 + np.abs(S).max(axis=(1, 2))) + amp * (10 * tol + 1e-14)
+    return [
+        StokesResult(
+            r=q.r,
+            S=S[p],
+            zstar=zstars[p],
+            overlap=overlaps[p],
+            diag_residual=float(diag_residual[p]),
+            # scalar abs, which rounds differently from the array one
+            required_zero=tuple(((i, j), float(abs(S[p, i, j])))
+                                for i, j in np.argwhere(forced[p]).tolist()),
+            error_estimate=float(err[p]),
+        )
+        for p, q in enumerate(requests)
+    ]
 
 
 def actual_solution(
@@ -745,15 +904,16 @@ def actual_solution(
     Each column is seeded with the optimally truncated formal series at
     |z| = radius on the direction inside S_r where its exponential is most
     recessive (there the seed's contamination by other solutions is below
-    the truncation error) and transported to the common point.  The reported
-    `seed_error` is the first-omitted-term bound, inflated by exp(R d) when
-    some column is only recessive up to a defect d < 0.  Without `fs` the
-    series is computed to `order` with `coalesce_tol`.
+    the truncation error) and transported to the common point: a radial leg
+    in from its seed, an argument sweep at moderate radius and a radial leg
+    out to z*.  The reported `seed_error` is the first-omitted-term bound
+    plus the Stokes leakage of the seeds.  Without `fs` the series is
+    computed to `order` with `coalesce_tol`.
     """
     cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order, widened=widened, uC=uC)
     if fs is None:
         fs = compute_formal_coefficients(sys, K=order, coalesce_tol=coalesce_tol)
-    return run_plan(sectorial_plan(sys, r, cfg, zstar=zstar, fs=fs), tol)
+    return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs, "sectorial", zstar)]), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -775,75 +935,18 @@ class StokesResult:
     error_estimate: float
 
 
-def stokes_plan(sys: IrregularSystem, r: int, cfg: StokesConfig,
-                fs: FormalSolution | None = None, memo: dict | None = None) -> Plan:
-    """The transports of stokes_matrix, assembled into its StokesResult.
-
-    `memo` holds what the plans of one pipeline share: sector frames, seed
-    directions, truncation orders, seed columns and column ODEs, each keyed
-    by what it depends on.  A plan takes what it needs from it and adds what
-    it computes, so each is computed once per pipeline."""
-    memo = {} if memo is None else memo
-    frame_r, frame_r1 = (_frame(memo, sys, k, cfg) for k in (r, r + 1))
-    lo, hi = frame_r1.lo, frame_r.hi
-    if not hi - lo > 1e-9:
-        raise SectorError(f"sectors {r} and {r + 1} do not overlap: ({lo}, {hi})")
-    theta = 0.5 * (lo + hi)
-    zstar = PathPoint.from_polar(cfg.radius / 2.0, theta)
-    if fs is None:
-        fs = compute_formal_coefficients(sys, K=cfg.order)
-    sectorial = [sectorial_plan(sys, k, cfg, zstar=zstar, fs=fs, memo=memo) for k in (r, r + 1)]
-
-    def assemble(Yr, Yr1):
-        n = sys.n
-        w = np.log(zstar.radius) + 1j * zstar.arg
-        grading = np.exp(fs.b * w + zstar.z * sys.u)  # E(z*) diagonal
-        Fr = Yr.value / grading[None, :]
-        Fr1 = Yr1.value / grading[None, :]
-        try:
-            W = np.linalg.solve(Fr, Fr1)
-        except np.linalg.LinAlgError as exc:
-            raise IntegrationError(
-                f"conditioning failure at z* = {zstar.z:.6g}: {exc}"
-            ) from exc
-        ratio = grading[None, :] / grading[:, None]  # E_jj / E_ii
-        S = W * ratio
-
-        ed = complex(math.cos(theta), math.sin(theta))
-        req = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and (ed * (sys.u[i] - sys.u[j])).real > 0:
-                    req.append(((i, j), float(abs(S[i, j]))))
-        diag_residual = float(np.max(np.abs(np.diag(S) - 1.0)))
-        amp = float(np.max(np.abs(ratio)))
-        # seed admixtures act as basis-coefficient perturbations, so they
-        # enter the quotient scaled by the size of S itself; regrading only
-        # amplifies round-off and integration noise
-        s_scale = 1.0 + float(np.max(np.abs(S)))
-        err = (Yr.seed_error + Yr1.seed_error) * s_scale + amp * (10 * cfg.tol + 1e-14)
-        return StokesResult(
-            r=r,
-            S=S,
-            zstar=zstar,
-            overlap=(lo, hi),
-            diag_residual=diag_residual,
-            required_zero=tuple(req),
-            error_estimate=float(err),
-        )
-
-    return join_plans(sectorial, assemble)
-
-
 def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
                   fs: FormalSolution | None = None) -> StokesResult:
     """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint, |z*| = R/2.
 
     Both sectorial solutions are transported to the same point of the cover;
     the quotient is formed in the F-gauge and regraded entrywise, so required
-    zeros are damped rather than amplified.
+    zeros are damped rather than amplified.  Without `fs` the series is
+    computed to cfg.order.
     """
-    return run_plan(stokes_plan(sys, r, cfg, fs=fs), cfg.tol)
+    if fs is None:
+        fs = compute_formal_coefficients(sys, K=cfg.order)
+    return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs)]), cfg.tol)[0]
 
 
 def levelt_handle(sys: IrregularSystem, ld: LeveltData, arg: float) -> SolutionHandle:
@@ -860,28 +963,6 @@ def levelt_handle(sys: IrregularSystem, ld: LeveltData, arg: float) -> SolutionH
     return SolutionHandle(system=sys, point=pt, value=Y0)
 
 
-def connection_plan(sys: IrregularSystem, r: int, ld: LeveltData, cfg: StokesConfig,
-                    fs: FormalSolution | None = None, zstar: PathPoint | None = None,
-                    memo: dict | None = None) -> Plan:
-    """The transports of connection_matrix (the columns of Y_r and the
-    radial Levelt leg), assembled into C_r; `memo` as for stokes_plan."""
-    memo = {} if memo is None else memo
-    frame = _frame(memo, sys, r, cfg)
-    if zstar is None:
-        zstar = PathPoint.from_polar(cfg.radius / 2.0, frame.midpoint)
-    elif not frame.contains(zstar.arg):
-        raise SectorError("zstar outside the sector of Y_r")
-    lev = levelt_handle(sys, ld, zstar.arg)
-    return join_plans(
-        [
-            sectorial_plan(sys, r, cfg, zstar=zstar, fs=fs, memo=memo),
-            Plan(((irregular_ode(sys), lev.value, [Leg(lev.point.z, zstar.z)]),),
-                 lambda ends: ends[0]),
-        ],
-        lambda Yr, Ylev: np.linalg.solve(Ylev, Yr.value),
-    )
-
-
 def connection_matrix(sys: IrregularSystem, r: int, ld: LeveltData, cfg: StokesConfig,
                       fs: FormalSolution | None = None,
                       zstar: PathPoint | None = None) -> np.ndarray:
@@ -890,9 +971,13 @@ def connection_matrix(sys: IrregularSystem, r: int, ld: LeveltData, cfg: StokesC
 
     The Levelt solution is evaluated at small radius on the branch of z* and
     transported outward radially; both factors therefore carry the same arg
-    bookkeeping and the quotient is branch-consistent.
+    bookkeeping and the quotient is branch-consistent.  Without `fs` the
+    series is computed to cfg.order.
     """
-    return run_plan(connection_plan(sys, r, ld, cfg, fs=fs, zstar=zstar), cfg.tol)
+    if fs is None:
+        fs = compute_formal_coefficients(sys, K=cfg.order)
+    request = SectorRequest(sys, r, fs, "connection", zstar, ld)
+    return run_plan(sector_plan(cfg, [request]), cfg.tol)[0]
 
 
 def monodromy_loop(

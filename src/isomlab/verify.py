@@ -46,14 +46,7 @@ from .isoflow import (
     vanishing_order_check,
 )
 from .levelt import build_levelt_solution, compute_levelt_exponents, with_gauge
-from .odeengine import (
-    DEFAULT_TOL,
-    StokesConfig,
-    connection_plan,
-    join_plans,
-    run_plan,
-    stokes_plan,
-)
+from .odeengine import DEFAULT_TOL, SectorRequest, StokesConfig, run_plan, sector_plan
 
 LEVELT_ORDER = 20  # Taylor terms of every Levelt solution the pipelines build
 # verify_coalescence: germ order, the |A0| entry at a coalescing pair that
@@ -124,32 +117,28 @@ def collect_data(
         systems.append(cur)
         gauges.append(trace.G[-1])
     cfg = StokesConfig(tau=tau, tol=tol, order=order)
-    plans = [_extract_plan(cur, G, ld0, r, cfg) for cur, G in zip(systems, gauges)]
-    return run_plan(join_plans(plans), tol)
-
-
-def _extract_plan(sys, G, ld0, r, cfg: StokesConfig):
-    """The transports of one sample's data set, assembled into it."""
-    fs = compute_formal_coefficients(sys, K=cfg.order)
-    ld = with_gauge(ld0, G, sys.A)
-    ld = build_levelt_solution(sys.A, lambda m: sys.Lambda if m == 0 else np.zeros_like(sys.A),
-                               ld=ld, K=LEVELT_ORDER)
-    memo = {}  # what the sample's plans share (see stokes_plan)
-    plans = [
-        stokes_plan(sys, r, cfg, fs=fs, memo=memo),
-        stokes_plan(sys, r + 1, cfg, fs=fs, memo=memo),
-        connection_plan(sys, r, ld, cfg, fs=fs, memo=memo),
-        stokes_plan(sys, r + 2, cfg, fs=fs, memo=memo),
-        connection_plan(sys, r + 1, ld, cfg, fs=fs, memo=memo),
-    ]
-
-    def assemble(res_r, res_r1, C_r, res_r2, C_r1):
-        return MonodromyDataSet(
-            u=sys.u.copy(),
+    requests, levelt = [], []
+    for cur, G in zip(systems, gauges):
+        fs = compute_formal_coefficients(cur, K=order)
+        ld = with_gauge(ld0, G, cur.A)
+        ld = build_levelt_solution(cur.A, lambda m: cur.Lambda if m == 0 else np.zeros_like(cur.A),
+                                   ld=ld, K=LEVELT_ORDER)
+        levelt.append(ld)
+        requests += [
+            SectorRequest(cur, r, fs),
+            SectorRequest(cur, r + 1, fs),
+            SectorRequest(cur, r, fs, "connection", ld=ld),
+            SectorRequest(cur, r + 2, fs),
+            SectorRequest(cur, r + 1, fs, "connection", ld=ld),
+        ]
+    results = run_plan(sector_plan(cfg, requests), tol)
+    return [
+        MonodromyDataSet(
+            u=cur.u.copy(),
             r=r,
             S_r=res_r.S,
             S_r1=res_r1.S,
-            b=np.diag(sys.A).copy(),
+            b=np.diag(cur.A).copy(),
             d=ld.d.copy(),
             L=ld.L,
             C_r=C_r,
@@ -158,8 +147,9 @@ def _extract_plan(sys, G, ld0, r, cfg: StokesConfig):
             diag_residuals=(res_r.diag_residual, res_r1.diag_residual),
             stokes_error=max(res_r.error_estimate, res_r1.error_estimate),
         )
-
-    return join_plans(plans, assemble)
+        for cur, ld, (res_r, res_r1, C_r, res_r2, C_r1)
+        in zip(systems, levelt, zip(*[iter(results)] * 5))
+    ]
 
 
 def data_drift(datasets: list[MonodromyDataSet]) -> dict[str, float]:
@@ -462,13 +452,7 @@ def verify_coalescence(
     frozen = IrregularSystem(u=ref, A=A0)
     fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=1e-9)
     cfg = StokesConfig(tau=tau, tol=tol, order=order, widened=True, uC=ref)
-    # what the plans of the whole pipeline share (see stokes_plan): the
-    # frozen-seeded passes reuse the frozen series and its truncation
-    memo = {}
-    plans = [
-        stokes_plan(frozen, r, cfg, fs=fs0, memo=memo),
-        stokes_plan(frozen, r + 1, cfg, fs=fs0, memo=memo),
-    ]
+    requests = [SectorRequest(frozen, r, fs0), SectorRequest(frozen, r + 1, fs0)]
 
     # sampled family: Taylor germ along the ray, flow-validated
     coeffs = ray_family_series(A0, ref, v, order=GERM_ORDER)
@@ -480,14 +464,14 @@ def verify_coalescence(
     # per sample r and r + 1, self-seeded (each sample's own formal series)
     # and frozen-seeded (only the frozen system's series, with the sample's
     # own exponentials), both in the sample's sector frames; all of it is one
-    # transport batch
+    # sector table and one transport batch, in which the frozen-seeded passes
+    # share the frozen series and its truncation
     for g, Ak in zip(gaps, A_k):
         sysk = IrregularSystem(u=ref + g * v, A=Ak)
         fsk = compute_formal_coefficients(sysk, K=order)
         fs_driven = FormalSolution(b=fs0.b, u=sysk.u, F=fs0.F, mode="frozen-seeded")
-        plans += [stokes_plan(sysk, k, cfg, fs=fs, memo=memo)
-                  for fs in (fsk, fs_driven) for k in (r, r + 1)]
-    S0_frozen, S1_frozen, *sampled = run_plan(join_plans(plans), tol)
+        requests += [SectorRequest(sysk, k, fs) for fs in (fsk, fs_driven) for k in (r, r + 1)]
+    S0_frozen, S1_frozen, *sampled = run_plan(sector_plan(cfg, requests), tol)
     self_r, self_r1, driven_r, driven_r1 = (sampled[i::4] for i in range(4))
     S_samples = [res.S for res in self_r]
     S1_samples = [res.S for res in self_r1]

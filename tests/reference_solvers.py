@@ -99,3 +99,71 @@ def schedule_reference(ode, legs, job):
         )
     starts = np.cumsum([len(s) for s in legs_of])
     return np.concatenate(z0s), np.concatenate(hs), np.concatenate(legs_of), starts
+
+
+def sector_bounds_reference(u, tau, r, widened=False, uC=None, tol=1e-8):
+    """geometry.sector_bounds as one frame at a time: the rays of u found
+    anew for every sector."""
+    import math
+
+    from isomlab.errors import AdmissibilityError
+    from isomlab.geometry import (
+        SectorFrame,
+        _as_uvec,
+        _margin,
+        _nearest_ray,
+        coalescence_labels,
+        stokes_ray_directions,
+    )
+
+    lo_hp = tau + (r - 2) * math.pi
+    hi_hp = tau + (r - 1) * math.pi
+    uC_key = None
+    if widened:
+        uC_key = tuple(complex(x) for x in _as_uvec(uC))
+        if not coalescence_labels(uC).any():
+            return SectorFrame(tau=tau, r=r, lo=lo_hp - math.pi / 2, hi=hi_hp + math.pi / 2,
+                               widened=True, degenerate=True, uC=uC_key)
+    rays = stokes_ray_directions(u, subclass_at=uC if widened else None)
+    margin = _margin(tau, (ray.theta for ray in rays.rays))
+    if not margin > tol:
+        raise AdmissibilityError(f"tau = {tau:.6g} is within {margin:.3e} of a Stokes ray")
+    base = rays.base_directions()
+    return SectorFrame(tau=tau, r=r, lo=_nearest_ray(base, lo_hp, -1),
+                       hi=_nearest_ray(base, hi_hp, 1), widened=widened, uC=uC_key)
+
+
+def column_seed_directions_reference(u, frame, grid: int = 720):
+    """The seed direction of every column in one frame, on its own
+    720-point grid: the deepest recessive angle, tie-broken towards
+    directions recessive against the remaining pairs too."""
+    u = np.asarray(u, dtype=complex)
+    pad = min(0.05, 0.1 * frame.opening)
+    thetas = np.linspace(frame.lo + pad, frame.hi - pad, grid)
+    diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
+    other = (diff != 0)[..., None]
+    d = -np.real(np.exp(1j * thetas) * diff[..., None])  # (n, n, grid)
+    depth = np.where(other, d, np.inf).min(axis=1)
+    depth[np.isinf(depth).all(axis=1)] = 0.0
+    best = np.argmax(depth + 1e-3 * np.where(other, d, 0.0).sum(axis=1), axis=1)
+    return thetas[best]
+
+
+def leakage_reference(u, angles, radius) -> float:
+    """Largest admixture of another solution in seeds at `angles` of one frame."""
+    diff = u[:, None] - u[None, :]
+    depth = -np.real(np.exp(1j * np.asarray(angles))[:, None] * diff)
+    admixture = np.minimum(1.0, np.abs(diff)) * np.exp(-radius * np.maximum(depth, 0.0))
+    return float(np.max(admixture[diff != 0], initial=0.0))
+
+
+def optimal_truncation_reference(F, radius):
+    """The optimal truncation (k, first omitted term) of one series F_1..F_K."""
+    if len(F) == 0:
+        return 0, np.inf
+    norms = np.linalg.svd(np.asarray(F), compute_uv=False)[:, 0]
+    terms = norms * float(radius) ** -np.arange(1, len(F) + 1)
+    k = int(np.argmin(np.where(np.isnan(terms), np.inf, terms)))
+    if not terms[k] < np.inf:
+        return 0, np.inf
+    return k + 1, float(terms[k])

@@ -419,6 +419,32 @@ class TestErrorHandling:
         assert code == 1
         assert "A" in err
 
+    @pytest.mark.parametrize("command", [["formal"], ["levelt"], ["stokes-matrix", "--tau", "0.3"]])
+    def test_boolean_entry_refused(self, capsys, tmp_path, command):
+        # JSON true is not the number 1
+        doc = {"u": [[0.0, 0.0], [True, False]],
+               "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]]}
+        f = write_json(tmp_path / "bool.json", doc)
+        code, out, err = run(capsys, [command[0], "--system", f, *command[1:]])
+        assert code == 1 and out == ""
+        assert "u[1]" in err
+
+    def test_infinite_entry_refused(self, capsys, tmp_path):
+        doc = {"u": [[0.0, 0.0], [float("inf"), 0.0]],
+               "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]]}
+        f = write_json(tmp_path / "inf.json", doc)
+        code, out, err = run(capsys, ["formal", "--system", f])
+        assert code == 1 and out == ""
+        assert "u[1]" in err
+
+    def test_fractional_dimension_refused(self, capsys, tmp_path):
+        doc = {"n": 2.9, "u": [[0.0, 0.0], [1.0, 0.0]],
+               "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]]}
+        f = write_json(tmp_path / "n.json", doc)
+        code, out, err = run(capsys, ["formal", "--system", f])
+        assert code == 1 and out == ""
+        assert "n: expected an integer" in err
+
     def test_missing_block(self, capsys, system_file, tmp_path):
         path_file = write_json(
             tmp_path / "p.json", {"waypoints": [[[0, 0], [1, 0]], [[0, 0], [1.2, 0]]]}

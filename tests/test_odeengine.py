@@ -6,16 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_solvers import poly_fuchsian_ode, schedule_reference
+from reference_solvers import (
+    column_seed_directions_reference,
+    leakage_reference,
+    optimal_truncation_reference,
+    poly_fuchsian_ode,
+    schedule_reference,
+    sector_bounds_reference,
+)
 from scipy.integrate import solve_ivp
 
 from isomlab import odeengine
 from isomlab.errors import IntegrationError, SectorError
-from isomlab.formal import IrregularSystem, compute_formal_coefficients
+from isomlab.formal import FormalSolution, IrregularSystem, compute_formal_coefficients
 from isomlab.levelt import build_levelt_solution
 from isomlab.odeengine import (
     Leg,
     PathPoint,
+    SectorRequest,
+    SectorTable,
     SolutionHandle,
     StokesConfig,
     actual_solution,
@@ -26,7 +35,7 @@ from isomlab.odeengine import (
     levelt_handle,
     monodromy_loop,
     run_plan,
-    sectorial_plan,
+    sector_plan,
     stokes_matrix,
     transport_matrix,
 )
@@ -477,6 +486,78 @@ class TestScheduleAndCoefficients:
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def _random_series(rng, sys, K=12):
+    """A FormalSolution of sys with random F_k of factorial growth."""
+    F = tuple(math.factorial(k) * 0.4**k * (rng.normal(size=(sys.n, sys.n))
+                                             + 1j * rng.normal(size=(sys.n, sys.n)))
+              for k in range(1, K + 1))
+    return FormalSolution(b=np.diag(sys.A).copy(), u=sys.u, F=F)
+
+
+def _table_case(rng, n, kind, tau=0.3, count=4):
+    """Systems of dimension n whose frames are plain, widened about a
+    coalescing pair, or degenerate (all of u^C coalesced), with the config
+    of those frames; tau is admissible at every u drawn."""
+    from isomlab.geometry import is_admissible
+
+    uC = None
+    if kind == "widened":
+        while True:
+            uC = rng.normal(size=n) + 1j * rng.normal(size=n)
+            uC[1] = uC[0]
+            if is_admissible(tau, uC, subclass_at=uC).margin > 1e-3:
+                break
+    elif kind == "degenerate":
+        uC = np.zeros(n, dtype=complex)
+    systems = []
+    while len(systems) < count:
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if uC is not None:
+            u = uC + 0.05 * u
+        if is_admissible(tau, u, subclass_at=uC if kind == "widened" else None).margin > 1e-3:
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            systems.append(IrregularSystem(u=u, A=A))
+    cfg = StokesConfig(tau=tau, widened=uC is not None, uC=uC)
+    return systems, cfg
+
+
+class TestSectorTable:
+    @pytest.mark.parametrize("kind", ["plain", "widened", "degenerate"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_per_frame_computation(self, n, kind):
+        # frames, seed directions, leakage and truncations of the table are
+        # bit for bit those of one frame, one seed grid and one series at a
+        # time; two systems share one series, which is truncated once
+        rng = np.random.default_rng(1400 + 10 * n + len(kind))
+        systems, cfg = _table_case(rng, n, kind)
+        series = [_random_series(rng, s) for s in systems]
+        shared = FormalSolution(b=series[0].b, u=systems[1].u, F=series[0].F)
+        requests = [SectorRequest(s, r, fs) for s, fs in zip(systems, series) for r in (0, 1)]
+        requests += [SectorRequest(systems[1], 2, shared, "sectorial")]
+        table = SectorTable(cfg, requests)
+        assert table.systems == systems
+        assert len(table.frames) == len(table.angles) == len(table.leakage) == 3 * len(systems)
+        for (s, r), frame in table.frames.items():
+            u = systems[s].u
+            assert frame == sector_bounds_reference(u, cfg.tau, r, cfg.widened, cfg.uC)
+            # with n = 2 the coalescing pair is all of u^C: degenerate too
+            assert frame.degenerate == (cfg.widened and len(set(cfg.uC)) == 1)
+            angles = column_seed_directions_reference(u, frame)
+            assert table.angles[s, r].tobytes() == angles.tobytes()
+            assert table.leakage[s, r] == leakage_reference(u, angles, cfg.radius)
+        assert len(table.series) == len(table.truncations) == len(systems)
+        for fs, F, trunc in zip(series, table.series, table.truncations):
+            assert F.tobytes() == np.asarray(fs.F).tobytes()
+            assert trunc == optimal_truncation_reference(fs.F, cfg.radius)
+
+    def test_systems_must_share_n(self):
+        rng = np.random.default_rng(3)
+        two, cfg = _table_case(rng, 2, "plain", count=1)
+        three, _ = _table_case(rng, 3, "plain", count=1)
+        with pytest.raises(ValueError, match="share n"):
+            SectorTable(cfg, [SectorRequest(s, 0, _random_series(rng, s)) for s in two + three])
+
+
 class TestActualSolution:
     def test_diagonal_system_is_exact(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, -0.3]))
@@ -505,8 +586,8 @@ class TestActualSolution:
         # actual_solution builds its config from its keywords
         got = actual_solution(sys, 0, cfg.tau, order=cfg.order, widened=cfg.widened,
                               uC=cfg.uC, coalesce_tol=coalesce_tol or 0.0)
-        want = run_plan(sectorial_plan(sys, 0, cfg, fs=frame_series(sys, cfg, coalesce_tol)),
-                        cfg.tol)
+        fs = frame_series(sys, cfg, coalesce_tol) or compute_formal_coefficients(sys, K=cfg.order)
+        want, = run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs, "sectorial")]), cfg.tol)
         assert got.point == want.point and got.seed_error == want.seed_error
         assert got.value.tobytes() == want.value.tobytes()
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from isomlab import odeengine
+from isomlab import geometry, odeengine
 from isomlab.errors import ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.isoflow import DiagonalGauge
 from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
-from isomlab.odeengine import connection_matrix
+from isomlab.odeengine import connection_matrix, join_plans, sector_plan
 from isomlab.verify import (
     MonodromyDataSet,
     coalescing_direction,
@@ -35,6 +35,74 @@ def engine_calls(monkeypatch):
 
     monkeypatch.setattr(odeengine, "transport_matrix", counted)
     return calls
+
+
+@pytest.fixture
+def sector_work(monkeypatch):
+    """What the sector tables of a pipeline compute: for every frame pass the
+    number of systems, the sectors and the number of ray computations in it,
+    the number of frames of every seed-direction pass and the distinct
+    (u, lo, hi) of all of them, and the series of every truncation pass."""
+    work = {"frames": [], "seeds": [], "frames_seeded": set(), "truncations": []}
+    frames, rays = odeengine.sector_frames, geometry._rays
+    seeds, truncations = odeengine._seed_directions, odeengine.optimal_truncations
+    ray_calls = []
+
+    def counted_frames(us, tau, rs, **kwargs):
+        ray_calls.clear()
+        out = frames(us, tau, rs, **kwargs)
+        work["frames"].append((len(us), tuple(rs), len(ray_calls)))
+        return out
+
+    def counted_rays(*args):
+        ray_calls.append(1)
+        return rays(*args)
+
+    def counted_seeds(u, lo, hi, radius):
+        work["seeds"].append(len(lo))
+        work["frames_seeded"].update((u.tobytes(), a, b) for a, b in zip(lo, hi))
+        return seeds(u, lo, hi, radius)
+
+    def counted_truncations(series, radius):
+        work["truncations"].append({np.asarray(F).tobytes() for F in series})
+        assert len(work["truncations"][-1]) == len(series)  # no series twice
+        return truncations(series, radius)
+
+    monkeypatch.setattr(odeengine, "sector_frames", counted_frames)
+    monkeypatch.setattr(geometry, "_rays", counted_rays)
+    monkeypatch.setattr(odeengine, "_seed_directions", counted_seeds)
+    monkeypatch.setattr(odeengine, "optimal_truncations", counted_truncations)
+    return work
+
+
+def engine_jobs(monkeypatch, pipeline):
+    """The jobs `pipeline` hands the engine, and those of one sector plan per
+    request of its sector plan, each built alone, joined in request order."""
+    import isomlab.verify as verify
+
+    batches, built = [], []
+    engine, plan = odeengine.transport_matrix, verify.sector_plan
+    monkeypatch.setattr(odeengine, "transport_matrix",
+                        lambda *args: batches.append(args) or engine(*args))
+    monkeypatch.setattr(verify, "sector_plan",
+                        lambda cfg, requests: built.append((cfg, requests)) or plan(cfg, requests))
+    pipeline()
+    (odes, Y0s, legs, _), = batches
+    (cfg, requests), = built
+    alone = join_plans([sector_plan(cfg, [q]) for q in requests]).jobs
+    return list(zip(odes, Y0s, legs)), list(alone)
+
+
+def assert_same_jobs(got, want):
+    """Same order, ODEs and legs equal by value, seed columns bit for bit."""
+    def ode_key(o):
+        return o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()
+
+    assert len(got) == len(want) > 0
+    for (ode, Y0, legs), (ode1, Y01, legs1) in zip(got, want):
+        assert ode_key(ode) == ode_key(ode1)
+        assert np.asarray(Y0).tobytes() == np.asarray(Y01).tobytes()
+        assert list(legs) == list(legs1)
 
 
 class TestCollectData:
@@ -92,6 +160,23 @@ class TestCollectData:
                          order=32)
             counts.append(len(engine_calls))
         assert counts[0] == counts[1] > 0
+
+    def test_sector_data_computed_once(self, sector_work):
+        samples = [U0, 0.5 * (U0 + U1), U1]
+        collect_data(IrregularSystem(u=U0, A=GENERIC_A), samples, r=0, tau=0.3, order=32)
+        # sectors r..r + 3 of every sample (S_r, S_{r+1}, S_{r+2}, C_r and
+        # C_{r+1}), in one frame pass that finds the rays of each sample once
+        assert sector_work["frames"] == [(3, (0, 1, 2, 3), 3)]
+        # seed directions of those frames, one pass per sample, each frame once
+        assert sector_work["seeds"] == [4] * 3
+        assert len(sector_work["frames_seeded"]) == 4 * 3
+        # the series of each sample, in one stacked pass, each once
+        assert [len(series) for series in sector_work["truncations"]] == [3]
+
+    def test_engine_gets_the_jobs_of_one_plan_per_request(self, monkeypatch):
+        got, want = engine_jobs(monkeypatch, lambda: collect_data(
+            IrregularSystem(u=U0, A=GENERIC_A), [U0, U1], r=0, tau=0.3, order=32))
+        assert_same_jobs(got, want)
 
     def test_wall_sample_rejected(self):
         with pytest.raises(WallError):
@@ -200,7 +285,7 @@ class TestVerifyCoalescence:
             raise AssertionError("verify_coalescence built connection data")
 
         # no connection matrix is reported, so none is computed
-        monkeypatch.setattr(verify, "connection_plan", refuse)
+        monkeypatch.setattr(odeengine, "levelt_handle", refuse)
         monkeypatch.setattr(verify, "build_levelt_solution", refuse)
         rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, order=30)
         assert rep.decay_ok and rep.limit_ok and rep.pattern_ok
@@ -255,41 +340,28 @@ class TestVerifyCoalescence:
             counts.append(len(engine_calls))
         assert counts[0] == counts[1] > 0
 
-    def test_each_sector_frame_computed_once(self, monkeypatch):
-        frames = []
-        sector_bounds = odeengine.sector_bounds
-
-        def counted(u, tau, r, widened=False, uC=None, **kwargs):
-            frames.append((np.asarray(u).tobytes(), tau, r, widened))
-            return sector_bounds(u, tau, r, widened=widened, uC=uC, **kwargs)
-
-        monkeypatch.setattr(odeengine, "sector_bounds", counted)
+    def test_each_sector_frame_computed_once(self, sector_work):
         verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
-        # sectors r, r + 1, r + 2 of the frozen system and of each sample
-        assert len(frames) == len(set(frames)) == 3 * (1 + 5)
+        # sectors r, r + 1, r + 2 of the frozen system and of each sample, in
+        # one frame pass that finds the rays of each system once
+        assert sector_work["frames"] == [(1 + 5, (0, 1, 2), 1 + 5)]
 
-    def test_seed_data_computed_once(self, monkeypatch):
-        seeds, truncations = [], []
-        directions = odeengine._column_seed_directions
-        truncation = odeengine.optimal_truncation
-
-        def counted_directions(u, frame, **kwargs):
-            seeds.append((np.asarray(u).tobytes(), frame))
-            return directions(u, frame, **kwargs)
-
-        def counted_truncation(fs, radius):
-            truncations.append((np.asarray(fs.F).tobytes(), radius))
-            return truncation(fs, radius)
-
-        monkeypatch.setattr(odeengine, "_column_seed_directions", counted_directions)
-        monkeypatch.setattr(odeengine, "optimal_truncation", counted_truncation)
+    def test_seed_data_computed_once(self, sector_work):
         verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
         # seed directions in sectors r, r + 1, r + 2 of the frozen system and
-        # of each sample, shared by its self- and frozen-seeded passes
-        assert len(seeds) == len(set(seeds)) == 3 * (1 + 5)
+        # of each sample, shared by its self- and frozen-seeded passes: one
+        # pass per system, each frame once
+        assert sector_work["seeds"] == [3] * (1 + 5)
+        assert len(sector_work["frames_seeded"]) == 3 * (1 + 5)
         # the frozen series (frozen system and frozen-seeded passes) and the
-        # series of each sample, all at the one seed radius
-        assert len(truncations) == len(set(truncations)) == 1 + 5
+        # series of each sample, all at the one seed radius: one stacked
+        # pass, each series once
+        assert [len(series) for series in sector_work["truncations"]] == [1 + 5]
+
+    def test_engine_gets_the_jobs_of_one_plan_per_request(self, monkeypatch):
+        got, want = engine_jobs(
+            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5))
+        assert_same_jobs(got, want)
 
     def test_csv_export(self, tmp_path):
         rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)

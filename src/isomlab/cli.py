@@ -130,12 +130,7 @@ def cmd_cells(args) -> int:
 def cmd_levelt(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
     ld = compute_levelt_exponents(sys_.A, tol=args.mtol)
-    ld = build_levelt_solution(
-        sys_.A,
-        lambda m: sys_.Lambda if m == 0 else np.zeros_like(sys_.A),
-        ld=ld,
-        K=max(args.order, 1),
-    )
+    ld = build_levelt_solution(sys_.A, [sys_.Lambda], ld=ld, K=max(args.order, 1))
     report = {
         "command": "levelt",
         "D": [int(x) for x in ld.d],

@@ -241,35 +241,50 @@ def compute_formal_coefficients(
         F_gen = compute_formal_coefficients(sys, max(K, 1)).F
         dF = _u_derivatives(sys, F_gen)
 
+    # Python complex scalars round +, - and * as numpy's scalars do, but not
+    # /, so divisions stay numpy's; operands are complex, sums start from 0j.
+    Al = A.tolist()
+    dd = (d[:, None] - d[None, :]).tolist()
+    gap = u[None, :] - u[:, None]  # u_j - u_i, numpy scalars
+    off = np.argwhere(~coalesced & ~np.eye(n, dtype=bool)).tolist()
+    pairs = [(i, j, gap[i, j]) for i, j in off]
+    zero, one = np.zeros((n, n), dtype=complex).tolist(), complex(1)
+
+    def dot(M, i, j):  # sum_{p != i} A_ip M_pj
+        acc = 0j
+        for p in range(n):
+            if p != i:
+                acc = acc + Al[i][p] * M[p][j]
+        return acc
+
     F_all: list[np.ndarray] = []
+    P = np.eye(n, dtype=complex).tolist()  # F_{k-1}
     for k in range(1, K + 1):
-        Fk = np.zeros((n, n), dtype=complex)
-        Fprev = F_all[k - 2] if k >= 2 else np.eye(n, dtype=complex)
-        hi = _higher_term(sys, F_all, k)
+        kc, kn = complex(k), np.complex128(k)
         if mode == "generic":
-            for i in range(n):
-                for j in range(n):
-                    if i == j or coalesced[i, j]:
-                        continue
-                    num = (d[i] - d[j] + k - 1) * Fprev[i, j]
-                    num += sum(A[i, p] * Fprev[p, j] for p in range(n) if p != i)
-                    num += hi[i, j]
-                    Fk[i, j] = num / (u[j] - u[i])
+            h = _higher_term(sys, F_all, k).tolist() if sys.higher else zero
+            Fk = np.zeros((n, n), dtype=complex).tolist()
+            for i, j, g in pairs:
+                Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j) + h[i][j]) / g)
         else:
+            Fk, Fprev = np.zeros((n, n), dtype=complex), np.array(P)
             for i in range(n):
                 Rhs = _omega(F_gen[0], i) @ Fprev - dF[k - 1][i]
                 # [F_k, E_i] has column i equal to (F_k)_{ai}, row i equal to
                 # -(F_k)_{ib}; the diagonal is set below
                 Fk[:, i] = Rhs[:, i]
                 Fk[i, :] = -Rhs[i, :]
+            Fk = Fk.tolist()
         if any_coalesced:
+            Fk = np.array(Fk)
             _coalesced_entries(sys, F_all, Fk, k, label)
+            Fk = Fk.tolist()
         # diagonal rule shared by both modes
-        hi_diag = _higher_term(sys, F_all + [Fk], k + 1)
+        h = _higher_term(sys, F_all + [np.array(Fk)], k + 1).tolist() if sys.higher else zero
         for i in range(n):
-            acc = sum(A[i, p] * Fk[p, i] for p in range(n) if p != i)
-            Fk[i, i] = -(acc + hi_diag[i, i]) / k
-        F_all.append(Fk)
+            Fk[i][i] = complex(-(dot(Fk, i, i) + h[i][i]) / kn)
+        F_all.append(np.array(Fk))
+        P = Fk
 
     return FormalSolution(b=d.copy(), u=u.copy(), F=tuple(F_all), mode=mode)
 
@@ -315,13 +330,11 @@ def eval_series_factor(fs: FormalSolution, z: complex, K: int | None = None) -> 
         raise ValueError("z must be nonzero")
     if K is None:
         K = fs.K
+    elif K > fs.K:
+        raise ValueError(f"order {K} requested, but the formal series is built to order {fs.K}")
     n = len(fs.b)
-    F = np.eye(n, dtype=complex)
-    zk = 1.0 + 0.0j
-    for k in range(1, K + 1):
-        zk /= z
-        F = F + fs.F[k - 1] * zk
-    return F
+    zk = np.cumprod(np.full(K, 1 / z))  # z^-1, ..., z^-K
+    return np.eye(n, dtype=complex) + (zk @ np.reshape(fs.F[:K], (K, n * n))).reshape(n, n)
 
 
 def eval_truncated_formal(

@@ -246,17 +246,12 @@ def pole_levelt(sys: FuchsianSystem, i: int, K: int = 20, tol: float = 1e-8) -> 
     if not 0 <= i < sys.N:
         raise ValueError("pole index out of range")
     Ai = sys.residues[i]
-
-    def hol(m):
-        C = np.zeros((sys.n, sys.n), dtype=complex)
-        for j in range(sys.N):
-            if j == i:
-                continue
-            C -= sys.residues[j] / (sys.poles[j] - sys.poles[i]) ** (m + 1)
-        return C
-
-    ld = compute_levelt_exponents(Ai, tol=tol)
-    return build_levelt_solution(Ai, hol, ld=ld, K=K, tol=tol)
+    hol = np.zeros((K, sys.n, sys.n), dtype=complex)
+    powers = np.arange(1, K + 1)[:, None, None]
+    for j in range(sys.N):
+        if j != i:
+            hol -= sys.residues[j] / (sys.poles[j] - sys.poles[i]) ** powers
+    return build_levelt_solution(Ai, hol, K=K, tol=tol)
 
 
 def schlesinger_residual(family, u, h: float = 1e-5, moving=None) -> float:

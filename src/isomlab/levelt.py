@@ -21,7 +21,7 @@ zero, which makes the (non-unique) Levelt form deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class LeveltData:
     per position).  N: nilpotent part, same block pattern as Sigma.  G puts
     the residue in the (permuted) Jordan form J.  `blocks` records, per
     integer-difference class, (sigma_q, positions, offsets).  Psi holds
-    Psi_1..Psi_K once built.
+    Psi_1..Psi_K, a (K, n, n) array, once built.
     """
 
     d: np.ndarray
@@ -53,7 +53,7 @@ class LeveltData:
     J: np.ndarray
     blocks: tuple[tuple[complex, tuple[int, ...], tuple[int, ...]], ...]
     residual: float
-    Psi: tuple[np.ndarray, ...] = ()
+    Psi: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0), dtype=complex))
     resonant_orders: tuple[int, ...] = ()
 
     @property
@@ -75,10 +75,6 @@ class LeveltData:
     @property
     def K(self) -> int:
         return len(self.Psi)
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.G @ self.J @ np.linalg.inv(self.G)
 
 
 def _block_permutation(jd: JordanData, tol: float):
@@ -151,25 +147,13 @@ def compute_levelt_exponents(A, tol: float = 1e-8) -> LeveltData:
                 pos += 1
         out_blocks.append((complex(sig), tuple(positions), tuple(offsets)))
     G = jd.G[:, perm]
-    J = np.diag(sigma + d) + _superdiag_of(jd.J, perm)
+    # the nilpotent part of the permuted Jordan matrix (blocks move as units)
+    J = np.diag(sigma + d) + (jd.J - np.diag(np.diag(jd.J)))[np.ix_(perm, perm)]
     N = J - np.diag(np.diag(J))
     resid = float(np.linalg.norm(np.linalg.inv(G) @ M @ G - J, 2))
     return LeveltData(
         d=d, sigma=sigma, N=N, G=G, J=J, blocks=tuple(out_blocks), residual=resid
     )
-
-
-def _superdiag_of(J, perm):
-    """Nilpotent part of the permuted Jordan matrix (blocks move as units)."""
-    n = J.shape[0]
-    Nsrc = J - np.diag(np.diag(J))
-    out = np.zeros_like(Nsrc)
-    inv = {c: k for k, c in enumerate(perm)}
-    for a in range(n):
-        for b in range(n):
-            if Nsrc[a, b] != 0:
-                out[inv[a], inv[b]] = Nsrc[a, b]
-    return out
 
 
 def with_gauge(ld: LeveltData, G_new, A_new, tol: float = 1e-6) -> LeveltData:
@@ -187,12 +171,12 @@ def with_gauge(ld: LeveltData, G_new, A_new, tol: float = 1e-6) -> LeveltData:
         raise ValueError(
             f"transported gauge no longer Jordanizes the residue: {resid:.3e}"
         )
-    return replace(ld, G=Gn, residual=float(resid), Psi=())
+    return replace(ld, G=Gn, residual=float(resid), Psi=ld.Psi[:0])
 
 
 def build_levelt_solution(
     A,
-    hol_taylor,
+    hol,
     ld: LeveltData | None = None,
     K: int = 20,
     tol: float = 1e-8,
@@ -200,43 +184,47 @@ def build_levelt_solution(
 ) -> LeveltData:
     """Solve the order-by-order matching equations for Psi_1..Psi_K.
 
-    `hol_taylor(m)` must return the m-th Taylor coefficient (at the Fuchsian
-    point) of the holomorphic part of the coefficient matrix; for the
-    irregular system at z = 0 that is Lambda for m = 0 and zero above.
+    `hol` lists the Taylor coefficients H_0, H_1, ... (at the Fuchsian
+    point) of the holomorphic part of the coefficient matrix; coefficients
+    past its end are zero, so for the irregular system at z = 0 it is
+    [Lambda].  Coefficients past H_{K-1} are not read.
 
-    Resonant orders (operator singular because two residue eigenvalues
-    differ by k) are solved least-squares with zero kernel component; an
-    inconsistent resonant order raises ResonanceError with the order.
+    The order-k operators of all orders are formed at once and the
+    non-resonant ones inverted in one batched factorisation.  Resonant
+    orders (operator singular because two residue eigenvalues differ by k)
+    are solved least-squares with zero kernel component; an inconsistent
+    resonant order raises ResonanceError with the order.
     """
     M = as_square(A)
     if ld is None:
         ld = compute_levelt_exponents(M, tol=tol)
     n = ld.n
-    Ginv = np.linalg.inv(ld.G)
-    # the nonzero H_m only: the irregular system at z = 0 has H_0 alone
-    H = {}
-    for m in range(K):
-        Hm = as_square(hol_taylor(m))
-        if np.any(Hm):
-            H[m] = Ginv @ Hm @ ld.G
+    H = np.asarray(hol, dtype=complex)[:K]
+    if H.ndim != 3 or H.shape[1:] != (n, n) or not np.isfinite(H).all():
+        raise ValueError(f"hol must list finite {n} x {n} Taylor coefficients")
+    H = np.linalg.inv(ld.G) @ H @ ld.G
     J = ld.J
     # J is upper triangular, so eig(k I - J) = k - diag(J) and the order-k
     # operator X -> (k I - J) X + X J, k I + F on column-major vec(X), is
     # singular exactly when k is a difference of two diagonal entries
-    F = np.kron(J.T, np.eye(n)) - np.kron(np.eye(n), J)
+    I = np.eye(n)
+    F = np.kron(J.T, I) - np.kron(I, J)
     diffs = (np.diag(J)[:, None] - np.diag(J)[None, :]).ravel()
-    singular = tol * max(np.linalg.norm(J, 2), 1.0)
+    orders = np.arange(1, K + 1)
+    ops = F + orders[:, None, None] * np.eye(n * n)
+    resonant = np.abs(orders[:, None] - diffs).min(axis=1) <= tol * max(np.linalg.norm(J, 2), 1.0)
+    inverse = np.zeros_like(ops)
+    inverse[~resonant] = np.linalg.inv(ops[~resonant])
 
-    Phi = [np.eye(n, dtype=complex)]  # I, Psi_1, Psi_2, ...
-    resonant = []
+    Phi = np.zeros((K + 1, n, n), dtype=complex)  # I, Psi_1, Psi_2, ...
+    Phi[0] = I
     for k in range(1, K + 1):
-        rhs = np.zeros((n, n), dtype=complex)
-        for m, Hm in H.items():
-            if m < k:
-                rhs += Hm @ Phi[k - 1 - m]
-        op = F + k * np.eye(n * n)
+        m = min(k, len(H))
+        # sum_{m < k} H_m Phi_{k-1-m}
+        rhs = np.einsum("mab,mbc->ac", H[:m], Phi[k - 1 :: -1][:m])
         r = rhs.reshape(-1, order="F")
-        if np.min(np.abs(k - diffs)) <= singular:
+        if resonant[k - 1]:
+            op = ops[k - 1]
             x = np.linalg.lstsq(op, r, rcond=1e-12)[0]
             resid = float(np.linalg.norm(op @ x - r))
             if resid > lstsq_tol * max(np.linalg.norm(rhs), 1.0):
@@ -244,37 +232,27 @@ def build_levelt_solution(
                     f"resonant order {k} inconsistent (residual {resid:.3e})",
                     order=k,
                 )
-            resonant.append(k)
         else:
-            x = np.linalg.solve(op, r)
-        Phi.append(x.reshape((n, n), order="F"))
-    return replace(ld, Psi=tuple(Phi[1:]), resonant_orders=tuple(resonant))
+            x = inverse[k - 1] @ r
+        Phi[k] = x.reshape((n, n), order="F")
+    return replace(ld, Psi=Phi[1:], resonant_orders=tuple(orders[resonant].tolist()))
 
 
 def eval_levelt(ld: LeveltData, z: complex, arg_branch: float, K: int | None = None) -> np.ndarray:
-    """G (I + sum_k Psi_k z^k) z^D z^L on the universal cover."""
+    """G (I + sum_{k<=K} Psi_k z^k) z^D z^L on the universal cover."""
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
     if K is None:
         K = ld.K
-    n = ld.n
-    Phi = np.eye(n, dtype=complex)
-    zk = 1.0 + 0.0j
-    for k in range(1, K + 1):
-        zk *= z
-        Phi = Phi + ld.Psi[k - 1] * zk
+    elif K > ld.K:
+        raise ValueError(f"order {K} requested, but the Levelt series is built to order {ld.K}")
+    zk = np.cumprod(np.full(K, z))  # z, z^2, ..., z^K
+    Phi = np.eye(ld.n) + (zk @ ld.Psi[:K].reshape(K, ld.n**2)).reshape(ld.n, ld.n)
     w = np.log(abs(z)) + 1j * arg_branch
     zD = np.exp(ld.d * w)
     zL = matrix_power(ld.L, z, arg_branch)
     return ld.G @ Phi @ (zD[:, None] * zL)
-
-
-def taylor_radius_check(ld: LeveltData, radius: float, threshold: float = 1e-12) -> bool:
-    """Convergence heuristic: ||Psi_K|| radius^K below threshold."""
-    if not ld.Psi:
-        raise ValueError("no Taylor coefficients built")
-    return float(np.linalg.norm(ld.Psi[-1], 2)) * radius ** ld.K < threshold
 
 
 def monodromy_exponential(ld: LeveltData) -> np.ndarray:

@@ -641,15 +641,16 @@ class SectorTable:
     distinct series (F_1..F_K as one (K, n, n) array), both in order of first
     use; requests share a series when they share its F tuple, as the
     frozen-seeded passes of verify_coalescence share the frozen one.
-    `frames`, `angles` and `leakage` map (system index, sector) to the sector
-    frame, the seed direction of every column in it and the Stokes leakage of
-    seeds there at the seed radius, for every system in every sector that any
-    request uses; `truncations` holds the optimal truncation (k, bound) of
-    each series at the seed radius.  The Stokes rays of each system are found
-    once for all its sectors, the seed grids of the frames of each system are
-    one array pass (so its arrays do not grow with the number of systems),
-    and the truncations of all series are one stacked SVD, so all systems
-    must share n.
+    `frames` maps (system index, sector) to the sector frame, for every
+    system in every sector that any request uses; `angles` and `leakage` map
+    it to the seed direction of every column in the frame and the Stokes
+    leakage of seeds there at the seed radius, for the sectors that the
+    system's own requests use; `truncations` holds the optimal truncation
+    (k, bound) of each series at the seed radius.  The Stokes rays of each
+    system are found once for all its sectors, the seed grids of the frames
+    of each system are one array pass (so its arrays do not grow with the
+    number of systems), and the truncations of all series are one stacked
+    SVD, so all systems must share n.
     """
 
     def __init__(self, cfg: StokesConfig, requests):
@@ -666,12 +667,17 @@ class SectorTable:
                                widened=cfg.widened, uC=cfg.uC)
         self.frames = {(s, r): frame for s, row in enumerate(frames)
                        for r, frame in zip(sectors, row)}
+        used = [set() for _ in self.systems]
+        for q in requests:
+            used[self.system_index[id(q.sys)]].update(q.sectors)
         self.angles, self.leakage = {}, {}
-        for s, (sys, row) in enumerate(zip(self.systems, frames)):
-            angles, leakage = _seed_directions(sys.u, np.array([f.lo for f in row]),
-                                               np.array([f.hi for f in row]), cfg.radius)
-            self.angles.update(((s, r), a) for r, a in zip(sectors, angles))
-            self.leakage.update(((s, r), x) for r, x in zip(sectors, leakage.tolist()))
+        for s, (sys, rs) in enumerate(zip(self.systems, used)):
+            rs = sorted(rs)
+            angles, leakage = _seed_directions(
+                sys.u, np.array([self.frames[s, r].lo for r in rs]),
+                np.array([self.frames[s, r].hi for r in rs]), cfg.radius)
+            self.angles.update(((s, r), a) for r, a in zip(rs, angles))
+            self.leakage.update(((s, r), x) for r, x in zip(rs, leakage.tolist()))
         self.series = [np.asarray(F, dtype=complex).reshape(-1, n, n) for F in series.values()]
         self.truncations = optimal_truncations(self.series, cfg.radius)
 
@@ -801,7 +807,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
             seed_error.append(table.truncations[f][1] + table.leakage[s, k])
             jobs += zip(column_odes, seeds[s, f, k], legs)
         if q.kind == "connection":
-            lev = levelt_handle(q.sys, q.ld, zstar.arg)
+            lev = levelt_handle(q.sys, q.ld, zstar.arg, cfg.tol)
             levelt[p] = len(jobs)
             jobs.append((irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)]))
 
@@ -949,15 +955,27 @@ def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
     return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs)]), cfg.tol)[0]
 
 
-def levelt_handle(sys: IrregularSystem, ld: LeveltData, arg: float) -> SolutionHandle:
+def levelt_handle(sys: IrregularSystem, ld: LeveltData, arg: float,
+                  tol: float = DEFAULT_TOL) -> SolutionHandle:
     """Levelt solution evaluated near the origin on the requested branch.
 
     The Taylor factor converges on all of C for this system, but the
-    truncated series is accurate only near 0; it is evaluated at radius
-    0.5 min |u_i| over nonzero entries, or 0.1 if Lambda has zero entries.
+    truncated series is accurate only near 0.  It is evaluated at radius
+    0.5 min |u_i| over nonzero entries, or 0.1 if Lambda has zero entries,
+    shrunk until its last two terms ||Psi_k||_F r^k are at most
+    TAIL_FRACTION * tol, the engine's own stop rule.
     """
+    K, bound = ld.K, TAIL_FRACTION * tol
+    if K < 2:
+        raise ValueError(f"a Levelt series of order {K} has no two last terms to bound")
     nz = np.abs(sys.u[np.abs(sys.u) > 0])
     radius = 0.1 if len(nz) < sys.n else 0.5 * float(nz.min())
+    k = np.arange(K - 1, K + 1)
+    terms = np.linalg.norm(ld.Psi[-2:], axis=(1, 2)) * radius ** k
+    radius /= float(np.max((terms / bound) ** (1.0 / k), initial=1.0))
+    if not radius > 0:
+        raise ValueError(f"the Levelt series of order {K} has no radius where its tail "
+                         f"is below {bound:.1e}")
     pt = PathPoint.from_polar(radius, arg)
     Y0 = eval_levelt(ld, pt.z, pt.arg)
     return SolutionHandle(system=sys, point=pt, value=Y0)

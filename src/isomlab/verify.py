@@ -71,10 +71,9 @@ class MonodromyDataSet:
     d: np.ndarray  # Levelt integer exponents
     L: np.ndarray
     C_r: np.ndarray
-    S_r2: np.ndarray
-    C_r1: np.ndarray
+    S_r2: np.ndarray | None = None  # the extras of stokes_relation_check
+    C_r1: np.ndarray | None = None
     diag_residuals: tuple[float, float] = (0.0, 0.0)
-    stokes_error: float = 0.0
 
 
 def collect_data(
@@ -87,8 +86,9 @@ def collect_data(
     gauge: DiagonalGauge | None = None,
 ) -> list[MonodromyDataSet]:
     """Flow the system through the samples (weakly if `gauge` is given) and
-    extract data at each one: S_r, S_{r+1} and C_r, and the extras S_{r+2}
-    and C_{r+1} of stokes_relation_check, all at the default seed radius.
+    extract data at each one: S_r, S_{r+1} and C_r, all at the default seed
+    radius, and at the first sample also the extras S_{r+2} and C_{r+1} of
+    stokes_relation_check (None at the others).
 
     The first sample must be sys.u; nonzero higher poles, which the flow
     cannot carry, are refused.  The samples must lie in one tau-cell (checked
@@ -120,18 +120,18 @@ def collect_data(
     requests, levelt = [], []
     for cur, G in zip(systems, gauges):
         fs = compute_formal_coefficients(cur, K=order)
-        ld = with_gauge(ld0, G, cur.A)
-        ld = build_levelt_solution(cur.A, lambda m: cur.Lambda if m == 0 else np.zeros_like(cur.A),
-                                   ld=ld, K=LEVELT_ORDER)
+        ld = build_levelt_solution(cur.A, [cur.Lambda], ld=with_gauge(ld0, G, cur.A),
+                                   K=LEVELT_ORDER)
         levelt.append(ld)
         requests += [
             SectorRequest(cur, r, fs),
             SectorRequest(cur, r + 1, fs),
             SectorRequest(cur, r, fs, "connection", ld=ld),
-            SectorRequest(cur, r + 2, fs),
-            SectorRequest(cur, r + 1, fs, "connection", ld=ld),
         ]
-    results = run_plan(sector_plan(cfg, requests), tol)
+    # S_{r+2} and C_{r+1} of the first sample, which stokes_relation_check reads
+    extras = [SectorRequest(sys, r + 2, requests[0].fs),
+              SectorRequest(sys, r + 1, requests[0].fs, "connection", ld=levelt[0])]
+    *results, S_r2, C_r1 = run_plan(sector_plan(cfg, requests + extras), tol)
     return [
         MonodromyDataSet(
             u=cur.u.copy(),
@@ -142,13 +142,12 @@ def collect_data(
             d=ld.d.copy(),
             L=ld.L,
             C_r=C_r,
-            S_r2=res_r2.S,
-            C_r1=C_r1,
+            S_r2=S_r2.S if p == 0 else None,
+            C_r1=C_r1 if p == 0 else None,
             diag_residuals=(res_r.diag_residual, res_r1.diag_residual),
-            stokes_error=max(res_r.error_estimate, res_r1.error_estimate),
         )
-        for cur, ld, (res_r, res_r1, C_r, res_r2, C_r1)
-        in zip(systems, levelt, zip(*[iter(results)] * 5))
+        for p, (cur, ld, (res_r, res_r1, C_r))
+        in enumerate(zip(systems, levelt, zip(*[iter(results)] * 3)))
     ]
 
 
@@ -190,6 +189,8 @@ def data_drift(datasets: list[MonodromyDataSet]) -> dict[str, float]:
 
 def stokes_relation_check(data: MonodromyDataSet) -> dict[str, float]:
     """Residuals of S_{r+2} = e^{-2 pi i B} S_r e^{2 pi i B} and C_{r+1} = C_r S_r."""
+    if data.S_r2 is None or data.C_r1 is None:
+        raise ValueError("no S_{r+2} and C_{r+1}: collect_data takes them at the first sample only")
     phase = np.exp(2j * np.pi * data.b)
     conj = data.S_r * (phase[None, :] / phase[:, None])  # e^{-2pi i B} S e^{2pi i B}
     return {

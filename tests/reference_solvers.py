@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from isomlab.matrixcore import as_square
+from isomlab.levelt import compute_levelt_exponents
+from isomlab.matrixcore import as_square, solve_sylvester, sylvester_spectral_gap
 
 
 def solve_sylvester_lstsq(P, Q, R, rcond: float = 1e-12):
@@ -20,6 +21,27 @@ def solve_sylvester_lstsq(P, Q, R, rcond: float = 1e-12):
     X = x.reshape((p, q), order="F")
     resid = float(np.linalg.norm(Pm @ X - X @ Qm - Rm))
     return X, resid
+
+
+def kronecker_psi(A, hol, K=20, tol=1e-8):
+    """Psi_1..Psi_K by a general Sylvester solve at every order, with the
+    resonant orders found from the eigenvalues of k I - J and -J; `hol`
+    lists H_0, H_1, ..., zero past its end."""
+    ld = compute_levelt_exponents(A, tol=tol)
+    Ginv = np.linalg.inv(ld.G)
+    H = [Ginv @ as_square(Hm) @ ld.G for Hm in hol[:K]]
+    J = ld.J
+    Phi = [np.eye(ld.n, dtype=complex)]
+    for k in range(1, K + 1):
+        rhs = sum(H[m] @ Phi[k - 1 - m] for m in range(min(k, len(H))))
+        P = k * np.eye(ld.n) - J
+        gap, _ = sylvester_spectral_gap(P, -J)
+        if gap <= tol * max(np.linalg.norm(J, 2), 1.0):
+            X, _ = solve_sylvester_lstsq(P, -J, rhs)
+        else:
+            X = solve_sylvester(P, -J, rhs, tol=tol)
+        Phi.append(X)
+    return Phi[1:]
 
 
 def poly_fuchsian_ode(poles, residues):
@@ -167,3 +189,46 @@ def optimal_truncation_reference(F, radius):
     if not terms[k] < np.inf:
         return 0, np.inf
     return k + 1, float(terms[k])
+
+
+def formal_coefficients_reference(sys, K: int, mode: str = "generic", coalesce_tol: float = 0.0):
+    """F_1..F_K of `compute_formal_coefficients` (its checks left out) by the
+    recursion on numpy complex scalars, entry by entry; the library runs it on
+    Python scalars and must reproduce every F_k bit for bit."""
+    from isomlab.formal import _coalesced_entries, _higher_term, _omega, _u_derivatives
+    from isomlab.geometry import coalescence_labels
+
+    A, u, n = sys.A, sys.u, sys.n
+    d = np.diag(A)
+    label = coalescence_labels(u, coalesce_tol)
+    coalesced = (label[:, None] == label[None, :]) & ~np.eye(n, dtype=bool)
+    if mode == "isomonodromic":
+        F_gen = formal_coefficients_reference(sys, max(K, 1))
+        dF = _u_derivatives(sys, F_gen)
+    F_all = []
+    for k in range(1, K + 1):
+        Fk = np.zeros((n, n), dtype=complex)
+        Fprev = F_all[k - 2] if k >= 2 else np.eye(n, dtype=complex)
+        hi = _higher_term(sys, F_all, k)
+        if mode == "generic":
+            for i in range(n):
+                for j in range(n):
+                    if i == j or coalesced[i, j]:
+                        continue
+                    num = (d[i] - d[j] + k - 1) * Fprev[i, j]
+                    num += sum(A[i, p] * Fprev[p, j] for p in range(n) if p != i)
+                    num += hi[i, j]
+                    Fk[i, j] = num / (u[j] - u[i])
+        else:
+            for i in range(n):
+                Rhs = _omega(F_gen[0], i) @ Fprev - dF[k - 1][i]
+                Fk[:, i] = Rhs[:, i]
+                Fk[i, :] = -Rhs[i, :]
+        if coalesced.any():
+            _coalesced_entries(sys, F_all, Fk, k, label)
+        hi_diag = _higher_term(sys, F_all + [Fk], k + 1)
+        for i in range(n):
+            acc = sum(A[i, p] * Fk[p, i] for p in range(n) if p != i)
+            Fk[i, i] = -(acc + hi_diag[i, i]) / k
+        F_all.append(Fk)
+    return F_all

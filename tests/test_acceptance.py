@@ -227,11 +227,7 @@ def test_criterion_6_relation_suite(strong_run):
         M = monodromy_loop(sys0, h, winding=1, tol=1e-12)
         from isomlab.levelt import build_levelt_solution
 
-        ld = build_levelt_solution(
-            GENERIC_A,
-            lambda m: sys0.Lambda if m == 0 else np.zeros((2, 2), dtype=complex),
-            K=25,
-        )
+        ld = build_levelt_solution(GENERIC_A, [sys0.Lambda], K=25)
         spec_loop = np.sort_complex(np.linalg.eigvals(M))
         spec_exp = np.sort_complex(np.linalg.eigvals(monodromy_exponential(ld)))
         assert np.max(np.abs(spec_loop - spec_exp)) <= 1e-6

@@ -7,9 +7,16 @@ from isomlab.formal import (
     check_resonances,
     compute_formal_coefficients,
     eval_truncated_formal,
+    eval_series_factor,
     formal_monodromy,
     ode_laurent_residuals,
     optimal_truncation,
+)
+from reference_solvers import formal_coefficients_reference
+
+# criterion 7's A0: its exact zeros make signed zeros in the recursion
+CRIT7_A0 = np.array(
+    [[0.10, 0.00, 0.06], [0.00, 0.10, 0.09], [0.075, -0.05, 0.45]], dtype=complex
 )
 
 
@@ -117,6 +124,44 @@ class TestCoalescedRecursion:
         assert max(ode_laurent_residuals(sys, fs)) < 1e-10
 
 
+class TestBitIdentity:
+    """The recursion on Python scalars gives every F_k bit for bit as the
+    numpy-scalar one does, so nothing built on the series moves."""
+
+    @staticmethod
+    def assert_same_bytes(sys, K, **kwargs):
+        got = compute_formal_coefficients(sys, K=K, **kwargs).F
+        want = formal_coefficients_reference(sys, K, **kwargs)
+        assert len(got) == len(want) == K
+        for k, (a, b) in enumerate(zip(got, want), start=1):
+            assert a.tobytes() == b.tobytes(), f"F_{k} differs"
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_seeded_systems(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(3):
+            self.assert_same_bytes(random_system(rng, n), 30)
+
+    def test_exact_zeros(self):
+        for A in (CRIT7_A0, -CRIT7_A0):
+            self.assert_same_bytes(IrregularSystem(u=[0.0, 0.5, 1.0], A=A), 30)
+
+    def test_higher_pole(self):
+        rng = np.random.default_rng(17)
+        sys = random_system(rng, 3)
+        H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        self.assert_same_bytes(IrregularSystem(u=sys.u, A=sys.A, higher=(H,)), 20)
+
+    @pytest.mark.parametrize("u, coalesce_tol", [([0.0, 0.0, 1.0], 1e-9),
+                                                 ([0.0, 1e-3, 1.0], 1e-2)])
+    def test_coalesced_system(self, u, coalesce_tol):
+        self.assert_same_bytes(IrregularSystem(u=u, A=CRIT7_A0), 30, coalesce_tol=coalesce_tol)
+
+    def test_isomonodromic_mode(self):
+        self.assert_same_bytes(random_system(np.random.default_rng(18), 3), 10,
+                               mode="isomonodromic")
+
+
 class TestCheckResonances:
     def test_exact_difference(self):
         assert check_resonances(np.diag([1.5, 0.5])) == [(0, 1, 1), (1, 0, -1)]
@@ -141,6 +186,12 @@ class TestEvaluation:
         w = np.log(abs(z)) + 1j * arg
         expect = np.diag(np.exp(np.diag(sys.A) * w + z * sys.u))
         assert np.allclose(got, expect)
+
+    def test_order_above_the_built_one_refused(self):
+        sys = IrregularSystem(u=[0.0, 1.0], A=[[0.5, 1.0], [1.0, 0.25]])
+        fs = compute_formal_coefficients(sys, K=4)
+        with pytest.raises(ValueError, match="order 5 .* order 4"):
+            eval_series_factor(fs, 2.0, K=5)
 
     def test_diagonal_system_exact_for_all_orders(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, 0.25]))

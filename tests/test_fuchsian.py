@@ -399,6 +399,18 @@ class TestNonNormalized:
 
 
 class TestPoleLevelt:
+    def test_matches_kronecker_solve(self):
+        from reference_solvers import kronecker_psi
+
+        sys = random_fuchsian(np.random.default_rng(32))
+        # C_m = -sum_{j != 0} A_j / (u_j - u_0)^(m + 1)
+        hol = [-sum(sys.residues[j] / (sys.poles[j] - sys.poles[0]) ** (m + 1)
+                    for j in range(1, sys.N)) for m in range(20)]
+        ld = pole_levelt(sys, 0, K=20)
+        ref = kronecker_psi(sys.residues[0], hol, K=20)
+        scale = max(np.max(np.abs(X)) for X in ref)
+        assert max(np.max(np.abs(got - want)) for got, want in zip(ld.Psi, ref)) <= 1e-12 * scale
+
     def test_solution_solves_locally(self):
         # FD residual in the local variable at the first pole
         from isomlab.levelt import eval_levelt

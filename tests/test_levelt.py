@@ -10,20 +10,10 @@ from isomlab.levelt import (
     compute_levelt_exponents,
     eval_levelt,
     monodromy_exponential,
-    taylor_radius_check,
     with_gauge,
 )
-from isomlab.matrixcore import (
-    as_square,
-    solve_sylvester,
-    sylvester_spectral_gap,
-)
-from reference_solvers import solve_sylvester_lstsq
-
-
-def hol_const(Lam):
-    n = Lam.shape[0]
-    return lambda m: Lam if m == 0 else np.zeros((n, n), dtype=complex)
+from isomlab.odeengine import DEFAULT_TOL, levelt_handle
+from reference_solvers import kronecker_psi
 
 
 def ode_residual(ld, sys, z0):
@@ -97,27 +87,27 @@ class TestBuildSolution:
     def test_zero_residue_reduces_to_entire_solution(self):
         A = np.zeros((2, 2), dtype=complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
-        ld = build_levelt_solution(A, hol_const(sys.Lambda), K=25)
+        ld = build_levelt_solution(A, [sys.Lambda], K=25)
         assert np.allclose(ld.d, 0) and np.allclose(ld.L, 0.0)
         assert ode_residual(ld, sys, 0.08 + 0.03j) < 1e-8
 
     def test_diagonal_nonresonant(self):
         A = np.diag([0.3, -0.22]).astype(complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
-        ld = build_levelt_solution(A, hol_const(sys.Lambda), K=25)
+        ld = build_levelt_solution(A, [sys.Lambda], K=25)
         assert ld.resonant_orders == ()
         assert ode_residual(ld, sys, 0.1) < 1e-8
 
     def test_generic_full_matrix(self):
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
-        ld = build_levelt_solution(A, hol_const(sys.Lambda), K=25)
+        ld = build_levelt_solution(A, [sys.Lambda], K=25)
         assert ode_residual(ld, sys, -0.06 + 0.08j) < 1e-8
 
     def test_resonant_order_least_squares(self):
         A = np.diag([1.5, 0.5]).astype(complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
-        ld = build_levelt_solution(A, hol_const(sys.Lambda), K=25)
+        ld = build_levelt_solution(A, [sys.Lambda], K=25)
         assert 1 in ld.resonant_orders
         assert ode_residual(ld, sys, 0.09) < 1e-8
 
@@ -126,42 +116,38 @@ class TestBuildSolution:
 
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
-        ld = build_levelt_solution(A, hol_const(sys.Lambda), K=25)
+        ld = build_levelt_solution(A, [sys.Lambda], K=25)
         hnd = levelt_handle(sys, ld, arg=0.2)
         M = monodromy_loop(sys, hnd, winding=1, tol=1e-12)
         assert np.max(np.abs(M - monodromy_exponential(ld))) < 1e-9
 
-    def test_radius_heuristic(self):
+    @pytest.mark.parametrize("u", [[5.0, 12.0], [2.0, 3.0]])
+    def test_start_value_agrees_with_a_longer_series(self, u):
+        # at 0.5 min |u_i| the K = 20 series is 109% (u = [5, 12]) and 5e-11
+        # (u = [2, 3]) off; the start radius shrinks until its tail is below tol
+        A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
+        sys = IrregularSystem(u=u, A=A)
+        hnd = levelt_handle(sys, build_levelt_solution(A, [sys.Lambda], K=20), arg=0.4)
+        Y = eval_levelt(build_levelt_solution(A, [sys.Lambda], K=80), hnd.point.z, hnd.point.arg)
+        assert np.max(np.abs(hnd.value - Y)) <= DEFAULT_TOL * np.max(np.abs(Y))
+
+    def test_start_value_needs_two_terms(self):
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
-        ld = build_levelt_solution(A, hol_const(sys.Lambda), K=20)
-        assert taylor_radius_check(ld, 0.1)
+        with pytest.raises(ValueError, match="order 1"):
+            levelt_handle(sys, build_levelt_solution(A, [sys.Lambda], K=1), arg=0.0)
+
+    def test_order_above_the_built_one_refused(self):
+        A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
+        ld = build_levelt_solution(A, [np.diag([0.0, 1.0])], K=5)
+        with pytest.raises(ValueError, match="order 6 .* order 5"):
+            eval_levelt(ld, 0.1, 0.0, K=6)
 
     def test_gauge_transport_rejects_mismatch(self):
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         ld = compute_levelt_exponents(A)
         with pytest.raises(ValueError):
             with_gauge(ld, np.eye(2), A + 1.0)
-
-
-def kronecker_psi(A, hol_taylor, K=20, tol=1e-8):
-    """Psi_1..Psi_K by a general Sylvester solve at every order, with the
-    resonant orders found from the eigenvalues of k I - J and -J."""
-    ld = compute_levelt_exponents(A, tol=tol)
-    Ginv = np.linalg.inv(ld.G)
-    H = [Ginv @ as_square(hol_taylor(m)) @ ld.G for m in range(K)]
-    J = ld.J
-    Phi = [np.eye(ld.n, dtype=complex)]
-    for k in range(1, K + 1):
-        rhs = sum(H[m] @ Phi[k - 1 - m] for m in range(k))
-        P = k * np.eye(ld.n) - J
-        gap, _ = sylvester_spectral_gap(P, -J)
-        if gap <= tol * max(np.linalg.norm(J, 2), 1.0):
-            X, _ = solve_sylvester_lstsq(P, -J, rhs)
-        else:
-            X = solve_sylvester(P, -J, rhs, tol=tol)
-        Phi.append(X)
-    return Phi[1:]
 
 
 class TestResonanceScan:
@@ -174,11 +160,13 @@ class TestResonanceScan:
          lambda m: np.array([[0.5, 0.2, 0.0], [0.1, -0.3, 0.4], [0.2, 0.0, 0.1j]]) / (m + 1),
          ()),
         # one Jordan block, irregular caller's H_0 = Lambda only
-        (np.array([[0.3, 1.0], [0.0, 0.3]]), hol_const(np.diag([0.0, 1.0])), ()),
+        (np.array([[0.3, 1.0], [0.0, 0.3]]), lambda m: np.diag([0.0, 1.0]) * (m == 0), ()),
         # eigenvalues 1.5 and 0.5: resonant and consistent at order 1
-        (np.diag([1.5, 0.5]), hol_const(np.diag([0.0, 1.0])), (1,)),
+        (np.diag([1.5, 0.5]), lambda m: np.diag([0.0, 1.0]) * (m == 0), (1,)),
     ])
     def test_matches_kronecker_solve(self, A, hol, resonant):
+        # `hol(m)` is the m-th Taylor coefficient, H_m
+        hol = [hol(m) for m in range(20)]
         ld = build_levelt_solution(A, hol, K=20)
         ref = kronecker_psi(A, hol, K=20)
         assert ld.resonant_orders == resonant
@@ -186,9 +174,19 @@ class TestResonanceScan:
         for got, want in zip(ld.Psi, ref):
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_irregular_system_matches_kronecker_solve(self, n):
+        rng = np.random.default_rng(40 + n)
+        A = 0.5 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        hol = [np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))]
+        ld = build_levelt_solution(A, hol, K=20)
+        ref = kronecker_psi(A, hol, K=20)
+        scale = max(np.max(np.abs(X)) for X in ref)
+        assert max(np.max(np.abs(got - want)) for got, want in zip(ld.Psi, ref)) <= 1e-12 * scale
+
     def test_inconsistent_resonance_names_its_order(self):
         # exponents 1 and 0 meet at order 1, where the coupling has no solution
         offdiag = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(ResonanceError, match="resonant order 1") as err:
-            build_levelt_solution(np.diag([1.0, 0.0]), hol_const(offdiag), K=5)
+            build_levelt_solution(np.diag([1.0, 0.0]), [offdiag], K=5)
         assert err.value.order == 1

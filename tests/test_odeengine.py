@@ -47,10 +47,6 @@ def generic_system():
     return IrregularSystem(u=[0.0, 1.0], A=GENERIC_A)
 
 
-def hol_const(sys):
-    return lambda m: sys.Lambda if m == 0 else np.zeros((sys.n, sys.n), dtype=complex)
-
-
 # sector frames as (system, config, coalesce_tol of its formal series, None
 # for the plan's own series): the plain frames of GENERIC_A, and the widened
 # frames of the criterion-7 frozen system at its coalescence point
@@ -665,7 +661,7 @@ class TestConnectionMatrix:
     def test_zero_residue_constant_in_zstar(self):
         A = np.zeros((2, 2), dtype=complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
-        ld = build_levelt_solution(A, hol_const(sys), K=25)
+        ld = build_levelt_solution(A, [sys.Lambda], K=25)
         from isomlab.geometry import sector_bounds
         frame_mid = sector_bounds(sys.u, 0.3, 0).midpoint
         vals = [
@@ -681,7 +677,7 @@ class TestConnectionMatrix:
     @FRAMES
     def test_connection_chain(self, sys, cfg, coalesce_tol):
         fs = frame_series(sys, cfg, coalesce_tol)
-        ld = build_levelt_solution(sys.A, hol_const(sys), K=25)
+        ld = build_levelt_solution(sys.A, [sys.Lambda], K=25)
         C0 = connection_matrix(sys, 0, ld, cfg, fs=fs)
         C1 = connection_matrix(sys, 1, ld, cfg, fs=fs)
         S0 = stokes_matrix(sys, 0, cfg, fs=fs).S
@@ -693,7 +689,7 @@ class TestConnectionMatrix:
 
         sys = generic_system()
         fs = compute_formal_coefficients(sys, K=32)
-        ld = build_levelt_solution(GENERIC_A, hol_const(sys), K=25)
+        ld = build_levelt_solution(GENERIC_A, [sys.Lambda], K=25)
         C0 = connection_matrix(sys, 0, ld, StokesConfig(tau=0.3), fs=fs)
         from isomlab.geometry import sector_bounds
         frame_mid = sector_bounds(sys.u, 0.3, 0).midpoint

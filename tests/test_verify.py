@@ -164,12 +164,14 @@ class TestCollectData:
     def test_sector_data_computed_once(self, sector_work):
         samples = [U0, 0.5 * (U0 + U1), U1]
         collect_data(IrregularSystem(u=U0, A=GENERIC_A), samples, r=0, tau=0.3, order=32)
-        # sectors r..r + 3 of every sample (S_r, S_{r+1}, S_{r+2}, C_r and
-        # C_{r+1}), in one frame pass that finds the rays of each sample once
+        # sectors r..r + 2 of every sample (S_r, S_{r+1} and C_r) and r + 3 of
+        # the first (S_{r+2} and C_{r+1}), in one frame pass that finds the
+        # rays of each sample once
         assert sector_work["frames"] == [(3, (0, 1, 2, 3), 3)]
-        # seed directions of those frames, one pass per sample, each frame once
-        assert sector_work["seeds"] == [4] * 3
-        assert len(sector_work["frames_seeded"]) == 4 * 3
+        # seed directions in the sectors each sample uses, one pass per
+        # sample, each frame once
+        assert sector_work["seeds"] == [4, 3, 3]
+        assert len(sector_work["frames_seeded"]) == 4 + 3 + 3
         # the series of each sample, in one stacked pass, each once
         assert [len(series) for series in sector_work["truncations"]] == [3]
 

@@ -324,10 +324,8 @@ def cmd_verify_coalescence(args) -> int:
             f"{i},{j}": {"slope": f.slope, "passed": f.passed}
             for (i, j), f in rep.entry_fits.items()
         },
-        "driven_entry_slopes": {
-            f"{i},{j}": s for (i, j), s in rep.driven_entry_slopes.items()
-        },
-        "a_entry_slopes": {f"{i},{j}": s for (i, j), s in rep.a_entry_slopes.items()},
+        "driven_entry_slopes": {f"{i},{j}": f.slope for (i, j), f in rep.driven_fits.items()},
+        "a_entry_slopes": {f"{i},{j}": f.slope for (i, j), f in rep.a_fits.items()},
         "driven_limit_errors": [float(x) for x in rep.driven_limit_errors],
         "flow_vs_germ": rep.flow_vs_germ,
         "entry_floor": rep.entry_floor,

@@ -470,12 +470,14 @@ def vanishing_order_check(gaps, magnitudes, pair=(0, 1), slope_threshold: float 
     Entries identically below `floor` pass with slope = +inf (the zero-entry
     convention).  One sample above `floor` fixes no line: it passes the same
     way if it is the sample at the largest gap, and otherwise fails with
-    slope = -inf.  Requires at least 5 samples.
+    slope = -inf.  Requires at least 5 samples, at finite positive gaps.
     """
     g = np.asarray(gaps, dtype=float)
     m = np.asarray(magnitudes, dtype=float)
     if len(g) != len(m) or len(g) < 5:
         raise ValueError("need at least 5 (gap, magnitude) samples")
+    if not np.all(np.isfinite(g) & (g > 0)):
+        raise ValueError(f"gaps must be finite and positive, got {g}")
     mask = m > floor
     if np.count_nonzero(mask) > 1:
         slope, intercept = map(float, np.polyfit(np.log(g[mask]), np.log(m[mask]), 1))

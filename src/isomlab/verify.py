@@ -231,11 +231,9 @@ class CoalescenceReport:
     S1_samples: list[np.ndarray]
     limit_errors: np.ndarray
     driven_limit_errors: np.ndarray
-    entry_magnitudes: dict[tuple[int, int], np.ndarray]
-    entry_fits: dict[tuple[int, int], "VanishingFit"]
-    driven_entry_magnitudes: dict[tuple[int, int], np.ndarray]
-    driven_entry_slopes: dict[tuple[int, int], float]
-    a_entry_slopes: dict[tuple[int, int], float]
+    entry_fits: dict[tuple[int, int], VanishingFit]  # self-seeded |S_ab|, both orders
+    driven_fits: dict[tuple[int, int], VanishingFit]  # frozen-seeded |S_ab|, both orders
+    a_fits: dict[tuple[int, int], VanishingFit]  # |A_ij| of the germ, i < j
     flow_vs_germ: float
     entry_floor: float
     pattern_magnitude: float
@@ -253,111 +251,93 @@ class CoalescenceReport:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["pair_i", "pair_j", "seeding", "gap", "entry_magnitude"])
-            for (i, j), mags in self.entry_magnitudes.items():
-                for g, m in zip(self.gaps, mags):
-                    w.writerow([i, j, "self", repr(float(g)), repr(float(m))])
-            for (i, j), mags in self.driven_entry_magnitudes.items():
-                for g, m in zip(self.gaps, mags):
-                    w.writerow([i, j, "frozen", repr(float(g)), repr(float(m))])
+            for seeding, fits in (("self", self.entry_fits), ("frozen", self.driven_fits)):
+                for (i, j), fit in fits.items():
+                    for g, m in zip(self.gaps, fit.magnitudes):
+                        w.writerow([i, j, seeding, repr(float(g)), repr(float(m))])
+
+
+def _coalescing_mask(A0: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The n x n mask of the ordered pairs a != b that coalesce at u^C.
+
+    Refuses an A0 that is not n x n and a u^C with no coalescing pair
+    (ValueError), and an A0 that does not vanish at a coalescing pair
+    (WallError): the vanishing condition of the coalescence theorem.
+    """
+    n = len(ref)
+    if A0.shape != (n, n):
+        raise ValueError(f"A0 has shape {A0.shape}, u^C has {n} entries")
+    label = coalescence_labels(ref, 1e-12)
+    co = (label[:, None] == label[None, :]) & ~np.eye(n, dtype=bool)
+    if not co.any():
+        raise ValueError("uC has no coalescing pair")
+    bad = co & (np.abs(A0) > PATTERN_TOL)
+    if bad.any():
+        i, j = np.argwhere(np.triu(bad | bad.T))[0]
+        raise WallError(
+            f"vanishing condition violated at u^C: A[{i},{j}] or A[{j},{i}] nonzero"
+        )
+    return co
 
 
 def ray_family_series(A0, uC, v, order: int = 4):
-    """Taylor coefficients of the coalesced strong family along a ray.
+    """Taylor coefficients [A_0, ..., A_order] of the coalesced strong family
+    along the ray u(s) = u^C + s v, with A(s) = sum_m A_m s^m.
 
-    On u(s) = u^C + s v the flow dA/ds = sum_j v_j [omega_j(0), A] is 0/0 at
-    s = 0 for coalescing pairs, but on the vanishing-compatible family the
-    ratios A_ab/(u_a - u_b) extend analytically, with the order-m ratio
-    coefficient involving the order-(m+1) entry of A.  Matching powers of s
-    therefore determines A_{m+1} up to its coalescing-pair entries, which
-    solve a small linear system (nonsingular when the diagonal entries of the
-    pair do not differ by negative integers).  Returns [A_0, ..., A_order]
-    with A(s) = sum_m A_m s^m.
+    Write D_ab = u^C_a - u^C_b and G_ab = v_a - v_b.  The flow is
+    dA/ds = [Omega, A] with Omega = R o G (entrywise), where
+    R = A / (D + s G) off the diagonal.  Off the coalescing pairs the ratio
+    series follows from R_t = (A_t - G o R_{t-1}) / D.  On a coalescing pair
+    D = 0 and A vanishes at s = 0, so there Omega_t = A_{t+1}.  Matching
+    powers of s gives
+
+        (m + 1) A_{m+1} = sum_{t <= m} [Omega_t, A_{m-t}] = base + [X, A_0],
+
+    with base the sum at Omega_m = 0 on the coalescing pairs, and X the
+    coalescing entries x of A_{m+1}.  On those pairs this reads
+    ((m + 1) I - L) x = base, where L is the matrix of x -> [X, A_0] there,
+    L[(c,d),(a,b)] = delta_ca (A_0)_bd - delta_bd (A_0)_ca; a singular solve
+    (diagonal entries of a group differing by an integer) raises
+    ResonanceError.  B = diag(A) is constant along a strong family, so the
+    diagonal of every A_{m+1} is set to exactly zero.
     """
     A0 = np.asarray(A0, dtype=complex)
     ref = np.asarray(uC, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    n = len(ref)
-    label = coalescence_labels(ref, 1e-12)
-    unknowns = [(a, b) for a in range(n) for b in range(n) if a != b and label[a] == label[b]]
-    if any(v[a] == v[b] for a, b in unknowns):
+    if v.shape != ref.shape:
+        raise ValueError(f"v has {v.size} entries, u^C has {ref.size}")
+    co = _coalescing_mask(A0, ref)
+    D = ref[:, None] - ref[None, :]
+    G = v[:, None] - v[None, :]
+    if np.any(G[co] == 0):
         raise ValueError("direction does not split a coalescing pair")
-    co = set(unknowns)
-
-    dmat = ref[:, None] - ref[None, :]
-    gmat = v[:, None] - v[None, :]
-
-    def g_coeff(coeffs, m, x):
-        """Order-m coefficient of sum_j v_j [W_j(s), A(s)].
-
-        `coeffs` holds A_0..A_m; `x` maps coalescing entries to the
-        candidate (A_{m+1})_{ab} values they contribute to the ratio series.
-        """
-        # ratio series R(s) up to order m
-        R = [np.zeros((n, n), dtype=complex) for _ in range(m + 1)]
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                if (a, b) in co:
-                    for t in range(m + 1):
-                        nxt = (
-                            coeffs[t + 1][a, b]
-                            if t + 1 <= m
-                            else x.get((a, b), 0.0)
-                        )
-                        R[t][a, b] += nxt / gmat[a, b]
-                else:
-                    # 1/(d + s*g) = (1/d) sum_t (-g/d)^t s^t
-                    d, g = dmat[a, b], gmat[a, b]
-                    for t in range(m + 1):
-                        acc = 0.0 + 0.0j
-                        for q in range(t + 1):
-                            acc += coeffs[t - q][a, b] * (-g / d) ** q / d
-                        R[t][a, b] += acc
-        out = np.zeros((n, n), dtype=complex)
-        for t in range(m + 1):
-            Wsum = R[t] * gmat  # sum_j v_j W_j: entry (a, b) is R_ab (v_a - v_b)
-            out += Wsum @ coeffs[m - t] - coeffs[m - t] @ Wsum
-        return out
-
-    coeffs = [A0]
+    off = ~co & ~np.eye(len(ref), dtype=bool)
+    D = np.where(off, D, 1.0)
+    a, b = np.nonzero(co)
+    L = (a[:, None] == a) * A0[b, b[:, None]] - (b[:, None] == b) * A0[a[:, None], a]
+    coeffs, R, omega = [A0], np.zeros_like(A0), []
     for m in range(order):
-        base = g_coeff(coeffs, m, {p: 0.0 for p in unknowns})
-        cols = []
-        for p in unknowns:
-            probe = {q: (1.0 if q == p else 0.0) for q in unknowns}
-            cols.append(g_coeff(coeffs, m, probe) - base)
-        k = len(unknowns)
-        Mmat = np.zeros((k, k), dtype=complex)
-        rhs = np.zeros(k, dtype=complex)
-        for a_idx, p in enumerate(unknowns):
-            rhs[a_idx] = base[p]
-            for b_idx in range(k):
-                Mmat[a_idx, b_idx] = cols[b_idx][p]
-        # (m+1) x = base + L x  =>  ((m+1) I - L) x = base
+        R = off * (coeffs[m] - G * R) / D
+        omega.append(R * G)
+        base = sum(W @ coeffs[m - t] - coeffs[m - t] @ W for t, W in enumerate(omega))
         try:
-            x = np.linalg.solve((m + 1) * np.eye(k) - Mmat, rhs)
+            x = np.linalg.solve((m + 1) * np.eye(len(a)) - L, base[co])
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(
                 f"ray-family recursion singular at order {m + 1}", order=m + 1
             ) from exc
-        xmap = {p: x[i] for i, p in enumerate(unknowns)}
-        Gm = g_coeff(coeffs, m, xmap)
-        Anext = Gm / (m + 1)
-        # diag [Omega, A] = 0 for symmetric K: B = diag(A) is constant along
-        # a strong family, and is kept so exactly, not up to round-off
-        np.fill_diagonal(Anext, 0.0)
-        for i, p in enumerate(unknowns):
-            Anext[p] = x[i]
-        coeffs.append(Anext)
+        X = np.zeros_like(A0)
+        X[co] = x
+        nxt = (base + X @ A0 - A0 @ X) / (m + 1)
+        np.fill_diagonal(nxt, 0.0)
+        nxt[co] = x
+        omega[m] += X  # Omega_m = A_{m+1} on the coalescing pairs
+        coeffs.append(nxt)
     return coeffs
 
 
 def eval_ray_family(coeffs, s: float) -> np.ndarray:
-    out = np.zeros_like(coeffs[0])
-    for m, C in enumerate(coeffs):
-        out = out + C * (s**m)
-    return out
+    return sum(C * (s**m) for m, C in enumerate(coeffs))
 
 
 def coalescing_direction(uC, tau: float) -> np.ndarray:
@@ -371,6 +351,8 @@ def coalescing_direction(uC, tau: float) -> np.ndarray:
     ref = np.asarray(uC, dtype=complex).reshape(-1)
     n = len(ref)
     label = coalescence_labels(ref)
+    if label.max() == n - 1:
+        raise ValueError("uC has no coalescing pair")
     groups = [np.flatnonzero(label == g) for g in range(label.max() + 1)]
     for k in range(DIRECTION_TRIALS):
         phi = 0.35 + k * (math.pi / DIRECTION_TRIALS)
@@ -416,28 +398,19 @@ def verify_coalescence(
     them and compared against the germ, so the reported family is backed by
     two independent constructions.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     A0 = np.asarray(A0, dtype=complex)
     ref = np.asarray(uC, dtype=complex).reshape(-1)
-    label = coalescence_labels(ref, 1e-12)
-    pairs = tuple((i, j) for i in range(len(ref)) for j in range(i + 1, len(ref))
-                  if label[i] == label[j])
-    if not pairs:
-        raise ValueError("uC has no coalescing pair")
-    for i, j in pairs:
-        if abs(A0[i, j]) > PATTERN_TOL or abs(A0[j, i]) > PATTERN_TOL:
-            raise WallError(
-                f"vanishing condition violated at u^C: A[{i},{j}] or A[{j},{i}] nonzero"
-            )
-    res_pairs = [
-        (i, j, k) for (i, j, k) in check_resonances(A0) if (min(i, j), max(i, j)) in pairs
-    ]
+    co = _coalescing_mask(A0, ref)
+    pairs = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(co)))
+    res_pairs = [(i, j, k) for (i, j, k) in check_resonances(A0) if co[i, j]]
     if res_pairs:
         raise ResonanceError(
             "diagonal entries of coalescing pairs differ by non-zero integers "
             f"{res_pairs}; the frozen formal solution is not unique",
         )
-    adm = is_admissible(tau, ref, subclass_at=ref)
-    if not adm:
+    if not is_admissible(tau, ref, subclass_at=ref):
         raise AdmissibilityError("tau not admissible at u^C in the sub-class sense")
     if np.any(ref != ref[0]):
         bound = epsilon_bound(ref, tau)
@@ -486,42 +459,24 @@ def verify_coalescence(
         for Ss, S1s in ((S_samples, S1_samples), (S_driven, S1_driven))
     )
 
+    def fits(mats, entries, **kw):
+        """Vanishing fit of |M_ab| over the gaps for every (a, b) of entries;
+        kw goes on to vanishing_order_check."""
+        return {p: vanishing_order_check(gaps, [abs(M[p]) for M in mats], pair=p,
+                                         slope_threshold=SLOPE_THRESHOLD, **kw)
+                for p in entries}
+
     entry_floor = 30.0 * max(floors)
-    entry_magnitudes, entry_fits = {}, {}
-    driven_entry_magnitudes, driven_entry_slopes = {}, {}
-    for i, j in pairs:
-        for a, b in ((i, j), (j, i)):
-            mags = np.array([abs(S[a, b]) for S in S_samples])
-            entry_magnitudes[(a, b)] = mags
-            entry_fits[(a, b)] = vanishing_order_check(
-                gaps, mags, pair=(a, b), slope_threshold=SLOPE_THRESHOLD,
-                floor=entry_floor,
-            )
-            dmags = np.array([abs(S[a, b]) for S in S_driven])
-            driven_entry_magnitudes[(a, b)] = dmags
-            driven_entry_slopes[(a, b)] = vanishing_order_check(
-                gaps, dmags, pair=(a, b), slope_threshold=SLOPE_THRESHOLD
-            ).slope
+    both = [p for i, j in pairs for p in ((i, j), (j, i))]
+    entry_fits = fits(S_samples, both, floor=entry_floor)
 
-    a_entry_slopes = {}
-    for p in pairs:
-        mags = np.array([abs(Ak[p]) for Ak in A_k])
-        a_entry_slopes[p] = vanishing_order_check(
-            gaps, mags, pair=p, slope_threshold=SLOPE_THRESHOLD
-        ).slope
-
-    pattern_magnitude = max(
-        max(abs(S_samples[-1][i, j]), abs(S_samples[-1][j, i])) for i, j in pairs
-    )
+    pattern_magnitude = max(f.magnitudes[-1] for f in entry_fits.values())
     decay_ok = all(f.passed for f in entry_fits.values())
     # gate on the accurate pass at the tightest gap; the frozen-seeded pass
     # carries the monotone O(gap) convergence statement (steps already at the
     # noise scale, far below the threshold, are exempt)
-    monotone = all(
-        driven_limit_errors[k + 1]
-        <= max(1.5 * driven_limit_errors[k], 0.01 * LIMIT_THRESHOLD)
-        for k in range(len(gaps) - 1)
-    )
+    monotone = all(b <= max(1.5 * a, 0.01 * LIMIT_THRESHOLD)
+                   for a, b in zip(driven_limit_errors[:-1], driven_limit_errors[1:]))
     limit_ok = bool(limit_errors[-1] <= LIMIT_THRESHOLD) and monotone
     pattern_ok = bool(pattern_magnitude <= PATTERN_THRESHOLD)
 
@@ -539,11 +494,9 @@ def verify_coalescence(
         S1_samples=S1_samples,
         limit_errors=limit_errors,
         driven_limit_errors=driven_limit_errors,
-        entry_magnitudes=entry_magnitudes,
         entry_fits=entry_fits,
-        driven_entry_magnitudes=driven_entry_magnitudes,
-        driven_entry_slopes=driven_entry_slopes,
-        a_entry_slopes=a_entry_slopes,
+        driven_fits=fits(S_driven, both),
+        a_fits=fits(A_k, pairs),
         flow_vs_germ=flow_vs_germ,
         entry_floor=float(entry_floor),
         pattern_magnitude=float(pattern_magnitude),

@@ -232,3 +232,76 @@ def formal_coefficients_reference(sys, K: int, mode: str = "generic", coalesce_t
             Fk[i, i] = -(acc + hi_diag[i, i]) / k
         F_all.append(Fk)
     return F_all
+
+
+def ray_family_series_reference(A0, uC, v, order: int = 4):
+    """[A_0, ..., A_order] of `verify.ray_family_series` (its checks left
+    out) by probing: every order-m coefficient of sum_j v_j [W_j(s), A(s)] is
+    re-evaluated with each coalescing entry of A_{m+1} set to 1 in turn, with
+    per-entry geometric sums for the ratios A_ab / (u_a - u_b), and the small
+    linear system of the coalescing entries is read off the differences."""
+    from isomlab.errors import ResonanceError
+    from isomlab.geometry import coalescence_labels
+
+    A0 = np.asarray(A0, dtype=complex)
+    ref = np.asarray(uC, dtype=complex).reshape(-1)
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    n = len(ref)
+    label = coalescence_labels(ref, 1e-12)
+    unknowns = [(a, b) for a in range(n) for b in range(n) if a != b and label[a] == label[b]]
+    co = set(unknowns)
+    dmat = ref[:, None] - ref[None, :]
+    gmat = v[:, None] - v[None, :]
+
+    def g_coeff(coeffs, m, x):
+        """Order-m coefficient, with `x` the candidate (A_{m+1})_ab of the
+        coalescing entries."""
+        R = [np.zeros((n, n), dtype=complex) for _ in range(m + 1)]
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                if (a, b) in co:
+                    for t in range(m + 1):
+                        nxt = coeffs[t + 1][a, b] if t + 1 <= m else x.get((a, b), 0.0)
+                        R[t][a, b] += nxt / gmat[a, b]
+                else:
+                    # 1/(d + s*g) = (1/d) sum_t (-g/d)^t s^t
+                    d, g = dmat[a, b], gmat[a, b]
+                    for t in range(m + 1):
+                        acc = 0.0 + 0.0j
+                        for q in range(t + 1):
+                            acc += coeffs[t - q][a, b] * (-g / d) ** q / d
+                        R[t][a, b] += acc
+        out = np.zeros((n, n), dtype=complex)
+        for t in range(m + 1):
+            Wsum = R[t] * gmat
+            out += Wsum @ coeffs[m - t] - coeffs[m - t] @ Wsum
+        return out
+
+    coeffs = [A0]
+    for m in range(order):
+        base = g_coeff(coeffs, m, {p: 0.0 for p in unknowns})
+        cols = []
+        for p in unknowns:
+            probe = {q: (1.0 if q == p else 0.0) for q in unknowns}
+            cols.append(g_coeff(coeffs, m, probe) - base)
+        k = len(unknowns)
+        Mmat = np.zeros((k, k), dtype=complex)
+        rhs = np.zeros(k, dtype=complex)
+        for a_idx, p in enumerate(unknowns):
+            rhs[a_idx] = base[p]
+            for b_idx in range(k):
+                Mmat[a_idx, b_idx] = cols[b_idx][p]
+        try:
+            x = np.linalg.solve((m + 1) * np.eye(k) - Mmat, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ResonanceError(
+                f"ray-family recursion singular at order {m + 1}", order=m + 1
+            ) from exc
+        Anext = g_coeff(coeffs, m, {p: x[i] for i, p in enumerate(unknowns)}) / (m + 1)
+        np.fill_diagonal(Anext, 0.0)
+        for i, p in enumerate(unknowns):
+            Anext[p] = x[i]
+        coeffs.append(Anext)
+    return coeffs

@@ -246,8 +246,8 @@ def test_criterion_7_coalescence_theorem():
         # show the genuine linear decay)
         for fit in rep.entry_fits.values():
             assert fit.passed, f"entry fit failed: {fit}"
-        for slope in rep.driven_entry_slopes.values():
-            assert slope >= 0.9
+        for fit in rep.driven_fits.values():
+            assert fit.slope >= 0.9
         assert rep.limit_errors[-1] <= 1e-5
         assert rep.verdict
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,29 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS"
         assert (tmp_path / "csv" / "coalescence_entries.csv").exists()
+
+    @pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf"])
+    def test_verify_coalescence_refuses_eps(self, capsys, tmp_path, eps):
+        # refused before any flow or series work: no warning, no step budget
+        f = write_json(
+            tmp_path / "co.json",
+            {
+                "u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                "A": [
+                    [[0.1, 0.0], [0.0, 0.0], [0.06, 0.0]],
+                    [[0.0, 0.0], [0.1, 0.0], [0.09, 0.0]],
+                    [[0.075, 0.0], [-0.05, 0.0], [0.45, 0.0]],
+                ],
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys,
+                ["verify-coalescence", "--system", f, "--tau", "0.3", "--eps", eps],
+            )
+        assert code == 1 and out == ""
+        assert "eps" in err
 
 
 class TestParser:

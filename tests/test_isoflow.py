@@ -327,6 +327,13 @@ class TestVanishingCheck:
         with pytest.raises(ValueError):
             vanishing_order_check([1.0, 0.5], [1.0, 0.5])
 
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+    def test_needs_finite_positive_gaps(self, bad):
+        gaps = np.geomspace(1e-1, 1e-3, 6)
+        gaps[-1] = bad
+        with pytest.raises(ValueError, match="gaps"):
+            vanishing_order_check(gaps, 0.37 * np.geomspace(1e-1, 1e-3, 6))
+
     def test_from_trace(self):
         # synthetic family A_01 = 0.2 (u_0 - u_1) sampled along a ray
         import dataclasses

@@ -227,6 +227,29 @@ A3 = np.array(
 )
 
 
+
+def vanishing_family(uC, seed):
+    """A seeded residue matrix vanishing on the coalescing pairs of uC."""
+    uC = np.asarray(uC, dtype=complex)
+    rng = np.random.default_rng(seed)
+    n = len(uC)
+    A = 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    A[(uC[:, None] == uC[None, :]) & ~np.eye(n, dtype=bool)] = 0.0
+    return A, uC
+
+
+# criterion 7, seeded 3x3, the 2x2 full coalescence, a three-member group and
+# two groups
+GERM_CASES = (
+    [(A3, UC3)]
+    + [vanishing_family(UC3, seed) for seed in range(4)]
+    + [(np.diag([0.2, -0.1]).astype(complex), np.zeros(2, dtype=complex))]
+    + [vanishing_family([0, 0], seed) for seed in range(2)]
+    + [vanishing_family([0, 0, 0, 1], seed) for seed in range(3)]
+    + [vanishing_family([0, 0, 1, 1], seed) for seed in range(3)]
+)
+
+
 class TestRayFamilySeries:
     def test_matches_flow(self):
         from isomlab.isoflow import UPath, integrate_flow
@@ -278,6 +301,45 @@ class TestRayFamilySeries:
         assert abs(coeffs[1][0, 1]) > 1e-4
         assert abs(coeffs[0][0, 1]) == 0.0
 
+    @pytest.mark.parametrize("A0, uC", GERM_CASES)
+    def test_matches_probe_reference(self, A0, uC):
+        # the matrix recursion against the probe-based germ, order by order
+        from reference_solvers import ray_family_series_reference
+
+        v = coalescing_direction(uC, 0.3)
+        got = ray_family_series(A0, uC, v, order=6)
+        want = ray_family_series_reference(A0, uC, v, order=6)
+        assert len(got) == len(want) == 7
+        for G, W in zip(got, want):
+            assert np.max(np.abs(G - W)) <= 1e-13 * max(np.max(np.abs(W)), 1e-300)
+
+    def test_refuses_malformed_inputs(self):
+        v = coalescing_direction(UC3, 0.3)
+        with pytest.raises(ValueError, match="v has"):
+            ray_family_series(A3, UC3, v[:2])
+        with pytest.raises(ValueError, match="A0 has shape"):
+            ray_family_series(A3[:2, :2], UC3, v)
+        with pytest.raises(ValueError, match="no coalescing pair"):
+            ray_family_series(A3, [0.0, 1.0, 2.0], v)
+
+    def test_refuses_family_not_vanishing_at_the_pair(self):
+        # the vanishing condition verify_coalescence imposes, at the germ too
+        with pytest.raises(WallError, match="vanishing condition"):
+            ray_family_series(np.ones((2, 2)), np.zeros(2), [-0.5, 0.5])
+
+    def test_resonant_order_raises(self):
+        # full 2x2 coalescence: L = diag(A_11 - A_00, A_00 - A_11), so
+        # (m + 1) I - L is singular at order m + 1 = A_11 - A_00 = 2
+        with pytest.raises(ResonanceError) as info:
+            ray_family_series(np.diag([0.0, 2.0]), np.zeros(2), [-0.5, 0.5], order=4)
+        assert info.value.order == 2
+
+
+class TestCoalescingDirection:
+    def test_needs_a_coalescing_pair(self):
+        with pytest.raises(ValueError, match="no coalescing pair"):
+            coalescing_direction([0.0, 1.0, 2.0], 0.3)
+
 
 class TestVerifyCoalescence:
     def test_pipeline_passes(self, monkeypatch):
@@ -302,10 +364,10 @@ class TestVerifyCoalescence:
             assert abs(rep.S1_frozen[i, j]) < 1e-9
             assert abs(rep.S1_frozen[j, i]) < 1e-9
         # frozen-seeded pass decays linearly in the gap
-        for s in rep.driven_entry_slopes.values():
-            assert s >= 0.9
-        for p in rep.a_entry_slopes.values():
-            assert p >= 0.9
+        for f in rep.driven_fits.values():
+            assert f.slope >= 0.9
+        for f in rep.a_fits.values():
+            assert f.slope >= 0.9
 
     def test_two_by_two_full_coalescence(self):
         # diagonal residue: coalesced system solvable, all Stokes = I

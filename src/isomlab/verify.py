@@ -390,7 +390,8 @@ def verify_coalescence(
     Preconditions enforced: A0 vanishes at every coalescing-pair position,
     its diagonal entries there do not differ by non-zero integers (otherwise
     the frozen formal solution is not unique), tau is admissible at u^C in
-    the sub-class sense, and eps is finite, positive and within the parallel-line bound.
+    the sub-class sense, and eps is finite, positive and within the
+    parallel-line bound.
 
     The sampled family comes from the local Taylor germ of the coalesced
     strong family along the ray (ray_family_series); the strong flow is

@@ -3,13 +3,13 @@
 Each subcommand maps onto one laboratory pipeline and prints a single JSON
 report on stdout; `--csv DIR` (stokes-rays, cells, verify-coalescence)
 additionally writes plot tables.  Exit codes: 0 for success / PASS, 2 for a
-FAIL verdict, 1 for malformed input or a violated precondition (the
-diagnostic is printed on stderr).
+FAIL verdict or an argparse usage error, 1 for malformed input or a violated
+precondition (the diagnostic is printed on stderr).
 
 Tolerances are flags with documented defaults, each offered only by the
-subcommands that read it: --tol 1e-10 (integration), --mtol 1e-6 (matrix
-comparisons), --order 10 (series truncation; 30 for stokes-matrix and the
-verify commands).  Reports are deterministic for identical inputs and flags.
+subcommands that read it: --tol 1e-10 (integration) and --mtol 1e-6 (matrix
+comparisons), both finite and positive, and --order 10 (series truncation;
+30 for stokes-matrix and verify-*).  Reports are deterministic for equal input.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -435,6 +436,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    for flag in ("tol", "mtol"):
+        if not (math.isfinite(value := getattr(args, flag, 1.0)) and value > 0):
+            print(f"error: --{flag} must be finite and positive, got {value}", file=sys.stderr)
+            return 1
     try:
         return args.fn(args)
     except (IsomlabError, ValueError, OSError) as exc:

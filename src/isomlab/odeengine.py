@@ -64,14 +64,16 @@ and series) under one `StokesConfig`; `actual_solution`, `stokes_matrix` and
 `verify_coalescence` on all of theirs, and `fuchsian.monodromy_plan` is the
 plan of `fuchs_monodromy`.  The requests of one plan share one
 `SectorTable`: the frames of every (system, sector) pair from one ray
-computation per system, the seed directions and Stokes leakage of all
-frames of each system in one array pass, and the truncations of all
-distinct series in one stacked SVD.  The plan lays out the legs of each
-(system, sector, z*) and the seed columns of each (system, series, sector)
-once, so the engine finds the legs they have in common, and assembles all
-Stokes matrices in one stacked pass.  Every number is the one the per-result computation gives,
-bit for bit: angles stay on math.atan2, and scalar complex arithmetic is
-not moved into arrays, whose products round differently.
+computation per system, the seed directions (in closed form) and Stokes
+leakage of all frames of each system in one array pass, and the
+truncations of all distinct series in one stacked SVD.  Every column of a
+system runs on the system's one ODE; the plan lays out the legs of each
+(system, sector, z*), sweeps cut at the seed angles, and the seed columns
+of each (system, series, sector) once, so the engine steps what they share
+once, and assembles all Stokes matrices in one stacked pass.  Every number
+is the one the per-result computation gives, bit for bit: angles stay on
+math.atan2, and scalar complex arithmetic is not moved into arrays, whose
+products round differently.
 
 The Wronskian identity
 
@@ -80,8 +82,8 @@ The Wronskian identity
 is monitored by integrate_path and its drift reported with the result.
 
 Sectorial solutions Y_r are seeded with the optimally truncated formal
-series on the mid-half-plane direction of S_r and carried to the requested
-point; Stokes matrices are extracted in the F-gauge
+series, each column where it is most recessive in S_r, and carried to z*;
+Stokes matrices are extracted in the F-gauge
 
     S_r = E(z*)^{-1} (Fhat_r^{-1} Fhat_{r+1}) E(z*),   E(z) = z^B e^{z Lambda},
 
@@ -228,19 +230,15 @@ def _shift_tables(m: int):
     return binom, np.maximum(j - i, 0)
 
 
-def irregular_ode(sys: IrregularSystem, shift_u: complex = 0.0,
-                  shift_b: complex = 0.0) -> LinearODE:
-    """z^p Y' = (z^p (Lambda - shift_u) + z^{p-1} (A - shift_b)
-    + sum_m z^{p-m} A_m) Y, p = 1 + number of higher poles.
-
-    The shifts give the scalar gauge y e^{-shift_u z} z^{-shift_b} of one
-    column."""
+def irregular_ode(sys: IrregularSystem, shift: complex = 0.0) -> LinearODE:
+    """z^p Y' = (z^p (Lambda - shift) + z^{p-1} A + sum_m z^{p-m} A_m) Y,
+    p = 1 + number of higher poles: the system in the scalar gauge
+    y e^{-shift z}."""
     p = 1 + len(sys.higher)
     n = sys.n
-    eye = np.eye(n, dtype=complex)
     Q = np.zeros((p + 1, n, n), dtype=complex)
-    Q[p] = np.diag(sys.u) - shift_u * eye
-    Q[p - 1] = sys.A - shift_b * eye
+    Q[p] = np.diag(sys.u) - shift * np.eye(n, dtype=complex)
+    Q[p - 1] = sys.A
     for m, H in enumerate(sys.higher, start=2):
         Q[p - m] += H
     P = np.zeros(p + 1, dtype=complex)
@@ -601,6 +599,9 @@ class StokesConfig:
     uC: tuple | None = None
 
     def __post_init__(self):
+        for name in ("tol", "radius"):
+            if not (math.isfinite(value := getattr(self, name)) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.uC is not None:
             uC = np.asarray(self.uC, dtype=complex).reshape(-1)
             object.__setattr__(self, "uC", tuple(complex(x) for x in uC))
@@ -647,10 +648,10 @@ class SectorTable:
     leakage of seeds there at the seed radius, for the sectors that the
     system's own requests use; `truncations` holds the optimal truncation
     (k, bound) of each series at the seed radius.  The Stokes rays of each
-    system are found once for all its sectors, the seed grids of the frames
-    of each system are one array pass (so its arrays do not grow with the
-    number of systems), and the truncations of all series are one stacked
-    SVD, so all systems must share n.
+    system are found once for all its sectors, the seed directions of the
+    frames of each system are one array pass (so its arrays do not grow with
+    the number of systems), and the truncations of all series are one
+    stacked SVD, so all systems must share n.
     """
 
     def __init__(self, cfg: StokesConfig, requests):
@@ -682,7 +683,7 @@ class SectorTable:
         self.truncations = optimal_truncations(self.series, cfg.radius)
 
 
-def _seed_directions(u, lo, hi, radius: float, grid: int = 720):
+def _seed_directions(u, lo, hi, radius: float):
     """Per-column seed directions in the frames (lo, hi), two (F,) arrays, of
     the system with exponents u, and the Stokes leakage of seeds there, for
     all those frames in one array pass.
@@ -690,25 +691,37 @@ def _seed_directions(u, lo, hi, radius: float, grid: int = 720):
     For column j the contamination of the truncated-series seed by other
     solutions scales like exp(|z| Re(e^{i theta}(u_j - u_i))); picking theta
     where u_j is most recessive against every other exponential drives those
-    admixtures below the truncation error.  A column seeded at recessive
-    depth d against pair (i, j) can still pick up an admixture of that
-    solution at the e^{-R d} level, R = `radius` (the Stokes leakage of the
-    sector boundary); with no recessive direction available (d <= 0) the
-    admixture is order of the pair's Stokes activity, which near-coalescing
-    pairs of vanishing-compatible families reduce with the separation.
+    admixtures below the truncation error: theta maximizes min_i d_i, tie-broken
+    by 1e-3 sum_i d_i (tightly coalescing pairs cap the min), d_i =
+    -Re(e^{i theta}(u_j - u_i)) over the i with u_i != u_j, on the frame less
+    min(0.05, opening / 10) at each end.  That is a minimum of sinusoids, whose
+    maximum lies at an end (the lower on ties), at a peak or where two cross.
+    A column seeded at recessive depth d against pair (i, j) can still pick up
+    an admixture of that solution at the e^{-R d} level, R = `radius` (the
+    Stokes leakage of the sector boundary); with no recessive direction
+    available (d <= 0) the admixture is order of the pair's Stokes activity,
+    which near-coalescing pairs of vanishing-compatible families reduce with
+    the separation.
     Returns the angles (F, n) and the largest admixture in each frame (F,).
     """
     pad = np.minimum(0.05, 0.1 * (hi - lo))
-    thetas = np.linspace(lo + pad, hi - pad, grid, axis=-1)  # (F, grid)
+    a, b = (lo + pad)[:, None, None], (hi - pad)[:, None, None]
     diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
-    other = (diff != 0)[..., None]  # i != j and u_i != u_j
-    d = -np.real(np.exp(1j * thetas)[:, None, None] * diff[..., None])  # (F, n, n, grid)
-    depth = np.where(other, d, np.inf).min(axis=2)
-    depth[np.isinf(depth).all(axis=2)] = 0.0
-    # tie-break flat plateaus (tightly coalescing pairs cap the min) in
-    # favour of directions recessive against the remaining pairs too
-    best = np.argmax(depth + 1e-3 * np.where(other, d, 0.0).sum(axis=2), axis=2)
-    angles = np.take_along_axis(thetas, best, axis=1)
+    other = (diff != 0)[:, None]  # i != j and u_i != u_j
+    # the peaks of column j's sinusoids, and where each two of them cross
+    # (both crossings of a pair: arg(u_i - u_k) + theta = pi/2 or 3 pi/2)
+    cross = 0.5 * np.pi - np.angle(diff).ravel()
+    base = np.concatenate([np.pi - np.angle(diff + 1e-3 * diff.sum(axis=1, keepdims=True)),
+                           np.broadcast_to(cross, (len(u), cross.size))], axis=1)
+    # their images in [a, a + 4 pi), which hold every frame, and the ends
+    first = a + np.mod(base - a, 2 * np.pi)
+    ends = np.broadcast_to(np.concatenate([a, b], axis=2), first.shape[:2] + (2,))
+    thetas = np.concatenate([ends, first, first + 2 * np.pi], axis=2)  # (F, n, candidates)
+    d = -np.real(np.exp(1j * thetas)[..., None] * diff[:, None])  # (F, n, candidates, n)
+    depth = np.where(other, d, np.inf).min(axis=3)
+    depth[np.isinf(depth)] = 0.0
+    score = np.where(thetas <= b, depth + 1e-3 * np.where(other, d, 0.0).sum(axis=3), -np.inf)
+    angles = np.take_along_axis(thetas, np.argmax(score, axis=2)[..., None], axis=2)[..., 0]
     depth = -np.real(np.exp(1j * angles)[..., None] * diff)
     admixture = np.minimum(1.0, np.abs(diff)) * np.exp(-radius * np.maximum(depth, 0.0))
     return angles, np.max(admixture, axis=(1, 2), where=diff != 0, initial=0.0)
@@ -717,19 +730,21 @@ def _seed_directions(u, lo, hi, radius: float, grid: int = 720):
 def _column_legs(angles, zstar: PathPoint, radius: float, rho_max: float):
     """The seed point of each column, at |z| = radius on its angle, and its
     legs to zstar: a radial leg in from the seed, an argument sweep at
-    moderate radius and a radial leg out to z*."""
+    moderate radius, cut at the seed angles of the other columns that it
+    passes (so columns share the rest of their sweeps), and a radial leg
+    out to z*."""
     # argument sweeps at large |z| let the dominant exponential swamp the
     # recessive one inside the relative tail criterion; sweep at moderate radius
     rho_arc = min(zstar.radius, radius, max(0.5, 4.0 / max(rho_max, 1e-6)))
-    out = _polar(rho_arc, zstar.arg)
-    seeds, paths = [], []
-    for theta in angles:
-        seed, turn = _polar(radius, theta), _polar(rho_arc, theta)
-        legs = [Leg(seed, turn)] if rho_arc < radius else []
-        legs.append(Leg(turn, out, center=0j, sweep=zstar.arg - theta))
+    seeds, paths = [_polar(radius, theta) for theta in angles], []
+    for theta, seed in zip(angles, seeds):
+        legs = [Leg(seed, _polar(rho_arc, theta))] if rho_arc < radius else []
+        stops = [theta, *sorted({t for t in angles if (t - theta) * (zstar.arg - t) > 0},
+                                reverse=bool(zstar.arg < theta)), zstar.arg]
+        legs += [Leg(_polar(rho_arc, t0), _polar(rho_arc, t1), center=0j, sweep=t1 - t0)
+                 for t0, t1 in zip(stops[:-1], stops[1:])]
         if abs(zstar.radius - rho_arc) > 1e-12:
-            legs.append(Leg(out, zstar.z))
-        seeds.append(seed)
+            legs.append(Leg(_polar(rho_arc, zstar.arg), zstar.z))
         paths.append(legs)
     return seeds, paths
 
@@ -741,11 +756,13 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
 
     The requests share one SectorTable.  Each (system, sector, z*) lays out
     its column legs once and each (system, series, sector) its seed columns
-    once, however many results are made of them.  Every column runs in its
-    own scalar gauge y e^{-z u_j} z^{-b_j}, which stays O(1) along the whole
-    path, so the relative tail criterion is meaningful for exponentially
-    small columns.  The solutions Y_k of all requests, and the Stokes
-    matrices among the results, are each assembled in one stacked pass.
+    once, however many results are made of them.  Every column of a system
+    runs on one ODE, in the gauge y e^{-c z} (c the mean of u), and is taken
+    to its own gauge y e^{-u_j z} z^{-b_j} by an exact scalar at z*, so the
+    columns and both seeded passes share their legs; a column's sweep is cut
+    at the seed angles it passes.  The solutions Y_k of all requests, and
+    the Stokes matrices among the results, are each assembled in one stacked
+    pass.
     """
     requests = list(requests)
     table = SectorTable(cfg, requests)
@@ -754,11 +771,13 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     eye = np.eye(n)
     rho_max = np.abs(np.array([s.u[:, None] - s.u[None, :] for s in table.systems])
                      ).max(axis=(1, 2)).tolist()
-    overlaps, paths, seeds, odes = {}, {}, {}, {}
+    centre = [complex(np.mean(sys.u)) for sys in table.systems]
+    odes = [irregular_ode(sys, c) for sys, c in zip(table.systems, centre)]
+    overlaps, paths, seeds = {}, {}, {}
     jobs, first, levelt = [], [], {}
     stokes, spans = [], []  # the Stokes requests and their sector overlaps
-    # per Y_k: its first job, z*, log z* and series, and its seed error
-    starts, points, logs, series, seed_error = [], [], [], [], []
+    # per Y_k: its first job, z*, log z*, series, (system, sector) and seed error
+    starts, points, logs, series, owner, seed_error = ([] for _ in range(6))
     for p, q in enumerate(requests):
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
         if q.kind == "stokes":
@@ -782,12 +801,6 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                     f"zstar argument {zstar.arg:.6g} outside sector "
                     f"({frame.lo:.6g}, {frame.hi:.6g})"
                 )
-        w = np.log(zstar.radius) + 1j * zstar.arg
-        column_odes = []
-        for j, shift in enumerate(zip(q.fs.u.tolist(), q.fs.b.tolist())):
-            if (s, shift) not in odes:
-                odes[s, shift] = irregular_ode(q.sys, q.fs.u[j], q.fs.b[j])
-            column_odes.append(odes[s, shift])
         first.append(len(starts))
         for k in q.sectors:
             if (s, k, zstar) not in paths:
@@ -802,19 +815,24 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                 seeds[s, f, k] = [eye[j] + F[j] @ z[j] for j in range(n)]
             starts.append(len(jobs))
             points.append(zstar)
-            logs.append(w)
+            logs.append(np.log(zstar.radius) + 1j * zstar.arg)
             series.append(q.fs)
+            owner.append((s, k))
             seed_error.append(table.truncations[f][1] + table.leakage[s, k])
-            jobs += zip(column_odes, seeds[s, f, k], legs)
+            jobs += ((odes[s], y, lg) for y, lg in zip(seeds[s, f, k], legs))
         if q.kind == "connection":
             lev = levelt_handle(q.sys, q.ld, zstar.arg, cfg.tol)
-            levelt[p] = len(jobs)
-            jobs.append((irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)]))
+            # carried in the system's gauge e^{-c z}, and taken back at z*
+            levelt[p] = len(jobs), np.exp(centre[s] * (zstar.z - lev.point.z))
+            jobs.append((odes[s], lev.value, [Leg(lev.point.z, zstar.z)]))
 
-    # E(z*) = z*^B e^{z* Lambda} of every Y_k, in the exponents of its series
-    logs = np.array(logs)
-    gauge = np.exp(np.array([fs.u for fs in series]) * np.array([z.z for z in points])[:, None]
-                   + np.array([fs.b for fs in series]) * logs[:, None])
+    # column j of Y_k, seeded at z_j with the series value of y_j e^{-u_j z}
+    # z^{-b_j}, ends at z* as y_j e^{-c z*} / (e^{(u_j - c) z_j} z_j^{b_j}),
+    # in the exponents u, b of its series and the centre c of its system
+    logs, c = np.array(logs), np.array([centre[s] for s, _ in owner])[:, None]
+    u, b = np.array([fs.u for fs in series]), np.array([fs.b for fs in series])
+    w = math.log(R) + 1j * np.array([table.angles[key] for key in owner])  # log z_j
+    gauge = np.exp(c * np.array([z.z for z in points])[:, None] + (u - c) * np.exp(w) + b * w)
     seed_error = np.array(seed_error)
     blocks = np.array([first[p] for p in stokes], dtype=int)  # Y_r of each S_r
 
@@ -836,7 +854,8 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                 results[p] = SolutionHandle(system=q.sys, point=points[b], value=Y[b],
                                             seed_error=float(seed_error[b]))
             elif q.kind == "connection":
-                results[p] = np.linalg.solve(ends[levelt[p]], Y[b])
+                job, scale = levelt[p]
+                results[p] = np.linalg.solve(ends[job] * scale, Y[b])
         return [results[p] for p in range(len(requests))]
 
     return Plan(tuple(jobs), assemble)

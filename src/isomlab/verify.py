@@ -387,11 +387,12 @@ def verify_coalescence(
 ) -> CoalescenceReport:
     """Run the coalescence-limit pipeline and assemble the report.
 
-    Preconditions enforced: A0 vanishes at every coalescing-pair position,
-    its diagonal entries there do not differ by non-zero integers (otherwise
-    the frozen formal solution is not unique), tau is admissible at u^C in
-    the sub-class sense, and eps is finite, positive and within the
-    parallel-line bound.
+    Entries of u^C that coalesce (chains of gaps <= 1e-12) are set equal, so
+    that every step sees one grouping.  Preconditions enforced: A0 vanishes
+    at every coalescing-pair position, its diagonal entries there do not
+    differ by non-zero integers (otherwise the frozen formal solution is not
+    unique), tau is admissible at u^C in the sub-class sense, and eps is
+    finite, positive and within the parallel-line bound.
 
     The sampled family comes from the local Taylor germ of the coalesced
     strong family along the ray (ray_family_series); the strong flow is
@@ -403,6 +404,8 @@ def verify_coalescence(
         raise ValueError(f"eps must be finite and positive, got {eps}")
     A0 = np.asarray(A0, dtype=complex)
     ref = np.asarray(uC, dtype=complex).reshape(-1)
+    label = coalescence_labels(ref, 1e-12)
+    ref = ref[np.unique(label, return_index=True)[1][label]]
     co = _coalescing_mask(A0, ref)
     pairs = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(co)))
     res_pairs = [(i, j, k) for (i, j, k) in check_resonances(A0) if co[i, j]]

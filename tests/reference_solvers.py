@@ -155,20 +155,122 @@ def sector_bounds_reference(u, tau, r, widened=False, uC=None, tol=1e-8):
                        hi=_nearest_ray(base, hi_hp, 1), widened=widened, uC=uC_key)
 
 
-def column_seed_directions_reference(u, frame, grid: int = 720):
-    """The seed direction of every column in one frame, on its own
-    720-point grid: the deepest recessive angle, tie-broken towards
-    directions recessive against the remaining pairs too."""
+def column_seed_directions_reference(u, frame):
+    """The seed direction of every column in one frame, from the candidates
+    of odeengine._seed_directions (the ends of the padded frame, the peak of
+    each sinusoid of the column's objective and where each two cross),
+    computed for this frame alone."""
     u = np.asarray(u, dtype=complex)
     pad = min(0.05, 0.1 * frame.opening)
-    thetas = np.linspace(frame.lo + pad, frame.hi - pad, grid)
+    lo, hi = frame.lo + pad, frame.hi - pad
     diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
-    other = (diff != 0)[..., None]
-    d = -np.real(np.exp(1j * thetas) * diff[..., None])  # (n, n, grid)
-    depth = np.where(other, d, np.inf).min(axis=1)
-    depth[np.isinf(depth).all(axis=1)] = 0.0
-    best = np.argmax(depth + 1e-3 * np.where(other, d, 0.0).sum(axis=1), axis=1)
-    return thetas[best]
+    other = (diff != 0)[:, None]
+    cross = 0.5 * np.pi - np.angle(diff).ravel()
+    base = np.concatenate([np.pi - np.angle(diff + 1e-3 * diff.sum(axis=1, keepdims=True)),
+                           np.broadcast_to(cross, (len(u), cross.size))], axis=1)
+    first = lo + np.mod(base - lo, 2 * np.pi)
+    thetas = np.concatenate([np.full((len(u), 1), lo), np.full((len(u), 1), hi),
+                             first, first + 2 * np.pi], axis=1)  # (n, candidates)
+    d = -np.real(np.exp(1j * thetas)[..., None] * diff[:, None])  # (n, candidates, n)
+    depth = np.where(other, d, np.inf).min(axis=2)
+    depth[np.isinf(depth)] = 0.0
+    score = np.where(thetas <= hi, depth + 1e-3 * np.where(other, d, 0.0).sum(axis=2), -np.inf)
+    return thetas[np.arange(len(u)), np.argmax(score, axis=1)]
+
+
+def seed_objective(u, angles):
+    """Column j's seed objective at angles[j]: its least recessive depth
+    min_i -Re(e^{i theta}(u_j - u_i)) over the i with u_i != u_j (0 if there
+    is none), plus 1e-3 times the sum of those depths."""
+    u = np.asarray(u, dtype=complex)
+    diff = u[:, None] - u[None, :]
+    other = diff != 0
+    d = -np.real(np.exp(1j * np.asarray(angles))[..., None] * diff)
+    depth = np.where(other, d, np.inf).min(axis=-1)
+    return np.where(np.isinf(depth), 0.0, depth) + 1e-3 * np.where(other, d, 0.0).sum(axis=-1)
+
+
+def column_seed_directions_grid(u, frame, grid: int = 720):
+    """The seed direction of every column in one frame, as the best of 720
+    evenly spaced angles of the padded frame (the first on ties)."""
+    pad = min(0.05, 0.1 * frame.opening)
+    thetas = np.linspace(frame.lo + pad, frame.hi - pad, grid)
+    score = seed_objective(u, np.broadcast_to(thetas[:, None], (grid, len(u))))
+    return thetas[np.argmax(score, axis=0)]
+
+
+def column_ode(sys, shift_u, shift_b):
+    """odeengine.irregular_ode in the scalar gauge y e^{-shift_u z} z^{-shift_b}
+    of one column: A - shift_b in place of A."""
+    from dataclasses import replace
+
+    from isomlab.odeengine import irregular_ode
+
+    ode = irregular_ode(sys, shift_u)
+    Q = ode.Q.copy()
+    Q[-2] -= shift_b * np.eye(sys.n, dtype=complex)
+    return replace(ode, Q=Q)
+
+
+def sector_results_reference(cfg, requests):
+    """What odeengine.sector_plan makes of `requests`, with the seeds of its
+    SectorTable, by the per-column plan: every column on its own ODE, in its
+    own gauge y e^{-u_j z} z^{-b_j}, along a radial leg in from its seed, one
+    uncut sweep to arg z* and a radial leg out to z*, and the Levelt solution
+    of a connection request on the system's own ODE.  Returns S of a Stokes
+    request, Y_r(z*) of a sectorial one and C_r of a connection one."""
+    import math
+
+    from isomlab.odeengine import (
+        Leg,
+        PathPoint,
+        SectorTable,
+        _polar,
+        irregular_ode,
+        levelt_handle,
+        transport_matrix,
+    )
+
+    table = SectorTable(cfg, requests)
+    R = cfg.radius
+    out = []
+    for q in requests:
+        s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
+        if q.kind == "stokes":
+            lo, hi = table.frames[s, q.r + 1].lo, table.frames[s, q.r].hi
+            zstar = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
+        else:
+            zstar = q.zstar or PathPoint.from_polar(R if q.kind == "sectorial" else R / 2.0,
+                                                    table.frames[s, q.r].midpoint)
+        rho = min(zstar.radius, R, max(0.5, 4.0 / max(
+            np.abs(q.sys.u[:, None] - q.sys.u[None, :]).max(), 1e-6)))
+        k_opt = table.truncations[f][0]
+        F = table.series[f][:k_opt]
+        E = np.exp(q.fs.u * zstar.z + q.fs.b * (math.log(zstar.radius) + 1j * zstar.arg))
+        G = []  # the columns y_j e^{-u_j z} z^{-b_j} at z*
+        for k in q.sectors:
+            odes, seeds, paths = [], [], []
+            for j, theta in enumerate(table.angles[s, k].tolist()):
+                seed, turn, end = _polar(R, theta), _polar(rho, theta), _polar(rho, zstar.arg)
+                legs = [Leg(seed, turn)] if rho < R else []
+                legs.append(Leg(turn, end, center=0j, sweep=zstar.arg - theta))
+                if abs(zstar.radius - rho) > 1e-12:
+                    legs.append(Leg(end, zstar.z))
+                odes.append(column_ode(q.sys, q.fs.u[j], q.fs.b[j]))
+                seeds.append(np.eye(q.sys.n)[j] + F[:, :, j].T @ seed ** -np.arange(1.0, k_opt + 1))
+                paths.append(legs)
+            G.append(np.array(transport_matrix(odes, seeds, paths, cfg.tol)).T)
+        if q.kind == "stokes":
+            # the quotient in the F-gauge, regraded (see odeengine.stokes_matrix)
+            out.append(np.linalg.solve(G[0], G[1]) * E[None, :] / E[:, None])
+        elif q.kind == "sectorial":
+            out.append(G[0] * E)
+        else:
+            lev = levelt_handle(q.sys, q.ld, zstar.arg, cfg.tol)
+            V = transport_matrix(irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)],
+                                 cfg.tol)
+            out.append(np.linalg.solve(V, G[0] * E))
+    return out
 
 
 def leakage_reference(u, angles, radius) -> float:

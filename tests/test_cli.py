@@ -58,6 +58,12 @@ def fuchsian_file(tmp_path):
     )
 
 
+def _subcommands():
+    """The subparser of every subcommand, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -405,10 +411,9 @@ class TestParser:
             "verify-coalescence": {"tol", "order", "csv"},
         }
         shared = {"tol", "mtol", "order", "csv"}
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == set(reads)
-        for name, sp in sub.choices.items():
+        subcommands = _subcommands()
+        assert set(subcommands) == set(reads)
+        for name, sp in subcommands.items():
             dests = {a.dest for a in sp._actions}
             assert dests & shared == reads[name], name
         # the README's `| flag | meaning | subcommands |` table says the same
@@ -507,7 +512,8 @@ class TestErrorHandling:
             assert "does not support higher poles" in err
 
     def test_fail_verdict_exit_code(self, capsys, tmp_path):
-        # impossibly tight comparison tolerance forces a FAIL verdict
+        # seeds at |z| = 1, where the formal series is no approximation,
+        # leave S_0 wrong by decades more than the default --mtol 1e-6
         f = write_json(
             tmp_path / "sys.json",
             {
@@ -517,10 +523,27 @@ class TestErrorHandling:
         )
         code, out, _ = run(
             capsys,
-            ["stokes-matrix", "--system", f, "--tau", "0.3", "--mtol", "1e-15"],
+            ["stokes-matrix", "--system", f, "--tau", "0.3", "--radius", "1"],
         )
         assert code == 2
-        assert json.loads(out)["verdict"] == "FAIL"
+        doc = json.loads(out)
+        assert doc["verdict"] == "FAIL" and doc["diag_residual"] > 1e-3
+
+    @pytest.mark.parametrize("command, flag", [
+        (name, flag) for name, sp in _subcommands().items() for flag in ("tol", "mtol")
+        if flag in {a.dest for a in sp._actions}
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_refused(self, capsys, tmp_path, command, flag, value):
+        # an input error, refused before any work: the files named are never read
+        missing = str(tmp_path / "missing.json")
+        argv = [command]
+        for a in _subcommands()[command]._actions:
+            if a.required:
+                argv += [a.option_strings[0], {"tau": "0.3", "eps": "0.1"}.get(a.dest, missing)]
+        code, out, err = run(capsys, argv + [f"--{flag}", value])
+        assert code == 1 and out == ""
+        assert err == f"error: --{flag} must be finite and positive, got {float(value)}\n"
 
 
 def test_schlesinger_monodromy_regression(tmp_path, capsys):

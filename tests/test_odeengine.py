@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_solvers import (
+    column_ode,
+    column_seed_directions_grid,
     column_seed_directions_reference,
     leakage_reference,
     optimal_truncation_reference,
     poly_fuchsian_ode,
     schedule_reference,
     sector_bounds_reference,
+    sector_results_reference,
+    seed_objective,
 )
 from scipy.integrate import solve_ivp
 
 from isomlab import odeengine
 from isomlab.errors import IntegrationError, SectorError
 from isomlab.formal import FormalSolution, IrregularSystem, compute_formal_coefficients
+from isomlab.geometry import SectorFrame
 from isomlab.levelt import build_levelt_solution
 from isomlab.odeengine import (
     Leg,
@@ -201,10 +206,10 @@ class TestBatchedEngine:
         arc = [Leg(ends[k], ends[k + 1], center=0j, sweep=args[k + 1] - args[k])
                for k in range(2)]
         jobs = [
-            (irregular_ode(sys, sys.u[0], b[0]), cols[0],
+            (column_ode(sys, sys.u[0], b[0]), cols[0],
              [Leg(12.0 + 0j, 2.0 + 0j), Leg(2.0 + 0j, 2j, center=0j, sweep=math.pi / 2)]),
-            (irregular_ode(sys, sys.u[1], b[1]), cols[1], [Leg(8.0 + 1j, 1.5 - 0.5j)]),
-            (irregular_ode(sys, sys.u[2], b[2]), cols[2],
+            (column_ode(sys, sys.u[1], b[1]), cols[1], [Leg(8.0 + 1j, 1.5 - 0.5j)]),
+            (column_ode(sys, sys.u[2], b[2]), cols[2],
              [Leg(-6.0 + 2j, -1.0 + 0.5j), Leg(-1.0 + 0.5j, 1.0 + 1j)]),
             (irregular_ode(sys), np.eye(3, dtype=complex), arc),
         ]
@@ -350,7 +355,7 @@ class TestDistinctLegs:
             return Leg(3.0 + 0j, 3.0 * np.exp(1j * turn), center=0j, sweep=turn)
 
         out = Leg(3.0 * np.exp(0.8j), 7.0 * np.exp(0.8j))
-        gauged = [irregular_ode(sys, sys.u[j], b[j]) for j in (0, 1, 0)]
+        gauged = [column_ode(sys, sys.u[j], b[j]) for j in (0, 1, 0)]
         A1 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         A2 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         fuchs = fuchsian_ode([0.0, 1.0, 0.5j], [A1, A2, -A1 - A2])
@@ -443,8 +448,8 @@ class TestScheduleAndCoefficients:
 
     ODES = (
         irregular_ode(generic_system()),
-        irregular_ode(IrregularSystem(u=[0.0, 1.0, 0.4 + 0.8j], A=np.diag([0.2, 0.1, -0.3]),
-                                      higher=[0.1 * np.eye(3)]), 1.0, 0.1),
+        column_ode(IrregularSystem(u=[0.0, 1.0, 0.4 + 0.8j], A=np.diag([0.2, 0.1, -0.3]),
+                                   higher=[0.1 * np.eye(3)]), 1.0, 0.1),
         fuchsian_ode([0.0, 1.0, 0.5j], [GENERIC_A, -2 * GENERIC_A, GENERIC_A]),
         fuchsian_ode([-1.0, 1.0 + 1j], [GENERIC_A, -GENERIC_A]),
     )
@@ -490,16 +495,17 @@ def _random_series(rng, sys, K=12):
     return FormalSolution(b=np.diag(sys.A).copy(), u=sys.u, F=F)
 
 
-def _table_case(rng, n, kind, tau=0.3, count=4):
+def _table_case(rng, n, kind, tau=0.3, count=4, scale=1.0, a_scale=1.0):
     """Systems of dimension n whose frames are plain, widened about a
     coalescing pair, or degenerate (all of u^C coalesced), with the config
-    of those frames; tau is admissible at every u drawn."""
+    of those frames; tau is admissible at every u drawn.  The entries of u
+    (of u^C when widened) and of A are drawn at `scale` and `a_scale`."""
     from isomlab.geometry import is_admissible
 
     uC = None
     if kind == "widened":
         while True:
-            uC = rng.normal(size=n) + 1j * rng.normal(size=n)
+            uC = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
             uC[1] = uC[0]
             if is_admissible(tau, uC, subclass_at=uC).margin > 1e-3:
                 break
@@ -508,10 +514,9 @@ def _table_case(rng, n, kind, tau=0.3, count=4):
     systems = []
     while len(systems) < count:
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        if uC is not None:
-            u = uC + 0.05 * u
+        u = scale * u if uC is None else uC + 0.05 * u
         if is_admissible(tau, u, subclass_at=uC if kind == "widened" else None).margin > 1e-3:
-            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            A = a_scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
             systems.append(IrregularSystem(u=u, A=A))
     cfg = StokesConfig(tau=tau, widened=uC is not None, uC=uC)
     return systems, cfg
@@ -522,8 +527,8 @@ class TestSectorTable:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_the_per_frame_computation(self, n, kind):
         # frames, seed directions, leakage and truncations of the table are
-        # bit for bit those of one frame, one seed grid and one series at a
-        # time; two systems share one series, which is truncated once
+        # bit for bit those of one frame, one set of seed candidates and one
+        # series at a time; two systems share one series, truncated once
         rng = np.random.default_rng(1400 + 10 * n + len(kind))
         systems, cfg = _table_case(rng, n, kind)
         series = [_random_series(rng, s) for s in systems]
@@ -552,6 +557,72 @@ class TestSectorTable:
         three, _ = _table_case(rng, 3, "plain", count=1)
         with pytest.raises(ValueError, match="share n"):
             SectorTable(cfg, [SectorRequest(s, 0, _random_series(rng, s)) for s in two + three])
+
+
+class TestSeedDirections:
+    # u of 2..8 entries, each new, equal to the one before or 1e-3 from it,
+    # or all equal; frames of any opening below 4 pi
+    coordinate = st.floats(-2.0, 2.0, allow_nan=False)
+    entry = st.tuples(st.sampled_from(["new", "equal", "close"]), coordinate, coordinate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(entry, min_size=2, max_size=8), st.booleans(),
+           st.floats(-10.0, 10.0), st.floats(1e-6, 4 * math.pi, exclude_max=True))
+    def test_at_least_as_recessive_as_the_grid(self, entries, all_equal, lo, opening):
+        u = []
+        for kind, x, y in entries:
+            step = {"equal": 0.0, "close": 1e-3 * complex(math.cos(x), math.sin(x))}.get(kind)
+            u.append(complex(x, y) if step is None or not u else u[-1] + step)
+        u = np.array([u[0]] * len(u) if all_equal else u)
+        frame = SectorFrame(tau=0.3, r=0, lo=lo, hi=lo + opening)
+        (angles,), _ = odeengine._seed_directions(u, np.array([frame.lo]), np.array([frame.hi]),
+                                                  20.0)
+        pad = min(0.05, 0.1 * frame.opening)
+        assert np.all((frame.lo + pad <= angles) & (angles <= frame.hi - pad))
+        # the closed form takes the best of the candidates, among them the
+        # maximum, so it is below no grid point beyond rounding
+        got, grid = (seed_objective(u, a) for a in (angles, column_seed_directions_grid(u, frame)))
+        assert np.all(got >= grid - 1e-12 * (1.0 + np.abs(u).max()))
+
+
+class TestColumnLegs:
+    def test_sweeps_cut_at_the_seed_angles(self):
+        # seeds on both sides of arg z*, two at one angle: each path runs from
+        # its seed to z*, and the distinct arcs of all paths cover the angles
+        # from the outermost seeds to arg z* once
+        zstar = PathPoint.from_polar(10.0, 0.7)
+        angles = [0.1, 1.9, 0.5, 1.2, 0.5, -0.4]
+        seeds, paths = odeengine._column_legs(angles, zstar, 20.0, 1.0)
+        for theta, seed, path in zip(angles, seeds, paths):
+            assert seed == odeengine._polar(20.0, theta) == path[0].a
+            assert all(a.b == b.a for a, b in zip(path[:-1], path[1:]))
+            assert path[-1].b == zstar.z
+            assert sum(leg.sweep for leg in path) == pytest.approx(0.7 - theta, abs=1e-15)
+        arcs = {leg for path in paths for leg in path if leg.center is not None}
+        assert len(arcs) == 5
+        assert sum(abs(leg.sweep) for leg in arcs) == pytest.approx(1.9 - (-0.4), abs=1e-15)
+
+
+class TestSectorPlanOracle:
+    @pytest.mark.parametrize("kind", ["plain", "widened", "degenerate"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_per_column_plan(self, n, kind):
+        # one ODE per system, cut sweeps and the scalars that take each
+        # column to its own gauge give what each column on its own ODE and
+        # uncut sweep gives from the same seeds; u spreads as far as unit
+        # scale, where the e^{R |u_i - u_j|} gradings at R = 20 leave S, Y
+        # and C conditioned well enough for a 1e-10 comparison
+        rng = np.random.default_rng(1800 + 10 * n + len(kind))
+        systems, cfg = _table_case(rng, n, kind, count=2, scale=0.3, a_scale=0.2)
+        series = [_random_series(rng, s) for s in systems]
+        ld = build_levelt_solution(systems[0].A, [systems[0].Lambda], K=25)
+        requests = [SectorRequest(s, 0, fs) for s, fs in zip(systems, series)]
+        requests += [SectorRequest(systems[1], 1, series[1], "sectorial"),
+                     SectorRequest(systems[0], 0, series[0], "connection", ld=ld)]
+        got = run_plan(sector_plan(cfg, requests), cfg.tol)
+        for q, res, want in zip(requests, got, sector_results_reference(cfg, requests)):
+            value = res.S if q.kind == "stokes" else getattr(res, "value", res)
+            assert np.linalg.norm(value - want, 2) <= 1e-10 * np.linalg.norm(want, 2), q.kind
 
 
 class TestActualSolution:
@@ -602,6 +673,12 @@ class TestStokesMatrix:
         same = StokesConfig(tau=0.3, widened=True, uC=list(uC))
         assert cfg == same and hash(cfg) == hash(same)
         assert cfg != StokesConfig(tau=0.3, widened=True, uC=uC + 0.5)
+
+    @pytest.mark.parametrize("field", ["tol", "radius"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_config_refuses_bad_tol_and_radius(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive, got"):
+            StokesConfig(tau=0.3, **{field: value})
 
     def test_diagonal_system_identity(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, -0.3]))

@@ -75,9 +75,9 @@ def sector_work(monkeypatch):
     return work
 
 
-def engine_jobs(monkeypatch, pipeline):
-    """The jobs `pipeline` hands the engine, and those of one sector plan per
-    request of its sector plan, each built alone, joined in request order."""
+def captured_plan(monkeypatch, pipeline):
+    """The jobs `pipeline` hands the engine in its one batch, and the config
+    and requests of its one sector plan."""
     import isomlab.verify as verify
 
     batches, built = [], []
@@ -89,8 +89,14 @@ def engine_jobs(monkeypatch, pipeline):
     pipeline()
     (odes, Y0s, legs, _), = batches
     (cfg, requests), = built
-    alone = join_plans([sector_plan(cfg, [q]) for q in requests]).jobs
-    return list(zip(odes, Y0s, legs)), list(alone)
+    return list(zip(odes, Y0s, legs)), cfg, requests
+
+
+def engine_jobs(monkeypatch, pipeline):
+    """The jobs `pipeline` hands the engine, and those of one sector plan per
+    request of its sector plan, each built alone, joined in request order."""
+    got, cfg, requests = captured_plan(monkeypatch, pipeline)
+    return got, list(join_plans([sector_plan(cfg, [q]) for q in requests]).jobs)
 
 
 def assert_same_jobs(got, want):
@@ -426,6 +432,32 @@ class TestVerifyCoalescence:
         got, want = engine_jobs(
             monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5))
         assert_same_jobs(got, want)
+
+    def test_one_ode_per_system_shared_by_both_passes(self, monkeypatch):
+        # every column of a system runs on the system's one ODE, so the
+        # frozen-seeded passes add no (ODE, leg) pair to the batch that the
+        # frozen system and the self-seeded passes do not step already
+        jobs, cfg, requests = captured_plan(
+            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5))
+
+        def pairs(jobs):
+            return {(o.P.tobytes(), o.Q.tobytes(), leg) for o, _, path in jobs for leg in path}
+
+        assert len({(o.P.tobytes(), o.Q.tobytes()) for o, _, _ in jobs}) == 1 + 5
+        self_seeded = [q for q in requests if q.fs.mode != "frozen-seeded"]
+        assert 0 < len(self_seeded) < len(requests)
+        alone = sector_plan(cfg, self_seeded).jobs
+        assert len(alone) < len(jobs) and pairs(jobs) == pairs(alone)
+
+    def test_entries_within_the_grouping_tolerance_coalesce(self):
+        # u^C entries 1e-13 apart coalesce for every step (the eps bound and
+        # the direction too): the report is that of the exact coalescence
+        near = verify_coalescence(A3, [0.0, 1e-13, 1.0], tau=0.3, eps=0.1, n_gaps=5)
+        exact = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
+        assert near.verdict and exact.verdict and near.pairs == exact.pairs == ((0, 1),)
+        assert np.array_equal(near.uC, UC3) and np.array_equal(near.direction, exact.direction)
+        assert near.S_frozen.tobytes() == exact.S_frozen.tobytes()
+        assert np.array_equal(near.limit_errors, exact.limit_errors)
 
     def test_csv_export(self, tmp_path):
         rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)

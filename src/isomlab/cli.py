@@ -130,6 +130,9 @@ def cmd_cells(args) -> int:
 
 def cmd_levelt(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
+    if any(np.any(H) for H in sys_.higher):
+        raise IsomlabError("levelt does not support higher poles: z = 0 is then not a "
+                           "Fuchsian point")
     ld = compute_levelt_exponents(sys_.A, tol=args.mtol)
     ld = build_levelt_solution(sys_.A, [sys_.Lambda], ld=ld, K=max(args.order, 1))
     report = {

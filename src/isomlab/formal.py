@@ -30,6 +30,8 @@ from .errors import CoincidentPointsError, ResonanceError
 from .geometry import coalescence_labels
 from .matrixcore import as_square
 
+PATTERN_TOL = 1e-10  # |A_ij| at a coalesced pair that counts as zero
+
 
 @dataclass(frozen=True)
 class IrregularSystem:
@@ -185,14 +187,13 @@ def compute_formal_coefficients(
     K: int = 10,
     mode: str = "generic",
     coalesce_tol: float = 0.0,
-    pattern_tol: float = 1e-10,
 ) -> FormalSolution:
     """Compute F_1..F_K of the formal solution.
 
     mode="generic" runs the z-side Laurent recursion; it requires pairwise
     distinct u_i unless `coalesce_tol` > 0, in which case the pairs of each
     group that `coalescence_labels` forms at coalesce_tol are treated as
-    coalesced (their A-entries must vanish to `pattern_tol`, and their
+    coalesced (their A-entries must vanish to PATTERN_TOL, and their
     diagonal entries must not differ by negative integers).
 
     mode="isomonodromic" determines off-diagonal entries of F_{l+1} from the
@@ -222,13 +223,13 @@ def compute_formal_coefficients(
     if coalesce_tol <= 0 and any_coalesced:
         raise CoincidentPointsError("coincident u_i; recursion divides by u_j - u_i")
     for i, j in zip(*np.nonzero(coalesced)):
-        if abs(A[i, j]) > pattern_tol:
+        if abs(A[i, j]) > PATTERN_TOL:
             raise CoincidentPointsError(
                 f"vanishing condition violated: A[{i},{j}] = "
                 f"{A[i, j]:.3e} but u_{i} = u_{j}"
             )
         kk = round((d[i] - d[j]).real)
-        if kk < 0 and abs(d[i] - d[j] - kk) <= pattern_tol:
+        if kk < 0 and abs(d[i] - d[j] - kk) <= PATTERN_TOL:
             raise ResonanceError(
                 "diagonal entries of coalesced pair differ by a "
                 f"non-zero integer ({i},{j}): formal solution not unique",

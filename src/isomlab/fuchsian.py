@@ -181,9 +181,7 @@ def _infinity_frame(sys: FuchsianSystem, z0: complex):
     return ode, np.eye(sys.n, dtype=complex), [Leg(0j, w0)]
 
 
-def monodromy_plan(
-    sys: FuchsianSystem, z0: complex | None = None, normalize_at_infinity: bool = True,
-) -> Plan:
+def monodromy_plan(sys: FuchsianSystem, z0: complex | None = None) -> Plan:
     """The transports of fuchs_monodromy, assembled into M_1..M_N: the N
     loops carry the identity at z0 next to the infinity frame Y0, and by
     linearity M_i = Y0^{-1} T_i Y0 for the loop transport T_i of I."""
@@ -198,7 +196,7 @@ def monodromy_plan(
         (ode, eye, _loop_legs(z0, complex(ui), LOOP_RADIUS * sys.nearest_gap(i)))
         for i, ui in enumerate(sys.poles)
     ]
-    frame = _infinity_frame(sys, z0) if normalize_at_infinity else None
+    frame = _infinity_frame(sys, z0)
     if frame is not None:
         jobs.append(frame)
 
@@ -211,7 +209,6 @@ def monodromy_plan(
 
 def fuchs_monodromy(
     sys: FuchsianSystem, z0: complex | None = None, tol: float = 1e-12,
-    normalize_at_infinity: bool = True,
 ) -> list[np.ndarray]:
     """Monodromy matrices M_1..M_N with Y(gamma_i z) = Y(z) M_i.
 
@@ -222,12 +219,11 @@ def fuchs_monodromy(
     M_1 M_2 ... M_N = I up to tolerance (z = infinity is regular);
     `product_relation_residual` measures how far it is.
 
-    By default the underlying solution is normalized to the identity at
-    z = infinity, the frame in which Schlesinger flows keep the monodromy
-    matrices constant entrywise; `normalize_at_infinity=False` uses
-    Y(z0) = I instead (same conjugacy classes, u-dependent frame).
+    The underlying solution is normalized to the identity at z = infinity,
+    the frame in which Schlesinger flows keep the monodromy matrices
+    constant entrywise.
     """
-    return run_plan(monodromy_plan(sys, z0, normalize_at_infinity), tol)
+    return run_plan(monodromy_plan(sys, z0), tol)
 
 
 def product_relation_residual(mons) -> float:
@@ -237,7 +233,7 @@ def product_relation_residual(mons) -> float:
     return float(np.max(np.abs(prod - np.eye(len(prod)))))
 
 
-def pole_levelt(sys: FuchsianSystem, i: int, K: int = 20, tol: float = 1e-8) -> LeveltData:
+def pole_levelt(sys: FuchsianSystem, i: int, K: int = 20) -> LeveltData:
     """Levelt data of the system at pole i, in the local variable x = z - u_i.
 
     The holomorphic part has Taylor coefficients
@@ -251,7 +247,7 @@ def pole_levelt(sys: FuchsianSystem, i: int, K: int = 20, tol: float = 1e-8) -> 
     for j in range(sys.N):
         if j != i:
             hol -= sys.residues[j] / (sys.poles[j] - sys.poles[i]) ** powers
-    return build_levelt_solution(Ai, hol, K=K, tol=tol)
+    return build_levelt_solution(Ai, hol, K=K)
 
 
 def schlesinger_residual(family, u, h: float = 1e-5, moving=None) -> float:
@@ -285,13 +281,13 @@ def schlesinger_residual(family, u, h: float = 1e-5, moving=None) -> float:
     return worst
 
 
-def max_integer_spread(A, tol: float = 1e-8) -> int:
+def max_integer_spread(A) -> int:
     """Largest integer offset spread within one mod-1 eigenvalue class of A.
 
     This is the pole order bound m_i in the non-Schlesinger form of the
     isomonodromy 1-form; 0 for non-resonant matrices.
     """
-    ld = compute_levelt_exponents(as_square(A), tol=tol)
+    ld = compute_levelt_exponents(as_square(A))
     best = 0
     for _, _, offsets in ld.blocks:
         if offsets:

@@ -29,6 +29,8 @@ from .errors import AdmissibilityError, WallError
 from .matrixcore import _chain_groups
 
 TWO_PI = 2.0 * math.pi
+DIRECTION_TOL = 1e-12  # ray directions mod pi this close are one direction
+ADMISSIBILITY_TOL = 1e-8  # least distance of tau from a ray that bounds a sector
 
 
 @lru_cache(maxsize=None)
@@ -75,19 +77,20 @@ class RaySet:
 
     rays: tuple[StokesRay, ...]
 
-    def base_directions(self, tol: float = 1e-12) -> np.ndarray:
+    def base_directions(self) -> np.ndarray:
         """Distinct directions mod pi, sorted, representing the ray family."""
-        return _base_directions([r.theta for r in self.rays], tol)
+        return _base_directions([r.theta for r in self.rays])
 
 
-def _base_directions(thetas, tol: float = 1e-12) -> np.ndarray:
-    """Distinct directions mod pi of the rays at `thetas`, sorted."""
+def _base_directions(thetas) -> np.ndarray:
+    """Distinct directions mod pi of the rays at `thetas`, sorted; directions
+    within DIRECTION_TOL of each other count as one."""
     if not thetas:
         return np.array([])
     vals = sorted(mod_angle(th, math.pi) for th in thetas)
     out = [vals[0]]
     for v in vals[1:]:
-        if v - out[-1] > tol and (math.pi - v + out[0]) > tol:
+        if v - out[-1] > DIRECTION_TOL and (math.pi - v + out[0]) > DIRECTION_TOL:
             out.append(v)
     return np.array(out)
 
@@ -176,21 +179,21 @@ def is_admissible(tau: float, u, tol: float = 1e-8, subclass_at=None) -> Admissi
 
 @dataclass(frozen=True)
 class SectorFrame:
-    """Sector S_r(u) (or widened variant) on the universal cover.
+    """Sector S_r(u), or its widened variant at a coalescence point u^C, on
+    the universal cover.
 
     The half-plane (tau + (r-2) pi, tau + (r-1) pi) is extended on both sides
     to the nearest Stokes rays outside of it; `lo`/`hi` are arguments on the
-    real line of the cover, with hi - lo > pi.  `degenerate` flags the
-    widened case with an empty ray sub-class, where the fallback policy
-    extends each side by a quarter turn.  `uC` records the coalescence
-    reference of a widened frame.
+    real line of the cover, with hi - lo > pi.  `uC` records the coalescence
+    point of a widened frame (None for a plain one), and `degenerate` flags
+    the widened case with an empty ray sub-class, where the fallback policy
+    extends each side by a quarter turn.
     """
 
     tau: float
     r: int
     lo: float
     hi: float
-    widened: bool = False
     degenerate: bool = False
     uC: tuple | None = None
 
@@ -202,8 +205,8 @@ class SectorFrame:
     def opening(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, arg: float, tol: float = 0.0) -> bool:
-        return self.lo + tol < arg < self.hi - tol
+    def contains(self, arg: float) -> bool:
+        return self.lo < arg < self.hi
 
     @property
     def midpoint(self) -> float:
@@ -221,35 +224,27 @@ def _nearest_ray(base: np.ndarray, a: float, side: int) -> float:
     return side * best
 
 
-def sector_frames(
-    us,
-    tau: float,
-    rs,
-    widened: bool = False,
-    uC=None,
-    tol: float = 1e-8,
-) -> list[tuple[SectorFrame, ...]]:
-    """Bounds of S_r(u), or of the widened sector when `widened` is set, for
-    each r of `rs` and each u of `us`, from one computation of the rays of
-    each u.
+def sector_frames(us, tau: float, rs, uC=None) -> list[tuple[SectorFrame, ...]]:
+    """Bounds of S_r(u), or of the widened sector when a coalescence point
+    `uC` is given, for each r of `rs` and each u of `us`, from one
+    computation of the rays of each u.
 
-    In widened mode only rays of pairs with u_i^C != u_j^C bound the sector
-    (tau must then be admissible at u^C in the sub-class sense).  If that
+    Widened, only rays of pairs with u_i^C != u_j^C bound the sector (tau
+    must then be admissible at u^C in the sub-class sense).  If that
     sub-class is empty the fallback policy returns the half-plane extended by
-    pi/2 on each side, flagged as degenerate.
+    pi/2 on each side, flagged as degenerate.  tau within ADMISSIBILITY_TOL
+    of a bounding ray raises AdmissibilityError.
     """
     half_planes = [(tau + (r - 2) * math.pi, tau + (r - 1) * math.pi) for r in rs]
     uC_key = label = None
-    if widened:
-        if uC is None:
-            raise ValueError("widened sectors need the coalescence point uC")
+    if uC is not None:
         ref = _as_uvec(uC)
         uC_key = tuple(complex(x) for x in ref)
         label = coalescence_labels(ref).tolist()
         if not any(label):
             return [tuple(
                 SectorFrame(tau=tau, r=r, lo=lo - math.pi / 2, hi=hi + math.pi / 2,
-                            widened=True, degenerate=True, uC=uC_key)
+                            degenerate=True, uC=uC_key)
                 for r, (lo, hi) in zip(rs, half_planes)
             )] * len(us)
     out = []
@@ -259,36 +254,28 @@ def sector_frames(
             raise ValueError("uC must have the same length as u")
         thetas = [theta for theta, _, _ in _rays(uv, range(len(uv)) if label is None else label)]
         margin = _margin(tau, thetas)
-        if not margin > tol:
+        if not margin > ADMISSIBILITY_TOL:
             raise AdmissibilityError(
                 f"tau = {tau:.6g} is within {margin:.3e} of a "
-                f"{'sub-class ' if widened else ''}Stokes ray"
+                f"{'' if uC is None else 'sub-class '}Stokes ray"
             )
         base = _base_directions(thetas)
         out.append(tuple(
             SectorFrame(tau=tau, r=r, lo=_nearest_ray(base, lo, -1), hi=_nearest_ray(base, hi, 1),
-                        widened=widened, uC=uC_key)
+                        uC=uC_key)
             for r, (lo, hi) in zip(rs, half_planes)
         ))
     return out
 
 
-def sector_bounds(u, tau: float, r: int, widened: bool = False, uC=None,
-                  tol: float = 1e-8) -> SectorFrame:
+def sector_bounds(u, tau: float, r: int, uC=None) -> SectorFrame:
     """The frame of the one sector r of u (see sector_frames)."""
-    return sector_frames([u], tau, (r,), widened=widened, uC=uC, tol=tol)[0][0]
+    return sector_frames([u], tau, (r,), uC=uC)[0][0]
 
 
 @dataclass(frozen=True)
 class CellReport:
-    """Wall membership of a point u for the direction tau.
-
-    `epsilon_bound`, present when a coalescence point is supplied, is the
-    minimum over non-coalescing pairs of the distance between the parallel
-    lines through u_i^C and u_j^C with direction 3 pi/2 - tau; polydiscs of
-    radius below it keep the sub-class rays away from the admissible
-    directions.
-    """
+    """Wall membership of a point u for the direction tau."""
 
     u: np.ndarray
     tau: float
@@ -297,7 +284,6 @@ class CellReport:
     min_pair_gap: float
     delta_pairs: tuple[tuple[int, int], ...]
     crossing_pairs: tuple[tuple[int, int], ...]
-    epsilon_bound: float | None = None
 
     @property
     def on_wall(self) -> bool:
@@ -316,7 +302,8 @@ def epsilon_bound(uC, tau: float) -> float:
 
     Distance between parallel lines of direction 3 pi/2 - tau through
     u_i^C and u_j^C, |Im(e^{-i phi}(u_i^C - u_j^C))| with phi the line
-    direction, minimized over pairs with u_i^C != u_j^C.
+    direction, minimized over pairs with u_i^C != u_j^C; polydiscs of radius
+    below it keep the sub-class rays away from the admissible directions.
     """
     ref = _as_uvec(uC)
     i, j = _pairs(len(ref))
@@ -327,7 +314,7 @@ def epsilon_bound(uC, tau: float) -> float:
     return float(np.min(np.abs(_across_wall(d, tau))))
 
 
-def classify_point(u, tau: float, tol: float = 1e-8, uC=None) -> CellReport:
+def classify_point(u, tau: float, tol: float = 1e-8) -> CellReport:
     """Membership of u in Delta and in the crossing locus X(tau).
 
     Delta: some |u_i - u_j| <= tol.  X(tau): over the other pairs, tau is
@@ -354,7 +341,6 @@ def classify_point(u, tau: float, tol: float = 1e-8, uC=None) -> CellReport:
         min_pair_gap=float(gap.min(initial=math.inf)),
         delta_pairs=tuple(delta_pairs),
         crossing_pairs=tuple(crossing_pairs),
-        epsilon_bound=None if uC is None else epsilon_bound(uC, tau),
     )
 
 

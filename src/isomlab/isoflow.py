@@ -47,7 +47,9 @@ TRACE_SAMPLES = 17  # trace points per path segment, both ends included
 COLLOCATION_NODES = 16  # Chebyshev-Lobatto nodes of a flow step
 MAX_SWEEPS = 40  # Picard sweeps of one step before it is rejected
 MAX_STEPS = 1000  # step budget of one flow segment, accepted and rejected steps
-STEP_FLOOR = 0.25  # shortest step, in units of the default guard (see _integrate)
+STEP_FLOOR = 0.25  # shortest step, in units of a pair's gap scale (see _integrate)
+# laurent_reduce: the relative spectral gap below which a chain operator is resonant
+SYLVESTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -279,14 +281,17 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
     h is also at most the rest of the segment and twice the last step (once
     the last step, if that one was halved); a rejected step is halved.
     Near a collision at a gap g this keeps h >= 2 g / (|du_i - du_j|
-    sqrt(a^2 - 1)), 0.6 g / |du_i - du_j| at tol = 1e-11.  A step shorter
-    than STEP_FLOOR times the default guard over max |du_i - du_j| raises
+    sqrt(a^2 - 1)), 0.6 g / |du_i - du_j| at tol = 1e-11.  The gap scale
+    of a pair is the default guard, or its gap at an end of the segment
+    where that is smaller (as on the rays out of a coalescence point, whose
+    gaps are all of that order).  A step shorter than STEP_FLOOR times the
+    least, over the moving pairs, of gap scale over |du_i - du_j| raises
     IntegrationError naming the flow and the segment: the path passes a
-    collision closer than the default guard admits (possible with
-    guard=0.0), or the state grows so fast that the sweeps contract only on
-    such steps.  So does a segment that needs more than MAX_STEPS steps,
-    accepted and rejected, which bounds its work to MAX_STEPS * MAX_SWEEPS
-    right-hand sides.
+    collision closer than its ends and the default guard admit (possible
+    with guard=0.0), or the state grows so fast that the sweeps contract
+    only on such steps.  So does a segment that needs more than MAX_STEPS
+    steps, accepted and rejected, which bounds its work to
+    MAX_STEPS * MAX_SWEEPS right-hand sides.
     Returns the trace (t, u, y) at TRACE_SAMPLES points per segment, read
     off the step interpolants, t running from 0 to the number of segments;
     y[-1] is the end value.
@@ -317,8 +322,8 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
         rate = np.abs(du[i] - du[j])
         moving = rate > 0
         collide = (a[j] - a[i])[moving] / (du[i] - du[j])[moving]  # complex t
-        fastest = float(np.max(rate, initial=0.0))
-        floor = STEP_FLOOR * default / fastest if fastest > 0 else 0.0
+        scale = np.minimum(default, np.minimum(np.abs(a[i] - a[j]), np.abs(b[i] - b[j])))
+        floor = float(np.min(STEP_FLOOR * scale[moving] / rate[moving])) if moving.any() else 0.0
         samples = [y[None]]
         t, h, steps, k = 0.0, math.inf, 0, 1  # k: next trace sample
         while t < 1.0:
@@ -336,8 +341,8 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
                 if h < min(floor, 1.0 - t):
                     raise IntegrationError(
                         f"{flow} needs steps shorter than {floor:.3e} on segment "
-                        f"{seg} at t = {t:.6g}, closer to a collision than the "
-                        f"default guard admits or with a state growing that fast"
+                        f"{seg} at t = {t:.6g}, closer to a collision than its ends "
+                        f"and the default guard admit or with a state growing that fast"
                     )
                 X = _sweeps(field(a[:, None] + (t + h * NODES) * du[:, None], du), y, h, tol)
                 if X is not None:
@@ -490,8 +495,7 @@ def vanishing_order_check(gaps, magnitudes, pair=(0, 1), slope_threshold: float 
                         gaps=g, magnitudes=m)
 
 
-def vanishing_from_trace(trace: FlowTrace, pair: tuple[int, int],
-                         slope_threshold: float = 0.9) -> VanishingFit:
+def vanishing_from_trace(trace: FlowTrace, pair: tuple[int, int]) -> VanishingFit:
     """Vanishing-order fit taken directly off a flow trace.
 
     Uses the sampled gaps |u_i - u_j| and entry magnitudes |A_ij| of the
@@ -501,7 +505,7 @@ def vanishing_from_trace(trace: FlowTrace, pair: tuple[int, int],
     i, j = pair
     gaps = np.abs(trace.u[:, i] - trace.u[:, j])
     mags = np.abs(trace.A[:, i, j])
-    return vanishing_order_check(gaps, mags, pair=pair, slope_threshold=slope_threshold)
+    return vanishing_order_check(gaps, mags, pair=pair)
 
 
 @dataclass(frozen=True)
@@ -526,7 +530,6 @@ def laurent_reduce(
     u,
     raw: LaurentCoefficients,
     n_positive: int = 3,
-    tol: float = 1e-8,
 ) -> tuple[LaurentCoefficients, LaurentReport]:
     """Reduce a Laurent Pfaffian coefficient against a non-resonant residue A.
 
@@ -553,7 +556,7 @@ def laurent_reduce(
     for m in range(p, 0, -1):
         rhs = prev @ Lam - Lam @ prev  # [prev, Lambda] with prev = omega^(-m-1)
         try:
-            X = solve_sylvester(A + m * eye, A, rhs, tol=tol)
+            X = solve_sylvester(A + m * eye, A, rhs, tol=SYLVESTER_TOL)
         except ResonanceError as exc:
             raise ResonanceError(
                 f"Laurent reduction blocked at order -{m}: {exc}", pair=exc.pair,
@@ -591,7 +594,7 @@ def laurent_reduce(
     prev = om1
     for m in range(1, n_positive):
         rhs = prev @ Lam - Lam @ prev
-        X = solve_sylvester(A - (m + 1) * eye, A, rhs, tol=tol)
+        X = solve_sylvester(A - (m + 1) * eye, A, rhs, tol=SYLVESTER_TOL)
         positive.append(X)
         prev = X
 

@@ -34,6 +34,10 @@ from .matrixcore import (
     similar_to_jordan,
 )
 
+RESONANCE_TOL = 1e-8  # an order this close to an eigenvalue gap, times ||J||, is resonant
+LSTSQ_TOL = 1e-6  # residual of a resonant order, relative to its right-hand side
+GAUGE_TOL = 1e-6  # with_gauge: residual of the similarity, relative to ||A||
+
 
 @dataclass(frozen=True)
 class LeveltData:
@@ -156,32 +160,25 @@ def compute_levelt_exponents(A, tol: float = 1e-8) -> LeveltData:
     )
 
 
-def with_gauge(ld: LeveltData, G_new, A_new, tol: float = 1e-6) -> LeveltData:
+def with_gauge(ld: LeveltData, G_new, A_new) -> LeveltData:
     """Re-anchor fixed exponents to a transported gauge.
 
     Along an isomonodromy flow the gauge satisfies dG = (sum_j omega_j(0) du_j) G
     and keeps J constant; this swaps G while validating that the similarity
-    still holds within `tol` (relative).
+    still holds within GAUGE_TOL (relative).
     """
     Gn = as_square(G_new)
     An = as_square(A_new)
     resid = np.linalg.norm(np.linalg.solve(Gn, An @ Gn) - ld.J, 2)
     scale = max(np.linalg.norm(An, 2), 1.0)
-    if resid > tol * scale:
+    if resid > GAUGE_TOL * scale:
         raise ValueError(
             f"transported gauge no longer Jordanizes the residue: {resid:.3e}"
         )
     return replace(ld, G=Gn, residual=float(resid), Psi=ld.Psi[:0])
 
 
-def build_levelt_solution(
-    A,
-    hol,
-    ld: LeveltData | None = None,
-    K: int = 20,
-    tol: float = 1e-8,
-    lstsq_tol: float = 1e-6,
-) -> LeveltData:
+def build_levelt_solution(A, hol, ld: LeveltData | None = None, K: int = 20) -> LeveltData:
     """Solve the order-by-order matching equations for Psi_1..Psi_K.
 
     `hol` lists the Taylor coefficients H_0, H_1, ... (at the Fuchsian
@@ -197,7 +194,7 @@ def build_levelt_solution(
     """
     M = as_square(A)
     if ld is None:
-        ld = compute_levelt_exponents(M, tol=tol)
+        ld = compute_levelt_exponents(M)
     n = ld.n
     H = np.asarray(hol, dtype=complex)[:K]
     if H.ndim != 3 or H.shape[1:] != (n, n) or not np.isfinite(H).all():
@@ -212,7 +209,8 @@ def build_levelt_solution(
     diffs = (np.diag(J)[:, None] - np.diag(J)[None, :]).ravel()
     orders = np.arange(1, K + 1)
     ops = F + orders[:, None, None] * np.eye(n * n)
-    resonant = np.abs(orders[:, None] - diffs).min(axis=1) <= tol * max(np.linalg.norm(J, 2), 1.0)
+    resonant = (np.abs(orders[:, None] - diffs).min(axis=1)
+                <= RESONANCE_TOL * max(np.linalg.norm(J, 2), 1.0))
     inverse = np.zeros_like(ops)
     inverse[~resonant] = np.linalg.inv(ops[~resonant])
 
@@ -227,7 +225,7 @@ def build_levelt_solution(
             op = ops[k - 1]
             x = np.linalg.lstsq(op, r, rcond=1e-12)[0]
             resid = float(np.linalg.norm(op @ x - r))
-            if resid > lstsq_tol * max(np.linalg.norm(rhs), 1.0):
+            if resid > LSTSQ_TOL * max(np.linalg.norm(rhs), 1.0):
                 raise ResonanceError(
                     f"resonant order {k} inconsistent (residual {resid:.3e})",
                     order=k,

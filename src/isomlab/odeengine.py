@@ -520,8 +520,8 @@ class Plan:
     assemble: Callable[[list], Any]
 
 
-def join_plans(plans, combine: Callable[..., Any] = lambda *results: list(results)) -> Plan:
-    """One plan running all of `plans`; its result is combine(*their results)."""
+def join_plans(plans) -> Plan:
+    """One plan running all of `plans`; its result is the list of theirs."""
     plans = list(plans)
 
     def assemble(ends):
@@ -529,7 +529,7 @@ def join_plans(plans, combine: Callable[..., Any] = lambda *results: list(result
         for p in plans:
             results.append(p.assemble(ends[b : b + len(p.jobs)]))
             b += len(p.jobs)
-        return combine(*results)
+        return results
 
     return Plan(tuple(job for p in plans for job in p.jobs), assemble)
 
@@ -586,16 +586,15 @@ def integrate_path(
 
 @dataclass(frozen=True)
 class StokesConfig:
-    """Settings of the sector plans: the sector frames (tau, and with
-    `widened` the coalescence point uC), seed radius, series order (when no
-    series is given) and transport tol.  uC is kept as a tuple of complex,
-    so that configs hash and compare by value."""
+    """Settings of the sector plans: the sector frames (tau, and the
+    coalescence point uC, given for frames widened there), seed radius,
+    series order (when no series is given) and transport tol.  uC is kept as
+    a tuple of complex, so that configs hash and compare by value."""
 
     tau: float
     radius: float = DEFAULT_SEED_RADIUS
     tol: float = DEFAULT_TOL
     order: int = 30
-    widened: bool = False
     uC: tuple | None = None
 
     def __post_init__(self):
@@ -614,7 +613,7 @@ class SectorRequest:
     `zstar` ("sectorial"; z* defaults to the sector midpoint at the seed
     radius) or the connection matrix C_r against the Levelt solution `ld`
     ("connection"; z* defaults to the sector midpoint at half the seed
-    radius)."""
+    radius, and `sys` may have no nonzero higher poles)."""
 
     sys: IrregularSystem
     r: int
@@ -628,6 +627,9 @@ class SectorRequest:
             raise ValueError(f"unknown sector request kind {self.kind!r}")
         if (self.kind == "connection") != (self.ld is not None):
             raise ValueError("a connection request, and only one, needs its Levelt data")
+        if self.kind == "connection" and any(np.any(H) for H in self.sys.higher):
+            raise ValueError("a connection request does not support higher poles: "
+                             "z = 0 is then not a Fuchsian point")
 
     @property
     def sectors(self) -> tuple[int, ...]:
@@ -664,8 +666,7 @@ class SectorTable:
             raise ValueError("the systems of one sector table must share n")
         n = self.systems[0].n
         sectors = sorted({k for q in requests for k in q.sectors})
-        frames = sector_frames([sys.u for sys in self.systems], cfg.tau, sectors,
-                               widened=cfg.widened, uC=cfg.uC)
+        frames = sector_frames([sys.u for sys in self.systems], cfg.tau, sectors, uC=cfg.uC)
         self.frames = {(s, r): frame for s, row in enumerate(frames)
                        for r, frame in zip(sectors, row)}
         used = [set() for _ in self.systems]
@@ -933,9 +934,13 @@ def actual_solution(
     in from its seed, an argument sweep at moderate radius and a radial leg
     out to z*.  The reported `seed_error` is the first-omitted-term bound
     plus the Stokes leakage of the seeds.  Without `fs` the series is
-    computed to `order` with `coalesce_tol`.
+    computed to `order` with `coalesce_tol`.  The frame is widened at `uC`
+    when `widened` is set, which needs `uC`; otherwise `uC` is not read.
     """
-    cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order, widened=widened, uC=uC)
+    if widened and uC is None:
+        raise ValueError("widened sectors need the coalescence point uC")
+    cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order,
+                       uC=uC if widened else None)
     if fs is None:
         fs = compute_formal_coefficients(sys, K=order, coalesce_tol=coalesce_tol)
     return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs, "sectorial", zstar)]), tol)[0]

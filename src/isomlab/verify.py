@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ResonanceError, WallError
 from .formal import (
+    PATTERN_TOL,
     FormalSolution,
     IrregularSystem,
     check_resonances,
@@ -49,10 +50,10 @@ from .levelt import build_levelt_solution, compute_levelt_exponents, with_gauge
 from .odeengine import DEFAULT_TOL, SectorRequest, StokesConfig, run_plan, sector_plan
 
 LEVELT_ORDER = 20  # Taylor terms of every Levelt solution the pipelines build
-# verify_coalescence: germ order, the |A0| entry at a coalescing pair that
-# counts as zero, and the thresholds of its limit, pattern and slope verdicts
+# verify_coalescence: germ order, and the thresholds of its limit, pattern
+# and slope verdicts (the |A0| entry at a coalescing pair that counts as zero
+# is formal.PATTERN_TOL)
 GERM_ORDER = 6
-PATTERN_TOL = 1e-10
 LIMIT_THRESHOLD = 1e-5
 PATTERN_THRESHOLD = 1e-6
 SLOPE_THRESHOLD = 0.9
@@ -429,7 +430,7 @@ def verify_coalescence(
     # frozen system data in the widened frame (coalescence-aware recursion)
     frozen = IrregularSystem(u=ref, A=A0)
     fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=1e-9)
-    cfg = StokesConfig(tau=tau, tol=tol, order=order, widened=True, uC=ref)
+    cfg = StokesConfig(tau=tau, tol=tol, order=order, uC=ref)
     requests = [SectorRequest(frozen, r, fs0), SectorRequest(frozen, r + 1, fs0)]
 
     # sampled family: Taylor germ along the ray, flow-validated

@@ -123,13 +123,14 @@ def schedule_reference(ode, legs, job):
     return np.concatenate(z0s), np.concatenate(hs), np.concatenate(legs_of), starts
 
 
-def sector_bounds_reference(u, tau, r, widened=False, uC=None, tol=1e-8):
+def sector_bounds_reference(u, tau, r, uC=None):
     """geometry.sector_bounds as one frame at a time: the rays of u found
-    anew for every sector."""
+    anew for every sector, widened at uC when it is given."""
     import math
 
     from isomlab.errors import AdmissibilityError
     from isomlab.geometry import (
+        ADMISSIBILITY_TOL,
         SectorFrame,
         _as_uvec,
         _margin,
@@ -141,18 +142,18 @@ def sector_bounds_reference(u, tau, r, widened=False, uC=None, tol=1e-8):
     lo_hp = tau + (r - 2) * math.pi
     hi_hp = tau + (r - 1) * math.pi
     uC_key = None
-    if widened:
+    if uC is not None:
         uC_key = tuple(complex(x) for x in _as_uvec(uC))
         if not coalescence_labels(uC).any():
             return SectorFrame(tau=tau, r=r, lo=lo_hp - math.pi / 2, hi=hi_hp + math.pi / 2,
-                               widened=True, degenerate=True, uC=uC_key)
-    rays = stokes_ray_directions(u, subclass_at=uC if widened else None)
+                               degenerate=True, uC=uC_key)
+    rays = stokes_ray_directions(u, subclass_at=uC)
     margin = _margin(tau, (ray.theta for ray in rays.rays))
-    if not margin > tol:
+    if not margin > ADMISSIBILITY_TOL:
         raise AdmissibilityError(f"tau = {tau:.6g} is within {margin:.3e} of a Stokes ray")
     base = rays.base_directions()
     return SectorFrame(tau=tau, r=r, lo=_nearest_ray(base, lo_hp, -1),
-                       hi=_nearest_ray(base, hi_hp, 1), widened=widened, uC=uC_key)
+                       hi=_nearest_ray(base, hi_hp, 1), uC=uC_key)
 
 
 def column_seed_directions_reference(u, frame):

@@ -511,6 +511,18 @@ class TestErrorHandling:
         else:
             assert "does not support higher poles" in err
 
+    def test_levelt_refuses_higher_poles(self, capsys, tmp_path):
+        # the Levelt data come from Lambda and A alone; with a higher-pole
+        # block they would be those of another system
+        doc = {"u": [[0.0, 0.0], [1.0, 0.0]],
+               "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]],
+               "higher": [[[[0.1, 0.0], [0.3, 0.0]], [[-0.2, 0.0], [0.05, 0.0]]]]}
+        code, out, err = run(capsys, ["levelt", "--system", write_json(tmp_path / "h.json", doc)])
+        assert code == 1 and out == ""
+        assert "levelt does not support higher poles" in err
+        doc["higher"] = [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        assert run(capsys, ["levelt", "--system", write_json(tmp_path / "z.json", doc)])[0] == 0
+
     def test_fail_verdict_exit_code(self, capsys, tmp_path):
         # seeds at |z| = 1, where the formal series is no approximation,
         # leave S_0 wrong by decades more than the default --mtol 1e-6

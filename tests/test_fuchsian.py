@@ -247,10 +247,22 @@ class TestFuchsMonodromy:
         diags.append(-sum(diags))
         residues = tuple(np.diag(d) for d in diags)
         sys = FuchsianSystem(poles=poles, residues=residues)
-        for normalize in (True, False):
-            mons = fuchs_monodromy(sys, normalize_at_infinity=normalize, tol=1e-12)
-            for M, A in zip(mons, residues):
-                assert np.max(np.abs(M - expm(2j * np.pi * A))) < 1e-11
+        mons = fuchs_monodromy(sys, tol=1e-12)
+        for M, A in zip(mons, residues):
+            assert np.max(np.abs(M - expm(2j * np.pi * A))) < 1e-11
+
+    def test_basepoint_on_a_pole_is_refused(self):
+        sys = random_fuchsian(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="basepoint coincides with a pole"):
+            monodromy_plan(sys, 1.0 + 1e-10j)
+
+    def test_basepoint_inside_the_infinity_frame_is_refused(self):
+        # the w = 1/z segment from 0 to 1/z0 must stay clear of 1/2, the
+        # image of the pole at 2: |z0| = 2.5 is short of 2 / 0.7
+        sys = random_fuchsian(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="too close to the pole configuration"):
+            monodromy_plan(sys, 2.5j)
+        monodromy_plan(sys, 3.0j)
 
     def test_spoke_through_pole_is_refused(self):
         # from the default basepoint below, the spokes to i and 2i run

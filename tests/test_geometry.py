@@ -111,12 +111,12 @@ class TestSectorBounds:
         uC = [0.0, 0.0, 1.0]
         u = [0.02, -0.02, 1.0]
         plain = sector_bounds(u, 0.3, 1)
-        widened = sector_bounds(u, 0.3, 1, widened=True, uC=uC)
+        widened = sector_bounds(u, 0.3, 1, uC=uC)
         assert widened.lo <= plain.lo + 1e-12
         assert widened.hi >= plain.hi - 1e-12
 
     def test_widened_degenerate_policy(self):
-        fr = sector_bounds([0.01, -0.01], 0.3, 1, widened=True, uC=[0.0, 0.0])
+        fr = sector_bounds([0.01, -0.01], 0.3, 1, uC=[0.0, 0.0])
         assert fr.degenerate
         lo_hp, hi_hp = fr.half_plane
         assert abs(fr.lo - (lo_hp - math.pi / 2)) < 1e-12
@@ -169,9 +169,8 @@ class TestClassifyPoint:
         assert rep.in_crossing == (not is_admissible(tau, u, tol))
 
     def test_epsilon_bound_reported(self):
-        rep = classify_point([0.05, -0.05, 1.0], 0.3, uC=[0.0, 0.0, 1.0])
-        assert rep.epsilon_bound is not None
-        assert abs(rep.epsilon_bound - abs(math.cos(0.3))) < 1e-12
+        # the lines of direction 3 pi/2 - tau through 0 and 1 lie cos(tau) apart
+        assert abs(epsilon_bound([0.0, 0.0, 1.0], 0.3) - abs(math.cos(0.3))) < 1e-12
 
 
 class TestSameCell:

@@ -56,11 +56,10 @@ def generic_system():
 # for the plan's own series): the plain frames of GENERIC_A, and the widened
 # frames of the criterion-7 frozen system at its coalescence point
 CRIT7_UC = np.array([0.0, 0.0, 1.0], dtype=complex)
+CRIT7_A0 = np.array([[0.10, 0.00, 0.06], [0.00, 0.10, 0.09], [0.075, -0.05, 0.45]])
 FRAMES = pytest.mark.parametrize("sys, cfg, coalesce_tol", [
     (generic_system(), StokesConfig(tau=0.3, order=32), None),
-    (IrregularSystem(u=CRIT7_UC, A=[[0.10, 0.00, 0.06], [0.00, 0.10, 0.09],
-                                    [0.075, -0.05, 0.45]]),
-     StokesConfig(tau=0.3, order=32, widened=True, uC=CRIT7_UC), 1e-9),
+    (IrregularSystem(u=CRIT7_UC, A=CRIT7_A0), StokesConfig(tau=0.3, order=32, uC=CRIT7_UC), 1e-9),
 ], ids=["generic", "widened"])
 
 
@@ -518,7 +517,7 @@ def _table_case(rng, n, kind, tau=0.3, count=4, scale=1.0, a_scale=1.0):
         if is_admissible(tau, u, subclass_at=uC if kind == "widened" else None).margin > 1e-3:
             A = a_scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
             systems.append(IrregularSystem(u=u, A=A))
-    cfg = StokesConfig(tau=tau, widened=uC is not None, uC=uC)
+    cfg = StokesConfig(tau=tau, uC=uC)
     return systems, cfg
 
 
@@ -540,9 +539,9 @@ class TestSectorTable:
         assert len(table.frames) == len(table.angles) == len(table.leakage) == 3 * len(systems)
         for (s, r), frame in table.frames.items():
             u = systems[s].u
-            assert frame == sector_bounds_reference(u, cfg.tau, r, cfg.widened, cfg.uC)
+            assert frame == sector_bounds_reference(u, cfg.tau, r, cfg.uC)
             # with n = 2 the coalescing pair is all of u^C: degenerate too
-            assert frame.degenerate == (cfg.widened and len(set(cfg.uC)) == 1)
+            assert frame.degenerate == (cfg.uC is not None and len(set(cfg.uC)) == 1)
             angles = column_seed_directions_reference(u, frame)
             assert table.angles[s, r].tobytes() == angles.tobytes()
             assert table.leakage[s, r] == leakage_reference(u, angles, cfg.radius)
@@ -550,6 +549,21 @@ class TestSectorTable:
         for fs, F, trunc in zip(series, table.series, table.truncations):
             assert F.tobytes() == np.asarray(fs.F).tobytes()
             assert trunc == optimal_truncation_reference(fs.F, cfg.radius)
+
+    def test_uc_alone_widens_the_frames(self):
+        # a config that gives the coalescence point and nothing else widens
+        # its frames there: near CRIT7_UC only the rays of the pairs that do
+        # not coalesce bound them, so they open wider than the plain frames
+        u = CRIT7_UC + np.array([0.02j, -0.02j, 0.0])
+        sys = IrregularSystem(u=u, A=CRIT7_A0)
+        fs = _random_series(np.random.default_rng(5), sys)
+        table = SectorTable(StokesConfig(tau=0.3, uC=CRIT7_UC),
+                            [SectorRequest(sys, r, fs) for r in (0, 1)])
+        for r in (0, 1, 2):
+            frame = table.frames[0, r]
+            assert frame == sector_bounds_reference(u, 0.3, r, CRIT7_UC)
+            assert frame.uC == tuple(CRIT7_UC) and not frame.degenerate
+            assert frame.opening > sector_bounds_reference(u, 0.3, r).opening + 1.0
 
     def test_systems_must_share_n(self):
         rng = np.random.default_rng(3)
@@ -651,12 +665,16 @@ class TestActualSolution:
     @FRAMES
     def test_runs_the_sectorial_plan(self, sys, cfg, coalesce_tol):
         # actual_solution builds its config from its keywords
-        got = actual_solution(sys, 0, cfg.tau, order=cfg.order, widened=cfg.widened,
+        got = actual_solution(sys, 0, cfg.tau, order=cfg.order, widened=cfg.uC is not None,
                               uC=cfg.uC, coalesce_tol=coalesce_tol or 0.0)
         fs = frame_series(sys, cfg, coalesce_tol) or compute_formal_coefficients(sys, K=cfg.order)
         want, = run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs, "sectorial")]), cfg.tol)
         assert got.point == want.point and got.seed_error == want.seed_error
         assert got.value.tobytes() == want.value.tobytes()
+
+    def test_widened_needs_uc(self):
+        with pytest.raises(ValueError, match="widened sectors need the coalescence point uC"):
+            actual_solution(generic_system(), 0, 0.3, widened=True)
 
     def test_zstar_outside_sector_rejected(self):
         sys = generic_system()
@@ -669,10 +687,10 @@ class TestActualSolution:
 class TestStokesMatrix:
     def test_config_compares_by_value(self):
         uC = np.array([0.0, 0.0, 1.0])
-        cfg = StokesConfig(tau=0.3, widened=True, uC=uC)
-        same = StokesConfig(tau=0.3, widened=True, uC=list(uC))
+        cfg = StokesConfig(tau=0.3, uC=uC)
+        same = StokesConfig(tau=0.3, uC=list(uC))
         assert cfg == same and hash(cfg) == hash(same)
-        assert cfg != StokesConfig(tau=0.3, widened=True, uC=uC + 0.5)
+        assert cfg != StokesConfig(tau=0.3, uC=uC + 0.5)
 
     @pytest.mark.parametrize("field", ["tol", "radius"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
@@ -750,6 +768,20 @@ class TestConnectionMatrix:
         ]
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
         assert np.max(np.abs(vals[1] - vals[2])) < 1e-8
+
+    def test_refuses_higher_poles(self):
+        # the Levelt solution of a connection is built from Lambda and A
+        # alone, which describe z = 0 only without higher poles
+        A2 = np.array([[0.1, 0.3], [-0.2, 0.05]], dtype=complex)
+        ld = build_levelt_solution(GENERIC_A, [np.diag([0.0, 1.0])], K=25)
+        sys = IrregularSystem(u=[0.0, 1.0], A=GENERIC_A, higher=(A2,))
+        fs = compute_formal_coefficients(sys, K=10)
+        with pytest.raises(ValueError, match="connection request does not support higher poles"):
+            SectorRequest(sys, 0, fs, "connection", ld=ld)
+        # a zero block adds nothing, and a Stokes request keeps the higher poles
+        SectorRequest(IrregularSystem(u=[0.0, 1.0], A=GENERIC_A, higher=(0 * A2,)), 0, fs,
+                      "connection", ld=ld)
+        SectorRequest(sys, 0, fs)
 
     @FRAMES
     def test_connection_chain(self, sys, cfg, coalesce_tol):

@@ -1,0 +1,130 @@
+"""Every default-valued parameter of isomlab has a caller that sets it.
+
+A public function, method or dataclass field whose default no call in
+`src/` or `tests/` overrides is a setting nobody sets: a second code path
+that no run takes.  This check reads the sources with the stdlib `ast`
+module alone.  A call sets a parameter by keyword or by position, and sets
+every parameter of its callee when it forwards `*args` or `**kw`;
+`dataclasses.replace` keywords set the dataclass fields of their name.
+Calls are matched to callables by name, not resolved, so a parameter counts
+as set when a call of any callable of that name sets it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(Path(d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _name(node):
+    """The name a call or decorator refers to: f, mod.f and obj.f give f."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _params(fn: ast.FunctionDef, skip: int):
+    """(name, position or None for keyword-only, has a default) of each
+    parameter of fn after the first `skip` (self or cls)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    out = [(a.arg, k - skip, k >= first_default) for k, a in enumerate(positional) if k >= skip]
+    out += [(a.arg, None, d is not None) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+    return out
+
+
+def _fields(cls: ast.ClassDef):
+    """(name, position, has a default) of each field of a dataclass."""
+    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+              and isinstance(s.target, ast.Name) and "ClassVar" not in ast.unparse(s.annotation)]
+    return [(s.target.id, k, s.value is not None) for k, s in enumerate(fields)]
+
+
+def callables(package):
+    """Callee name -> [(where, params, is a dataclass)] for every public
+    function, public method (and __init__, called by its class name) and
+    dataclass of the modules under `package`."""
+    out = {}
+
+    def add(callee, where, params, dataclass=False):
+        out.setdefault(callee, []).append((where, params, dataclass))
+
+    for path, tree in _trees(package):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                add(node.name, f"{path.stem}.{node.name}", _params(node, 0))
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            if any(_name(d) == "dataclass" for d in node.decorator_list):
+                add(node.name, f"{path.stem}.{node.name}", _fields(node), dataclass=True)
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        fn.name == "__init__" or not fn.name.startswith("_")):
+                    static = any(_name(d) == "staticmethod" for d in fn.decorator_list)
+                    add(node.name if fn.name == "__init__" else fn.name,
+                        f"{path.stem}.{node.name}.{fn.name}", _params(fn, 0 if static else 1))
+    return out
+
+
+def unset_defaults(package, *callers):
+    """'where(parameter)' of every default-valued parameter of a callable
+    under `package` that no call in the `callers` directories sets."""
+    table = callables(package)
+    dataclasses = [(where, params) for entries in table.values()
+                   for where, params, dataclass in entries if dataclass]
+    done = set()
+    for _, tree in _trees(*callers):
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            keywords = {k.arg for k in call.keywords}
+            forwards = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+            for where, params, _ in table.get(_name(call), ()):
+                done.update((where, name) for name, pos, _ in params
+                            if forwards or name in keywords
+                            or (pos is not None and pos < len(call.args)))
+            if _name(call) == "replace":
+                for where, params in dataclasses:
+                    done.update((where, name) for name, _, _ in params if name in keywords)
+    return sorted(f"{where}({name})" for entries in table.values()
+                  for where, params, _ in entries
+                  for name, _, default in params if default and (where, name) not in done)
+
+
+def test_every_default_has_a_caller():
+    assert unset_defaults(ROOT / "src" / "isomlab", ROOT / "src", ROOT / "tests") == []
+
+
+def test_reports_exactly_the_defaults_no_call_sets(tmp_path):
+    # a keyword, a position, a forwarded **kw and a dataclasses.replace
+    # keyword each set a default; private callables are not checked
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "def f(x, a=1, b=2, *, c=3): pass\n"
+        "def g(x, d=4): pass\n"
+        "def _h(x, e=5): pass\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 0\n"
+        "    def m(self, w=0, v=1): pass\n"
+        "    @staticmethod\n"
+        "    def s(u=0, t=1): pass\n"
+    )
+    (tmp_path / "calls.py").write_text(
+        "f(0, 1, c=2)\n"
+        "g(0, **kw)\n"
+        "replace(C(0), y=1)\n"
+        "C(0).m(1)\n"
+        "C.s(1)\n"
+    )
+    assert unset_defaults(tmp_path / "pkg", tmp_path) == [
+        "mod.C(z)", "mod.C.m(v)", "mod.C.s(t)", "mod.f(b)",
+    ]

@@ -449,6 +449,15 @@ class TestVerifyCoalescence:
         alone = sector_plan(cfg, self_seeded).jobs
         assert len(alone) < len(jobs) and pairs(jobs) == pairs(alone)
 
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6])
+    def test_gaps_below_the_flow_guard(self, eps):
+        # every sample gap lies below the flow's default guard of 1e-6, and
+        # each ray segment moves its gaps by no more than they already are,
+        # so its steps are long in t although short next to that guard
+        rep = verify_coalescence(A3, UC3, tau=0.3, eps=eps)
+        assert rep.gaps[0] == eps / 2 and rep.flow_vs_germ < 1e-15
+        assert rep.verdict
+
     def test_entries_within_the_grouping_tolerance_coalesce(self):
         # u^C entries 1e-13 apart coalesce for every step (the eps bound and
         # the direction too): the report is that of the exact coalescence

@@ -66,14 +66,7 @@ from .levelt import (
     eval_levelt,
     monodromy_exponential,
 )
-from .matrixcore import (
-    EigenClusters,
-    JordanData,
-    cluster_eigenvalues,
-    matrix_power,
-    similar_to_jordan,
-    solve_sylvester,
-)
+from .matrixcore import matrix_power, solve_sylvester
 from .odeengine import (
     PathPoint,
     SolutionHandle,

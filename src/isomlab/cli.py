@@ -197,7 +197,7 @@ def cmd_flow(args) -> int:
 def cmd_schlesinger(args) -> int:
     fsys = _need_fuchsian(io.load_system(args.system))
     path = io.load_upath(args.path)
-    final, trace = integrate_schlesinger(fsys, path, tol=args.tol)
+    final, _ = integrate_schlesinger(fsys, path, tol=args.tol)
     spec_drift = 0.0
     for A0, A1 in zip(fsys.residues, final.residues):
         s0 = np.sort_complex(np.linalg.eigvals(A0))

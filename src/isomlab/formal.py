@@ -96,10 +96,6 @@ class FormalSolution:
     def K(self) -> int:
         return len(self.F)
 
-    @property
-    def B(self) -> np.ndarray:
-        return np.diag(self.b)
-
 
 def formal_monodromy(sys: IrregularSystem) -> np.ndarray:
     """B(u) = diag(A_11, ..., A_nn) as a diagonal matrix."""

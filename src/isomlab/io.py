@@ -50,6 +50,12 @@ def cmat_from_json(obj, where: str) -> np.ndarray:
     return np.array(rows)
 
 
+def cmats_from_json(obj, where: str) -> tuple[np.ndarray, ...]:
+    if not isinstance(obj, list):
+        raise InputFormatError(f"{where}: expected a list of matrices, got {obj!r}")
+    return tuple(cmat_from_json(M, f"{where}[{k}]") for k, M in enumerate(obj))
+
+
 def pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -86,19 +92,14 @@ def load_system(path) -> dict:
             raise InputFormatError(f"n = {n} disagrees with len(u) = {len(u)}")
         if A.shape != (len(u), len(u)):
             raise InputFormatError(f"A has shape {A.shape}, expected {(len(u),) * 2}")
-        higher = tuple(
-            cmat_from_json(H, f"higher[{k}]") for k, H in enumerate(doc.get("higher", []))
-        )
+        higher = cmats_from_json(doc.get("higher", []), "higher")
         out["irregular"] = IrregularSystem(u=u, A=A, higher=higher)
     if "fuchsian" in doc:
         blk = doc["fuchsian"]
         if not isinstance(blk, dict) or "poles" not in blk or "residues" not in blk:
             raise InputFormatError("'fuchsian' block needs 'poles' and 'residues'")
         poles = cvec_from_json(blk["poles"], "fuchsian.poles")
-        residues = tuple(
-            cmat_from_json(R, f"fuchsian.residues[{k}]")
-            for k, R in enumerate(blk["residues"])
-        )
+        residues = cmats_from_json(blk["residues"], "fuchsian.residues")
         try:
             out["fuchsian"] = FuchsianSystem(
                 poles=poles, residues=residues, zero_sum_tol=1e-10

@@ -461,7 +461,6 @@ def integrability_residual(sys: IrregularSystem, gauge: DiagonalGauge | None = N
 @dataclass(frozen=True)
 class VanishingFit:
     slope: float
-    intercept: float
     pair: tuple[int, int]
     passed: bool
     gaps: np.ndarray
@@ -485,14 +484,12 @@ def vanishing_order_check(gaps, magnitudes, pair=(0, 1), slope_threshold: float 
         raise ValueError(f"gaps must be finite and positive, got {g}")
     mask = m > floor
     if np.count_nonzero(mask) > 1:
-        slope, intercept = map(float, np.polyfit(np.log(g[mask]), np.log(m[mask]), 1))
+        slope = float(np.polyfit(np.log(g[mask]), np.log(m[mask]), 1)[0])
         passed = slope >= slope_threshold
     else:
         passed = not mask.any() or bool(mask[np.argmax(g)])
         slope = math.inf if passed else -math.inf
-        intercept = -slope
-    return VanishingFit(slope=slope, intercept=intercept, pair=tuple(pair), passed=passed,
-                        gaps=g, magnitudes=m)
+    return VanishingFit(slope=slope, pair=tuple(pair), passed=passed, gaps=g, magnitudes=m)
 
 
 def vanishing_from_trace(trace: FlowTrace, pair: tuple[int, int]) -> VanishingFit:
@@ -522,7 +519,6 @@ class LaurentCoefficients:
 class LaurentReport:
     forced_zero_norms: tuple[float, ...]
     diag_rule_residual: float
-    truncated_positive: int
 
 
 def laurent_reduce(
@@ -601,9 +597,4 @@ def laurent_reduce(
     out = LaurentCoefficients(
         j=j, negative=tuple(negative), omega0=om0, positive=tuple(positive)
     )
-    report = LaurentReport(
-        forced_zero_norms=tuple(forced),
-        diag_rule_residual=diag_resid,
-        truncated_positive=n_positive,
-    )
-    return out, report
+    return out, LaurentReport(forced_zero_norms=tuple(forced), diag_rule_residual=diag_resid)

@@ -1,12 +1,13 @@
 """Levelt normal form at a Fuchsian point: Y = G (I + sum Psi_k z^k) z^D z^L.
 
-Exponent extraction groups the eigenvalues of the residue matrix into
-integer-difference classes.  Per class q: sigma_q is the fractional
-representative with 0 <= Re sigma_q < 1 and D_q collects the integer
-offsets, sorted non-increasingly.  The basis is the (permuted) Jordan basis
-of the residue, in which the nilpotent part N of L = Sigma + N connects only
-positions with equal eigenvalue; consequently z^D L z^-D = L identically and
-the limit condition reduces to D + L = J.
+Exponent extraction clusters the eigenvalues of the residue matrix and
+groups the clusters into integer-difference classes.  Per class q: sigma_q
+is the fractional representative with 0 <= Re sigma_q < 1 and D_q collects
+the integer offsets, sorted non-increasingly.  The basis is a Jordan basis
+of the residue, built from rank-revealing kernels of (A - lambda I)^k
+directly in that order, in which the nilpotent part N of L = Sigma + N
+connects only positions with equal eigenvalue; consequently z^D L z^-D = L
+identically and the limit condition reduces to D + L = J.
 
 Taylor coefficients solve, order by order, the Sylvester equations
 
@@ -25,15 +26,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ResonanceError
-from .matrixcore import (
-    JordanData,
-    _chain_groups,
-    as_square,
-    matrix_power,
-    similar_to_jordan,
-)
+from .errors import EigenSolverError, JordanChainError, ResonanceError
+from .matrixcore import _chain_groups, as_square, matrix_power
 
+MAX_JORDAN_DIM = 8  # residues are put in Jordan form up to this size
 RESONANCE_TOL = 1e-8  # an order this close to an eigenvalue gap, times ||J||, is resonant
 LSTSQ_TOL = 1e-6  # residual of a resonant order, relative to its right-hand side
 GAUGE_TOL = 1e-6  # with_gauge: residual of the similarity, relative to ||A||
@@ -45,9 +41,9 @@ class LeveltData:
 
     d: integer diagonal of D.  sigma: diagonal of Sigma (class representative
     per position).  N: nilpotent part, same block pattern as Sigma.  G puts
-    the residue in the (permuted) Jordan form J.  `blocks` records, per
-    integer-difference class, (sigma_q, positions, offsets).  Psi holds
-    Psi_1..Psi_K, a (K, n, n) array, once built.
+    the residue in the Jordan form J, its blocks in Levelt order.  `blocks`
+    records, per integer-difference class, (sigma_q, positions, offsets).
+    Psi holds Psi_1..Psi_K, a (K, n, n) array, once built.
     """
 
     d: np.ndarray
@@ -81,83 +77,164 @@ class LeveltData:
         return len(self.Psi)
 
 
-def _block_permutation(jd: JordanData, tol: float):
-    """Order Jordan blocks into integer-difference classes, offsets descending.
+def _kernel_basis(B, thresh):
+    """Orthonormal kernel basis of B from SVD, singular values below `thresh`.
 
-    Returns (permuted column index list, class structure) where classes are
-    lists of (eigenvalue, block size) entries.  Whole Jordan blocks are moved
-    as units, so the permuted basis is still a Jordan basis.
+    The threshold is absolute; callers scale it by the natural magnitude of
+    the matrix (for powers (A - lambda I)^k that is ||A - lambda I||^k, since
+    the power itself may be numerically zero).
     """
-    # enumerate blocks with their column ranges
-    blocks = []
-    pos = 0
-    for lam, sizes in jd.blocks:
-        for s in sizes:
-            blocks.append((lam, pos, s))
-            pos += s
+    _, s, Vh = np.linalg.svd(B)
+    null_mask = s <= thresh
+    return Vh.conj().T[:, null_mask], s
 
-    def integer_apart(a, b):
-        diff = blocks[a][0] - blocks[b][0]
-        return abs(diff - round(diff.real)) <= tol
 
-    # fractional representative with 0 <= Re sigma < 1, from the smallest member
-    def frac(lam):
-        return lam - np.floor(lam.real)
+def _jordan_chains(M, lam: complex, mult: int, tol: float, scale: float):
+    """Jordan chains of M at the eigenvalue cluster (lam, mult), longest first.
 
-    cls = []
-    # block eigenvalues grouped by integer differences (chained)
-    for idxs in _chain_groups(len(blocks), integer_apart):
-        lam0 = blocks[idxs[0]][0]
-        sigma = frac(lam0)
-        # sort member blocks by descending integer offset, then descending size
-        def offset(b):
-            return int(round((blocks[b][0] - sigma).real))
+    The kernels of (M - lam I)^k, thresholds scaled to ||M - lam I||^k, give
+    the Weyr characteristic; each chain is listed bottom-up, eigenvector
+    first, so that J carries 1s on the superdiagonal.
+    """
+    n = M.shape[0]
+    B = M - lam * np.eye(n)
+    normB = max(np.linalg.norm(B, 2), tol * scale)
+    # kernel dimensions of successive powers, thresholds scaled to ||B||^k
+    kernels = []
+    P = np.eye(n, dtype=complex)
+    dims = [0]
+    for k in range(1, mult + 1):
+        P = P @ B
+        thresh = tol * normB**k
+        K, svals = _kernel_basis(P, thresh)
+        # ambiguity guard: singular values sitting inside the tolerance band
+        band = (svals > 0.02 * thresh) & (svals < 50 * thresh)
+        if np.any(band):
+            raise JordanChainError(
+                f"rank decision ambiguous near eigenvalue {lam:.6g}; "
+                "coarsen or refine tol"
+            )
+        kernels.append(K)
+        dims.append(K.shape[1])
+        if K.shape[1] >= mult:
+            break
+    if dims[-1] != mult:
+        raise JordanChainError(
+            f"kernel of (A - {lam:.6g} I)^k saturated at dimension "
+            f"{dims[-1]} < multiplicity {mult}"
+        )
+    s = len(kernels)
+    weyr = [dims[k + 1] - dims[k] for k in range(s)]  # blocks of size >= k+1
+    weyr.append(0)
 
-        idxs_sorted = sorted(idxs, key=lambda b: (-offset(b), -blocks[b][2]))
-        cls.append((sigma, idxs_sorted))
-    cls.sort(key=lambda c: (c[0].real, c[0].imag))
-    return blocks, cls
+    built = [[] for _ in range(s + 2)]  # built[h]: chain vectors at height h
+    chains = []
+    for k in range(s, 0, -1):
+        new_chains = weyr[k - 1] - weyr[k]
+        if new_chains <= 0:
+            continue
+        Kk = kernels[k - 1]
+        obstruction = []
+        if k >= 2:
+            obstruction.append(kernels[k - 2])
+        if built[k]:
+            obstruction.append(np.column_stack(built[k]))
+        if obstruction:
+            Q, _ = np.linalg.qr(np.column_stack(obstruction))
+            T = Kk - Q @ (Q.conj().T @ Kk)
+        else:
+            T = Kk
+        # coefficient vectors in the Kk basis whose images stay farthest
+        # from the obstruction span
+        _, sv, Vh = np.linalg.svd(T)
+        if len(sv) < new_chains or sv[new_chains - 1] <= 10 * tol:
+            raise JordanChainError(
+                f"chain top selection degenerate near eigenvalue {lam:.6g}"
+            )
+        for m in range(new_chains):
+            v = Kk @ Vh.conj().T[:, m]
+            chain = [v / np.linalg.norm(v)]
+            for _ in range(k - 1):
+                chain.append(B @ chain[-1])
+            chain.reverse()  # chain[h-1] has height h; chain[0] is the eigenvector
+            for h, w in enumerate(chain, start=1):
+                built[h].append(w)
+            chains.append(chain)
+    return chains
 
 
 def compute_levelt_exponents(A, tol: float = 1e-8) -> LeveltData:
     """Extract D, Sigma, N and the gauge G from the residue matrix A.
 
-    Eigenvalues are classified modulo integer shifts; ambiguity of the
-    classification (an eigenvalue within tol of two classes) surfaces as a
-    JordanChainError/ResonanceError from the underlying machinery.
+    Supported only for n <= MAX_JORDAN_DIM.  The eigenvalues are clustered
+    by single-linkage chaining of gaps <= tol, and the clusters, in (Re, Im)
+    order, are chained into integer-difference classes; sigma_q comes from a
+    class's first cluster.  The Jordan chains are then built once per
+    cluster, classes by sigma and clusters by descending offset, so that G
+    is the Levelt basis itself.  Doubtful extractions raise JordanChainError:
+    an ambiguous rank decision, a saturated kernel, a degenerate chain top,
+    a singular G or a Jordan residual above 10 tol ||A||.
     """
     M = as_square(A)
-    jd = similar_to_jordan(M, tol=tol)
-    blocks, cls = _block_permutation(jd, tol)
     n = M.shape[0]
-
-    perm = []
-    d = np.zeros(n, dtype=int)
-    sigma = np.zeros(n, dtype=complex)
-    out_blocks = []
-    pos = 0
-    for sig, idxs in cls:
-        positions = []
-        offsets = []
-        for b in idxs:
-            lam, start, size = blocks[b]
-            off = int(round((lam - sig).real))
-            for c in range(start, start + size):
-                perm.append(c)
-                d[pos] = off
-                sigma[pos] = sig
-                positions.append(pos)
-                offsets.append(off)
-                pos += 1
-        out_blocks.append((complex(sig), tuple(positions), tuple(offsets)))
-    G = jd.G[:, perm]
-    # the nilpotent part of the permuted Jordan matrix (blocks move as units)
-    J = np.diag(sigma + d) + (jd.J - np.diag(np.diag(jd.J)))[np.ix_(perm, perm)]
-    N = J - np.diag(np.diag(J))
-    resid = float(np.linalg.norm(np.linalg.inv(G) @ M @ G - J, 2))
-    return LeveltData(
-        d=d, sigma=sigma, N=N, G=G, J=J, blocks=tuple(out_blocks), residual=resid
+    if n > MAX_JORDAN_DIM:
+        raise ValueError(f"Jordan extraction restricted to n <= {MAX_JORDAN_DIM}")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    try:
+        eigs = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigenvalue solver failed: {exc}") from exc
+    # (mean, multiplicity) of each cluster, in (Re, Im) order of the mean
+    clusters = sorted(
+        ((complex(np.mean(eigs[g])), len(g))
+         for g in _chain_groups(n, lambda i, j: abs(eigs[i] - eigs[j]) <= tol)),
+        key=lambda c: (c[0].real, c[0].imag),
     )
+
+    def integer_apart(a, b):
+        diff = clusters[a][0] - clusters[b][0]
+        return abs(diff - round(diff.real)) <= tol
+
+    classes = []
+    for members in _chain_groups(len(clusters), integer_apart):
+        lam0 = clusters[members[0]][0]
+        sig = lam0 - np.floor(lam0.real)  # 0 <= Re sigma < 1
+        offset = {c: int(round((clusters[c][0] - sig).real)) for c in members}
+        classes.append((sig, sorted(members, key=lambda c: -offset[c]), offset))
+    classes.sort(key=lambda q: (q[0].real, q[0].imag))
+
+    scale = max(np.linalg.norm(M, 2), 1.0)
+    cols, lams, d, sigma, superdiag, blocks = [], [], [], [], [], []
+    for sig, members, offset in classes:
+        first = len(cols)
+        for c in members:
+            lam, mult = clusters[c]
+            for chain in _jordan_chains(M, lam, mult, tol, scale):
+                cols += chain
+                superdiag += [1.0] * (len(chain) - 1) + [0.0]
+            lams += [lam] * mult
+            d += [offset[c]] * mult
+            sigma += [sig] * mult
+        blocks.append((complex(sig), tuple(range(first, len(cols))), tuple(d[first:])))
+    G = np.array(cols).T  # the chain vectors as columns, stored column-major
+    N = np.diag(np.array(superdiag[:-1], dtype=complex), 1)
+    d = np.array(d, dtype=int)
+    sigma = np.array(sigma, dtype=complex)
+    J = np.diag(sigma + d) + N
+    try:
+        Ginv = np.linalg.inv(G)
+    except np.linalg.LinAlgError as exc:
+        raise JordanChainError(f"similarity matrix singular: {exc}") from exc
+    GinvAG = Ginv @ M @ G
+    # the Jordan residual takes each cluster's mean as its eigenvalue
+    residual = float(np.linalg.norm(GinvAG - (np.diag(lams) + N), 2))
+    if residual > 10 * tol * scale:
+        raise JordanChainError(
+            f"Jordan residual {residual:.3e} exceeds 10*tol*||A|| = {10 * tol * scale:.3e}"
+        )
+    resid = float(np.linalg.norm(GinvAG - J, 2))
+    return LeveltData(d=d, sigma=sigma, N=N, G=G, J=J, blocks=tuple(blocks), residual=resid)
 
 
 def with_gauge(ld: LeveltData, G_new, A_new) -> LeveltData:

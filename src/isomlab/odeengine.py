@@ -776,7 +776,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     odes = [irregular_ode(sys, c) for sys, c in zip(table.systems, centre)]
     overlaps, paths, seeds = {}, {}, {}
     jobs, first, levelt = [], [], {}
-    stokes, spans = [], []  # the Stokes requests and their sector overlaps
+    stokes = []  # the Stokes requests
     # per Y_k: its first job, z*, log z*, series, (system, sector) and seed error
     starts, points, logs, series, owner, seed_error = ([] for _ in range(6))
     for p, q in enumerate(requests):
@@ -787,10 +787,9 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                 if not hi - lo > 1e-9:
                     raise SectorError(f"sectors {q.r} and {q.r + 1} do not overlap: ({lo}, {hi})")
                 # z* of S_r: the midpoint of the overlap, at half the seed radius
-                overlaps[s, q.r] = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi)), (lo, hi)
-            zstar, span = overlaps[s, q.r]
+                overlaps[s, q.r] = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
+            zstar = overlaps[s, q.r]
             stokes.append(p)
-            spans.append(span)
         else:
             frame = table.frames[s, q.r]
             zstar = q.zstar
@@ -846,7 +845,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
         results = {}
         if stokes:
             results = dict(zip(stokes, _stokes_results(
-                [requests[p] for p in stokes], [points[b] for b in blocks], logs[blocks], spans,
+                [requests[p] for p in stokes], [points[b] for b in blocks], logs[blocks],
                 Y[blocks], Y[blocks + 1], seed_error[blocks] + seed_error[blocks + 1], cfg.tol,
             )))
         for p, q in enumerate(requests):
@@ -862,7 +861,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     return Plan(tuple(jobs), assemble)
 
 
-def _stokes_results(requests, zstars, w, overlaps, Yr, Yr1, seed_error, tol: float):
+def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, tol: float):
     """The StokesResults of `requests` from their Y_r and Y_{r+1} at z*, two
     (P, n, n) stacks, in one stacked pass (see stokes_matrix); `w` holds
     log z*, and `seed_error` the sum of the seed errors of each pair."""
@@ -900,7 +899,6 @@ def _stokes_results(requests, zstars, w, overlaps, Yr, Yr1, seed_error, tol: flo
             r=q.r,
             S=S[p],
             zstar=zstars[p],
-            overlap=overlaps[p],
             diag_residual=float(diag_residual[p]),
             # scalar abs, which rounds differently from the array one
             required_zero=tuple(((i, j), float(abs(S[p, i, j])))
@@ -959,7 +957,6 @@ class StokesResult:
     r: int
     S: np.ndarray
     zstar: PathPoint
-    overlap: tuple[float, float]
     diag_residual: float
     required_zero: tuple[tuple[tuple[int, int], float], ...]
     error_estimate: float

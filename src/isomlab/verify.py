@@ -222,14 +222,11 @@ class CoalescenceReport:
     uC: np.ndarray
     direction: np.ndarray
     gaps: np.ndarray
-    samples: np.ndarray
     r: int
     tau: float
     pairs: tuple[tuple[int, int], ...]
     S_frozen: np.ndarray
     S1_frozen: np.ndarray
-    S_samples: list[np.ndarray]
-    S1_samples: list[np.ndarray]
     limit_errors: np.ndarray
     driven_limit_errors: np.ndarray
     entry_fits: dict[tuple[int, int], VanishingFit]  # self-seeded |S_ab|, both orders
@@ -489,14 +486,11 @@ def verify_coalescence(
         uC=ref,
         direction=v,
         gaps=gaps,
-        samples=samples,
         r=r,
         tau=tau,
         pairs=pairs,
         S_frozen=S0_frozen.S,
         S1_frozen=S1_frozen.S,
-        S_samples=S_samples,
-        S1_samples=S1_samples,
         limit_errors=limit_errors,
         driven_limit_errors=driven_limit_errors,
         entry_fits=entry_fits,

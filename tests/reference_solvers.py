@@ -408,3 +408,128 @@ def ray_family_series_reference(A0, uC, v, order: int = 4):
             Anext[p] = x[i]
         coeffs.append(Anext)
     return coeffs
+
+
+def levelt_exponents_reference(A, tol):
+    """The Levelt exponents in two steps: a Jordan form with its chains laid
+    out cluster by cluster in (Re, Im) order, then its blocks regrouped into
+    integer-difference classes, offsets descending, by a permutation of G
+    and J.  Returns a LeveltData, or raises what the two steps raise."""
+    from isomlab.errors import EigenSolverError, JordanChainError
+    from isomlab.levelt import LeveltData
+    from isomlab.matrixcore import _chain_groups
+
+    M = as_square(A)
+    n = M.shape[0]
+    if n > 8:
+        raise ValueError("Jordan extraction restricted to n <= 8")
+    try:
+        eigs = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigenvalue solver failed: {exc}") from exc
+    groups = _chain_groups(len(eigs), lambda i, j: abs(eigs[i] - eigs[j]) <= tol)
+    clusters = sorted(((complex(np.mean(eigs[g])), len(g)) for g in groups),
+                      key=lambda c: (c[0].real, c[0].imag))
+    scale = max(np.linalg.norm(M, 2), 1.0)
+
+    # step 1: Jordan chains per cluster, (Re, Im) order
+    cols, jblocks = [], []
+    for lam, mult in clusters:
+        B = M - lam * np.eye(n)
+        normB = max(np.linalg.norm(B, 2), tol * scale)
+        kernels, P, dims = [], np.eye(n, dtype=complex), [0]
+        for k in range(1, mult + 1):
+            P = P @ B
+            thresh = tol * normB**k
+            _, svals, Vh = np.linalg.svd(P)
+            K = Vh.conj().T[:, svals <= thresh]
+            if np.any((svals > 0.02 * thresh) & (svals < 50 * thresh)):
+                raise JordanChainError(
+                    f"rank decision ambiguous near eigenvalue {lam:.6g}; coarsen or refine tol")
+            kernels.append(K)
+            dims.append(K.shape[1])
+            if K.shape[1] >= mult:
+                break
+        if dims[-1] != mult:
+            raise JordanChainError(
+                f"kernel of (A - {lam:.6g} I)^k saturated at dimension "
+                f"{dims[-1]} < multiplicity {mult}")
+        s = len(kernels)
+        weyr = [dims[k + 1] - dims[k] for k in range(s)] + [0]
+        built, sizes = [[] for _ in range(s + 2)], []
+        for k in range(s, 0, -1):
+            new_chains = weyr[k - 1] - weyr[k]
+            if new_chains <= 0:
+                continue
+            Kk = kernels[k - 1]
+            obstruction = ([kernels[k - 2]] if k >= 2 else []) + (
+                [np.column_stack(built[k])] if built[k] else [])
+            if obstruction:
+                Q, _ = np.linalg.qr(np.column_stack(obstruction))
+                T = Kk - Q @ (Q.conj().T @ Kk)
+            else:
+                T = Kk
+            _, sv, Vh = np.linalg.svd(T)
+            if len(sv) < new_chains or sv[new_chains - 1] <= 10 * tol:
+                raise JordanChainError(f"chain top selection degenerate near eigenvalue {lam:.6g}")
+            for m in range(new_chains):
+                v = Kk @ Vh.conj().T[:, m]
+                chain = [v / np.linalg.norm(v)]
+                for _ in range(k - 1):
+                    chain.append(B @ chain[-1])
+                chain.reverse()
+                for h, w in enumerate(chain, start=1):
+                    built[h].append(w)
+                cols.extend(chain)
+                sizes.append(k)
+        jblocks.append((lam, tuple(sorted(sizes, reverse=True))))
+    G0 = np.column_stack(cols)
+    J0 = np.zeros((n, n), dtype=complex)
+    pos = 0
+    for lam, sizes in jblocks:
+        for size in sizes:
+            J0[pos : pos + size, pos : pos + size] = lam * np.eye(size) + np.diag(
+                np.ones(size - 1), 1)
+            pos += size
+    try:
+        Ginv = np.linalg.inv(G0)
+    except np.linalg.LinAlgError as exc:
+        raise JordanChainError(f"similarity matrix singular: {exc}") from exc
+    residual = float(np.linalg.norm(Ginv @ M @ G0 - J0, 2))
+    if residual > 10 * tol * scale:
+        raise JordanChainError(
+            f"Jordan residual {residual:.3e} exceeds 10*tol*||A|| = {10 * tol * scale:.3e}")
+
+    # step 2: whole blocks regrouped into classes, offsets descending
+    blocks, pos = [], 0
+    for lam, sizes in jblocks:
+        for size in sizes:
+            blocks.append((lam, pos, size))
+            pos += size
+
+    def integer_apart(a, b):
+        diff = blocks[a][0] - blocks[b][0]
+        return abs(diff - round(diff.real)) <= tol
+
+    cls = []
+    for idxs in _chain_groups(len(blocks), integer_apart):
+        lam0 = blocks[idxs[0]][0]
+        sig = lam0 - np.floor(lam0.real)
+        cls.append((sig, sorted(idxs, key=lambda b: (-int(round((blocks[b][0] - sig).real)),
+                                                      -blocks[b][2]))))
+    cls.sort(key=lambda c: (c[0].real, c[0].imag))
+    perm, d, sigma, out_blocks = [], np.zeros(n, dtype=int), np.zeros(n, dtype=complex), []
+    for sig, idxs in cls:
+        first = len(perm)
+        for b in idxs:
+            lam, start, size = blocks[b]
+            perm += range(start, start + size)
+            d[len(perm) - size : len(perm)] = int(round((lam - sig).real))
+            sigma[len(perm) - size : len(perm)] = sig
+        out_blocks.append((complex(sig), tuple(range(first, len(perm))),
+                           tuple(int(x) for x in d[first : len(perm)])))
+    G = G0[:, perm]
+    J = np.diag(sigma + d) + (J0 - np.diag(np.diag(J0)))[np.ix_(perm, perm)]
+    N = J - np.diag(np.diag(J))
+    resid = float(np.linalg.norm(np.linalg.inv(G) @ M @ G - J, 2))
+    return LeveltData(d=d, sigma=sigma, N=N, G=G, J=J, blocks=tuple(out_blocks), residual=resid)

@@ -474,6 +474,43 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert "n: expected an integer" in err
 
+    @pytest.mark.parametrize("command", [
+        "formal", "levelt", "stokes-rays", "cells", "stokes-matrix", "flow", "schlesinger",
+    ])
+    @pytest.mark.parametrize("field, value", [
+        ("higher", 5), ("higher", None), ("fuchsian.residues", 5), ("fuchsian.residues", None),
+    ])
+    def test_malformed_matrix_list_refused(self, capsys, tmp_path, command, field, value):
+        # an input error naming the field, not a TypeError from iterating it
+        doc = {"u": [[0.0, 0.0], [1.0, 0.0]],
+               "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]],
+               "fuchsian": {"poles": [[0.0, 0.0], [1.0, 0.0]],
+                            "residues": [[[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2, 0.0]]],
+                                         [[[-0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]]}}
+        if field == "higher":
+            doc["higher"] = value
+        else:
+            doc["fuchsian"]["residues"] = value
+        path_file = write_json(tmp_path / "path.json",
+                               {"waypoints": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.2, 0.0]]]})
+        flags = {"cells": ["--tau", "0.3"], "stokes-matrix": ["--tau", "0.3"],
+                 "flow": ["--path", path_file], "schlesinger": ["--path", path_file]}
+        sys_file = write_json(tmp_path / "sys.json", doc)
+        code, out, err = run(capsys, [command, "--system", sys_file, *flags.get(command, [])])
+        assert code == 1 and out == ""
+        assert err == f"error: {field}: expected a list of matrices, got {value!r}\n"
+
+    def test_levelt_rank_ambiguity_refused(self, capsys, tmp_path):
+        # eigenvalues 1e-12 apart are one cluster whose kernel rank sits in
+        # the tolerance band; the exactly repeated pair is accepted
+        doc = {"u": [[0.0, 0.0], [1.0, 0.0]],
+               "A": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5 + 1e-12, 0.0]]]}
+        code, out, err = run(capsys, ["levelt", "--system", write_json(tmp_path / "a.json", doc)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: rank decision ambiguous near eigenvalue 0.5")
+        doc["A"][1][1] = [0.5, 0.0]
+        assert run(capsys, ["levelt", "--system", write_json(tmp_path / "b.json", doc)])[0] == 0
+
     def test_missing_block(self, capsys, system_file, tmp_path):
         path_file = write_json(
             tmp_path / "p.json", {"waypoints": [[[0, 0], [1, 0]], [[0, 0], [1.2, 0]]]}

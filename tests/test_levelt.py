@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from isomlab.errors import ResonanceError
+from isomlab.errors import JordanChainError, ResonanceError
 from isomlab.formal import IrregularSystem
 from isomlab.levelt import (
     build_levelt_solution,
@@ -13,7 +13,7 @@ from isomlab.levelt import (
     with_gauge,
 )
 from isomlab.odeengine import DEFAULT_TOL, levelt_handle
-from reference_solvers import kronecker_psi
+from reference_solvers import kronecker_psi, levelt_exponents_reference
 
 
 def ode_residual(ld, sys, z0):
@@ -66,6 +66,56 @@ class TestExponents:
             assert np.allclose(np.exp(2j * np.pi * ld.d), 1.0)
             # the canonical choice satisfies D + L = J (limit condition)
             assert np.allclose(ld.D + ld.L, ld.J)
+
+
+class TestJordanRefusals:
+    def test_split_pair_saturates_the_kernel(self):
+        # one cluster at tol 1e-8, but no power of A - lambda I has a 2-d kernel
+        with pytest.raises(JordanChainError, match="saturated at dimension 0 < multiplicity 2"):
+            compute_levelt_exponents(np.diag([0.0, 1e-9]))
+
+    def test_rank_inside_the_tolerance_band(self):
+        with pytest.raises(JordanChainError, match="rank decision ambiguous"):
+            compute_levelt_exponents(np.diag([0.0, 1e-12]))
+
+
+def _levelt_corpus():
+    """1,000 random residues with n from 1 to 5 at tol 1e-8, then 200 of
+    integer-shifted classes and Jordan blocks in a random basis at tol 1e-6."""
+    rng = np.random.default_rng(20)
+    for _ in range(1000):
+        n = int(rng.integers(1, 6))
+        yield rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1e-8
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        sigmas = rng.uniform(0, 1, 2) + 1j * rng.normal(size=2) * (rng.uniform() < 0.5)
+        diag, superdiag = [], []
+        while len(diag) < n:
+            size = min(int(rng.integers(1, 4)), n - len(diag))
+            diag += [sigmas[rng.integers(0, 2)] + int(rng.integers(-2, 3))] * size
+            superdiag += [1.0] * (size - 1) + [0.0]
+        G = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        yield G @ (np.diag(diag) + np.diag(superdiag[:-1], 1)) @ np.linalg.inv(G), 1e-6
+
+
+def test_one_pass_matches_the_two_step_extraction():
+    # wherever the Jordan form, then its regrouping into classes, returns,
+    # the one-pass extraction returns the same bits
+    returned = blocks = shifted = 0
+    for A, tol in _levelt_corpus():
+        try:
+            want = levelt_exponents_reference(A, tol)
+        except JordanChainError:
+            continue
+        got = compute_levelt_exponents(A, tol)
+        for name in ("d", "sigma", "N", "G", "J"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
+        assert got.blocks == want.blocks and got.residual == want.residual
+        returned += 1
+        blocks += bool(np.any(got.N))
+        shifted += len(set(got.d)) > 1
+    assert returned >= 1150 and blocks >= 100 and shifted >= 800
 
 
 class TestMonodromyExponential:

@@ -4,66 +4,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isomlab.errors import ResonanceError
-from isomlab.matrixcore import (
-    cluster_eigenvalues,
-    matrix_power,
-    similar_to_jordan,
-    solve_sylvester,
-)
+from isomlab.levelt import compute_levelt_exponents
+from isomlab.matrixcore import matrix_power, solve_sylvester
 from reference_solvers import solve_sylvester_lstsq
 
 
 class TestClusterEigenvalues:
+    """Eigenvalue clustering, seen through the diagonal of the Levelt J: one
+    value per cluster, its multiplicity the number of positions."""
+
     def test_near_degenerate_pair(self):
-        cl = cluster_eigenvalues(np.diag([1.0, 1.0 + 1e-12, 2.0]), tol=1e-8)
-        assert cl.multiplicities == (2, 1)
-        assert abs(cl.values[0] - 1.0) < 1e-9
-        assert abs(cl.values[1] - 2.0) < 1e-12
+        ld = compute_levelt_exponents(np.diag([1.0, 1.0 + 1e-12, 2.0]), tol=1e-8)
+        # one class, sigma near 0: the cluster at 2 (offset 2), then the pair at 1
+        assert list(ld.d) == [2, 1, 1]
+        assert abs(ld.sigma[0]) < 1e-9
+        assert abs(ld.J[1, 1] - 1.0) < 1e-9 and ld.J[1, 1] == ld.J[2, 2]
+        assert abs(ld.J[0, 0] - 2.0) < 1e-12
 
     def test_identity(self):
-        cl = cluster_eigenvalues(np.eye(3), tol=1e-3)
-        assert cl.multiplicities == (3,)
-        assert abs(cl.values[0] - 1.0) < 1e-12
+        ld = compute_levelt_exponents(np.eye(3), tol=1e-3)
+        assert list(ld.d) == [1, 1, 1]
+        assert np.allclose(ld.sigma, 0.0) and np.allclose(ld.N, 0.0)
 
     def test_nilpotent(self):
         # characteristic polynomial lambda^2 = 0 by hand expansion
-        cl = cluster_eigenvalues(np.array([[0, 1], [0, 0]]), tol=1e-8)
-        assert cl.multiplicities == (2,)
-        assert abs(cl.values[0]) < 1e-7
+        ld = compute_levelt_exponents(np.array([[0, 1], [0, 0]]), tol=1e-8)
+        assert len(ld.blocks) == 1 and ld.blocks[0][1] == (0, 1)
+        assert np.max(np.abs(np.diag(ld.J))) < 1e-7
 
     def test_count_nonincreasing_in_tol(self):
-        rng = np.random.default_rng(11)
-        A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        # gaps 1e-9, 1e-5 and 0.5 + an integer: each coarser tol chains one more
+        A = np.diag([0.0, 1e-9, 1e-5, 1.5])
         counts = [
-            cluster_eigenvalues(A, tol).count for tol in (1e-10, 1e-6, 1e-2, 1.0, 10.0)
+            len(set(np.diag(compute_levelt_exponents(A, tol).J))) for tol in (1e-12, 1e-7, 1e-3)
         ]
-        assert counts == sorted(counts, reverse=True)
+        assert counts == [4, 3, 2]
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            cluster_eigenvalues(np.ones((2, 3)), 1e-8)
+            compute_levelt_exponents(np.ones((2, 3)), 1e-8)
 
 
 class TestSimilarToJordan:
+    """The similarity G^-1 A G = J of the Levelt exponents, blocks in Levelt
+    order: classes by sigma, offsets descending, longest chains first."""
+
     def test_already_diagonal(self):
-        jd = similar_to_jordan(np.diag([2.0, 3.0]))
-        assert np.allclose(jd.J, np.diag([2.0, 3.0]))
-        assert jd.residual < 1e-12
+        ld = compute_levelt_exponents(np.diag([2.0, 3.0]))
+        assert np.allclose(ld.J, np.diag([3.0, 2.0]))
+        assert ld.residual < 1e-12
 
     def test_already_jordan_nilpotent(self):
         A = np.array([[0, 1], [0, 0]], dtype=complex)
-        jd = similar_to_jordan(A)
-        assert np.allclose(jd.J, A)
-        assert jd.blocks[0][1] == (2,)
+        ld = compute_levelt_exponents(A)
+        assert np.allclose(ld.J, A) and np.allclose(ld.N, A)
 
     def test_upper_triangular(self):
         A = np.array([[1, 1], [0, 2]], dtype=complex)
-        jd = similar_to_jordan(A)
-        assert np.allclose(jd.J, np.diag([1.0, 2.0]))
-        # eigenvector directions (1,0) and (1,1), up to scale
-        Ginv = np.linalg.inv(jd.G)
-        assert np.linalg.norm(Ginv @ A @ jd.G - jd.J) < 1e-12
-        v1, v2 = jd.G[:, 0], jd.G[:, 1]
+        ld = compute_levelt_exponents(A)
+        assert np.allclose(ld.J, np.diag([2.0, 1.0]))
+        # eigenvector directions (1,1) and (1,0), up to scale
+        Ginv = np.linalg.inv(ld.G)
+        assert np.linalg.norm(Ginv @ A @ ld.G - ld.J) < 1e-12
+        v2, v1 = ld.G[:, 0], ld.G[:, 1]
         assert abs(v1[1] / v1[0]) < 1e-12
         assert abs(v2[1] / v2[0] - 1.0) < 1e-12
 
@@ -71,9 +74,9 @@ class TestSimilarToJordan:
         rng = np.random.default_rng(5)
         for _ in range(20):
             A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            jd = similar_to_jordan(A, tol=1e-8)
+            ld = compute_levelt_exponents(A, tol=1e-8)
             scale = max(np.linalg.norm(A, 2), 1.0)
-            assert jd.residual <= 10 * 1e-8 * scale
+            assert ld.residual <= 10 * 1e-8 * scale
 
     def test_jordan_block_sizes_nonincreasing(self):
         # two blocks of sizes 2 and 1 for the same eigenvalue
@@ -82,12 +85,12 @@ class TestSimilarToJordan:
         rng = np.random.default_rng(3)
         G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         A = G @ J @ np.linalg.inv(G)
-        jd = similar_to_jordan(A, tol=1e-6)
-        assert jd.blocks[0][1] == (2, 1)
+        ld = compute_levelt_exponents(A, tol=1e-6)
+        assert np.array_equal(ld.N, J)
 
     def test_size_limit(self):
-        with pytest.raises(ValueError):
-            similar_to_jordan(np.eye(9))
+        with pytest.raises(ValueError, match="n <= 8"):
+            compute_levelt_exponents(np.eye(9))
 
 
 class TestSolveSylvester:

@@ -128,3 +128,85 @@ def test_reports_exactly_the_defaults_no_call_sets(tmp_path):
     assert unset_defaults(tmp_path / "pkg", tmp_path) == [
         "mod.C(z)", "mod.C.m(v)", "mod.C.s(t)", "mod.f(b)",
     ]
+
+
+def _getattr_readers(trees):
+    """Names of the functions that pass one of their parameters to getattr
+    as the attribute name; a string given to them names an attribute read."""
+    out = {"getattr"}
+    for tree in trees:
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args}
+            if any(isinstance(c, ast.Call) and _name(c) == "getattr" and len(c.args) > 1
+                   and isinstance(c.args[1], ast.Name) and c.args[1].id in params
+                   for c in ast.walk(fn)):
+                out.add(fn.name)
+    return out
+
+
+def unread_fields(package, *readers):
+    """'module.Class.name' of every field of a public dataclass and every
+    property of a public class under `package` that nothing in the `readers`
+    directories reads.  A read is an attribute load of that name, or a string
+    constant handed to getattr (directly or through a function that passes
+    its parameter on).  Definitions and constructor keywords are not reads;
+    like the calls above, reads are matched by name, not resolved."""
+    declared = []
+    for path, tree in _trees(package):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            if any(_name(d) == "dataclass" for d in cls.decorator_list):
+                declared += [(path.stem, cls.name, name) for name, _, _ in _fields(cls)]
+            declared += [(path.stem, cls.name, fn.name) for fn in cls.body
+                         if isinstance(fn, ast.FunctionDef)
+                         and any(_name(d) == "property" for d in fn.decorator_list)]
+    trees = [tree for _, tree in _trees(*readers)]
+    via_getattr = _getattr_readers(trees)
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and _name(node) in via_getattr:
+                read.update(a.value for a in node.args
+                            if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    return sorted(f"{mod}.{cls}.{name}" for mod, cls, name in declared if name not in read)
+
+
+def test_every_field_is_read():
+    assert unread_fields(ROOT / "src" / "isomlab", ROOT / "src", ROOT / "tests") == []
+
+
+def test_reports_exactly_the_fields_nothing_reads(tmp_path):
+    # an attribute load and a string handed on to getattr read a field;
+    # a store, a constructor keyword and a dict key do not
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int\n"
+        "    c: int\n"
+        "    d: int\n"
+        "    e: int\n"
+        "    @property\n"
+        "    def p(self): return 0\n"
+        "    @property\n"
+        "    def q(self): return 0\n"
+        "class _P:\n"
+        "    x: int\n"
+        "class Plain:\n"
+        "    y: int\n"
+    )
+    (tmp_path / "reads.py").write_text(
+        "def pick(obj, key): return getattr(obj, key)\n"
+        "obj = C(a=1, b=2, c=3, d=4, e=5)\n"
+        "obj.a\n"
+        "getattr(obj, 'b')\n"
+        "pick(obj, 'c')\n"
+        "obj.d = 0\n"
+        "{'e': obj.p}\n"
+    )
+    assert unread_fields(tmp_path / "pkg", tmp_path) == ["mod.C.d", "mod.C.e", "mod.C.q"]

@@ -23,17 +23,12 @@ from .formal import (
     IrregularSystem,
     check_resonances,
     compute_formal_coefficients,
-    eval_truncated_formal,
-    formal_monodromy,
-    optimal_truncation,
 )
 from .fuchsian import (
     FuchsianSystem,
     fuchs_monodromy,
     integrate_schlesinger,
     kv_family,
-    max_integer_spread,
-    pole_levelt,
     product_relation_residual,
     schlesinger_residual,
     schlesinger_rhs,
@@ -46,7 +41,6 @@ from .geometry import (
     epsilon_bound,
     is_admissible,
     same_cell,
-    sector_bounds,
     stokes_ray_directions,
 )
 from .isoflow import (
@@ -73,7 +67,6 @@ from .odeengine import (
     StokesConfig,
     StokesResult,
     actual_solution,
-    connection_matrix,
     integrate_path,
     monodromy_loop,
     stokes_matrix,

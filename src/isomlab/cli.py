@@ -9,7 +9,9 @@ precondition (the diagnostic is printed on stderr).
 Tolerances are flags with documented defaults, each offered only by the
 subcommands that read it: --tol 1e-10 (integration) and --mtol 1e-6 (matrix
 comparisons), both finite and positive, and --order 10 (series truncation;
-30 for stokes-matrix and verify-*).  Reports are deterministic for equal input.
+30 for stokes-matrix and verify-*), at least 0.  --tau must be finite.  All
+of these are checked before any file is read.  Reports are deterministic for
+equal input.
 """
 
 from __future__ import annotations
@@ -130,9 +132,6 @@ def cmd_cells(args) -> int:
 
 def cmd_levelt(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
-    if any(np.any(H) for H in sys_.higher):
-        raise IsomlabError("levelt does not support higher poles: z = 0 is then not a "
-                           "Fuchsian point")
     ld = compute_levelt_exponents(sys_.A, tol=args.mtol)
     ld = build_levelt_solution(sys_.A, [sys_.Lambda], ld=ld, K=max(args.order, 1))
     report = {
@@ -359,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tol": dict(type=float, default=1e-10, help="integration tolerance"),
         "mtol": dict(type=float, default=1e-6, help="matrix comparison tolerance"),
         "order": dict(type=int, default=10, help="series truncation order"),
+        "tau": dict(type=float, required=True, help="admissible direction"),
         "csv": dict(default=None, help="directory for CSV tables"),
     }
 
@@ -381,9 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_stokes_rays)
 
     sp = sub.add_parser("cells", help="wall membership / same-cell check")
-    common(sp, "mtol", "csv")
+    common(sp, "mtol", "csv", "tau")
     sp.add_argument("--path", default=None, help="optional u-path of points to classify")
-    sp.add_argument("--tau", type=float, required=True)
     sp.set_defaults(fn=cmd_cells)
 
     sp = sub.add_parser("levelt", help="Levelt exponents and solution")
@@ -391,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_levelt)
 
     sp = sub.add_parser("stokes-matrix", help="Stokes matrix S_r")
-    common(sp, "tol", "mtol", "order")
+    common(sp, "tol", "mtol", "order", "tau")
     sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--radius", type=float, default=20.0, help="seed radius")
     sp.set_defaults(fn=cmd_stokes_matrix, order=30)
 
@@ -415,15 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_kv_example)
 
     sp = sub.add_parser("verify-strong", help="essential-data constancy along a flow")
-    common(sp, "tol", "mtol", "order", path=True)
+    common(sp, "tol", "mtol", "order", "tau", path=True)
     sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--tau", type=float, required=True)
     sp.set_defaults(fn=cmd_verify_strong, order=30)
 
     sp = sub.add_parser("verify-coalescence", help="coalescence-limit pipeline")
-    common(sp, "tol", "order", "csv")
+    common(sp, "tol", "order", "csv", "tau")
     sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.set_defaults(fn=cmd_verify_coalescence, order=30)
 
@@ -443,6 +439,12 @@ def main(argv=None) -> int:
         if not (math.isfinite(value := getattr(args, flag, 1.0)) and value > 0):
             print(f"error: --{flag} must be finite and positive, got {value}", file=sys.stderr)
             return 1
+    if not math.isfinite(tau := getattr(args, "tau", 0.0)):
+        print(f"error: --tau must be finite, got {tau}", file=sys.stderr)
+        return 1
+    if getattr(args, "order", 0) < 0:
+        print(f"error: --order must be at least 0, got {args.order}", file=sys.stderr)
+        return 1
     try:
         return args.fn(args)
     except (IsomlabError, ValueError, OSError) as exc:

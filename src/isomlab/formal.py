@@ -2,17 +2,15 @@
 
 Provides the formal monodromy exponent B = diag(A), the coefficient
 recursions for F_1..F_K (generic, coalescence-aware and isomonodromic
-variants), resonance detection on the diagonal of A, and truncated
-evaluation with explicit arg-branch bookkeeping.
+variants), resonance detection on the diagonal of A, the optimal
+truncation of the series and the residual of its defining identity.
 
 The generic recursion comes from matching Laurent coefficients of
-d/dz Y = (Lambda + A/z + sum_j A_j z^-j) Y order by order:
+d/dz Y = (Lambda + A/z) Y order by order:
 
     (u_j - u_i)(F_k)_{ij} = (A_ii - A_jj + k - 1)(F_{k-1})_{ij}
-                            + sum_{p != i} A_ip (F_{k-1})_{pj}
-                            + sum_{m >= 2} (A_m F_{k-m})_{ij},
-    k (F_k)_{ii} = -sum_{p != i} A_ip (F_k)_{pi}
-                   - sum_{m >= 2} (A_m F_{k+1-m})_{ii}.
+                            + sum_{p != i} A_ip (F_{k-1})_{pj},
+    k (F_k)_{ii} = -sum_{p != i} A_ip (F_k)_{pi}.
 
 When u_i = u_j the left side degenerates; the entry (F_k)_{ij} is instead
 determined by the order-(k+1) relation, which is solvable exactly when
@@ -35,17 +33,15 @@ PATTERN_TOL = 1e-10  # |A_ij| at a coalesced pair that counts as zero
 
 @dataclass(frozen=True)
 class IrregularSystem:
-    """The data (Lambda, A, optional higher poles) of the linear system.
+    """The data (Lambda, A) of the linear system dY/dz = (Lambda + A/z) Y.
 
-    `u` holds the eigenvalues of Lambda = diag(u_1..u_n); `higher` holds the
-    coefficients A_2..A_p of additional poles at z = 0.  All entries must be
-    finite.  Distinctness of the u_i is *not* enforced here; operations that
-    need it check at call time.
+    `u` holds the eigenvalues of Lambda = diag(u_1..u_n).  All entries must
+    be finite.  Distinctness of the u_i is *not* enforced here; operations
+    that need it check at call time.
     """
 
     u: np.ndarray
     A: np.ndarray
-    higher: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex).reshape(-1)
@@ -54,13 +50,8 @@ class IrregularSystem:
         A = as_square(self.A)
         if A.shape[0] != len(u):
             raise ValueError(f"A is {A.shape} but u has length {len(u)}")
-        higher = tuple(as_square(H) for H in self.higher)
-        for H in higher:
-            if H.shape != A.shape:
-                raise ValueError("higher-pole coefficients must match A's shape")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "higher", higher)
 
     @property
     def n(self) -> int:
@@ -71,13 +62,8 @@ class IrregularSystem:
         return np.diag(self.u)
 
     def coefficient(self, z: complex) -> np.ndarray:
-        """Lambda + A/z + sum_m A_m z^-m."""
-        W = self.Lambda + self.A / z
-        zm = z
-        for H in self.higher:
-            zm *= z
-            W = W + H / zm
-        return W
+        """Lambda + A/z."""
+        return self.Lambda + self.A / z
 
 
 @dataclass(frozen=True)
@@ -95,11 +81,6 @@ class FormalSolution:
     @property
     def K(self) -> int:
         return len(self.F)
-
-
-def formal_monodromy(sys: IrregularSystem) -> np.ndarray:
-    """B(u) = diag(A_11, ..., A_nn) as a diagonal matrix."""
-    return np.diag(np.diag(sys.A))
 
 
 def check_resonances(A, tol: float = 1e-8) -> list[tuple[int, int, int]]:
@@ -123,19 +104,7 @@ def check_resonances(A, tol: float = 1e-8) -> list[tuple[int, int, int]]:
     return out
 
 
-def _higher_term(sys, F_all, order):
-    """sum_{m>=2} A_m F_{order-m} with F_0 = I, F_{<0} = 0."""
-    n = sys.n
-    out = np.zeros((n, n), dtype=complex)
-    for m, H in enumerate(sys.higher, start=2):
-        idx = order - m
-        if idx < 0:
-            continue
-        out += H @ (np.eye(n, dtype=complex) if idx == 0 else F_all[idx - 1])
-    return out
-
-
-def _coalesced_entries(sys, F_all, Fk, k, label):
+def _coalesced_entries(sys, Fk, k, label):
     """Fill entries of F_k for coalesced pairs from the order-(k+1) relation.
 
     For each column j and each coalescence group (indices sharing a `label`)
@@ -147,7 +116,6 @@ def _coalesced_entries(sys, F_all, Fk, k, label):
     A = sys.A
     n = sys.n
     d = np.diag(A)
-    hi = _higher_term(sys, F_all, k + 1)
     for j in range(n):
         rows = [i for i in range(n) if i != j and label[i] == label[j]]
         if not rows:
@@ -166,7 +134,7 @@ def _coalesced_entries(sys, F_all, Fk, k, label):
                     Mmat[a, rows.index(p)] += A[i, p]
                 else:
                     acc += A[i, p] * Fk[p, j]
-            rhs[a] = -(acc + hi[i, j])
+            rhs[a] = -acc
         try:
             x = np.linalg.solve(Mmat, rhs)
         except np.linalg.LinAlgError as exc:
@@ -197,15 +165,12 @@ def compute_formal_coefficients(
     from the z-side diagonal rule, which both sides share.  F_1 and the exact
     derivatives d_i F_l along the strong isomonodromy flow come from the
     generic recursion and its tangent (`_u_derivatives`).  The u-side
-    relation holds only for the simple-pole system at distinct u, so higher
-    poles and coalesced u raise ValueError.
+    relation holds only at distinct u, so coalesced u raise ValueError.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     if mode not in ("generic", "isomonodromic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "isomonodromic" and any(np.any(H != 0) for H in sys.higher):
-        raise ValueError("isomonodromic mode does not support higher poles")
 
     A = sys.A
     u = sys.u
@@ -245,7 +210,7 @@ def compute_formal_coefficients(
     gap = u[None, :] - u[:, None]  # u_j - u_i, numpy scalars
     off = np.argwhere(~coalesced & ~np.eye(n, dtype=bool)).tolist()
     pairs = [(i, j, gap[i, j]) for i, j in off]
-    zero, one = np.zeros((n, n), dtype=complex).tolist(), complex(1)
+    one = complex(1)
 
     def dot(M, i, j):  # sum_{p != i} A_ip M_pj
         acc = 0j
@@ -259,10 +224,9 @@ def compute_formal_coefficients(
     for k in range(1, K + 1):
         kc, kn = complex(k), np.complex128(k)
         if mode == "generic":
-            h = _higher_term(sys, F_all, k).tolist() if sys.higher else zero
             Fk = np.zeros((n, n), dtype=complex).tolist()
             for i, j, g in pairs:
-                Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j) + h[i][j]) / g)
+                Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
         else:
             Fk, Fprev = np.zeros((n, n), dtype=complex), np.array(P)
             for i in range(n):
@@ -274,12 +238,11 @@ def compute_formal_coefficients(
             Fk = Fk.tolist()
         if any_coalesced:
             Fk = np.array(Fk)
-            _coalesced_entries(sys, F_all, Fk, k, label)
+            _coalesced_entries(sys, Fk, k, label)
             Fk = Fk.tolist()
         # diagonal rule shared by both modes
-        h = _higher_term(sys, F_all + [np.array(Fk)], k + 1).tolist() if sys.higher else zero
         for i in range(n):
-            Fk[i][i] = complex(-(dot(Fk, i, i) + h[i][i]) / kn)
+            Fk[i][i] = complex(-dot(Fk, i, i) / kn)
         F_all.append(np.array(Fk))
         P = Fk
 
@@ -320,46 +283,12 @@ def _u_derivatives(sys, F):
     return dF
 
 
-def eval_series_factor(fs: FormalSolution, z: complex, K: int | None = None) -> np.ndarray:
-    """The truncated series factor I + sum_{k<=K} F_k z^-k alone."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    if K is None:
-        K = fs.K
-    elif K > fs.K:
-        raise ValueError(f"order {K} requested, but the formal series is built to order {fs.K}")
-    n = len(fs.b)
-    zk = np.cumprod(np.full(K, 1 / z))  # z^-1, ..., z^-K
-    return np.eye(n, dtype=complex) + (zk @ np.reshape(fs.F[:K], (K, n * n))).reshape(n, n)
-
-
-def eval_truncated_formal(
-    fs: FormalSolution, z: complex, arg_branch: float, K: int | None = None
-) -> np.ndarray:
-    """(I + sum_{k<=K} F_k z^-k) z^B e^{z Lambda} at a point of the cover.
-
-    z^B uses the supplied continuous argument; B and Lambda are diagonal so
-    the two exponential factors are evaluated entrywise.
-    """
-    F = eval_series_factor(fs, z, K)
-    w = np.log(abs(z)) + 1j * arg_branch
-    scale = np.exp(fs.b * w + complex(z) * fs.u)
-    return F * scale[None, :]
-
-
-def optimal_truncation(fs: FormalSolution, radius: float) -> tuple[int, float]:
-    """Index minimizing ||F_k|| R^-k and the value there (seed error bound).
-
-    Stops before the smallest-magnitude term of the divergent series; the
-    returned bound is the magnitude of the first omitted term.
-    """
-    return optimal_truncations([fs.F], radius)[0]
-
-
 def optimal_truncations(series, radius: float) -> list[tuple[int, float]]:
-    """optimal_truncation of each series, given as its F_1..F_K; the norms
-    of all of them come from one stacked SVD, so the series must share n."""
+    """For each series, given as its F_1..F_K, the index k minimizing
+    ||F_k|| R^-k and the value there (the seed error bound): the divergent
+    series stops before its smallest term, and the bound is the magnitude of
+    the first omitted term.  The norms of all series come from one stacked
+    SVD, so the series must share n."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     stacks = [np.asarray(F) for F in series]
@@ -380,7 +309,7 @@ def optimal_truncations(series, radius: float) -> list[tuple[int, float]]:
 def ode_laurent_residuals(sys: IrregularSystem, fs: FormalSolution) -> list[float]:
     """Norms of the Laurent coefficients of the defining-identity residual.
 
-    Substituting the truncated series into dY/dz = (Lambda + A/z + ...) Y and
+    Substituting the truncated series into dY/dz = (Lambda + A/z) Y and
     collecting powers z^-1..z^-K must give zero; entry k-1 of the returned
     list is the norm of the coefficient of z^-k, relative to ||A||.
     """
@@ -391,13 +320,12 @@ def ode_laurent_residuals(sys: IrregularSystem, fs: FormalSolution) -> list[floa
     out = []
     Fm = [np.eye(n, dtype=complex)] + list(fs.F)
     for k in range(1, fs.K + 1):
-        # [Lambda, F_k] + (k-1) F_{k-1} - F_{k-1} B + A F_{k-1} + higher = 0
+        # [Lambda, F_k] + (k-1) F_{k-1} - F_{k-1} B + A F_{k-1} = 0
         terms = [
             Lam @ Fm[k] - Fm[k] @ Lam,
             (k - 1) * Fm[k - 1],
             -Fm[k - 1] @ B,
             A @ Fm[k - 1],
-            _higher_term(sys, list(fs.F), k),
         ]
         resid = sum(terms)
         scale = max(max(np.linalg.norm(t, 2) for t in terms), 1.0)

@@ -8,10 +8,10 @@ velocities; it takes a system and returns it at the path's end, as
 `isoflow.integrate_flow` does.  `schlesinger_rhs` is the per-direction
 reference.  Also numeric monodromy with a deterministic loop basis
 (`monodromy_plan`, whose plans for several systems join into one engine
-batch), per-pole Levelt data in the local variable x = z - u_i, the
-finite-difference Schlesinger residual separating strong (Schlesinger) from
-weak (non-Schlesinger) families, and the explicit rational counterexample
-family with trivial monodromy but u-dependent connection matrix.
+batch), the finite-difference Schlesinger residual separating strong
+(Schlesinger) from weak (non-Schlesinger) families, and the explicit
+rational counterexample family with trivial monodromy but u-dependent
+connection matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrace.py rebinds it
 
 from .errors import WallError
-from .levelt import LeveltData, build_levelt_solution, compute_levelt_exponents
 from .matrixcore import as_square
 from .isoflow import FlowTrace, UPath, _difference_quotients, _integrate
 from .odeengine import Leg, Plan, fuchsian_ode, run_plan
@@ -233,23 +232,6 @@ def product_relation_residual(mons) -> float:
     return float(np.max(np.abs(prod - np.eye(len(prod)))))
 
 
-def pole_levelt(sys: FuchsianSystem, i: int, K: int = 20) -> LeveltData:
-    """Levelt data of the system at pole i, in the local variable x = z - u_i.
-
-    The holomorphic part has Taylor coefficients
-    C_m = -sum_{j != i} A_j/(u_j - u_i)^{m+1}.
-    """
-    if not 0 <= i < sys.N:
-        raise ValueError("pole index out of range")
-    Ai = sys.residues[i]
-    hol = np.zeros((K, sys.n, sys.n), dtype=complex)
-    powers = np.arange(1, K + 1)[:, None, None]
-    for j in range(sys.N):
-        if j != i:
-            hol -= sys.residues[j] / (sys.poles[j] - sys.poles[i]) ** powers
-    return build_levelt_solution(Ai, hol, K=K)
-
-
 def schlesinger_residual(family, u, h: float = 1e-5, moving=None) -> float:
     """Finite-difference Schlesinger defect of a residue family A_i(u).
 
@@ -279,20 +261,6 @@ def schlesinger_residual(family, u, h: float = 1e-5, moving=None) -> float:
             fd = (Ap[i] - Am[i]) / (2 * h)
             worst = max(worst, float(np.linalg.norm(fd - rhs[i, j], 2)))
     return worst
-
-
-def max_integer_spread(A) -> int:
-    """Largest integer offset spread within one mod-1 eigenvalue class of A.
-
-    This is the pole order bound m_i in the non-Schlesinger form of the
-    isomonodromy 1-form; 0 for non-resonant matrices.
-    """
-    ld = compute_levelt_exponents(as_square(A))
-    best = 0
-    for _, _, offsets in ld.blocks:
-        if offsets:
-            best = max(best, max(offsets) - min(offsets))
-    return best
 
 
 @dataclass(frozen=True)

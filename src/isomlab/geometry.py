@@ -268,11 +268,6 @@ def sector_frames(us, tau: float, rs, uC=None) -> list[tuple[SectorFrame, ...]]:
     return out
 
 
-def sector_bounds(u, tau: float, r: int, uC=None) -> SectorFrame:
-    """The frame of the one sector r of u (see sector_frames)."""
-    return sector_frames([u], tau, (r,), uC=uC)[0][0]
-
-
 @dataclass(frozen=True)
 class CellReport:
     """Wall membership of a point u for the direction tau."""

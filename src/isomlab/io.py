@@ -4,9 +4,10 @@ Complex numbers are always two-element [re, im] arrays, never strings, and
 matrices are nested lists of such pairs; double precision round-trips
 losslessly through repr-based JSON floats.
 
-System files carry either the irregular data (u, A, optional higher pole
-coefficients) or a "fuchsian" block (poles, residues), or both.  Path files
-carry u-space waypoints.
+System files carry either the irregular data (u, A) or a "fuchsian" block
+(poles, residues), or both.  An irregular system is dY/dz = (Lambda + A/z) Y:
+a "higher" block of pole coefficients A_2, A_3, ... is read only when every
+entry is zero, and refused otherwise.  Path files carry u-space waypoints.
 """
 
 from __future__ import annotations
@@ -92,8 +93,13 @@ def load_system(path) -> dict:
             raise InputFormatError(f"n = {n} disagrees with len(u) = {len(u)}")
         if A.shape != (len(u), len(u)):
             raise InputFormatError(f"A has shape {A.shape}, expected {(len(u),) * 2}")
-        higher = cmats_from_json(doc.get("higher", []), "higher")
-        out["irregular"] = IrregularSystem(u=u, A=A, higher=higher)
+        for k, H in enumerate(cmats_from_json(doc.get("higher", []), "higher")):
+            if H.shape != A.shape:
+                raise InputFormatError(f"higher[{k}] has shape {H.shape}, expected {A.shape}")
+            if np.any(H):
+                raise InputFormatError(f"higher[{k}] is nonzero: isomlab does not support "
+                                       "higher poles, only dY/dz = (Lambda + A/z) Y")
+        out["irregular"] = IrregularSystem(u=u, A=A)
     if "fuchsian" in doc:
         blk = doc["fuchsian"]
         if not isinstance(blk, dict) or "poles" not in blk or "residues" not in blk:

@@ -363,10 +363,8 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
     return np.concatenate(ts), np.concatenate(us), np.concatenate(ys)
 
 
-def _check_flowable(sys: IrregularSystem, gauge: DiagonalGauge | None, what: str):
-    """Refuses nonzero higher poles, which no flow carries, and a misfit gauge."""
-    if any(np.any(H) for H in sys.higher):
-        raise ValueError(f"{what} does not support higher poles")
+def _check_gauge(sys: IrregularSystem, gauge: DiagonalGauge | None):
+    """Refuses a gauge of another dimension than the system's."""
     if gauge is not None and gauge.n != sys.n:
         raise ValueError(f"gauge dimension {gauge.n} disagrees with the system's {sys.n}")
 
@@ -395,7 +393,7 @@ def integrate_flow(
     Paths whose exact minimal pair gap falls below `guard` (default 1e-6
     times the u scale) are refused with a WallError naming the pairs.
     """
-    _check_flowable(sys, gauge, "the isomonodromy flow")
+    _check_gauge(sys, gauge)
     n = sys.n
     blocks = [sys.A]  # A, then the carried G and Y
     if carry_gauge is not None:
@@ -444,7 +442,7 @@ def integrability_residual(sys: IrregularSystem, gauge: DiagonalGauge | None = N
     plus translation invariance), so sensitivity checks need n >= 3.  `gauge`
     is the weak flow's, as in `integrate_flow`.
     """
-    _check_flowable(sys, gauge, "the integrability residual")
+    _check_gauge(sys, gauge)
     n, u, A = sys.n, sys.u, sys.A
     W = [omega_zero_part(A, u, j, None if gauge is None else gauge.partial(u, j))
          for j in range(n)]
@@ -490,19 +488,6 @@ def vanishing_order_check(gaps, magnitudes, pair=(0, 1), slope_threshold: float 
         passed = not mask.any() or bool(mask[np.argmax(g)])
         slope = math.inf if passed else -math.inf
     return VanishingFit(slope=slope, pair=tuple(pair), passed=passed, gaps=g, magnitudes=m)
-
-
-def vanishing_from_trace(trace: FlowTrace, pair: tuple[int, int]) -> VanishingFit:
-    """Vanishing-order fit taken directly off a flow trace.
-
-    Uses the sampled gaps |u_i - u_j| and entry magnitudes |A_ij| of the
-    trace; the trace should approach the coalescence locus monotonically in
-    the fitted pair.
-    """
-    i, j = pair
-    gaps = np.abs(trace.u[:, i] - trace.u[:, j])
-    mags = np.abs(trace.A[:, i, j])
-    return vanishing_order_check(gaps, mags, pair=pair)
 
 
 @dataclass(frozen=True)

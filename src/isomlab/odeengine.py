@@ -59,8 +59,8 @@ Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
 function that assembles it from their end values, and run all of them in
 one batch.  `sector_plan` plans a list of `SectorRequest`s (a sectorial
 solution Y_r, a Stokes matrix S_r or a connection matrix C_r of some system
-and series) under one `StokesConfig`; `actual_solution`, `stokes_matrix` and
-`connection_matrix` run it on one request, `collect_data` and
+and series) under one `StokesConfig`; `actual_solution` and `stokes_matrix`
+run it on one request, `collect_data` and
 `verify_coalescence` on all of theirs, and `fuchsian.monodromy_plan` is the
 plan of `fuchs_monodromy`.  The requests of one plan share one
 `SectorTable`: the frames of every (system, sector) pair from one ray
@@ -231,19 +231,10 @@ def _shift_tables(m: int):
 
 
 def irregular_ode(sys: IrregularSystem, shift: complex = 0.0) -> LinearODE:
-    """z^p Y' = (z^p (Lambda - shift) + z^{p-1} A + sum_m z^{p-m} A_m) Y,
-    p = 1 + number of higher poles: the system in the scalar gauge
+    """z Y' = (z (Lambda - shift) + A) Y: the system in the scalar gauge
     y e^{-shift z}."""
-    p = 1 + len(sys.higher)
-    n = sys.n
-    Q = np.zeros((p + 1, n, n), dtype=complex)
-    Q[p] = np.diag(sys.u) - shift * np.eye(n, dtype=complex)
-    Q[p - 1] = sys.A
-    for m, H in enumerate(sys.higher, start=2):
-        Q[p - m] += H
-    P = np.zeros(p + 1, dtype=complex)
-    P[p] = 1.0
-    return LinearODE(center=0j, P=P, Q=Q, roots=np.zeros(p, dtype=complex))
+    Q = np.array([sys.A, np.diag(sys.u) - shift * np.eye(sys.n, dtype=complex)])
+    return LinearODE(center=0j, P=np.array([0j, 1]), Q=Q, roots=np.zeros(1, dtype=complex))
 
 
 def fuchsian_ode(poles, residues) -> LinearODE:
@@ -564,7 +555,7 @@ def integrate_path(
         z = leg.b
     end = PathPoint(z, arg)
     Y = transport_matrix(irregular_ode(sys), start.value, legs, tol=tol)
-    # Wronskian: d log det Y = (tr Lambda + tr A / z + sum_m tr A_m z^-m) dz
+    # Wronskian: d log det Y = (tr Lambda + tr A / z) dz
     trL = np.trace(sys.Lambda)
     trA = np.trace(sys.A)
     w0 = np.log(abs(s.z)) + 1j * s.arg
@@ -572,8 +563,6 @@ def integrate_path(
     sg0, ld0 = np.linalg.slogdet(start.value)
     sg1, ld1 = np.linalg.slogdet(Y)
     predicted = ld0 + np.log(sg0) + trL * (end.z - s.z) + trA * (w1 - w0)
-    for m, H in enumerate(sys.higher, start=2):
-        predicted += np.trace(H) * (end.z ** (1 - m) - s.z ** (1 - m)) / (1 - m)
     actual = ld1 + np.log(sg1)
     drift = abs(np.exp(actual - predicted) - 1.0)
     return replace(
@@ -611,9 +600,11 @@ class SectorRequest:
     """One result of a sector plan, for `sys` seeded with the series `fs`:
     the Stokes matrix S_r (kind "stokes"), the sectorial solution Y_r at
     `zstar` ("sectorial"; z* defaults to the sector midpoint at the seed
-    radius) or the connection matrix C_r against the Levelt solution `ld`
-    ("connection"; z* defaults to the sector midpoint at half the seed
-    radius, and `sys` may have no nonzero higher poles)."""
+    radius) or the connection matrix C_r with Y_r = Y^(0) C_r against the
+    Levelt solution `ld` ("connection"; z* defaults to the sector midpoint
+    at half the seed radius; Y^(0) is evaluated at small radius on the
+    branch of z* and carried out radially, so both factors share their arg
+    bookkeeping)."""
 
     sys: IrregularSystem
     r: int
@@ -627,9 +618,6 @@ class SectorRequest:
             raise ValueError(f"unknown sector request kind {self.kind!r}")
         if (self.kind == "connection") != (self.ld is not None):
             raise ValueError("a connection request, and only one, needs its Levelt data")
-        if self.kind == "connection" and any(np.any(H) for H in self.sys.higher):
-            raise ValueError("a connection request does not support higher poles: "
-                             "z = 0 is then not a Fuchsian point")
 
     @property
     def sectors(self) -> tuple[int, ...]:
@@ -1000,23 +988,6 @@ def levelt_handle(sys: IrregularSystem, ld: LeveltData, arg: float,
     pt = PathPoint.from_polar(radius, arg)
     Y0 = eval_levelt(ld, pt.z, pt.arg)
     return SolutionHandle(system=sys, point=pt, value=Y0)
-
-
-def connection_matrix(sys: IrregularSystem, r: int, ld: LeveltData, cfg: StokesConfig,
-                      fs: FormalSolution | None = None,
-                      zstar: PathPoint | None = None) -> np.ndarray:
-    """C_r with Y_r = Y^{(0)} C_r, matched at a common point of the cover
-    (default: the sector midpoint at half the seed radius).
-
-    The Levelt solution is evaluated at small radius on the branch of z* and
-    transported outward radially; both factors therefore carry the same arg
-    bookkeeping and the quotient is branch-consistent.  Without `fs` the
-    series is computed to cfg.order.
-    """
-    if fs is None:
-        fs = compute_formal_coefficients(sys, K=cfg.order)
-    request = SectorRequest(sys, r, fs, "connection", zstar, ld)
-    return run_plan(sector_plan(cfg, [request]), cfg.tol)[0]
 
 
 def monodromy_loop(

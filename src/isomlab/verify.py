@@ -9,7 +9,7 @@ Coalescence runs probe the limit u -> u^C for a residue matrix carrying the
 required zero pattern on coalescing pairs.  For each gap in a geometric
 schedule, the strong flow is integrated outward from an initialization point
 at a fraction of that gap (where the family's value is the frozen matrix up
-to higher order), and Stokes data are extracted in the widened sector frame
+to O(gap)), and Stokes data are extracted in the widened sector frame
 anchored at u^C.  The coalescing-pair entries then decay linearly in the
 gap, and the full matrices converge to the data of the frozen system, which
 are computed directly from the coalescence-aware recursion.
@@ -42,7 +42,7 @@ from .isoflow import (
     DiagonalGauge,
     UPath,
     VanishingFit,
-    _check_flowable,
+    _check_gauge,
     integrate_flow,
     vanishing_order_check,
 )
@@ -91,14 +91,13 @@ def collect_data(
     radius, and at the first sample also the extras S_{r+2} and C_{r+1} of
     stokes_relation_check (None at the others).
 
-    The first sample must be sys.u; nonzero higher poles, which the flow
-    cannot carry, are refused.  The samples must lie in one tau-cell (checked
-    pointwise for wall membership); the Levelt gauge is computed once at
-    the first sample and transported along the flow, which is what makes
-    C_r comparable across samples (per-sample re-diagonalization would
-    scramble the eigenvector normalization).
+    The first sample must be sys.u.  The samples must lie in one tau-cell
+    (checked pointwise for wall membership); the Levelt gauge is computed
+    once at the first sample and transported along the flow, which is what
+    makes C_r comparable across samples (per-sample re-diagonalization
+    would scramble the eigenvector normalization).
     """
-    _check_flowable(sys, gauge, "data collection along the flow")
+    _check_gauge(sys, gauge)
     sample_pts = [np.asarray(s, dtype=complex).reshape(-1) for s in samples]
     if np.linalg.norm(sample_pts[0] - sys.u) > 1e-12:
         raise ValueError(f"first sample {sample_pts[0]} is not the system's u {sys.u}")

@@ -124,7 +124,7 @@ def schedule_reference(ode, legs, job):
 
 
 def sector_bounds_reference(u, tau, r, uC=None):
-    """geometry.sector_bounds as one frame at a time: the rays of u found
+    """geometry.sector_frames as one frame at a time: the rays of u found
     anew for every sector, widened at uC when it is given."""
     import math
 
@@ -294,11 +294,23 @@ def optimal_truncation_reference(F, radius):
     return k + 1, float(terms[k])
 
 
+def truncated_formal(fs, z, arg_branch, K):
+    """(I + sum_{k<=K} F_k z^-k) z^B e^{z Lambda} at a point of the cover:
+    the truncated formal solution, with z^B on the given continuous
+    argument; B and Lambda are diagonal, so the exponential factors are
+    entrywise."""
+    n = len(fs.b)
+    F = np.eye(n, dtype=complex) + sum(
+        (fs.F[k - 1] * complex(z) ** -k for k in range(1, K + 1)), np.zeros((n, n)))
+    w = np.log(abs(z)) + 1j * arg_branch
+    return F * np.exp(fs.b * w + complex(z) * fs.u)[None, :]
+
+
 def formal_coefficients_reference(sys, K: int, mode: str = "generic", coalesce_tol: float = 0.0):
     """F_1..F_K of `compute_formal_coefficients` (its checks left out) by the
     recursion on numpy complex scalars, entry by entry; the library runs it on
     Python scalars and must reproduce every F_k bit for bit."""
-    from isomlab.formal import _coalesced_entries, _higher_term, _omega, _u_derivatives
+    from isomlab.formal import _coalesced_entries, _omega, _u_derivatives
     from isomlab.geometry import coalescence_labels
 
     A, u, n = sys.A, sys.u, sys.n
@@ -312,7 +324,6 @@ def formal_coefficients_reference(sys, K: int, mode: str = "generic", coalesce_t
     for k in range(1, K + 1):
         Fk = np.zeros((n, n), dtype=complex)
         Fprev = F_all[k - 2] if k >= 2 else np.eye(n, dtype=complex)
-        hi = _higher_term(sys, F_all, k)
         if mode == "generic":
             for i in range(n):
                 for j in range(n):
@@ -320,7 +331,6 @@ def formal_coefficients_reference(sys, K: int, mode: str = "generic", coalesce_t
                         continue
                     num = (d[i] - d[j] + k - 1) * Fprev[i, j]
                     num += sum(A[i, p] * Fprev[p, j] for p in range(n) if p != i)
-                    num += hi[i, j]
                     Fk[i, j] = num / (u[j] - u[i])
         else:
             for i in range(n):
@@ -328,11 +338,10 @@ def formal_coefficients_reference(sys, K: int, mode: str = "generic", coalesce_t
                 Fk[:, i] = Rhs[:, i]
                 Fk[i, :] = -Rhs[i, :]
         if coalesced.any():
-            _coalesced_entries(sys, F_all, Fk, k, label)
-        hi_diag = _higher_term(sys, F_all + [Fk], k + 1)
+            _coalesced_entries(sys, Fk, k, label)
         for i in range(n):
-            acc = sum(A[i, p] * Fk[p, i] for p in range(n) if p != i)
-            Fk[i, i] = -(acc + hi_diag[i, i]) / k
+            acc = sum((A[i, p] * Fk[p, i] for p in range(n) if p != i), 0j)
+            Fk[i, i] = -acc / k
         F_all.append(Fk)
     return F_all
 

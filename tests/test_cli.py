@@ -107,8 +107,9 @@ class TestFormalCommand:
         )
         code, out, err = run(capsys, ["formal", "--system", f, "--mode", "isomonodromic"])
         assert code == 1 and out == ""
-        assert "higher poles" in err
-        assert run(capsys, ["formal", "--system", f])[0] == 0
+        assert "does not support higher poles" in err
+        # as does the generic mode: the system file is refused when read
+        assert run(capsys, ["formal", "--system", f])[:2] == (1, "")
 
     def test_deterministic_output(self, capsys, generic_system_file):
         _, out1, _ = run(capsys, ["formal", "--system", generic_system_file])
@@ -401,16 +402,16 @@ class TestParser:
         reads = {
             "formal": {"mtol", "order"},
             "stokes-rays": {"csv"},
-            "cells": {"mtol", "csv"},
+            "cells": {"mtol", "csv", "tau"},
             "levelt": {"mtol", "order"},
-            "stokes-matrix": {"tol", "mtol", "order"},
+            "stokes-matrix": {"tol", "mtol", "order", "tau"},
             "flow": {"tol", "mtol"},
             "schlesinger": {"tol", "mtol"},
             "kv-example": {"tol"},
-            "verify-strong": {"tol", "mtol", "order"},
-            "verify-coalescence": {"tol", "order", "csv"},
+            "verify-strong": {"tol", "mtol", "order", "tau"},
+            "verify-coalescence": {"tol", "order", "csv", "tau"},
         }
-        shared = {"tol", "mtol", "order", "csv"}
+        shared = {"tol", "mtol", "order", "csv", "tau"}
         subcommands = _subcommands()
         assert set(subcommands) == set(reads)
         for name, sp in subcommands.items():
@@ -549,14 +550,14 @@ class TestErrorHandling:
             assert "does not support higher poles" in err
 
     def test_levelt_refuses_higher_poles(self, capsys, tmp_path):
-        # the Levelt data come from Lambda and A alone; with a higher-pole
-        # block they would be those of another system
+        # the Levelt data come from Lambda and A alone; with a nonzero
+        # higher-pole block they would be those of another system
         doc = {"u": [[0.0, 0.0], [1.0, 0.0]],
                "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]],
                "higher": [[[[0.1, 0.0], [0.3, 0.0]], [[-0.2, 0.0], [0.05, 0.0]]]]}
         code, out, err = run(capsys, ["levelt", "--system", write_json(tmp_path / "h.json", doc)])
         assert code == 1 and out == ""
-        assert "levelt does not support higher poles" in err
+        assert "does not support higher poles" in err
         doc["higher"] = [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
         assert run(capsys, ["levelt", "--system", write_json(tmp_path / "z.json", doc)])[0] == 0
 
@@ -593,6 +594,67 @@ class TestErrorHandling:
         code, out, err = run(capsys, argv + [f"--{flag}", value])
         assert code == 1 and out == ""
         assert err == f"error: --{flag} must be finite and positive, got {float(value)}\n"
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (name, flag, value) for name, sp in _subcommands().items()
+        for flag, values in (("tau", ("nan", "inf", "-inf")), ("order", ("-1", "-3")))
+        if flag in {a.dest for a in sp._actions} for value in values
+    ])
+    def test_bad_tau_and_order_refused(self, capsys, tmp_path, command, flag, value):
+        # a non-finite tau and a negative order are input errors too, refused
+        # before the files named are read
+        missing = str(tmp_path / "missing.json")
+        argv = [command]
+        for a in _subcommands()[command]._actions:
+            if a.required and a.dest != flag:
+                argv += [a.option_strings[0], {"tau": "0.3", "eps": "0.1"}.get(a.dest, missing)]
+        code, out, err = run(capsys, argv + [f"--{flag}={value}"])
+        assert code == 1 and out == ""
+        assert err == ("error: --tau must be finite, got " + repr(float(value)) if flag == "tau"
+                       else f"error: --order must be at least 0, got {value}") + "\n"
+
+    @pytest.mark.parametrize("command", [
+        name for name, sp in _subcommands().items() if "system" in {a.dest for a in sp._actions}
+    ])
+    def test_higher_block_refused_unless_zero(self, capsys, tmp_path, command):
+        # the system is dY/dz = (Lambda + A/z) Y: every subcommand refuses a
+        # nonzero higher-pole block as an input error, and reads an all-zero
+        # one as the file without it, byte for byte
+        if command == "verify-coalescence":
+            doc = {"u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                   "A": [[[0.1, 0.0], [0.0, 0.0], [0.06, 0.0]],
+                         [[0.0, 0.0], [0.1, 0.0], [0.09, 0.0]],
+                         [[0.075, 0.0], [-0.05, 0.0], [0.45, 0.0]]]}
+        else:
+            R = [[[0.1, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.2, 0.0]]]
+            doc = {"u": [[0.0, 0.0], [1.0, 0.0]],
+                   "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]],
+                   "fuchsian": {"poles": [[0.0, 0.0], [1.0, 0.0]],
+                                "residues": [R, [[[-x, -y] for x, y in row] for row in R]]}}
+        path_file = write_json(tmp_path / "path.json",
+                               {"waypoints": [[[0.0, 0.0], [1.0, 0.0]], [[0.3, 0.2], [1.2, 0.0]]]})
+        flags = {"cells": ["--tau", "0.3", "--path", path_file], "stokes-matrix": ["--tau", "0.3"],
+                 "flow": ["--path", path_file], "schlesinger": ["--path", path_file],
+                 "verify-strong": ["--path", path_file, "--tau", "0.3"],
+                 "verify-coalescence": ["--tau", "0.3", "--eps", "0.1"]}.get(command, [])
+        n = len(doc["u"])
+
+        def call(name, higher=None):
+            if higher is not None:
+                doc["higher"] = higher
+            return run(capsys, [command, "--system", write_json(tmp_path / name, doc), *flags])
+
+        plain = call("plain.json")
+        assert plain[0] in (0, 2)
+        zero = [[[0.0, 0.0]] * n for _ in range(n)]
+        assert call("zero.json", [zero, zero]) == plain
+        nonzero = [[[0.0, 0.0]] * n for _ in range(n)]
+        nonzero[n - 1] = [[0.0, 0.0]] * (n - 1) + [[0.1, 0.0]]
+        assert call("nonzero.json", [zero, nonzero]) == (
+            1, "", "error: higher[1] is nonzero: isomlab does not support higher poles, "
+                   "only dY/dz = (Lambda + A/z) Y\n")
+        assert call("shape.json", [[[[0.0, 0.0]]]]) == (
+            1, "", f"error: higher[0] has shape (1, 1), expected ({n}, {n})\n")
 
 
 def test_schlesinger_monodromy_regression(tmp_path, capsys):

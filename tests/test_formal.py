@@ -6,13 +6,10 @@ from isomlab.formal import (
     IrregularSystem,
     check_resonances,
     compute_formal_coefficients,
-    eval_truncated_formal,
-    eval_series_factor,
-    formal_monodromy,
     ode_laurent_residuals,
-    optimal_truncation,
+    optimal_truncations,
 )
-from reference_solvers import formal_coefficients_reference
+from reference_solvers import formal_coefficients_reference, truncated_formal
 
 # criterion 7's A0: its exact zeros make signed zeros in the recursion
 CRIT7_A0 = np.array(
@@ -31,17 +28,20 @@ def random_system(rng, n, min_gap=0.6):
 
 
 class TestFormalMonodromy:
+    """The exponent B = diag(A) of the formal monodromy, as the series
+    carries it."""
+
     def test_offdiagonal(self):
         sys = IrregularSystem(u=[0, 1], A=[[0, 1], [1, 0]])
-        assert np.allclose(formal_monodromy(sys), np.zeros((2, 2)))
+        assert np.array_equal(compute_formal_coefficients(sys, K=1).b, [0.0, 0.0])
 
     def test_diagonal(self):
         sys = IrregularSystem(u=[0, 1], A=np.diag([1.5, 0.5]))
-        assert np.allclose(formal_monodromy(sys), np.diag([1.5, 0.5]))
+        assert np.array_equal(compute_formal_coefficients(sys, K=1).b, [1.5, 0.5])
 
     def test_generic(self):
         sys = IrregularSystem(u=[0, 1], A=[[1, 2], [3, 4]])
-        assert np.allclose(formal_monodromy(sys), np.diag([1.0, 4.0]))
+        assert np.array_equal(compute_formal_coefficients(sys, K=1).b, [1.0, 4.0])
 
 
 class TestGenericRecursion:
@@ -81,18 +81,6 @@ class TestGenericRecursion:
         rng = np.random.default_rng(1)
         for _ in range(10):
             sys = random_system(rng, 3)
-            fs = compute_formal_coefficients(sys, K=8)
-            assert max(ode_laurent_residuals(sys, fs)) < 1e-10
-
-    def test_defining_identity_with_higher_poles(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            sys0 = random_system(rng, 3)
-            higher = tuple(
-                rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-                for _ in range(2)
-            )
-            sys = IrregularSystem(u=sys0.u, A=sys0.A, higher=higher)
             fs = compute_formal_coefficients(sys, K=8)
             assert max(ode_laurent_residuals(sys, fs)) < 1e-10
 
@@ -146,12 +134,6 @@ class TestBitIdentity:
         for A in (CRIT7_A0, -CRIT7_A0):
             self.assert_same_bytes(IrregularSystem(u=[0.0, 0.5, 1.0], A=A), 30)
 
-    def test_higher_pole(self):
-        rng = np.random.default_rng(17)
-        sys = random_system(rng, 3)
-        H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        self.assert_same_bytes(IrregularSystem(u=sys.u, A=sys.A, higher=(H,)), 20)
-
     @pytest.mark.parametrize("u, coalesce_tol", [([0.0, 0.0, 1.0], 1e-9),
                                                  ([0.0, 1e-3, 1.0], 1e-2)])
     def test_coalesced_system(self, u, coalesce_tol):
@@ -178,28 +160,25 @@ class TestCheckResonances:
 
 
 class TestEvaluation:
+    """The truncated formal solution, evaluated by the test oracle
+    `truncated_formal`, against the series and the transport engine."""
+
     def test_truncation_zero_is_exponential_factor(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=[[0.5, 1.0], [1.0, 0.25]])
         fs = compute_formal_coefficients(sys, K=4)
         z, arg = 2.0 + 1.0j, np.angle(2.0 + 1.0j)
-        got = eval_truncated_formal(fs, z, arg, K=0)
+        got = truncated_formal(fs, z, arg, K=0)
         w = np.log(abs(z)) + 1j * arg
         expect = np.diag(np.exp(np.diag(sys.A) * w + z * sys.u))
         assert np.allclose(got, expect)
-
-    def test_order_above_the_built_one_refused(self):
-        sys = IrregularSystem(u=[0.0, 1.0], A=[[0.5, 1.0], [1.0, 0.25]])
-        fs = compute_formal_coefficients(sys, K=4)
-        with pytest.raises(ValueError, match="order 5 .* order 4"):
-            eval_series_factor(fs, 2.0, K=5)
 
     def test_diagonal_system_exact_for_all_orders(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, 0.25]))
         fs = compute_formal_coefficients(sys, K=6)
         z, arg = -1.0 + 0.4j, np.angle(-1.0 + 0.4j)
         assert np.allclose(
-            eval_truncated_formal(fs, z, arg, K=6),
-            eval_truncated_formal(fs, z, arg, K=0),
+            truncated_formal(fs, z, arg, K=6),
+            truncated_formal(fs, z, arg, K=0),
         )
 
     def test_optimal_truncation_matches_term_scan(self):
@@ -215,7 +194,7 @@ class TestEvaluation:
                     t = float(np.linalg.norm(fs.F[k - 1], 2)) * radius ** (-k)
                     if t < best:
                         best_k, best = k, t
-                assert optimal_truncation(fs, radius) == (best_k, best)
+                assert optimal_truncations([fs.F], radius) == [(best_k, best)]
 
     def test_matches_ode_solution_within_optimal_truncation(self):
         # cross-validation against transport seeded much farther out
@@ -227,16 +206,16 @@ class TestEvaluation:
         fs = compute_formal_coefficients(sys, K=40)
         theta = 0.3 - 1.5 * np.pi  # interior direction of S_0
         far = PathPoint.from_polar(34.0, theta)
-        k_far, _ = optimal_truncation(fs, 34.0)
+        (k_far, _), = optimal_truncations([fs.F], 34.0)
         handle = SolutionHandle(
             system=sys,
             point=far,
-            value=eval_truncated_formal(fs, far.z, far.arg, K=k_far),
+            value=truncated_formal(fs, far.z, far.arg, K=k_far),
         )
         near = PathPoint.from_polar(10.0, theta)
         transported = integrate_path(sys, handle, [Leg(far.z, near.z)], tol=1e-12)
-        k10, bound10 = optimal_truncation(fs, 10.0)
-        direct = eval_truncated_formal(fs, near.z, near.arg, K=k10)
+        (k10, bound10), = optimal_truncations([fs.F], 10.0)
+        direct = truncated_formal(fs, near.z, near.arg, K=k10)
         scale = np.abs(transported.value).max()
         assert np.max(np.abs(direct - transported.value)) <= 5 * bound10 * scale
 
@@ -253,10 +232,10 @@ class TestEvaluation:
         handle = SolutionHandle(
             system=sys,
             point=a,
-            value=eval_truncated_formal(fs, a.z, a.arg, K=1),
+            value=truncated_formal(fs, a.z, a.arg, K=1),
         )
         got = integrate_path(sys, handle, [Leg(a.z, a.z / 2)], tol=1e-12)
-        expect = eval_truncated_formal(fs, got.point.z, got.point.arg, K=1)
+        expect = truncated_formal(fs, got.point.z, got.point.arg, K=1)
         scale = np.abs(expect).max()
         assert np.max(np.abs(got.value - expect)) < 1e-9 * scale
 
@@ -265,8 +244,8 @@ class TestEvaluation:
             u=[0.0, 1.0], A=np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         )
         fs = compute_formal_coefficients(sys, K=40)
-        k1, b1 = optimal_truncation(fs, 10.0)
-        k2, b2 = optimal_truncation(fs, 20.0)
+        (k1, b1), = optimal_truncations([fs.F], 10.0)
+        (k2, b2), = optimal_truncations([fs.F], 20.0)
         assert k2 >= k1
         assert b2 < b1
 
@@ -281,19 +260,6 @@ class TestIsomonodromicMode:
             assert fs_iso.mode == "isomonodromic"
             for Fi, Fg in zip(fs_iso.F, fs_gen.F):
                 assert np.max(np.abs(Fi - Fg)) <= 1e-10  # exact derivatives
-
-    def test_higher_poles_rejected(self):
-        A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
-        A2 = np.array([[0.1, 0.3], [-0.2, 0.05]], dtype=complex)
-        sys = IrregularSystem(u=[0.0, 1.0], A=A, higher=(A2,))
-        with pytest.raises(ValueError, match="higher poles"):
-            compute_formal_coefficients(sys, K=3, mode="isomonodromic")
-        # a vanishing higher coefficient is the simple-pole system
-        zero = IrregularSystem(u=[0.0, 1.0], A=A, higher=(0 * A2,))
-        fs_iso = compute_formal_coefficients(zero, K=5, mode="isomonodromic")
-        fs_gen = compute_formal_coefficients(zero, K=5)
-        for Fi, Fg in zip(fs_iso.F, fs_gen.F):
-            assert np.max(np.abs(Fi - Fg)) <= 1e-10
 
     def test_coalesced_u_rejected(self):
         sys = IrregularSystem(u=[0.0, 0.0], A=[[0.2, 0.0], [0.0, -0.4]])

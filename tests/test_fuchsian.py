@@ -12,15 +12,29 @@ from isomlab.fuchsian import (
     fuchs_monodromy,
     integrate_schlesinger,
     kv_family,
-    max_integer_spread,
     monodromy_plan,
-    pole_levelt,
     product_relation_residual,
     schlesinger_residual,
     schlesinger_rhs,
 )
 from isomlab.isoflow import UPath, _difference_quotients
+from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
 from isomlab.odeengine import join_plans, run_plan
+
+
+def pole_holomorphic_part(sys, i, K):
+    """C_0..C_{K-1} of the holomorphic part at pole i in the local variable
+    x = z - u_i: C_m = -sum_{j != i} A_j / (u_j - u_i)^(m + 1)."""
+    return [-sum(sys.residues[j] / (sys.poles[j] - sys.poles[i]) ** (m + 1)
+                 for j in range(sys.N) if j != i) for m in range(K)]
+
+
+def integer_spread(A):
+    """The widest spread of the Levelt offsets within one integer-difference
+    class of the eigenvalues of A (the pole order m_i of the non-Schlesinger
+    form of the isomonodromy 1-form)."""
+    blocks = compute_levelt_exponents(A).blocks
+    return max(max(offsets) - min(offsets) for _, _, offsets in blocks)
 
 
 def random_fuchsian(rng, N=3, n=2):
@@ -319,7 +333,8 @@ class TestKvFamily:
     def test_levelt_at_first_pole(self):
         # local form (z - u)^{diag(1, 0)} with trivial N
         kv = kv_family([1.0], 0.5)
-        ld = pole_levelt(kv.system, 0, K=12)
+        ld = build_levelt_solution(kv.system.residues[0],
+                                   pole_holomorphic_part(kv.system, 0, 12), K=12)
         assert sorted(ld.d) == [0, 1]
         assert np.allclose(ld.N, 0.0)
         assert np.allclose(ld.sigma, 0.0)
@@ -331,13 +346,13 @@ class TestKvFamily:
 
 class TestMaxIntegerSpread:
     def test_nonresonant(self):
-        assert max_integer_spread(np.diag([0.0, 1.0 / 3.0])) == 0
+        assert integer_spread(np.diag([0.0, 1.0 / 3.0])) == 0
 
     def test_single_gap(self):
-        assert max_integer_spread(np.diag([1.5, 0.5])) == 1
+        assert integer_spread(np.diag([1.5, 0.5])) == 1
 
     def test_wide_class(self):
-        assert max_integer_spread(np.diag([0.0, 2.0, 5.0])) == 5
+        assert integer_spread(np.diag([0.0, 2.0, 5.0])) == 5
 
 
 class TestNonNormalized:
@@ -381,7 +396,7 @@ class TestNonNormalized:
         # polynomial in z whose degree matches the m_i = 1 resonances
         kv = kv_family([1.0], 0.5)
         for A in kv.system.residues:
-            assert max_integer_spread(A) == 1
+            assert integer_spread(A) == 1
         h = 1e-6
 
         def W(z):
@@ -415,10 +430,8 @@ class TestPoleLevelt:
         from reference_solvers import kronecker_psi
 
         sys = random_fuchsian(np.random.default_rng(32))
-        # C_m = -sum_{j != 0} A_j / (u_j - u_0)^(m + 1)
-        hol = [-sum(sys.residues[j] / (sys.poles[j] - sys.poles[0]) ** (m + 1)
-                    for j in range(1, sys.N)) for m in range(20)]
-        ld = pole_levelt(sys, 0, K=20)
+        hol = pole_holomorphic_part(sys, 0, 20)
+        ld = build_levelt_solution(sys.residues[0], hol, K=20)
         ref = kronecker_psi(sys.residues[0], hol, K=20)
         scale = max(np.max(np.abs(X)) for X in ref)
         assert max(np.max(np.abs(got - want)) for got, want in zip(ld.Psi, ref)) <= 1e-12 * scale
@@ -430,7 +443,7 @@ class TestPoleLevelt:
 
         rng = np.random.default_rng(31)
         sys = random_fuchsian(rng)
-        ld = pole_levelt(sys, 0, K=25)
+        ld = build_levelt_solution(sys.residues[0], pole_holomorphic_part(sys, 0, 25), K=25)
         x0 = 0.04 + 0.03j  # local coordinate z - u_0
         h = 1e-7
         dY = (

@@ -15,7 +15,7 @@ from isomlab.geometry import (
     is_admissible,
     rays_to_csv,
     same_cell,
-    sector_bounds,
+    sector_frames,
     stokes_ray_directions,
     wall_hits,
     wall_hits_to_csv,
@@ -83,9 +83,14 @@ class TestAdmissibility:
             assert abs(a.margin - b.margin) < 1e-9
 
 
+def sector_bounds(u, tau, r, uC=None):
+    """The frame of the one sector r of u."""
+    return sector_frames([u], tau, (r,), uC=uC)[0][0]
+
+
 class TestSectorBounds:
     def test_worked_example(self):
-        fr = sector_bounds([0.0, 1.0], tau=0.0, r=1)
+        fr = sector_bounds([0.0, 1.0], 0.0, 1)
         assert abs(fr.lo - (-1.5 * math.pi)) < 1e-12
         assert abs(fr.hi - (math.pi / 2)) < 1e-12
 

@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from isomlab import odeengine
 from isomlab.errors import IntegrationError, SectorError
 from isomlab.formal import FormalSolution, IrregularSystem, compute_formal_coefficients
-from isomlab.geometry import SectorFrame
+from isomlab.geometry import SectorFrame, sector_frames
 from isomlab.levelt import build_levelt_solution
 from isomlab.odeengine import (
     Leg,
@@ -33,7 +33,6 @@ from isomlab.odeengine import (
     SolutionHandle,
     StokesConfig,
     actual_solution,
-    connection_matrix,
     fuchsian_ode,
     integrate_path,
     irregular_ode,
@@ -50,6 +49,20 @@ GENERIC_A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
 
 def generic_system():
     return IrregularSystem(u=[0.0, 1.0], A=GENERIC_A)
+
+
+def connection(sys, r, ld, cfg, fs=None, zstar=None):
+    """C_r of one connection request, with Y_r = Y^(0) C_r; the series is
+    computed to cfg.order unless `fs` is given."""
+    if fs is None:
+        fs = compute_formal_coefficients(sys, K=cfg.order)
+    request = SectorRequest(sys, r, fs, "connection", zstar, ld)
+    return run_plan(sector_plan(cfg, [request]), cfg.tol)[0]
+
+
+def sector_frame(u, tau, r):
+    """The frame of the one sector r of u."""
+    return sector_frames([u], tau, (r,))[0][0]
 
 
 # sector frames as (system, config, coalesce_tol of its formal series, None
@@ -166,10 +179,10 @@ class TestTaylorEngine:
         assert abs(got.value[0, 0] / expect - 1.0) < 1e-11
         assert got.wronskian_drift < 1e-11
 
-    def test_higher_pole_against_dop853(self):
-        rng = np.random.default_rng(55)
-        A2 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        sys = IrregularSystem(u=[0.0, 1.0], A=GENERIC_A, higher=(A2,))
+    def test_against_dop853(self):
+        # the engine against an independent integrator on a non-diagonal
+        # system, along a two-segment path away from the pole
+        sys = generic_system()
         corners = [1.5 + 0.0j, 2.5 + 1.0j, 0.8 + 1.6j]
         ref = np.eye(2, dtype=complex)
         h = SolutionHandle(system=sys, point=PathPoint(corners[0], 0.0), value=ref)
@@ -447,8 +460,8 @@ class TestScheduleAndCoefficients:
 
     ODES = (
         irregular_ode(generic_system()),
-        column_ode(IrregularSystem(u=[0.0, 1.0, 0.4 + 0.8j], A=np.diag([0.2, 0.1, -0.3]),
-                                   higher=[0.1 * np.eye(3)]), 1.0, 0.1),
+        column_ode(IrregularSystem(u=[0.0, 1.0, 0.4 + 0.8j], A=np.diag([0.2, 0.1, -0.3])),
+                   1.0, 0.1),
         fuchsian_ode([0.0, 1.0, 0.5j], [GENERIC_A, -2 * GENERIC_A, GENERIC_A]),
         fuchsian_ode([-1.0, 1.0 + 1j], [GENERIC_A, -GENERIC_A]),
     )
@@ -651,9 +664,8 @@ class TestActualSolution:
     def test_two_seed_radii_agree(self):
         sys = generic_system()
         fs = compute_formal_coefficients(sys, K=40)
-        from isomlab.geometry import sector_bounds
-        f0 = sector_bounds(sys.u, 0.3, 0)
-        f1 = sector_bounds(sys.u, 0.3, 1)
+        f0 = sector_frame(sys.u, 0.3, 0)
+        f1 = sector_frame(sys.u, 0.3, 1)
         zs = PathPoint.from_polar(6.0, 0.5 * (f1.lo + f0.hi))
         y1 = actual_solution(sys, 0, 0.3, radius=12.0, zstar=zs, fs=fs, tol=1e-12)
         y2 = actual_solution(sys, 0, 0.3, radius=24.0, zstar=zs, fs=fs, tol=1e-12)
@@ -729,38 +741,15 @@ class TestStokesMatrix:
         r24 = stokes_matrix(sys, 0, StokesConfig(tau=0.3, radius=24.0, order=36))
         assert np.max(np.abs(r12.S - r24.S)) <= r12.error_estimate + r24.error_estimate
 
-    def test_higher_pole_diagonal_decouples(self):
-        sys = IrregularSystem(
-            u=[0.0, 1.0],
-            A=np.diag([0.5, -0.3]),
-            higher=(np.diag([0.2, -0.1]).astype(complex),),
-        )
-        res = stokes_matrix(sys, 0, StokesConfig(tau=0.3, order=24))
-        assert np.max(np.abs(res.S - np.eye(2))) < 1e-7
-
-    def test_higher_pole_period_relation(self):
-        # B = diag(A) keeps generating S_{r+2} from S_r for the wider class
-        # with additional poles at the origin
-        rng = np.random.default_rng(55)
-        A2 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        sys = IrregularSystem(u=[0.0, 1.0], A=GENERIC_A, higher=(A2,))
-        cfg = StokesConfig(tau=0.3, radius=20.0, order=32)
-        S0 = stokes_matrix(sys, 0, cfg).S
-        S2 = stokes_matrix(sys, 2, cfg).S
-        phase = np.exp(2j * np.pi * np.diag(sys.A))
-        conj = S0 * (phase[None, :] / phase[:, None])
-        assert np.max(np.abs(S2 - conj)) < 1e-6
-
 
 class TestConnectionMatrix:
     def test_zero_residue_constant_in_zstar(self):
         A = np.zeros((2, 2), dtype=complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
         ld = build_levelt_solution(A, [sys.Lambda], K=25)
-        from isomlab.geometry import sector_bounds
-        frame_mid = sector_bounds(sys.u, 0.3, 0).midpoint
+        frame_mid = sector_frame(sys.u, 0.3, 0).midpoint
         vals = [
-            connection_matrix(
+            connection(
                 sys, 0, ld, StokesConfig(tau=0.3, radius=16.0, tol=1e-12),
                 zstar=PathPoint.from_polar(rho, frame_mid),
             )
@@ -769,26 +758,12 @@ class TestConnectionMatrix:
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
         assert np.max(np.abs(vals[1] - vals[2])) < 1e-8
 
-    def test_refuses_higher_poles(self):
-        # the Levelt solution of a connection is built from Lambda and A
-        # alone, which describe z = 0 only without higher poles
-        A2 = np.array([[0.1, 0.3], [-0.2, 0.05]], dtype=complex)
-        ld = build_levelt_solution(GENERIC_A, [np.diag([0.0, 1.0])], K=25)
-        sys = IrregularSystem(u=[0.0, 1.0], A=GENERIC_A, higher=(A2,))
-        fs = compute_formal_coefficients(sys, K=10)
-        with pytest.raises(ValueError, match="connection request does not support higher poles"):
-            SectorRequest(sys, 0, fs, "connection", ld=ld)
-        # a zero block adds nothing, and a Stokes request keeps the higher poles
-        SectorRequest(IrregularSystem(u=[0.0, 1.0], A=GENERIC_A, higher=(0 * A2,)), 0, fs,
-                      "connection", ld=ld)
-        SectorRequest(sys, 0, fs)
-
     @FRAMES
     def test_connection_chain(self, sys, cfg, coalesce_tol):
         fs = frame_series(sys, cfg, coalesce_tol)
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=25)
-        C0 = connection_matrix(sys, 0, ld, cfg, fs=fs)
-        C1 = connection_matrix(sys, 1, ld, cfg, fs=fs)
+        C0 = connection(sys, 0, ld, cfg, fs=fs)
+        C1 = connection(sys, 1, ld, cfg, fs=fs)
         S0 = stokes_matrix(sys, 0, cfg, fs=fs).S
         assert np.max(np.abs(C1 - C0 @ S0)) < 1e-6
 
@@ -799,9 +774,8 @@ class TestConnectionMatrix:
         sys = generic_system()
         fs = compute_formal_coefficients(sys, K=32)
         ld = build_levelt_solution(GENERIC_A, [sys.Lambda], K=25)
-        C0 = connection_matrix(sys, 0, ld, StokesConfig(tau=0.3), fs=fs)
-        from isomlab.geometry import sector_bounds
-        frame_mid = sector_bounds(sys.u, 0.3, 0).midpoint
+        C0 = connection(sys, 0, ld, StokesConfig(tau=0.3), fs=fs)
+        frame_mid = sector_frame(sys.u, 0.3, 0).midpoint
         zs = PathPoint.from_polar(1.0, frame_mid)
         Y0 = actual_solution(sys, 0, 0.3, radius=20.0, zstar=zs, fs=fs, tol=1e-12)
         M = monodromy_loop(sys, Y0, winding=1, tol=1e-12)

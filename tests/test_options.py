@@ -8,6 +8,11 @@ every parameter of its callee when it forwards `*args` or `**kw`;
 `dataclasses.replace` keywords set the dataclass fields of their name.
 Calls are matched to callables by name, not resolved, so a parameter counts
 as set when a call of any callable of that name sets it.
+
+The same scan finds the dataclass fields and properties that nothing reads,
+and the public functions that no verdict reaches: those that nothing in
+`src/` outside their own definition, the acceptance tests or the benchmark
+names, and so only tests call.
 """
 
 import ast
@@ -210,3 +215,71 @@ def test_reports_exactly_the_fields_nothing_reads(tmp_path):
         "{'e': obj.p}\n"
     )
     assert unread_fields(tmp_path / "pkg", tmp_path) == ["mod.C.d", "mod.C.e", "mod.C.q"]
+
+
+def _named(node):
+    """Every name that `node` mentions: names, attributes, imported names
+    and string constants (a string can name a function for getattr)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def unreached_functions(package, *callers):
+    """'module.name' of every public module-level function under `package`
+    that no code of the package outside its own definition (and outside
+    `__init__`, which only re-exports) names, and no file among `callers`
+    (files or directories) names.  Like the calls above, names are matched,
+    not resolved."""
+    modules = [(path, tree) for path, tree in _trees(package) if path.stem != "__init__"]
+    named = set()
+    for c in callers:
+        for _, tree in (_trees(c) if Path(c).is_dir() else [(c, ast.parse(Path(c).read_text()))]):
+            named |= _named(tree)
+    out = []
+    for path, tree in modules:
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            elsewhere = set().union(*(_named(node) for _, t in modules for node in t.body
+                                      if node is not fn))
+            if fn.name not in elsewhere | named:
+                out.append(f"{path.stem}.{fn.name}")
+    return sorted(out)
+
+
+def test_every_function_is_reached():
+    # a public function that only tests call serves no verdict
+    assert unreached_functions(ROOT / "src" / "isomlab", ROOT / "tests" / "test_acceptance.py",
+                               ROOT / "perfbench") == []
+
+
+def test_reports_exactly_the_functions_nothing_reaches(tmp_path):
+    # a call from another module, a call from a sibling in the same module,
+    # an import, a string and a caller file each reach a function; a call
+    # from its own body, a private function and __init__ do not count
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("from .a import f, g, h, r\n")
+    (tmp_path / "pkg" / "a.py").write_text(
+        "def f(): return g()\n"
+        "def g(): pass\n"
+        "def h(): pass\n"
+        "def r(k): return r(k - 1) if k else 0\n"
+        "def s(): pass\n"
+        "def t(): pass\n"
+        "def _p(): pass\n"
+    )
+    (tmp_path / "pkg" / "b.py").write_text(
+        "from .a import h\n"
+        "HOOKS = ['s']\n"
+    )
+    (tmp_path / "caller.py").write_text("import pkg.a\npkg.a.t()\n")
+    assert unreached_functions(tmp_path / "pkg", tmp_path / "caller.py") == ["a.f", "a.r"]

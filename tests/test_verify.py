@@ -6,7 +6,7 @@ from isomlab.errors import ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.isoflow import DiagonalGauge
 from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
-from isomlab.odeengine import connection_matrix, join_plans, sector_plan
+from isomlab.odeengine import join_plans, sector_plan
 from isomlab.verify import (
     MonodromyDataSet,
     coalescing_direction,

@@ -9,9 +9,10 @@ precondition (the diagnostic is printed on stderr).
 Tolerances are flags with documented defaults, each offered only by the
 subcommands that read it: --tol 1e-10 (integration) and --mtol 1e-6 (matrix
 comparisons), both finite and positive, and --order 10 (series truncation;
-30 for stokes-matrix and verify-*), at least 0.  --tau must be finite.  All
-of these are checked before any file is read.  Reports are deterministic for
-equal input.
+30 for stokes-matrix and verify-*), at least 0.  --tau must be finite and
+below 8192 in magnitude, where its ulp is still below the direction
+tolerance geometry.DIRECTION_TOL.  All of these are checked before any file
+is read.  Reports are deterministic for equal input.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ from .fuchsian import (
 from .isoflow import integrate_flow
 from .levelt import build_levelt_solution, compute_levelt_exponents, monodromy_exponential
 from .odeengine import StokesConfig, join_plans, run_plan, stokes_matrix
-from .verify import collect_data, data_drift, stokes_relation_check, verify_coalescence
+from .verify import (
+    collect_data,
+    data_drift,
+    spectrum_spread,
+    stokes_relation_check,
+    verify_coalescence,
+)
 
 PASS, FAIL = "PASS", "FAIL"
 
@@ -49,10 +56,13 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _csv_dir(args):
+def _csv(args, report: dict, name: str, header, rows) -> None:
+    """With --csv, write the table `name` into that directory and name it in
+    the report."""
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
-    return args.csv
+        report["csv"] = os.path.join(args.csv, name)
+        io.write_csv(report["csv"], header, rows)
 
 
 def _need_irregular(parts):
@@ -91,9 +101,8 @@ def cmd_stokes_rays(args) -> int:
             {"pair": [ray.i, ray.j], "theta": ray.theta} for ray in rayset.rays
         ],
     }
-    if _csv_dir(args):
-        geometry.rays_to_csv(rayset, os.path.join(args.csv, "stokes_rays.csv"))
-        report["csv"] = os.path.join(args.csv, "stokes_rays.csv")
+    _csv(args, report, "stokes_rays.csv", ["pair_i", "pair_j", "theta"],
+         ((ray.i, ray.j, ray.theta) for ray in rayset.rays))
     _emit(report)
     return 0
 
@@ -122,10 +131,7 @@ def cmd_cells(args) -> int:
     if len(points) == 2:
         hits = geometry.wall_hits(points[0], points[1], args.tau, tol=args.mtol)
         out["same_cell"] = not hits
-        if _csv_dir(args):
-            path = os.path.join(args.csv, "wall_hits.csv")
-            geometry.wall_hits_to_csv(hits, path)
-            out["csv"] = path
+        _csv(args, out, "wall_hits.csv", ["sample_t", "wall_type"], hits)
     _emit(out)
     return 0
 
@@ -133,9 +139,10 @@ def cmd_cells(args) -> int:
 def cmd_levelt(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
     ld = compute_levelt_exponents(sys_.A, tol=args.mtol)
-    ld = build_levelt_solution(sys_.A, [sys_.Lambda], ld=ld, K=max(args.order, 1))
+    ld = build_levelt_solution(sys_.A, [sys_.Lambda], ld=ld, K=args.order)
     report = {
         "command": "levelt",
+        "order": args.order,
         "D": [int(x) for x in ld.d],
         "Sigma": io.cvec_to_json(ld.sigma),
         "N": io.cmat_to_json(ld.N),
@@ -176,10 +183,8 @@ def cmd_stokes_matrix(args) -> int:
 def cmd_flow(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
     final, _ = integrate_flow(sys_, io.load_upath(args.path), tol=args.tol)
-    spec0 = np.sort_complex(np.linalg.eigvals(sys_.A))
-    spec1 = np.sort_complex(np.linalg.eigvals(final.A))
     diag_drift = float(np.max(np.abs(np.diag(final.A) - np.diag(sys_.A))))
-    spec_drift = float(np.max(np.abs(spec1 - spec0)))
+    spec_drift = spectrum_spread([sys_.A, final.A])
     report = {
         "command": "flow",
         "A_final": io.cmat_to_json(final.A),
@@ -197,11 +202,7 @@ def cmd_schlesinger(args) -> int:
     fsys = _need_fuchsian(io.load_system(args.system))
     path = io.load_upath(args.path)
     final, _ = integrate_schlesinger(fsys, path, tol=args.tol)
-    spec_drift = 0.0
-    for A0, A1 in zip(fsys.residues, final.residues):
-        s0 = np.sort_complex(np.linalg.eigvals(A0))
-        s1 = np.sort_complex(np.linalg.eigvals(A1))
-        spec_drift = max(spec_drift, float(np.max(np.abs(s1 - s0))))
+    spec_drift = max(spectrum_spread(pair) for pair in zip(fsys.residues, final.residues))
     report = {
         "command": "schlesinger",
         "poles_final": io.cvec_to_json(final.poles),
@@ -339,10 +340,11 @@ def cmd_verify_coalescence(args) -> int:
         "pattern_ok": rep.pattern_ok,
         "verdict": PASS if rep.verdict else FAIL,
     }
-    if _csv_dir(args):
-        path = os.path.join(args.csv, "coalescence_entries.csv")
-        rep.to_csv(path)
-        report["csv"] = path
+    _csv(args, report, "coalescence_entries.csv",
+         ["pair_i", "pair_j", "seeding", "gap", "entry_magnitude"],
+         ((i, j, seeding, g, m)
+          for seeding, fits in (("self", rep.entry_fits), ("frozen", rep.driven_fits))
+          for (i, j), fit in fits.items() for g, m in zip(rep.gaps, fit.magnitudes)))
     _emit(report)
     return 0 if rep.verdict else 2
 
@@ -441,6 +443,10 @@ def main(argv=None) -> int:
             return 1
     if not math.isfinite(tau := getattr(args, "tau", 0.0)):
         print(f"error: --tau must be finite, got {tau}", file=sys.stderr)
+        return 1
+    if math.ulp(tau) > geometry.DIRECTION_TOL:
+        print(f"error: --tau {tau} is too large: its ulp {math.ulp(tau):.3g} exceeds the "
+              f"direction tolerance {geometry.DIRECTION_TOL:g}", file=sys.stderr)
         return 1
     if getattr(args, "order", 0) < 0:
         print(f"error: --order must be at least 0, got {args.order}", file=sys.stderr)

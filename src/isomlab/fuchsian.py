@@ -279,7 +279,7 @@ class KVBundle:
     C1: np.ndarray
 
     def h(self, u: complex) -> complex:
-        return sum(c * u**k for k, c in enumerate(self.h_coeffs))
+        return _kv_h(self.h_coeffs, u)
 
     def Y(self, z: complex) -> np.ndarray:
         u, h = self.u, self.h(self.u)
@@ -301,8 +301,13 @@ class KVBundle:
         return _kv_residues(self.h_coeffs, complex(arr[0]))
 
 
+def _kv_h(coeffs, u: complex) -> complex:
+    """h(u) from its polynomial coefficients, constant first."""
+    return sum(c * u**k for k, c in enumerate(coeffs))
+
+
 def _kv_residues(coeffs, u: complex) -> list[np.ndarray]:
-    h = sum(c * u**k for k, c in enumerate(coeffs))
+    h = _kv_h(coeffs, u)
     g = u * h / (u - 3)
     return [
         np.array([[1, 0], [0, 0]], dtype=complex),
@@ -323,7 +328,7 @@ def kv_family(h_coeffs, u: complex) -> KVBundle:
     if min(abs(u - w) for w in (1.0, 2.0, 3.0)) < 1e-9:
         raise ValueError("u must avoid the fixed poles 1, 2, 3")
     coeffs = tuple(complex(c) for c in h_coeffs)
-    h = sum(c * u**k for k, c in enumerate(coeffs))
+    h = _kv_h(coeffs, u)
     poles = np.array([u, 1.0, 2.0, 3.0], dtype=complex)
     system = FuchsianSystem(poles=poles, residues=tuple(_kv_residues(coeffs, u)))
     C1 = np.array(

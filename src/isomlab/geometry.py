@@ -18,7 +18,6 @@ roots of Im(e^{-i phi}(u_i - u_j)) and the closest approaches that
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,10 +75,6 @@ class RaySet:
     """
 
     rays: tuple[StokesRay, ...]
-
-    def base_directions(self) -> np.ndarray:
-        """Distinct directions mod pi, sorted, representing the ray family."""
-        return _base_directions([r.theta for r in self.rays])
 
 
 def _base_directions(thetas) -> np.ndarray:
@@ -196,14 +191,6 @@ class SectorFrame:
     hi: float
     degenerate: bool = False
     uC: tuple | None = None
-
-    @property
-    def half_plane(self) -> tuple[float, float]:
-        return (self.tau + (self.r - 2) * math.pi, self.tau + (self.r - 1) * math.pi)
-
-    @property
-    def opening(self) -> float:
-        return self.hi - self.lo
 
     def contains(self, arg: float) -> bool:
         return self.lo < arg < self.hi
@@ -402,20 +389,3 @@ def segment_min_abs(d0, d1) -> np.ndarray:
     """
     return _closest_approach(d0, d1)[1]
 
-
-def rays_to_csv(rayset: RaySet, path) -> None:
-    """Write ray directions as rows (pair_i, pair_j, theta)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair_i", "pair_j", "theta"])
-        for ray in rayset.rays:
-            w.writerow([ray.i, ray.j, repr(ray.theta)])
-
-
-def wall_hits_to_csv(hits, path) -> None:
-    """Write wall events as rows (sample_t, wall_type)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_t", "wall_type"])
-        for t, kind in hits:
-            w.writerow([repr(t), kind])

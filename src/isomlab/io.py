@@ -8,10 +8,14 @@ System files carry either the irregular data (u, A) or a "fuchsian" block
 (poles, residues), or both.  An irregular system is dY/dz = (Lambda + A/z) Y:
 a "higher" block of pole coefficients A_2, A_3, ... is read only when every
 entry is zero, and refused otherwise.  Path files carry u-space waypoints.
+
+CSV tables have a header row; their floats are written as repr, which
+round-trips.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -71,13 +75,25 @@ def cmat_to_json(M) -> list:
     return [[pair(z) for z in row] for row in M]
 
 
-def load_system(path) -> dict:
-    """Parse a system file into {"irregular": ..., "fuchsian": ...} parts."""
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: the header, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows)
+
+
+def _read_json(path, kind: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read system file {path}: {exc}") from exc
+        raise InputFormatError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def load_system(path) -> dict:
+    """Parse a system file into {"irregular": ..., "fuchsian": ...} parts."""
+    doc = _read_json(path, "system")
     if not isinstance(doc, dict):
         raise InputFormatError("system file must hold a JSON object")
     out: dict = {"irregular": None, "fuchsian": None}
@@ -118,11 +134,7 @@ def load_system(path) -> dict:
 
 
 def load_upath(path) -> UPath:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read path file {path}: {exc}") from exc
+    doc = _read_json(path, "path")
     if not isinstance(doc, dict) or "waypoints" not in doc:
         raise InputFormatError("path file needs a 'waypoints' list")
     wps = doc["waypoints"]

@@ -71,19 +71,6 @@ class DiagonalGauge:
             if len(alpha) != self.n:
                 raise ValueError("monomial exponent tuple has wrong length")
 
-    @staticmethod
-    def linear(C) -> "DiagonalGauge":
-        """D_aa(u) = sum_j C[a, j] u_j."""
-        M = np.asarray(C, dtype=complex)
-        n = M.shape[0]
-        terms = []
-        for a in range(n):
-            for j in range(n):
-                if M[a, j] != 0:
-                    alpha = tuple(1 if k == j else 0 for k in range(n))
-                    terms.append((a, complex(M[a, j]), alpha))
-        return DiagonalGauge(n=n, terms=tuple(terms))
-
     def value(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
         out = np.zeros(self.n, dtype=complex)
@@ -550,18 +537,11 @@ def laurent_reduce(
 
     om1 = raw.positive[0] if raw.positive else np.diag(np.eye(n, dtype=complex)[j])
     om1 = as_square(om1)
-    # diagonal rule of the z^0 relation
-    diag_expected = np.zeros(n, dtype=complex)
-    for a in range(n):
-        s = 1.0 if a == j else 0.0
-        acc = sum(
-            om1[a, b] * A[b, a] - A[a, b] * om1[b, a] for b in range(n) if b != a
-        )
-        diag_expected[a] = s - acc
-    diag_resid = float(np.max(np.abs(np.diag(om1) - diag_expected)))
-
-    # off-diagonal of omega^(0); the diagonal is the gauge freedom D_j
+    # the z^0 relation: its diagonal is the rule diag(omega^(1)) = e_j -
+    # diag([omega^(1), A]), its off-diagonal gives omega^(0), whose diagonal
+    # is the gauge freedom D_j
     comm = om1 @ A - A @ om1
+    diag_resid = float(np.max(np.abs(np.diag(om1) - (eye[j] - np.diag(comm)))))
     diff = u[:, None] - u[None, :]
     np.fill_diagonal(diff, 1.0)
     if np.any(diff == 0):

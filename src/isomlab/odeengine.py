@@ -302,8 +302,9 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
                 pair_leg.append(leg)
                 names.append((job, seg))
             route[job, seg] = p
-    z0, h, leg_of, starts = _schedule([odes[k] for k in pair_ode], pair_leg, names)
-    ode_of = np.array(pair_ode, dtype=int)[leg_of]
+    pair_ode = np.array(pair_ode, dtype=int)
+    z0, h, leg_of, starts = _schedule(odes, pair_ode, pair_leg, names)
+    ode_of = pair_ode[leg_of]
     # coefficients of every ODE, padded to a common dimension and degree
     n = max(o.Q.shape[1] for o in odes)
     m = max(len(o.P) for o in odes)
@@ -382,37 +383,30 @@ def _sum_squares(c):
     return (v.real**2 + v.imag**2).sum(axis=0)
 
 
-def _schedule(ode, legs, job):
-    """The Taylor steps of `legs` on `ode` (a LinearODE, or one per leg),
+def _schedule(odes, which, legs, names):
+    """The Taylor steps of `legs`, leg k on the LinearODE odes[which[k]],
     laid out for all legs at once, one step index at a time.
 
     The steps depend on the geometry alone (step rule in the module
     docstring), so a leg into a singular point is refused up front;
-    IntegrationError names it by `job`, its transport index, or by the
-    (transport, segment) of each leg.  Returns the start points z0 and
-    increments h of the steps, the leg index of each, ordered by step index
-    and then by leg, and the offsets at which each step index begins.
+    IntegrationError names it by names[k], its (transport, segment).
+    Returns the start points z0 and increments h of the steps, the leg index
+    of each, ordered by step index and then by leg, and the offsets at which
+    each step index begins.
 
     Every leg is z(t) = base + span e(t), 0 <= t <= 1, with e = t on a line
     and e = exp(i sweep t) on an arc.  The per-leg arrays hold the running
     legs only; they are compacted on the step indices where a leg ends or
     is refused.
     """
-    if isinstance(ode, LinearODE):
-        ode = [ode] * len(legs)
-    if isinstance(job, int):
-        job = [(job, seg) for seg in range(len(legs))]
     # the singular points and growth bound of each leg's ODE, padded with
     # points at infinity
-    first = {}
-    which = np.array([first.setdefault(id(o), len(first)) for o in ode], dtype=int)
-    distinct = list({id(o): o for o in ode}.values())
-    roots = np.full((len(distinct), max((len(o.roots) for o in distinct), default=0)),
+    roots = np.full((len(odes), max((len(o.roots) for o in odes), default=0)),
                     np.inf, dtype=complex)
-    for k, o in enumerate(distinct):
+    for k, o in enumerate(odes):
         roots[k, : len(o.roots)] = o.roots
-    growth = np.array([o.growth for o in distinct])
-    hgrow = np.full(len(distinct), np.inf)
+    growth = np.array([o.growth for o in odes])
+    hgrow = np.full(len(odes), np.inf)
     np.divide(STEP_GROWTH, growth, out=hgrow, where=growth > 0)
     roots, hgrow = roots[which], hgrow[which]
     a = np.array([leg.a for leg in legs], dtype=complex)
@@ -453,7 +447,7 @@ def _schedule(ode, legs, job):
         k = min(refused)
         near, gap, z0 = refused[k]
         raise IntegrationError(
-            f"transport {job[k][0]}, segment {job[k][1]} ({legs[k]}), runs into the "
+            f"transport {names[k][0]}, segment {names[k][1]} ({legs[k]}), runs into the "
             f"singular point {complex(near):.6g} (distance {gap:.3g} "
             f"at z = {complex(z0):.6g})"
         )

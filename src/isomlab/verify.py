@@ -17,7 +17,6 @@ are computed directly from the coalescence-aware recursion.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +57,9 @@ LIMIT_THRESHOLD = 1e-5
 PATTERN_THRESHOLD = 1e-6
 SLOPE_THRESHOLD = 0.9
 DIRECTION_TRIALS = 16  # angles coalescing_direction tries
+# u^C entries joined by a chain of gaps this small coalesce, for the snap of
+# u^C, the coalescing pairs and the frozen formal series alike
+COALESCENCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,39 +153,24 @@ def collect_data(
     ]
 
 
+def _spread(arrays) -> float:
+    """Max over the pairs a, b of `arrays` of max |a - b|; 0 for fewer than two."""
+    return float(max((np.max(np.abs(a - b)) for i, a in enumerate(arrays)
+                      for b in arrays[i + 1 :]), default=0.0))
+
+
+def spectrum_spread(mats) -> float:
+    """Max over the pairs of `mats` of the largest change of their sorted spectra."""
+    return _spread([np.sort_complex(np.linalg.eigvals(M)) for M in mats])
+
+
 def data_drift(datasets: list[MonodromyDataSet]) -> dict[str, float]:
     """Max pairwise deviation of each datum across the collected samples."""
-
-    def spread(key):
-        mats = [getattr(d, key) for d in datasets]
-        return float(
-            max(
-                np.max(np.abs(a - b))
-                for i, a in enumerate(mats)
-                for b in mats[i + 1 :]
-            )
-        ) if len(mats) > 1 else 0.0
-
-    out = {
-        "S_r": spread("S_r"),
-        "S_r1": spread("S_r1"),
-        "C_r": spread("C_r"),
-        "B": spread("b"),
-    }
+    out = {key: _spread([getattr(d, attr) for d in datasets])
+           for key, attr in (("S_r", "S_r"), ("S_r1", "S_r1"), ("C_r", "C_r"), ("B", "b"))}
     # L is compared through its spectrum (Levelt freedom); D entrywise
-    specs = [np.sort_complex(np.linalg.eigvals(d.L)) for d in datasets]
-    out["L_spectrum"] = float(
-        max(
-            (np.max(np.abs(a - b)) for i, a in enumerate(specs) for b in specs[i + 1 :]),
-            default=0.0,
-        )
-    )
-    out["D"] = float(
-        max(
-            (np.max(np.abs(a.d - b.d)) for i, a in enumerate(datasets) for b in datasets[i + 1 :]),
-            default=0.0,
-        )
-    )
+    out["L_spectrum"] = spectrum_spread([d.L for d in datasets])
+    out["D"] = _spread([d.d for d in datasets])
     return out
 
 
@@ -243,16 +230,6 @@ class CoalescenceReport:
     def verdict(self) -> bool:
         return self.decay_ok and self.limit_ok and self.pattern_ok
 
-    def to_csv(self, path) -> None:
-        """Write (gap, entry magnitude) rows for every fitted pair."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["pair_i", "pair_j", "seeding", "gap", "entry_magnitude"])
-            for seeding, fits in (("self", self.entry_fits), ("frozen", self.driven_fits)):
-                for (i, j), fit in fits.items():
-                    for g, m in zip(self.gaps, fit.magnitudes):
-                        w.writerow([i, j, seeding, repr(float(g)), repr(float(m))])
-
 
 def _coalescing_mask(A0: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """The n x n mask of the ordered pairs a != b that coalesce at u^C.
@@ -264,7 +241,7 @@ def _coalescing_mask(A0: np.ndarray, ref: np.ndarray) -> np.ndarray:
     n = len(ref)
     if A0.shape != (n, n):
         raise ValueError(f"A0 has shape {A0.shape}, u^C has {n} entries")
-    label = coalescence_labels(ref, 1e-12)
+    label = coalescence_labels(ref, COALESCENCE_TOL)
     co = (label[:, None] == label[None, :]) & ~np.eye(n, dtype=bool)
     if not co.any():
         raise ValueError("uC has no coalescing pair")
@@ -384,11 +361,11 @@ def verify_coalescence(
 ) -> CoalescenceReport:
     """Run the coalescence-limit pipeline and assemble the report.
 
-    Entries of u^C that coalesce (chains of gaps <= 1e-12) are set equal, so
-    that every step sees one grouping.  Preconditions enforced: A0 vanishes
-    at every coalescing-pair position, its diagonal entries there do not
-    differ by non-zero integers (otherwise the frozen formal solution is not
-    unique), tau is admissible at u^C in the sub-class sense, and eps is
+    Entries of u^C that coalesce (chains of gaps <= COALESCENCE_TOL) are set
+    equal, so that every step sees one grouping.  Preconditions enforced: A0
+    vanishes at every coalescing-pair position, its diagonal entries there do
+    not differ by non-zero integers (otherwise the frozen formal solution is
+    not unique), tau is admissible at u^C in the sub-class sense, and eps is
     finite, positive and within the parallel-line bound.
 
     The sampled family comes from the local Taylor germ of the coalesced
@@ -401,7 +378,7 @@ def verify_coalescence(
         raise ValueError(f"eps must be finite and positive, got {eps}")
     A0 = np.asarray(A0, dtype=complex)
     ref = np.asarray(uC, dtype=complex).reshape(-1)
-    label = coalescence_labels(ref, 1e-12)
+    label = coalescence_labels(ref, COALESCENCE_TOL)
     ref = ref[np.unique(label, return_index=True)[1][label]]
     co = _coalescing_mask(A0, ref)
     pairs = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(co)))
@@ -425,7 +402,7 @@ def verify_coalescence(
 
     # frozen system data in the widened frame (coalescence-aware recursion)
     frozen = IrregularSystem(u=ref, A=A0)
-    fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=1e-9)
+    fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=COALESCENCE_TOL)
     cfg = StokesConfig(tau=tau, tol=tol, order=order, uC=ref)
     requests = [SectorRequest(frozen, r, fs0), SectorRequest(frozen, r + 1, fs0)]
 

@@ -1,9 +1,21 @@
-"""Reference solvers the tests compare the library against."""
+"""Reference solvers the tests compare the library against, and inputs
+that several test modules build."""
 
 import numpy as np
 
+from isomlab.isoflow import DiagonalGauge
 from isomlab.levelt import compute_levelt_exponents
 from isomlab.matrixcore import as_square, solve_sylvester, sylvester_spectral_gap
+
+
+def linear_gauge(C) -> DiagonalGauge:
+    """The weak-flow gauge D_aa(u) = sum_j C[a, j] u_j."""
+    M = np.asarray(C, dtype=complex)
+    n = M.shape[0]
+    return DiagonalGauge(n=n, terms=tuple(
+        (a, complex(M[a, j]), tuple(int(k == j) for k in range(n)))
+        for a in range(n) for j in range(n) if M[a, j] != 0
+    ))
 
 
 def solve_sylvester_lstsq(P, Q, R, rcond: float = 1e-12):
@@ -56,25 +68,18 @@ def poly_fuchsian_ode(poles, residues):
     return np.poly(x)[::-1].astype(complex), Q
 
 
-def schedule_reference(ode, legs, job):
+def schedule_reference(odes, which, legs, names):
     """The step layout of odeengine._schedule, one step index at a time,
     with every per-leg array indexed by the live legs on every step index."""
     from isomlab.errors import IntegrationError
-    from isomlab.odeengine import STEP_FLOOR, STEP_GROWTH, STEP_RADIUS, LinearODE
+    from isomlab.odeengine import STEP_FLOOR, STEP_GROWTH, STEP_RADIUS
 
-    if isinstance(ode, LinearODE):
-        ode = [ode] * len(legs)
-    if isinstance(job, int):
-        job = [(job, seg) for seg in range(len(legs))]
-    first = {}
-    which = np.array([first.setdefault(id(o), len(first)) for o in ode], dtype=int)
-    distinct = list({id(o): o for o in ode}.values())
-    roots = np.full((len(distinct), max((len(o.roots) for o in distinct), default=0)),
+    roots = np.full((len(odes), max((len(o.roots) for o in odes), default=0)),
                     np.inf, dtype=complex)
-    for k, o in enumerate(distinct):
+    for k, o in enumerate(odes):
         roots[k, : len(o.roots)] = o.roots
-    growth = np.array([o.growth for o in distinct])
-    hgrow = np.full(len(distinct), np.inf)
+    growth = np.array([o.growth for o in odes])
+    hgrow = np.full(len(odes), np.inf)
     np.divide(STEP_GROWTH, growth, out=hgrow, where=growth > 0)
     roots, hgrow = roots[which], hgrow[which]
     a = np.array([leg.a for leg in legs], dtype=complex)
@@ -115,7 +120,7 @@ def schedule_reference(ode, legs, job):
         k = min(refused)
         near, gap, z0 = refused[k]
         raise IntegrationError(
-            f"transport {job[k][0]}, segment {job[k][1]} ({legs[k]}), runs into the "
+            f"transport {names[k][0]}, segment {names[k][1]} ({legs[k]}), runs into the "
             f"singular point {complex(near):.6g} (distance {gap:.3g} "
             f"at z = {complex(z0):.6g})"
         )
@@ -131,6 +136,7 @@ def sector_bounds_reference(u, tau, r, uC=None):
     from isomlab.errors import AdmissibilityError
     from isomlab.geometry import (
         ADMISSIBILITY_TOL,
+        DIRECTION_TOL,
         SectorFrame,
         _as_uvec,
         _margin,
@@ -151,7 +157,14 @@ def sector_bounds_reference(u, tau, r, uC=None):
     margin = _margin(tau, (ray.theta for ray in rays.rays))
     if not margin > ADMISSIBILITY_TOL:
         raise AdmissibilityError(f"tau = {tau:.6g} is within {margin:.3e} of a Stokes ray")
-    base = rays.base_directions()
+    # the distinct ray directions mod pi, sorted; the last one goes when it
+    # is the first one a turn later
+    base = []
+    for theta in sorted(math.fmod(ray.theta, math.pi) for ray in rays.rays):
+        if not base or theta - base[-1] > DIRECTION_TOL:
+            base.append(theta)
+    if len(base) > 1 and base[0] + math.pi - base[-1] <= DIRECTION_TOL:
+        base.pop()
     return SectorFrame(tau=tau, r=r, lo=_nearest_ray(base, lo_hp, -1),
                        hi=_nearest_ray(base, hi_hp, 1), uC=uC_key)
 
@@ -162,7 +175,7 @@ def column_seed_directions_reference(u, frame):
     each sinusoid of the column's objective and where each two cross),
     computed for this frame alone."""
     u = np.asarray(u, dtype=complex)
-    pad = min(0.05, 0.1 * frame.opening)
+    pad = min(0.05, 0.1 * (frame.hi - frame.lo))
     lo, hi = frame.lo + pad, frame.hi - pad
     diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
     other = (diff != 0)[:, None]
@@ -194,7 +207,7 @@ def seed_objective(u, angles):
 def column_seed_directions_grid(u, frame, grid: int = 720):
     """The seed direction of every column in one frame, as the best of 720
     evenly spaced angles of the padded frame (the first on ties)."""
-    pad = min(0.05, 0.1 * frame.opening)
+    pad = min(0.05, 0.1 * (frame.hi - frame.lo))
     thetas = np.linspace(frame.lo + pad, frame.hi - pad, grid)
     score = seed_objective(u, np.broadcast_to(thetas[:, None], (grid, len(u))))
     return thetas[np.argmax(score, axis=0)]

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 from isomlab import cli
 from isomlab.cli import main
+from isomlab.geometry import DIRECTION_TOL, stokes_ray_directions, wall_hits
 
 
 def write_json(path, doc):
@@ -191,6 +194,46 @@ class TestGeometryCommands:
             assert not any(p["in_crossing"] for p in doc["points"])
 
 
+class TestCsvTables:
+    # the tables of --csv: a header row, then one row per item, floats as repr
+    def test_rays_csv(self, capsys, system_file, tmp_path):
+        code, out, _ = run(capsys, ["stokes-rays", "--system", system_file,
+                                    "--csv", str(tmp_path)])
+        rows = list(csv.reader(open(json.loads(out)["csv"])))
+        assert code == 0 and rows[0] == ["pair_i", "pair_j", "theta"]
+        assert len(rows) == 3
+        # lossless round-trip of the angle
+        thetas = [r.theta for r in stokes_ray_directions([0.0, 1.0]).rays]
+        assert [float(row[2]) for row in rows[1:]] == thetas
+
+    def test_wall_hits_csv(self, capsys, system_file, tmp_path):
+        hits = wall_hits([0.0, 1.0], [0.0, -1.0], tau=0.3)
+        assert any(kind == "delta" for _, kind in hits)
+        path = write_json(tmp_path / "path.json",
+                          {"waypoints": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]})
+        code, out, _ = run(capsys, ["cells", "--system", system_file, "--path", path,
+                                    "--tau", "0.3", "--csv", str(tmp_path / "csv")])
+        rows = list(csv.reader(open(json.loads(out)["csv"])))
+        assert code == 0 and rows[0] == ["sample_t", "wall_type"]
+        assert [(float(t), kind) for t, kind in rows[1:]] == hits
+
+    def test_coalescence_entries_csv(self, capsys, tmp_path):
+        f = write_json(tmp_path / "co.json", {
+            "u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+            "A": [[[0.1, 0.0], [0.0, 0.0], [0.06, 0.0]],
+                  [[0.0, 0.0], [0.1, 0.0], [0.09, 0.0]],
+                  [[0.075, 0.0], [-0.05, 0.0], [0.45, 0.0]]],
+        })
+        code, out, _ = run(capsys, ["verify-coalescence", "--system", f, "--tau", "0.3",
+                                    "--eps", "0.1", "--csv", str(tmp_path / "csv")])
+        doc = json.loads(out)
+        rows = list(csv.reader(open(doc["csv"])))
+        assert code == 0 and rows[0] == ["pair_i", "pair_j", "seeding", "gap", "entry_magnitude"]
+        # both orientations of the pair, both seedings, six gaps
+        assert len(rows) == 1 + 2 * 2 * 6
+        assert [float(row[3]) for row in rows[1:7]] == [0.1 * 2.0**-k for k in range(1, 7)]
+
+
 class TestLeveltCommand:
     def test_exponents(self, capsys, tmp_path):
         f = write_json(
@@ -203,9 +246,14 @@ class TestLeveltCommand:
         code, out, _ = run(capsys, ["levelt", "--system", f, "--order", "12"])
         assert code == 0
         doc = json.loads(out)
+        assert doc["order"] == 12
         assert doc["D"] == [1, 0]
         assert doc["Sigma"] == [[0.5, 0.0], [0.5, 0.0]]
         assert doc["resonant_orders"] == [1]
+        # order 0 builds no Psi_k, so it reaches no resonant order
+        code, out, _ = run(capsys, ["levelt", "--system", f, "--order", "0"])
+        doc = json.loads(out)
+        assert code == 0 and doc["order"] == 0 and doc["resonant_orders"] == []
 
 
 class TestStokesMatrixCommand:
@@ -501,6 +549,50 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert err == f"error: {field}: expected a list of matrices, got {value!r}\n"
 
+    U2 = [[0.0, 0.0], [1.0, 0.0]]
+    A2 = [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]]
+    WAYPOINTS = [U2, [[0.0, 0.0], [1.2, 0.0]]]
+
+    @pytest.mark.parametrize("system, path, message", [
+        (None, None, "cannot read system file {system}: "),
+        ("{", None, "cannot read system file {system}: "),
+        ({"u": U2, "A": A2}, None, "cannot read path file {path}: "),
+        ({"u": U2, "A": A2}, "[[", "cannot read path file {path}: "),
+        ([U2, A2], None, "system file must hold a JSON object"),
+        ({"u": U2}, None, "irregular system needs both 'u' and 'A'"),
+        ({"n": 3, "u": U2, "A": A2}, None, "n = 3 disagrees with len(u) = 2"),
+        ({"u": U2, "A": [row + [[0.0, 0.0]] for row in A2]}, None,
+         "A has shape (2, 3), expected (2, 2)"),
+        ({"fuchsian": {"poles": U2}}, None, "'fuchsian' block needs 'poles' and 'residues'"),
+        ({"fuchsian": {"poles": U2, "residues": [A2, A2]}}, None,
+         "fuchsian: residues do not sum to zero"),
+        ({"v": U2}, None, "system file defines neither 'u'/'A' nor 'fuchsian'"),
+        ({"u": [], "A": A2}, None, "u: expected a non-empty list of [re, im] pairs"),
+        ({"u": 5, "A": A2}, None, "u: expected a non-empty list of [re, im] pairs"),
+        ({"u": U2, "A": []}, None, "A: expected a matrix (list of rows)"),
+        ({"u": U2, "A": [A2[0], A2[1][:1]]}, None, "A: ragged rows"),
+        ({"u": U2, "A": A2}, {"points": WAYPOINTS}, "path file needs a 'waypoints' list"),
+        ({"u": U2, "A": A2}, {"waypoints": []}, "waypoints must be a non-empty list"),
+        ({"u": U2, "A": A2}, {"waypoints": WAYPOINTS[:1]}, "a path needs at least two waypoints"),
+    ], ids=["system-missing", "system-not-json", "path-missing", "path-not-json",
+            "not-an-object", "u-without-A", "n-mismatch", "A-shape", "fuchsian-keys",
+            "fuchsian-value", "neither-block", "empty-vector", "non-list-vector",
+            "empty-matrix", "ragged-matrix", "no-waypoints", "empty-waypoints", "one-waypoint"])
+    def test_input_file_refusals(self, capsys, tmp_path, system, path, message):
+        # every refusal of a malformed system or path file names what is
+        # wrong: exit 1, no report, and the message on stderr
+        files = {}
+        for kind, doc in (("system", system), ("path", path)):
+            files[kind] = str(tmp_path / f"{kind}.json")
+            if isinstance(doc, str):
+                Path(files[kind]).write_text(doc)
+            elif doc is not None:
+                write_json(files[kind], doc)
+        code, out, err = run(capsys, ["flow", "--system", files["system"],
+                                      "--path", files["path"]])
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message.format(**files))
+
     def test_levelt_rank_ambiguity_refused(self, capsys, tmp_path):
         # eigenvalues 1e-12 apart are one cluster whose kernel rank sits in
         # the tolerance band; the exactly repeated pair is accepted
@@ -597,11 +689,13 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command, flag, value", [
         (name, flag, value) for name, sp in _subcommands().items()
-        for flag, values in (("tau", ("nan", "inf", "-inf")), ("order", ("-1", "-3")))
+        for flag, values in (("tau", ("nan", "inf", "-inf", "8192", "-1e17", "1e300")),
+                             ("order", ("-1", "-3")))
         if flag in {a.dest for a in sp._actions} for value in values
     ])
     def test_bad_tau_and_order_refused(self, capsys, tmp_path, command, flag, value):
-        # a non-finite tau and a negative order are input errors too, refused
+        # a non-finite tau, a tau too large to resolve a direction to
+        # DIRECTION_TOL and a negative order are input errors too, refused
         # before the files named are read
         missing = str(tmp_path / "missing.json")
         argv = [command]
@@ -610,8 +704,17 @@ class TestErrorHandling:
                 argv += [a.option_strings[0], {"tau": "0.3", "eps": "0.1"}.get(a.dest, missing)]
         code, out, err = run(capsys, argv + [f"--{flag}={value}"])
         assert code == 1 and out == ""
-        assert err == ("error: --tau must be finite, got " + repr(float(value)) if flag == "tau"
-                       else f"error: --order must be at least 0, got {value}") + "\n"
+        tau = float(value) if flag == "tau" else 0.0
+        assert err == (
+            f"error: --order must be at least 0, got {value}" if flag == "order"
+            else f"error: --tau must be finite, got {tau}" if not math.isfinite(tau)
+            else f"error: --tau {tau} is too large: its ulp {math.ulp(tau):.3g} exceeds the "
+                 f"direction tolerance {DIRECTION_TOL:g}"
+        ) + "\n"
+
+    def test_largest_tau_accepted(self, capsys, system_file):
+        # below 8192 the ulp of tau, 2**-40, is still below DIRECTION_TOL
+        assert run(capsys, ["cells", "--system", system_file, "--tau", "8191.9"])[0] == 0
 
     @pytest.mark.parametrize("command", [
         name for name, sp in _subcommands().items() if "system" in {a.dest for a in sp._actions}

@@ -149,8 +149,9 @@ class TestIntegrateSchlesinger:
             integrate_schlesinger(sys, path)
 
     def test_work_budget_stops_unguarded_collision(self):
-        # the same near-collision with the guard switched off: DOP853 creeps
-        # past it until the segment's evaluation budget runs out
+        # the same near-collision with the guard switched off: the collocation
+        # steps shrink towards it until they fall below the step floor (the
+        # step budget is the other stop), well before the collision
         rng = np.random.default_rng(17)
         residues = random_fuchsian(rng).residues
         sys = FuchsianSystem(poles=[0.0, -1.0 + 1e-7j, 3.0], residues=residues)

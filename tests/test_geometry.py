@@ -1,5 +1,4 @@
 import cmath
-import csv
 import math
 
 import numpy as np
@@ -13,12 +12,10 @@ from isomlab.geometry import (
     classify_point,
     epsilon_bound,
     is_admissible,
-    rays_to_csv,
     same_cell,
     sector_frames,
     stokes_ray_directions,
     wall_hits,
-    wall_hits_to_csv,
 )
 from isomlab.isoflow import UPath
 
@@ -103,7 +100,7 @@ class TestSectorBounds:
                 continue
             for r in (0, 1, 2):
                 fr = sector_bounds(u, 0.4, r)
-                assert fr.opening > math.pi
+                assert fr.hi - fr.lo > math.pi
 
     def test_shift_by_pi(self):
         u = [0.0, 1.0, 0.5 + 1.2j]
@@ -123,7 +120,7 @@ class TestSectorBounds:
     def test_widened_degenerate_policy(self):
         fr = sector_bounds([0.01, -0.01], 0.3, 1, uC=[0.0, 0.0])
         assert fr.degenerate
-        lo_hp, hi_hp = fr.half_plane
+        lo_hp, hi_hp = 0.3 - math.pi, 0.3  # the half-plane of r = 1
         assert abs(fr.lo - (lo_hp - math.pi / 2)) < 1e-12
         assert abs(fr.hi - (hi_hp + math.pi / 2)) < 1e-12
 
@@ -271,23 +268,3 @@ class TestWallHits:
         on_wall = [0.0, cmath.exp(1j * (0.5 * math.pi - tau))]  # arg(u_0 - u_1) = 3 pi/2 - tau
         assert wall_hits(on_wall, [0.0, 1.0], tau)[0] == (0.0, "crossing")
         assert wall_hits([0.0, 1.0], [0.0, 0.0], tau)[-1] == (1.0, "delta")
-
-
-class TestCsvExport:
-    def test_rays_csv(self, tmp_path):
-        path = tmp_path / "rays.csv"
-        rays_to_csv(stokes_ray_directions([0.0, 1.0]), path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["pair_i", "pair_j", "theta"]
-        assert len(rows) == 3
-        # lossless round-trip of the angle
-        assert float(rows[1][2]) in [r.theta for r in stokes_ray_directions([0.0, 1.0]).rays]
-
-    def test_wall_hits_csv(self, tmp_path):
-        hits = wall_hits([0.0, 1.0], [0.0, -1.0], tau=0.3)
-        assert any(kind == "delta" for _, kind in hits)
-        path = tmp_path / "hits.csv"
-        wall_hits_to_csv(hits, path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["sample_t", "wall_type"]
-        assert len(rows) == len(hits) + 1

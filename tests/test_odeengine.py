@@ -60,6 +60,12 @@ def connection(sys, r, ld, cfg, fs=None, zstar=None):
     return run_plan(sector_plan(cfg, [request]), cfg.tol)[0]
 
 
+def step_count(ode, legs) -> int:
+    """The Taylor steps of one transport of `ode` along `legs`."""
+    return len(odeengine._schedule([ode], [0] * len(legs), legs,
+                                   [(0, seg) for seg in range(len(legs))])[0])
+
+
 def sector_frame(u, tau, r):
     """The frame of the one sector r of u."""
     return sector_frames([u], tau, (r,))[0][0]
@@ -273,7 +279,7 @@ class TestBatchedEngine:
             (ode, np.eye(2, dtype=complex), [Leg(2.0 + 0j, 2.3 + 0.1j)]),
             (ode, np.eye(2, dtype=complex), turns),
         ]
-        steps = [len(odeengine._schedule(o, lg, 0)[0]) for o, _, lg in jobs]
+        steps = [step_count(o, lg) for o, _, lg in jobs]
         assert steps[-2] == 1 and 400 <= steps[-1] <= 450
         return jobs
 
@@ -337,7 +343,7 @@ class TestBatchedEngine:
         A0 = np.array([[0.10, 0.00, 0.06], [0.00, 0.10, 0.09], [0.075, -0.05, 0.45]])
         verify_coalescence(A0, [0.0, 0.0, 1.0], tau=0.3, eps=0.1)
         (odes, Y0s, legs, tol), = batches
-        steps = sum(len(odeengine._schedule(o, lg, 0)[0]) for o, lg in zip(odes, legs))
+        steps = sum(step_count(o, lg) for o, lg in zip(odes, legs))
         assert len(odes) > 100 and steps > 2000
         tracemalloc.start()
         try:
@@ -406,8 +412,7 @@ class TestDistinctLegs:
         # repeats: the radial leg of gauged[0] (built twice) twice, its
         # arc(0.8) once, and the three legs of the loop around pole 0
         assert len(distinct) == sum(len(path) for _, _, path in jobs) - 6
-        expected = sum(len(odeengine._schedule(o, [leg], 0)[0])
-                       for o, leg in distinct.values())
+        expected = sum(step_count(o, [leg]) for o, leg in distinct.values())
         summed = []
         step_matrix = odeengine._step_matrix
 
@@ -484,17 +489,16 @@ class TestScheduleAndCoefficients:
     @given(st.lists(st.tuples(st.sampled_from(range(len(ODES))), legs),
                     min_size=1, max_size=8))
     def test_schedule_matches_reference(self, batch):
-        ode = [self.ODES[k] for k, _ in batch]
-        legs = [leg for _, leg in batch]
-        job = [(i, 0) for i in range(len(legs))]
+        args = (self.ODES, np.array([k for k, _ in batch]), [leg for _, leg in batch],
+                [(i, 0) for i in range(len(batch))])
         try:
-            expected = schedule_reference(ode, legs, job)
+            expected = schedule_reference(*args)
         except IntegrationError as exc:
             with pytest.raises(IntegrationError) as got:
-                odeengine._schedule(ode, legs, job)
+                odeengine._schedule(*args)
             assert str(got.value) == str(exc)
             return
-        got = odeengine._schedule(ode, legs, job)
+        got = odeengine._schedule(*args)
         for x, y in zip(got, expected):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
@@ -576,7 +580,8 @@ class TestSectorTable:
             frame = table.frames[0, r]
             assert frame == sector_bounds_reference(u, 0.3, r, CRIT7_UC)
             assert frame.uC == tuple(CRIT7_UC) and not frame.degenerate
-            assert frame.opening > sector_bounds_reference(u, 0.3, r).opening + 1.0
+            plain = sector_bounds_reference(u, 0.3, r)
+            assert frame.hi - frame.lo > plain.hi - plain.lo + 1.0
 
     def test_systems_must_share_n(self):
         rng = np.random.default_rng(3)
@@ -604,7 +609,7 @@ class TestSeedDirections:
         frame = SectorFrame(tau=0.3, r=0, lo=lo, hi=lo + opening)
         (angles,), _ = odeengine._seed_directions(u, np.array([frame.lo]), np.array([frame.hi]),
                                                   20.0)
-        pad = min(0.05, 0.1 * frame.opening)
+        pad = min(0.05, 0.1 * (frame.hi - frame.lo))
         assert np.all((frame.lo + pad <= angles) & (angles <= frame.hi - pad))
         # the closed form takes the best of the candidates, among them the
         # maximum, so it is below no grid point beyond rounding

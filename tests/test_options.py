@@ -10,12 +10,13 @@ Calls are matched to callables by name, not resolved, so a parameter counts
 as set when a call of any callable of that name sets it.
 
 The same scan finds the dataclass fields and properties that nothing reads,
-and the public functions that no verdict reaches: those that nothing in
-`src/` outside their own definition, the acceptance tests or the benchmark
-names, and so only tests call.
+and the public functions, methods and properties that no verdict reaches:
+those that nothing in `src/` outside their own definition, the acceptance
+tests or the benchmark names, and so only tests call.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -217,43 +218,47 @@ def test_reports_exactly_the_fields_nothing_reads(tmp_path):
     assert unread_fields(tmp_path / "pkg", tmp_path) == ["mod.C.d", "mod.C.e", "mod.C.q"]
 
 
-def _named(node):
-    """Every name that `node` mentions: names, attributes, imported names
-    and string constants (a string can name a function for getattr)."""
-    out = set()
+def _mentions(node):
+    """Every name that `node` mentions, once per mention: names, attributes,
+    imported names and string constants (a string can name a function for
+    getattr)."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            yield n.id
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            yield n.attr
         elif isinstance(n, ast.alias):
-            out.add(n.name)
+            yield n.name
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value)
-    return out
+            yield n.value
 
 
-def unreached_functions(package, *callers):
-    """'module.name' of every public module-level function under `package`
-    that no code of the package outside its own definition (and outside
-    `__init__`, which only re-exports) names, and no file among `callers`
-    (files or directories) names.  Like the calls above, names are matched,
-    not resolved."""
+def _unreached(package, callers, defined):
+    """Sorted 'where' of every (where, node) of `defined(modules)` whose name no
+    code of the package outside that node (and outside `__init__`, which only
+    re-exports) mentions, and no file among `callers` (files or directories)
+    mentions.  Names are matched, not resolved."""
     modules = [(path, tree) for path, tree in _trees(package) if path.stem != "__init__"]
     named = set()
     for c in callers:
         for _, tree in (_trees(c) if Path(c).is_dir() else [(c, ast.parse(Path(c).read_text()))]):
-            named |= _named(tree)
-    out = []
-    for path, tree in modules:
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
-                continue
-            elsewhere = set().union(*(_named(node) for _, t in modules for node in t.body
-                                      if node is not fn))
-            if fn.name not in elsewhere | named:
-                out.append(f"{path.stem}.{fn.name}")
-    return sorted(out)
+            named.update(_mentions(tree))
+    mentions = Counter(m for _, tree in modules for m in _mentions(tree))
+    return sorted(where for where, node in defined(modules) if node.name not in named
+                  and mentions[node.name] == sum(m == node.name for m in _mentions(node)))
+
+
+def _public(nodes, kind):
+    return [n for n in nodes if isinstance(n, kind) and not n.name.startswith("_")]
+
+
+def unreached_functions(package, *callers):
+    """'module.name' of every public module-level function under `package`
+    that neither the package outside its own definition nor `callers`
+    names (see _unreached)."""
+    return _unreached(package, callers, lambda modules: [
+        (f"{path.stem}.{fn.name}", fn) for path, tree in modules
+        for fn in _public(tree.body, ast.FunctionDef)])
 
 
 def test_every_function_is_reached():
@@ -283,3 +288,48 @@ def test_reports_exactly_the_functions_nothing_reaches(tmp_path):
     )
     (tmp_path / "caller.py").write_text("import pkg.a\npkg.a.t()\n")
     assert unreached_functions(tmp_path / "pkg", tmp_path / "caller.py") == ["a.f", "a.r"]
+
+
+def unreached_members(package, *callers):
+    """'module.Class.name' of every public method and property of a public
+    class under `package` that neither the package outside its own
+    definition nor `callers` names (see _unreached)."""
+    return _unreached(package, callers, lambda modules: [
+        (f"{path.stem}.{cls.name}.{fn.name}", fn) for path, tree in modules
+        for cls in _public(tree.body, ast.ClassDef) for fn in _public(cls.body, ast.FunctionDef)])
+
+
+def test_every_member_is_reached():
+    # a public method or property that only tests use serves no verdict
+    assert unreached_members(ROOT / "src" / "isomlab", ROOT / "tests" / "test_acceptance.py",
+                             ROOT / "perfbench") == []
+
+
+def test_reports_exactly_the_members_nothing_reaches(tmp_path):
+    # a call from another module, a call from a sibling method and a caller
+    # file each reach a member; a call from its own body and a mention in
+    # __init__ do not, and private members and members of private classes
+    # are not checked
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("from .a import C\nC.make\n")
+    (tmp_path / "pkg" / "a.py").write_text(
+        "class C:\n"
+        "    def used(self): pass\n"
+        "    def sibling(self): return self.helper()\n"
+        "    def helper(self): pass\n"
+        "    def own(self, k): return self.own(k - 1) if k else 0\n"
+        "    @property\n"
+        "    def p(self): return 0\n"
+        "    @property\n"
+        "    def q(self): return 0\n"
+        "    @staticmethod\n"
+        "    def make(): pass\n"
+        "    def _private(self): pass\n"
+        "class _Hidden:\n"
+        "    def x(self): pass\n"
+    )
+    (tmp_path / "pkg" / "b.py").write_text("from .a import C\nC().used()\n")
+    (tmp_path / "caller.py").write_text("def f(obj): return obj.q\n")
+    assert unreached_members(tmp_path / "pkg", tmp_path / "caller.py") == [
+        "a.C.make", "a.C.own", "a.C.p", "a.C.sibling",
+    ]

@@ -4,7 +4,6 @@ import pytest
 from isomlab import geometry, odeengine
 from isomlab.errors import ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
-from isomlab.isoflow import DiagonalGauge
 from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
 from isomlab.odeengine import join_plans, sector_plan
 from isomlab.verify import (
@@ -17,6 +16,7 @@ from isomlab.verify import (
     stokes_relation_check,
     verify_coalescence,
 )
+from reference_solvers import linear_gauge
 
 GENERIC_A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
 U0 = np.array([0.0, 1.0], dtype=complex)
@@ -150,7 +150,7 @@ class TestCollectData:
             assert drift["B"] <= 1e-10
 
     def test_weak_flow_connection_drifts(self):
-        gauge = DiagonalGauge.linear(np.array([[0.5, 0.0], [0.2, -0.4]]))
+        gauge = linear_gauge(np.array([[0.5, 0.0], [0.2, -0.4]]))
         data = collect_data(
             IrregularSystem(u=U0, A=GENERIC_A),
             [U0, U1], r=0, tau=0.3, order=32, gauge=gauge,
@@ -467,13 +467,3 @@ class TestVerifyCoalescence:
         assert np.array_equal(near.uC, UC3) and np.array_equal(near.direction, exact.direction)
         assert near.S_frozen.tobytes() == exact.S_frozen.tobytes()
         assert np.array_equal(near.limit_errors, exact.limit_errors)
-
-    def test_csv_export(self, tmp_path):
-        rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
-        out = tmp_path / "entries.csv"
-        rep.to_csv(out)
-        import csv
-
-        rows = list(csv.reader(open(out)))
-        assert rows[0] == ["pair_i", "pair_j", "seeding", "gap", "entry_magnitude"]
-        assert len(rows) == 1 + 2 * 2 * 5  # both orientations, both seedings

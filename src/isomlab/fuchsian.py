@@ -5,8 +5,8 @@ integrated by the flow driver of `isoflow` (exact pole-collision guard, a
 path that must start at the poles) with the right-hand side
 dA_i = [sum_j K_ij A_j, A_i], K the difference quotients of the pole
 velocities; it takes a system and returns it at the path's end, as
-`isoflow.integrate_flow` does.  `schlesinger_rhs` is the per-direction
-reference.  Also numeric monodromy with a deterministic loop basis
+`isoflow.integrate_flow` does, with nothing carried.  `schlesinger_rhs` is
+the per-direction reference.  Also numeric monodromy with a deterministic loop basis
 (`monodromy_plan`, whose plans for several systems join into one engine
 batch), the finite-difference Schlesinger residual separating strong
 (Schlesinger) from weak (non-Schlesinger) families, and the explicit
@@ -24,7 +24,7 @@ from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrac
 
 from .errors import WallError
 from .matrixcore import as_square
-from .isoflow import FlowTrace, UPath, _difference_quotients, _integrate
+from .isoflow import UPath, _difference_quotients, _integrate
 from .odeengine import Leg, Plan, fuchsian_ode, run_plan
 
 LOOP_RADIUS = 0.25  # monodromy loop radius over the nearest-other-pole distance
@@ -116,14 +116,14 @@ def _schlesinger_velocity(A, K) -> np.ndarray:
 
 def integrate_schlesinger(
     sys: FuchsianSystem, path: UPath, tol: float = 1e-11, guard: float | None = None,
-) -> tuple[FuchsianSystem, FlowTrace]:
+) -> tuple[FuchsianSystem, tuple[()]]:
     """Transport the residues along a pole-position path from sys.poles;
-    returns the system at the path's end and the trace.
+    returns the system at the path's end and, as the flow carries nothing,
+    an empty tuple.
 
     The path lives in the space of pole tuples; paths on which two poles
     come closer than the guard band (default 1e-6 times the pole scale) are
-    refused with a WallError naming the pairs.  The trace holds the
-    residues as an (m, N, n, n) stack.
+    refused with a WallError naming the pairs.
     """
     N, n = sys.N, sys.n
 
@@ -131,11 +131,10 @@ def integrate_schlesinger(
         K = _difference_quotients(u, du)
         return lambda y: _schlesinger_velocity(y.reshape(N, n, n, -1), K).reshape(y.shape)
 
-    t, u, ys = _integrate("Schlesinger flow", path, sys.poles, np.ravel(sys.residues),
-                          field, tol, guard)
-    A = ys.reshape(len(t), N, n, n)
-    final = FuchsianSystem(poles=path.waypoints[-1], residues=tuple(A[-1]), zero_sum_tol=1e-8)
-    return final, FlowTrace(t=t, u=u, A=A)
+    y = _integrate("Schlesinger flow", path, sys.poles, np.ravel(sys.residues), field, tol, guard)
+    final = FuchsianSystem(poles=path.waypoints[-1], residues=tuple(y.reshape(N, n, n)),
+                           zero_sum_tol=1e-8)
+    return final, ()
 
 
 def _loop_legs(z0: complex, center: complex, radius: float) -> list[Leg]:

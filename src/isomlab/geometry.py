@@ -147,29 +147,18 @@ def stokes_ray_directions(u, subclass_at=None) -> RaySet:
     return RaySet(rays=tuple(StokesRay(*ray) for ray in sorted(_rays(uv.tolist(), label))))
 
 
-@dataclass(frozen=True)
-class Admissibility:
-    admissible: bool
-    margin: float  # angular distance mod pi to the nearest ray
+def is_admissible(tau: float, u, tol: float = ADMISSIBILITY_TOL, subclass_at=None) -> bool:
+    """True iff no Stokes ray lies within `tol` of tau modulo pi.
 
-    def __bool__(self) -> bool:
-        return self.admissible
-
-
-def is_admissible(tau: float, u, tol: float = 1e-8, subclass_at=None) -> Admissibility:
-    """Check that no Stokes ray lies within `tol` of tau modulo pi.
-
-    Admissibility is pi-periodic in tau because the ray family is; the
-    returned margin is the minimal angular distance mod pi.  An empty ray
-    family (fully coalesced sub-class) constrains nothing, so every
-    direction is admissible with infinite margin.
+    Admissibility is pi-periodic in tau because the ray family is.  An empty
+    ray family (fully coalesced sub-class) constrains nothing, so every
+    direction is admissible.
     """
     try:
         rays = stokes_ray_directions(u, subclass_at=subclass_at).rays
     except WallError:
         rays = ()
-    margin = _margin(tau, (r.theta for r in rays))
-    return Admissibility(admissible=margin > tol, margin=float(margin))
+    return _margin(tau, (r.theta for r in rays)) > tol
 
 
 @dataclass(frozen=True)
@@ -179,18 +168,11 @@ class SectorFrame:
 
     The half-plane (tau + (r-2) pi, tau + (r-1) pi) is extended on both sides
     to the nearest Stokes rays outside of it; `lo`/`hi` are arguments on the
-    real line of the cover, with hi - lo > pi.  `uC` records the coalescence
-    point of a widened frame (None for a plain one), and `degenerate` flags
-    the widened case with an empty ray sub-class, where the fallback policy
-    extends each side by a quarter turn.
+    real line of the cover, with hi - lo > pi.
     """
 
-    tau: float
-    r: int
     lo: float
     hi: float
-    degenerate: bool = False
-    uC: tuple | None = None
 
     def contains(self, arg: float) -> bool:
         return self.lo < arg < self.hi
@@ -219,26 +201,21 @@ def sector_frames(us, tau: float, rs, uC=None) -> list[tuple[SectorFrame, ...]]:
     Widened, only rays of pairs with u_i^C != u_j^C bound the sector (tau
     must then be admissible at u^C in the sub-class sense).  If that
     sub-class is empty the fallback policy returns the half-plane extended by
-    pi/2 on each side, flagged as degenerate.  tau within ADMISSIBILITY_TOL
-    of a bounding ray raises AdmissibilityError.
+    pi/2 on each side.  tau within ADMISSIBILITY_TOL of a bounding ray
+    raises AdmissibilityError.
     """
     half_planes = [(tau + (r - 2) * math.pi, tau + (r - 1) * math.pi) for r in rs]
-    uC_key = label = None
+    uvs = [_as_uvec(u).tolist() for u in us]
+    label = None
     if uC is not None:
-        ref = _as_uvec(uC)
-        uC_key = tuple(complex(x) for x in ref)
-        label = coalescence_labels(ref).tolist()
-        if not any(label):
-            return [tuple(
-                SectorFrame(tau=tau, r=r, lo=lo - math.pi / 2, hi=hi + math.pi / 2,
-                            degenerate=True, uC=uC_key)
-                for r, (lo, hi) in zip(rs, half_planes)
-            )] * len(us)
-    out = []
-    for u in us:
-        uv = _as_uvec(u).tolist()
-        if label is not None and len(label) != len(uv):
+        label = coalescence_labels(_as_uvec(uC)).tolist()
+        if any(len(label) != len(uv) for uv in uvs):
             raise ValueError("uC must have the same length as u")
+        if not any(label):
+            return [tuple(SectorFrame(lo=lo - math.pi / 2, hi=hi + math.pi / 2)
+                          for lo, hi in half_planes)] * len(us)
+    out = []
+    for uv in uvs:
         thetas = [theta for theta, _, _ in _rays(uv, range(len(uv)) if label is None else label)]
         margin = _margin(tau, thetas)
         if not margin > ADMISSIBILITY_TOL:
@@ -248,9 +225,8 @@ def sector_frames(us, tau: float, rs, uC=None) -> list[tuple[SectorFrame, ...]]:
             )
         base = _base_directions(thetas)
         out.append(tuple(
-            SectorFrame(tau=tau, r=r, lo=_nearest_ray(base, lo, -1), hi=_nearest_ray(base, hi, 1),
-                        uC=uC_key)
-            for r, (lo, hi) in zip(rs, half_planes)
+            SectorFrame(lo=_nearest_ray(base, lo, -1), hi=_nearest_ray(base, hi, 1))
+            for lo, hi in half_planes
         ))
     return out
 

@@ -2,7 +2,7 @@
 driver it shares with the Schlesinger flow of `fuchsian`.  Both flows take
 a system (here the point (u, A) of the deformation space, which is the
 `IrregularSystem` dY/dz = (Lambda(u) + A/z) Y) and return it at the end of
-their path, with a `FlowTrace`.
+their path, with the end values of the matrices they were asked to carry.
 
 omega_j(0,u) = [F_1(u), E_j] + D_j(u), with entries
 A_ab (delta_aj - delta_bj)/(u_a - u_b) plus an optional diagonal gauge D_j.
@@ -43,7 +43,6 @@ from .geometry import segment_min_abs
 from .matrixcore import as_square, solve_sylvester
 from .odeengine import TAIL_FRACTION
 
-TRACE_SAMPLES = 17  # trace points per path segment, both ends included
 COLLOCATION_NODES = 16  # Chebyshev-Lobatto nodes of a flow step
 MAX_SWEEPS = 40  # Picard sweeps of one step before it is rejected
 MAX_STEPS = 1000  # step budget of one flow segment, accepted and rejected steps
@@ -70,13 +69,6 @@ class DiagonalGauge:
                 raise ValueError(f"gauge entry index {a} out of range")
             if len(alpha) != self.n:
                 raise ValueError("monomial exponent tuple has wrong length")
-
-    def value(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        out = np.zeros(self.n, dtype=complex)
-        for a, c, alpha in self.terms:
-            out[a] += c * np.prod(u**np.array(alpha))
-        return out
 
     def partial(self, u, j: int) -> np.ndarray:
         """Diagonal of D_j(u) = dD/du_j; u may carry trailing axes."""
@@ -173,19 +165,6 @@ def _omega_sum(A, u, du, K, gauge=None) -> np.ndarray:
     return Om
 
 
-@dataclass
-class FlowTrace:
-    """Samples of a flow: A is (m, n, n), or (m, N, n, n) residues for the
-    Schlesinger flow; G and Y are the gauge and frame `integrate_flow`
-    carries, if any, and G[-1], Y[-1] their end values."""
-
-    t: np.ndarray
-    u: np.ndarray
-    A: np.ndarray
-    G: np.ndarray | None = None
-    Y: np.ndarray | None = None
-
-
 def _chebyshev_tables(p: int):
     """Chebyshev-Lobatto nodes of [0, 1], ascending, and two matrices acting
     on node values from the right (the node axis is the last): to the
@@ -279,9 +258,7 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
     only on such steps.  So does a segment that needs more than MAX_STEPS
     steps, accepted and rejected, which bounds its work to
     MAX_STEPS * MAX_SWEEPS right-hand sides.
-    Returns the trace (t, u, y) at TRACE_SAMPLES points per segment, read
-    off the step interpolants, t running from 0 to the number of segments;
-    y[-1] is the end value.
+    Returns y at the path's end.
     """
     w0 = path.waypoints[0]
     if len(w0) != len(start):
@@ -300,10 +277,7 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
         )
     rho = tol ** (-1.0 / (COLLOCATION_NODES - 2))
     a2 = ((rho + 1.0 / rho) / 2.0) ** 2
-    t_eval = np.linspace(0.0, 1.0, TRACE_SAMPLES)
-    degrees = np.arange(COLLOCATION_NODES)
     i, j = np.triu_indices(len(path.waypoints[0]), 1)
-    ts, us, ys = [], [], []
     for seg, (a, b) in enumerate(zip(path.waypoints[:-1], path.waypoints[1:])):
         du = b - a
         rate = np.abs(du[i] - du[j])
@@ -311,8 +285,7 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
         collide = (a[j] - a[i])[moving] / (du[i] - du[j])[moving]  # complex t
         scale = np.minimum(default, np.minimum(np.abs(a[i] - a[j]), np.abs(b[i] - b[j])))
         floor = float(np.min(STEP_FLOOR * scale[moving] / rate[moving])) if moving.any() else 0.0
-        samples = [y[None]]
-        t, h, steps, k = 0.0, math.inf, 0, 1  # k: next trace sample
+        t, h, steps = 0.0, math.inf, 0
         while t < 1.0:
             c = collide - t
             reach = 2.0 * np.min(np.sqrt(a2) * np.abs(c) - c.real, initial=math.inf) / (a2 - 1.0)
@@ -336,18 +309,8 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
                     break
                 h, grow = h / 2, 1.0
             t_end = 1.0 if h >= 1.0 - t else t + h
-            end = k + int(np.searchsorted(t_eval[k:], t_end, side="right"))
-            if end > k:
-                tau = np.clip(2.0 * (t_eval[k:end] - t) / h - 1.0, -1.0, 1.0)
-                T = np.cos(np.outer(degrees, np.arccos(tau)))  # T_k at the samples
-                samples.append((X @ TO_COEFFS @ T).T)
-                k = end
             y, t, h = X[:, -1], t_end, grow * h
-        samples[-1][-1] = y  # the end value itself, not its interpolant
-        ts.append(seg + t_eval)
-        us.append(a + t_eval[:, None] * du)
-        ys.append(np.concatenate(samples))
-    return np.concatenate(ts), np.concatenate(us), np.concatenate(ys)
+    return y
 
 
 def _check_gauge(sys: IrregularSystem, gauge: DiagonalGauge | None):
@@ -365,17 +328,18 @@ def integrate_flow(
     carry_gauge=None,
     carry_frame: tuple[complex, np.ndarray] | None = None,
     guard: float | None = None,
-) -> tuple[IrregularSystem, FlowTrace]:
+) -> tuple[IrregularSystem, tuple[np.ndarray, ...]]:
     """Integrate dA = sum_j [omega_j(0,u), A] du_j along a piecewise-straight
-    path from sys.u; returns the system at the path's end and the trace.
+    path from sys.u; returns the system at the path's end and a tuple of
+    the end values of the matrices it was asked to carry, G before Y.
     gauge=None runs the strong flow (D = 0, which keeps diag(A) as well as
     the spectrum of A), a DiagonalGauge the weak flow.
 
     Optionally co-integrates a gauge matrix G with dG = (sum_j omega_j(0) du_j) G
     (`carry_gauge` = initial G) and a fundamental-matrix frame at a fixed
     z-point with dY = sum_j (z E_j + omega_j(0)) du_j Y (`carry_frame` =
-    (z, Y0)), into trace.G and trace.Y.  `rhs_sign` scales the whole
-    right-hand side; -1 is the corrupted flow used by sensitivity checks.
+    (z, Y0)).  `rhs_sign` scales the whole right-hand side; -1 is the
+    corrupted flow used by sensitivity checks.
 
     Paths whose exact minimal pair gap falls below `guard` (default 1e-6
     times the u scale) are refused with a WallError naming the pairs.
@@ -405,12 +369,9 @@ def integrate_flow(
         return f
 
     y0 = np.concatenate([np.asarray(B, dtype=complex).ravel() for B in blocks])
-    t, u, ys = _integrate("isomonodromy flow", path, sys.u, y0, field, tol, guard)
-    X = ys.reshape(len(t), -1, n, n)
-    G = X[:, 1] if carry_gauge is not None else None
-    Y = X[:, -1] if carry_frame is not None else None
-    final = IrregularSystem(u=path.waypoints[-1], A=X[-1, 0])
-    return final, FlowTrace(t=t, u=u, A=X[:, 0], G=G, Y=Y)
+    y = _integrate("isomonodromy flow", path, sys.u, y0, field, tol, guard)
+    A, *carried = y.reshape(-1, n, n)
+    return IrregularSystem(u=path.waypoints[-1], A=A), tuple(carried)
 
 
 def integrability_residual(sys: IrregularSystem, gauge: DiagonalGauge | None = None,
@@ -446,13 +407,11 @@ def integrability_residual(sys: IrregularSystem, gauge: DiagonalGauge | None = N
 @dataclass(frozen=True)
 class VanishingFit:
     slope: float
-    pair: tuple[int, int]
     passed: bool
-    gaps: np.ndarray
     magnitudes: np.ndarray
 
 
-def vanishing_order_check(gaps, magnitudes, pair=(0, 1), slope_threshold: float = 0.9,
+def vanishing_order_check(gaps, magnitudes, slope_threshold: float = 0.9,
                           floor: float = 1e-13) -> VanishingFit:
     """Fit log|A_ij| against log|u_i - u_j| and compare the slope to 0.9.
 
@@ -474,7 +433,7 @@ def vanishing_order_check(gaps, magnitudes, pair=(0, 1), slope_threshold: float 
     else:
         passed = not mask.any() or bool(mask[np.argmax(g)])
         slope = math.inf if passed else -math.inf
-    return VanishingFit(slope=slope, pair=tuple(pair), passed=passed, gaps=g, magnitudes=m)
+    return VanishingFit(slope=slope, passed=passed, magnitudes=m)
 
 
 @dataclass(frozen=True)
@@ -489,7 +448,6 @@ class LaurentCoefficients:
 
 @dataclass(frozen=True)
 class LaurentReport:
-    forced_zero_norms: tuple[float, ...]
     diag_rule_residual: float
 
 
@@ -519,7 +477,6 @@ def laurent_reduce(
 
     p = len(raw.negative)
     negative = []
-    forced = []
     prev = np.zeros((n, n), dtype=complex)
     for m in range(p, 0, -1):
         rhs = prev @ Lam - Lam @ prev  # [prev, Lambda] with prev = omega^(-m-1)
@@ -531,7 +488,6 @@ def laurent_reduce(
                 order=-m,
             ) from exc
         negative.append(X)
-        forced.append(float(np.linalg.norm(X, 2)))
         prev = X
     negative.reverse()  # stored omega^(-p) .. omega^(-1)
 
@@ -562,4 +518,4 @@ def laurent_reduce(
     out = LaurentCoefficients(
         j=j, negative=tuple(negative), omega0=om0, positive=tuple(positive)
     )
-    return out, LaurentReport(forced_zero_norms=tuple(forced), diag_rule_residual=diag_resid)
+    return out, LaurentReport(diag_rule_residual=diag_resid)

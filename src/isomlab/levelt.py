@@ -41,9 +41,8 @@ class LeveltData:
 
     d: integer diagonal of D.  sigma: diagonal of Sigma (class representative
     per position).  N: nilpotent part, same block pattern as Sigma.  G puts
-    the residue in the Jordan form J, its blocks in Levelt order.  `blocks`
-    records, per integer-difference class, (sigma_q, positions, offsets).
-    Psi holds Psi_1..Psi_K, a (K, n, n) array, once built.
+    the residue in the Jordan form J, its blocks in Levelt order.  Psi holds
+    Psi_1..Psi_K, a (K, n, n) array, once built.
     """
 
     d: np.ndarray
@@ -51,7 +50,6 @@ class LeveltData:
     N: np.ndarray
     G: np.ndarray
     J: np.ndarray
-    blocks: tuple[tuple[complex, tuple[int, ...], tuple[int, ...]], ...]
     residual: float
     Psi: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0), dtype=complex))
     resonant_orders: tuple[int, ...] = ()
@@ -59,10 +57,6 @@ class LeveltData:
     @property
     def n(self) -> int:
         return len(self.d)
-
-    @property
-    def D(self) -> np.ndarray:
-        return np.diag(self.d.astype(complex))
 
     @property
     def Sigma(self) -> np.ndarray:
@@ -205,9 +199,8 @@ def compute_levelt_exponents(A, tol: float = 1e-8) -> LeveltData:
     classes.sort(key=lambda q: (q[0].real, q[0].imag))
 
     scale = max(np.linalg.norm(M, 2), 1.0)
-    cols, lams, d, sigma, superdiag, blocks = [], [], [], [], [], []
+    cols, lams, d, sigma, superdiag = [], [], [], [], []
     for sig, members, offset in classes:
-        first = len(cols)
         for c in members:
             lam, mult = clusters[c]
             for chain in _jordan_chains(M, lam, mult, tol, scale):
@@ -216,7 +209,6 @@ def compute_levelt_exponents(A, tol: float = 1e-8) -> LeveltData:
             lams += [lam] * mult
             d += [offset[c]] * mult
             sigma += [sig] * mult
-        blocks.append((complex(sig), tuple(range(first, len(cols))), tuple(d[first:])))
     G = np.array(cols).T  # the chain vectors as columns, stored column-major
     N = np.diag(np.array(superdiag[:-1], dtype=complex), 1)
     d = np.array(d, dtype=int)
@@ -234,7 +226,7 @@ def compute_levelt_exponents(A, tol: float = 1e-8) -> LeveltData:
             f"Jordan residual {residual:.3e} exceeds 10*tol*||A|| = {10 * tol * scale:.3e}"
         )
     resid = float(np.linalg.norm(GinvAG - J, 2))
-    return LeveltData(d=d, sigma=sigma, N=N, G=G, J=J, blocks=tuple(blocks), residual=resid)
+    return LeveltData(d=d, sigma=sigma, N=N, G=G, J=J, residual=resid)
 
 
 def with_gauge(ld: LeveltData, G_new, A_new) -> LeveltData:

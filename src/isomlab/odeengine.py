@@ -162,7 +162,6 @@ class SolutionHandle:
     system: IrregularSystem
     point: PathPoint
     value: np.ndarray
-    seed_error: float = 0.0
     wronskian_drift: float = 0.0
 
     def __post_init__(self):
@@ -833,8 +832,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
         for p, q in enumerate(requests):
             b = first[p]
             if q.kind == "sectorial":
-                results[p] = SolutionHandle(system=q.sys, point=points[b], value=Y[b],
-                                            seed_error=float(seed_error[b]))
+                results[p] = SolutionHandle(system=q.sys, point=points[b], value=Y[b])
             elif q.kind == "connection":
                 job, scale = levelt[p]
                 results[p] = np.linalg.solve(ends[job] * scale, Y[b])
@@ -878,7 +876,6 @@ def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, tol: float):
     err = seed_error * (1.0 + np.abs(S).max(axis=(1, 2))) + amp * (10 * tol + 1e-14)
     return [
         StokesResult(
-            r=q.r,
             S=S[p],
             zstar=zstars[p],
             diag_residual=float(diag_residual[p]),
@@ -887,7 +884,7 @@ def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, tol: float):
                                 for i, j in np.argwhere(forced[p]).tolist()),
             error_estimate=float(err[p]),
         )
-        for p, q in enumerate(requests)
+        for p in range(len(requests))
     ]
 
 
@@ -912,10 +909,9 @@ def actual_solution(
     recessive (there the seed's contamination by other solutions is below
     the truncation error) and transported to the common point: a radial leg
     in from its seed, an argument sweep at moderate radius and a radial leg
-    out to z*.  The reported `seed_error` is the first-omitted-term bound
-    plus the Stokes leakage of the seeds.  Without `fs` the series is
-    computed to `order` with `coalesce_tol`.  The frame is widened at `uC`
-    when `widened` is set, which needs `uC`; otherwise `uC` is not read.
+    out to z*.  Without `fs` the series is computed to `order` with
+    `coalesce_tol`.  The frame is widened at `uC` when `widened` is set,
+    which needs `uC`; otherwise `uC` is not read.
     """
     if widened and uC is None:
         raise ValueError("widened sectors need the coalescence point uC")
@@ -936,7 +932,6 @@ class StokesResult:
     round-off amplification of the exponential regrading.
     """
 
-    r: int
     S: np.ndarray
     zstar: PathPoint
     diag_residual: float

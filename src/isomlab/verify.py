@@ -67,7 +67,6 @@ class MonodromyDataSet:
     """Essential monodromy data extracted at one sample point."""
 
     u: np.ndarray
-    r: int
     S_r: np.ndarray
     S_r1: np.ndarray
     b: np.ndarray  # diagonal of A (formal monodromy exponent)
@@ -114,10 +113,10 @@ def collect_data(
     ld0 = compute_levelt_exponents(sys.A)
     systems, gauges = [sys], [ld0.G]
     for target in sample_pts[1:]:
-        cur, trace = integrate_flow(systems[-1], UPath.line(systems[-1].u, target), tol=tol,
-                                    gauge=gauge, carry_gauge=gauges[-1])
+        cur, (G,) = integrate_flow(systems[-1], UPath.line(systems[-1].u, target), tol=tol,
+                                   gauge=gauge, carry_gauge=gauges[-1])
         systems.append(cur)
-        gauges.append(trace.G[-1])
+        gauges.append(G)
     cfg = StokesConfig(tau=tau, tol=tol, order=order)
     requests, levelt = [], []
     for cur, G in zip(systems, gauges):
@@ -137,7 +136,6 @@ def collect_data(
     return [
         MonodromyDataSet(
             u=cur.u.copy(),
-            r=r,
             S_r=res_r.S,
             S_r1=res_r1.S,
             b=np.diag(cur.A).copy(),
@@ -190,8 +188,8 @@ def stokes_relation_check(data: MonodromyDataSet) -> dict[str, float]:
 class CoalescenceReport:
     """Everything the coalescence pipeline measured, plus the verdicts.
 
-    `S_frozen` and `S1_frozen` are S_r and S_{r+1} of the frozen system at
-    u^C, the limit the samples are compared against.  Two extraction passes
+    `S_frozen` is S_r of the frozen system at u^C, which with its S_{r+1}
+    is the limit the samples are compared against.  Two extraction passes
     over the samples feed the report.  The self-seeded pass (each
     sample seeded with its own formal series) is the accurate one and gates
     the limit and zero-pattern thresholds.  The frozen-seeded pass (every
@@ -208,11 +206,8 @@ class CoalescenceReport:
     uC: np.ndarray
     direction: np.ndarray
     gaps: np.ndarray
-    r: int
-    tau: float
     pairs: tuple[tuple[int, int], ...]
     S_frozen: np.ndarray
-    S1_frozen: np.ndarray
     limit_errors: np.ndarray
     driven_limit_errors: np.ndarray
     entry_fits: dict[tuple[int, int], VanishingFit]  # self-seeded |S_ab|, both orders
@@ -440,7 +435,7 @@ def verify_coalescence(
     def fits(mats, entries, **kw):
         """Vanishing fit of |M_ab| over the gaps for every (a, b) of entries;
         kw goes on to vanishing_order_check."""
-        return {p: vanishing_order_check(gaps, [abs(M[p]) for M in mats], pair=p,
+        return {p: vanishing_order_check(gaps, [abs(M[p]) for M in mats],
                                          slope_threshold=SLOPE_THRESHOLD, **kw)
                 for p in entries}
 
@@ -462,11 +457,8 @@ def verify_coalescence(
         uC=ref,
         direction=v,
         gaps=gaps,
-        r=r,
-        tau=tau,
         pairs=pairs,
         S_frozen=S0_frozen.S,
-        S1_frozen=S1_frozen.S,
         limit_errors=limit_errors,
         driven_limit_errors=driven_limit_errors,
         entry_fits=entry_fits,

@@ -18,6 +18,16 @@ def linear_gauge(C) -> DiagonalGauge:
     ))
 
 
+def gauge_value(gauge: DiagonalGauge, u) -> np.ndarray:
+    """The diagonal of D(u) for a DiagonalGauge: each entry the sum of its
+    monomials c * prod_j u_j^{alpha_j}."""
+    u = np.asarray(u, dtype=complex)
+    out = np.zeros(gauge.n, dtype=complex)
+    for a, c, alpha in gauge.terms:
+        out[a] += c * np.prod(u**np.array(alpha))
+    return out
+
+
 def solve_sylvester_lstsq(P, Q, R, rcond: float = 1e-12):
     """Least-squares/min-norm solve of P X - X Q = R for singular operators.
 
@@ -138,7 +148,6 @@ def sector_bounds_reference(u, tau, r, uC=None):
         ADMISSIBILITY_TOL,
         DIRECTION_TOL,
         SectorFrame,
-        _as_uvec,
         _margin,
         _nearest_ray,
         coalescence_labels,
@@ -147,12 +156,8 @@ def sector_bounds_reference(u, tau, r, uC=None):
 
     lo_hp = tau + (r - 2) * math.pi
     hi_hp = tau + (r - 1) * math.pi
-    uC_key = None
-    if uC is not None:
-        uC_key = tuple(complex(x) for x in _as_uvec(uC))
-        if not coalescence_labels(uC).any():
-            return SectorFrame(tau=tau, r=r, lo=lo_hp - math.pi / 2, hi=hi_hp + math.pi / 2,
-                               degenerate=True, uC=uC_key)
+    if uC is not None and not coalescence_labels(uC).any():
+        return SectorFrame(lo=lo_hp - math.pi / 2, hi=hi_hp + math.pi / 2)
     rays = stokes_ray_directions(u, subclass_at=uC)
     margin = _margin(tau, (ray.theta for ray in rays.rays))
     if not margin > ADMISSIBILITY_TOL:
@@ -165,8 +170,7 @@ def sector_bounds_reference(u, tau, r, uC=None):
             base.append(theta)
     if len(base) > 1 and base[0] + math.pi - base[-1] <= DIRECTION_TOL:
         base.pop()
-    return SectorFrame(tau=tau, r=r, lo=_nearest_ray(base, lo_hp, -1),
-                       hi=_nearest_ray(base, hi_hp, 1), uC=uC_key)
+    return SectorFrame(lo=_nearest_ray(base, lo_hp, -1), hi=_nearest_ray(base, hi_hp, 1))
 
 
 def column_seed_directions_reference(u, frame):
@@ -540,18 +544,15 @@ def levelt_exponents_reference(A, tol):
         cls.append((sig, sorted(idxs, key=lambda b: (-int(round((blocks[b][0] - sig).real)),
                                                       -blocks[b][2]))))
     cls.sort(key=lambda c: (c[0].real, c[0].imag))
-    perm, d, sigma, out_blocks = [], np.zeros(n, dtype=int), np.zeros(n, dtype=complex), []
+    perm, d, sigma = [], np.zeros(n, dtype=int), np.zeros(n, dtype=complex)
     for sig, idxs in cls:
-        first = len(perm)
         for b in idxs:
             lam, start, size = blocks[b]
             perm += range(start, start + size)
             d[len(perm) - size : len(perm)] = int(round((lam - sig).real))
             sigma[len(perm) - size : len(perm)] = sig
-        out_blocks.append((complex(sig), tuple(range(first, len(perm))),
-                           tuple(int(x) for x in d[first : len(perm)])))
     G = G0[:, perm]
     J = np.diag(sigma + d) + (J0 - np.diag(np.diag(J0)))[np.ix_(perm, perm)]
     N = J - np.diag(np.diag(J))
     resid = float(np.linalg.norm(np.linalg.inv(G) @ M @ G - J, 2))
-    return LeveltData(d=d, sigma=sigma, N=N, G=G, J=J, blocks=tuple(out_blocks), residual=resid)
+    return LeveltData(d=d, sigma=sigma, N=N, G=G, J=J, residual=resid)

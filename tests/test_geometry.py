@@ -60,9 +60,10 @@ class TestStokesRays:
 
 class TestAdmissibility:
     def test_clear_direction(self):
-        adm = is_admissible(0.0, [0.0, 1.0])
-        assert adm.admissible
-        assert abs(adm.margin - math.pi / 2) < 1e-12
+        # the one ray direction mod pi is pi/2 away from tau = 0
+        assert is_admissible(0.0, [0.0, 1.0])
+        assert is_admissible(0.0, [0.0, 1.0], tol=math.pi / 2 - 1e-12)
+        assert not is_admissible(0.0, [0.0, 1.0], tol=math.pi / 2 + 1e-12)
 
     def test_exact_ray_hit(self):
         assert not is_admissible(math.pi / 2, [0.0, 1.0])
@@ -73,11 +74,16 @@ class TestAdmissibility:
     def test_pi_periodicity(self):
         rng = np.random.default_rng(8)
         u = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rays = [1.5 * math.pi - np.angle(u[i] - u[j]) for i in range(3) for j in range(3) if i != j]
         for tau in (0.1, 1.1, 2.3):
-            a = is_admissible(tau, u)
-            b = is_admissible(tau + math.pi, u)
-            assert a.admissible == b.admissible
-            assert abs(a.margin - b.margin) < 1e-9
+            # the distance mod pi from tau to the nearest ray brackets the tol
+            # at which tau and tau + pi stop being admissible
+            d = np.mod(np.array(rays) - tau, math.pi)
+            margin = float(np.min(np.minimum(d, math.pi - d)))
+            for t in (tau, tau + math.pi):
+                assert is_admissible(t, u) == (margin > 1e-8)
+                assert is_admissible(t, u, tol=margin - 1e-9)
+                assert not is_admissible(t, u, tol=margin + 1e-9)
 
 
 def sector_bounds(u, tau, r, uC=None):
@@ -119,7 +125,7 @@ class TestSectorBounds:
 
     def test_widened_degenerate_policy(self):
         fr = sector_bounds([0.01, -0.01], 0.3, 1, uC=[0.0, 0.0])
-        assert fr.degenerate
+        assert abs(fr.hi - fr.lo - 2 * math.pi) < 1e-12  # pi/2 beyond the half-plane each side
         lo_hp, hi_hp = 0.3 - math.pi, 0.3  # the half-plane of r = 1
         assert abs(fr.lo - (lo_hp - math.pi / 2)) < 1e-12
         assert abs(fr.hi - (hi_hp + math.pi / 2)) < 1e-12
@@ -127,6 +133,12 @@ class TestSectorBounds:
     def test_inadmissible_rejected(self):
         with pytest.raises(AdmissibilityError):
             sector_bounds([0.0, 1.0], math.pi / 2, 1)
+
+    @pytest.mark.parametrize("uC", [[0.0, 0.0], [0.0, 0.5]])
+    def test_uc_length_checked(self, uC):
+        # also when all of u^C coalesces, where the frames need no rays
+        with pytest.raises(ValueError, match="uC must have the same length as u"):
+            sector_frames([[0.0, 1.0, 2.0]], 0.3, (0,), uC=uC)
 
 
 class TestClassifyPoint:

@@ -29,7 +29,7 @@ class TestClusterEigenvalues:
     def test_nilpotent(self):
         # characteristic polynomial lambda^2 = 0 by hand expansion
         ld = compute_levelt_exponents(np.array([[0, 1], [0, 0]]), tol=1e-8)
-        assert len(ld.blocks) == 1 and ld.blocks[0][1] == (0, 1)
+        assert ld.sigma[0] == ld.sigma[1]  # one class over both positions
         assert np.max(np.abs(np.diag(ld.J))) < 1e-7
 
     def test_count_nonincreasing_in_tol(self):

@@ -9,10 +9,20 @@ every parameter of its callee when it forwards `*args` or `**kw`;
 Calls are matched to callables by name, not resolved, so a parameter counts
 as set when a call of any callable of that name sets it.
 
-The same scan finds the dataclass fields and properties that nothing reads,
-and the public functions, methods and properties that no verdict reaches:
-those that nothing in `src/` outside their own definition, the acceptance
-tests or the benchmark names, and so only tests call.
+The same scan finds the dataclass fields and properties that no verdict
+reads, and the public functions, methods and properties that no verdict
+reaches.  A verdict is code in `src/`, the acceptance tests or the
+benchmark; a field that only unit tests read, or a function that only they
+call, serves none.
+
+Reads, calls and mentions are matched by name, not resolved, so a name
+that some other object also uses is counted as read or reached whatever
+it belongs to.  Such names were checked by hand (grep), and the test-only
+ones removed: the method `DiagonalGauge.value`, which a local `value` of
+`cli.main` hid, and the fields `tau`, `r` and `uC` of `SectorFrame`,
+`pair` and `gaps` of `VanishingFit`, `r` of `StokesResult` and
+`MonodromyDataSet`, and `r` and `tau` of `CoalescenceReport`, which
+attributes of the same names on other objects hid.
 """
 
 import ast
@@ -22,9 +32,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _trees(*dirs):
-    for d in dirs:
-        for path in sorted(Path(d).rglob("*.py")):
+def _trees(*paths):
+    """(path, parsed module) of each file among `paths` and each .py file
+    under each directory among them."""
+    for p in map(Path, paths):
+        for path in sorted(p.rglob("*.py")) if p.is_dir() else [p]:
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
@@ -81,7 +93,8 @@ def callables(package):
 
 def unset_defaults(package, *callers):
     """'where(parameter)' of every default-valued parameter of a callable
-    under `package` that no call in the `callers` directories sets."""
+    under `package` that no call in the `callers` (files or directories)
+    sets."""
     table = callables(package)
     dataclasses = [(where, params) for entries in table.values()
                    for where, params, dataclass in entries if dataclass]
@@ -153,9 +166,9 @@ def _getattr_readers(trees):
 def unread_fields(package, *readers):
     """'module.Class.name' of every field of a public dataclass and every
     property of a public class under `package` that nothing in the `readers`
-    directories reads.  A read is an attribute load of that name, or a string
-    constant handed to getattr (directly or through a function that passes
-    its parameter on).  Definitions and constructor keywords are not reads;
+    (files or directories) reads.  A read is an attribute load of that name,
+    or a string constant handed to getattr (directly or through a function
+    that passes its parameter on).  Definitions and constructor keywords are not reads;
     like the calls above, reads are matched by name, not resolved."""
     declared = []
     for path, tree in _trees(package):
@@ -181,7 +194,9 @@ def unread_fields(package, *readers):
 
 
 def test_every_field_is_read():
-    assert unread_fields(ROOT / "src" / "isomlab", ROOT / "src", ROOT / "tests") == []
+    # a field or property that only unit tests read serves no verdict
+    assert unread_fields(ROOT / "src" / "isomlab", ROOT / "src",
+                         ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench") == []
 
 
 def test_reports_exactly_the_fields_nothing_reads(tmp_path):
@@ -218,6 +233,26 @@ def test_reports_exactly_the_fields_nothing_reads(tmp_path):
     assert unread_fields(tmp_path / "pkg", tmp_path) == ["mod.C.d", "mod.C.e", "mod.C.q"]
 
 
+def test_reports_the_fields_only_other_files_read(tmp_path):
+    # reads count in the reader directories and reader files alone: a field
+    # that only a file outside them reads is reported
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int\n"
+        "    c: int\n"
+    )
+    (tmp_path / "verdicts").mkdir()
+    (tmp_path / "verdicts" / "run.py").write_text("def f(obj): return obj.a\n")
+    (tmp_path / "acceptance.py").write_text("def g(obj): return obj.b\n")
+    (tmp_path / "unit.py").write_text("def h(obj): return obj.a + obj.b + obj.c\n")
+    assert unread_fields(tmp_path / "pkg", tmp_path / "verdicts",
+                         tmp_path / "acceptance.py") == ["mod.C.c"]
+
+
 def _mentions(node):
     """Every name that `node` mentions, once per mention: names, attributes,
     imported names and string constants (a string can name a function for
@@ -239,10 +274,7 @@ def _unreached(package, callers, defined):
     re-exports) mentions, and no file among `callers` (files or directories)
     mentions.  Names are matched, not resolved."""
     modules = [(path, tree) for path, tree in _trees(package) if path.stem != "__init__"]
-    named = set()
-    for c in callers:
-        for _, tree in (_trees(c) if Path(c).is_dir() else [(c, ast.parse(Path(c).read_text()))]):
-            named.update(_mentions(tree))
+    named = {m for _, tree in _trees(*callers) for m in _mentions(tree)}
     mentions = Counter(m for _, tree in modules for m in _mentions(tree))
     return sorted(where for where, node in defined(modules) if node.name not in named
                   and mentions[node.name] == sum(m == node.name for m in _mentions(node)))

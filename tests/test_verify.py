@@ -5,8 +5,9 @@ from isomlab import geometry, odeengine
 from isomlab.errors import ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
-from isomlab.odeengine import join_plans, sector_plan
+from isomlab.odeengine import StokesConfig, join_plans, sector_plan
 from isomlab.verify import (
+    COALESCENCE_TOL,
     MonodromyDataSet,
     coalescing_direction,
     collect_data,
@@ -199,7 +200,7 @@ class TestStokesRelationCheck:
         n = len(b)
         eye = np.eye(n, dtype=complex)
         return MonodromyDataSet(
-            u=U0, r=0, S_r=S0, S_r1=S1 if S1 is not None else eye,
+            u=U0, S_r=S0, S_r1=S1 if S1 is not None else eye,
             b=np.asarray(b, dtype=complex), d=np.zeros(n, dtype=int), L=eye * 0,
             C_r=C0 if C0 is not None else eye,
             S_r2=S2, C_r1=C1 if C1 is not None else (C0 if C0 is not None else eye) @ S0,
@@ -363,12 +364,17 @@ class TestVerifyCoalescence:
         assert rep.limit_errors[-1] <= 1e-5
         assert rep.pattern_magnitude <= 1e-6
         assert rep.flow_vs_germ < 1e-10
-        # frozen system carries exact zeros at the coalescing positions
+        # frozen system carries exact zeros at the coalescing positions, in
+        # S_r and in S_{r+1}, here taken from the sector API on the frozen
+        # system in the frame widened at u^C
+        frozen = IrregularSystem(u=rep.uC, A=A3)
+        fs0 = compute_formal_coefficients(frozen, K=30, coalesce_tol=COALESCENCE_TOL)
+        S1_frozen = odeengine.stokes_matrix(frozen, 1, StokesConfig(tau=0.3, uC=rep.uC), fs0).S
         for i, j in rep.pairs:
             assert abs(rep.S_frozen[i, j]) < 1e-9
             assert abs(rep.S_frozen[j, i]) < 1e-9
-            assert abs(rep.S1_frozen[i, j]) < 1e-9
-            assert abs(rep.S1_frozen[j, i]) < 1e-9
+            assert abs(S1_frozen[i, j]) < 1e-9
+            assert abs(S1_frozen[j, i]) < 1e-9
         # frozen-seeded pass decays linearly in the gap
         for f in rep.driven_fits.values():
             assert f.slope >= 0.9

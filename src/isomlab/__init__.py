@@ -60,7 +60,7 @@ from .levelt import (
     eval_levelt,
     monodromy_exponential,
 )
-from .matrixcore import matrix_power, solve_sylvester
+from .matrixcore import solve_sylvester
 from .odeengine import (
     PathPoint,
     SolutionHandle,

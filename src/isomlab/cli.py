@@ -52,8 +52,19 @@ PASS, FAIL = "PASS", "FAIL"
 
 
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Print the report as strict JSON; a non-finite number is refused, so
+    the few values that may be infinite go through `_finite` first."""
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise IsomlabError(f"report of {report.get('command')} holds a non-finite number") from exc
+    sys.stdout.write(text + "\n")
+
+
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) where x is infinite: a fit slope under the
+    zero-entry convention, or an error estimate or floor with no bound."""
+    return None if math.isinf(x) else x
 
 
 def _csv(args, report: dict, name: str, header, rows) -> None:
@@ -170,7 +181,7 @@ def cmd_stokes_matrix(args) -> int:
         "required_zero": [
             {"entry": list(pos), "magnitude": mag} for pos, mag in res.required_zero
         ],
-        "error_estimate": res.error_estimate,
+        "error_estimate": _finite(res.error_estimate),
     }
     ok = res.diag_residual <= args.mtol and all(
         mag <= args.mtol for _, mag in res.required_zero
@@ -325,14 +336,15 @@ def cmd_verify_coalescence(args) -> int:
         "S_frozen": io.cmat_to_json(rep.S_frozen),
         "limit_errors": [float(x) for x in rep.limit_errors],
         "entry_fits": {
-            f"{i},{j}": {"slope": f.slope, "passed": f.passed}
+            f"{i},{j}": {"slope": _finite(f.slope), "passed": f.passed}
             for (i, j), f in rep.entry_fits.items()
         },
-        "driven_entry_slopes": {f"{i},{j}": f.slope for (i, j), f in rep.driven_fits.items()},
-        "a_entry_slopes": {f"{i},{j}": f.slope for (i, j), f in rep.a_fits.items()},
+        "driven_entry_slopes": {f"{i},{j}": _finite(f.slope)
+                                for (i, j), f in rep.driven_fits.items()},
+        "a_entry_slopes": {f"{i},{j}": _finite(f.slope) for (i, j), f in rep.a_fits.items()},
         "driven_limit_errors": [float(x) for x in rep.driven_limit_errors],
         "flow_vs_germ": rep.flow_vs_germ,
-        "entry_floor": rep.entry_floor,
+        "entry_floor": _finite(rep.entry_floor),
         "pattern_magnitude": rep.pattern_magnitude,
         "thresholds": rep.thresholds,
         "decay_ok": rep.decay_ok,

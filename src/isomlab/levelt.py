@@ -17,7 +17,12 @@ where H_m are the Taylor coefficients of the gauge-transformed holomorphic
 part of the coefficient matrix.  The order-k operator is singular exactly
 when two eigenvalues of the residue differ by the integer k; those resonant
 orders are solved in the least-squares sense with kernel components set to
-zero, which makes the (non-unique) Levelt form deterministic.
+zero, which makes the (non-unique) Levelt form deterministic.  The gauges
+of one residue along an isomonodromy flow share J, hence every order-k
+operator, and one build solves them all.
+
+Since N is nilpotent and commutes with D and Sigma, the exponential factor
+has the closed form z^D z^L = diag(z^(d + sigma)) sum_{l<n} (N log z)^l / l!.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EigenSolverError, JordanChainError, ResonanceError
-from .matrixcore import _chain_groups, as_square, matrix_power
+from .matrixcore import _chain_groups, as_square
 
 MAX_JORDAN_DIM = 8  # residues are put in Jordan form up to this size
 RESONANCE_TOL = 1e-8  # an order this close to an eigenvalue gap, times ||J||, is resonant
@@ -71,18 +76,6 @@ class LeveltData:
         return len(self.Psi)
 
 
-def _kernel_basis(B, thresh):
-    """Orthonormal kernel basis of B from SVD, singular values below `thresh`.
-
-    The threshold is absolute; callers scale it by the natural magnitude of
-    the matrix (for powers (A - lambda I)^k that is ||A - lambda I||^k, since
-    the power itself may be numerically zero).
-    """
-    _, s, Vh = np.linalg.svd(B)
-    null_mask = s <= thresh
-    return Vh.conj().T[:, null_mask], s
-
-
 def _jordan_chains(M, lam: complex, mult: int, tol: float, scale: float):
     """Jordan chains of M at the eigenvalue cluster (lam, mult), longest first.
 
@@ -92,15 +85,19 @@ def _jordan_chains(M, lam: complex, mult: int, tol: float, scale: float):
     """
     n = M.shape[0]
     B = M - lam * np.eye(n)
-    normB = max(np.linalg.norm(B, 2), tol * scale)
+    # one SVD of B gives ||B||_2 and the kernel of the first power
+    P, (_, svals, Vh) = B, np.linalg.svd(B)
+    normB = max(svals[0], tol * scale)
     # kernel dimensions of successive powers, thresholds scaled to ||B||^k
+    # (the power itself may be numerically zero)
     kernels = []
-    P = np.eye(n, dtype=complex)
     dims = [0]
     for k in range(1, mult + 1):
-        P = P @ B
+        if k > 1:
+            P = P @ B
+            _, svals, Vh = np.linalg.svd(P)
         thresh = tol * normB**k
-        K, svals = _kernel_basis(P, thresh)
+        K = Vh.conj().T[:, svals <= thresh]
         # ambiguity guard: singular values sitting inside the tolerance band
         band = (svals > 0.02 * thresh) & (svals < 50 * thresh)
         if np.any(band):
@@ -219,62 +216,77 @@ def compute_levelt_exponents(A, tol: float = 1e-8) -> LeveltData:
     except np.linalg.LinAlgError as exc:
         raise JordanChainError(f"similarity matrix singular: {exc}") from exc
     GinvAG = Ginv @ M @ G
-    # the Jordan residual takes each cluster's mean as its eigenvalue
-    residual = float(np.linalg.norm(GinvAG - (np.diag(lams) + N), 2))
+    # both 2-norms in one stacked SVD: the Jordan residual takes each
+    # cluster's mean as its eigenvalue, the Levelt one J itself
+    residual, resid = np.linalg.svd(np.stack([GinvAG - (np.diag(lams) + N), GinvAG - J]),
+                                    compute_uv=False)[:, 0].tolist()
     if residual > 10 * tol * scale:
         raise JordanChainError(
             f"Jordan residual {residual:.3e} exceeds 10*tol*||A|| = {10 * tol * scale:.3e}"
         )
-    resid = float(np.linalg.norm(GinvAG - J, 2))
     return LeveltData(d=d, sigma=sigma, N=N, G=G, J=J, residual=resid)
 
 
-def with_gauge(ld: LeveltData, G_new, A_new) -> LeveltData:
-    """Re-anchor fixed exponents to a transported gauge.
+def with_gauge(ld: LeveltData, gauges, residues) -> list[LeveltData]:
+    """Re-anchor fixed exponents to transported gauges, one LeveltData each.
 
     Along an isomonodromy flow the gauge satisfies dG = (sum_j omega_j(0) du_j) G
-    and keeps J constant; this swaps G while validating that the similarity
-    still holds within GAUGE_TOL (relative).
+    and keeps J constant; this swaps G for each of `gauges` while validating
+    that the similarity with the residue of the same position in `residues`
+    still holds within GAUGE_TOL (relative), for all of them in one stacked
+    solve and one stacked SVD.
     """
-    Gn = as_square(G_new)
-    An = as_square(A_new)
-    resid = np.linalg.norm(np.linalg.solve(Gn, An @ Gn) - ld.J, 2)
-    scale = max(np.linalg.norm(An, 2), 1.0)
-    if resid > GAUGE_TOL * scale:
-        raise ValueError(
-            f"transported gauge no longer Jordanizes the residue: {resid:.3e}"
-        )
-    return replace(ld, G=Gn, residual=float(resid), Psi=ld.Psi[:0])
+    Gs, As = np.asarray(gauges, dtype=complex), np.asarray(residues, dtype=complex)
+    if (Gs.shape != As.shape or Gs.shape[1:] != ld.J.shape
+            or not (np.isfinite(Gs).all() and np.isfinite(As).all())):
+        raise ValueError(f"need one finite {ld.n} x {ld.n} residue per finite gauge")
+    norms = np.linalg.svd(np.concatenate([np.linalg.solve(Gs, As @ Gs) - ld.J, As]),
+                          compute_uv=False)[:, 0]
+    resid, scale = norms[: len(Gs)], np.maximum(norms[len(Gs) :], 1.0)
+    bad = resid > GAUGE_TOL * scale
+    if bad.any():
+        raise ValueError("transported gauge no longer Jordanizes the residue: "
+                         f"{resid[bad][0]:.3e}")
+    return [replace(ld, G=G, residual=float(r), Psi=ld.Psi[:0]) for G, r in zip(Gs, resid)]
 
 
-def build_levelt_solution(A, hol, ld: LeveltData | None = None, K: int = 20) -> LeveltData:
+def build_levelt_solution(A, hol, ld: LeveltData | list[LeveltData] | None = None,
+                          K: int = 20) -> LeveltData | list[LeveltData]:
     """Solve the order-by-order matching equations for Psi_1..Psi_K.
 
     `hol` lists the Taylor coefficients H_0, H_1, ... (at the Fuchsian
     point) of the holomorphic part of the coefficient matrix; coefficients
     past its end are zero, so for the irregular system at z = 0 it is
-    [Lambda].  Coefficients past H_{K-1} are not read.
+    [Lambda].  Coefficients past H_{K-1} are not read.  Without `ld` the
+    exponents are extracted from the residue A, which is read for nothing
+    else.  Given a list of Levelt data that share J (the gauges of one
+    residue along a flow), `hol` holds one such list per gauge, all of one
+    length, and one LeveltData per gauge is returned.
 
-    The order-k operators of all orders are formed at once and the
-    non-resonant ones inverted in one batched factorisation.  Resonant
+    The order-k operators are formed once for all gauges and orders, and the
+    non-resonant ones inverted in one batched factorisation; each order of
+    the recursion is then one batched product over the gauges.  Resonant
     orders (operator singular because two residue eigenvalues differ by k)
     are solved least-squares with zero kernel component; an inconsistent
     resonant order raises ResonanceError with the order.
     """
-    M = as_square(A)
-    if ld is None:
-        ld = compute_levelt_exponents(M)
-    n = ld.n
-    H = np.asarray(hol, dtype=complex)[:K]
-    if H.ndim != 3 or H.shape[1:] != (n, n) or not np.isfinite(H).all():
-        raise ValueError(f"hol must list finite {n} x {n} Taylor coefficients")
-    H = np.linalg.inv(ld.G) @ H @ ld.G
-    J = ld.J
+    single = not isinstance(ld, (list, tuple))
+    if single:
+        ld, hol = [compute_levelt_exponents(A) if ld is None else ld], [hol]
+    J = ld[0].J
+    if any(not np.array_equal(x.J, J) for x in ld):
+        raise ValueError("the Levelt data of one build must share J")
+    n, P = len(J), len(ld)
+    H = np.asarray(hol, dtype=complex)[:, :K]
+    if H.ndim != 4 or H.shape[0] != P or H.shape[2:] != (n, n) or not np.isfinite(H).all():
+        raise ValueError(f"hol must list finite {n} x {n} Taylor coefficients per gauge")
+    G = np.array([x.G for x in ld])[:, None]
+    H = np.linalg.inv(G) @ H @ G
     # J is upper triangular, so eig(k I - J) = k - diag(J) and the order-k
-    # operator X -> (k I - J) X + X J, k I + F on column-major vec(X), is
+    # operator X -> (k I - J) X + X J, k I + F on row-major vec(X), is
     # singular exactly when k is a difference of two diagonal entries
     I = np.eye(n)
-    F = np.kron(J.T, I) - np.kron(I, J)
+    F = np.kron(I, J.T) - np.kron(J, I)
     diffs = (np.diag(J)[:, None] - np.diag(J)[None, :]).ravel()
     orders = np.arange(1, K + 1)
     ops = F + orders[:, None, None] * np.eye(n * n)
@@ -283,30 +295,44 @@ def build_levelt_solution(A, hol, ld: LeveltData | None = None, K: int = 20) -> 
     inverse = np.zeros_like(ops)
     inverse[~resonant] = np.linalg.inv(ops[~resonant])
 
-    Phi = np.zeros((K + 1, n, n), dtype=complex)  # I, Psi_1, Psi_2, ...
-    Phi[0] = I
+    Phi = np.zeros((P, K + 1, n, n), dtype=complex)  # I, Psi_1, Psi_2, ... per gauge
+    Phi[:, 0] = I
     for k in range(1, K + 1):
-        m = min(k, len(H))
-        # sum_{m < k} H_m Phi_{k-1-m}
-        rhs = np.einsum("mab,mbc->ac", H[:m], Phi[k - 1 :: -1][:m])
-        r = rhs.reshape(-1, order="F")
+        m = min(k, H.shape[1])
+        # sum_{m < k} H_m Phi_{k-1-m}, each row one gauge's row-major vec
+        rhs = (H[:, :m] @ Phi[:, k - 1 :: -1][:, :m]).sum(axis=1).reshape(P, n * n)
         if resonant[k - 1]:
             op = ops[k - 1]
-            x = np.linalg.lstsq(op, r, rcond=1e-12)[0]
-            resid = float(np.linalg.norm(op @ x - r))
-            if resid > LSTSQ_TOL * max(np.linalg.norm(rhs), 1.0):
-                raise ResonanceError(
-                    f"resonant order {k} inconsistent (residual {resid:.3e})",
-                    order=k,
-                )
+            x = np.linalg.lstsq(op, rhs.T, rcond=1e-12)[0].T
+            resid = np.linalg.norm(x @ op.T - rhs, axis=1)
+            bad = resid > LSTSQ_TOL * np.maximum(np.linalg.norm(rhs, axis=1), 1.0)
+            if bad.any():
+                raise ResonanceError(f"resonant order {k} inconsistent "
+                                     f"(residual {resid[bad][0]:.3e})", order=k)
         else:
-            x = inverse[k - 1] @ r
-        Phi[k] = x.reshape((n, n), order="F")
-    return replace(ld, Psi=Phi[1:], resonant_orders=tuple(orders[resonant].tolist()))
+            x = rhs @ inverse[k - 1].T
+        Phi[:, k] = x.reshape(P, n, n)
+    found = tuple(orders[resonant].tolist())
+    out = [replace(x, Psi=Phi[p, 1:], resonant_orders=found) for p, x in enumerate(ld)]
+    return out[0] if single else out
+
+
+def _exp_nilpotent(N, w) -> np.ndarray:
+    """e^{w N} = sum_{l<n} (w N)^l / l! for a nilpotent n x n matrix N."""
+    term = out = np.eye(len(N), dtype=complex)
+    for l in range(1, len(N)):
+        term = term @ N * (w / l)
+        out = out + term
+    return out
 
 
 def eval_levelt(ld: LeveltData, z: complex, arg_branch: float, K: int | None = None) -> np.ndarray:
-    """G (I + sum_{k<=K} Psi_k z^k) z^D z^L on the universal cover."""
+    """G (I + sum_{k<=K} Psi_k z^k) z^D z^L on the universal cover.
+
+    z^D z^L = diag(z^(d + sigma)) e^{N log z} in closed form, with
+    log z = ln|z| + i arg_branch: N is nilpotent and, connecting only
+    positions of one eigenvalue, commutes with D and Sigma.
+    """
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
@@ -317,13 +343,10 @@ def eval_levelt(ld: LeveltData, z: complex, arg_branch: float, K: int | None = N
     zk = np.cumprod(np.full(K, z))  # z, z^2, ..., z^K
     Phi = np.eye(ld.n) + (zk @ ld.Psi[:K].reshape(K, ld.n**2)).reshape(ld.n, ld.n)
     w = np.log(abs(z)) + 1j * arg_branch
-    zD = np.exp(ld.d * w)
-    zL = matrix_power(ld.L, z, arg_branch)
-    return ld.G @ Phi @ (zD[:, None] * zL)
+    return ld.G @ Phi @ (np.exp((ld.d + ld.sigma) * w)[:, None] * _exp_nilpotent(ld.N, w))
 
 
 def monodromy_exponential(ld: LeveltData) -> np.ndarray:
-    """e^{2 pi i L}; the full monodromy factor of z^D z^L since e^{2 pi i D} = I."""
-    from scipy.linalg import expm
-
-    return expm(2j * np.pi * ld.L)
+    """e^{2 pi i L} = diag(e^{2 pi i sigma}) e^{2 pi i N}; the full monodromy
+    factor of z^D z^L since e^{2 pi i D} = I."""
+    return np.exp(2j * np.pi * ld.sigma)[:, None] * _exp_nilpotent(ld.N, 2j * np.pi)

@@ -1,14 +1,12 @@
 """Dense complex linear algebra kernel for small matrices.
 
 Everything here is sized for desk-scale experiments: single-linkage
-chaining of indices, Sylvester solves through the Kronecker operator, and
-matrix powers z^L on the universal cover of the punctured plane.
+chaining of indices and Sylvester solves through the Kronecker operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ResonanceError
 
@@ -84,18 +82,3 @@ def solve_sylvester(P, Q, R, tol: float = 1e-10) -> np.ndarray:
     X = np.linalg.solve(op, Rm.reshape(-1, order="F")).reshape((p, q), order="F")
     return X
 
-
-def matrix_power(L, z: complex, arg_branch: float) -> np.ndarray:
-    """z^L = exp(L (ln|z| + i arg)) with the branch of arg z made explicit.
-
-    `arg_branch` is the continuous argument of z on the universal cover; the
-    caller is responsible for its bookkeeping.  For L = Sigma + N with
-    commuting diagonal and nilpotent parts this reproduces
-    z^Sigma sum_l N^l (log z)^l / l!.
-    """
-    M = as_square(L)
-    z = complex(z)
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    w = np.log(abs(z)) + 1j * arg_branch
-    return expm(M * w)

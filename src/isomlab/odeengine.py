@@ -595,9 +595,9 @@ class SectorRequest:
     `zstar` ("sectorial"; z* defaults to the sector midpoint at the seed
     radius) or the connection matrix C_r with Y_r = Y^(0) C_r against the
     Levelt solution `ld` ("connection"; z* defaults to the sector midpoint
-    at half the seed radius; Y^(0) is evaluated at small radius on the
-    branch of z* and carried out radially, so both factors share their arg
-    bookkeeping)."""
+    at half the seed radius; Y^(0) is evaluated by levelt_handle on the
+    branch of z*, inside |z*| / 2, and carried out radially, so both factors
+    share their arg bookkeeping)."""
 
     sys: IrregularSystem
     r: int
@@ -802,7 +802,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
             seed_error.append(table.truncations[f][1] + table.leakage[s, k])
             jobs += ((odes[s], y, lg) for y, lg in zip(seeds[s, f, k], legs))
         if q.kind == "connection":
-            lev = levelt_handle(q.sys, q.ld, zstar.arg, cfg.tol)
+            lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
             # carried in the system's gauge e^{-c z}, and taken back at z*
             levelt[p] = len(jobs), np.exp(centre[s] * (zstar.z - lev.point.z))
             jobs.append((odes[s], lev.value, [Leg(lev.point.z, zstar.z)]))
@@ -953,28 +953,28 @@ def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
     return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs)]), cfg.tol)[0]
 
 
-def levelt_handle(sys: IrregularSystem, ld: LeveltData, arg: float,
+def levelt_handle(sys: IrregularSystem, ld: LeveltData, zstar: PathPoint,
                   tol: float = DEFAULT_TOL) -> SolutionHandle:
-    """Levelt solution evaluated near the origin on the requested branch.
+    """Levelt solution evaluated near the origin on the branch of `zstar`,
+    the point it is carried out to.
 
     The Taylor factor converges on all of C for this system, but the
-    truncated series is accurate only near 0.  It is evaluated at radius
-    0.5 min |u_i| over nonzero entries, or 0.1 if Lambda has zero entries,
-    shrunk until its last two terms ||Psi_k||_F r^k are at most
-    TAIL_FRACTION * tol, the engine's own stop rule.
+    truncated series is accurate only near 0.  It is evaluated at the
+    largest radius where its last two terms ||Psi_k||_F r^k are at most
+    TAIL_FRACTION * tol, the engine's own stop rule, and at most |z*| / 2,
+    so that the radial leg out to z* keeps a positive length.
     """
     K, bound = ld.K, TAIL_FRACTION * tol
     if K < 2:
         raise ValueError(f"a Levelt series of order {K} has no two last terms to bound")
-    nz = np.abs(sys.u[np.abs(sys.u) > 0])
-    radius = 0.1 if len(nz) < sys.n else 0.5 * float(nz.min())
+    radius = zstar.radius / 2.0
     k = np.arange(K - 1, K + 1)
     terms = np.linalg.norm(ld.Psi[-2:], axis=(1, 2)) * radius ** k
     radius /= float(np.max((terms / bound) ** (1.0 / k), initial=1.0))
     if not radius > 0:
         raise ValueError(f"the Levelt series of order {K} has no radius where its tail "
                          f"is below {bound:.1e}")
-    pt = PathPoint.from_polar(radius, arg)
+    pt = PathPoint.from_polar(radius, zstar.arg)
     Y0 = eval_levelt(ld, pt.z, pt.arg)
     return SolutionHandle(system=sys, point=pt, value=Y0)
 

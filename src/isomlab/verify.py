@@ -118,12 +118,13 @@ def collect_data(
         systems.append(cur)
         gauges.append(G)
     cfg = StokesConfig(tau=tau, tol=tol, order=order)
-    requests, levelt = [], []
-    for cur, G in zip(systems, gauges):
-        fs = compute_formal_coefficients(cur, K=order)
-        ld = build_levelt_solution(cur.A, [cur.Lambda], ld=with_gauge(ld0, G, cur.A),
+    # every sample shares J, so one build solves the Levelt series of all
+    levelt = build_levelt_solution(sys.A, [[cur.Lambda] for cur in systems],
+                                   ld=with_gauge(ld0, gauges, [cur.A for cur in systems]),
                                    K=LEVELT_ORDER)
-        levelt.append(ld)
+    requests = []
+    for cur, ld in zip(systems, levelt):
+        fs = compute_formal_coefficients(cur, K=order)
         requests += [
             SectorRequest(cur, r, fs),
             SectorRequest(cur, r + 1, fs),

@@ -1,0 +1,105 @@
+"""Digest of the CLI output of the benchmark workloads' ops.
+
+    PYTHONPATH=src python tests/cli_digest.py --seeds 3 11 13 [--workload NAME ...] [--ops 64]
+
+Draws the ops of each workload as ``perfbench/workloads.py`` draws them for
+a seed (64 per seed, the benchmark's input pool), runs every call of every
+op in-process through ``isomlab.cli.main`` and prints one line per op:
+
+    <workload> <seed> <op> <exit codes> <sha256 of the exit codes, stdout and stderr>
+
+then one line per workload with the digest of all its ops.  The inputs are
+written to a temporary directory under the same relative names on every run,
+so two checkouts give equal lines exactly when their output is equal: run
+the script once against the ``src/`` of each and diff what it prints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+from isomlab import cli  # noqa: E402
+
+POOL = 64  # ops per seed, as in perfbench/worker.py
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; an exception
+    that escapes main is recorded as code None with its type and message."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # recorded, and the digest goes on
+            code = None
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return code, out.getvalue(), err.getvalue()
+
+
+def op_outputs(workload: str, seed: int, ops: int = POOL):
+    """Per op of the seed's draw, the list of (exit code, stdout, stderr) of
+    its calls.  Runs in a temporary working directory."""
+    rng = np.random.default_rng(seed)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for k in range(ops):
+                results = []
+                for c, call in enumerate(workloads.WORKLOADS[workload](rng, k)):
+                    argv = [call.command]
+                    for kind, doc in (("system", call.system), ("path", call.path)):
+                        if doc is not None:
+                            name = f"op{k}-{c}-{kind}.json"
+                            Path(name).write_text(json.dumps(doc))
+                            argv += [f"--{kind}", name]
+                    results.append(_call(argv + list(call.flags)))
+                yield results
+        finally:
+            os.chdir(home)
+
+
+def digest(results) -> str:
+    h = hashlib.sha256()
+    for code, out, err in results:
+        h.update(f"{code}\0{out}\0{err}\0".encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--workload", nargs="+", choices=sorted(workloads.WORKLOADS),
+                   default=sorted(workloads.WORKLOADS))
+    p.add_argument("--ops", type=int, default=POOL)
+    args = p.parse_args(argv)
+    for name in args.workload:
+        total = hashlib.sha256()
+        for seed in args.seeds:
+            for k, results in enumerate(op_outputs(name, seed, args.ops)):
+                line = digest(results)
+                total.update(line.encode())
+                codes = ",".join(str(code) for code, _, _ in results)
+                print(f"{name} {seed} {k} {codes} {line}", flush=True)
+        print(f"{name} all {total.hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

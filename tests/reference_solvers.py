@@ -2,6 +2,7 @@
 that several test modules build."""
 
 import numpy as np
+from scipy.linalg import expm
 
 from isomlab.isoflow import DiagonalGauge
 from isomlab.levelt import compute_levelt_exponents
@@ -64,6 +65,12 @@ def kronecker_psi(A, hol, K=20, tol=1e-8):
             X = solve_sylvester(P, -J, rhs, tol=tol)
         Phi.append(X)
     return Phi[1:]
+
+
+def levelt_power_reference(ld, w):
+    """z^D z^L = e^{w (D + L)} at log z = w, by scipy's expm: the oracle of
+    the closed form in isomlab.levelt."""
+    return expm(w * (np.diag(ld.d) + ld.L))
 
 
 def poly_fuchsian_ode(poles, residues):
@@ -284,7 +291,7 @@ def sector_results_reference(cfg, requests):
         elif q.kind == "sectorial":
             out.append(G[0] * E)
         else:
-            lev = levelt_handle(q.sys, q.ld, zstar.arg, cfg.tol)
+            lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
             V = transport_matrix(irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)],
                                  cfg.tol)
             out.append(np.linalg.solve(V, G[0] * E))

@@ -67,9 +67,21 @@ def _subcommands():
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def strict_json(text):
+    """Parse as strict JSON, which has no NaN or Infinity (Python's json
+    module reads and writes both unless told not to)."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, argv):
+    """Exit code, stdout and stderr of one CLI call; every report it prints
+    must be strict JSON."""
     code = main(argv)
     out = capsys.readouterr()
+    if out.out:
+        strict_json(out.out)
     return code, out.out, out.err
 
 
@@ -268,6 +280,27 @@ class TestStokesMatrixCommand:
         assert doc["diag_residual"] <= 1e-6
 
 
+    def test_error_estimate_without_series_is_null(self, capsys, generic_system_file):
+        # order 0 truncates no series, so the seed error has no bound
+        code, out, _ = run(capsys, ["stokes-matrix", "--system", generic_system_file,
+                                    "--tau", "0.3", "--order", "0"])
+        assert code in (0, 2) and json.loads(out)["error_estimate"] is None
+
+
+class TestStrictJson:
+    def test_non_finite_number_refused(self, capsys, generic_system_file, tmp_path,
+                                       monkeypatch):
+        # a value that no report may hold infinite is refused, not printed
+        monkeypatch.setattr(cli, "spectrum_spread", lambda mats: math.nan)
+        path_file = write_json(
+            tmp_path / "path.json",
+            {"waypoints": [[[0.0, 0.0], [1.0, 0.0]], [[0.3, 0.2], [1.2, 0.0]]]},
+        )
+        code, out, err = run(capsys, ["flow", "--system", generic_system_file,
+                                      "--path", path_file])
+        assert code == 1 and out == "" and "non-finite" in err
+
+
 class TestFlowCommand:
     def test_invariants(self, capsys, generic_system_file, tmp_path):
         path_file = write_json(
@@ -377,6 +410,23 @@ class TestVerifyCommands:
         assert doc["verdict"] == "PASS"
         assert doc["drift"]["S_r"] <= 1e-6
 
+    @pytest.mark.parametrize("u00", [0.0, 1e-4, 1e-6, 1e-9])
+    def test_verify_strong_near_a_zero_entry(self, capsys, tmp_path, u00):
+        # the Levelt start radius follows its series, not min |u_i|: at
+        # u_0 = 1e-9 it once was 5e-10, and the transport ran into z = 0
+        sys_file = write_json(tmp_path / "sys.json", {
+            "u": [[u00, 0.0], [1.0, 0.0]],
+            "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]],
+        })
+        path_file = write_json(tmp_path / "path.json", {
+            "waypoints": [[[u00, 0.0], [1.0, 0.0]], [[u00, 0.05], [1.2, 0.0]]],
+        })
+        code, out, err = run(capsys, ["verify-strong", "--system", sys_file, "--path", path_file,
+                                      "--tau", "0.3", "--tol", "1e-11", "--order", "30"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["verdict"] == "PASS" and doc["drift"]["C_r"] <= 1e-9
+
     def test_verify_coalescence(self, capsys, tmp_path):
         f = write_json(
             tmp_path / "co.json",
@@ -400,6 +450,13 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS"
         assert (tmp_path / "csv" / "coalescence_entries.csv").exists()
+        # entries below the floor pass under the zero-entry convention,
+        # their infinite slope printed as null
+        assert any(f["slope"] is None and f["passed"] for f in doc["entry_fits"].values())
+        # order 0 truncates no series, so the entry floor has no bound
+        code, out, _ = run(capsys, ["verify-coalescence", "--system", f, "--tau", "0.3",
+                                    "--eps", "0.1", "--order", "0"])
+        assert code == 2 and json.loads(out)["entry_floor"] is None
 
     @pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf"])
     def test_verify_coalescence_refuses_eps(self, capsys, tmp_path, eps):

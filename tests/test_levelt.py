@@ -1,19 +1,24 @@
 import cmath
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isomlab.errors import JordanChainError, ResonanceError
 from isomlab.formal import IrregularSystem
 from isomlab.levelt import (
+    LeveltData,
     build_levelt_solution,
     compute_levelt_exponents,
     eval_levelt,
     monodromy_exponential,
     with_gauge,
 )
-from isomlab.odeengine import DEFAULT_TOL, levelt_handle
-from reference_solvers import kronecker_psi, levelt_exponents_reference
+from isomlab.odeengine import DEFAULT_TOL, TAIL_FRACTION, PathPoint, levelt_handle
+from reference_solvers import kronecker_psi, levelt_exponents_reference, levelt_power_reference
 
 
 def ode_residual(ld, sys, z0):
@@ -171,25 +176,43 @@ class TestBuildSolution:
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
         ld = build_levelt_solution(A, [sys.Lambda], K=25)
-        hnd = levelt_handle(sys, ld, arg=0.2)
+        # the cap |z*| / 2 puts the loop at radius 0.1
+        hnd = levelt_handle(sys, ld, PathPoint.from_polar(0.2, 0.2))
+        assert hnd.point.radius == 0.1
         M = monodromy_loop(sys, hnd, winding=1, tol=1e-12)
         assert np.max(np.abs(M - monodromy_exponential(ld))) < 1e-9
 
     @pytest.mark.parametrize("u", [[5.0, 12.0], [2.0, 3.0]])
     def test_start_value_agrees_with_a_longer_series(self, u):
-        # at 0.5 min |u_i| the K = 20 series is 109% (u = [5, 12]) and 5e-11
-        # (u = [2, 3]) off; the start radius shrinks until its tail is below tol
+        # at the cap |z*| / 2 = 0.5 min |u_i| the K = 20 series is 109%
+        # (u = [5, 12]) and 5e-11 (u = [2, 3]) off; the start radius is the
+        # largest where its last two terms are below TAIL_FRACTION * tol
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         sys = IrregularSystem(u=u, A=A)
-        hnd = levelt_handle(sys, build_levelt_solution(A, [sys.Lambda], K=20), arg=0.4)
+        ld = build_levelt_solution(A, [sys.Lambda], K=20)
+        hnd = levelt_handle(sys, ld, PathPoint.from_polar(min(u), 0.4))
         Y = eval_levelt(build_levelt_solution(A, [sys.Lambda], K=80), hnd.point.z, hnd.point.arg)
         assert np.max(np.abs(hnd.value - Y)) <= DEFAULT_TOL * np.max(np.abs(Y))
+        r = hnd.point.radius
+        terms = np.linalg.norm(ld.Psi[-2:], axis=(1, 2)) * r ** np.arange(19, 21)
+        assert r < min(u) / 2 and np.max(terms) == pytest.approx(TAIL_FRACTION * DEFAULT_TOL)
+
+    def test_start_radius_from_the_tail_not_from_u(self):
+        # a u entry near 0 moves the start radius by no more than it moves Psi
+        A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
+        radii = []
+        for u0 in (0.0, 1e-9):
+            sys = IrregularSystem(u=[u0, 1.0], A=A)
+            ld = build_levelt_solution(A, [sys.Lambda], K=20)
+            radii.append(levelt_handle(sys, ld, PathPoint.from_polar(10.0, 0.4)).point.radius)
+        assert 1.0 < radii[0] < 5.0 and radii[1] == pytest.approx(radii[0], rel=1e-6)
 
     def test_start_value_needs_two_terms(self):
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
         with pytest.raises(ValueError, match="order 1"):
-            levelt_handle(sys, build_levelt_solution(A, [sys.Lambda], K=1), arg=0.0)
+            levelt_handle(sys, build_levelt_solution(A, [sys.Lambda], K=1),
+                          PathPoint.from_polar(1.0, 0.0))
 
     def test_order_above_the_built_one_refused(self):
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
@@ -200,15 +223,18 @@ class TestBuildSolution:
     def test_gauge_transport_rejects_mismatch(self):
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         ld = compute_levelt_exponents(A)
-        with pytest.raises(ValueError):
-            with_gauge(ld, np.eye(2), A + 1.0)
+        # one stacked check: a good gauge first does not hide a bad one
+        with pytest.raises(ValueError, match="no longer Jordanizes"):
+            with_gauge(ld, [ld.G, np.eye(2)], [A, A + 1.0])
+        (same,) = with_gauge(ld, [ld.G], [A])
+        assert same.residual < 1e-14 and np.array_equal(same.G, ld.G)
 
 
 class TestResonanceScan:
     """The closed-form scan of the resonant orders and the order-k operator
     k I + F give the coefficients of a general Sylvester solve."""
 
-    @pytest.mark.parametrize("A, hol, resonant", [
+    CASES = [
         # diagonalizable, full holomorphic part at every order
         (np.array([[0.2, 1.0, 0.1], [0.7, -0.4, 0.3], [0.0, 0.5, 0.35j]]),
          lambda m: np.array([[0.5, 0.2, 0.0], [0.1, -0.3, 0.4], [0.2, 0.0, 0.1j]]) / (m + 1),
@@ -217,7 +243,9 @@ class TestResonanceScan:
         (np.array([[0.3, 1.0], [0.0, 0.3]]), lambda m: np.diag([0.0, 1.0]) * (m == 0), ()),
         # eigenvalues 1.5 and 0.5: resonant and consistent at order 1
         (np.diag([1.5, 0.5]), lambda m: np.diag([0.0, 1.0]) * (m == 0), (1,)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("A, hol, resonant", CASES)
     def test_matches_kronecker_solve(self, A, hol, resonant):
         # `hol(m)` is the m-th Taylor coefficient, H_m
         hol = [hol(m) for m in range(20)]
@@ -227,6 +255,34 @@ class TestResonanceScan:
         scale = max(np.max(np.abs(X)) for X in ref)
         for got, want in zip(ld.Psi, ref):
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("A, hol, resonant", CASES)
+    def test_batched_gauges_match_kronecker_solve(self, A, hol, resonant):
+        # gauges T G of the residues T A T^-1, whose holomorphic parts
+        # T (c H) T^-1 differ by a factor c; in the gauge frame each is the
+        # system (A, c H) in gauge G, which kronecker_psi solves on its own
+        rng = np.random.default_rng(24)
+        ld = compute_levelt_exponents(A)
+        hol = [hol(m) for m in range(20)]
+        T = [np.eye(len(A))] + [np.eye(len(A)) + 0.3 * (rng.normal(size=A.shape)
+                                                        + 1j * rng.normal(size=A.shape))
+                                for _ in range(2)]
+        c = [1.0, 0.7 - 0.2j, 1.3]
+        gauges = with_gauge(ld, [t @ ld.G for t in T], [t @ A @ np.linalg.inv(t) for t in T])
+        got = build_levelt_solution(None, [[ci * t @ H @ np.linalg.inv(t) for H in hol]
+                                           for ci, t in zip(c, T)], ld=gauges, K=20)
+        for ci, lp in zip(c, got):
+            ref = kronecker_psi(A, [ci * H for H in hol], K=20)
+            assert lp.resonant_orders == resonant
+            scale = max(np.max(np.abs(X)) for X in ref)
+            for have, want in zip(lp.Psi, ref):
+                assert np.max(np.abs(have - want)) <= 1e-13 * scale
+
+    def test_batch_needs_one_jordan_form(self):
+        lds = [compute_levelt_exponents(np.diag([0.3, 0.1])),
+               compute_levelt_exponents(np.diag([0.3, 0.2]))]
+        with pytest.raises(ValueError, match="share J"):
+            build_levelt_solution(None, [[np.eye(2)]] * 2, ld=lds, K=3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_irregular_system_matches_kronecker_solve(self, n):
@@ -244,3 +300,40 @@ class TestResonanceScan:
         with pytest.raises(ResonanceError, match="resonant order 1") as err:
             build_levelt_solution(np.diag([1.0, 0.0]), [offdiag], K=5)
         assert err.value.order == 1
+
+
+@st.composite
+def levelt_blocks(draw):
+    """Levelt data with G = I and no series: Jordan blocks of sizes 1-3, each
+    with its own sigma (0 <= Re < 1) and offset d."""
+    d, sigma, superdiag = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 3))
+        sig = complex(draw(st.floats(0.0, 0.999)), draw(st.floats(-1.0, 1.0)))
+        d += [draw(st.integers(-2, 2))] * size
+        sigma += [sig] * size
+        superdiag += [1.0] * (size - 1) + [0.0]
+    n = len(d)
+    N = np.diag(np.array(superdiag[:-1], dtype=complex), 1)
+    d, sigma = np.array(d), np.array(sigma)
+    return LeveltData(d=d, sigma=sigma, N=N, G=np.eye(n, dtype=complex),
+                      J=np.diag(sigma + d) + N, residual=0.0)
+
+
+class TestClosedFormPower:
+    """z^D z^L and e^{2 pi i L} in closed form against scipy's expm."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(levelt_blocks(), st.floats(0.1, 3.0), st.floats(-7.0, 7.0))
+    def test_power_matches_expm(self, ld, radius, arg):
+        z = radius * cmath.exp(1j * arg)
+        want = levelt_power_reference(ld, math.log(radius) + 1j * arg)
+        got = eval_levelt(ld, z, arg)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(levelt_blocks())
+    def test_monodromy_exponential_matches_expm(self, ld):
+        want = levelt_power_reference(replace(ld, d=0 * ld.d), 2j * np.pi)
+        got = monodromy_exponential(ld)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)

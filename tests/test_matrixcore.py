@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isomlab.errors import ResonanceError
-from isomlab.levelt import compute_levelt_exponents
-from isomlab.matrixcore import matrix_power, solve_sylvester
+from isomlab.levelt import LeveltData, compute_levelt_exponents, eval_levelt
+from isomlab.matrixcore import solve_sylvester
 from reference_solvers import solve_sylvester_lstsq
 
 
@@ -135,7 +135,19 @@ class TestSolveSylvester:
         assert abs(X[0, 0]) < 1e-12  # kernel component zeroed
 
 
+def matrix_power(L, z, arg_branch):
+    """z^L through the closed form of eval_levelt, for L = Sigma + N with N
+    its strict upper triangle: Levelt data with G = I, D = 0 and no series."""
+    L = np.asarray(L, dtype=complex)
+    ld = LeveltData(d=np.zeros(len(L), dtype=int), sigma=np.diag(L).copy(), N=np.triu(L, 1),
+                    G=np.eye(len(L)), J=L, residual=0.0)
+    return eval_levelt(ld, z, arg_branch)
+
+
 class TestMatrixPower:
+    """z^L = diag(z^sigma) e^{N log z} on the universal cover (see also
+    test_levelt.TestClosedFormPower, against scipy's expm)."""
+
     def test_zero_exponent(self):
         assert np.allclose(matrix_power(np.zeros((2, 2)), 2.7 + 1j, 0.354), np.eye(2))
 

@@ -8,6 +8,7 @@ from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
 from isomlab.odeengine import StokesConfig, join_plans, sector_plan
 from isomlab.verify import (
     COALESCENCE_TOL,
+    LEVELT_ORDER,
     MonodromyDataSet,
     coalescing_direction,
     collect_data,
@@ -181,6 +182,22 @@ class TestCollectData:
         assert len(sector_work["frames_seeded"]) == 4 + 3 + 3
         # the series of each sample, in one stacked pass, each once
         assert [len(series) for series in sector_work["truncations"]] == [3]
+
+    def test_levelt_operators_inverted_once(self, monkeypatch):
+        # the samples share J, so the order-k operators (n^2 x n^2, one per
+        # order) of all three are inverted in one batched call
+        inverted = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            if np.ndim(a) == 3 and np.shape(a)[1:] == (4, 4):
+                inverted.append(len(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        samples = [U0, 0.5 * (U0 + U1), U1]
+        collect_data(IrregularSystem(u=U0, A=GENERIC_A), samples, r=0, tau=0.3, order=32)
+        assert inverted == [LEVELT_ORDER]
 
     def test_engine_gets_the_jobs_of_one_plan_per_request(self, monkeypatch):
         got, want = engine_jobs(monkeypatch, lambda: collect_data(

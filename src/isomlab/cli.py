@@ -11,8 +11,10 @@ subcommands that read it: --tol 1e-10 (integration) and --mtol 1e-6 (matrix
 comparisons), both finite and positive, and --order 10 (series truncation;
 30 for stokes-matrix and verify-*), at least 0.  --tau must be finite and
 below 8192 in magnitude, where its ulp is still below the direction
-tolerance geometry.DIRECTION_TOL.  All of these are checked before any file
-is read.  Reports are deterministic for equal input.
+tolerance geometry.DIRECTION_TOL, and so must the angle |tau| + (|r| + 2) pi
+that the sectors of --r (stokes-matrix, verify-*) reach, which bounds |r|
+near 2,600.  All of these are checked before any file is read.  Reports are
+deterministic for equal input.
 """
 
 from __future__ import annotations
@@ -90,11 +92,10 @@ def _need_fuchsian(parts):
 
 def cmd_formal(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
-    fs = compute_formal_coefficients(sys_, K=args.order, mode=args.mode)
+    fs = compute_formal_coefficients(sys_, K=args.order)
     report = {
         "command": "formal",
         "order": args.order,
-        "mode": args.mode,
         "B": io.cvec_to_json(fs.b),
         "F": [io.cmat_to_json(F) for F in fs.F],
         "resonances": check_resonances(sys_.A, tol=args.mtol),
@@ -387,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("formal", help="formal solution coefficients")
     common(sp, "mtol", "order")
-    sp.add_argument("--mode", choices=["generic", "isomonodromic"], default="generic")
     sp.set_defaults(fn=cmd_formal)
 
     sp = sub.add_parser("stokes-rays", help="Stokes ray directions")
@@ -460,6 +460,15 @@ def main(argv=None) -> int:
         print(f"error: --tau {tau} is too large: its ulp {math.ulp(tau):.3g} exceeds the "
               f"direction tolerance {geometry.DIRECTION_TOL:g}", file=sys.stderr)
         return 1
+    if hasattr(args, "r"):
+        # sectors r and r + 1 reach |tau| + (|r| + 2) pi; past 2**53 the
+        # verdict is the same, and the product stays a float
+        reach = abs(tau) + (min(abs(args.r), 2**53) + 2) * math.pi
+        if math.ulp(reach) > geometry.DIRECTION_TOL:
+            print(f"error: --r {args.r} is too large: the sector angles reach {reach:.6g}, "
+                  f"whose ulp {math.ulp(reach):.3g} exceeds the direction tolerance "
+                  f"{geometry.DIRECTION_TOL:g}", file=sys.stderr)
+            return 1
     if getattr(args, "order", 0) < 0:
         print(f"error: --order must be at least 0, got {args.order}", file=sys.stderr)
         return 1

@@ -1,11 +1,11 @@
 """Formal fundamental solution Y_F(z,u) = F(z,u) z^B e^{z Lambda}.
 
-Provides the formal monodromy exponent B = diag(A), the coefficient
-recursions for F_1..F_K (generic, coalescence-aware and isomonodromic
-variants), resonance detection on the diagonal of A, the optimal
-truncation of the series and the residual of its defining identity.
+Provides the formal monodromy exponent B = diag(A), the one coefficient
+recursion for F_1..F_K (with a branch for coalesced pairs), resonance
+detection on the diagonal of A, the optimal truncation of the series and the
+residual of its defining identity.
 
-The generic recursion comes from matching Laurent coefficients of
+The recursion comes from matching Laurent coefficients of
 d/dz Y = (Lambda + A/z) Y order by order:
 
     (u_j - u_i)(F_k)_{ij} = (A_ii - A_jj + k - 1)(F_{k-1})_{ij}
@@ -16,6 +16,10 @@ When u_i = u_j the left side degenerates; the entry (F_k)_{ij} is instead
 determined by the order-(k+1) relation, which is solvable exactly when
 A_ii - A_jj is not a negative integer.  That degenerate branch requires the
 vanishing pattern A_ij = 0 on coalesced pairs.
+
+Along the strong isomonodromy flow the same F meets the u-side relation
+[F_{l+1}, E_i] = [F_1, E_i] F_l - d_i F_l of the Pfaffian system, so a
+recursion built on that relation could only reproduce this one.
 """
 
 from __future__ import annotations
@@ -71,6 +75,8 @@ class FormalSolution:
     """Formal monodromy exponent and truncated series coefficients.
 
     F stores F_1..F_K (F_0 = I implicitly); `b` is the diagonal of A.
+    `mode` labels the series' origin: "generic" from the recursion, or
+    "frozen-seeded" for a frozen system's series paired with another u.
     """
 
     b: np.ndarray
@@ -149,28 +155,19 @@ def _coalesced_entries(sys, Fk, k, label):
 def compute_formal_coefficients(
     sys: IrregularSystem,
     K: int = 10,
-    mode: str = "generic",
     coalesce_tol: float = 0.0,
 ) -> FormalSolution:
-    """Compute F_1..F_K of the formal solution.
+    """Compute F_1..F_K of the formal solution by the z-side Laurent
+    recursion.
 
-    mode="generic" runs the z-side Laurent recursion; it requires pairwise
-    distinct u_i unless `coalesce_tol` > 0, in which case the pairs of each
-    group that `coalescence_labels` forms at coalesce_tol are treated as
-    coalesced (their A-entries must vanish to PATTERN_TOL, and their
-    diagonal entries must not differ by negative integers).
-
-    mode="isomonodromic" determines off-diagonal entries of F_{l+1} from the
-    u-side relation [F_{l+1}, E_i] = [F_1, E_i] F_l - d_i F_l, and diagonals
-    from the z-side diagonal rule, which both sides share.  F_1 and the exact
-    derivatives d_i F_l along the strong isomonodromy flow come from the
-    generic recursion and its tangent (`_u_derivatives`).  The u-side
-    relation holds only at distinct u, so coalesced u raise ValueError.
+    It requires pairwise distinct u_i unless `coalesce_tol` > 0, in which
+    case the pairs of each group that `coalescence_labels` forms at
+    coalesce_tol are treated as coalesced (their A-entries must vanish to
+    PATTERN_TOL, and their diagonal entries must not differ by negative
+    integers).
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if mode not in ("generic", "isomonodromic"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     A = sys.A
     u = sys.u
@@ -197,12 +194,6 @@ def compute_formal_coefficients(
                 pair=(complex(d[i]), complex(d[j])),
             )
 
-    if mode == "isomonodromic":
-        if any_coalesced:
-            raise ValueError("isomonodromic mode does not support coalesced u")
-        F_gen = compute_formal_coefficients(sys, max(K, 1)).F
-        dF = _u_derivatives(sys, F_gen)
-
     # Python complex scalars round +, - and * as numpy's scalars do, but not
     # /, so divisions stay numpy's; operands are complex, sums start from 0j.
     Al = A.tolist()
@@ -223,64 +214,19 @@ def compute_formal_coefficients(
     P = np.eye(n, dtype=complex).tolist()  # F_{k-1}
     for k in range(1, K + 1):
         kc, kn = complex(k), np.complex128(k)
-        if mode == "generic":
-            Fk = np.zeros((n, n), dtype=complex).tolist()
-            for i, j, g in pairs:
-                Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
-        else:
-            Fk, Fprev = np.zeros((n, n), dtype=complex), np.array(P)
-            for i in range(n):
-                Rhs = _omega(F_gen[0], i) @ Fprev - dF[k - 1][i]
-                # [F_k, E_i] has column i equal to (F_k)_{ai}, row i equal to
-                # -(F_k)_{ib}; the diagonal is set below
-                Fk[:, i] = Rhs[:, i]
-                Fk[i, :] = -Rhs[i, :]
-            Fk = Fk.tolist()
+        Fk = np.zeros((n, n), dtype=complex).tolist()
+        for i, j, g in pairs:
+            Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
         if any_coalesced:
             Fk = np.array(Fk)
             _coalesced_entries(sys, Fk, k, label)
             Fk = Fk.tolist()
-        # diagonal rule shared by both modes
         for i in range(n):
             Fk[i][i] = complex(-dot(Fk, i, i) / kn)
         F_all.append(np.array(Fk))
         P = Fk
 
-    return FormalSolution(b=d.copy(), u=u.copy(), F=tuple(F_all), mode=mode)
-
-
-def _omega(F1, i):
-    """omega_i(0) = [F_1, E_i]: column i of F_1 minus its row i."""
-    W = np.zeros_like(F1)
-    W[:, i] = F1[:, i]
-    W[i, :] -= F1[i, :]
-    return W
-
-
-def _u_derivatives(sys, F):
-    """d/du_i F_l for l = 0..len(F) - 1, each stacked over i, along the strong
-    isomonodromy flow u' = e_i, A' = [omega_i(0), A]: the tangent of the
-    generic recursion of a simple pole at distinct u, (u_j - u_i)(F_l)_{ij} =
-    (A F_{l-1} - F_{l-1} B + (l - 1) F_{l-1})_{ij} and
-    l (F_l)_{ii} = -((A - B) F_l)_{ii}, B = diag(A)."""
-    A, u, n = sys.A, sys.u, sys.n
-    eye = np.eye(n)
-    off = 1.0 - eye
-    W = np.array([_omega(F[0], i) for i in range(n)])
-    dA = W @ A - A @ W
-    dd = np.einsum("iaa->ia", dA)[:, None, :]  # d/du_i diag(A), as rows
-    du = eye[:, None, :] - eye[:, :, None]  # (e_i)_b - (e_i)_a at (i, a, b)
-    gap = u[None, :] - u[:, None] + eye
-    Fs = [eye] + list(F)
-    dF = [np.zeros((n, n, n), dtype=complex)]
-    for l in range(1, len(F)):
-        P, dP = Fs[l - 1], dF[-1]
-        dN = dA @ P + A @ dP - dP * np.diag(A) - P * dd + (l - 1) * dP
-        dFl = off * (dN - du * Fs[l]) / gap
-        diag = np.einsum("iab,ba->ia", off * dA, Fs[l]) + np.einsum("ab,iba->ia", off * A, dFl)
-        dFl[:, range(n), range(n)] = -diag / l
-        dF.append(dFl)
-    return dF
+    return FormalSolution(b=d.copy(), u=u.copy(), F=tuple(F_all))
 
 
 def optimal_truncations(series, radius: float) -> list[tuple[int, float]]:

@@ -6,9 +6,10 @@ path that must start at the poles) with the right-hand side
 dA_i = [sum_j K_ij A_j, A_i], K the difference quotients of the pole
 velocities; it takes a system and returns it at the path's end, as
 `isoflow.integrate_flow` does, with nothing carried.  `schlesinger_rhs` is
-the per-direction reference.  Also numeric monodromy with a deterministic loop basis
-(`monodromy_plan`, whose plans for several systems join into one engine
-batch), the finite-difference Schlesinger residual separating strong
+the per-direction reference.  Also numeric monodromy with a deterministic
+loop basis from the one basepoint `default_basepoint` (`monodromy_plan`,
+whose plans for several systems join into one engine batch), the
+finite-difference Schlesinger residual separating strong
 (Schlesinger) from weak (non-Schlesinger) families, and the explicit
 rational counterexample family with trivial monodromy but u-dependent
 connection matrix.
@@ -27,7 +28,8 @@ from .matrixcore import as_square
 from .isoflow import UPath, _difference_quotients, _integrate
 from .odeengine import Leg, Plan, fuchsian_ode, run_plan
 
-LOOP_RADIUS = 0.25  # monodromy loop radius over the nearest-other-pole distance
+LOOP_RADIUS = 0.25  # loop radius over the distance to the nearest other pole or basepoint
+FRAME_REACH = 0.7  # the infinity frame needs |z0| >= max |u_i| / FRAME_REACH
 
 
 @dataclass(frozen=True)
@@ -145,11 +147,16 @@ def _loop_legs(z0: complex, center: complex, radius: float) -> list[Leg]:
 
 
 def default_basepoint(sys: FuchsianSystem) -> complex:
-    """Deterministic basepoint below and outside the pole configuration."""
+    """Deterministic basepoint below and outside the pole configuration:
+    2 (|mean| + spread + 1) below the lowest pole, and moved down to twice
+    max |u_i| / FRAME_REACH where that is short of the infinity frame's
+    reach (poles far from 0)."""
     mean = complex(np.mean(sys.poles))
     dev = float(np.max(np.abs(sys.poles - mean)))
     offset = 2.0 * (abs(mean) + dev + 1.0)
-    return complex(mean.real, float(sys.poles.imag.min()) - offset)
+    z0 = complex(mean.real, float(sys.poles.imag.min()) - offset)
+    reach = float(np.max(np.abs(sys.poles))) / FRAME_REACH
+    return z0 if abs(z0) >= reach else complex(z0.real, -2.0 * reach)
 
 
 def _infinity_frame(sys: FuchsianSystem, z0: complex):
@@ -166,7 +173,7 @@ def _infinity_frame(sys: FuchsianSystem, z0: complex):
     for ui in sys.poles:
         if ui == 0:
             continue
-        if abs(w0) > 0.7 / abs(ui):
+        if abs(w0) > FRAME_REACH / abs(ui):
             raise ValueError(
                 "basepoint too close to the pole configuration for the "
                 "infinity-normalized frame"
@@ -179,19 +186,17 @@ def _infinity_frame(sys: FuchsianSystem, z0: complex):
     return ode, np.eye(sys.n, dtype=complex), [Leg(0j, w0)]
 
 
-def monodromy_plan(sys: FuchsianSystem, z0: complex | None = None) -> Plan:
+def monodromy_plan(sys: FuchsianSystem) -> Plan:
     """The transports of fuchs_monodromy, assembled into M_1..M_N: the N
-    loops carry the identity at z0 next to the infinity frame Y0, and by
-    linearity M_i = Y0^{-1} T_i Y0 for the loop transport T_i of I."""
-    if z0 is None:
-        z0 = default_basepoint(sys)
-    z0 = complex(z0)
-    if np.min(np.abs(sys.poles - z0)) < 1e-9:
-        raise ValueError("basepoint coincides with a pole")
+    loops carry the identity at the basepoint z0 next to the infinity frame
+    Y0, and by linearity M_i = Y0^{-1} T_i Y0 for the loop transport T_i
+    of I."""
+    z0 = default_basepoint(sys)
     ode = fuchsian_ode(sys.poles, sys.residues)
     eye = np.eye(sys.n, dtype=complex)
     jobs = [
-        (ode, eye, _loop_legs(z0, complex(ui), LOOP_RADIUS * sys.nearest_gap(i)))
+        (ode, eye, _loop_legs(z0, complex(ui),
+                              LOOP_RADIUS * min(sys.nearest_gap(i), abs(ui - z0))))
         for i, ui in enumerate(sys.poles)
     ]
     frame = _infinity_frame(sys, z0)
@@ -205,14 +210,13 @@ def monodromy_plan(sys: FuchsianSystem, z0: complex | None = None) -> Plan:
     return Plan(tuple(jobs), assemble)
 
 
-def fuchs_monodromy(
-    sys: FuchsianSystem, z0: complex | None = None, tol: float = 1e-12,
-) -> list[np.ndarray]:
+def fuchs_monodromy(sys: FuchsianSystem, tol: float = 1e-12) -> list[np.ndarray]:
     """Monodromy matrices M_1..M_N with Y(gamma_i z) = Y(z) M_i.
 
-    Loops are circles of radius LOOP_RADIUS times the nearest-other-pole
-    distance, joined to the basepoint by straight spokes; composition order is
-    increasing pole index.  With the default basepoint below the poles and a
+    Loops are circles of radius LOOP_RADIUS times the distance to the
+    nearest other pole or the basepoint, joined to the basepoint
+    (`default_basepoint`) by straight spokes; composition order is
+    increasing pole index.  With the basepoint below the poles and a
     configuration angularly ordered by index, the basis-order product
     M_1 M_2 ... M_N = I up to tolerance (z = infinity is regular);
     `product_relation_residual` measures how far it is.
@@ -221,7 +225,7 @@ def fuchs_monodromy(
     the frame in which Schlesinger flows keep the monodromy matrices
     constant entrywise.
     """
-    return run_plan(monodromy_plan(sys, z0), tol)
+    return run_plan(monodromy_plan(sys), tol)
 
 
 def product_relation_residual(mons) -> float:

@@ -326,8 +326,8 @@ def _exp_nilpotent(N, w) -> np.ndarray:
     return out
 
 
-def eval_levelt(ld: LeveltData, z: complex, arg_branch: float, K: int | None = None) -> np.ndarray:
-    """G (I + sum_{k<=K} Psi_k z^k) z^D z^L on the universal cover.
+def eval_levelt(ld: LeveltData, z: complex, arg_branch: float) -> np.ndarray:
+    """G (I + sum_{k<=K} Psi_k z^k) z^D z^L on the universal cover, K = ld.K.
 
     z^D z^L = diag(z^(d + sigma)) e^{N log z} in closed form, with
     log z = ln|z| + i arg_branch: N is nilpotent and, connecting only
@@ -336,12 +336,8 @@ def eval_levelt(ld: LeveltData, z: complex, arg_branch: float, K: int | None = N
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
-    if K is None:
-        K = ld.K
-    elif K > ld.K:
-        raise ValueError(f"order {K} requested, but the Levelt series is built to order {ld.K}")
-    zk = np.cumprod(np.full(K, z))  # z, z^2, ..., z^K
-    Phi = np.eye(ld.n) + (zk @ ld.Psi[:K].reshape(K, ld.n**2)).reshape(ld.n, ld.n)
+    zk = np.cumprod(np.full(ld.K, z))  # z, z^2, ..., z^K
+    Phi = np.eye(ld.n) + (zk @ ld.Psi.reshape(ld.K, ld.n**2)).reshape(ld.n, ld.n)
     w = np.log(abs(z)) + 1j * arg_branch
     return ld.G @ Phi @ (np.exp((ld.d + ld.sigma) * w)[:, None] * _exp_nilpotent(ld.N, w))
 

@@ -939,17 +939,15 @@ class StokesResult:
     error_estimate: float
 
 
-def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
-                  fs: FormalSolution | None = None) -> StokesResult:
+def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig) -> StokesResult:
     """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint, |z*| = R/2.
 
     Both sectorial solutions are transported to the same point of the cover;
     the quotient is formed in the F-gauge and regraded entrywise, so required
-    zeros are damped rather than amplified.  Without `fs` the series is
-    computed to cfg.order.
+    zeros are damped rather than amplified.  The series is computed to
+    cfg.order; a pipeline with its own series plans a `SectorRequest`.
     """
-    if fs is None:
-        fs = compute_formal_coefficients(sys, K=cfg.order)
+    fs = compute_formal_coefficients(sys, K=cfg.order)
     return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs)]), cfg.tol)[0]
 
 

@@ -8,7 +8,9 @@ op in-process through ``isomlab.cli.main`` and prints one line per op:
 
     <workload> <seed> <op> <exit codes> <sha256 of the exit codes, stdout and stderr>
 
-then one line per workload with the digest of all its ops.  The inputs are
+then one line per workload with the digest of all its ops.  It exits 1 if
+an exception escaped ``cli.main`` in any call (exit code ``None``), after
+printing every line.  The inputs are
 written to a temporary directory under the same relative names on every run,
 so two checkouts give equal lines exactly when their output is equal: run
 the script once against the ``src/`` of each and diff what it prints.
@@ -89,6 +91,7 @@ def main(argv=None) -> int:
                    default=sorted(workloads.WORKLOADS))
     p.add_argument("--ops", type=int, default=POOL)
     args = p.parse_args(argv)
+    escaped = 0
     for name in args.workload:
         total = hashlib.sha256()
         for seed in args.seeds:
@@ -96,9 +99,12 @@ def main(argv=None) -> int:
                 line = digest(results)
                 total.update(line.encode())
                 codes = ",".join(str(code) for code, _, _ in results)
+                escaped += sum(code is None for code, _, _ in results)
                 print(f"{name} {seed} {k} {codes} {line}", flush=True)
         print(f"{name} all {total.hexdigest()}", flush=True)
-    return 0
+    if escaped:
+        print(f"{escaped} call(s) raised out of cli.main", file=sys.stderr)
+    return 1 if escaped else 0
 
 
 if __name__ == "__main__":

@@ -330,37 +330,28 @@ def truncated_formal(fs, z, arg_branch, K):
     return F * np.exp(fs.b * w + complex(z) * fs.u)[None, :]
 
 
-def formal_coefficients_reference(sys, K: int, mode: str = "generic", coalesce_tol: float = 0.0):
+def formal_coefficients_reference(sys, K: int, coalesce_tol: float = 0.0):
     """F_1..F_K of `compute_formal_coefficients` (its checks left out) by the
     recursion on numpy complex scalars, entry by entry; the library runs it on
     Python scalars and must reproduce every F_k bit for bit."""
-    from isomlab.formal import _coalesced_entries, _omega, _u_derivatives
+    from isomlab.formal import _coalesced_entries
     from isomlab.geometry import coalescence_labels
 
     A, u, n = sys.A, sys.u, sys.n
     d = np.diag(A)
     label = coalescence_labels(u, coalesce_tol)
     coalesced = (label[:, None] == label[None, :]) & ~np.eye(n, dtype=bool)
-    if mode == "isomonodromic":
-        F_gen = formal_coefficients_reference(sys, max(K, 1))
-        dF = _u_derivatives(sys, F_gen)
     F_all = []
     for k in range(1, K + 1):
         Fk = np.zeros((n, n), dtype=complex)
         Fprev = F_all[k - 2] if k >= 2 else np.eye(n, dtype=complex)
-        if mode == "generic":
-            for i in range(n):
-                for j in range(n):
-                    if i == j or coalesced[i, j]:
-                        continue
-                    num = (d[i] - d[j] + k - 1) * Fprev[i, j]
-                    num += sum(A[i, p] * Fprev[p, j] for p in range(n) if p != i)
-                    Fk[i, j] = num / (u[j] - u[i])
-        else:
-            for i in range(n):
-                Rhs = _omega(F_gen[0], i) @ Fprev - dF[k - 1][i]
-                Fk[:, i] = Rhs[:, i]
-                Fk[i, :] = -Rhs[i, :]
+        for i in range(n):
+            for j in range(n):
+                if i == j or coalesced[i, j]:
+                    continue
+                num = (d[i] - d[j] + k - 1) * Fprev[i, j]
+                num += sum(A[i, p] * Fprev[p, j] for p in range(n) if p != i)
+                Fk[i, j] = num / (u[j] - u[i])
         if coalesced.any():
             _coalesced_entries(sys, Fk, k, label)
         for i in range(n):

@@ -93,38 +93,13 @@ class TestFormalCommand:
         assert doc["F"][0] == [[[1.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [-1.0, 0.0]]]
         assert doc["F"][1] == [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
-    def test_isomonodromic_mode(self, capsys, generic_system_file):
-        code, out, _ = run(
-            capsys,
-            ["formal", "--system", generic_system_file, "--order", "4",
-             "--mode", "isomonodromic"],
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["mode"] == "isomonodromic"
-        # agrees with the generic recursion: the u-derivatives are exact
-        _, out_gen, _ = run(
-            capsys, ["formal", "--system", generic_system_file, "--order", "4"]
-        )
-        gen = json.loads(out_gen)
-        for Fi, Fg in zip(doc["F"], gen["F"]):
-            diff = np.max(np.abs(np.array(Fi) - np.array(Fg)))
-            assert diff <= 1e-10
-
-    def test_isomonodromic_mode_rejects_higher_poles(self, capsys, tmp_path):
-        f = write_json(
-            tmp_path / "higher.json",
-            {
-                "u": [[0.0, 0.0], [1.0, 0.0]],
-                "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]],
-                "higher": [[[[0.1, 0.0], [0.3, 0.0]], [[-0.2, 0.0], [0.05, 0.0]]]],
-            },
-        )
-        code, out, err = run(capsys, ["formal", "--system", f, "--mode", "isomonodromic"])
-        assert code == 1 and out == ""
-        assert "does not support higher poles" in err
-        # as does the generic mode: the system file is refused when read
-        assert run(capsys, ["formal", "--system", f])[:2] == (1, "")
+    def test_mode_flag_is_a_usage_error(self, capsys, generic_system_file):
+        # one recursion, so no --mode to choose it by; the report has no "mode"
+        with pytest.raises(SystemExit) as exc:
+            main(["formal", "--system", generic_system_file, "--mode", "generic"])
+        assert exc.value.code == 2 and "--mode" in capsys.readouterr().err
+        code, out, _ = run(capsys, ["formal", "--system", generic_system_file])
+        assert code == 0 and "mode" not in json.loads(out)
 
     def test_deterministic_output(self, capsys, generic_system_file):
         _, out1, _ = run(capsys, ["formal", "--system", generic_system_file])
@@ -375,6 +350,21 @@ class TestSchlesingerCommand:
                                     path_file, "--monodromy"])
         assert code == 0 and json.loads(out)["verdict"] == "PASS"
         assert len(calls) == 1
+
+
+    def test_one_pole(self, capsys, tmp_path):
+        # the only loop takes its radius from the basepoint: M_1 = I
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        sys_file = write_json(tmp_path / "one.json",
+                              {"fuchsian": {"poles": [[0.0, 0.0]], "residues": [zero]}})
+        path_file = write_json(tmp_path / "path.json",
+                               {"waypoints": [[[0.0, 0.0]], [[0.3, 0.2]]]})
+        code, out, _ = run(capsys, ["schlesinger", "--system", sys_file, "--path",
+                                    path_file, "--monodromy"])
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] == "PASS"
+        assert doc["monodromy_drift"] == 0.0
+        assert doc["product_relation_residual"] == [0.0, 0.0]
 
 
 class TestKvCommand:
@@ -768,6 +758,28 @@ class TestErrorHandling:
             else f"error: --tau {tau} is too large: its ulp {math.ulp(tau):.3g} exceeds the "
                  f"direction tolerance {DIRECTION_TOL:g}"
         ) + "\n"
+
+    @pytest.mark.parametrize("command", [
+        name for name, sp in _subcommands().items() if "r" in {a.dest for a in sp._actions}
+    ])
+    @pytest.mark.parametrize("r, tau", [(2606, 0.0), (-2606, 0.0), (2604, 8.0),
+                                        (1000000000, 0.3), (2605, 0.0)])
+    def test_sector_index_resolvable(self, capsys, tmp_path, command, r, tau):
+        # sectors r and r + 1 reach |tau| + (|r| + 2) pi, which must resolve
+        # a direction to DIRECTION_TOL as tau must: refused before the files
+        # named are read, and the last index that resolves gets to reading
+        missing = str(tmp_path / "missing.json")
+        argv = [command, "--r", str(r), "--tau", str(tau)]
+        for a in _subcommands()[command]._actions:
+            if a.required and a.dest != "tau":
+                argv += [a.option_strings[0], {"eps": "0.1"}.get(a.dest, missing)]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        reach = abs(tau) + (abs(r) + 2) * math.pi
+        if math.ulp(reach) > DIRECTION_TOL:
+            assert err.startswith(f"error: --r {r} is too large: the sector angles reach")
+        else:
+            assert "missing.json" in err
 
     def test_largest_tau_accepted(self, capsys, system_file):
         # below 8192 the ulp of tau, 2**-40, is still below DIRECTION_TOL

@@ -9,6 +9,7 @@ from isomlab.formal import (
     ode_laurent_residuals,
     optimal_truncations,
 )
+from isomlab.isoflow import UPath, integrate_flow
 from reference_solvers import formal_coefficients_reference, truncated_formal
 
 # criterion 7's A0: its exact zeros make signed zeros in the recursion
@@ -139,10 +140,6 @@ class TestBitIdentity:
     def test_coalesced_system(self, u, coalesce_tol):
         self.assert_same_bytes(IrregularSystem(u=u, A=CRIT7_A0), 30, coalesce_tol=coalesce_tol)
 
-    def test_isomonodromic_mode(self):
-        self.assert_same_bytes(random_system(np.random.default_rng(18), 3), 10,
-                               mode="isomonodromic")
-
 
 class TestCheckResonances:
     def test_exact_difference(self):
@@ -250,18 +247,35 @@ class TestEvaluation:
         assert b2 < b1
 
 
-class TestIsomonodromicMode:
-    def test_agrees_with_generic_along_strong_flow(self):
-        A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
-        systems = [IrregularSystem(u=[0.0, 1.0], A=A), random_system(np.random.default_rng(3), 3)]
-        for sys in systems:
-            fs_iso = compute_formal_coefficients(sys, K=5, mode="isomonodromic")
-            fs_gen = compute_formal_coefficients(sys, K=5)
-            assert fs_iso.mode == "isomonodromic"
-            for Fi, Fg in zip(fs_iso.F, fs_gen.F):
-                assert np.max(np.abs(Fi - Fg)) <= 1e-10  # exact derivatives
+class TestUSideRelation:
+    """The series along the strong isomonodromy flow meets the
+    u-side relation [F_{l+1}, E_i] = [F_1, E_i] F_l - d_i F_l of the Pfaffian
+    system, with d_i F_l from central differences of the series at the ends
+    of two short flows u -> u +- h e_i (an O(h^2) error)."""
 
-    def test_coalesced_u_rejected(self):
-        sys = IrregularSystem(u=[0.0, 0.0], A=[[0.2, 0.0], [0.0, -0.4]])
-        with pytest.raises(ValueError, match="coalesced"):
-            compute_formal_coefficients(sys, K=3, mode="isomonodromic", coalesce_tol=1e-9)
+    @staticmethod
+    def commutator_with(X, i):
+        # [X, E_i]: column i of X minus its row i
+        W = np.zeros_like(X)
+        W[:, i] = X[:, i]
+        W[i, :] -= X[i, :]
+        return W
+
+    @pytest.mark.parametrize("sys", [
+        IrregularSystem(u=[0.0, 1.0], A=[[0.2, 1.0], [0.7, -0.4]]),
+        random_system(np.random.default_rng(3), 3),
+    ], ids=["GENERIC_A", "seeded-n3"])
+    def test_generic_series_meets_relation(self, sys):
+        L, h = 4, 1e-4
+        F = (np.eye(sys.n),) + compute_formal_coefficients(sys, K=L + 1).F
+        for i in range(sys.n):
+            step = h * np.eye(sys.n)[i]
+            ends = [integrate_flow(sys, UPath.line(sys.u, sys.u + s * step), tol=1e-13)[0]
+                    for s in (1, -1)]
+            Fp, Fm = ((np.eye(sys.n),) + compute_formal_coefficients(e, K=L).F for e in ends)
+            W = self.commutator_with(F[1], i)
+            for l in range(1, L + 1):
+                dF = (Fp[l] - Fm[l]) / (2 * h)
+                lhs, rhs = self.commutator_with(F[l + 1], i), W @ F[l] - dF
+                scale = max(np.linalg.norm(lhs), np.linalg.norm(W @ F[l]), np.linalg.norm(dF))
+                assert np.linalg.norm(lhs - rhs) <= 1e-6 * scale, (i, l)

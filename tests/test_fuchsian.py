@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 
@@ -8,7 +9,9 @@ from scipy.linalg import expm
 from isomlab.errors import IntegrationError, WallError
 from isomlab.fuchsian import (
     FuchsianSystem,
+    _infinity_frame,
     _schlesinger_velocity,
+    default_basepoint,
     fuchs_monodromy,
     integrate_schlesinger,
     kv_family,
@@ -112,14 +115,15 @@ class TestIntegrateSchlesinger:
             assert np.max(np.abs(s0 - s1)) < 1e-8
 
     def test_monodromy_constant(self):
-        # entrywise constancy holds in the infinity-normalized frame
+        # entrywise constancy holds in the infinity-normalized frame, whose
+        # matrices do not depend on the basepoint: each end has its own
         rng = np.random.default_rng(17)
         sys = random_fuchsian(rng)
         path = UPath.line(sys.poles, sys.poles + np.array([0.2j, -0.1, 0.25]))
         final, _ = integrate_schlesinger(sys, path, tol=1e-12)
-        z0 = -1.0 - 12.0j
-        M0 = fuchs_monodromy(sys, z0=z0)
-        M1 = fuchs_monodromy(final, z0=z0)
+        assert default_basepoint(sys) != default_basepoint(final)
+        M0 = fuchs_monodromy(sys)
+        M1 = fuchs_monodromy(final)
         assert max(np.max(np.abs(a - b)) for a, b in zip(M0, M1)) < 1e-6
 
     def test_flowed_family_satisfies_schlesinger(self):
@@ -247,18 +251,37 @@ class TestFuchsMonodromy:
         for M, A in zip(mons, residues):
             assert np.max(np.abs(M - expm(2j * np.pi * A))) < 1e-11
 
-    def test_basepoint_on_a_pole_is_refused(self):
-        sys = random_fuchsian(np.random.default_rng(3))
-        with pytest.raises(ValueError, match="basepoint coincides with a pole"):
-            monodromy_plan(sys, 1.0 + 1e-10j)
-
     def test_basepoint_inside_the_infinity_frame_is_refused(self):
         # the w = 1/z segment from 0 to 1/z0 must stay clear of 1/2, the
         # image of the pole at 2: |z0| = 2.5 is short of 2 / 0.7
         sys = random_fuchsian(np.random.default_rng(3))
         with pytest.raises(ValueError, match="too close to the pole configuration"):
-            monodromy_plan(sys, 2.5j)
-        monodromy_plan(sys, 3.0j)
+            _infinity_frame(sys, 2.5j)
+        _infinity_frame(sys, 3.0j)
+
+    def test_default_basepoint_far_from_zero(self):
+        # 2 (|mean| + spread + 1) below the lowest pole is -16.83i here, short
+        # of max |u_i| / 0.7 = 17.2, so the basepoint moves further down; the
+        # translate by -10i keeps the rule's basepoint, and in the frame
+        # normalized at infinity its monodromy is the same
+        rng = np.random.default_rng(5)
+        residues = [0.4 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                    for _ in range(2)]
+        residues = tuple(residues + [-sum(residues)])
+        far = FuchsianSystem(poles=[10j, 1 + 11j, -1 + 12j], residues=residues)
+        near = FuchsianSystem(poles=far.poles - 10j, residues=residues)
+        assert abs(default_basepoint(far)) >= np.max(np.abs(far.poles)) / 0.7
+        assert default_basepoint(near) == complex(0.0, -2.0 * (1.0 + math.sqrt(2.0) + 1.0))
+        M_far, M_near = fuchs_monodromy(far), fuchs_monodromy(near)
+        assert product_relation_residual(M_far) < 1e-10
+        for a, b in zip(M_far, M_near):
+            assert np.max(np.abs(a - b)) < 1e-10
+
+    def test_one_pole(self):
+        # the loop radius comes from the basepoint when no other pole exists
+        sys = FuchsianSystem(poles=[0.5 + 0.2j], residues=(np.zeros((2, 2)),))
+        (M,) = fuchs_monodromy(sys)
+        assert np.max(np.abs(M - np.eye(2))) < 1e-14
 
     def test_spoke_through_pole_is_refused(self):
         # from the default basepoint below, the spokes to i and 2i run

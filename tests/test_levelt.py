@@ -214,12 +214,6 @@ class TestBuildSolution:
             levelt_handle(sys, build_levelt_solution(A, [sys.Lambda], K=1),
                           PathPoint.from_polar(1.0, 0.0))
 
-    def test_order_above_the_built_one_refused(self):
-        A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
-        ld = build_levelt_solution(A, [np.diag([0.0, 1.0])], K=5)
-        with pytest.raises(ValueError, match="order 6 .* order 5"):
-            eval_levelt(ld, 0.1, 0.0, K=6)
-
     def test_gauge_transport_rejects_mismatch(self):
         A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
         ld = compute_levelt_exponents(A)

@@ -83,8 +83,7 @@ FRAMES = pytest.mark.parametrize("sys, cfg, coalesce_tol", [
 
 
 def frame_series(sys, cfg, coalesce_tol):
-    return None if coalesce_tol is None else compute_formal_coefficients(
-        sys, K=cfg.order, coalesce_tol=coalesce_tol)
+    return compute_formal_coefficients(sys, K=cfg.order, coalesce_tol=coalesce_tol or 0.0)
 
 
 class TestIntegratePath:
@@ -697,7 +696,7 @@ class TestActualSolution:
         # actual_solution builds its config from its keywords
         got = actual_solution(sys, 0, cfg.tau, order=cfg.order, widened=cfg.uC is not None,
                               uC=cfg.uC, coalesce_tol=coalesce_tol or 0.0)
-        fs = frame_series(sys, cfg, coalesce_tol) or compute_formal_coefficients(sys, K=cfg.order)
+        fs = frame_series(sys, cfg, coalesce_tol)
         want, = run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs, "sectorial")]), cfg.tol)
         assert got.point == want.point
         assert got.value.tobytes() == want.value.tobytes()
@@ -782,7 +781,7 @@ class TestConnectionMatrix:
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=25)
         C0 = connection(sys, 0, ld, cfg, fs=fs)
         C1 = connection(sys, 1, ld, cfg, fs=fs)
-        S0 = stokes_matrix(sys, 0, cfg, fs=fs).S
+        S0 = run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs)]), cfg.tol)[0].S
         assert np.max(np.abs(C1 - C0 @ S0)) < 1e-6
 
     def test_monodromy_consistency(self):

@@ -5,7 +5,7 @@ from isomlab import geometry, odeengine
 from isomlab.errors import ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
-from isomlab.odeengine import StokesConfig, join_plans, sector_plan
+from isomlab.odeengine import SectorRequest, StokesConfig, join_plans, run_plan, sector_plan
 from isomlab.verify import (
     COALESCENCE_TOL,
     LEVELT_ORDER,
@@ -386,7 +386,8 @@ class TestVerifyCoalescence:
         # system in the frame widened at u^C
         frozen = IrregularSystem(u=rep.uC, A=A3)
         fs0 = compute_formal_coefficients(frozen, K=30, coalesce_tol=COALESCENCE_TOL)
-        S1_frozen = odeengine.stokes_matrix(frozen, 1, StokesConfig(tau=0.3, uC=rep.uC), fs0).S
+        cfg = StokesConfig(tau=0.3, uC=rep.uC)
+        S1_frozen = run_plan(sector_plan(cfg, [SectorRequest(frozen, 1, fs0)]), cfg.tol)[0].S
         for i, j in rep.pairs:
             assert abs(rep.S_frozen[i, j]) < 1e-9
             assert abs(rep.S_frozen[j, i]) < 1e-9

@@ -44,7 +44,6 @@ from .geometry import (
     stokes_ray_directions,
 )
 from .isoflow import (
-    DiagonalGauge,
     LaurentCoefficients,
     UPath,
     integrability_residual,

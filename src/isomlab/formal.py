@@ -65,10 +65,6 @@ class IrregularSystem:
     def Lambda(self) -> np.ndarray:
         return np.diag(self.u)
 
-    def coefficient(self, z: complex) -> np.ndarray:
-        """Lambda + A/z."""
-        return self.Lambda + self.A / z
-
 
 @dataclass(frozen=True)
 class FormalSolution:

@@ -4,15 +4,12 @@ a system (here the point (u, A) of the deformation space, which is the
 `IrregularSystem` dY/dz = (Lambda(u) + A/z) Y) and return it at the end of
 their path, with the end values of the matrices they were asked to carry.
 
-omega_j(0,u) = [F_1(u), E_j] + D_j(u), with entries
-A_ab (delta_aj - delta_bj)/(u_a - u_b) plus an optional diagonal gauge D_j.
-Strong flows have D = 0; weak flows carry a polynomial diagonal D(u) whose
-partials D_j = dD/du_j are differentiated exactly, so the closedness of
-sum_j D_j du_j is automatic.  Along a velocity du the flow needs only
-Omega = sum_j du_j omega_j(0) = A o K + diag(sum_j du_j D_j), with the
-difference quotients K_ab = (du_a - du_b)/(u_a - u_b): one O(n^2) build and
-one commutator per right-hand side.  `omega_zero_part` is the per-direction
-reference.
+omega_j(0,u) = [F_1(u), E_j], with entries
+A_ab (delta_aj - delta_bj)/(u_a - u_b): the strong flow, which keeps diag(A)
+as well as the spectrum of A.  Along a velocity du the flow needs only
+Omega = sum_j du_j omega_j(0) = A o K, with the difference quotients
+K_ab = (du_a - du_b)/(u_a - u_b): one O(n^2) build and one commutator per
+right-hand side.  `omega_zero_part` is the per-direction reference.
 
 Both nonlinear flows run through one driver, `_integrate`: an exact
 coalescence guard (every pair gap u_i - u_j is affine along a straight
@@ -52,38 +49,6 @@ SYLVESTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class DiagonalGauge:
-    """Diagonal matrix function D(u) with polynomial entries.
-
-    Each monomial is (entry index a, coefficient, exponent tuple); the entry
-    D_aa(u) is the sum of its monomials c * prod_j u_j^{alpha_j}.  Partials
-    are differentiated term by term, so D_j = dD/du_j exactly.
-    """
-
-    n: int
-    terms: tuple[tuple[int, complex, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        for a, _, alpha in self.terms:
-            if not 0 <= a < self.n:
-                raise ValueError(f"gauge entry index {a} out of range")
-            if len(alpha) != self.n:
-                raise ValueError("monomial exponent tuple has wrong length")
-
-    def partial(self, u, j: int) -> np.ndarray:
-        """Diagonal of D_j(u) = dD/du_j; u may carry trailing axes."""
-        u = np.asarray(u, dtype=complex)
-        out = np.zeros(u.shape, dtype=complex)
-        for a, c, alpha in self.terms:
-            if alpha[j] == 0:
-                continue
-            dalpha = list(alpha)
-            dalpha[j] -= 1
-            out[a] += c * alpha[j] * np.prod(np.moveaxis(u, 0, -1) ** np.array(dalpha), axis=-1)
-        return out
-
-
-@dataclass(frozen=True)
 class UPath:
     """Piecewise-straight path in u-space."""
 
@@ -119,11 +84,11 @@ def _pair_gaps(path: UPath) -> dict[tuple[int, int], float]:
     return dict(zip(zip(i.tolist(), j.tolist()), gaps.tolist()))
 
 
-def omega_zero_part(A, u, j: int, Dj=None) -> np.ndarray:
-    """omega_j(0,u): entry (a,b) = A_ab (delta_aj - delta_bj)/(u_a - u_b), plus D_j.
+def omega_zero_part(A, u, j: int) -> np.ndarray:
+    """omega_j(0,u): entry (a,b) = A_ab (delta_aj - delta_bj)/(u_a - u_b).
 
-    Satisfies [Lambda, omega_j(0)] = [E_j, A] exactly, and the gauge-free
-    parts telescope to zero over j.
+    Satisfies [Lambda, omega_j(0)] = [E_j, A] exactly, and telescopes to
+    zero over j.
     """
     A = as_square(A)
     u = np.asarray(u, dtype=complex).reshape(-1)
@@ -139,8 +104,6 @@ def omega_zero_part(A, u, j: int, Dj=None) -> np.ndarray:
     W[j, :] = P[j, :]
     W[:, j] = -P[:, j]
     W[j, j] = 0.0
-    if Dj is not None:
-        W = W + np.diag(np.asarray(Dj, dtype=complex).reshape(-1))
     return W
 
 
@@ -152,17 +115,6 @@ def _difference_quotients(u, du) -> np.ndarray:
     diff[range(n), range(n)] = 1.0
     dd = du[:, None] - du[None, :]
     return dd.reshape(dd.shape + (1,) * (u.ndim - 1)) / diff
-
-
-def _omega_sum(A, u, du, K, gauge=None) -> np.ndarray:
-    """sum_j du_j omega_j(0,u) = A o K + diag(sum_j du_j D_j), for one (A, u)
-    or for A (n, n, ...) and u (n, ...) with the same trailing axes; K is
-    _difference_quotients(u, du), built once per step by the caller."""
-    Om = A * K
-    if gauge is not None:
-        n = len(u)
-        Om[range(n), range(n)] += sum(du[j] * gauge.partial(u, j) for j in range(n))
-    return Om
 
 
 def _chebyshev_tables(p: int):
@@ -313,57 +265,38 @@ def _integrate(flow: str, path: UPath, start, y, field, tol: float, guard: float
     return y
 
 
-def _check_gauge(sys: IrregularSystem, gauge: DiagonalGauge | None):
-    """Refuses a gauge of another dimension than the system's."""
-    if gauge is not None and gauge.n != sys.n:
-        raise ValueError(f"gauge dimension {gauge.n} disagrees with the system's {sys.n}")
-
-
 def integrate_flow(
     sys: IrregularSystem,
     path: UPath,
     tol: float = 1e-11,
-    gauge: DiagonalGauge | None = None,
     rhs_sign: float = 1.0,
     carry_gauge=None,
-    carry_frame: tuple[complex, np.ndarray] | None = None,
     guard: float | None = None,
 ) -> tuple[IrregularSystem, tuple[np.ndarray, ...]]:
     """Integrate dA = sum_j [omega_j(0,u), A] du_j along a piecewise-straight
     path from sys.u; returns the system at the path's end and a tuple of
-    the end values of the matrices it was asked to carry, G before Y.
-    gauge=None runs the strong flow (D = 0, which keeps diag(A) as well as
-    the spectrum of A), a DiagonalGauge the weak flow.
+    the end values of the matrices it was asked to carry: (G,) or ().
 
     Optionally co-integrates a gauge matrix G with dG = (sum_j omega_j(0) du_j) G
-    (`carry_gauge` = initial G) and a fundamental-matrix frame at a fixed
-    z-point with dY = sum_j (z E_j + omega_j(0)) du_j Y (`carry_frame` =
-    (z, Y0)).  `rhs_sign` scales the whole right-hand side; -1 is the
-    corrupted flow used by sensitivity checks.
+    (`carry_gauge` = initial G).  `rhs_sign` scales the whole right-hand
+    side; -1 is the corrupted flow used by sensitivity checks.
 
     Paths whose exact minimal pair gap falls below `guard` (default 1e-6
     times the u scale) are refused with a WallError naming the pairs.
     """
-    _check_gauge(sys, gauge)
     n = sys.n
-    blocks = [sys.A]  # A, then the carried G and Y
+    blocks = [sys.A]  # A, then the carried G
     if carry_gauge is not None:
         blocks.append(carry_gauge)
-    z = None
-    if carry_frame is not None:
-        z = complex(carry_frame[0])
-        blocks.append(carry_frame[1])
 
     def field(u, du):
         K = _difference_quotients(u, du)
 
         def f(y):
             X = y.reshape(-1, n, n, y.shape[-1])
-            Om = _omega_sum(X[0], u, du, K, gauge)
+            Om = X[0] * K  # sum_j du_j omega_j(0)
             dX = np.einsum("ab...,kbc...->kac...", Om, X)
             dX[0] -= np.einsum("ab...,bc...->ac...", X[0], Om)
-            if z is not None:
-                dX[-1] += (z * du)[:, None, None] * X[-1]
             return rhs_sign * dX.reshape(y.shape)
 
         return f
@@ -374,26 +307,22 @@ def integrate_flow(
     return IrregularSystem(u=path.waypoints[-1], A=A), tuple(carried)
 
 
-def integrability_residual(sys: IrregularSystem, gauge: DiagonalGauge | None = None,
-                           rhs_sign: float = 1.0) -> float:
+def integrability_residual(sys: IrregularSystem, rhs_sign: float = 1.0) -> float:
     """Largest spectral norm, over j < k, of the Frobenius mismatch
     d_k omega_j(0) - d_j omega_k(0) + [omega_j, omega_k] along the flow.
 
     In closed form (Jimbo, Miwa & Ueno, Physica D 2, 1981): along the flow
     dA/du_k = rhs_sign [omega_k, A], and omega_j(0) is linear in A, so
-    d_k omega_j = omega_j^0(dA/du_k) + (explicit u-partial) + d_k D_j, where
-    omega_j^0 is `omega_zero_part` without its gauge.  The explicit
-    u-partials -A_ab (delta_aj - delta_bj)(delta_ak - delta_bk)/(u_a - u_b)^2
-    and the gauge partials d_k d_j D are symmetric in j and k and cancel.  So
-    a faithful flow reads round-off and a corrupted one (`rhs_sign` = -1)
-    O(1).  For n = 2 the residual vanishes structurally (omega_1 = -omega_0
-    plus translation invariance), so sensitivity checks need n >= 3.  `gauge`
-    is the weak flow's, as in `integrate_flow`.
+    d_k omega_j = omega_zero_part(dA/du_k, u, j) + (explicit u-partial).
+    The explicit u-partials
+    -A_ab (delta_aj - delta_bj)(delta_ak - delta_bk)/(u_a - u_b)^2 are
+    symmetric in j and k and cancel.  So a faithful flow reads round-off
+    and a corrupted one (`rhs_sign` = -1) O(1).  For n = 2 the residual
+    vanishes structurally (omega_1 = -omega_0 plus translation invariance),
+    so sensitivity checks need n >= 3.
     """
-    _check_gauge(sys, gauge)
     n, u, A = sys.n, sys.u, sys.A
-    W = [omega_zero_part(A, u, j, None if gauge is None else gauge.partial(u, j))
-         for j in range(n)]
+    W = [omega_zero_part(A, u, j) for j in range(n)]
     dA = [rhs_sign * (Wk @ A - A @ Wk) for Wk in W]
     worst = 0.0
     for j in range(n):

@@ -37,14 +37,7 @@ from .geometry import (
     is_admissible,
     same_cell,
 )
-from .isoflow import (
-    DiagonalGauge,
-    UPath,
-    VanishingFit,
-    _check_gauge,
-    integrate_flow,
-    vanishing_order_check,
-)
+from .isoflow import UPath, VanishingFit, integrate_flow, vanishing_order_check
 from .levelt import build_levelt_solution, compute_levelt_exponents, with_gauge
 from .odeengine import DEFAULT_TOL, SectorRequest, StokesConfig, run_plan, sector_plan
 
@@ -85,9 +78,8 @@ def collect_data(
     tau: float,
     tol: float = DEFAULT_TOL,
     order: int = 30,
-    gauge: DiagonalGauge | None = None,
 ) -> list[MonodromyDataSet]:
-    """Flow the system through the samples (weakly if `gauge` is given) and
+    """Flow the system through the samples along the strong flow and
     extract data at each one: S_r, S_{r+1} and C_r, all at the default seed
     radius, and at the first sample also the extras S_{r+2} and C_{r+1} of
     stokes_relation_check (None at the others).
@@ -98,7 +90,6 @@ def collect_data(
     makes C_r comparable across samples (per-sample re-diagonalization
     would scramble the eigenvector normalization).
     """
-    _check_gauge(sys, gauge)
     sample_pts = [np.asarray(s, dtype=complex).reshape(-1) for s in samples]
     if np.linalg.norm(sample_pts[0] - sys.u) > 1e-12:
         raise ValueError(f"first sample {sample_pts[0]} is not the system's u {sys.u}")
@@ -114,7 +105,7 @@ def collect_data(
     systems, gauges = [sys], [ld0.G]
     for target in sample_pts[1:]:
         cur, (G,) = integrate_flow(systems[-1], UPath.line(systems[-1].u, target), tol=tol,
-                                   gauge=gauge, carry_gauge=gauges[-1])
+                                   carry_gauge=gauges[-1])
         systems.append(cur)
         gauges.append(G)
     cfg = StokesConfig(tau=tau, tol=tol, order=order)

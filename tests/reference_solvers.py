@@ -4,29 +4,8 @@ that several test modules build."""
 import numpy as np
 from scipy.linalg import expm
 
-from isomlab.isoflow import DiagonalGauge
 from isomlab.levelt import compute_levelt_exponents
 from isomlab.matrixcore import as_square, solve_sylvester, sylvester_spectral_gap
-
-
-def linear_gauge(C) -> DiagonalGauge:
-    """The weak-flow gauge D_aa(u) = sum_j C[a, j] u_j."""
-    M = np.asarray(C, dtype=complex)
-    n = M.shape[0]
-    return DiagonalGauge(n=n, terms=tuple(
-        (a, complex(M[a, j]), tuple(int(k == j) for k in range(n)))
-        for a in range(n) for j in range(n) if M[a, j] != 0
-    ))
-
-
-def gauge_value(gauge: DiagonalGauge, u) -> np.ndarray:
-    """The diagonal of D(u) for a DiagonalGauge: each entry the sum of its
-    monomials c * prod_j u_j^{alpha_j}."""
-    u = np.asarray(u, dtype=complex)
-    out = np.zeros(gauge.n, dtype=complex)
-    for a, c, alpha in gauge.terms:
-        out[a] += c * np.prod(u**np.array(alpha))
-    return out
 
 
 def solve_sylvester_lstsq(P, Q, R, rcond: float = 1e-12):

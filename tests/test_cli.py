@@ -651,6 +651,21 @@ class TestErrorHandling:
         doc["A"][1][1] = [0.5, 0.0]
         assert run(capsys, ["levelt", "--system", write_json(tmp_path / "b.json", doc)])[0] == 0
 
+    def test_resonant_coalescing_pair_refused(self, capsys, tmp_path):
+        # u_0 = u_1 coalesce and A_00 - A_11 = -1: the frozen formal solution
+        # is not unique, so there is no limit to verify
+        doc = {"u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+               "A": [[[0.0, 0.0], [0.0, 0.0], [0.3, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0], [0.2, 0.0]],
+                     [[0.1, 0.0], [0.4, 0.0], [0.5, 0.0]]]}
+        code, out, err = run(capsys, ["verify-coalescence", "--system",
+                                      write_json(tmp_path / "res.json", doc),
+                                      "--tau", "0.3", "--eps", "0.1"])
+        assert code == 1 and out == ""
+        assert err == ("error: diagonal entries of coalescing pairs differ by non-zero "
+                       "integers [(0, 1, -1), (1, 0, 1)]; the frozen formal solution is "
+                       "not unique\n")
+
     def test_missing_block(self, capsys, system_file, tmp_path):
         path_file = write_json(
             tmp_path / "p.json", {"waypoints": [[[0, 0], [1, 0]], [[0, 0], [1.2, 0]]]}

@@ -7,29 +7,24 @@ from isomlab.errors import IntegrationError, ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.fuchsian import FuchsianSystem, integrate_schlesinger
 from isomlab.isoflow import (
-    DiagonalGauge,
     LaurentCoefficients,
     UPath,
     _difference_quotients,
-    _omega_sum,
     integrability_residual,
     integrate_flow,
     laurent_reduce,
     omega_zero_part,
     vanishing_order_check,
 )
-from reference_solvers import gauge_value, linear_gauge
 
 GENERIC_A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
 U0 = np.array([0.0, 1.0], dtype=complex)
 
 
 class TestOmegaZeroPart:
-    def test_diagonal_residue_gives_gauge_only(self):
-        A = np.diag([0.4, -0.2])
-        Dj = np.array([1.0, 2.0])
-        W = omega_zero_part(A, U0, 0, Dj=Dj)
-        assert np.allclose(W, np.diag(Dj))
+    def test_diagonal_residue_gives_zero(self):
+        W = omega_zero_part(np.diag([0.4, -0.2]), U0, 0)
+        assert np.all(W == 0)
 
     def test_worked_example(self):
         W = omega_zero_part(np.array([[0, 1], [1, 0]]), U0, 0)
@@ -72,19 +67,14 @@ class TestOmegaZeroPart:
 
     def test_closed_form_sum_matches_reference(self):
         # the flow's right-hand side builds sum_j du_j omega_j(0) in one go as
-        # A o K + diag(sum_j du_j D_j), K_ab = (du_a - du_b)/(u_a - u_b)
+        # A o K, K_ab = (du_a - du_b)/(u_a - u_b)
         rng = np.random.default_rng(15)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u = np.array([0.0, 1.0, 2.3, -1.0 + 0.8j])
         du = rng.normal(size=4) + 1j * rng.normal(size=4)
-        gauge = DiagonalGauge(n=4, terms=(
-            (0, 0.7, (1, 0, 0, 0)), (1, -0.3 + 0.2j, (0, 2, 1, 0)), (3, 1.1, (1, 1, 0, 2)),
-        ))
-        ref = sum(du[j] * omega_zero_part(A, u, j, Dj=gauge.partial(u, j)) for j in range(4))
         K = _difference_quotients(u, du)
-        assert np.max(np.abs(_omega_sum(A, u, du, K, gauge) - ref)) < 1e-14 * np.max(np.abs(ref))
-        ref0 = sum(du[j] * omega_zero_part(A, u, j) for j in range(4))
-        assert np.max(np.abs(_omega_sum(A, u, du, K) - ref0)) < 1e-14 * np.max(np.abs(ref0))
+        ref = sum(du[j] * omega_zero_part(A, u, j) for j in range(4))
+        assert np.max(np.abs(A * K - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 class TestIntegrateFlow:
@@ -162,14 +152,6 @@ class TestIntegrateFlow:
             integrate_flow(IrregularSystem(u=u0, A=GENERIC_A), path, guard=0.0)
         assert time.perf_counter() - t0 < 5.0
 
-    def test_gauge_of_another_dimension_refused(self):
-        gauge = linear_gauge(np.eye(3))
-        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
-        with pytest.raises(ValueError, match="gauge dimension 3 disagrees with the system's 2"):
-            integrate_flow(sys0, UPath.line(U0, U0 + 0.1), gauge=gauge)
-        with pytest.raises(ValueError, match="gauge dimension 3 disagrees with the system's 2"):
-            integrability_residual(sys0, gauge)
-
 
 @pytest.mark.parametrize("flow", ["isomonodromy flow", "Schlesinger flow"])
 def test_path_must_fit_the_system(flow):
@@ -188,15 +170,14 @@ def test_path_must_fit_the_system(flow):
 
 
 def test_carried_end_values_in_argument_order():
-    # a flow returns the end values of what it was asked to carry, G before
-    # Y, each the value a flow carrying it alone ends with; the Schlesinger
-    # flow carries nothing
+    # a flow returns the end values of what it was asked to carry: the
+    # isomonodromy flow G, solving dG = Omega G with the flow's own Omega,
+    # so that G^-1 A G stays G0^-1 A0 G0; the Schlesinger flow carries nothing
     sys0, path = IrregularSystem(u=U0, A=GENERIC_A), UPath.line(U0, np.array([0.25, 1.15]))
-    G0, frame = np.array([[1.0, 0.5], [0.0, 2.0]]), (1.5 + 0.5j, np.eye(2))
-    _, (G, Y) = integrate_flow(sys0, path, tol=1e-12, carry_gauge=G0, carry_frame=frame)
-    _, (G_alone,) = integrate_flow(sys0, path, tol=1e-12, carry_gauge=G0)
-    _, (Y_alone,) = integrate_flow(sys0, path, tol=1e-12, carry_frame=frame)
-    assert np.max(np.abs(G - G_alone)) < 1e-10 and np.max(np.abs(Y - Y_alone)) < 1e-10
+    G0 = np.array([[1.0, 0.5], [0.0, 2.0]])
+    end, (G,) = integrate_flow(sys0, path, tol=1e-12, carry_gauge=G0)
+    start = np.linalg.solve(G0, GENERIC_A @ G0)
+    assert np.max(np.abs(np.linalg.solve(G, end.A @ G) - start)) < 1e-10
     assert integrate_flow(sys0, path)[1] == ()
     poles = np.array([0.0, 1.0, 2.0], dtype=complex)
     fsys = FuchsianSystem(poles=poles, residues=(GENERIC_A, -GENERIC_A, 0 * GENERIC_A))
@@ -215,23 +196,10 @@ class TestIntegrabilityResidual:
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         return IrregularSystem(u=u, A=A)
 
-    @staticmethod
-    def nonlinear_gauge(n):
-        # D_00 = (0.7 + 0.2i) u_0^2 u_1, D_11 = -0.3 u_1 u_2^3
-        return DiagonalGauge(n=n, terms=(
-            (0, 0.7 + 0.2j, (2, 1) + (0,) * (n - 2)),
-            (1, -0.3 + 0j, (0, 1, 3) + (0,) * (n - 3)),
-        ))
-
     def test_exact_on_strong_states(self):
         # n = 2 is structurally exact, so probe n >= 3
         for n in (3, 4, 5):
             assert integrability_residual(self.seeded_system(n)) <= 1e-12
-
-    def test_exact_on_gauged_states(self):
-        for n in (3, 4, 5):
-            gauge = self.nonlinear_gauge(n)
-            assert integrability_residual(self.seeded_system(n), gauge) <= 1e-12
 
     def test_corrupted_flow_detected(self):
         # a wrong-sign RHS breaks the mixed-partial identity at O(1)
@@ -239,19 +207,17 @@ class TestIntegrabilityResidual:
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         sys0 = IrregularSystem(u=np.array([0.0, 1.0, 0.5 + 1.0j]), A=A)
         assert integrability_residual(sys0, rhs_sign=-1.0) > 0.1
-        gauge = self.nonlinear_gauge(3)
-        assert integrability_residual(self.seeded_system(3), gauge, rhs_sign=-1.0) > 0.1
 
     def test_matches_finite_differences_of_the_flow(self):
         # reference: d_k omega_j by centred differences of omega_j along short
-        # flows; a corrupted gauged flow makes the residual O(1), so the
-        # closed form must reproduce it, gauge terms included
+        # flows; a corrupted flow makes the residual O(1), so the closed form
+        # must reproduce it
         h = 5e-5
-        sys0, gauge = self.seeded_system(3), self.nonlinear_gauge(3)
+        sys0 = self.seeded_system(3)
         u0, n = sys0.u, sys0.n
 
         def omega(s, j):
-            return omega_zero_part(s.A, s.u, j, gauge.partial(s.u, j))
+            return omega_zero_part(s.A, s.u, j)
 
         for rhs_sign in (1.0, -1.0):
             ends = {}
@@ -260,7 +226,7 @@ class TestIntegrabilityResidual:
                     target = u0.copy()
                     target[k] += sgn * h
                     ends[k, sgn], _ = integrate_flow(sys0, UPath.line(u0, target), tol=1e-13,
-                                                     gauge=gauge, rhs_sign=rhs_sign)
+                                                     rhs_sign=rhs_sign)
             worst = 0.0
             for j in range(n):
                 for k in range(j + 1, n):
@@ -268,7 +234,7 @@ class TestIntegrabilityResidual:
                     dk = (omega(ends[j, 1], k) - omega(ends[j, -1], k)) / (2 * h)
                     Wj, Wk = omega(sys0, j), omega(sys0, k)
                     worst = max(worst, np.linalg.norm(dj - dk + Wj @ Wk - Wk @ Wj, 2))
-            exact = integrability_residual(sys0, gauge, rhs_sign=rhs_sign)
+            exact = integrability_residual(sys0, rhs_sign=rhs_sign)
             assert abs(exact - worst) <= 1e-6 * max(worst, 1.0)
 
     def test_runs_no_flow(self, monkeypatch):
@@ -279,9 +245,9 @@ class TestIntegrabilityResidual:
 
         monkeypatch.setattr(isoflow, "integrate_flow", refuse)
         monkeypatch.setattr(isoflow, "_integrate", refuse)
-        sys0, gauge = self.seeded_system(4), self.nonlinear_gauge(4)
-        assert integrability_residual(sys0, gauge) <= 1e-12
-        assert integrability_residual(sys0, gauge, rhs_sign=-1.0) > 0.1
+        sys0 = self.seeded_system(4)
+        assert integrability_residual(sys0) <= 1e-12
+        assert integrability_residual(sys0, rhs_sign=-1.0) > 0.1
 
 
 class TestVanishingCheck:
@@ -319,79 +285,6 @@ class TestVanishingCheck:
         gaps[-1] = bad
         with pytest.raises(ValueError, match="gaps"):
             vanishing_order_check(gaps, 0.37 * np.geomspace(1e-1, 1e-3, 6))
-
-
-class TestWeakFlow:
-    def test_diag_gauge_derivatives(self):
-        g = linear_gauge(np.array([[0.3, 0.0], [0.1, -0.2]]))
-        u = np.array([0.4 + 0.1j, 1.2])
-        assert np.allclose(gauge_value(g, u), [0.3 * u[0], 0.1 * u[0] - 0.2 * u[1]])
-        assert np.allclose(g.partial(u, 0), [0.3, 0.1])
-        assert np.allclose(g.partial(u, 1), [0.0, -0.2])
-
-    def test_partial_broadcasts_over_trailing_axes(self):
-        g = DiagonalGauge(n=3, terms=((0, 0.7, (1, 0, 0)), (1, -0.3 + 0.2j, (0, 2, 1)),
-                                      (2, 1.1, (1, 1, 2))))
-        rng = np.random.default_rng(4)
-        u = rng.normal(size=(3, 2, 5)) + 1j * rng.normal(size=(3, 2, 5))
-        for j in range(3):
-            D = g.partial(u, j)
-            assert D.shape == u.shape
-            for p in range(2):
-                for q in range(5):
-                    assert np.allclose(D[:, p, q], g.partial(u[:, p, q], j), rtol=1e-15, atol=0)
-
-    def test_monodromy_of_weak_family_constant(self):
-        # the weak Pfaffian family Y(z, u) keeps its monodromy while flowing;
-        # transport the frame in u and loop it at both endpoints
-        from isomlab.geometry import sector_frames
-        from isomlab.odeengine import (
-            PathPoint,
-            SolutionHandle,
-            actual_solution,
-            monodromy_loop,
-        )
-
-        gauge = linear_gauge(np.array([[0.3, 0.0], [0.1, -0.2]]))
-        target = np.array([0.25 + 0.1j, 1.15])
-        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
-        theta = sector_frames([U0], 0.3, (0,))[0][0].midpoint
-        zs = PathPoint.from_polar(1.5, theta)
-        Y0 = actual_solution(
-            sys0, 0, 0.3, radius=20.0, zstar=zs, tol=1e-12,
-            fs=compute_formal_coefficients(sys0, K=32),
-        )
-        sys1, (Y1,) = integrate_flow(
-            sys0, UPath.line(U0, target), tol=1e-12, gauge=gauge, carry_frame=(zs.z, Y0.value)
-        )
-        M0 = monodromy_loop(sys0, Y0, winding=1, tol=1e-12)
-        h1 = SolutionHandle(system=sys1, point=zs, value=Y1)
-        M1 = monodromy_loop(sys1, h1, winding=1, tol=1e-12)
-        assert np.max(np.abs(M0 - M1)) < 1e-7
-
-    def test_h_drift_matches_integrated_gauge(self):
-        from isomlab.geometry import sector_frames
-        from isomlab.odeengine import PathPoint, actual_solution
-
-        gauge = linear_gauge(np.array([[0.3, 0.0], [0.1, -0.2]]))
-        target = np.array([0.25 + 0.1j, 1.15])
-        sys0 = IrregularSystem(u=U0, A=GENERIC_A)
-        theta = sector_frames([U0], 0.3, (0,))[0][0].midpoint
-        zs = PathPoint.from_polar(10.0, theta)
-        Y0 = actual_solution(
-            sys0, 0, 0.3, radius=20.0, zstar=zs, tol=1e-12,
-            fs=compute_formal_coefficients(sys0, K=32),
-        )
-        sys1, (Y_end,) = integrate_flow(
-            sys0, UPath.line(U0, target), tol=1e-12, gauge=gauge, carry_frame=(zs.z, Y0.value)
-        )
-        Y1 = actual_solution(
-            sys1, 0, 0.3, radius=20.0, zstar=zs, tol=1e-12,
-            fs=compute_formal_coefficients(sys1, K=32),
-        )
-        H_end = np.linalg.solve(Y1.value, Y_end)
-        predicted = np.diag(np.exp(gauge_value(gauge, target) - gauge_value(gauge, U0)))
-        assert np.max(np.abs(H_end - predicted)) < 1e-6
 
 
 class TestLaurentReduce:

@@ -27,7 +27,7 @@ def ode_residual(ld, sys, z0):
     args = [cmath.phase(z0 + d) for d in (-h, 0, h)]
     dY = (eval_levelt(ld, z0 + h, args[2]) - eval_levelt(ld, z0 - h, args[0])) / (2 * h)
     Y = eval_levelt(ld, z0, args[1])
-    return np.max(np.abs(dY - sys.coefficient(z0) @ Y))
+    return np.max(np.abs(dY - (sys.Lambda + sys.A / z0) @ Y))
 
 
 class TestExponents:

@@ -194,8 +194,8 @@ class TestTaylorEngine:
         for za, zb in zip(corners[:-1], corners[1:]):
 
             def f(t, y, za=za, zb=zb):
-                W = sys.coefficient(za + t * (zb - za))
-                return ((zb - za) * (W @ y.reshape(2, 2))).ravel()
+                z = za + t * (zb - za)
+                return ((zb - za) * ((sys.Lambda + sys.A / z) @ y.reshape(2, 2))).ravel()
 
             sol = solve_ivp(f, (0.0, 1.0), ref.ravel(), method="DOP853",
                             rtol=1e-13, atol=1e-13)

@@ -18,11 +18,12 @@ call, serves none.
 Reads, calls and mentions are matched by name, not resolved, so a name
 that some other object also uses is counted as read or reached whatever
 it belongs to.  Such names were checked by hand (grep), and the test-only
-ones removed: the method `DiagonalGauge.value`, which a local `value` of
-`cli.main` hid, and the fields `tau`, `r` and `uC` of `SectorFrame`,
-`pair` and `gaps` of `VanishingFit`, `r` of `StokesResult` and
-`MonodromyDataSet`, and `r` and `tau` of `CoalescenceReport`, which
-attributes of the same names on other objects hid.
+ones removed: the method `IrregularSystem.coefficient`, which
+`FuchsianSystem.coefficient` (called by `cli.cmd_kv_example`) hid, and the
+fields `tau`, `r` and `uC` of `SectorFrame`, `pair` and `gaps` of
+`VanishingFit`, `r` of `StokesResult` and `MonodromyDataSet`, and `r` and
+`tau` of `CoalescenceReport`, which attributes of the same names on other
+objects hid.
 """
 
 import ast

@@ -18,7 +18,6 @@ from isomlab.verify import (
     stokes_relation_check,
     verify_coalescence,
 )
-from reference_solvers import linear_gauge
 
 GENERIC_A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
 U0 = np.array([0.0, 1.0], dtype=complex)
@@ -150,15 +149,6 @@ class TestCollectData:
             assert drift["S_r"] <= 1e-6
             assert drift["C_r"] <= 1e-6
             assert drift["B"] <= 1e-10
-
-    def test_weak_flow_connection_drifts(self):
-        gauge = linear_gauge(np.array([[0.5, 0.0], [0.2, -0.4]]))
-        data = collect_data(
-            IrregularSystem(u=U0, A=GENERIC_A),
-            [U0, U1], r=0, tau=0.3, order=32, gauge=gauge,
-        )
-        drift = data_drift(data)
-        assert drift["C_r"] > 1e-3
 
     def test_one_transport_batch_whatever_the_sample_count(self, engine_calls):
         counts = []

@@ -39,8 +39,6 @@ from .geometry import (
     SectorFrame,
     classify_point,
     epsilon_bound,
-    is_admissible,
-    same_cell,
     stokes_ray_directions,
 )
 from .isoflow import (

@@ -2,7 +2,8 @@
 
 Provides the formal monodromy exponent B = diag(A), the one coefficient
 recursion for F_1..F_K (with a branch for coalesced pairs), resonance
-detection on the diagonal of A, the optimal truncation of the series and the
+detection on the diagonal of A, the one check of the coalescence
+conditions on coalesced pairs, the optimal truncation of the series and the
 residual of its defining identity.
 
 The recursion comes from matching Laurent coefficients of
@@ -106,20 +107,47 @@ def check_resonances(A, tol: float = 1e-8) -> list[tuple[int, int, int]]:
     return out
 
 
-def _coalesced_entries(sys, Fk, k, label):
+def coalesced_pairs(u, A, tol: float) -> np.ndarray:
+    """The n x n mask of the ordered pairs i != j of u that coalesce at
+    `tol` (one group of `coalescence_labels`), once the coalescence theorem's
+    conditions on them hold: A vanishes on every such pair to PATTERN_TOL,
+    else CoincidentPointsError, and no such pair has diagonal entries of A
+    that differ by a non-zero integer (within check_resonances' tolerance),
+    else ResonanceError, for then the formal solution of the coalesced
+    system is not unique.
+    """
+    label = coalescence_labels(u, tol)
+    co = (label[:, None] == label[None, :]) & ~np.eye(len(label), dtype=bool)
+    if not co.any():
+        return co
+    bad = co & (np.abs(A) > PATTERN_TOL)
+    if bad.any():
+        i, j = np.argwhere(np.triu(bad | bad.T))[0]
+        raise CoincidentPointsError(
+            f"vanishing condition violated at u^C: A[{i},{j}] or A[{j},{i}] nonzero"
+        )
+    resonant = [(i, j, k) for i, j, k in check_resonances(A) if co[i, j]]
+    if resonant:
+        raise ResonanceError(
+            "diagonal entries of coalescing pairs differ by non-zero integers "
+            f"{resonant}; the frozen formal solution is not unique",
+        )
+    return co
+
+
+def _coalesced_entries(sys, Fk, k, coalesced):
     """Fill entries of F_k for coalesced pairs from the order-(k+1) relation.
 
-    For each column j and each coalescence group (indices sharing a `label`)
-    containing at least two indices, the relation at order k+1 couples the
-    unknown entries (F_k)_{ij} (i in the group, i != j) linearly; the
-    diagonal coefficient is A_ii - A_jj + k, nonzero when diag(A) has no
+    For each column j, the relation at order k+1 couples the unknown entries
+    (F_k)_{ij} of the rows i coalesced with j linearly; the diagonal
+    coefficient is A_ii - A_jj + k, nonzero when diag(A) has no
     negative-integer resonance inside the group.
     """
     A = sys.A
     n = sys.n
     d = np.diag(A)
     for j in range(n):
-        rows = [i for i in range(n) if i != j and label[i] == label[j]]
+        rows = np.flatnonzero(coalesced[:, j]).tolist()
         if not rows:
             continue
         m = len(rows)
@@ -131,7 +159,7 @@ def _coalesced_entries(sys, Fk, k, label):
             for p in range(n):
                 if p == i:
                     continue
-                if p != j and label[p] == label[j]:
+                if coalesced[p, j]:
                     # unknown within the same group couples into the system
                     Mmat[a, rows.index(p)] += A[i, p]
                 else:
@@ -157,10 +185,9 @@ def compute_formal_coefficients(
     recursion.
 
     It requires pairwise distinct u_i unless `coalesce_tol` > 0, in which
-    case the pairs of each group that `coalescence_labels` forms at
-    coalesce_tol are treated as coalesced (their A-entries must vanish to
-    PATTERN_TOL, and their diagonal entries must not differ by negative
-    integers).
+    case the pairs that `coalesced_pairs` finds at coalesce_tol are treated
+    as coalesced, after it checked the vanishing and resonance conditions
+    on them.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -170,25 +197,10 @@ def compute_formal_coefficients(
     n = sys.n
     d = np.diag(A)
 
-    # coalescence bookkeeping: the pairs of one group are coalesced
-    label = coalescence_labels(u, max(coalesce_tol, 0.0))
-    coalesced = (label[:, None] == label[None, :]) & ~np.eye(n, dtype=bool)
-    any_coalesced = bool(coalesced.any())
-    if coalesce_tol <= 0 and any_coalesced:
+    if coalesce_tol <= 0 and len(np.unique(u)) < n:
         raise CoincidentPointsError("coincident u_i; recursion divides by u_j - u_i")
-    for i, j in zip(*np.nonzero(coalesced)):
-        if abs(A[i, j]) > PATTERN_TOL:
-            raise CoincidentPointsError(
-                f"vanishing condition violated: A[{i},{j}] = "
-                f"{A[i, j]:.3e} but u_{i} = u_{j}"
-            )
-        kk = round((d[i] - d[j]).real)
-        if kk < 0 and abs(d[i] - d[j] - kk) <= PATTERN_TOL:
-            raise ResonanceError(
-                "diagonal entries of coalesced pair differ by a "
-                f"non-zero integer ({i},{j}): formal solution not unique",
-                pair=(complex(d[i]), complex(d[j])),
-            )
+    coalesced = coalesced_pairs(u, A, coalesce_tol)
+    any_coalesced = bool(coalesced.any())
 
     # Python complex scalars round +, - and * as numpy's scalars do, but not
     # /, so divisions stay numpy's; operands are complex, sums start from 0j.
@@ -215,7 +227,7 @@ def compute_formal_coefficients(
             Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
         if any_coalesced:
             Fk = np.array(Fk)
-            _coalesced_entries(sys, Fk, k, label)
+            _coalesced_entries(sys, Fk, k, coalesced)
             Fk = Fk.tolist()
         for i in range(n):
             Fk[i][i] = complex(-dot(Fk, i, i) / kn)

@@ -30,6 +30,7 @@ from .odeengine import Leg, Plan, fuchsian_ode, run_plan
 
 LOOP_RADIUS = 0.25  # loop radius over the distance to the nearest other pole or basepoint
 FRAME_REACH = 0.7  # the infinity frame needs |z0| >= max |u_i| / FRAME_REACH
+FD_STEP = 1e-5  # the centered-difference step of schlesinger_residual
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,14 @@ def _schlesinger_velocity(A, K) -> np.ndarray:
 
 
 def integrate_schlesinger(
-    sys: FuchsianSystem, path: UPath, tol: float = 1e-11, guard: float | None = None,
+    sys: FuchsianSystem, path: UPath, tol: float = 1e-11,
 ) -> tuple[FuchsianSystem, tuple[()]]:
     """Transport the residues along a pole-position path from sys.poles;
     returns the system at the path's end and, as the flow carries nothing,
     an empty tuple.
 
     The path lives in the space of pole tuples; paths on which two poles
-    come closer than the guard band (default 1e-6 times the pole scale) are
+    come closer than the guard band (1e-6 times the pole scale) are
     refused with a WallError naming the pairs.
     """
     N, n = sys.N, sys.n
@@ -133,7 +134,7 @@ def integrate_schlesinger(
         K = _difference_quotients(u, du)
         return lambda y: _schlesinger_velocity(y.reshape(N, n, n, -1), K).reshape(y.shape)
 
-    y = _integrate("Schlesinger flow", path, sys.poles, np.ravel(sys.residues), field, tol, guard)
+    y = _integrate("Schlesinger flow", path, sys.poles, np.ravel(sys.residues), field, tol, None)
     final = FuchsianSystem(poles=path.waypoints[-1], residues=tuple(y.reshape(N, n, n)),
                            zero_sum_tol=1e-8)
     return final, ()
@@ -235,16 +236,16 @@ def product_relation_residual(mons) -> float:
     return float(np.max(np.abs(prod - np.eye(len(prod)))))
 
 
-def schlesinger_residual(family, u, h: float = 1e-5, moving=None) -> float:
+def schlesinger_residual(family, u, moving=None) -> float:
     """Finite-difference Schlesinger defect of a residue family A_i(u).
 
     `family(u)` returns the list of residues at pole configuration u.  The
     returned value is the max norm over (i, j) of the centered-difference
-    dA_i/du_j minus the Schlesinger right-hand side; small means the family
-    is a (strong, isoprincipal) Schlesinger deformation, large means weak /
-    non-Schlesinger.  `moving` restricts the scanned directions j for
-    families defined along a sub-family of pole motions (e.g. a single
-    moving pole).
+    dA_i/du_j (step FD_STEP) minus the Schlesinger right-hand side; small
+    means the family is a (strong, isoprincipal) Schlesinger deformation,
+    large means weak / non-Schlesinger.  `moving` restricts the scanned
+    directions j for families defined along a sub-family of pole motions
+    (e.g. a single moving pole).
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     N = len(u)
@@ -256,12 +257,12 @@ def schlesinger_residual(family, u, h: float = 1e-5, moving=None) -> float:
     worst = 0.0
     for j in moving:
         up, um = u.copy(), u.copy()
-        up[j] += h
-        um[j] -= h
+        up[j] += FD_STEP
+        um[j] -= FD_STEP
         Ap = [as_square(A) for A in family(up)]
         Am = [as_square(A) for A in family(um)]
         for i in range(N):
-            fd = (Ap[i] - Am[i]) / (2 * h)
+            fd = (Ap[i] - Am[i]) / (2 * FD_STEP)
             worst = max(worst, float(np.linalg.norm(fd - rhs[i, j], 2)))
     return worst
 

@@ -8,12 +8,13 @@ directions, so the full ray set is pi-periodic on the universal cover.
 Walls in u-space combine the coalescence locus Delta (some u_i = u_j) with
 the crossing locus X(tau): some arg(u_i - u_j) = 3 pi/2 - tau mod pi, that
 is, tau on a Stokes ray mod pi.  Everything here is closed-form algebra on
-the pair differences u_i - u_j: one ray computation answers admissibility
-and the X(tau) test at a point, `coalescence_labels` groups coalescing
-indices for every module, and along a straight segment, where each
-difference is affine in t, `wall_hits` finds the wall events exactly (the
-roots of Im(e^{-i phi}(u_i - u_j)) and the closest approaches that
-`segment_min_abs` and `UPath.min_gap` share), which decides `same_cell`.
+the pair differences u_i - u_j: `sector_frames` decides admissibility, in
+the sub-class sense too, as it bounds the sectors, `classify_point` makes
+the X(tau) test at a point, `coalescence_labels` groups coalescing indices
+for every module, and along a straight segment, where each difference is
+affine in t, `wall_hits` finds the wall events exactly (the roots of
+Im(e^{-i phi}(u_i - u_j)) and the closest approaches that `segment_min_abs`
+and `UPath.min_gap` share): a segment without events stays in one cell.
 """
 
 from __future__ import annotations
@@ -130,35 +131,10 @@ def _rays(uv: list, label) -> list[tuple[float, int, int]]:
     return rays
 
 
-def stokes_ray_directions(u, subclass_at=None) -> RaySet:
-    """Ray directions 3 pi/2 - arg(u_i - u_j) mod 2 pi for all ordered pairs.
-
-    With `subclass_at` = u^C, only pairs whose labels satisfy
-    u_i^C != u_j^C are considered (the sub-class used near a coalescence
-    point); the differences themselves are still taken at `u`.
-    """
-    uv = _as_uvec(u)
-    label = range(len(uv))  # without a sub-class each index is a group of its own
-    if subclass_at is not None:
-        ref = _as_uvec(subclass_at)
-        if len(ref) != len(uv):
-            raise ValueError("subclass_at must have the same length as u")
-        label = coalescence_labels(ref).tolist()
-    return RaySet(rays=tuple(StokesRay(*ray) for ray in sorted(_rays(uv.tolist(), label))))
-
-
-def is_admissible(tau: float, u, tol: float = ADMISSIBILITY_TOL, subclass_at=None) -> bool:
-    """True iff no Stokes ray lies within `tol` of tau modulo pi.
-
-    Admissibility is pi-periodic in tau because the ray family is.  An empty
-    ray family (fully coalesced sub-class) constrains nothing, so every
-    direction is admissible.
-    """
-    try:
-        rays = stokes_ray_directions(u, subclass_at=subclass_at).rays
-    except WallError:
-        rays = ()
-    return _margin(tau, (r.theta for r in rays)) > tol
+def stokes_ray_directions(u) -> RaySet:
+    """Ray directions 3 pi/2 - arg(u_i - u_j) mod 2 pi for all ordered pairs."""
+    uv = _as_uvec(u).tolist()
+    return RaySet(rays=tuple(StokesRay(*ray) for ray in sorted(_rays(uv, range(len(uv))))))
 
 
 @dataclass(frozen=True)
@@ -201,8 +177,9 @@ def sector_frames(us, tau: float, rs, uC=None) -> list[tuple[SectorFrame, ...]]:
     Widened, only rays of pairs with u_i^C != u_j^C bound the sector (tau
     must then be admissible at u^C in the sub-class sense).  If that
     sub-class is empty the fallback policy returns the half-plane extended by
-    pi/2 on each side.  tau within ADMISSIBILITY_TOL of a bounding ray
-    raises AdmissibilityError.
+    pi/2 on each side, as no ray constrains tau.  tau within
+    ADMISSIBILITY_TOL of a bounding ray raises AdmissibilityError: this is
+    the admissibility test, pi-periodic in tau because the ray family is.
     """
     half_planes = [(tau + (r - 2) * math.pi, tau + (r - 1) * math.pi) for r in rs]
     uvs = [_as_uvec(u).tolist() for u in us]
@@ -276,10 +253,10 @@ def classify_point(u, tau: float, tol: float = 1e-8) -> CellReport:
     """Membership of u in Delta and in the crossing locus X(tau).
 
     Delta: some |u_i - u_j| <= tol.  X(tau): over the other pairs, tau is
-    within tol of a Stokes ray mod pi, the test of `is_admissible`; that is,
-    arg(u_i - u_j) lies within tol of 3 pi/2 - tau mod pi.  Both tests
-    depend on differences only, hence are invariant under common translation
-    and under relabeling.
+    within tol of a Stokes ray mod pi, the admissibility test of
+    `sector_frames`; that is, arg(u_i - u_j) lies within tol of
+    3 pi/2 - tau mod pi.  Both tests depend on differences only, hence are
+    invariant under common translation and under relabeling.
     """
     uv = _as_uvec(u)
     i, j = _pairs(len(uv))
@@ -332,19 +309,6 @@ def wall_hits(u, v, tau: float, tol: float = 1e-8) -> list[tuple[float, str]]:
     off_delta = np.abs(d0[root] + t_root * (d1 - d0)[root]) > tol
     hits.update((float(t), "crossing") for t in t_root[off_delta & (t_root > 0) & (t_root < 1)])
     return sorted(hits)
-
-
-def same_cell(u, v, tau: float, tol: float = 1e-8) -> bool:
-    """True iff the straight segment between u and v avoids the walls.
-
-    Exact: the segment stays in one cell iff `wall_hits` finds no event on
-    it.  An endpoint on a wall, an event at t = 0 or t = 1, is rejected.
-    """
-    hits = wall_hits(u, v, tau, tol=tol)
-    for t, kind in hits:
-        if t in (0.0, 1.0):
-            raise WallError(f"endpoint t = {t:g} of the segment lies on the {kind} wall")
-    return not hits
 
 
 def _closest_approach(d0, d1):

@@ -22,29 +22,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError, ResonanceError, WallError
+from .errors import ResonanceError, WallError
 from .formal import (
-    PATTERN_TOL,
     FormalSolution,
     IrregularSystem,
-    check_resonances,
+    coalesced_pairs,
     compute_formal_coefficients,
 )
 from .geometry import (
     classify_point,
     coalescence_labels,
     epsilon_bound,
-    is_admissible,
-    same_cell,
+    sector_frames,
+    wall_hits,
 )
 from .isoflow import UPath, VanishingFit, integrate_flow, vanishing_order_check
 from .levelt import build_levelt_solution, compute_levelt_exponents, with_gauge
 from .odeengine import DEFAULT_TOL, SectorRequest, StokesConfig, run_plan, sector_plan
 
 LEVELT_ORDER = 20  # Taylor terms of every Levelt solution the pipelines build
-# verify_coalescence: germ order, and the thresholds of its limit, pattern
-# and slope verdicts (the |A0| entry at a coalescing pair that counts as zero
-# is formal.PATTERN_TOL)
+# verify_coalescence: sample gaps, germ order, and the thresholds of its
+# limit, pattern and slope verdicts (the |A0| entry at a coalescing pair
+# that counts as zero is formal.PATTERN_TOL)
+GAP_COUNT = 6
 GERM_ORDER = 6
 LIMIT_THRESHOLD = 1e-5
 PATTERN_THRESHOLD = 1e-6
@@ -84,8 +84,9 @@ def collect_data(
     radius, and at the first sample also the extras S_{r+2} and C_{r+1} of
     stokes_relation_check (None at the others).
 
-    The first sample must be sys.u.  The samples must lie in one tau-cell
-    (checked pointwise for wall membership); the Levelt gauge is computed
+    The first sample must be sys.u.  The samples must lie in one tau-cell:
+    each off the walls, and each segment between them free of the wall
+    events of `wall_hits`.  The Levelt gauge is computed
     once at the first sample and transported along the flow, which is what
     makes C_r comparable across samples (per-sample re-diagonalization
     would scramble the eigenvector normalization).
@@ -98,7 +99,7 @@ def collect_data(
         if classify_point(s, tau).on_wall:
             raise WallError(f"sample {s} lies on W(tau)")
     for a, b in zip(sample_pts[:-1], sample_pts[1:]):
-        if not same_cell(a, b, tau):
+        if wall_hits(a, b, tau):
             raise WallError(f"segment {a} -> {b} crosses W(tau); samples not in one cell")
 
     ld0 = compute_levelt_exponents(sys.A)
@@ -219,25 +220,19 @@ class CoalescenceReport:
 
 
 def _coalescing_mask(A0: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """The n x n mask of the ordered pairs a != b that coalesce at u^C.
+    """The n x n mask of the ordered pairs a != b that coalesce at u^C, from
+    `coalesced_pairs`, which refuses an A0 that breaks the vanishing or the
+    resonance condition of the coalescence theorem there.
 
     Refuses an A0 that is not n x n and a u^C with no coalescing pair
-    (ValueError), and an A0 that does not vanish at a coalescing pair
-    (WallError): the vanishing condition of the coalescence theorem.
+    (ValueError).
     """
     n = len(ref)
     if A0.shape != (n, n):
         raise ValueError(f"A0 has shape {A0.shape}, u^C has {n} entries")
-    label = coalescence_labels(ref, COALESCENCE_TOL)
-    co = (label[:, None] == label[None, :]) & ~np.eye(n, dtype=bool)
+    co = coalesced_pairs(ref, A0, COALESCENCE_TOL)
     if not co.any():
         raise ValueError("uC has no coalescing pair")
-    bad = co & (np.abs(A0) > PATTERN_TOL)
-    if bad.any():
-        i, j = np.argwhere(np.triu(bad | bad.T))[0]
-        raise WallError(
-            f"vanishing condition violated at u^C: A[{i},{j}] or A[{j},{i}] nonzero"
-        )
     return co
 
 
@@ -258,7 +253,8 @@ def ray_family_series(A0, uC, v, order: int = 4):
     coalescing entries x of A_{m+1}.  On those pairs this reads
     ((m + 1) I - L) x = base, where L is the matrix of x -> [X, A_0] there,
     L[(c,d),(a,b)] = delta_ca (A_0)_bd - delta_bd (A_0)_ca; a singular solve
-    (diagonal entries of a group differing by an integer) raises
+    (diagonal entries of a group differing by an integer, which
+    `_coalescing_mask` refuses before the recursion starts) raises
     ResonanceError.  B = diag(A) is constant along a strong family, so the
     diagonal of every A_{m+1} is set to exactly zero.
     """
@@ -342,7 +338,6 @@ def verify_coalescence(
     tau: float,
     eps: float,
     r: int = 0,
-    n_gaps: int = 6,
     tol: float = DEFAULT_TOL,
     order: int = 30,
 ) -> CoalescenceReport:
@@ -350,10 +345,12 @@ def verify_coalescence(
 
     Entries of u^C that coalesce (chains of gaps <= COALESCENCE_TOL) are set
     equal, so that every step sees one grouping.  Preconditions enforced: A0
-    vanishes at every coalescing-pair position, its diagonal entries there do
-    not differ by non-zero integers (otherwise the frozen formal solution is
-    not unique), tau is admissible at u^C in the sub-class sense, and eps is
-    finite, positive and within the parallel-line bound.
+    vanishes at every coalescing-pair position and its diagonal entries
+    there do not differ by non-zero integers (otherwise the frozen formal
+    solution is not unique), both checked by `coalesced_pairs`; tau is
+    admissible at u^C in the sub-class sense, checked by `sector_frames`
+    widened at u^C; and eps is finite, positive and within the
+    parallel-line bound.  The samples lie at GAP_COUNT gaps eps 2^-k.
 
     The sampled family comes from the local Taylor germ of the coalesced
     strong family along the ray (ray_family_series); the strong flow is
@@ -369,14 +366,7 @@ def verify_coalescence(
     ref = ref[np.unique(label, return_index=True)[1][label]]
     co = _coalescing_mask(A0, ref)
     pairs = tuple((int(i), int(j)) for i, j in np.argwhere(np.triu(co)))
-    res_pairs = [(i, j, k) for (i, j, k) in check_resonances(A0) if co[i, j]]
-    if res_pairs:
-        raise ResonanceError(
-            "diagonal entries of coalescing pairs differ by non-zero integers "
-            f"{res_pairs}; the frozen formal solution is not unique",
-        )
-    if not is_admissible(tau, ref, subclass_at=ref):
-        raise AdmissibilityError("tau not admissible at u^C in the sub-class sense")
+    sector_frames([ref], tau, [r], uC=ref)  # refuses tau on a sub-class Stokes ray
     if np.any(ref != ref[0]):
         bound = epsilon_bound(ref, tau)
         if eps > bound:
@@ -384,7 +374,7 @@ def verify_coalescence(
 
     v = coalescing_direction(ref, tau)
 
-    gaps = np.array([eps * 2.0 ** (-k) for k in range(1, n_gaps + 1)])
+    gaps = np.array([eps * 2.0 ** (-k) for k in range(1, GAP_COUNT + 1)])
     samples = np.array([ref + g * v for g in gaps])
 
     # frozen system data in the widened frame (coalescence-aware recursion)

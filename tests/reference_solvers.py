@@ -124,6 +124,18 @@ def schedule_reference(odes, which, legs, names):
     return np.concatenate(z0s), np.concatenate(hs), np.concatenate(legs_of), starts
 
 
+def subclass_rays(u, uC=None):
+    """The Stokes ray directions of u, of the pairs that do not coalesce at
+    uC when it is given (the sub-class), filtered here from all the rays."""
+    from isomlab.geometry import coalescence_labels, stokes_ray_directions
+
+    rays = stokes_ray_directions(u).rays
+    if uC is None:
+        return [ray.theta for ray in rays]
+    label = coalescence_labels(uC)
+    return [ray.theta for ray in rays if label[ray.i] != label[ray.j]]
+
+
 def sector_bounds_reference(u, tau, r, uC=None):
     """geometry.sector_frames as one frame at a time: the rays of u found
     anew for every sector, widened at uC when it is given."""
@@ -137,21 +149,20 @@ def sector_bounds_reference(u, tau, r, uC=None):
         _margin,
         _nearest_ray,
         coalescence_labels,
-        stokes_ray_directions,
     )
 
     lo_hp = tau + (r - 2) * math.pi
     hi_hp = tau + (r - 1) * math.pi
     if uC is not None and not coalescence_labels(uC).any():
         return SectorFrame(lo=lo_hp - math.pi / 2, hi=hi_hp + math.pi / 2)
-    rays = stokes_ray_directions(u, subclass_at=uC)
-    margin = _margin(tau, (ray.theta for ray in rays.rays))
+    thetas = subclass_rays(u, uC)
+    margin = _margin(tau, thetas)
     if not margin > ADMISSIBILITY_TOL:
         raise AdmissibilityError(f"tau = {tau:.6g} is within {margin:.3e} of a Stokes ray")
     # the distinct ray directions mod pi, sorted; the last one goes when it
     # is the first one a turn later
     base = []
-    for theta in sorted(math.fmod(ray.theta, math.pi) for ray in rays.rays):
+    for theta in sorted(math.fmod(theta, math.pi) for theta in thetas):
         if not base or theta - base[-1] > DIRECTION_TOL:
             base.append(theta)
     if len(base) > 1 and base[0] + math.pi - base[-1] <= DIRECTION_TOL:
@@ -332,7 +343,7 @@ def formal_coefficients_reference(sys, K: int, coalesce_tol: float = 0.0):
                 num += sum(A[i, p] * Fprev[p, j] for p in range(n) if p != i)
                 Fk[i, j] = num / (u[j] - u[i])
         if coalesced.any():
-            _coalesced_entries(sys, Fk, k, label)
+            _coalesced_entries(sys, Fk, k, coalesced)
         for i in range(n):
             acc = sum((A[i, p] * Fk[p, i] for p in range(n) if p != i), 0j)
             Fk[i, i] = -acc / k

@@ -666,6 +666,35 @@ class TestErrorHandling:
                        "integers [(0, 1, -1), (1, 0, 1)]; the frozen formal solution is "
                        "not unique\n")
 
+    def test_subclass_inadmissible_tau_refused(self, capsys, tmp_path):
+        # u^C = [0, 0, 1]: the pairs (0, 2) and (1, 2) that do not coalesce
+        # put a Stokes ray at pi/2, so no sector widened at u^C has tau there
+        A0 = [[0.10, 0.00, 0.06], [0.00, 0.10, 0.09], [0.075, -0.05, 0.45]]
+        doc = {"u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+               "A": [[[x, 0.0] for x in row] for row in A0]}
+        code, out, err = run(capsys, ["verify-coalescence", "--system",
+                                      write_json(tmp_path / "crit7.json", doc),
+                                      "--tau", repr(math.pi / 2), "--eps", "0.1"])
+        assert code == 1 and out == ""
+        assert err == "error: tau = 1.5708 is within 0.000e+00 of a sub-class Stokes ray\n"
+
+    def test_loop_into_a_pole_refused(self, capsys, tmp_path):
+        # the poles lie on the imaginary axis with the basepoint, so the spoke
+        # of the loop about the upper pole runs into the pole at 0, and the
+        # engine refuses it naming the leg; ROADMAP item 8's spoke clearance
+        # check will replace this refusal
+        R = [[0.3, 0.1], [0.2, -0.1]]
+        doc = {"fuchsian": {"poles": [[0.0, 0.0], [0.0, 1.0]],
+                            "residues": [[[[s * x, 0.0] for x in row] for row in R]
+                                         for s in (1, -1)]}}
+        path = {"waypoints": [[[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.1]]]}
+        code, out, err = run(capsys, ["schlesinger", "--system",
+                                      write_json(tmp_path / "spoke.json", doc), "--path",
+                                      write_json(tmp_path / "path.json", path), "--monodromy"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: transport 1, segment 0 (line 0-4j -> 0+0.75j), runs "
+                              "into the singular point 0+0j")
+
     def test_missing_block(self, capsys, system_file, tmp_path):
         path_file = write_json(
             tmp_path / "p.json", {"waypoints": [[[0, 0], [1, 0]], [[0, 0], [1.2, 0]]]}

@@ -136,7 +136,7 @@ class TestIntegrateSchlesinger:
             return final.residues
 
         target = sys.poles + np.array([0.05, -0.03, 0.04])
-        assert schlesinger_residual(family, target, h=1e-5) < 1e-6
+        assert schlesinger_residual(family, target) < 1e-6
 
     def test_collision_guard(self):
         rng = np.random.default_rng(17)
@@ -153,22 +153,9 @@ class TestIntegrateSchlesinger:
         with pytest.raises(WallError, match=r"Schlesinger flow .* pairs \[\(0, 1\)\]"):
             integrate_schlesinger(sys, path)
 
-    def test_work_budget_stops_unguarded_collision(self):
-        # the same near-collision with the guard switched off: the collocation
-        # steps shrink towards it until they fall below the step floor (the
-        # step budget is the other stop), well before the collision
-        rng = np.random.default_rng(17)
-        residues = random_fuchsian(rng).residues
-        sys = FuchsianSystem(poles=[0.0, -1.0 + 1e-7j, 3.0], residues=residues)
-        path = UPath.line(sys.poles, [0.0, 1.0 + 1e-7j, 3.0])
-        t0 = time.perf_counter()
-        with pytest.raises(IntegrationError, match=r"Schlesinger flow .* segment 0"):
-            integrate_schlesinger(sys, path, guard=0.0)
-        assert time.perf_counter() - t0 < 5.0
-
     @pytest.mark.parametrize("gap", [0.03, 0.01])
     def test_close_pass_admitted_by_guard_integrates(self, gap):
-        # the poles of the budget test above pass at a gap the default guard
+        # the poles of the guard test above pass at a gap the default guard
         # admits; the residues grow to 1e3-1e4 on the way and come back to ~150
         rng = np.random.default_rng(17)
         residues = random_fuchsian(rng).residues

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,17 +8,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from isomlab import geometry
 from isomlab.errors import AdmissibilityError, WallError
+from isomlab.formal import IrregularSystem
 from isomlab.geometry import (
+    ADMISSIBILITY_TOL,
     classify_point,
     epsilon_bound,
-    is_admissible,
-    same_cell,
     sector_frames,
     stokes_ray_directions,
     wall_hits,
 )
 from isomlab.isoflow import UPath
+from isomlab.verify import collect_data
+
+
+def admissible(tau, u, tol=ADMISSIBILITY_TOL, uC=None):
+    """Whether `sector_frames`, the one admissibility test, accepts tau at u
+    (in the sub-class sense when uC is given) with its tolerance set to tol."""
+    with mock.patch.object(geometry, "ADMISSIBILITY_TOL", tol):
+        try:
+            sector_frames([u], tau, (0,), uC=uC)
+        except AdmissibilityError:
+            return False
+    return True
 
 
 class TestStokesRays:
@@ -47,11 +61,12 @@ class TestStokesRays:
             assert abs((partner - th) % (2 * math.pi) - math.pi) < 1e-9
 
     def test_subclass_filter(self):
+        # tau = 0 lies on the ray of the pair (0, 1) alone, which coalesces
+        # at uC: the plain frames refuse it, the frames widened at uC do not
         uC = [0.0, 0.0, 1.0]
-        u = [0.01, -0.01, 1.0]
-        rays = stokes_ray_directions(u, subclass_at=uC)
-        pairs = {(r.i, r.j) for r in rays.rays}
-        assert (0, 1) not in pairs and (1, 0) not in pairs
+        u = [0.01j, -0.01j, 1.0]
+        assert not admissible(0.0, u)
+        assert admissible(0.0, u, uC=uC)
 
     def test_all_equal_rejected(self):
         with pytest.raises(WallError):
@@ -61,15 +76,15 @@ class TestStokesRays:
 class TestAdmissibility:
     def test_clear_direction(self):
         # the one ray direction mod pi is pi/2 away from tau = 0
-        assert is_admissible(0.0, [0.0, 1.0])
-        assert is_admissible(0.0, [0.0, 1.0], tol=math.pi / 2 - 1e-12)
-        assert not is_admissible(0.0, [0.0, 1.0], tol=math.pi / 2 + 1e-12)
+        assert admissible(0.0, [0.0, 1.0])
+        assert admissible(0.0, [0.0, 1.0], tol=math.pi / 2 - 1e-12)
+        assert not admissible(0.0, [0.0, 1.0], tol=math.pi / 2 + 1e-12)
 
     def test_exact_ray_hit(self):
-        assert not is_admissible(math.pi / 2, [0.0, 1.0])
+        assert not admissible(math.pi / 2, [0.0, 1.0])
 
     def test_within_tolerance(self):
-        assert not is_admissible(math.pi / 2 + 1e-12, [0.0, 1.0], tol=1e-8)
+        assert not admissible(math.pi / 2 + 1e-12, [0.0, 1.0], tol=1e-8)
 
     def test_pi_periodicity(self):
         rng = np.random.default_rng(8)
@@ -81,9 +96,9 @@ class TestAdmissibility:
             d = np.mod(np.array(rays) - tau, math.pi)
             margin = float(np.min(np.minimum(d, math.pi - d)))
             for t in (tau, tau + math.pi):
-                assert is_admissible(t, u) == (margin > 1e-8)
-                assert is_admissible(t, u, tol=margin - 1e-9)
-                assert not is_admissible(t, u, tol=margin + 1e-9)
+                assert admissible(t, u) == (margin > 1e-8)
+                assert admissible(t, u, tol=margin - 1e-9)
+                assert not admissible(t, u, tol=margin + 1e-9)
 
 
 def sector_bounds(u, tau, r, uC=None):
@@ -101,8 +116,7 @@ class TestSectorBounds:
         rng = np.random.default_rng(5)
         for _ in range(10):
             u = rng.normal(size=3) + 1j * rng.normal(size=3)
-            adm = is_admissible(0.4, u)
-            if not adm:
+            if not admissible(0.4, u):
                 continue
             for r in (0, 1, 2):
                 fr = sector_bounds(u, 0.4, r)
@@ -180,7 +194,7 @@ class TestClassifyPoint:
         d = u[0] - u[1]
         tau = 1.5 * math.pi - math.atan2(d.imag, d.real) + offset * tol
         rep = classify_point(u, tau, tol)
-        assert rep.in_crossing == (not is_admissible(tau, u, tol))
+        assert rep.in_crossing == (not admissible(tau, u, tol))
 
     def test_epsilon_bound_reported(self):
         # the lines of direction 3 pi/2 - tau through 0 and 1 lie cos(tau) apart
@@ -188,18 +202,22 @@ class TestClassifyPoint:
 
 
 class TestSameCell:
+    # a segment stays in one cell iff wall_hits finds no event on it
     def test_identical_points(self):
-        assert same_cell([0.0, 1.0], [0.0, 1.0], tau=0.4)
+        assert wall_hits([0.0, 1.0], [0.0, 1.0], tau=0.4) == []
 
     def test_segment_through_delta(self):
-        assert not same_cell([0.0, 1.0], [0.0, -1.0], tau=math.pi / 4)
+        hits = wall_hits([0.0, 1.0], [0.0, -1.0], tau=math.pi / 4)
+        assert [kind for _, kind in hits] == ["delta"]
 
     def test_clean_segment(self):
-        assert same_cell([0.0, 1.0], [0.1 + 0.05j, 1.1], tau=0.3)
+        assert wall_hits([0.0, 1.0], [0.1 + 0.05j, 1.1], tau=0.3) == []
 
     def test_endpoint_on_wall_rejected(self):
-        with pytest.raises(WallError):
-            same_cell([0.0, 0.0], [0.0, 1.0], tau=0.3)
+        # collect_data refuses a sample on a wall before it flows anywhere
+        sys0 = IrregularSystem(u=[0.0, 0.0], A=np.diag([0.2, -0.1]))
+        with pytest.raises(WallError, match="lies on W"):
+            collect_data(sys0, [[0.0, 0.0], [0.0, 1.0]], 0, 0.3)
 
     def test_transversal_crossing_between_samples(self):
         # u_0 - u_1 = e^{i(phi -+ 0.3)} turns through the wall direction phi at
@@ -209,8 +227,8 @@ class TestSameCell:
         for side in (1.0, -1.0):  # both rays of X(tau)
             u = [0.0, -side * cmath.exp(1j * (phi - 0.3))]
             v = [0.0, -side * cmath.exp(1j * (phi + 0.3))]
-            assert not same_cell(u, v, tau)
-            assert not same_cell(v, u, tau)
+            assert wall_hits(u, v, tau)
+            assert wall_hits(v, u, tau)
 
     def test_agrees_with_dense_sweep(self):
         rng = np.random.default_rng(8)
@@ -223,8 +241,7 @@ class TestSameCell:
             rot = np.exp(-1j * (1.5 * math.pi - tau))
             side = [np.sign(np.imag(rot * (p[:, None] - p[None, :]))) for p in pts]
             swept = all(np.array_equal(side[0], s) for s in side)
-            assert same_cell(u, v, tau) == swept
-            assert same_cell(u, v, tau) == (not wall_hits(u, v, tau))
+            assert (not wall_hits(u, v, tau)) == swept
             # the exact minimal pair gap lies below the sweep's, within the
             # distance the gaps can move between two sweep points
             i, j = np.triu_indices(3, 1)
@@ -272,8 +289,6 @@ class TestWallHits:
         assert classify_point(u, tau, tol).in_delta
         assert not classify_point(v, tau, tol).on_wall
         assert wall_hits(u, v, tau, tol) == [(0.0, "delta")]
-        with pytest.raises(WallError, match="t = 0 .* delta"):
-            same_cell(u, v, tau, tol)
 
     def test_endpoint_on_wall_is_an_event(self):
         tau = 0.3

@@ -17,6 +17,7 @@ from reference_solvers import (
     sector_bounds_reference,
     sector_results_reference,
     seed_objective,
+    subclass_rays,
 )
 from scipy.integrate import solve_ivp
 
@@ -36,7 +37,6 @@ from isomlab.odeengine import (
     fuchsian_ode,
     integrate_path,
     irregular_ode,
-    levelt_handle,
     monodromy_loop,
     run_plan,
     sector_plan,
@@ -513,16 +513,17 @@ def _random_series(rng, sys, K=12):
 def _table_case(rng, n, kind, tau=0.3, count=4, scale=1.0, a_scale=1.0):
     """Systems of dimension n whose frames are plain, widened about a
     coalescing pair, or degenerate (all of u^C coalesced), with the config
-    of those frames; tau is admissible at every u drawn.  The entries of u
-    (of u^C when widened) and of A are drawn at `scale` and `a_scale`."""
-    from isomlab.geometry import is_admissible
+    of those frames; tau is at least 1e-3 from every ray that bounds a frame
+    drawn.  The entries of u (of u^C when widened) and of A are drawn at
+    `scale` and `a_scale`."""
+    from isomlab.geometry import _margin
 
     uC = None
     if kind == "widened":
         while True:
             uC = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
             uC[1] = uC[0]
-            if is_admissible(tau, uC, tol=1e-3, subclass_at=uC):
+            if len(set(uC)) == 1 or _margin(tau, subclass_rays(uC, uC)) > 1e-3:
                 break
     elif kind == "degenerate":
         uC = np.zeros(n, dtype=complex)
@@ -530,7 +531,7 @@ def _table_case(rng, n, kind, tau=0.3, count=4, scale=1.0, a_scale=1.0):
     while len(systems) < count:
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         u = scale * u if uC is None else uC + 0.05 * u
-        if is_admissible(tau, u, tol=1e-3, subclass_at=uC if kind == "widened" else None):
+        if _margin(tau, subclass_rays(u, uC if kind == "widened" else None)) > 1e-3:
             A = a_scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
             systems.append(IrregularSystem(u=u, A=A))
     cfg = StokesConfig(tau=tau, uC=uC)

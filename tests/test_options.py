@@ -1,8 +1,9 @@
 """Every default-valued parameter of isomlab has a caller that sets it.
 
 A public function, method or dataclass field whose default no call in
-`src/` or `tests/` overrides is a setting nobody sets: a second code path
-that no run takes.  This check reads the sources with the stdlib `ast`
+`src/`, the acceptance tests or the benchmark overrides is a setting no
+verdict sets: a second code path that no verdict takes, or one that only
+unit tests take.  This check reads the sources with the stdlib `ast`
 module alone.  A call sets a parameter by keyword or by position, and sets
 every parameter of its callee when it forwards `*args` or `**kw`;
 `dataclasses.replace` keywords set the dataclass fields of their name.
@@ -24,6 +25,9 @@ fields `tau`, `r` and `uC` of `SectorFrame`, `pair` and `gaps` of
 `VanishingFit`, `r` of `StokesResult` and `MonodromyDataSet`, and `r` and
 `tau` of `CoalescenceReport`, which attributes of the same names on other
 objects hid.
+
+Last, no module of `src/` or `tests/` imports a name it never uses, unless
+the import says `noqa: F401`.
 """
 
 import ast
@@ -117,7 +121,14 @@ def unset_defaults(package, *callers):
 
 
 def test_every_default_has_a_caller():
-    assert unset_defaults(ROOT / "src" / "isomlab", ROOT / "src", ROOT / "tests") == []
+    # a default that only unit tests set serves no verdict; the settings of
+    # actual_solution are the one exception, as the benchmark's sectorial
+    # hook (perfbench/layertrace.py) reads all four of them
+    assert unset_defaults(ROOT / "src" / "isomlab", ROOT / "src",
+                          ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench") == [
+        f"odeengine.actual_solution({name})"
+        for name in ("coalesce_tol", "order", "uC", "widened")
+    ]
 
 
 def test_reports_exactly_the_defaults_no_call_sets(tmp_path):
@@ -365,4 +376,62 @@ def test_reports_exactly_the_members_nothing_reaches(tmp_path):
     (tmp_path / "caller.py").write_text("def f(obj): return obj.q\n")
     assert unreached_members(tmp_path / "pkg", tmp_path / "caller.py") == [
         "a.C.make", "a.C.own", "a.C.p", "a.C.sibling",
+    ]
+
+
+def unused_imports(*paths):
+    """'file:line name' of every name that a module among `paths` (files or
+    directories) imports and no Name node of that module loads, unless the
+    import's line says `noqa: F401`.  Package `__init__` modules, which
+    import to re-export, and `__future__` imports are not checked; a name
+    mentioned only in a string is unused."""
+    out = []
+    for path, tree in _trees(*paths):
+        if path.stem == "__init__":
+            continue
+        lines = path.read_text().splitlines()
+        used = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if (name != "*" and name not in used
+                        and "noqa: F401" not in lines[alias.lineno - 1]):
+                    out.append(f"{path.relative_to(path.parents[1])}:{alias.lineno} {name}")
+    return out
+
+
+def test_no_unused_imports():
+    assert unused_imports(ROOT / "src", ROOT / "tests") == []
+
+
+def test_reports_exactly_the_unused_imports(tmp_path):
+    # a load of the name, also as an attribute root, in an annotation or in
+    # a nested function, uses an import; a string, a store and an attribute
+    # of the same name do not; noqa: F401, __future__ and __init__ are exempt
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("from .mod import f\n")
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from math import (\n"
+        "    pi,\n"
+        "    tau,\n"
+        "    e,  # noqa: F401\n"
+        ")\n"
+        "from cmath import inf, nan\n"
+        "from typing import Any\n"
+        "from re import sub\n"
+        "def f(x: Any):\n"
+        "    def g():\n"
+        "        return os.path.join(pi)\n"
+        "    sub = 0\n"
+        "    return g, js.dumps, 'tau', x.nan, inf\n"
+    )
+    assert unused_imports(tmp_path / "pkg") == [
+        "pkg/mod.py:6 tau", "pkg/mod.py:9 nan", "pkg/mod.py:11 sub",
     ]

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from isomlab import geometry, odeengine
-from isomlab.errors import ResonanceError, WallError
+from isomlab import geometry, odeengine, verify
+from isomlab.errors import CoincidentPointsError, ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
-from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
 from isomlab.odeengine import SectorRequest, StokesConfig, join_plans, run_plan, sector_plan
 from isomlab.verify import (
     COALESCENCE_TOL,
+    GAP_COUNT,
     LEVELT_ORDER,
     MonodromyDataSet,
     coalescing_direction,
@@ -79,8 +79,6 @@ def sector_work(monkeypatch):
 def captured_plan(monkeypatch, pipeline):
     """The jobs `pipeline` hands the engine in its one batch, and the config
     and requests of its one sector plan."""
-    import isomlab.verify as verify
-
     batches, built = [], []
     engine, plan = odeengine.transport_matrix, verify.sector_plan
     monkeypatch.setattr(odeengine, "transport_matrix",
@@ -338,15 +336,15 @@ class TestRayFamilySeries:
 
     def test_refuses_family_not_vanishing_at_the_pair(self):
         # the vanishing condition verify_coalescence imposes, at the germ too
-        with pytest.raises(WallError, match="vanishing condition"):
+        with pytest.raises(CoincidentPointsError, match="vanishing condition"):
             ray_family_series(np.ones((2, 2)), np.zeros(2), [-0.5, 0.5])
 
     def test_resonant_order_raises(self):
         # full 2x2 coalescence: L = diag(A_11 - A_00, A_00 - A_11), so
-        # (m + 1) I - L is singular at order m + 1 = A_11 - A_00 = 2
-        with pytest.raises(ResonanceError) as info:
+        # (m + 1) I - L would be singular at order m + 1 = A_11 - A_00 = 2;
+        # the resonant pair is refused before the recursion starts
+        with pytest.raises(ResonanceError, match=r"integers \[\(0, 1, -2\), \(1, 0, 2\)\]"):
             ray_family_series(np.diag([0.0, 2.0]), np.zeros(2), [-0.5, 0.5], order=4)
-        assert info.value.order == 2
 
 
 class TestCoalescingDirection:
@@ -357,8 +355,6 @@ class TestCoalescingDirection:
 
 class TestVerifyCoalescence:
     def test_pipeline_passes(self, monkeypatch):
-        import isomlab.verify as verify
-
         def refuse(*args, **kwargs):
             raise AssertionError("verify_coalescence built connection data")
 
@@ -400,7 +396,7 @@ class TestVerifyCoalescence:
     def test_violating_family_rejected(self):
         bad = A3.copy()
         bad[0, 1] = 0.3
-        with pytest.raises(WallError):
+        with pytest.raises(CoincidentPointsError, match="vanishing condition"):
             verify_coalescence(bad, UC3, tau=0.3, eps=0.1)
 
     def test_diagonal_resonance_rejected(self):
@@ -413,38 +409,39 @@ class TestVerifyCoalescence:
         with pytest.raises(WallError):
             verify_coalescence(A3, UC3, tau=0.3, eps=5.0)
 
-    def test_one_transport_batch_whatever_the_sample_count(self, engine_calls):
+    def test_one_transport_batch_whatever_the_sample_count(self, engine_calls, monkeypatch):
         # the frozen data and both passes over every sample share one batch
         # of the engine; per-sample engine calls would make this grow (the
         # entry-decay fit needs at least five gaps)
         counts = []
-        for n_gaps in (5, 10):
+        for gap_count in (5, 10):
+            monkeypatch.setattr(verify, "GAP_COUNT", gap_count)
             engine_calls.clear()
-            verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=n_gaps)
+            verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
             counts.append(len(engine_calls))
         assert counts[0] == counts[1] > 0
 
     def test_each_sector_frame_computed_once(self, sector_work):
-        verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
+        verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
         # sectors r, r + 1, r + 2 of the frozen system and of each sample, in
         # one frame pass that finds the rays of each system once
-        assert sector_work["frames"] == [(1 + 5, (0, 1, 2), 1 + 5)]
+        assert sector_work["frames"] == [(1 + GAP_COUNT, (0, 1, 2), 1 + GAP_COUNT)]
 
     def test_seed_data_computed_once(self, sector_work):
-        verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
+        verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
         # seed directions in sectors r, r + 1, r + 2 of the frozen system and
         # of each sample, shared by its self- and frozen-seeded passes: one
         # pass per system, each frame once
-        assert sector_work["seeds"] == [3] * (1 + 5)
-        assert len(sector_work["frames_seeded"]) == 3 * (1 + 5)
+        assert sector_work["seeds"] == [3] * (1 + GAP_COUNT)
+        assert len(sector_work["frames_seeded"]) == 3 * (1 + GAP_COUNT)
         # the frozen series (frozen system and frozen-seeded passes) and the
         # series of each sample, all at the one seed radius: one stacked
         # pass, each series once
-        assert [len(series) for series in sector_work["truncations"]] == [1 + 5]
+        assert [len(series) for series in sector_work["truncations"]] == [1 + GAP_COUNT]
 
     def test_engine_gets_the_jobs_of_one_plan_per_request(self, monkeypatch):
         got, want = engine_jobs(
-            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5))
+            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
         assert_same_jobs(got, want)
 
     def test_one_ode_per_system_shared_by_both_passes(self, monkeypatch):
@@ -452,12 +449,12 @@ class TestVerifyCoalescence:
         # frozen-seeded passes add no (ODE, leg) pair to the batch that the
         # frozen system and the self-seeded passes do not step already
         jobs, cfg, requests = captured_plan(
-            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5))
+            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
 
         def pairs(jobs):
             return {(o.P.tobytes(), o.Q.tobytes(), leg) for o, _, path in jobs for leg in path}
 
-        assert len({(o.P.tobytes(), o.Q.tobytes()) for o, _, _ in jobs}) == 1 + 5
+        assert len({(o.P.tobytes(), o.Q.tobytes()) for o, _, _ in jobs}) == 1 + GAP_COUNT
         self_seeded = [q for q in requests if q.fs.mode != "frozen-seeded"]
         assert 0 < len(self_seeded) < len(requests)
         alone = sector_plan(cfg, self_seeded).jobs
@@ -475,8 +472,8 @@ class TestVerifyCoalescence:
     def test_entries_within_the_grouping_tolerance_coalesce(self):
         # u^C entries 1e-13 apart coalesce for every step (the eps bound and
         # the direction too): the report is that of the exact coalescence
-        near = verify_coalescence(A3, [0.0, 1e-13, 1.0], tau=0.3, eps=0.1, n_gaps=5)
-        exact = verify_coalescence(A3, UC3, tau=0.3, eps=0.1, n_gaps=5)
+        near = verify_coalescence(A3, [0.0, 1e-13, 1.0], tau=0.3, eps=0.1)
+        exact = verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
         assert near.verdict and exact.verdict and near.pairs == exact.pairs == ((0, 1),)
         assert np.array_equal(near.uC, UC3) and np.array_equal(near.direction, exact.direction)
         assert near.S_frozen.tobytes() == exact.S_frozen.tobytes()

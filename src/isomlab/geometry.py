@@ -81,8 +81,6 @@ class RaySet:
 def _base_directions(thetas) -> np.ndarray:
     """Distinct directions mod pi of the rays at `thetas`, sorted; directions
     within DIRECTION_TOL of each other count as one."""
-    if not thetas:
-        return np.array([])
     vals = sorted(mod_angle(th, math.pi) for th in thetas)
     out = [vals[0]]
     for v in vals[1:]:
@@ -150,9 +148,6 @@ class SectorFrame:
     lo: float
     hi: float
 
-    def contains(self, arg: float) -> bool:
-        return self.lo < arg < self.hi
-
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -213,7 +208,6 @@ class CellReport:
     """Wall membership of a point u for the direction tau."""
 
     u: np.ndarray
-    tau: float
     in_delta: bool
     in_crossing: bool
     min_pair_gap: float
@@ -270,7 +264,6 @@ def classify_point(u, tau: float, tol: float = 1e-8) -> CellReport:
             crossing_pairs.append(pair)
     return CellReport(
         u=uv,
-        tau=tau,
         in_delta=bool(delta_pairs),
         in_crossing=bool(crossing_pairs),
         min_pair_gap=float(gap.min(initial=math.inf)),

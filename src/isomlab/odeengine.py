@@ -777,7 +777,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
             if zstar is None:
                 zstar = PathPoint.from_polar(R if q.kind == "sectorial" else R / 2.0,
                                              frame.midpoint)
-            elif not frame.contains(zstar.arg):
+            elif not frame.lo < zstar.arg < frame.hi:
                 raise SectorError(
                     f"zstar argument {zstar.arg:.6g} outside sector "
                     f"({frame.lo:.6g}, {frame.hi:.6g})"

@@ -180,6 +180,24 @@ class TestGeometryCommands:
             assert doc["same_cell"] is False
             assert not any(p["in_crossing"] for p in doc["points"])
 
+    def test_cells_on_the_walls(self, capsys, system_file, tmp_path):
+        # u_0 = u_1 lies in Delta; u_0 - u_1 = e^{i phi}, phi = 3 pi/2 - tau,
+        # lies on X(tau); a path that ends there has a wall event at t = 1
+        e = np.exp(1j * (1.5 * np.pi - 0.3))
+        A = [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]]
+        for u0, wall in ((0.0, "in_delta"), (e, "in_crossing")):
+            f = write_json(tmp_path / "u.json", {"u": [[u0.real, u0.imag], [0.0, 0.0]], "A": A})
+            code, out, _ = run(capsys, ["cells", "--system", f, "--tau", "0.3"])
+            point = json.loads(out)["points"][0]
+            assert code == 0 and point[wall] is True
+        path = write_json(tmp_path / "path.json",
+                          {"waypoints": [[[0.0, 1.0], [0.0, 0.0]], [[e.real, e.imag], [0.0, 0.0]]]})
+        code, out, _ = run(capsys, ["cells", "--system", system_file, "--path", path,
+                                    "--tau", "0.3", "--csv", str(tmp_path / "csv")])
+        rows = list(csv.reader(open(json.loads(out)["csv"])))
+        assert code == 0 and json.loads(out)["same_cell"] is False
+        assert [(float(t), kind) for t, kind in rows[1:]] == [(1.0, "crossing")]
+
 
 class TestCsvTables:
     # the tables of --csv: a header row, then one row per item, floats as repr
@@ -241,6 +259,18 @@ class TestLeveltCommand:
         code, out, _ = run(capsys, ["levelt", "--system", f, "--order", "0"])
         doc = json.loads(out)
         assert code == 0 and doc["order"] == 0 and doc["resonant_orders"] == []
+
+    def test_jordan_block(self, capsys, tmp_path):
+        # a repeated eigenvalue with one eigenvector: N is the Jordan block's
+        # nilpotent part
+        f = write_json(tmp_path / "jordan.json", {
+            "u": [[0.0, 0.0], [1.0, 0.0]],
+            "A": [[[0.5, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+        })
+        code, out, _ = run(capsys, ["levelt", "--system", f])
+        doc = json.loads(out)
+        assert code == 0 and doc["D"] == [0, 0]
+        assert doc["N"] == [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 
 class TestStokesMatrixCommand:
@@ -448,7 +478,8 @@ class TestVerifyCommands:
                                     "--eps", "0.1", "--order", "0"])
         assert code == 2 and json.loads(out)["entry_floor"] is None
 
-    @pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf"])
+    # 5 exceeds the parallel-line bound 0.955336 of u^C = [0, 0, 1] at tau 0.3
+    @pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf", "5"])
     def test_verify_coalescence_refuses_eps(self, capsys, tmp_path, eps):
         # refused before any flow or series work: no warning, no step budget
         f = write_json(
@@ -470,6 +501,18 @@ class TestVerifyCommands:
             )
         assert code == 1 and out == ""
         assert "eps" in err
+
+    def test_verify_coalescence_of_all_entries(self, capsys, tmp_path):
+        # u^C = [0, 0]: no pair fails to coalesce, so no ray bounds the
+        # widened sectors, which are the half-planes widened by pi/2
+        f = write_json(tmp_path / "co.json", {
+            "u": [[0.0, 0.0], [0.0, 0.0]],
+            "A": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.35, 0.0]]],
+        })
+        code, out, err = run(capsys, ["verify-coalescence", "--system", f, "--tau", "0.3",
+                                      "--eps", "0.1"])
+        assert code == 0, err
+        assert json.loads(out)["pairs"] == [[0, 1]]
 
 
 class TestParser:
@@ -543,6 +586,11 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["formal", "--system", f])
         assert code == 1
         assert "A" in err
+
+    def test_formal_needs_an_irregular_system(self, capsys, fuchsian_file):
+        code, out, err = run(capsys, ["formal", "--system", fuchsian_file])
+        assert code == 1 and out == ""
+        assert err == "error: this subcommand needs an irregular system ('u' and 'A')\n"
 
     @pytest.mark.parametrize("command", [["formal"], ["levelt"], ["stokes-matrix", "--tau", "0.3"]])
     def test_boolean_entry_refused(self, capsys, tmp_path, command):
@@ -677,6 +725,33 @@ class TestErrorHandling:
                                       "--tau", repr(math.pi / 2), "--eps", "0.1"])
         assert code == 1 and out == ""
         assert err == "error: tau = 1.5708 is within 0.000e+00 of a sub-class Stokes ray\n"
+
+    @pytest.mark.parametrize("end, message", [
+        ([[-0.2955202066613396, -0.955336489125606], [0.0, 0.0]],
+         "sample [-0.29552021-0.95533649j  0.        +0.j        ] lies on W(tau)"),
+        ([[0.0, 0.0], [-1.0, 0.0]],
+         "segment [0.+0.j 1.+0.j] -> [ 0.+0.j -1.+0.j] crosses W(tau); samples not in one cell"),
+    ], ids=["sample-on-X", "segment-across-Delta"])
+    def test_verify_strong_path_through_a_wall_refused(self, capsys, generic_system_file,
+                                                       tmp_path, end, message):
+        # the path's end lies on X(tau) (u_0 - u_1 = e^{i (3 pi/2 - tau)}), or
+        # its segment passes through u_0 = u_1: no sector stays put
+        path = write_json(tmp_path / "path.json", {"waypoints": [[[0.0, 0.0], [1.0, 0.0]], end]})
+        code, out, err = run(capsys, ["verify-strong", "--system", generic_system_file,
+                                      "--path", path, "--tau", "0.3"])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_nonvanishing_coalescing_pair_refused(self, capsys, tmp_path):
+        # u_0 = u_1 coalesce, so A_01 must vanish for the theorem to apply
+        A0 = [[0.10, 0.3, 0.06], [0.00, 0.10, 0.09], [0.075, -0.05, 0.45]]
+        doc = {"u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+               "A": [[[x, 0.0] for x in row] for row in A0]}
+        code, out, err = run(capsys, ["verify-coalescence", "--system",
+                                      write_json(tmp_path / "a01.json", doc),
+                                      "--tau", "0.3", "--eps", "0.1"])
+        assert code == 1 and out == ""
+        assert err == "error: vanishing condition violated at u^C: A[0,1] or A[1,0] nonzero\n"
 
     def test_loop_into_a_pole_refused(self, capsys, tmp_path):
         # the poles lie on the imaginary axis with the basepoint, so the spoke

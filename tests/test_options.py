@@ -11,27 +11,24 @@ Calls are matched to callables by name, not resolved, so a parameter counts
 as set when a call of any callable of that name sets it.
 
 The same scan finds the dataclass fields and properties that no verdict
-reads, and the public functions, methods and properties that no verdict
-reaches.  A verdict is code in `src/`, the acceptance tests or the
-benchmark; a field that only unit tests read, or a function that only they
-call, serves none.
+reads.  A verdict is code in `src/`, the acceptance tests or the
+benchmark; a field that only unit tests read serves none.  Which public
+functions a verdict runs is decided by running it: see
+`tests/reachability.py`.
 
-Reads, calls and mentions are matched by name, not resolved, so a name
-that some other object also uses is counted as read or reached whatever
-it belongs to.  Such names were checked by hand (grep), and the test-only
-ones removed: the method `IrregularSystem.coefficient`, which
-`FuchsianSystem.coefficient` (called by `cli.cmd_kv_example`) hid, and the
-fields `tau`, `r` and `uC` of `SectorFrame`, `pair` and `gaps` of
-`VanishingFit`, `r` of `StokesResult` and `MonodromyDataSet`, and `r` and
-`tau` of `CoalescenceReport`, which attributes of the same names on other
-objects hid.
+Reads are matched by name, not resolved, so a name that some other object
+also uses is counted as read whatever it belongs to.  Such names were
+checked by hand (grep), and the test-only ones removed: the fields `tau`,
+`r` and `uC` of `SectorFrame`, `pair` and `gaps` of `VanishingFit`, `r` of
+`StokesResult` and `MonodromyDataSet`, `r` and `tau` of
+`CoalescenceReport`, and `tau` of `CellReport`, which attributes of the
+same names on other objects (`args.tau`, `cfg.tau`) hid.
 
 Last, no module of `src/` or `tests/` imports a name it never uses, unless
 the import says `noqa: F401`.
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -263,120 +260,6 @@ def test_reports_the_fields_only_other_files_read(tmp_path):
     (tmp_path / "unit.py").write_text("def h(obj): return obj.a + obj.b + obj.c\n")
     assert unread_fields(tmp_path / "pkg", tmp_path / "verdicts",
                          tmp_path / "acceptance.py") == ["mod.C.c"]
-
-
-def _mentions(node):
-    """Every name that `node` mentions, once per mention: names, attributes,
-    imported names and string constants (a string can name a function for
-    getattr)."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            yield n.value
-
-
-def _unreached(package, callers, defined):
-    """Sorted 'where' of every (where, node) of `defined(modules)` whose name no
-    code of the package outside that node (and outside `__init__`, which only
-    re-exports) mentions, and no file among `callers` (files or directories)
-    mentions.  Names are matched, not resolved."""
-    modules = [(path, tree) for path, tree in _trees(package) if path.stem != "__init__"]
-    named = {m for _, tree in _trees(*callers) for m in _mentions(tree)}
-    mentions = Counter(m for _, tree in modules for m in _mentions(tree))
-    return sorted(where for where, node in defined(modules) if node.name not in named
-                  and mentions[node.name] == sum(m == node.name for m in _mentions(node)))
-
-
-def _public(nodes, kind):
-    return [n for n in nodes if isinstance(n, kind) and not n.name.startswith("_")]
-
-
-def unreached_functions(package, *callers):
-    """'module.name' of every public module-level function under `package`
-    that neither the package outside its own definition nor `callers`
-    names (see _unreached)."""
-    return _unreached(package, callers, lambda modules: [
-        (f"{path.stem}.{fn.name}", fn) for path, tree in modules
-        for fn in _public(tree.body, ast.FunctionDef)])
-
-
-def test_every_function_is_reached():
-    # a public function that only tests call serves no verdict
-    assert unreached_functions(ROOT / "src" / "isomlab", ROOT / "tests" / "test_acceptance.py",
-                               ROOT / "perfbench") == []
-
-
-def test_reports_exactly_the_functions_nothing_reaches(tmp_path):
-    # a call from another module, a call from a sibling in the same module,
-    # an import, a string and a caller file each reach a function; a call
-    # from its own body, a private function and __init__ do not count
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "__init__.py").write_text("from .a import f, g, h, r\n")
-    (tmp_path / "pkg" / "a.py").write_text(
-        "def f(): return g()\n"
-        "def g(): pass\n"
-        "def h(): pass\n"
-        "def r(k): return r(k - 1) if k else 0\n"
-        "def s(): pass\n"
-        "def t(): pass\n"
-        "def _p(): pass\n"
-    )
-    (tmp_path / "pkg" / "b.py").write_text(
-        "from .a import h\n"
-        "HOOKS = ['s']\n"
-    )
-    (tmp_path / "caller.py").write_text("import pkg.a\npkg.a.t()\n")
-    assert unreached_functions(tmp_path / "pkg", tmp_path / "caller.py") == ["a.f", "a.r"]
-
-
-def unreached_members(package, *callers):
-    """'module.Class.name' of every public method and property of a public
-    class under `package` that neither the package outside its own
-    definition nor `callers` names (see _unreached)."""
-    return _unreached(package, callers, lambda modules: [
-        (f"{path.stem}.{cls.name}.{fn.name}", fn) for path, tree in modules
-        for cls in _public(tree.body, ast.ClassDef) for fn in _public(cls.body, ast.FunctionDef)])
-
-
-def test_every_member_is_reached():
-    # a public method or property that only tests use serves no verdict
-    assert unreached_members(ROOT / "src" / "isomlab", ROOT / "tests" / "test_acceptance.py",
-                             ROOT / "perfbench") == []
-
-
-def test_reports_exactly_the_members_nothing_reaches(tmp_path):
-    # a call from another module, a call from a sibling method and a caller
-    # file each reach a member; a call from its own body and a mention in
-    # __init__ do not, and private members and members of private classes
-    # are not checked
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "__init__.py").write_text("from .a import C\nC.make\n")
-    (tmp_path / "pkg" / "a.py").write_text(
-        "class C:\n"
-        "    def used(self): pass\n"
-        "    def sibling(self): return self.helper()\n"
-        "    def helper(self): pass\n"
-        "    def own(self, k): return self.own(k - 1) if k else 0\n"
-        "    @property\n"
-        "    def p(self): return 0\n"
-        "    @property\n"
-        "    def q(self): return 0\n"
-        "    @staticmethod\n"
-        "    def make(): pass\n"
-        "    def _private(self): pass\n"
-        "class _Hidden:\n"
-        "    def x(self): pass\n"
-    )
-    (tmp_path / "pkg" / "b.py").write_text("from .a import C\nC().used()\n")
-    (tmp_path / "caller.py").write_text("def f(obj): return obj.q\n")
-    assert unreached_members(tmp_path / "pkg", tmp_path / "caller.py") == [
-        "a.C.make", "a.C.own", "a.C.p", "a.C.sibling",
-    ]
 
 
 def unused_imports(*paths):

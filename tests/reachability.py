@@ -8,9 +8,10 @@ pytest, then ``cli_digest`` on the first 12 ops of every workload at seed 3.
 It records which lines of the ``isomlab`` package on the path ran and prints,
 grouped by function, the body lines that never ran, leaving out the lines of
 raise statements: refusals and error handlers are safety code, not
-candidates for deletion.  It exits 1, naming them, if a public function,
-method or property never ran.  A name is public unless it starts with one
-underscore; dunders such as ``__str__`` are public.
+candidates for deletion.  It exits 1, naming them under FUNCTIONS and
+MEMBERS, if a public function, or a public method or property, never ran.
+A name is public unless it starts with one underscore; dunders such as
+``__str__`` are public.
 
 The body lines of a function are the lines of its code that hold
 instructions, less its first line (the ``def`` or its decorator), together
@@ -33,6 +34,8 @@ from types import CodeType
 
 TESTS = Path(__file__).resolve().parent
 TRAFFIC = [TESTS / "test_acceptance.py", TESTS / "test_cli.py"]
+FUNCTIONS = "public functions that no verdict runs:"
+MEMBERS = "public methods and properties that no verdict runs:"
 
 
 def _group(qualname: str) -> str:
@@ -106,12 +109,12 @@ def traced(package: Path, traffic):
 
 
 def report(package: Path, ran, called):
-    """(unreached, unrun, (body lines, body lines that never ran)) from what
-    `traced` recorded: the sorted 'module.qualname' of every public function
-    under `package` that was never called, and per function the sorted
-    (line, source text) of its body lines outside raise statements that
-    never ran."""
-    unreached, unrun, total = [], {}, [0, 0]
+    """((functions, members), unrun, (body lines, body lines that never ran))
+    from what `traced` recorded: the sorted 'module.qualname' of every public
+    module-level function and of every public method or property under
+    `package` that was never called, and per function the sorted (line,
+    source text) of its body lines outside raise statements that never ran."""
+    functions, members, unrun, total = [], [], {}, [0, 0]
     for path in _modules(package):
         module = ".".join(path.relative_to(os.path.abspath(package)).with_suffix("").parts)
         source = path.read_text()
@@ -119,14 +122,14 @@ def report(package: Path, ran, called):
         for name, body in sorted(_body_lines(source).items(), key=lambda kv: min(kv[1], default=0)):
             where = f"{module}.{name}"
             if _public(name) and (str(path), name) not in called:
-                unreached.append(where)
+                (members if "." in name else functions).append(where)
             missed = sorted(k for k in body if (str(path), k) not in ran)
             total[0] += len(body)
             total[1] += len(missed)
             missed = [(k, text[k - 1].strip()) for k in missed if k not in raises]
             if missed:
                 unrun[where] = missed
-    return sorted(unreached), unrun, total
+    return (sorted(functions), sorted(members)), unrun, total
 
 
 def _verdict_traffic():
@@ -146,7 +149,7 @@ def main() -> int:
     # calls run functions too
     package = Path(importlib.util.find_spec("isomlab").submodule_search_locations[0])
     ran, called, (tests, digest) = traced(package, _verdict_traffic)
-    unreached, unrun, (body, missed) = report(package, ran, called)
+    (functions, members), unrun, (body, missed) = report(package, ran, called)
     print("\nbody lines that no verdict runs, raise statements left out:")
     for where, missed_lines in unrun.items():
         print(f"  {where}")
@@ -156,10 +159,11 @@ def main() -> int:
     print(f"{missed} of {body} body lines never ran; {shown} of them outside raise statements")
     if tests or digest:
         print(f"the verdict traffic failed (pytest exit {tests}, cli_digest exit {digest})")
-    if unreached:
-        print("public functions that no verdict runs:")
-        print("\n".join(f"  {where}" for where in unreached))
-    return 1 if tests or digest or unreached else 0
+    for heading, unreached in [(FUNCTIONS, functions), (MEMBERS, members)]:
+        if unreached:
+            print(heading)
+            print("\n".join(f"  {where}" for where in unreached))
+    return 1 if tests or digest or functions or members else 0
 
 
 if __name__ == "__main__":

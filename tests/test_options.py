@@ -12,9 +12,12 @@ as set when a call of any callable of that name sets it.
 
 The same scan finds the dataclass fields and properties that no verdict
 reads.  A verdict is code in `src/`, the acceptance tests or the
-benchmark; a field that only unit tests read serves none.  Which public
-functions a verdict runs is decided by running it: see
-`tests/reachability.py`.
+benchmark; a field that only unit tests read serves none.
+
+Which public functions, methods and properties a verdict reaches is decided
+by running it, not by names: `tests/reachability.py` runs the verdict
+traffic under a line trace, and a public function or member that never runs
+is reported.
 
 Reads are matched by name, not resolved, so a name that some other object
 also uses is counted as read whatever it belongs to.  Such names were
@@ -29,7 +32,15 @@ the import says `noqa: F401`.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import reachability
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -260,6 +271,114 @@ def test_reports_the_fields_only_other_files_read(tmp_path):
     (tmp_path / "unit.py").write_text("def h(obj): return obj.a + obj.b + obj.c\n")
     assert unread_fields(tmp_path / "pkg", tmp_path / "verdicts",
                          tmp_path / "acceptance.py") == ["mod.C.c"]
+
+
+@pytest.fixture(scope="module")
+def unreached():
+    """{heading: the public names listed under it} from one run of
+    `tests/reachability.py` on the isomlab of this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "reachability.py")],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
+    lists, heading = {reachability.FUNCTIONS: [], reachability.MEMBERS: []}, None
+    for line in proc.stdout.splitlines():
+        if line in lists:
+            heading = line
+        elif heading and line.startswith("  "):
+            lists[heading].append(line.strip())
+        else:
+            heading = None
+    # the script exits 1 exactly when it lists a name or the traffic failed
+    assert proc.returncode == int(any(lists.values())), proc.stdout[-4000:] + proc.stderr[-4000:]
+    return lists
+
+
+def test_every_function_is_reached(unreached):
+    # a public function that no verdict runs serves none
+    assert unreached[reachability.FUNCTIONS] == []
+
+
+def test_every_member_is_reached(unreached):
+    # a public method or property that no verdict runs serves none
+    assert unreached[reachability.MEMBERS] == []
+
+
+@pytest.fixture
+def traced_package(tmp_path, monkeypatch):
+    """reachability.report on a small package whose `run()` is the traffic,
+    with what `run()` returned."""
+    pkg = tmp_path / "reachpkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        "class C:\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    def idle(self):\n"
+        "        return 2\n"
+        "    @property\n"
+        "    def read(self):\n"
+        "        return 3\n"
+        "    @property\n"
+        "    def unread(self):\n"
+        "        return 4\n"
+        "    def __str__(self):\n"
+        "        return 'C'\n"
+        "    def _private(self):\n"
+        "        return 5\n"
+        "def run():\n"
+        "    c = C()\n"
+        "    if False:\n"
+        "        dead()\n"
+        "    try:\n"
+        "        check(-1)\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    return c.used() + c.read + len(str(c))\n"
+        "def check(x):\n"
+        "    if x < 0:\n"
+        "        refuse(x)\n"
+        "    return x\n"
+        "def refuse(x):\n"
+        "    raise ValueError(\n"
+        "        x)\n"
+        "def dead():\n"
+        "    return 6\n"
+        "def idle():\n"
+        "    return 7\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        ran, called, result = reachability.traced(
+            pkg, lambda: importlib.import_module("reachpkg.mod").run())
+    finally:
+        sys.modules.pop("reachpkg.mod", None)
+        sys.modules.pop("reachpkg", None)
+    return reachability.report(pkg, ran, called), result
+
+
+def test_reports_exactly_the_functions_nothing_reaches(traced_package):
+    # a function nothing calls and one whose only call sits in an `if False:`
+    # branch are reported; one that only a refusal reaches runs
+    ((functions, _), unrun, _), result = traced_package
+    assert result == 5
+    assert functions == ["mod.dead", "mod.idle"]
+    # the raise statement of refuse is left out of the lines that never ran
+    assert unrun["mod.check"] == [(28, "return x")]
+    assert "mod.refuse" not in unrun
+
+
+def test_reports_exactly_the_members_nothing_reaches(traced_package):
+    # a method nothing calls and a property nothing reads are reported;
+    # __str__ runs through str(), and private members are not checked
+    ((_, members), unrun, _), _ = traced_package
+    assert members == ["mod.C.idle", "mod.C.unread"]
+    assert unrun == {
+        "mod.C.idle": [(5, "return 2")], "mod.C.unread": [(11, "return 4")],
+        "mod.C._private": [(15, "return 5")], "mod.check": [(28, "return x")],
+        "mod.dead": [(33, "return 6")], "mod.idle": [(35, "return 7")],
+    }
 
 
 def unused_imports(*paths):

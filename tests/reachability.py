@@ -5,6 +5,8 @@
 Runs the verdict traffic in this process under ``sys.settrace``: the
 acceptance tests and the CLI tests (the exit-1 refusal contract) under
 pytest, then ``cli_digest`` on the first 12 ops of every workload at seed 3.
+Of the CLI tests only what runs through ``cli.main`` counts: a function that
+the test file calls directly is a unit under test, not a verdict.
 It records which lines of the ``isomlab`` package on the path ran and prints,
 grouped by function, the body lines that never ran, leaving out the lines of
 raise statements: refusals and error handlers are safety code, not
@@ -34,6 +36,7 @@ from types import CodeType
 
 TESTS = Path(__file__).resolve().parent
 TRAFFIC = [TESTS / "test_acceptance.py", TESTS / "test_cli.py"]
+UNIT_TESTS = [TESTS / "test_cli.py"]  # its own calls count only through main
 FUNCTIONS = "public functions that no verdict runs:"
 MEMBERS = "public methods and properties that no verdict runs:"
 
@@ -79,12 +82,16 @@ def _modules(package: Path) -> list[Path]:
     return sorted(Path(os.path.abspath(package)).rglob("*.py"))
 
 
-def traced(package: Path, traffic):
+def traced(package: Path, traffic, unit_tests=()):
     """Run `traffic()` under sys.settrace and return the (file, line) pairs
     that ran in the .py files under `package`, the (file, function) pairs
     that were called there (functions as `_group` names them), and what
-    `traffic()` returned."""
+    `traffic()` returned.  A call that a file among `unit_tests` makes into
+    the package is recorded, with all that it runs, only when it calls a
+    `main` or runs a module's import."""
     files = {str(path) for path in _modules(package)}
+    units = {os.path.abspath(path) for path in unit_tests}
+    watched = files | units
     ran, called = set(), set()
 
     def on_line(frame, event, arg):
@@ -96,6 +103,14 @@ def traced(package: Path, traffic):
         code = frame.f_code
         if code.co_filename not in files:  # the cheapest test first: it runs on every call
             return None
+        caller = frame.f_back  # the nearest caller in the package or a unit test
+        while caller and caller.f_code.co_filename not in watched:
+            caller = caller.f_back
+        if caller and caller.f_code.co_filename in units:
+            if code.co_name not in ("main", "<module>"):
+                return None
+        elif caller and caller.f_trace is None:
+            return None  # run, at some depth, by a call that is not recorded
         called.add((code.co_filename, _group(code.co_qualname)))
         return on_line
 
@@ -148,7 +163,7 @@ def main() -> int:
     # located, not imported: the import runs under the trace, as module-level
     # calls run functions too
     package = Path(importlib.util.find_spec("isomlab").submodule_search_locations[0])
-    ran, called, (tests, digest) = traced(package, _verdict_traffic)
+    ran, called, (tests, digest) = traced(package, _verdict_traffic, UNIT_TESTS)
     (functions, members), unrun, (body, missed) = report(package, ran, called)
     print("\nbody lines that no verdict runs, raise statements left out:")
     for where, missed_lines in unrun.items():

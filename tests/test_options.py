@@ -274,13 +274,16 @@ def test_reports_the_fields_only_other_files_read(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def unreached():
+def unreached(tmp_path_factory):
     """{heading: the public names listed under it} from one run of
-    `tests/reachability.py` on the isomlab of this checkout."""
+    `tests/reachability.py` on the isomlab of this checkout.  What the script
+    prints is kept as `reachability.txt` in pytest's base temporary
+    directory (`--basetemp`), for a log to show."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "tests" / "reachability.py")],
                           cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=600)
+    (tmp_path_factory.getbasetemp() / "reachability.txt").write_text(proc.stdout)
     lists, heading = {reachability.FUNCTIONS: [], reachability.MEMBERS: []}, None
     for line in proc.stdout.splitlines():
         if line in lists:
@@ -307,7 +310,8 @@ def test_every_member_is_reached(unreached):
 @pytest.fixture
 def traced_package(tmp_path, monkeypatch):
     """reachability.report on a small package whose `run()` is the traffic,
-    with what `run()` returned."""
+    together with the test of a unit-test file that calls `tested()` and
+    `main()` directly, with what `run()` and the test returned."""
     pkg = tmp_path / "reachpkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
@@ -347,23 +351,38 @@ def traced_package(tmp_path, monkeypatch):
         "    return 6\n"
         "def idle():\n"
         "    return 7\n"
+        "def tested():\n"
+        "    return inner()\n"
+        "def inner():\n"
+        "    return 8\n"
+        "def main():\n"
+        "    return entry()\n"
+        "def entry():\n"
+        "    return 9\n"
     )
+    unit = tmp_path / "reachunit.py"
+    unit.write_text("from reachpkg import mod\n"
+                    "def test():\n"
+                    "    return mod.tested() + mod.main()\n")
     monkeypatch.syspath_prepend(str(tmp_path))
     try:
         ran, called, result = reachability.traced(
-            pkg, lambda: importlib.import_module("reachpkg.mod").run())
+            pkg, lambda: (importlib.import_module("reachpkg.mod").run(),
+                          importlib.import_module("reachunit").test()), [unit])
     finally:
-        sys.modules.pop("reachpkg.mod", None)
-        sys.modules.pop("reachpkg", None)
+        for name in ("reachunit", "reachpkg.mod", "reachpkg"):
+            sys.modules.pop(name, None)
     return reachability.report(pkg, ran, called), result
 
 
 def test_reports_exactly_the_functions_nothing_reaches(traced_package):
-    # a function nothing calls and one whose only call sits in an `if False:`
-    # branch are reported; one that only a refusal reaches runs
+    # a function nothing calls, one whose only call sits in an `if False:`
+    # branch and one that only a unit-test file calls, with what it calls,
+    # are reported; one that only a refusal reaches runs, and so does what
+    # the unit-test file reaches through main
     ((functions, _), unrun, _), result = traced_package
-    assert result == 5
-    assert functions == ["mod.dead", "mod.idle"]
+    assert result == (5, 17)
+    assert functions == ["mod.dead", "mod.idle", "mod.inner", "mod.tested"]
     # the raise statement of refuse is left out of the lines that never ran
     assert unrun["mod.check"] == [(28, "return x")]
     assert "mod.refuse" not in unrun
@@ -378,6 +397,7 @@ def test_reports_exactly_the_members_nothing_reaches(traced_package):
         "mod.C.idle": [(5, "return 2")], "mod.C.unread": [(11, "return 4")],
         "mod.C._private": [(15, "return 5")], "mod.check": [(28, "return x")],
         "mod.dead": [(33, "return 6")], "mod.idle": [(35, "return 7")],
+        "mod.tested": [(37, "return inner()")], "mod.inner": [(39, "return 8")],
     }
 
 

@@ -69,8 +69,9 @@ leakage of all frames of each system in one array pass, and the
 truncations of all distinct series in one stacked SVD.  Every column of a
 system runs on the system's one ODE; the plan lays out the legs of each
 (system, sector, z*), sweeps cut at the seed angles, and the seed columns
-of each (system, series, sector) once, so the engine steps what they share
-once, and assembles all Stokes matrices in one stacked pass.  Every number
+of each (system, series, sector) once, and transports each distinct
+column once (C_r reads those of S_r), so the engine steps what they share
+once; it assembles all Stokes matrices in one stacked pass.  Every number
 is the one the per-result computation gives, bit for bit: angles stay on
 math.atan2, and scalar complex arithmetic is not moved into arrays, whose
 products round differently.
@@ -594,10 +595,14 @@ class SectorRequest:
     the Stokes matrix S_r (kind "stokes"), the sectorial solution Y_r at
     `zstar` ("sectorial"; z* defaults to the sector midpoint at the seed
     radius) or the connection matrix C_r with Y_r = Y^(0) C_r against the
-    Levelt solution `ld` ("connection"; z* defaults to the sector midpoint
-    at half the seed radius; Y^(0) is evaluated by levelt_handle on the
-    branch of z*, inside |z*| / 2, and carried out radially, so both factors
-    share their arg bookkeeping)."""
+    Levelt solution `ld` ("connection").  C_r is the same at every z of
+    sector r, so z* of a connection defaults to the z* of S_r, the midpoint
+    of the overlap of sectors r and r + 1 at half the seed radius, where the
+    columns of Y_r that S_r carries serve it too.  Y^(0) is evaluated by
+    levelt_handle on the branch of z*, inside |z*| / 2, and carried
+    radially to the point on arg z* where the columns' sweeps end and on
+    along the columns' own radial leg to z*, so both factors share their
+    arg bookkeeping and that leg."""
 
     sys: IrregularSystem
     r: int
@@ -626,10 +631,12 @@ class SectorTable:
     use; requests share a series when they share its F tuple, as the
     frozen-seeded passes of verify_coalescence share the frozen one.
     `frames` maps (system index, sector) to the sector frame, for every
-    system in every sector that any request uses; `angles` and `leakage` map
-    it to the seed direction of every column in the frame and the Stokes
-    leakage of seeds there at the seed radius, for the sectors that the
-    system's own requests use; `truncations` holds the optimal truncation
+    system in every sector that any request uses (sectors r and r + 1 for
+    a Stokes or connection request, whose overlap holds its default z*);
+    `angles` and `leakage` map it to the seed direction of every column in
+    the frame and the Stokes leakage of seeds there at the seed radius, for
+    the sectors whose solutions the system's own requests are made of
+    (`SectorRequest.sectors`); `truncations` holds the optimal truncation
     (k, bound) of each series at the seed radius.  The Stokes rays of each
     system are found once for all its sectors, the seed directions of the
     frames of each system are one array pass (so its arrays do not grow with
@@ -646,7 +653,11 @@ class SectorTable:
         if len({s.n for s in self.systems}) > 1:
             raise ValueError("the systems of one sector table must share n")
         n = self.systems[0].n
-        sectors = sorted({k for q in requests for k in q.sectors})
+        # z* of a Stokes or connection request lies in the overlap of
+        # sectors r and r + 1, so a connection request needs the frame of
+        # r + 1, though no seeds there
+        sectors = sorted({k for q in requests
+                          for k in ((q.r,) if q.kind == "sectorial" else (q.r, q.r + 1))})
         frames = sector_frames([sys.u for sys in self.systems], cfg.tau, sectors, uC=cfg.uC)
         self.frames = {(s, r): frame for s, row in enumerate(frames)
                        for r, frame in zip(sectors, row)}
@@ -709,15 +720,25 @@ def _seed_directions(u, lo, hi, radius: float):
     return angles, np.max(admixture, axis=(1, 2), where=diff != 0, initial=0.0)
 
 
+def _arc_radius(zstar: PathPoint, radius: float, rho_max: float):
+    """The radius of the columns' argument sweeps to `zstar`, and the radial
+    leg from the sweeps' end on arg z* out to z* that every column ends
+    with (none when they sweep at |z*|)."""
+    # argument sweeps at large |z| let the dominant exponential swamp the
+    # recessive one inside the relative tail criterion; sweep at moderate radius
+    rho_arc = min(zstar.radius, radius, max(0.5, 4.0 / max(rho_max, 1e-6)))
+    if abs(zstar.radius - rho_arc) > 1e-12:
+        return rho_arc, [Leg(_polar(rho_arc, zstar.arg), zstar.z)]
+    return rho_arc, []
+
+
 def _column_legs(angles, zstar: PathPoint, radius: float, rho_max: float):
     """The seed point of each column, at |z| = radius on its angle, and its
     legs to zstar: a radial leg in from the seed, an argument sweep at
     moderate radius, cut at the seed angles of the other columns that it
-    passes (so columns share the rest of their sweeps), and a radial leg
-    out to z*."""
-    # argument sweeps at large |z| let the dominant exponential swamp the
-    # recessive one inside the relative tail criterion; sweep at moderate radius
-    rho_arc = min(zstar.radius, radius, max(0.5, 4.0 / max(rho_max, 1e-6)))
+    passes (so columns share the rest of their sweeps), and the radial leg
+    of `_arc_radius` out to z*."""
+    rho_arc, out = _arc_radius(zstar, radius, rho_max)
     seeds, paths = [_polar(radius, theta) for theta in angles], []
     for theta, seed in zip(angles, seeds):
         legs = [Leg(seed, _polar(rho_arc, theta))] if rho_arc < radius else []
@@ -725,9 +746,7 @@ def _column_legs(angles, zstar: PathPoint, radius: float, rho_max: float):
                                 reverse=bool(zstar.arg < theta)), zstar.arg]
         legs += [Leg(_polar(rho_arc, t0), _polar(rho_arc, t1), center=0j, sweep=t1 - t0)
                  for t0, t1 in zip(stops[:-1], stops[1:])]
-        if abs(zstar.radius - rho_arc) > 1e-12:
-            legs.append(Leg(_polar(rho_arc, zstar.arg), zstar.z))
-        paths.append(legs)
+        paths.append(legs + out)
     return seeds, paths
 
 
@@ -736,9 +755,17 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     results in request order: a StokesResult, a SolutionHandle or a
     connection matrix each.
 
-    The requests share one SectorTable.  Each (system, sector, z*) lays out
-    its column legs once and each (system, series, sector) its seed columns
-    once, however many results are made of them.  Every column of a system
+    The requests share one SectorTable.  One rule places z*: a sectorial
+    request's defaults to the midpoint of its sector at the seed radius, and
+    S_r's and a connection request's to the midpoint of the overlap of
+    sectors r and r + 1 at half the seed radius, so C_r reads the columns of
+    Y_r that S_r carries.  The Levelt solution of a connection runs
+    radially from inside |z*| / 2 to the end of the columns' sweeps on
+    arg z*, and on along their radial leg to z*, which the engine steps
+    once for both.  Each (system, sector, z*) lays out its column legs once
+    and each (system, series, sector) its seed columns once, however many
+    results are made of them, and a column seeded and laid out alike for
+    two solutions is one transport.  Every column of a system
     runs on one ODE, in the gauge y e^{-c z} (c the mean of u), and is taken
     to its own gauge y e^{-u_j z} z^{-b_j} by an exact scalar at z*, so the
     columns and both seeded passes share their legs; a column's sweep is cut
@@ -757,32 +784,33 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     odes = [irregular_ode(sys, c) for sys, c in zip(table.systems, centre)]
     overlaps, paths, seeds = {}, {}, {}
     jobs, first, levelt = [], [], {}
+    job_of = {}  # (system, series, column, legs) -> its job
     stokes = []  # the Stokes requests
-    # per Y_k: its first job, z*, log z*, series, (system, sector) and seed error
-    starts, points, logs, series, owner, seed_error = ([] for _ in range(6))
+    # per Y_k: the jobs of its columns, z*, log z*, series, (system, sector)
+    # and seed error
+    columns, points, logs, series, owner, seed_error = ([] for _ in range(6))
     for p, q in enumerate(requests):
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
+        frame = table.frames[s, q.r]
+        zstar = None if q.kind == "stokes" else q.zstar
         if q.kind == "stokes":
+            stokes.append(p)
+        if zstar is None and q.kind == "sectorial":
+            zstar = PathPoint.from_polar(R, frame.midpoint)
+        elif zstar is None:
             if (s, q.r) not in overlaps:
-                lo, hi = table.frames[s, q.r + 1].lo, table.frames[s, q.r].hi
+                lo, hi = table.frames[s, q.r + 1].lo, frame.hi
                 if not hi - lo > 1e-9:
                     raise SectorError(f"sectors {q.r} and {q.r + 1} do not overlap: ({lo}, {hi})")
                 # z* of S_r: the midpoint of the overlap, at half the seed radius
                 overlaps[s, q.r] = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
             zstar = overlaps[s, q.r]
-            stokes.append(p)
-        else:
-            frame = table.frames[s, q.r]
-            zstar = q.zstar
-            if zstar is None:
-                zstar = PathPoint.from_polar(R if q.kind == "sectorial" else R / 2.0,
-                                             frame.midpoint)
-            elif not frame.lo < zstar.arg < frame.hi:
-                raise SectorError(
-                    f"zstar argument {zstar.arg:.6g} outside sector "
-                    f"({frame.lo:.6g}, {frame.hi:.6g})"
-                )
-        first.append(len(starts))
+        elif not frame.lo < zstar.arg < frame.hi:
+            raise SectorError(
+                f"zstar argument {zstar.arg:.6g} outside sector "
+                f"({frame.lo:.6g}, {frame.hi:.6g})"
+            )
+        first.append(len(columns))
         for k in q.sectors:
             if (s, k, zstar) not in paths:
                 paths[s, k, zstar] = _column_legs(table.angles[s, k].tolist(), zstar, R,
@@ -794,18 +822,29 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                 F = table.series[f][:k_opt].transpose(2, 1, 0)  # F[j] = F[:k_opt, :, j].T
                 z = np.array(at)[:, None] ** -np.arange(1.0, k_opt + 1)
                 seeds[s, f, k] = [eye[j] + F[j] @ z[j] for j in range(n)]
-            starts.append(len(jobs))
+            # a column that another Y_k carries already (the same seed on
+            # the same legs: those of S_r for C_r, or a column seeded alike
+            # in two sectors) is transported once
+            block = []
+            for j, (y, lg) in enumerate(zip(seeds[s, f, k], legs)):
+                block.append(job_of.setdefault((s, f, j, tuple(lg)), len(jobs)))
+                if block[-1] == len(jobs):
+                    jobs.append((odes[s], y, lg))
+            columns.append(block)
             points.append(zstar)
             logs.append(np.log(zstar.radius) + 1j * zstar.arg)
             series.append(q.fs)
             owner.append((s, k))
             seed_error.append(table.truncations[f][1] + table.leakage[s, k])
-            jobs += ((odes[s], y, lg) for y, lg in zip(seeds[s, f, k], legs))
         if q.kind == "connection":
+            # Y^(0) out to where the columns' sweeps end, and on along their
+            # radial leg to z*; carried in the system's gauge e^{-c z}, and
+            # taken back at z*
+            rho_arc, out = _arc_radius(zstar, R, rho_max[s])
             lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
-            # carried in the system's gauge e^{-c z}, and taken back at z*
             levelt[p] = len(jobs), np.exp(centre[s] * (zstar.z - lev.point.z))
-            jobs.append((odes[s], lev.value, [Leg(lev.point.z, zstar.z)]))
+            jobs.append((odes[s], lev.value,
+                         [Leg(lev.point.z, _polar(rho_arc, zstar.arg)), *out]))
 
     # column j of Y_k, seeded at z_j with the series value of y_j e^{-u_j z}
     # z^{-b_j}, ends at z* as y_j e^{-c z*} / (e^{(u_j - c) z_j} z_j^{b_j}),
@@ -818,7 +857,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     blocks = np.array([first[p] for p in stokes], dtype=int)  # Y_r of each S_r
 
     def assemble(ends):
-        cols = np.array([ends[a + j] for a in starts for j in range(n)])
+        cols = np.array([ends[job] for block in columns for job in block])
         Y = np.ascontiguousarray(cols.reshape(-1, n, n).transpose(0, 2, 1)) * gauge[:, None, :]
         sign, logdet = np.linalg.slogdet(Y)
         if np.any((sign == 0) | ~np.isfinite(logdet)):

@@ -1,6 +1,7 @@
 """Digest of the CLI output of the benchmark workloads' ops.
 
     PYTHONPATH=src python tests/cli_digest.py --seeds 3 11 13 [--workload NAME ...] [--ops 64]
+        [--steps]
 
 Draws the ops of each workload as ``perfbench/workloads.py`` draws them for
 a seed (64 per seed, the benchmark's input pool), runs every call of every
@@ -8,7 +9,10 @@ op in-process through ``isomlab.cli.main`` and prints one line per op:
 
     <workload> <seed> <op> <exit codes> <sha256 of the exit codes, stdout and stderr>
 
-then one line per workload with the digest of all its ops.  It exits 1 if
+then one line per workload with the digest of all its ops.  With
+``--steps`` each op's line ends with the Taylor steps its calls took (the
+summed step count of every ``odeengine._schedule`` layout), and the
+workload's line with the mean over its ops.  It exits 1 if
 an exception escaped ``cli.main`` in any call (exit code ``None``), after
 printing every line.  The inputs are
 written to a temporary directory under the same relative names on every run,
@@ -34,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 
-from isomlab import cli  # noqa: E402
+from isomlab import cli, odeengine  # noqa: E402
 
 POOL = 64  # ops per seed, as in perfbench/worker.py
 
@@ -77,6 +81,24 @@ def op_outputs(workload: str, seed: int, ops: int = POOL):
             os.chdir(home)
 
 
+@contextlib.contextmanager
+def counted_steps():
+    """A list that collects the step count of every `odeengine._schedule`
+    layout made inside the block."""
+    counts, schedule = [], odeengine._schedule
+
+    def counted(*args):
+        layout = schedule(*args)
+        counts.append(len(layout[0]))
+        return layout
+
+    odeengine._schedule = counted
+    try:
+        yield counts
+    finally:
+        odeengine._schedule = schedule
+
+
 def digest(results) -> str:
     h = hashlib.sha256()
     for code, out, err in results:
@@ -90,18 +112,25 @@ def main(argv=None) -> int:
     p.add_argument("--workload", nargs="+", choices=sorted(workloads.WORKLOADS),
                    default=sorted(workloads.WORKLOADS))
     p.add_argument("--ops", type=int, default=POOL)
+    p.add_argument("--steps", action="store_true",
+                   help="append each op's Taylor steps, and the mean per op of each workload")
     args = p.parse_args(argv)
     escaped = 0
-    for name in args.workload:
-        total = hashlib.sha256()
-        for seed in args.seeds:
-            for k, results in enumerate(op_outputs(name, seed, args.ops)):
-                line = digest(results)
-                total.update(line.encode())
-                codes = ",".join(str(code) for code, _, _ in results)
-                escaped += sum(code is None for code, _, _ in results)
-                print(f"{name} {seed} {k} {codes} {line}", flush=True)
-        print(f"{name} all {total.hexdigest()}", flush=True)
+    with counted_steps() as counts:
+        for name in args.workload:
+            total, steps = hashlib.sha256(), []
+            for seed in args.seeds:
+                for k, results in enumerate(op_outputs(name, seed, args.ops)):
+                    line = digest(results)
+                    total.update(line.encode())
+                    codes = ",".join(str(code) for code, _, _ in results)
+                    escaped += sum(code is None for code, _, _ in results)
+                    steps.append(sum(counts))
+                    counts.clear()
+                    tail = f" {steps[-1]}" if args.steps else ""
+                    print(f"{name} {seed} {k} {codes} {line}{tail}", flush=True)
+            tail = f" {sum(steps) / len(steps):.1f}" if args.steps and steps else ""
+            print(f"{name} all {total.hexdigest()}{tail}", flush=True)
     if escaped:
         print(f"{escaped} call(s) raised out of cli.main", file=sys.stderr)
     return 1 if escaped else 0

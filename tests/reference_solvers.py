@@ -232,8 +232,12 @@ def sector_results_reference(cfg, requests):
     SectorTable, by the per-column plan: every column on its own ODE, in its
     own gauge y e^{-u_j z} z^{-b_j}, along a radial leg in from its seed, one
     uncut sweep to arg z* and a radial leg out to z*, and the Levelt solution
-    of a connection request on the system's own ODE.  Returns S of a Stokes
-    request, Y_r(z*) of a sectorial one and C_r of a connection one."""
+    of a connection request on the system's own ODE, radially out to where
+    the sweeps end and on along the columns' radial leg.  z* of a Stokes
+    request, and of a connection request that gives none, is the midpoint of
+    the overlap of sectors r and r + 1 at half the seed radius.  Returns S
+    of a Stokes request, Y_r(z*) of a sectorial one and C_r of a connection
+    one."""
     import math
 
     from isomlab.odeengine import (
@@ -251,26 +255,26 @@ def sector_results_reference(cfg, requests):
     out = []
     for q in requests:
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
-        if q.kind == "stokes":
+        zstar = None if q.kind == "stokes" else q.zstar
+        if zstar is None and q.kind == "sectorial":
+            zstar = PathPoint.from_polar(R, table.frames[s, q.r].midpoint)
+        elif zstar is None:
             lo, hi = table.frames[s, q.r + 1].lo, table.frames[s, q.r].hi
             zstar = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
-        else:
-            zstar = q.zstar or PathPoint.from_polar(R if q.kind == "sectorial" else R / 2.0,
-                                                    table.frames[s, q.r].midpoint)
         rho = min(zstar.radius, R, max(0.5, 4.0 / max(
             np.abs(q.sys.u[:, None] - q.sys.u[None, :]).max(), 1e-6)))
         k_opt = table.truncations[f][0]
         F = table.series[f][:k_opt]
         E = np.exp(q.fs.u * zstar.z + q.fs.b * (math.log(zstar.radius) + 1j * zstar.arg))
+        end = _polar(rho, zstar.arg)  # where the sweeps end
+        radial = [Leg(end, zstar.z)] if abs(zstar.radius - rho) > 1e-12 else []
         G = []  # the columns y_j e^{-u_j z} z^{-b_j} at z*
         for k in q.sectors:
             odes, seeds, paths = [], [], []
             for j, theta in enumerate(table.angles[s, k].tolist()):
-                seed, turn, end = _polar(R, theta), _polar(rho, theta), _polar(rho, zstar.arg)
+                seed, turn = _polar(R, theta), _polar(rho, theta)
                 legs = [Leg(seed, turn)] if rho < R else []
-                legs.append(Leg(turn, end, center=0j, sweep=zstar.arg - theta))
-                if abs(zstar.radius - rho) > 1e-12:
-                    legs.append(Leg(end, zstar.z))
+                legs += [Leg(turn, end, center=0j, sweep=zstar.arg - theta), *radial]
                 odes.append(column_ode(q.sys, q.fs.u[j], q.fs.b[j]))
                 seeds.append(np.eye(q.sys.n)[j] + F[:, :, j].T @ seed ** -np.arange(1.0, k_opt + 1))
                 paths.append(legs)
@@ -282,8 +286,8 @@ def sector_results_reference(cfg, requests):
             out.append(G[0] * E)
         else:
             lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
-            V = transport_matrix(irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)],
-                                 cfg.tol)
+            V = transport_matrix(irregular_ode(q.sys), lev.value,
+                                 [Leg(lev.point.z, end), *radial], cfg.tol)
             out.append(np.linalg.solve(V, G[0] * E))
     return out
 

@@ -51,6 +51,13 @@ def generic_system():
     return IrregularSystem(u=[0.0, 1.0], A=GENERIC_A)
 
 
+def seeded_system(seed, n):
+    """u near a regular n-gon of radius 0.7, A at 0.4, both drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    u = 0.7 * np.exp(2j * np.pi * np.arange(n) / n + 0.3j * rng.normal(size=n))
+    return IrregularSystem(u=u, A=0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+
+
 def connection(sys, r, ld, cfg, fs=None, zstar=None):
     """C_r of one connection request, with Y_r = Y^(0) C_r; the series is
     computed to cfg.order unless `fs` is given."""
@@ -775,6 +782,51 @@ class TestConnectionMatrix:
         ]
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
         assert np.max(np.abs(vals[1] - vals[2])) < 1e-8
+
+    @pytest.mark.parametrize("sys, r", [
+        (generic_system(), 0),
+        (generic_system(), 1),
+        (seeded_system(0, 3), 0),
+    ])
+    def test_default_zstar_equals_the_sector_midpoint(self, sys, r):
+        # Y^(0)(z)^{-1} Y_r(z) is constant, so C_r at the default z* (that of
+        # S_r, in the overlap of sectors r and r + 1) is C_r at the midpoint
+        # of sector r, where no Stokes matrix reads Y_r
+        cfg = StokesConfig(tau=0.3, order=30)
+        fs = compute_formal_coefficients(sys, K=cfg.order)
+        ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
+        mid = PathPoint.from_polar(cfg.radius / 2.0, sector_frame(sys.u, cfg.tau, r).midpoint)
+        got = connection(sys, r, ld, cfg, fs=fs)
+        want = connection(sys, r, ld, cfg, fs=fs, zstar=mid)
+        assert np.linalg.norm(got - want, 2) <= 1e-9 * np.linalg.norm(want, 2)
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_shares_the_legs_of_its_stokes_matrix(self, monkeypatch, r):
+        # next to S_r, C_r costs only the first piece of its Levelt leg:
+        # its columns are those of Y_r that S_r carries, and the Levelt
+        # leg's radial piece out to z* is theirs
+        sys = generic_system()
+        cfg = StokesConfig(tau=0.3, order=30)
+        fs = compute_formal_coefficients(sys, K=cfg.order)
+        ld = build_levelt_solution(GENERIC_A, [sys.Lambda], K=20)
+        steps, schedule = [], odeengine._schedule
+
+        def counted(*args):
+            layout = schedule(*args)
+            steps.append(len(layout[0]))
+            return layout
+
+        monkeypatch.setattr(odeengine, "_schedule", counted)
+        totals = []
+        for requests in ([SectorRequest(sys, r, fs)],
+                         [SectorRequest(sys, r, fs), SectorRequest(sys, r, fs, "connection", ld=ld)]):
+            plan = sector_plan(cfg, requests)
+            steps.clear()
+            run_plan(plan, cfg.tol)
+            totals.append(sum(steps))
+        ode, _, (first, out) = plan.jobs[-1]  # the Levelt leg, in two pieces
+        assert out.a == first.b and out in plan.jobs[0][2]
+        assert totals[1] - totals[0] == step_count(ode, [first]) > 0
 
     @FRAMES
     def test_connection_chain(self, sys, cfg, coalesce_tol):

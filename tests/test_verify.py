@@ -98,11 +98,20 @@ def engine_jobs(monkeypatch, pipeline):
     return got, list(join_plans([sector_plan(cfg, [q]) for q in requests]).jobs)
 
 
+def ode_key(o):
+    return o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()
+
+
+def first_uses(jobs):
+    """`jobs` without the repeats of an earlier (ODE, start value, legs) job."""
+    seen = {}
+    for ode, Y0, legs in jobs:
+        seen.setdefault((ode_key(ode), np.asarray(Y0).tobytes(), tuple(legs)), (ode, Y0, legs))
+    return list(seen.values())
+
+
 def assert_same_jobs(got, want):
     """Same order, ODEs and legs equal by value, seed columns bit for bit."""
-    def ode_key(o):
-        return o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()
-
     assert len(got) == len(want) > 0
     for (ode, Y0, legs), (ode1, Y01, legs1) in zip(got, want):
         assert ode_key(ode) == ode_key(ode1)
@@ -148,6 +157,31 @@ class TestCollectData:
             assert drift["C_r"] <= 1e-6
             assert drift["B"] <= 1e-10
 
+    def test_chain_catches_a_branch_error_in_the_next_connection(self, monkeypatch):
+        # C_r and S_r read one Y_r at one z*, but C_{r+1} reads Y_{r+1} at
+        # the z* of S_{r+1}: Y^(0) one turn off its branch there, for that
+        # request alone, breaks C_{r+1} = C_r S_r, so the relation is no
+        # tautology of the shared Y_r
+        sys, r = IrregularSystem(u=U0, A=GENERIC_A), 0
+        frames = geometry.sector_frames([U0], 0.3, (r + 1, r + 2))[0]
+        arg = 0.5 * (frames[1].lo + frames[0].hi)  # z* of S_{r+1} and C_{r+1}
+        handle, shifted = odeengine.levelt_handle, []
+
+        def one_turn_off(sys_, ld, zstar, tol):
+            if abs(zstar.arg - arg) < 1e-12:
+                shifted.append(zstar)
+                zstar = odeengine.PathPoint.from_polar(zstar.radius, zstar.arg - 2 * np.pi)
+            return handle(sys_, ld, zstar, tol)
+
+        chains = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(odeengine, "levelt_handle", one_turn_off)
+            data = collect_data(sys, [U0, U1], r=r, tau=0.3, tol=1e-11, order=32)
+            chains.append(stokes_relation_check(data[0])["connection_chain"])
+        assert len(shifted) == 1
+        assert chains[0] <= 1e-10 and chains[1] > 1e-6
+
     def test_one_transport_batch_whatever_the_sample_count(self, engine_calls):
         counts = []
         for samples in ([U0, U1], [U0, 0.5 * (U0 + U1), U1]):
@@ -188,9 +222,13 @@ class TestCollectData:
         assert inverted == [LEVELT_ORDER]
 
     def test_engine_gets_the_jobs_of_one_plan_per_request(self, monkeypatch):
+        # less the columns that C_r and C_{r+1} read from S_r and S_{r+1}: a
+        # solution Y_k that two requests share is transported once
         got, want = engine_jobs(monkeypatch, lambda: collect_data(
             IrregularSystem(u=U0, A=GENERIC_A), [U0, U1], r=0, tau=0.3, order=32))
-        assert_same_jobs(got, want)
+        assert len(want) - len(first_uses(want)) == 3 * 2  # C_r twice and C_{r+1}, n = 2
+        assert_same_jobs(got, first_uses(want))
+        assert len(first_uses(got)) == len(got)
 
     def test_wall_sample_rejected(self):
         with pytest.raises(WallError):

@@ -8,8 +8,9 @@ precondition (the diagnostic is printed on stderr).
 
 Tolerances are flags with documented defaults, each offered only by the
 subcommands that read it: --tol 1e-10 (integration) and --mtol 1e-6 (matrix
-comparisons), both finite and positive, and --order 10 (series truncation;
-30 for stokes-matrix and verify-*), at least 0.  --tau must be finite and
+comparisons), both finite and positive like --radius (stokes-matrix) and
+--eps (verify-coalescence), and --order 10 (series truncation; 30 for
+stokes-matrix and verify-*), at least 0.  --tau must be finite and
 below 8192 in magnitude, where its ulp is still below the direction
 tolerance geometry.DIRECTION_TOL, and so must the angle |tau| + (|r| + 2) pi
 that the sectors of --r (stokes-matrix, verify-*) reach, which bounds |r|
@@ -449,7 +450,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    for flag in ("tol", "mtol"):
+    for flag in ("tol", "mtol", "radius", "eps"):
         if not (math.isfinite(value := getattr(args, flag, 1.0)) and value > 0):
             print(f"error: --{flag} must be finite and positive, got {value}", file=sys.stderr)
             return 1

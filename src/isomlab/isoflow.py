@@ -46,6 +46,7 @@ MAX_STEPS = 1000  # step budget of one flow segment, accepted and rejected steps
 STEP_FLOOR = 0.25  # shortest step, in units of a pair's gap scale (see _integrate)
 # laurent_reduce: the relative spectral gap below which a chain operator is resonant
 SYLVESTER_TOL = 1e-8
+SLOPE_THRESHOLD = 0.9  # vanishing_order_check: the least slope of a passing fit
 
 
 @dataclass(frozen=True)
@@ -340,9 +341,9 @@ class VanishingFit:
     magnitudes: np.ndarray
 
 
-def vanishing_order_check(gaps, magnitudes, slope_threshold: float = 0.9,
-                          floor: float = 1e-13) -> VanishingFit:
-    """Fit log|A_ij| against log|u_i - u_j| and compare the slope to 0.9.
+def vanishing_order_check(gaps, magnitudes, floor: float = 1e-13) -> VanishingFit:
+    """Fit log|A_ij| against log|u_i - u_j| and compare the slope to
+    SLOPE_THRESHOLD.
 
     Entries identically below `floor` pass with slope = +inf (the zero-entry
     convention).  One sample above `floor` fixes no line: it passes the same
@@ -358,7 +359,7 @@ def vanishing_order_check(gaps, magnitudes, slope_threshold: float = 0.9,
     mask = m > floor
     if np.count_nonzero(mask) > 1:
         slope = float(np.polyfit(np.log(g[mask]), np.log(m[mask]), 1)[0])
-        passed = slope >= slope_threshold
+        passed = slope >= SLOPE_THRESHOLD
     else:
         passed = not mask.any() or bool(mask[np.argmax(g)])
         slope = math.inf if passed else -math.inf
@@ -392,8 +393,9 @@ def laurent_reduce(
     non-resonant A each operator is invertible, so every negative coefficient
     comes out zero.  The z^0 relation determines the off-diagonal of
     omega^(0) from omega^(1) and constrains diag(omega^(1)); the upward chain
-    then propagates omega^(m+1) from omega^(m).  Resonant A raises
-    ResonanceError naming the eigenvalue pair.
+    then propagates omega^(m+1) from omega^(m).  The diagonal of the
+    returned omega^(0), the gauge freedom D_j, is zero; `raw.omega0` is not
+    read.  Resonant A raises ResonanceError naming the eigenvalue pair.
     """
     A = as_square(A)
     u = np.asarray(u, dtype=complex).reshape(-1)
@@ -433,8 +435,6 @@ def laurent_reduce(
         raise WallError("coincident u entries in Laurent reduction")
     om0 = (comm + om1) / diff
     np.fill_diagonal(om0, 0.0)
-    if raw.omega0 is not None:
-        om0 += np.diag(np.diag(as_square(raw.omega0)))
 
     positive = [om1]
     prev = om1

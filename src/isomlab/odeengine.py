@@ -56,25 +56,24 @@ a series that fails to converge; the term buffer holds 2m terms and moves
 the window of the last m to its front when it is full.
 
 Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
-function that assembles it from their end values, and run all of them in
-one batch.  `sector_plan` plans a list of `SectorRequest`s (a sectorial
-solution Y_r, a Stokes matrix S_r or a connection matrix C_r of some system
-and series) under one `StokesConfig`; `actual_solution` and `stokes_matrix`
-run it on one request, `collect_data` and
-`verify_coalescence` on all of theirs, and `fuchsian.monodromy_plan` is the
-plan of `fuchs_monodromy`.  The requests of one plan share one
+function that assembles it from their end values, and run all of them in one
+batch.  `sector_plan` plans a list of `SectorRequest`s (a sectorial solution
+Y_r or a Stokes matrix S_r, with the connection matrix C_r when the request
+carries Levelt data, of some system and series) under one `StokesConfig`;
+`actual_solution` and `stokes_matrix` run it on one request, `collect_data`
+and `verify_coalescence` on all of theirs, and `fuchsian.monodromy_plan` is
+the plan of `fuchs_monodromy`.  The requests of one plan share one
 `SectorTable`: the frames of every (system, sector) pair from one ray
 computation per system, the seed directions (in closed form) and Stokes
-leakage of all frames of each system in one array pass, and the
-truncations of all distinct series in one stacked SVD.  Every column of a
-system runs on the system's one ODE; the plan lays out the legs of each
-(system, sector, z*), sweeps cut at the seed angles, and the seed columns
-of each (system, series, sector) once, and transports each distinct
-column once (C_r reads those of S_r), so the engine steps what they share
-once; it assembles all Stokes matrices in one stacked pass.  Every number
-is the one the per-result computation gives, bit for bit: angles stay on
-math.atan2, and scalar complex arithmetic is not moved into arrays, whose
-products round differently.
+leakage of all frames of each system in one array pass, and the truncations
+of all distinct series in one stacked SVD.  Every column of a system runs on
+the system's one ODE; the plan lays out the legs of each (system, sector,
+z*), sweeps cut at the seed angles, and the seed columns of each (system,
+series, sector) once, so the engine steps what the transports share once; it
+assembles all Stokes matrices in one stacked pass.  Every number is the one
+the per-result computation gives, bit for bit: angles stay on math.atan2,
+and scalar complex arithmetic is not moved into arrays, whose products round
+differently.
 
 The Wronskian identity
 
@@ -281,8 +280,6 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
     """
     if isinstance(ode, LinearODE):
         return transport_matrix([ode], [Y0], [legs], tol)[0]
-    if not ode:
-        return []
     # the distinct ODEs, keyed by their coefficients, and the distinct
     # (ODE, leg) pairs, numbered in order of first use; `names` holds the
     # (transport, segment) of each pair's first use, `route` the pairs of
@@ -535,8 +532,6 @@ def integrate_path(
     pi).  The Wronskian drift |log det Y(end) - predicted| accumulates into
     the returned handle.
     """
-    if not legs:
-        return start
     s = start.point
     z, arg = s.z, s.arg
     for k, leg in enumerate(legs):
@@ -592,14 +587,14 @@ class StokesConfig:
 @dataclass(frozen=True)
 class SectorRequest:
     """One result of a sector plan, for `sys` seeded with the series `fs`:
-    the Stokes matrix S_r (kind "stokes"), the sectorial solution Y_r at
+    the Stokes matrix S_r (kind "stokes") or the sectorial solution Y_r at
     `zstar` ("sectorial"; z* defaults to the sector midpoint at the seed
-    radius) or the connection matrix C_r with Y_r = Y^(0) C_r against the
-    Levelt solution `ld` ("connection").  C_r is the same at every z of
-    sector r, so z* of a connection defaults to the z* of S_r, the midpoint
-    of the overlap of sectors r and r + 1 at half the seed radius, where the
-    columns of Y_r that S_r carries serve it too.  Y^(0) is evaluated by
-    levelt_handle on the branch of z*, inside |z*| / 2, and carried
+    radius).  S_r has one z*, the midpoint of the overlap of sectors r and
+    r + 1 at half the seed radius, so a Stokes request takes no `zstar`.
+    With the Levelt solution `ld` a Stokes request also gives the
+    connection matrix C_r, with Y_r = Y^(0) C_r, at that z* from the Y_r it
+    carries (C_r is the same at every z of sector r).  Y^(0) is evaluated
+    by levelt_handle on the branch of z*, inside |z*| / 2, and carried
     radially to the point on arg z* where the columns' sweeps end and on
     along the columns' own radial leg to z*, so both factors share their
     arg bookkeeping and that leg."""
@@ -612,10 +607,12 @@ class SectorRequest:
     ld: LeveltData | None = None
 
     def __post_init__(self):
-        if self.kind not in ("stokes", "sectorial", "connection"):
+        if self.kind not in ("stokes", "sectorial"):
             raise ValueError(f"unknown sector request kind {self.kind!r}")
-        if (self.kind == "connection") != (self.ld is not None):
-            raise ValueError("a connection request, and only one, needs its Levelt data")
+        if self.kind == "stokes" and self.zstar is not None:
+            raise ValueError("a Stokes request takes the z* of its sector overlap, not a zstar")
+        if self.kind == "sectorial" and self.ld is not None:
+            raise ValueError("a sectorial request takes no Levelt data")
 
     @property
     def sectors(self) -> tuple[int, ...]:
@@ -631,12 +628,11 @@ class SectorTable:
     use; requests share a series when they share its F tuple, as the
     frozen-seeded passes of verify_coalescence share the frozen one.
     `frames` maps (system index, sector) to the sector frame, for every
-    system in every sector that any request uses (sectors r and r + 1 for
-    a Stokes or connection request, whose overlap holds its default z*);
-    `angles` and `leakage` map it to the seed direction of every column in
-    the frame and the Stokes leakage of seeds there at the seed radius, for
-    the sectors whose solutions the system's own requests are made of
-    (`SectorRequest.sectors`); `truncations` holds the optimal truncation
+    system in every sector whose solution any request is made of
+    (`SectorRequest.sectors`); `angles` and `leakage` map it to the seed
+    direction of every column in the frame and the Stokes leakage of seeds
+    there at the seed radius, for the sectors of the system's own
+    requests; `truncations` holds the optimal truncation
     (k, bound) of each series at the seed radius.  The Stokes rays of each
     system are found once for all its sectors, the seed directions of the
     frames of each system are one array pass (so its arrays do not grow with
@@ -653,17 +649,13 @@ class SectorTable:
         if len({s.n for s in self.systems}) > 1:
             raise ValueError("the systems of one sector table must share n")
         n = self.systems[0].n
-        # z* of a Stokes or connection request lies in the overlap of
-        # sectors r and r + 1, so a connection request needs the frame of
-        # r + 1, though no seeds there
-        sectors = sorted({k for q in requests
-                          for k in ((q.r,) if q.kind == "sectorial" else (q.r, q.r + 1))})
-        frames = sector_frames([sys.u for sys in self.systems], cfg.tau, sectors, uC=cfg.uC)
-        self.frames = {(s, r): frame for s, row in enumerate(frames)
-                       for r, frame in zip(sectors, row)}
         used = [set() for _ in self.systems]
         for q in requests:
             used[self.system_index[id(q.sys)]].update(q.sectors)
+        sectors = sorted(set().union(*used))
+        frames = sector_frames([sys.u for sys in self.systems], cfg.tau, sectors, uC=cfg.uC)
+        self.frames = {(s, r): frame for s, row in enumerate(frames)
+                       for r, frame in zip(sectors, row)}
         self.angles, self.leakage = {}, {}
         for s, (sys, rs) in enumerate(zip(self.systems, used)):
             rs = sorted(rs)
@@ -752,26 +744,24 @@ def _column_legs(angles, zstar: PathPoint, radius: float, rho_max: float):
 
 def sector_plan(cfg: StokesConfig, requests) -> Plan:
     """The transports of `requests` (SectorRequests), assembled into their
-    results in request order: a StokesResult, a SolutionHandle or a
-    connection matrix each.
+    results in request order: a StokesResult or a SolutionHandle each.
 
     The requests share one SectorTable.  One rule places z*: a sectorial
     request's defaults to the midpoint of its sector at the seed radius, and
-    S_r's and a connection request's to the midpoint of the overlap of
-    sectors r and r + 1 at half the seed radius, so C_r reads the columns of
-    Y_r that S_r carries.  The Levelt solution of a connection runs
-    radially from inside |z*| / 2 to the end of the columns' sweeps on
-    arg z*, and on along their radial leg to z*, which the engine steps
-    once for both.  Each (system, sector, z*) lays out its column legs once
-    and each (system, series, sector) its seed columns once, however many
-    results are made of them, and a column seeded and laid out alike for
-    two solutions is one transport.  Every column of a system
-    runs on one ODE, in the gauge y e^{-c z} (c the mean of u), and is taken
-    to its own gauge y e^{-u_j z} z^{-b_j} by an exact scalar at z*, so the
-    columns and both seeded passes share their legs; a column's sweep is cut
-    at the seed angles it passes.  The solutions Y_k of all requests, and
-    the Stokes matrices among the results, are each assembled in one stacked
-    pass.
+    S_r's is the midpoint of the overlap of sectors r and r + 1 at half the
+    seed radius, where C_r reads the Y_r of S_r.  The Levelt solution of C_r
+    runs radially from inside |z*| / 2 to the end of the columns' sweeps on
+    arg z*, and on along their radial leg to z*, which the engine steps once
+    for both.  Each (system, sector, z*) lays out its column legs once and
+    each (system, series, sector) its seed columns once, however many
+    results are made of them; the columns of each solution Y_k are n
+    consecutive transports, and the engine steps each leg they share with
+    other transports once.  Every column of a system runs on one ODE, in the
+    gauge y e^{-c z} (c the mean of u), and is taken to its own gauge
+    y e^{-u_j z} z^{-b_j} by an exact scalar at z*, so the columns and both
+    seeded passes share their legs; a column's sweep is cut at the seed
+    angles it passes.  The solutions Y_k of all requests, and the Stokes
+    matrices among the results, are each assembled in one stacked pass.
     """
     requests = list(requests)
     table = SectorTable(cfg, requests)
@@ -784,20 +774,16 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     odes = [irregular_ode(sys, c) for sys, c in zip(table.systems, centre)]
     overlaps, paths, seeds = {}, {}, {}
     jobs, first, levelt = [], [], {}
-    job_of = {}  # (system, series, column, legs) -> its job
     stokes = []  # the Stokes requests
-    # per Y_k: the jobs of its columns, z*, log z*, series, (system, sector)
-    # and seed error
+    # per Y_k: the job of its first column, z*, log z*, series, (system,
+    # sector) and seed error
     columns, points, logs, series, owner, seed_error = ([] for _ in range(6))
     for p, q in enumerate(requests):
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
         frame = table.frames[s, q.r]
-        zstar = None if q.kind == "stokes" else q.zstar
+        zstar = q.zstar
         if q.kind == "stokes":
             stokes.append(p)
-        if zstar is None and q.kind == "sectorial":
-            zstar = PathPoint.from_polar(R, frame.midpoint)
-        elif zstar is None:
             if (s, q.r) not in overlaps:
                 lo, hi = table.frames[s, q.r + 1].lo, frame.hi
                 if not hi - lo > 1e-9:
@@ -805,6 +791,8 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                 # z* of S_r: the midpoint of the overlap, at half the seed radius
                 overlaps[s, q.r] = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
             zstar = overlaps[s, q.r]
+        elif zstar is None:
+            zstar = PathPoint.from_polar(R, frame.midpoint)
         elif not frame.lo < zstar.arg < frame.hi:
             raise SectorError(
                 f"zstar argument {zstar.arg:.6g} outside sector "
@@ -822,21 +810,14 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                 F = table.series[f][:k_opt].transpose(2, 1, 0)  # F[j] = F[:k_opt, :, j].T
                 z = np.array(at)[:, None] ** -np.arange(1.0, k_opt + 1)
                 seeds[s, f, k] = [eye[j] + F[j] @ z[j] for j in range(n)]
-            # a column that another Y_k carries already (the same seed on
-            # the same legs: those of S_r for C_r, or a column seeded alike
-            # in two sectors) is transported once
-            block = []
-            for j, (y, lg) in enumerate(zip(seeds[s, f, k], legs)):
-                block.append(job_of.setdefault((s, f, j, tuple(lg)), len(jobs)))
-                if block[-1] == len(jobs):
-                    jobs.append((odes[s], y, lg))
-            columns.append(block)
+            columns.append(len(jobs))
+            jobs += [(odes[s], y, lg) for y, lg in zip(seeds[s, f, k], legs)]
             points.append(zstar)
             logs.append(np.log(zstar.radius) + 1j * zstar.arg)
             series.append(q.fs)
             owner.append((s, k))
             seed_error.append(table.truncations[f][1] + table.leakage[s, k])
-        if q.kind == "connection":
+        if q.ld is not None:
             # Y^(0) out to where the columns' sweeps end, and on along their
             # radial leg to z*; carried in the system's gauge e^{-c z}, and
             # taken back at z*
@@ -857,33 +838,31 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     blocks = np.array([first[p] for p in stokes], dtype=int)  # Y_r of each S_r
 
     def assemble(ends):
-        cols = np.array([ends[job] for block in columns for job in block])
-        Y = np.ascontiguousarray(cols.reshape(-1, n, n).transpose(0, 2, 1)) * gauge[:, None, :]
+        cols = np.array([ends[job : job + n] for job in columns])
+        Y = np.ascontiguousarray(cols.transpose(0, 2, 1)) * gauge[:, None, :]
         sign, logdet = np.linalg.slogdet(Y)
         if np.any((sign == 0) | ~np.isfinite(logdet)):
             raise ValueError("fundamental matrix must be invertible")
-        results = {}
+        results = [SolutionHandle(system=q.sys, point=points[b], value=Y[b])
+                   if q.kind == "sectorial" else None for q, b in zip(requests, first)]
         if stokes:
-            results = dict(zip(stokes, _stokes_results(
-                [requests[p] for p in stokes], [points[b] for b in blocks], logs[blocks],
-                Y[blocks], Y[blocks + 1], seed_error[blocks] + seed_error[blocks + 1], cfg.tol,
-            )))
-        for p, q in enumerate(requests):
-            b = first[p]
-            if q.kind == "sectorial":
-                results[p] = SolutionHandle(system=q.sys, point=points[b], value=Y[b])
-            elif q.kind == "connection":
-                job, scale = levelt[p]
-                results[p] = np.linalg.solve(ends[job] * scale, Y[b])
-        return [results[p] for p in range(len(requests))]
+            C = {p: np.linalg.solve(ends[job] * scale, Y[first[p]])
+                 for p, (job, scale) in levelt.items()}
+            for p, res in zip(stokes, _stokes_results(
+                    [requests[p] for p in stokes], [points[b] for b in blocks], logs[blocks],
+                    Y[blocks], Y[blocks + 1], seed_error[blocks] + seed_error[blocks + 1],
+                    [C.get(p) for p in stokes], cfg.tol)):
+                results[p] = res
+        return results
 
     return Plan(tuple(jobs), assemble)
 
 
-def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, tol: float):
+def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, C, tol: float):
     """The StokesResults of `requests` from their Y_r and Y_{r+1} at z*, two
     (P, n, n) stacks, in one stacked pass (see stokes_matrix); `w` holds
-    log z*, and `seed_error` the sum of the seed errors of each pair."""
+    log z*, `seed_error` the sum of the seed errors of each pair and `C`
+    the connection matrix of each request (None without Levelt data)."""
     n = Yr.shape[-1]
     u = np.array([q.sys.u for q in requests])
     # E(z*) diagonals
@@ -922,6 +901,7 @@ def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, tol: float):
             required_zero=tuple(((i, j), float(abs(S[p, i, j])))
                                 for i, j in np.argwhere(forced[p]).tolist()),
             error_estimate=float(err[p]),
+            C=C[p],
         )
         for p in range(len(requests))
     ]
@@ -968,7 +948,9 @@ class StokesResult:
     `required_zero` lists ((i, j), |entry|) for the positions forced to
     vanish by the triangular structure: Re(e^{i arg z*}(u_i - u_j)) > 0 in
     the sector overlap.  `error_estimate` combines seed bounds with the
-    round-off amplification of the exponential regrading.
+    round-off amplification of the exponential regrading.  `C` is the
+    connection matrix C_r, with Y_r = Y^(0) C_r at z*, of a request that
+    carries Levelt data (`SectorRequest`), and None otherwise.
     """
 
     S: np.ndarray
@@ -976,6 +958,7 @@ class StokesResult:
     diag_residual: float
     required_zero: tuple[tuple[tuple[int, int], float], ...]
     error_estimate: float
+    C: np.ndarray | None
 
 
 def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig) -> StokesResult:

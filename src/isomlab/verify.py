@@ -36,19 +36,19 @@ from .geometry import (
     sector_frames,
     wall_hits,
 )
-from .isoflow import UPath, VanishingFit, integrate_flow, vanishing_order_check
+from .isoflow import SLOPE_THRESHOLD, UPath, VanishingFit, integrate_flow, vanishing_order_check
 from .levelt import build_levelt_solution, compute_levelt_exponents, with_gauge
 from .odeengine import DEFAULT_TOL, SectorRequest, StokesConfig, run_plan, sector_plan
 
 LEVELT_ORDER = 20  # Taylor terms of every Levelt solution the pipelines build
 # verify_coalescence: sample gaps, germ order, and the thresholds of its
-# limit, pattern and slope verdicts (the |A0| entry at a coalescing pair
-# that counts as zero is formal.PATTERN_TOL)
+# limit and pattern verdicts (the slope verdict's is isoflow.SLOPE_THRESHOLD,
+# and the |A0| entry at a coalescing pair that counts as zero is
+# formal.PATTERN_TOL)
 GAP_COUNT = 6
 GERM_ORDER = 6
 LIMIT_THRESHOLD = 1e-5
 PATTERN_THRESHOLD = 1e-6
-SLOPE_THRESHOLD = 0.9
 DIRECTION_TRIALS = 16  # angles coalescing_direction tries
 # u^C entries joined by a chain of gaps this small coalesce, for the snap of
 # u^C, the coalescing pairs and the frozen formal series alike
@@ -114,18 +114,15 @@ def collect_data(
     levelt = build_levelt_solution(sys.A, [[cur.Lambda] for cur in systems],
                                    ld=with_gauge(ld0, gauges, [cur.A for cur in systems]),
                                    K=LEVELT_ORDER)
+    # S_r with C_r and S_{r+1} of every sample; C_{r+1} of the first sample,
+    # with S_{r+2} last, is what stokes_relation_check reads
     requests = []
-    for cur, ld in zip(systems, levelt):
+    for p, (cur, ld) in enumerate(zip(systems, levelt)):
         fs = compute_formal_coefficients(cur, K=order)
-        requests += [
-            SectorRequest(cur, r, fs),
-            SectorRequest(cur, r + 1, fs),
-            SectorRequest(cur, r, fs, "connection", ld=ld),
-        ]
-    # S_{r+2} and C_{r+1} of the first sample, which stokes_relation_check reads
-    extras = [SectorRequest(sys, r + 2, requests[0].fs),
-              SectorRequest(sys, r + 1, requests[0].fs, "connection", ld=levelt[0])]
-    *results, S_r2, C_r1 = run_plan(sector_plan(cfg, requests + extras), tol)
+        requests += [SectorRequest(cur, r, fs, ld=ld),
+                     SectorRequest(cur, r + 1, fs, ld=ld if p == 0 else None)]
+    *results, S_r2 = run_plan(sector_plan(cfg, requests + [
+        SectorRequest(sys, r + 2, requests[0].fs)]), tol)
     return [
         MonodromyDataSet(
             u=cur.u.copy(),
@@ -134,13 +131,13 @@ def collect_data(
             b=np.diag(cur.A).copy(),
             d=ld.d.copy(),
             L=ld.L,
-            C_r=C_r,
+            C_r=res_r.C,
             S_r2=S_r2.S if p == 0 else None,
-            C_r1=C_r1 if p == 0 else None,
+            C_r1=res_r1.C,
             diag_residuals=(res_r.diag_residual, res_r1.diag_residual),
         )
-        for p, (cur, ld, (res_r, res_r1, C_r))
-        in enumerate(zip(systems, levelt, zip(*[iter(results)] * 3)))
+        for p, (cur, ld, res_r, res_r1)
+        in enumerate(zip(systems, levelt, results[::2], results[1::2]))
     ]
 
 
@@ -417,8 +414,7 @@ def verify_coalescence(
     def fits(mats, entries, **kw):
         """Vanishing fit of |M_ab| over the gaps for every (a, b) of entries;
         kw goes on to vanishing_order_check."""
-        return {p: vanishing_order_check(gaps, [abs(M[p]) for M in mats],
-                                         slope_threshold=SLOPE_THRESHOLD, **kw)
+        return {p: vanishing_order_check(gaps, [abs(M[p]) for M in mats], **kw)
                 for p in entries}
 
     entry_floor = 30.0 * max(floors)

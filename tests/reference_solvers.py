@@ -232,12 +232,11 @@ def sector_results_reference(cfg, requests):
     SectorTable, by the per-column plan: every column on its own ODE, in its
     own gauge y e^{-u_j z} z^{-b_j}, along a radial leg in from its seed, one
     uncut sweep to arg z* and a radial leg out to z*, and the Levelt solution
-    of a connection request on the system's own ODE, radially out to where
-    the sweeps end and on along the columns' radial leg.  z* of a Stokes
-    request, and of a connection request that gives none, is the midpoint of
-    the overlap of sectors r and r + 1 at half the seed radius.  Returns S
-    of a Stokes request, Y_r(z*) of a sectorial one and C_r of a connection
-    one."""
+    of a Stokes request that carries Levelt data on the system's own ODE,
+    radially out to where the sweeps end and on along the columns' radial
+    leg.  z* of a Stokes request is the midpoint of the overlap of sectors r
+    and r + 1 at half the seed radius.  Returns (S, C_r) of a Stokes request
+    (C_r None without Levelt data) and Y_r(z*) of a sectorial one."""
     import math
 
     from isomlab.odeengine import (
@@ -255,12 +254,12 @@ def sector_results_reference(cfg, requests):
     out = []
     for q in requests:
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
-        zstar = None if q.kind == "stokes" else q.zstar
-        if zstar is None and q.kind == "sectorial":
-            zstar = PathPoint.from_polar(R, table.frames[s, q.r].midpoint)
-        elif zstar is None:
+        zstar = q.zstar
+        if q.kind == "stokes":
             lo, hi = table.frames[s, q.r + 1].lo, table.frames[s, q.r].hi
             zstar = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
+        elif zstar is None:
+            zstar = PathPoint.from_polar(R, table.frames[s, q.r].midpoint)
         rho = min(zstar.radius, R, max(0.5, 4.0 / max(
             np.abs(q.sys.u[:, None] - q.sys.u[None, :]).max(), 1e-6)))
         k_opt = table.truncations[f][0]
@@ -279,16 +278,17 @@ def sector_results_reference(cfg, requests):
                 seeds.append(np.eye(q.sys.n)[j] + F[:, :, j].T @ seed ** -np.arange(1.0, k_opt + 1))
                 paths.append(legs)
             G.append(np.array(transport_matrix(odes, seeds, paths, cfg.tol)).T)
-        if q.kind == "stokes":
-            # the quotient in the F-gauge, regraded (see odeengine.stokes_matrix)
-            out.append(np.linalg.solve(G[0], G[1]) * E[None, :] / E[:, None])
-        elif q.kind == "sectorial":
+        if q.kind == "sectorial":
             out.append(G[0] * E)
-        else:
+            continue
+        C = None
+        if q.ld is not None:
             lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
             V = transport_matrix(irregular_ode(q.sys), lev.value,
                                  [Leg(lev.point.z, end), *radial], cfg.tol)
-            out.append(np.linalg.solve(V, G[0] * E))
+            C = np.linalg.solve(V, G[0] * E)
+        # the quotient in the F-gauge, regraded (see odeengine.stokes_matrix)
+        out.append((np.linalg.solve(G[0], G[1]) * E[None, :] / E[:, None], C))
     return out
 
 

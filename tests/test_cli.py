@@ -838,8 +838,8 @@ class TestErrorHandling:
         assert doc["verdict"] == "FAIL" and doc["diag_residual"] > 1e-3
 
     @pytest.mark.parametrize("command, flag", [
-        (name, flag) for name, sp in _subcommands().items() for flag in ("tol", "mtol")
-        if flag in {a.dest for a in sp._actions}
+        (name, flag) for name, sp in _subcommands().items()
+        for flag in ("tol", "mtol", "radius", "eps") if flag in {a.dest for a in sp._actions}
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_refused(self, capsys, tmp_path, command, flag, value):

@@ -37,6 +37,7 @@ from isomlab.odeengine import (
     fuchsian_ode,
     integrate_path,
     irregular_ode,
+    levelt_handle,
     monodromy_loop,
     run_plan,
     sector_plan,
@@ -58,13 +59,18 @@ def seeded_system(seed, n):
     return IrregularSystem(u=u, A=0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
 
 
-def connection(sys, r, ld, cfg, fs=None, zstar=None):
-    """C_r of one connection request, with Y_r = Y^(0) C_r; the series is
-    computed to cfg.order unless `fs` is given."""
-    if fs is None:
-        fs = compute_formal_coefficients(sys, K=cfg.order)
-    request = SectorRequest(sys, r, fs, "connection", zstar, ld)
-    return run_plan(sector_plan(cfg, [request]), cfg.tol)[0]
+def connection(sys, r, ld, cfg, fs):
+    """C_r, with Y_r = Y^(0) C_r, of one Stokes request that carries `ld`."""
+    return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs, ld=ld)]), cfg.tol)[0].C
+
+
+def connection_at(sys, r, ld, cfg, fs, zstar):
+    """C_r at `zstar`, from the public pieces: Y_r there against Y^(0),
+    carried radially out to it from where levelt_handle evaluates it."""
+    Y = actual_solution(sys, r, cfg.tau, radius=cfg.radius, zstar=zstar, tol=cfg.tol, fs=fs)
+    lev = levelt_handle(sys, ld, zstar, cfg.tol)
+    Y0 = integrate_path(sys, lev, [Leg(lev.point.z, zstar.z)], tol=cfg.tol)
+    return np.linalg.solve(Y0.value, Y.value)
 
 
 def step_count(ode, legs) -> int:
@@ -662,11 +668,34 @@ class TestSectorPlanOracle:
         ld = build_levelt_solution(systems[0].A, [systems[0].Lambda], K=25)
         requests = [SectorRequest(s, 0, fs) for s, fs in zip(systems, series)]
         requests += [SectorRequest(systems[1], 1, series[1], "sectorial"),
-                     SectorRequest(systems[0], 0, series[0], "connection", ld=ld)]
+                     SectorRequest(systems[0], 0, series[0], ld=ld)]
         got = run_plan(sector_plan(cfg, requests), cfg.tol)
         for q, res, want in zip(requests, got, sector_results_reference(cfg, requests)):
-            value = res.S if q.kind == "stokes" else getattr(res, "value", res)
-            assert np.linalg.norm(value - want, 2) <= 1e-10 * np.linalg.norm(want, 2), q.kind
+            # S and C of a Stokes request (C None without Levelt data), Y_r
+            # of a sectorial one
+            pairs = zip([res.S, res.C], want) if q.kind == "stokes" else [(res.value, want)]
+            for value, expected in pairs:
+                assert (value is None) == (expected is None)
+                if expected is not None:
+                    assert np.linalg.norm(value - expected, 2) <= (
+                        1e-10 * np.linalg.norm(expected, 2)), q.kind
+
+
+class TestSectorRequest:
+    def test_sectorial_request_refuses_levelt_data(self):
+        sys = generic_system()
+        fs = compute_formal_coefficients(sys, K=30)
+        ld = build_levelt_solution(GENERIC_A, [sys.Lambda], K=20)
+        with pytest.raises(ValueError, match="a sectorial request takes no Levelt data"):
+            SectorRequest(sys, 0, fs, "sectorial", ld=ld)
+
+    def test_stokes_request_refuses_a_zstar(self):
+        # S_r has one z*, in the overlap of sectors r and r + 1; a given one
+        # is refused rather than ignored
+        sys = generic_system()
+        fs = compute_formal_coefficients(sys, K=30)
+        with pytest.raises(ValueError, match="a Stokes request takes the z\\* of its sector"):
+            SectorRequest(sys, 0, fs, zstar=PathPoint.from_polar(10.0, 0.3))
 
 
 class TestActualSolution:
@@ -773,13 +802,10 @@ class TestConnectionMatrix:
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
         ld = build_levelt_solution(A, [sys.Lambda], K=25)
         frame_mid = sector_frame(sys.u, 0.3, 0).midpoint
-        vals = [
-            connection(
-                sys, 0, ld, StokesConfig(tau=0.3, radius=16.0, tol=1e-12),
-                zstar=PathPoint.from_polar(rho, frame_mid),
-            )
-            for rho in (5.0, 6.5, 8.0)
-        ]
+        cfg = StokesConfig(tau=0.3, radius=16.0, tol=1e-12)
+        fs = compute_formal_coefficients(sys, K=cfg.order)
+        vals = [connection_at(sys, 0, ld, cfg, fs, PathPoint.from_polar(rho, frame_mid))
+                for rho in (5.0, 6.5, 8.0)]
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
         assert np.max(np.abs(vals[1] - vals[2])) < 1e-8
 
@@ -796,8 +822,8 @@ class TestConnectionMatrix:
         fs = compute_formal_coefficients(sys, K=cfg.order)
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
         mid = PathPoint.from_polar(cfg.radius / 2.0, sector_frame(sys.u, cfg.tau, r).midpoint)
-        got = connection(sys, r, ld, cfg, fs=fs)
-        want = connection(sys, r, ld, cfg, fs=fs, zstar=mid)
+        got = connection(sys, r, ld, cfg, fs)
+        want = connection_at(sys, r, ld, cfg, fs, mid)
         assert np.linalg.norm(got - want, 2) <= 1e-9 * np.linalg.norm(want, 2)
 
     @pytest.mark.parametrize("r", [0, 1])
@@ -818,8 +844,7 @@ class TestConnectionMatrix:
 
         monkeypatch.setattr(odeengine, "_schedule", counted)
         totals = []
-        for requests in ([SectorRequest(sys, r, fs)],
-                         [SectorRequest(sys, r, fs), SectorRequest(sys, r, fs, "connection", ld=ld)]):
+        for requests in ([SectorRequest(sys, r, fs)], [SectorRequest(sys, r, fs, ld=ld)]):
             plan = sector_plan(cfg, requests)
             steps.clear()
             run_plan(plan, cfg.tol)
@@ -832,8 +857,8 @@ class TestConnectionMatrix:
     def test_connection_chain(self, sys, cfg, coalesce_tol):
         fs = frame_series(sys, cfg, coalesce_tol)
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=25)
-        C0 = connection(sys, 0, ld, cfg, fs=fs)
-        C1 = connection(sys, 1, ld, cfg, fs=fs)
+        C0 = connection(sys, 0, ld, cfg, fs)
+        C1 = connection(sys, 1, ld, cfg, fs)
         S0 = run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs)]), cfg.tol)[0].S
         assert np.max(np.abs(C1 - C0 @ S0)) < 1e-6
 
@@ -844,7 +869,7 @@ class TestConnectionMatrix:
         sys = generic_system()
         fs = compute_formal_coefficients(sys, K=32)
         ld = build_levelt_solution(GENERIC_A, [sys.Lambda], K=25)
-        C0 = connection(sys, 0, ld, StokesConfig(tau=0.3), fs=fs)
+        C0 = connection(sys, 0, ld, StokesConfig(tau=0.3), fs)
         frame_mid = sector_frame(sys.u, 0.3, 0).midpoint
         zs = PathPoint.from_polar(1.0, frame_mid)
         Y0 = actual_solution(sys, 0, 0.3, radius=20.0, zstar=zs, fs=fs, tol=1e-12)

@@ -102,14 +102,6 @@ def ode_key(o):
     return o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()
 
 
-def first_uses(jobs):
-    """`jobs` without the repeats of an earlier (ODE, start value, legs) job."""
-    seen = {}
-    for ode, Y0, legs in jobs:
-        seen.setdefault((ode_key(ode), np.asarray(Y0).tobytes(), tuple(legs)), (ode, Y0, legs))
-    return list(seen.values())
-
-
 def assert_same_jobs(got, want):
     """Same order, ODEs and legs equal by value, seed columns bit for bit."""
     assert len(got) == len(want) > 0
@@ -194,9 +186,9 @@ class TestCollectData:
     def test_sector_data_computed_once(self, sector_work):
         samples = [U0, 0.5 * (U0 + U1), U1]
         collect_data(IrregularSystem(u=U0, A=GENERIC_A), samples, r=0, tau=0.3, order=32)
-        # sectors r..r + 2 of every sample (S_r, S_{r+1} and C_r) and r + 3 of
-        # the first (S_{r+2} and C_{r+1}), in one frame pass that finds the
-        # rays of each sample once
+        # sectors r..r + 2 of every sample (S_r, S_{r+1}) and r + 3 of the
+        # first (S_{r+2}), in one frame pass that finds the rays of each
+        # sample once
         assert sector_work["frames"] == [(3, (0, 1, 2, 3), 3)]
         # seed directions in the sectors each sample uses, one pass per
         # sample, each frame once
@@ -222,13 +214,9 @@ class TestCollectData:
         assert inverted == [LEVELT_ORDER]
 
     def test_engine_gets_the_jobs_of_one_plan_per_request(self, monkeypatch):
-        # less the columns that C_r and C_{r+1} read from S_r and S_{r+1}: a
-        # solution Y_k that two requests share is transported once
         got, want = engine_jobs(monkeypatch, lambda: collect_data(
             IrregularSystem(u=U0, A=GENERIC_A), [U0, U1], r=0, tau=0.3, order=32))
-        assert len(want) - len(first_uses(want)) == 3 * 2  # C_r twice and C_{r+1}, n = 2
-        assert_same_jobs(got, first_uses(want))
-        assert len(first_uses(got)) == len(got)
+        assert_same_jobs(got, want)
 
     def test_wall_sample_rejected(self):
         with pytest.raises(WallError):

@@ -171,8 +171,8 @@ def cmd_levelt(args) -> int:
 
 def cmd_stokes_matrix(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
-    cfg = StokesConfig(tau=args.tau, radius=args.radius, tol=args.tol, order=args.order)
-    res = stokes_matrix(sys_, args.r, cfg)
+    cfg = StokesConfig(tau=args.tau, radius=args.radius, tol=args.tol)
+    res = stokes_matrix(sys_, args.r, cfg, compute_formal_coefficients(sys_, K=args.order))
     report = {
         "command": "stokes-matrix",
         "r": args.r,

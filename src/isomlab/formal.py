@@ -71,15 +71,13 @@ class IrregularSystem:
 class FormalSolution:
     """Formal monodromy exponent and truncated series coefficients.
 
-    F stores F_1..F_K (F_0 = I implicitly); `b` is the diagonal of A.
-    `mode` labels the series' origin: "generic" from the recursion, or
-    "frozen-seeded" for a frozen system's series paired with another u.
+    F stores F_1..F_K (F_0 = I implicitly); `b` is the diagonal of A and
+    `u` the exponents of e^{z Lambda} that the series is paired with.
     """
 
     b: np.ndarray
     u: np.ndarray
     F: tuple[np.ndarray, ...]
-    mode: str = "generic"
 
     @property
     def K(self) -> int:
@@ -242,12 +240,16 @@ def optimal_truncations(series, radius: float) -> list[tuple[int, float]]:
     ||F_k|| R^-k and the value there (the seed error bound): the divergent
     series stops before its smallest term, and the bound is the magnitude of
     the first omitted term.  The norms of all series come from one stacked
-    SVD, so the series must share n."""
+    SVD, so the series must share n; a non-finite F_k (an overflowed late
+    term) has the norm +inf and stays out of the SVD."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     stacks = [np.asarray(F) for F in series]
     full = [F for F in stacks if len(F)]
-    norms = np.linalg.svd(np.concatenate(full), compute_uv=False)[:, 0] if full else None
+    full = np.concatenate(full) if full else np.zeros((0, 1, 1))
+    finite = np.isfinite(full).all(axis=(1, 2))
+    norms = np.full(len(full), np.inf)
+    norms[finite] = np.linalg.svd(full[finite], compute_uv=False)[:, 0]
     out, a = [], 0
     for F in stacks:
         if not len(F):

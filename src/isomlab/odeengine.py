@@ -102,12 +102,7 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrace.py rebinds it
 
 from .errors import IntegrationError, SectorError
-from .formal import (
-    FormalSolution,
-    IrregularSystem,
-    compute_formal_coefficients,
-    optimal_truncations,
-)
+from .formal import FormalSolution, IrregularSystem, optimal_truncations
 from .geometry import sector_frames
 from .levelt import LeveltData, eval_levelt
 
@@ -157,7 +152,8 @@ class PathPoint:
 
 @dataclass(frozen=True)
 class SolutionHandle:
-    """A fundamental-matrix value anchored at a point of the cover."""
+    """A fundamental-matrix value of `system`, the one copy of it that its
+    transports read, anchored at a point of the cover."""
 
     system: IrregularSystem
     point: PathPoint
@@ -521,18 +517,16 @@ def run_plan(plan: Plan, tol: float = DEFAULT_TOL):
     return plan.assemble(transport_matrix(*zip(*plan.jobs), tol) if plan.jobs else [])
 
 
-def integrate_path(
-    sys: IrregularSystem, start: SolutionHandle, legs, tol: float = DEFAULT_TOL
-) -> SolutionHandle:
-    """Transport a solution handle along legs (lines, and arcs about 0) from
-    its z, each leg starting where the previous one ends.
+def integrate_path(start: SolutionHandle, legs, tol: float = DEFAULT_TOL) -> SolutionHandle:
+    """Transport a solution handle, under its own system, along legs (lines
+    and arcs about 0) from its z, each leg starting where the previous ends.
 
     The end point's arg is the handle's plus each leg's turn: an arc's
     sweep, a line's angle(b / a) (a chord that avoids 0 turns by less than
     pi).  The Wronskian drift |log det Y(end) - predicted| accumulates into
     the returned handle.
     """
-    s = start.point
+    sys, s = start.system, start.point
     z, arg = s.z, s.arg
     for k, leg in enumerate(legs):
         if abs(leg.a - z) > 1e-9:
@@ -565,14 +559,13 @@ def integrate_path(
 @dataclass(frozen=True)
 class StokesConfig:
     """Settings of the sector plans: the sector frames (tau, and the
-    coalescence point uC, given for frames widened there), seed radius,
-    series order (when no series is given) and transport tol.  uC is kept as
-    a tuple of complex, so that configs hash and compare by value."""
+    coalescence point uC, given for frames widened there), seed radius and
+    transport tol; the series is the caller's.  uC is kept as a tuple of
+    complex, so that configs hash and compare by value."""
 
     tau: float
     radius: float = DEFAULT_SEED_RADIUS
     tol: float = DEFAULT_TOL
-    order: int = 30
     uC: tuple | None = None
 
     def __post_init__(self):
@@ -907,37 +900,21 @@ def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, C, tol: float):
     ]
 
 
-def actual_solution(
-    sys: IrregularSystem,
-    r: int,
-    tau: float,
-    radius: float = DEFAULT_SEED_RADIUS,
-    zstar: PathPoint | None = None,
-    tol: float = DEFAULT_TOL,
-    fs: FormalSolution | None = None,
-    order: int = 30,
-    widened: bool = False,
-    uC=None,
-    coalesce_tol: float = 0.0,
-) -> SolutionHandle:
-    """Sectorial solution Y_r assembled at `zstar` (default: sector midpoint
-    at the seed radius).
+def actual_solution(sys: IrregularSystem, r: int, tau: float, fs: FormalSolution,
+                    radius: float = DEFAULT_SEED_RADIUS, zstar: PathPoint | None = None,
+                    tol: float = DEFAULT_TOL) -> SolutionHandle:
+    """Sectorial solution Y_r of `sys` seeded with the series `fs`, in the
+    plain frames of tau, at `zstar` (default: sector midpoint at the seed
+    radius).
 
     Each column is seeded with the optimally truncated formal series at
     |z| = radius on the direction inside S_r where its exponential is most
     recessive (there the seed's contamination by other solutions is below
     the truncation error) and transported to the common point: a radial leg
     in from its seed, an argument sweep at moderate radius and a radial leg
-    out to z*.  Without `fs` the series is computed to `order` with
-    `coalesce_tol`.  The frame is widened at `uC` when `widened` is set,
-    which needs `uC`; otherwise `uC` is not read.
+    out to z*.  Widened frames are planned by a `SectorRequest`.
     """
-    if widened and uC is None:
-        raise ValueError("widened sectors need the coalescence point uC")
-    cfg = StokesConfig(tau=tau, radius=radius, tol=tol, order=order,
-                       uC=uC if widened else None)
-    if fs is None:
-        fs = compute_formal_coefficients(sys, K=order, coalesce_tol=coalesce_tol)
+    cfg = StokesConfig(tau=tau, radius=radius, tol=tol)
     return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs, "sectorial", zstar)]), tol)[0]
 
 
@@ -961,15 +938,16 @@ class StokesResult:
     C: np.ndarray | None
 
 
-def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig) -> StokesResult:
-    """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint, |z*| = R/2.
+def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
+                  fs: FormalSolution) -> StokesResult:
+    """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint, |z*| = R/2,
+    of `sys` seeded with the series `fs`: the one-request sector plan.
 
     Both sectorial solutions are transported to the same point of the cover;
     the quotient is formed in the F-gauge and regraded entrywise, so required
-    zeros are damped rather than amplified.  The series is computed to
-    cfg.order; a pipeline with its own series plans a `SectorRequest`.
+    zeros are damped rather than amplified.  At a coalescence point (cfg.uC)
+    `fs` is the coalescence-aware series of `compute_formal_coefficients`.
     """
-    fs = compute_formal_coefficients(sys, K=cfg.order)
     return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs)]), cfg.tol)[0]
 
 
@@ -999,16 +977,12 @@ def levelt_handle(sys: IrregularSystem, ld: LeveltData, zstar: PathPoint,
     return SolutionHandle(system=sys, point=pt, value=Y0)
 
 
-def monodromy_loop(
-    sys: IrregularSystem,
-    start: SolutionHandle,
-    winding: int = 1,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """M with Y(after loop) = Y(before) M for a loop of given winding around 0."""
+def monodromy_loop(start: SolutionHandle, winding: int = 1,
+                   tol: float = DEFAULT_TOL) -> np.ndarray:
+    """M with Y(after loop) = Y(before) M for a loop of given winding around
+    0, under the handle's own system."""
     if winding == 0:
-        return np.eye(sys.n, dtype=complex)
+        return np.eye(start.system.n, dtype=complex)
     z = start.point.z
-    after = integrate_path(sys, start, [Leg(z, z, center=0j, sweep=2 * math.pi * winding)],
-                           tol=tol)
+    after = integrate_path(start, [Leg(z, z, center=0j, sweep=2 * math.pi * winding)], tol=tol)
     return np.linalg.solve(start.value, after.value)

@@ -109,7 +109,7 @@ def collect_data(
                                    carry_gauge=gauges[-1])
         systems.append(cur)
         gauges.append(G)
-    cfg = StokesConfig(tau=tau, tol=tol, order=order)
+    cfg = StokesConfig(tau=tau, tol=tol)
     # every sample shares J, so one build solves the Levelt series of all
     levelt = build_levelt_solution(sys.A, [[cur.Lambda] for cur in systems],
                                    ld=with_gauge(ld0, gauges, [cur.A for cur in systems]),
@@ -377,7 +377,7 @@ def verify_coalescence(
     # frozen system data in the widened frame (coalescence-aware recursion)
     frozen = IrregularSystem(u=ref, A=A0)
     fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=COALESCENCE_TOL)
-    cfg = StokesConfig(tau=tau, tol=tol, order=order, uC=ref)
+    cfg = StokesConfig(tau=tau, tol=tol, uC=ref)
     requests = [SectorRequest(frozen, r, fs0), SectorRequest(frozen, r + 1, fs0)]
 
     # sampled family: Taylor germ along the ray, flow-validated
@@ -395,7 +395,7 @@ def verify_coalescence(
     for g, Ak in zip(gaps, A_k):
         sysk = IrregularSystem(u=ref + g * v, A=Ak)
         fsk = compute_formal_coefficients(sysk, K=order)
-        fs_driven = FormalSolution(b=fs0.b, u=sysk.u, F=fs0.F, mode="frozen-seeded")
+        fs_driven = FormalSolution(b=fs0.b, u=sysk.u, F=fs0.F)
         requests += [SectorRequest(sysk, k, fs) for fs in (fsk, fs_driven) for k in (r, r + 1)]
     S0_frozen, S1_frozen, *sampled = run_plan(sector_plan(cfg, requests), tol)
     self_r, self_r1, driven_r, driven_r1 = (sampled[i::4] for i in range(4))

@@ -206,8 +206,9 @@ def test_criterion_5_strong_isomonodromy(strong_run):
         sys0 = IrregularSystem(u=U_START, A=GENERIC_A)
         from isomlab.odeengine import StokesConfig, stokes_matrix
 
+        fs0 = compute_formal_coefficients(sys0, K=32)
         for r in (0, 1):
-            resr = stokes_matrix(sys0, r, StokesConfig(tau=TAU, order=32))
+            resr = stokes_matrix(sys0, r, StokesConfig(tau=TAU), fs0)
             for _, mag in resr.required_zero:
                 assert mag <= 1e-6
 
@@ -222,9 +223,9 @@ def test_criterion_6_relation_suite(strong_run):
         # loop monodromy conjugate to e^{2 pi i L}: compare spectra
         sys0 = IrregularSystem(u=U_START, A=GENERIC_A)
         fs = compute_formal_coefficients(sys0, K=32)
-        h = actual_solution(sys0, 0, TAU, radius=20.0, zstar=None, fs=fs, tol=1e-12)
-        h = integrate_path(sys0, h, [Leg(h.point.z, h.point.z / h.point.radius)], tol=1e-12)
-        M = monodromy_loop(sys0, h, winding=1, tol=1e-12)
+        h = actual_solution(sys0, 0, TAU, fs, radius=20.0, zstar=None, tol=1e-12)
+        h = integrate_path(h, [Leg(h.point.z, h.point.z / h.point.radius)], tol=1e-12)
+        M = monodromy_loop(h, winding=1, tol=1e-12)
         from isomlab.levelt import build_levelt_solution
 
         ld = build_levelt_solution(GENERIC_A, [sys0.Lambda], K=25)
@@ -295,7 +296,8 @@ def test_criterion_9_mutation_sensitivity(strong_run):
         )
         from isomlab.odeengine import StokesConfig, stokes_matrix
 
-        S_bad = stokes_matrix(sys_bad, 0, StokesConfig(tau=TAU, order=32)).S
+        fs_bad = compute_formal_coefficients(sys_bad, K=32)
+        S_bad = stokes_matrix(sys_bad, 0, StokesConfig(tau=TAU), fs_bad).S
         stokes_break = float(np.max(np.abs(S_bad - strong_run[0].S_r)))
 
         resid_break = integrability_residual(

@@ -210,7 +210,7 @@ class TestEvaluation:
             value=truncated_formal(fs, far.z, far.arg, K=k_far),
         )
         near = PathPoint.from_polar(10.0, theta)
-        transported = integrate_path(sys, handle, [Leg(far.z, near.z)], tol=1e-12)
+        transported = integrate_path(handle, [Leg(far.z, near.z)], tol=1e-12)
         (k10, bound10), = optimal_truncations([fs.F], 10.0)
         direct = truncated_formal(fs, near.z, near.arg, K=k10)
         scale = np.abs(transported.value).max()
@@ -231,7 +231,7 @@ class TestEvaluation:
             point=a,
             value=truncated_formal(fs, a.z, a.arg, K=1),
         )
-        got = integrate_path(sys, handle, [Leg(a.z, a.z / 2)], tol=1e-12)
+        got = integrate_path(handle, [Leg(a.z, a.z / 2)], tol=1e-12)
         expect = truncated_formal(fs, got.point.z, got.point.arg, K=1)
         scale = np.abs(expect).max()
         assert np.max(np.abs(got.value - expect)) < 1e-9 * scale
@@ -245,6 +245,19 @@ class TestEvaluation:
         (k2, b2), = optimal_truncations([fs.F], 20.0)
         assert k2 >= k1
         assert b2 < b1
+
+    def test_overflowed_tail_truncates_as_its_finite_head(self):
+        # the late terms of a divergent series can overflow, to inf first
+        # and then to nan where infinities meet; a non-finite F_k is never
+        # the truncation point, and it leaves the other series of the same
+        # stacked pass as they are alone
+        sys = IrregularSystem(u=[0.0, 1.0], A=[[0.2, 1.0], [0.7, -0.4]])
+        head = compute_formal_coefficients(sys, K=30).F
+        other = compute_formal_coefficients(sys, K=12).F
+        tail = (np.array([[1.0, np.inf], [1.0, 1.0]]), np.full((2, 2), complex(np.nan, np.nan)))
+        alone = optimal_truncations([head], 10.0) + optimal_truncations([other], 10.0)
+        assert optimal_truncations([head + 3 * tail, other], 10.0) == alone
+        assert alone[0][0] < len(head) and np.isfinite(alone[0][1])
 
 
 class TestUSideRelation:

@@ -67,9 +67,9 @@ def connection(sys, r, ld, cfg, fs):
 def connection_at(sys, r, ld, cfg, fs, zstar):
     """C_r at `zstar`, from the public pieces: Y_r there against Y^(0),
     carried radially out to it from where levelt_handle evaluates it."""
-    Y = actual_solution(sys, r, cfg.tau, radius=cfg.radius, zstar=zstar, tol=cfg.tol, fs=fs)
+    Y = actual_solution(sys, r, cfg.tau, fs, radius=cfg.radius, zstar=zstar, tol=cfg.tol)
     lev = levelt_handle(sys, ld, zstar, cfg.tol)
-    Y0 = integrate_path(sys, lev, [Leg(lev.point.z, zstar.z)], tol=cfg.tol)
+    Y0 = integrate_path(lev, [Leg(lev.point.z, zstar.z)], tol=cfg.tol)
     return np.linalg.solve(Y0.value, Y.value)
 
 
@@ -84,19 +84,18 @@ def sector_frame(u, tau, r):
     return sector_frames([u], tau, (r,))[0][0]
 
 
-# sector frames as (system, config, coalesce_tol of its formal series, None
-# for the plan's own series): the plain frames of GENERIC_A, and the widened
-# frames of the criterion-7 frozen system at its coalescence point
+# sector frames as (system, config, formal series): the plain frames of
+# GENERIC_A, and the widened frames of the criterion-7 frozen system at its
+# coalescence point, seeded with its coalescence-aware series
 CRIT7_UC = np.array([0.0, 0.0, 1.0], dtype=complex)
 CRIT7_A0 = np.array([[0.10, 0.00, 0.06], [0.00, 0.10, 0.09], [0.075, -0.05, 0.45]])
-FRAMES = pytest.mark.parametrize("sys, cfg, coalesce_tol", [
-    (generic_system(), StokesConfig(tau=0.3, order=32), None),
-    (IrregularSystem(u=CRIT7_UC, A=CRIT7_A0), StokesConfig(tau=0.3, order=32, uC=CRIT7_UC), 1e-9),
-], ids=["generic", "widened"])
-
-
-def frame_series(sys, cfg, coalesce_tol):
-    return compute_formal_coefficients(sys, K=cfg.order, coalesce_tol=coalesce_tol or 0.0)
+CRIT7_FROZEN = IrregularSystem(u=CRIT7_UC, A=CRIT7_A0)
+FRAME_CASES = [
+    (generic_system(), StokesConfig(tau=0.3), compute_formal_coefficients(generic_system(), K=32)),
+    (CRIT7_FROZEN, StokesConfig(tau=0.3, uC=CRIT7_UC),
+     compute_formal_coefficients(CRIT7_FROZEN, K=32, coalesce_tol=1e-9)),
+]
+FRAMES = pytest.mark.parametrize("sys, cfg, fs", FRAME_CASES, ids=["generic", "widened"])
 
 
 class TestIntegratePath:
@@ -104,7 +103,7 @@ class TestIntegratePath:
         sys = IrregularSystem(u=[0.0, 1.0], A=np.zeros((2, 2)))
         a = PathPoint(1.0 + 0.0j, 0.0)
         h = SolutionHandle(system=sys, point=a, value=np.eye(2))
-        got = integrate_path(sys, h, [Leg(1.0 + 0.0j, 2.0 + 0.0j)], tol=1e-12)
+        got = integrate_path(h, [Leg(1.0 + 0.0j, 2.0 + 0.0j)], tol=1e-12)
         # d/dz Y = (Lambda + 0/z) Y has solution scaled by e^{(z2-z1) Lambda};
         # the z^0 power from the zero residue is trivial
         expect = np.diag(np.exp((2.0 - 1.0) * sys.u))
@@ -117,7 +116,7 @@ class TestIntegratePath:
         h = SolutionHandle(system=sys, point=a, value=np.eye(2))
         square = [3.0 + 0.0j, 3.0 + 1.0j, 4.0 + 1.0j, 4.0 + 0.0j, 3.0 + 0.0j]
         path = [Leg(p, q) for p, q in zip(square[:-1], square[1:])]
-        got = integrate_path(sys, h, path, tol=1e-12)
+        got = integrate_path(h, path, tol=1e-12)
         assert np.max(np.abs(got.value - np.eye(2))) < 1e-10
         assert got.point.z == a.z and abs(got.point.arg) < 1e-15
 
@@ -125,44 +124,44 @@ class TestIntegratePath:
         sys = IrregularSystem(u=[0.0, 0.0], A=np.diag([0.5, 0.0]))
         a = PathPoint(1.0 + 0.0j, 0.0)
         h = SolutionHandle(system=sys, point=a, value=np.eye(2))
-        M = monodromy_loop(sys, h, winding=1, tol=1e-12)
+        M = monodromy_loop(h, winding=1, tol=1e-12)
         assert np.max(np.abs(M - np.diag([-1.0, 1.0]))) < 1e-10
 
     def test_winding_inverse(self):
         sys = generic_system()
         fs = compute_formal_coefficients(sys, K=20)
-        h = actual_solution(sys, 0, 0.3, radius=16.0, zstar=None, fs=fs)
+        h = actual_solution(sys, 0, 0.3, fs, radius=16.0, zstar=None)
         # loop at small radius where the columns stay comparable
-        h = integrate_path(sys, h, [Leg(h.point.z, h.point.z / h.point.radius)], tol=1e-12)
-        Mp = monodromy_loop(sys, h, winding=1, tol=1e-12)
-        Mm = monodromy_loop(sys, h, winding=-1, tol=1e-12)
+        h = integrate_path(h, [Leg(h.point.z, h.point.z / h.point.radius)], tol=1e-12)
+        Mp = monodromy_loop(h, winding=1, tol=1e-12)
+        Mm = monodromy_loop(h, winding=-1, tol=1e-12)
         assert np.max(np.abs(Mp @ Mm - np.eye(2))) < 1e-8
-        assert np.max(np.abs(monodromy_loop(sys, h, 0) - np.eye(2))) == 0.0
+        assert np.max(np.abs(monodromy_loop(h, 0) - np.eye(2))) == 0.0
 
     def test_off_basepoint_rejected(self):
         sys = generic_system()
         h = SolutionHandle(system=sys, point=PathPoint(1.0 + 0.0j, 0.0), value=np.eye(2))
         with pytest.raises(ValueError, match="basepoint"):
-            integrate_path(sys, h, [Leg(1.0 + 0.1j, 2.0 + 0.0j)])
+            integrate_path(h, [Leg(1.0 + 0.1j, 2.0 + 0.0j)])
 
     def test_arc_about_nonzero_centre_rejected(self):
         sys = generic_system()
         h = SolutionHandle(system=sys, point=PathPoint(1.0 + 0.0j, 0.0), value=np.eye(2))
         with pytest.raises(ValueError, match="not about 0"):
-            integrate_path(sys, h, [Leg(1.0 + 0j, 1.0 + 0j, center=2.0 + 0j, sweep=math.pi)])
+            integrate_path(h, [Leg(1.0 + 0j, 1.0 + 0j, center=2.0 + 0j, sweep=math.pi)])
 
     def test_legs_that_do_not_join_rejected(self):
         sys = generic_system()
         h = SolutionHandle(system=sys, point=PathPoint(1.0 + 0.0j, 0.0), value=np.eye(2))
         with pytest.raises(ValueError, match="leg 1 does not start where leg 0 ends"):
-            integrate_path(sys, h, [Leg(1.0 + 0j, 2.0 + 0j), Leg(2.0 + 1e-6j, 3.0 + 0j)])
+            integrate_path(h, [Leg(1.0 + 0j, 2.0 + 0j), Leg(2.0 + 1e-6j, 3.0 + 0j)])
 
     def test_double_winding_is_the_square(self):
         sys = generic_system()
         h = SolutionHandle(system=sys, point=PathPoint(0.8 + 0.3j, math.atan2(0.3, 0.8)),
                            value=np.eye(2))
-        M = monodromy_loop(sys, h, winding=1, tol=1e-12)
-        M2 = monodromy_loop(sys, h, winding=2, tol=1e-12)
+        M = monodromy_loop(h, winding=1, tol=1e-12)
+        M2 = monodromy_loop(h, winding=2, tol=1e-12)
         assert np.max(np.abs(M2 - M @ M)) < 1e-10
 
     def test_wronskian_drift_tracked(self):
@@ -173,7 +172,7 @@ class TestIntegratePath:
         )
         a = PathPoint(2.0 + 0.0j, 0.0)
         h = SolutionHandle(system=sys, point=a, value=np.eye(3))
-        got = integrate_path(sys, h, [Leg(2.0 + 0.0j, 2.0 * np.exp(1.1j), center=0j, sweep=1.1)],
+        got = integrate_path(h, [Leg(2.0 + 0.0j, 2.0 * np.exp(1.1j), center=0j, sweep=1.1)],
                              tol=1e-12)
         assert got.wronskian_drift < 1e-9
 
@@ -189,7 +188,7 @@ class TestTaylorEngine:
         e = np.exp(1j * turn)
         path = [Leg(2.0 + 0j, 1.0 + 0j), Leg(1.0 + 0j, e, center=0j, sweep=turn), Leg(e, 3.0 * e)]
         h = SolutionHandle(system=sys, point=p0, value=np.eye(1))
-        got = integrate_path(sys, h, path, tol=1e-12)
+        got = integrate_path(h, path, tol=1e-12)
         end = got.point
         assert abs(end.arg - turn) < 1e-12 and abs(end.z - 3.0 * e) < 1e-15
         w1 = math.log(end.radius) + 1j * end.arg
@@ -213,7 +212,7 @@ class TestTaylorEngine:
             sol = solve_ivp(f, (0.0, 1.0), ref.ravel(), method="DOP853",
                             rtol=1e-13, atol=1e-13)
             ref = sol.y[:, -1].reshape(2, 2)
-            h = integrate_path(sys, h, [Leg(za, zb)], tol=1e-12)
+            h = integrate_path(h, [Leg(za, zb)], tol=1e-12)
         assert np.max(np.abs(h.value - ref)) < 1e-11 * np.max(np.abs(ref))
         assert h.wronskian_drift < 1e-11
 
@@ -701,8 +700,9 @@ class TestSectorRequest:
 class TestActualSolution:
     def test_diagonal_system_is_exact(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, -0.3]))
+        fs = compute_formal_coefficients(sys, K=30)
         for r in (0, 1):
-            got = actual_solution(sys, r, tau=0.3, radius=14.0)
+            got = actual_solution(sys, r, 0.3, fs, radius=14.0)
             w = np.log(got.point.radius) + 1j * got.point.arg
             expect = np.diag(np.exp(np.diag(sys.A) * w + got.point.z * sys.u))
             assert np.max(np.abs(got.value - expect)) < 1e-10
@@ -713,8 +713,8 @@ class TestActualSolution:
         f0 = sector_frame(sys.u, 0.3, 0)
         f1 = sector_frame(sys.u, 0.3, 1)
         zs = PathPoint.from_polar(6.0, 0.5 * (f1.lo + f0.hi))
-        y1 = actual_solution(sys, 0, 0.3, radius=12.0, zstar=zs, fs=fs, tol=1e-12)
-        y2 = actual_solution(sys, 0, 0.3, radius=24.0, zstar=zs, fs=fs, tol=1e-12)
+        y1 = actual_solution(sys, 0, 0.3, fs, radius=12.0, zstar=zs, tol=1e-12)
+        y2 = actual_solution(sys, 0, 0.3, fs, radius=24.0, zstar=zs, tol=1e-12)
 
         def seed_error(radius):
             # the first omitted term at the seed radius plus the Stokes
@@ -728,26 +728,22 @@ class TestActualSolution:
             seed_error(12.0) + seed_error(24.0)
         ) * scale * 5
 
-    @FRAMES
-    def test_runs_the_sectorial_plan(self, sys, cfg, coalesce_tol):
+    # actual_solution plans the plain frames alone; widened frames are
+    # planned by a SectorRequest
+    @pytest.mark.parametrize("sys, cfg, fs", FRAME_CASES[:1], ids=["generic"])
+    def test_runs_the_sectorial_plan(self, sys, cfg, fs):
         # actual_solution builds its config from its keywords
-        got = actual_solution(sys, 0, cfg.tau, order=cfg.order, widened=cfg.uC is not None,
-                              uC=cfg.uC, coalesce_tol=coalesce_tol or 0.0)
-        fs = frame_series(sys, cfg, coalesce_tol)
+        got = actual_solution(sys, 0, cfg.tau, fs)
         want, = run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs, "sectorial")]), cfg.tol)
         assert got.point == want.point
         assert got.value.tobytes() == want.value.tobytes()
 
-    def test_widened_needs_uc(self):
-        with pytest.raises(ValueError, match="widened sectors need the coalescence point uC"):
-            actual_solution(generic_system(), 0, 0.3, widened=True)
-
     def test_zstar_outside_sector_rejected(self):
         sys = generic_system()
+        fs = compute_formal_coefficients(sys, K=30)
         with pytest.raises(SectorError):
-            actual_solution(
-                sys, 0, 0.3, radius=14.0, zstar=PathPoint.from_polar(7.0, 0.3 + 2.5)
-            )
+            actual_solution(sys, 0, 0.3, fs, radius=14.0,
+                            zstar=PathPoint.from_polar(7.0, 0.3 + 2.5))
 
 
 class TestStokesMatrix:
@@ -764,18 +760,27 @@ class TestStokesMatrix:
         with pytest.raises(ValueError, match=f"{field} must be finite and positive, got"):
             StokesConfig(tau=0.3, **{field: value})
 
+    @FRAMES
+    def test_runs_the_stokes_plan(self, sys, cfg, fs):
+        # stokes_matrix is the one-request plan, in widened frames too
+        got = stokes_matrix(sys, 0, cfg, fs)
+        want, = run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs)]), cfg.tol)
+        assert got.S.tobytes() == want.S.tobytes()
+        assert (got.zstar, got.diag_residual, got.required_zero, got.error_estimate, got.C) == (
+            want.zstar, want.diag_residual, want.required_zero, want.error_estimate, None)
+
     def test_diagonal_system_identity(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, -0.3]))
+        fs = compute_formal_coefficients(sys, K=30)
         for r in (0, 1):
-            res = stokes_matrix(sys, r, StokesConfig(tau=0.3, radius=14.0))
+            res = stokes_matrix(sys, r, StokesConfig(tau=0.3, radius=14.0), fs)
             assert np.max(np.abs(res.S - np.eye(2))) < 1e-9
 
     def test_structure_and_relation(self):
         sys = generic_system()
-        cfg = StokesConfig(tau=0.3, radius=20.0, tol=1e-11, order=32)
-        res0 = stokes_matrix(sys, 0, cfg)
-        res1 = stokes_matrix(sys, 1, cfg)
-        res2 = stokes_matrix(sys, 2, cfg)
+        cfg = StokesConfig(tau=0.3, radius=20.0, tol=1e-11)
+        fs = compute_formal_coefficients(sys, K=32)
+        res0, res1, res2 = (stokes_matrix(sys, r, cfg, fs) for r in (0, 1, 2))
         for res in (res0, res1, res2):
             assert res.diag_residual <= 1e-6
             for _, mag in res.required_zero:
@@ -791,8 +796,9 @@ class TestStokesMatrix:
 
     def test_seed_radius_independence(self):
         sys = generic_system()
-        r12 = stokes_matrix(sys, 0, StokesConfig(tau=0.3, radius=12.0, order=36))
-        r24 = stokes_matrix(sys, 0, StokesConfig(tau=0.3, radius=24.0, order=36))
+        fs = compute_formal_coefficients(sys, K=36)
+        r12 = stokes_matrix(sys, 0, StokesConfig(tau=0.3, radius=12.0), fs)
+        r24 = stokes_matrix(sys, 0, StokesConfig(tau=0.3, radius=24.0), fs)
         assert np.max(np.abs(r12.S - r24.S)) <= r12.error_estimate + r24.error_estimate
 
 
@@ -803,7 +809,7 @@ class TestConnectionMatrix:
         ld = build_levelt_solution(A, [sys.Lambda], K=25)
         frame_mid = sector_frame(sys.u, 0.3, 0).midpoint
         cfg = StokesConfig(tau=0.3, radius=16.0, tol=1e-12)
-        fs = compute_formal_coefficients(sys, K=cfg.order)
+        fs = compute_formal_coefficients(sys, K=30)
         vals = [connection_at(sys, 0, ld, cfg, fs, PathPoint.from_polar(rho, frame_mid))
                 for rho in (5.0, 6.5, 8.0)]
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
@@ -818,8 +824,8 @@ class TestConnectionMatrix:
         # Y^(0)(z)^{-1} Y_r(z) is constant, so C_r at the default z* (that of
         # S_r, in the overlap of sectors r and r + 1) is C_r at the midpoint
         # of sector r, where no Stokes matrix reads Y_r
-        cfg = StokesConfig(tau=0.3, order=30)
-        fs = compute_formal_coefficients(sys, K=cfg.order)
+        cfg = StokesConfig(tau=0.3)
+        fs = compute_formal_coefficients(sys, K=30)
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
         mid = PathPoint.from_polar(cfg.radius / 2.0, sector_frame(sys.u, cfg.tau, r).midpoint)
         got = connection(sys, r, ld, cfg, fs)
@@ -832,8 +838,8 @@ class TestConnectionMatrix:
         # its columns are those of Y_r that S_r carries, and the Levelt
         # leg's radial piece out to z* is theirs
         sys = generic_system()
-        cfg = StokesConfig(tau=0.3, order=30)
-        fs = compute_formal_coefficients(sys, K=cfg.order)
+        cfg = StokesConfig(tau=0.3)
+        fs = compute_formal_coefficients(sys, K=30)
         ld = build_levelt_solution(GENERIC_A, [sys.Lambda], K=20)
         steps, schedule = [], odeengine._schedule
 
@@ -854,8 +860,7 @@ class TestConnectionMatrix:
         assert totals[1] - totals[0] == step_count(ode, [first]) > 0
 
     @FRAMES
-    def test_connection_chain(self, sys, cfg, coalesce_tol):
-        fs = frame_series(sys, cfg, coalesce_tol)
+    def test_connection_chain(self, sys, cfg, fs):
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=25)
         C0 = connection(sys, 0, ld, cfg, fs)
         C1 = connection(sys, 1, ld, cfg, fs)
@@ -872,7 +877,7 @@ class TestConnectionMatrix:
         C0 = connection(sys, 0, ld, StokesConfig(tau=0.3), fs)
         frame_mid = sector_frame(sys.u, 0.3, 0).midpoint
         zs = PathPoint.from_polar(1.0, frame_mid)
-        Y0 = actual_solution(sys, 0, 0.3, radius=20.0, zstar=zs, fs=fs, tol=1e-12)
-        M = monodromy_loop(sys, Y0, winding=1, tol=1e-12)
+        Y0 = actual_solution(sys, 0, 0.3, fs, radius=20.0, zstar=zs, tol=1e-12)
+        M = monodromy_loop(Y0, winding=1, tol=1e-12)
         expect = np.linalg.solve(C0, monodromy_exponential(ld) @ C0)
         assert np.max(np.abs(M - expect)) < 1e-6

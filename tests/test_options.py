@@ -25,7 +25,10 @@ checked by hand (grep), and the test-only ones removed: the fields `tau`,
 `r` and `uC` of `SectorFrame`, `pair` and `gaps` of `VanishingFit`, `r` of
 `StokesResult` and `MonodromyDataSet`, `r` and `tau` of
 `CoalescenceReport`, and `tau` of `CellReport`, which attributes of the
-same names on other objects (`args.tau`, `cfg.tau`) hid.
+same names on other objects (`args.tau`, `cfg.tau`) hid.  `system` of
+`SolutionHandle`, which `args.system` and `kv.system` hid, is read for real:
+`integrate_path` and `monodromy_loop` transport a handle under its own
+system.
 
 Last, no module of `src/` or `tests/` imports a name it never uses, unless
 the import says `noqa: F401`.
@@ -129,14 +132,9 @@ def unset_defaults(package, *callers):
 
 
 def test_every_default_has_a_caller():
-    # a default that only unit tests set serves no verdict; the settings of
-    # actual_solution are the one exception, as the benchmark's sectorial
-    # hook (perfbench/layertrace.py) reads all four of them
+    # a default that only unit tests set serves no verdict
     assert unset_defaults(ROOT / "src" / "isomlab", ROOT / "src",
-                          ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench") == [
-        f"odeengine.actual_solution({name})"
-        for name in ("coalesce_tol", "order", "uC", "widened")
-    ]
+                          ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench") == []
 
 
 def test_reports_exactly_the_defaults_no_call_sets(tmp_path):

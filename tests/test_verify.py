@@ -481,7 +481,10 @@ class TestVerifyCoalescence:
             return {(o.P.tobytes(), o.Q.tobytes(), leg) for o, _, path in jobs for leg in path}
 
         assert len({(o.P.tobytes(), o.Q.tobytes()) for o, _, _ in jobs}) == 1 + GAP_COUNT
-        self_seeded = [q for q in requests if q.fs.mode != "frozen-seeded"]
+        # the frozen-seeded requests pair the frozen system's series, that of
+        # the first request, with a sample system
+        frozen = requests[0]
+        self_seeded = [q for q in requests if q.fs.F is not frozen.fs.F or q.sys is frozen.sys]
         assert 0 < len(self_seeded) < len(requests)
         alone = sector_plan(cfg, self_seeded).jobs
         assert len(alone) < len(jobs) and pairs(jobs) == pairs(alone)

@@ -35,7 +35,6 @@ from .fuchsian import (
 )
 from .geometry import (
     CellReport,
-    RaySet,
     SectorFrame,
     classify_point,
     epsilon_bound,

@@ -107,15 +107,15 @@ def cmd_formal(args) -> int:
 
 def cmd_stokes_rays(args) -> int:
     sys_ = _need_irregular(io.load_system(args.system))
-    rayset = geometry.stokes_ray_directions(sys_.u)
+    rays = geometry.stokes_ray_directions(sys_.u)
     report = {
         "command": "stokes-rays",
         "directions": [
-            {"pair": [ray.i, ray.j], "theta": ray.theta} for ray in rayset.rays
+            {"pair": [ray.i, ray.j], "theta": ray.theta} for ray in rays
         ],
     }
     _csv(args, report, "stokes_rays.csv", ["pair_i", "pair_j", "theta"],
-         ((ray.i, ray.j, ray.theta) for ray in rayset.rays))
+         ((ray.i, ray.j, ray.theta) for ray in rays))
     _emit(report)
     return 0
 

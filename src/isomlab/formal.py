@@ -218,19 +218,22 @@ def compute_formal_coefficients(
 
     F_all: list[np.ndarray] = []
     P = np.eye(n, dtype=complex).tolist()  # F_{k-1}
-    for k in range(1, K + 1):
-        kc, kn = complex(k), np.complex128(k)
-        Fk = np.zeros((n, n), dtype=complex).tolist()
-        for i, j, g in pairs:
-            Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
-        if any_coalesced:
-            Fk = np.array(Fk)
-            _coalesced_entries(sys, Fk, k, coalesced)
-            Fk = Fk.tolist()
-        for i in range(n):
-            Fk[i][i] = complex(-dot(Fk, i, i) / kn)
-        F_all.append(np.array(Fk))
-        P = Fk
+    # the late terms of a divergent series may overflow, to inf and then nan;
+    # a non-finite F_k is never a truncation point (optimal_truncations)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K + 1):
+            kc, kn = complex(k), np.complex128(k)
+            Fk = np.zeros((n, n), dtype=complex).tolist()
+            for i, j, g in pairs:
+                Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
+            if any_coalesced:
+                Fk = np.array(Fk)
+                _coalesced_entries(sys, Fk, k, coalesced)
+                Fk = Fk.tolist()
+            for i in range(n):
+                Fk[i][i] = complex(-dot(Fk, i, i) / kn)
+            F_all.append(np.array(Fk))
+            P = Fk
 
     return FormalSolution(b=d.copy(), u=u.copy(), F=tuple(F_all))
 
@@ -255,7 +258,8 @@ def optimal_truncations(series, radius: float) -> list[tuple[int, float]]:
         if not len(F):
             out.append((0, np.inf))
             continue
-        terms = norms[a : a + len(F)] * float(radius) ** -np.arange(1, len(F) + 1)
+        with np.errstate(invalid="ignore"):  # inf times an underflowed R^-k is nan
+            terms = norms[a : a + len(F)] * float(radius) ** -np.arange(1, len(F) + 1)
         a += len(F)
         k = int(np.argmin(np.where(np.isnan(terms), np.inf, terms)))
         out.append((k + 1, float(terms[k])) if terms[k] < np.inf else (0, np.inf))

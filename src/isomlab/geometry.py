@@ -67,17 +67,6 @@ class StokesRay:
     j: int
 
 
-@dataclass(frozen=True)
-class RaySet:
-    """Stokes ray directions with their generating ordered pairs.
-
-    Directions repeat with period 2 pi per ordered pair; the union over both
-    orientations of each pair is pi-periodic.
-    """
-
-    rays: tuple[StokesRay, ...]
-
-
 def _base_directions(thetas) -> np.ndarray:
     """Distinct directions mod pi of the rays at `thetas`, sorted; directions
     within DIRECTION_TOL of each other count as one."""
@@ -129,10 +118,13 @@ def _rays(uv: list, label) -> list[tuple[float, int, int]]:
     return rays
 
 
-def stokes_ray_directions(u) -> RaySet:
-    """Ray directions 3 pi/2 - arg(u_i - u_j) mod 2 pi for all ordered pairs."""
+def stokes_ray_directions(u) -> tuple[StokesRay, ...]:
+    """The Stokes rays of all ordered pairs, sorted: directions 3 pi/2 -
+    arg(u_i - u_j) mod 2 pi, each with its pair.  Directions repeat with
+    period 2 pi per ordered pair; the union over both orientations of each
+    pair is pi-periodic."""
     uv = _as_uvec(u).tolist()
-    return RaySet(rays=tuple(StokesRay(*ray) for ray in sorted(_rays(uv, range(len(uv))))))
+    return tuple(StokesRay(*ray) for ray in sorted(_rays(uv, range(len(uv)))))
 
 
 @dataclass(frozen=True)

@@ -376,17 +376,12 @@ class LaurentCoefficients:
     positive: tuple[np.ndarray, ...]  # omega^(1), omega^(2), ...
 
 
-@dataclass(frozen=True)
-class LaurentReport:
-    diag_rule_residual: float
-
-
 def laurent_reduce(
     A,
     u,
     raw: LaurentCoefficients,
     n_positive: int = 3,
-) -> tuple[LaurentCoefficients, LaurentReport]:
+) -> tuple[LaurentCoefficients, float]:
     """Reduce a Laurent Pfaffian coefficient against a non-resonant residue A.
 
     Downward chain ((A + m) X - X A = [previous, Lambda], m = p..1): for
@@ -447,4 +442,4 @@ def laurent_reduce(
     out = LaurentCoefficients(
         j=j, negative=tuple(negative), omega0=om0, positive=tuple(positive)
     )
-    return out, LaurentReport(diag_rule_residual=diag_resid)
+    return out, diag_resid

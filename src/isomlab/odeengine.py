@@ -580,11 +580,9 @@ class StokesConfig:
 @dataclass(frozen=True)
 class SectorRequest:
     """One result of a sector plan, for `sys` seeded with the series `fs`:
-    the Stokes matrix S_r (kind "stokes") or the sectorial solution Y_r at
-    `zstar` ("sectorial"; z* defaults to the sector midpoint at the seed
-    radius).  S_r has one z*, the midpoint of the overlap of sectors r and
-    r + 1 at half the seed radius, so a Stokes request takes no `zstar`.
-    With the Levelt solution `ld` a Stokes request also gives the
+    the Stokes matrix S_r (kind "stokes") or the sectorial solution Y_r
+    ("sectorial"), each at the z* that `sector_plan` places at half the seed
+    radius.  With the Levelt solution `ld` a Stokes request also gives the
     connection matrix C_r, with Y_r = Y^(0) C_r, at that z* from the Y_r it
     carries (C_r is the same at every z of sector r).  Y^(0) is evaluated
     by levelt_handle on the branch of z*, inside |z*| / 2, and carried
@@ -596,14 +594,11 @@ class SectorRequest:
     r: int
     fs: FormalSolution
     kind: str = "stokes"
-    zstar: PathPoint | None = None
     ld: LeveltData | None = None
 
     def __post_init__(self):
         if self.kind not in ("stokes", "sectorial"):
             raise ValueError(f"unknown sector request kind {self.kind!r}")
-        if self.kind == "stokes" and self.zstar is not None:
-            raise ValueError("a Stokes request takes the z* of its sector overlap, not a zstar")
         if self.kind == "sectorial" and self.ld is not None:
             raise ValueError("a sectorial request takes no Levelt data")
 
@@ -739,15 +734,15 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     """The transports of `requests` (SectorRequests), assembled into their
     results in request order: a StokesResult or a SolutionHandle each.
 
-    The requests share one SectorTable.  One rule places z*: a sectorial
-    request's defaults to the midpoint of its sector at the seed radius, and
-    S_r's is the midpoint of the overlap of sectors r and r + 1 at half the
-    seed radius, where C_r reads the Y_r of S_r.  The Levelt solution of C_r
-    runs radially from inside |z*| / 2 to the end of the columns' sweeps on
-    arg z*, and on along their radial leg to z*, which the engine steps once
-    for both.  Each (system, sector, z*) lays out its column legs once and
-    each (system, series, sector) its seed columns once, however many
-    results are made of them; the columns of each solution Y_k are n
+    The requests share one SectorTable.  One rule places z*, at half the
+    seed radius: Y_r's on the midpoint of sector r, and S_r's on the
+    midpoint of the overlap of sectors r and r + 1, where C_r reads the Y_r
+    of S_r (S_r and C_r are the same at every z there).  The Levelt solution
+    of C_r runs radially from inside |z*| / 2 to the end of the columns'
+    sweeps on arg z*, and on along their radial leg to z*, which the engine
+    steps once for both.  Each (system, sector, z*) lays out its column
+    legs once and each (system, series, sector) its seed columns once,
+    however many results are made of them; the columns of each solution Y_k are n
     consecutive transports, and the engine steps each leg they share with
     other transports once.  Every column of a system runs on one ODE, in the
     gauge y e^{-c z} (c the mean of u), and is taken to its own gauge
@@ -774,23 +769,16 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     for p, q in enumerate(requests):
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
         frame = table.frames[s, q.r]
-        zstar = q.zstar
         if q.kind == "stokes":
             stokes.append(p)
             if (s, q.r) not in overlaps:
                 lo, hi = table.frames[s, q.r + 1].lo, frame.hi
                 if not hi - lo > 1e-9:
                     raise SectorError(f"sectors {q.r} and {q.r + 1} do not overlap: ({lo}, {hi})")
-                # z* of S_r: the midpoint of the overlap, at half the seed radius
                 overlaps[s, q.r] = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
             zstar = overlaps[s, q.r]
-        elif zstar is None:
-            zstar = PathPoint.from_polar(R, frame.midpoint)
-        elif not frame.lo < zstar.arg < frame.hi:
-            raise SectorError(
-                f"zstar argument {zstar.arg:.6g} outside sector "
-                f"({frame.lo:.6g}, {frame.hi:.6g})"
-            )
+        else:
+            zstar = PathPoint.from_polar(R / 2.0, frame.midpoint)
         first.append(len(columns))
         for k in q.sectors:
             if (s, k, zstar) not in paths:
@@ -901,21 +889,20 @@ def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, C, tol: float):
 
 
 def actual_solution(sys: IrregularSystem, r: int, tau: float, fs: FormalSolution,
-                    radius: float = DEFAULT_SEED_RADIUS, zstar: PathPoint | None = None,
                     tol: float = DEFAULT_TOL) -> SolutionHandle:
     """Sectorial solution Y_r of `sys` seeded with the series `fs`, in the
-    plain frames of tau, at `zstar` (default: sector midpoint at the seed
-    radius).
+    plain frames of tau, at z* on the midpoint of sector r at half the seed
+    radius.
 
-    Each column is seeded with the optimally truncated formal series at
-    |z| = radius on the direction inside S_r where its exponential is most
+    Each column is seeded with the optimally truncated formal series at the
+    seed radius on the direction inside S_r where its exponential is most
     recessive (there the seed's contamination by other solutions is below
     the truncation error) and transported to the common point: a radial leg
     in from its seed, an argument sweep at moderate radius and a radial leg
     out to z*.  Widened frames are planned by a `SectorRequest`.
     """
-    cfg = StokesConfig(tau=tau, radius=radius, tol=tol)
-    return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs, "sectorial", zstar)]), tol)[0]
+    cfg = StokesConfig(tau=tau, tol=tol)
+    return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs, "sectorial")]), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -977,12 +964,9 @@ def levelt_handle(sys: IrregularSystem, ld: LeveltData, zstar: PathPoint,
     return SolutionHandle(system=sys, point=pt, value=Y0)
 
 
-def monodromy_loop(start: SolutionHandle, winding: int = 1,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
-    """M with Y(after loop) = Y(before) M for a loop of given winding around
-    0, under the handle's own system."""
-    if winding == 0:
-        return np.eye(start.system.n, dtype=complex)
+def monodromy_loop(start: SolutionHandle, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """M with Y(after loop) = Y(before) M for one positive loop around 0,
+    under the handle's own system."""
     z = start.point.z
-    after = integrate_path(start, [Leg(z, z, center=0j, sweep=2 * math.pi * winding)], tol=tol)
+    after = integrate_path(start, [Leg(z, z, center=0j, sweep=2 * math.pi)], tol=tol)
     return np.linalg.solve(start.value, after.value)

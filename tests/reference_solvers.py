@@ -129,7 +129,7 @@ def subclass_rays(u, uC=None):
     uC when it is given (the sub-class), filtered here from all the rays."""
     from isomlab.geometry import coalescence_labels, stokes_ray_directions
 
-    rays = stokes_ray_directions(u).rays
+    rays = stokes_ray_directions(u)
     if uC is None:
         return [ray.theta for ray in rays]
     label = coalescence_labels(uC)
@@ -234,8 +234,9 @@ def sector_results_reference(cfg, requests):
     uncut sweep to arg z* and a radial leg out to z*, and the Levelt solution
     of a Stokes request that carries Levelt data on the system's own ODE,
     radially out to where the sweeps end and on along the columns' radial
-    leg.  z* of a Stokes request is the midpoint of the overlap of sectors r
-    and r + 1 at half the seed radius.  Returns (S, C_r) of a Stokes request
+    leg.  z* is at half the seed radius: on the midpoint of the overlap of
+    sectors r and r + 1 for a Stokes request, on that of sector r for a
+    sectorial one.  Returns (S, C_r) of a Stokes request
     (C_r None without Levelt data) and Y_r(z*) of a sectorial one."""
     import math
 
@@ -254,12 +255,11 @@ def sector_results_reference(cfg, requests):
     out = []
     for q in requests:
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
-        zstar = q.zstar
         if q.kind == "stokes":
             lo, hi = table.frames[s, q.r + 1].lo, table.frames[s, q.r].hi
             zstar = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
-        elif zstar is None:
-            zstar = PathPoint.from_polar(R, table.frames[s, q.r].midpoint)
+        else:
+            zstar = PathPoint.from_polar(R / 2.0, table.frames[s, q.r].midpoint)
         rho = min(zstar.radius, R, max(0.5, 4.0 / max(
             np.abs(q.sys.u[:, None] - q.sys.u[None, :]).max(), 1e-6)))
         k_opt = table.truncations[f][0]

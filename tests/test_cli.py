@@ -44,6 +44,22 @@ def generic_system_file(tmp_path):
 
 
 @pytest.fixture
+def coalescence_file(tmp_path):
+    # acceptance criterion 7's A0 at u^C = [0, 0, 1]
+    return write_json(
+        tmp_path / "co.json",
+        {
+            "u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+            "A": [
+                [[0.1, 0.0], [0.0, 0.0], [0.06, 0.0]],
+                [[0.0, 0.0], [0.1, 0.0], [0.09, 0.0]],
+                [[0.075, 0.0], [-0.05, 0.0], [0.45, 0.0]],
+            ],
+        },
+    )
+
+
+@pytest.fixture
 def fuchsian_file(tmp_path):
     # diagonalizable residues keep the endpoint spectrum comparison
     # well-conditioned
@@ -208,7 +224,7 @@ class TestCsvTables:
         assert code == 0 and rows[0] == ["pair_i", "pair_j", "theta"]
         assert len(rows) == 3
         # lossless round-trip of the angle
-        thetas = [r.theta for r in stokes_ray_directions([0.0, 1.0]).rays]
+        thetas = [r.theta for r in stokes_ray_directions([0.0, 1.0])]
         assert [float(row[2]) for row in rows[1:]] == thetas
 
     def test_wall_hits_csv(self, capsys, system_file, tmp_path):
@@ -222,13 +238,8 @@ class TestCsvTables:
         assert code == 0 and rows[0] == ["sample_t", "wall_type"]
         assert [(float(t), kind) for t, kind in rows[1:]] == hits
 
-    def test_coalescence_entries_csv(self, capsys, tmp_path):
-        f = write_json(tmp_path / "co.json", {
-            "u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-            "A": [[[0.1, 0.0], [0.0, 0.0], [0.06, 0.0]],
-                  [[0.0, 0.0], [0.1, 0.0], [0.09, 0.0]],
-                  [[0.075, 0.0], [-0.05, 0.0], [0.45, 0.0]]],
-        })
+    def test_coalescence_entries_csv(self, capsys, tmp_path, coalescence_file):
+        f = coalescence_file
         code, out, _ = run(capsys, ["verify-coalescence", "--system", f, "--tau", "0.3",
                                     "--eps", "0.1", "--csv", str(tmp_path / "csv")])
         doc = json.loads(out)
@@ -447,18 +458,8 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS" and doc["drift"]["C_r"] <= 1e-9
 
-    def test_verify_coalescence(self, capsys, tmp_path):
-        f = write_json(
-            tmp_path / "co.json",
-            {
-                "u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-                "A": [
-                    [[0.1, 0.0], [0.0, 0.0], [0.06, 0.0]],
-                    [[0.0, 0.0], [0.1, 0.0], [0.09, 0.0]],
-                    [[0.075, 0.0], [-0.05, 0.0], [0.45, 0.0]],
-                ],
-            },
-        )
+    def test_verify_coalescence(self, capsys, tmp_path, coalescence_file):
+        f = coalescence_file
         code, out, _ = run(
             capsys,
             [
@@ -480,19 +481,9 @@ class TestVerifyCommands:
 
     # 5 exceeds the parallel-line bound 0.955336 of u^C = [0, 0, 1] at tau 0.3
     @pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf", "5"])
-    def test_verify_coalescence_refuses_eps(self, capsys, tmp_path, eps):
+    def test_verify_coalescence_refuses_eps(self, capsys, coalescence_file, eps):
         # refused before any flow or series work: no warning, no step budget
-        f = write_json(
-            tmp_path / "co.json",
-            {
-                "u": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-                "A": [
-                    [[0.1, 0.0], [0.0, 0.0], [0.06, 0.0]],
-                    [[0.0, 0.0], [0.1, 0.0], [0.09, 0.0]],
-                    [[0.075, 0.0], [-0.05, 0.0], [0.45, 0.0]],
-                ],
-            },
-        )
+        f = coalescence_file
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(
@@ -513,6 +504,27 @@ class TestVerifyCommands:
                                       "--eps", "0.1"])
         assert code == 0, err
         assert json.loads(out)["pairs"] == [[0, 1]]
+
+    def test_verify_coalescence_of_sector_one(self, capsys, coalescence_file):
+        # the limit S_1 -> S_1(u^C) of the next sector pair holds as well
+        code, out, err = run(capsys, ["verify-coalescence", "--system", coalescence_file,
+                                      "--tau", "0.3", "--eps", "0.1", "--r", "1"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["verdict"] == "PASS" and doc["limit_errors"][-1] <= 1e-5
+
+    def test_high_order_runs_without_warnings(self, capsys, coalescence_file,
+                                              generic_system_file):
+        # the late terms of a high-order series overflow; a non-finite F_k is
+        # no truncation point, so the run succeeds, and it warns of nothing
+        for argv in (["verify-coalescence", "--system", coalescence_file, "--tau", "0.3",
+                      "--eps", "0.1", "--tol", "1e-11", "--order", "80"],
+                     ["stokes-matrix", "--system", generic_system_file, "--tau", "0.3",
+                      "--order", "400"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run(capsys, argv)
+            assert code == 0 and err == "", argv
 
 
 class TestParser:

@@ -37,25 +37,25 @@ def admissible(tau, u, tol=ADMISSIBILITY_TOL, uC=None):
 class TestStokesRays:
     def test_real_pair(self):
         rays = stokes_ray_directions([0.0, 1.0])
-        got = {(r.i, r.j): r.theta for r in rays.rays}
+        got = {(r.i, r.j): r.theta for r in rays}
         assert abs(got[(0, 1)] - math.pi / 2) < 1e-12
         assert abs(got[(1, 0)] - 3 * math.pi / 2) < 1e-12
 
     def test_rotated_pair(self):
         rays = stokes_ray_directions([0.0, 1.0j])
-        got = {(r.i, r.j): r.theta for r in rays.rays}
+        got = {(r.i, r.j): r.theta for r in rays}
         assert abs(got[(0, 1)] - 0.0) < 1e-12
         assert abs(got[(1, 0)] - math.pi) < 1e-12
 
     def test_collinear_triple(self):
         rays = stokes_ray_directions([0.0, 1.0, 2.0])
-        thetas = sorted({round(r.theta, 12) for r in rays.rays})
+        thetas = sorted({round(r.theta, 12) for r in rays})
         assert thetas == [round(math.pi / 2, 12), round(3 * math.pi / 2, 12)]
 
     def test_antipodal_pairs(self):
         rng = np.random.default_rng(3)
         u = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rays = {(r.i, r.j): r.theta for r in stokes_ray_directions(u).rays}
+        rays = {(r.i, r.j): r.theta for r in stokes_ray_directions(u)}
         for (i, j), th in rays.items():
             partner = rays[(j, i)]
             assert abs((partner - th) % (2 * math.pi) - math.pi) < 1e-9

@@ -179,7 +179,7 @@ class TestBuildSolution:
         # the cap |z*| / 2 puts the loop at radius 0.1
         hnd = levelt_handle(sys, ld, PathPoint.from_polar(0.2, 0.2))
         assert hnd.point.radius == 0.1
-        M = monodromy_loop(hnd, winding=1, tol=1e-12)
+        M = monodromy_loop(hnd, tol=1e-12)
         assert np.max(np.abs(M - monodromy_exponential(ld))) < 1e-9
 
     @pytest.mark.parametrize("u", [[5.0, 12.0], [2.0, 3.0]])

@@ -22,7 +22,7 @@ from reference_solvers import (
 from scipy.integrate import solve_ivp
 
 from isomlab import odeengine
-from isomlab.errors import IntegrationError, SectorError
+from isomlab.errors import IntegrationError
 from isomlab.formal import FormalSolution, IrregularSystem, compute_formal_coefficients
 from isomlab.geometry import SectorFrame, sector_frames
 from isomlab.levelt import build_levelt_solution
@@ -65,9 +65,12 @@ def connection(sys, r, ld, cfg, fs):
 
 
 def connection_at(sys, r, ld, cfg, fs, zstar):
-    """C_r at `zstar`, from the public pieces: Y_r there against Y^(0),
-    carried radially out to it from where levelt_handle evaluates it."""
-    Y = actual_solution(sys, r, cfg.tau, fs, radius=cfg.radius, zstar=zstar, tol=cfg.tol)
+    """C_r at `zstar`, on the ray of the z* of Y_r, from the public pieces:
+    Y_r carried radially in to it from its z*, unless it is there, against
+    Y^(0), carried radially out to it from where levelt_handle evaluates it."""
+    Y = actual_solution(sys, r, cfg.tau, fs, tol=cfg.tol)
+    if zstar.z != Y.point.z:
+        Y = integrate_path(Y, [Leg(Y.point.z, zstar.z)], tol=cfg.tol)
     lev = levelt_handle(sys, ld, zstar, cfg.tol)
     Y0 = integrate_path(lev, [Leg(lev.point.z, zstar.z)], tol=cfg.tol)
     return np.linalg.solve(Y0.value, Y.value)
@@ -124,19 +127,8 @@ class TestIntegratePath:
         sys = IrregularSystem(u=[0.0, 0.0], A=np.diag([0.5, 0.0]))
         a = PathPoint(1.0 + 0.0j, 0.0)
         h = SolutionHandle(system=sys, point=a, value=np.eye(2))
-        M = monodromy_loop(h, winding=1, tol=1e-12)
+        M = monodromy_loop(h, tol=1e-12)
         assert np.max(np.abs(M - np.diag([-1.0, 1.0]))) < 1e-10
-
-    def test_winding_inverse(self):
-        sys = generic_system()
-        fs = compute_formal_coefficients(sys, K=20)
-        h = actual_solution(sys, 0, 0.3, fs, radius=16.0, zstar=None)
-        # loop at small radius where the columns stay comparable
-        h = integrate_path(h, [Leg(h.point.z, h.point.z / h.point.radius)], tol=1e-12)
-        Mp = monodromy_loop(h, winding=1, tol=1e-12)
-        Mm = monodromy_loop(h, winding=-1, tol=1e-12)
-        assert np.max(np.abs(Mp @ Mm - np.eye(2))) < 1e-8
-        assert np.max(np.abs(monodromy_loop(h, 0) - np.eye(2))) == 0.0
 
     def test_off_basepoint_rejected(self):
         sys = generic_system()
@@ -160,8 +152,11 @@ class TestIntegratePath:
         sys = generic_system()
         h = SolutionHandle(system=sys, point=PathPoint(0.8 + 0.3j, math.atan2(0.3, 0.8)),
                            value=np.eye(2))
-        M = monodromy_loop(h, winding=1, tol=1e-12)
-        M2 = monodromy_loop(h, winding=2, tol=1e-12)
+        M = monodromy_loop(h, tol=1e-12)
+        # two turns in one arc
+        twice = integrate_path(h, [Leg(h.point.z, h.point.z, center=0j, sweep=4 * math.pi)],
+                               tol=1e-12)
+        M2 = np.linalg.solve(h.value, twice.value)
         assert np.max(np.abs(M2 - M @ M)) < 1e-10
 
     def test_wronskian_drift_tracked(self):
@@ -688,21 +683,13 @@ class TestSectorRequest:
         with pytest.raises(ValueError, match="a sectorial request takes no Levelt data"):
             SectorRequest(sys, 0, fs, "sectorial", ld=ld)
 
-    def test_stokes_request_refuses_a_zstar(self):
-        # S_r has one z*, in the overlap of sectors r and r + 1; a given one
-        # is refused rather than ignored
-        sys = generic_system()
-        fs = compute_formal_coefficients(sys, K=30)
-        with pytest.raises(ValueError, match="a Stokes request takes the z\\* of its sector"):
-            SectorRequest(sys, 0, fs, zstar=PathPoint.from_polar(10.0, 0.3))
-
 
 class TestActualSolution:
     def test_diagonal_system_is_exact(self):
         sys = IrregularSystem(u=[0.0, 1.0], A=np.diag([0.5, -0.3]))
         fs = compute_formal_coefficients(sys, K=30)
         for r in (0, 1):
-            got = actual_solution(sys, r, 0.3, fs, radius=14.0)
+            got = actual_solution(sys, r, 0.3, fs)
             w = np.log(got.point.radius) + 1j * got.point.arg
             expect = np.diag(np.exp(np.diag(sys.A) * w + got.point.z * sys.u))
             assert np.max(np.abs(got.value - expect)) < 1e-10
@@ -710,11 +697,16 @@ class TestActualSolution:
     def test_two_seed_radii_agree(self):
         sys = generic_system()
         fs = compute_formal_coefficients(sys, K=40)
-        f0 = sector_frame(sys.u, 0.3, 0)
-        f1 = sector_frame(sys.u, 0.3, 1)
-        zs = PathPoint.from_polar(6.0, 0.5 * (f1.lo + f0.hi))
-        y1 = actual_solution(sys, 0, 0.3, fs, radius=12.0, zstar=zs, tol=1e-12)
-        y2 = actual_solution(sys, 0, 0.3, fs, radius=24.0, zstar=zs, tol=1e-12)
+
+        def sectorial(radius):
+            # Y_0 at half the seed radius on the midpoint of sector 0
+            cfg = StokesConfig(tau=0.3, radius=radius, tol=1e-12)
+            return run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs, "sectorial")]),
+                            cfg.tol)[0]
+
+        # both at |z| = 6: the second carried radially in from 12
+        y1, y2 = sectorial(12.0), sectorial(24.0)
+        y2 = integrate_path(y2, [Leg(y2.point.z, y1.point.z)], tol=1e-12)
 
         def seed_error(radius):
             # the first omitted term at the seed radius plus the Stokes
@@ -737,13 +729,6 @@ class TestActualSolution:
         want, = run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs, "sectorial")]), cfg.tol)
         assert got.point == want.point
         assert got.value.tobytes() == want.value.tobytes()
-
-    def test_zstar_outside_sector_rejected(self):
-        sys = generic_system()
-        fs = compute_formal_coefficients(sys, K=30)
-        with pytest.raises(SectorError):
-            actual_solution(sys, 0, 0.3, fs, radius=14.0,
-                            zstar=PathPoint.from_polar(7.0, 0.3 + 2.5))
 
 
 class TestStokesMatrix:
@@ -808,7 +793,7 @@ class TestConnectionMatrix:
         sys = IrregularSystem(u=[0.0, 1.0], A=A)
         ld = build_levelt_solution(A, [sys.Lambda], K=25)
         frame_mid = sector_frame(sys.u, 0.3, 0).midpoint
-        cfg = StokesConfig(tau=0.3, radius=16.0, tol=1e-12)
+        cfg = StokesConfig(tau=0.3, tol=1e-12)
         fs = compute_formal_coefficients(sys, K=30)
         vals = [connection_at(sys, 0, ld, cfg, fs, PathPoint.from_polar(rho, frame_mid))
                 for rho in (5.0, 6.5, 8.0)]
@@ -823,7 +808,8 @@ class TestConnectionMatrix:
     def test_default_zstar_equals_the_sector_midpoint(self, sys, r):
         # Y^(0)(z)^{-1} Y_r(z) is constant, so C_r at the default z* (that of
         # S_r, in the overlap of sectors r and r + 1) is C_r at the midpoint
-        # of sector r, where no Stokes matrix reads Y_r
+        # of sector r, where no Stokes matrix reads Y_r; `mid` is the z* of
+        # the Y_r of actual_solution, so connection_at carries nothing
         cfg = StokesConfig(tau=0.3)
         fs = compute_formal_coefficients(sys, K=30)
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
@@ -876,8 +862,9 @@ class TestConnectionMatrix:
         ld = build_levelt_solution(GENERIC_A, [sys.Lambda], K=25)
         C0 = connection(sys, 0, ld, StokesConfig(tau=0.3), fs)
         frame_mid = sector_frame(sys.u, 0.3, 0).midpoint
-        zs = PathPoint.from_polar(1.0, frame_mid)
-        Y0 = actual_solution(sys, 0, 0.3, fs, radius=20.0, zstar=zs, tol=1e-12)
-        M = monodromy_loop(Y0, winding=1, tol=1e-12)
+        Y0 = actual_solution(sys, 0, 0.3, fs, tol=1e-12)
+        Y0 = integrate_path(Y0, [Leg(Y0.point.z, PathPoint.from_polar(1.0, frame_mid).z)],
+                            tol=1e-12)
+        M = monodromy_loop(Y0, tol=1e-12)
         expect = np.linalg.solve(C0, monodromy_exponential(ld) @ C0)
         assert np.max(np.abs(M - expect)) < 1e-6

@@ -1,23 +1,21 @@
-"""Every default-valued parameter of isomlab has a caller that sets it.
+"""Every default-valued parameter of isomlab has a verdict that sets it,
+every public function, method and property runs in a verdict, and every
+dataclass field and property is read by one.
 
-A public function, method or dataclass field whose default no call in
-`src/`, the acceptance tests or the benchmark overrides is a setting no
-verdict sets: a second code path that no verdict takes, or one that only
-unit tests take.  This check reads the sources with the stdlib `ast`
-module alone.  A call sets a parameter by keyword or by position, and sets
-every parameter of its callee when it forwards `*args` or `**kw`;
-`dataclasses.replace` keywords set the dataclass fields of their name.
-Calls are matched to callables by name, not resolved, so a parameter counts
-as set when a call of any callable of that name sets it.
-
-The same scan finds the dataclass fields and properties that no verdict
-reads.  A verdict is code in `src/`, the acceptance tests or the
-benchmark; a field that only unit tests read serves none.
-
-Which public functions, methods and properties a verdict reaches is decided
+Which settings a verdict sets and which public names it reaches is decided
 by running it, not by names: `tests/reachability.py` runs the verdict
-traffic under a line trace, and a public function or member that never runs
-is reported.
+traffic (the acceptance tests, the CLI tests through `cli.main` and a
+`cli_digest` slice of every workload) under a trace.  A public function or
+member that never runs is reported, and so is a default-valued parameter of
+a public function, method or dataclass `__init__` that no call binds to a
+value other than its default: a setting no verdict sets is a second code
+path that no verdict takes, or one that only unit tests take.  A call that
+spells out the default sets nothing.  The parameters of exception classes
+are exempt, since their constructors run in raise statements.
+
+Which dataclass fields and properties a verdict reads is found with the
+stdlib `ast` module.  A verdict is code in `src/`, the acceptance tests or
+the benchmark; a field that only unit tests read serves none.
 
 Reads are matched by name, not resolved, so a name that some other object
 also uses is counted as read whatever it belongs to.  Such names were
@@ -63,108 +61,10 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def _params(fn: ast.FunctionDef, skip: int):
-    """(name, position or None for keyword-only, has a default) of each
-    parameter of fn after the first `skip` (self or cls)."""
-    args = fn.args
-    positional = args.posonlyargs + args.args
-    first_default = len(positional) - len(args.defaults)
-    out = [(a.arg, k - skip, k >= first_default) for k, a in enumerate(positional) if k >= skip]
-    out += [(a.arg, None, d is not None) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
-    return out
-
-
 def _fields(cls: ast.ClassDef):
-    """(name, position, has a default) of each field of a dataclass."""
-    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
-              and isinstance(s.target, ast.Name) and "ClassVar" not in ast.unparse(s.annotation)]
-    return [(s.target.id, k, s.value is not None) for k, s in enumerate(fields)]
-
-
-def callables(package):
-    """Callee name -> [(where, params, is a dataclass)] for every public
-    function, public method (and __init__, called by its class name) and
-    dataclass of the modules under `package`."""
-    out = {}
-
-    def add(callee, where, params, dataclass=False):
-        out.setdefault(callee, []).append((where, params, dataclass))
-
-    for path, tree in _trees(package):
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                add(node.name, f"{path.stem}.{node.name}", _params(node, 0))
-            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
-                continue
-            if any(_name(d) == "dataclass" for d in node.decorator_list):
-                add(node.name, f"{path.stem}.{node.name}", _fields(node), dataclass=True)
-            for fn in node.body:
-                if isinstance(fn, ast.FunctionDef) and (
-                        fn.name == "__init__" or not fn.name.startswith("_")):
-                    static = any(_name(d) == "staticmethod" for d in fn.decorator_list)
-                    add(node.name if fn.name == "__init__" else fn.name,
-                        f"{path.stem}.{node.name}.{fn.name}", _params(fn, 0 if static else 1))
-    return out
-
-
-def unset_defaults(package, *callers):
-    """'where(parameter)' of every default-valued parameter of a callable
-    under `package` that no call in the `callers` (files or directories)
-    sets."""
-    table = callables(package)
-    dataclasses = [(where, params) for entries in table.values()
-                   for where, params, dataclass in entries if dataclass]
-    done = set()
-    for _, tree in _trees(*callers):
-        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
-            keywords = {k.arg for k in call.keywords}
-            forwards = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
-            for where, params, _ in table.get(_name(call), ()):
-                done.update((where, name) for name, pos, _ in params
-                            if forwards or name in keywords
-                            or (pos is not None and pos < len(call.args)))
-            if _name(call) == "replace":
-                for where, params in dataclasses:
-                    done.update((where, name) for name, _, _ in params if name in keywords)
-    return sorted(f"{where}({name})" for entries in table.values()
-                  for where, params, _ in entries
-                  for name, _, default in params if default and (where, name) not in done)
-
-
-def test_every_default_has_a_caller():
-    # a default that only unit tests set serves no verdict
-    assert unset_defaults(ROOT / "src" / "isomlab", ROOT / "src",
-                          ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench") == []
-
-
-def test_reports_exactly_the_defaults_no_call_sets(tmp_path):
-    # a keyword, a position, a forwarded **kw and a dataclasses.replace
-    # keyword each set a default; private callables are not checked
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "mod.py").write_text(
-        "from dataclasses import dataclass\n"
-        "def f(x, a=1, b=2, *, c=3): pass\n"
-        "def g(x, d=4): pass\n"
-        "def _h(x, e=5): pass\n"
-        "@dataclass\n"
-        "class C:\n"
-        "    x: int\n"
-        "    y: int = 0\n"
-        "    z: int = 0\n"
-        "    def m(self, w=0, v=1): pass\n"
-        "    @staticmethod\n"
-        "    def s(u=0, t=1): pass\n"
-    )
-    (tmp_path / "calls.py").write_text(
-        "f(0, 1, c=2)\n"
-        "g(0, **kw)\n"
-        "replace(C(0), y=1)\n"
-        "C(0).m(1)\n"
-        "C.s(1)\n"
-    )
-    assert unset_defaults(tmp_path / "pkg", tmp_path) == [
-        "mod.C(z)", "mod.C.m(v)", "mod.C.s(t)", "mod.f(b)",
-    ]
+    """The name of each field of a dataclass."""
+    return [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)
+            and isinstance(s.target, ast.Name) and "ClassVar" not in ast.unparse(s.annotation)]
 
 
 def _getattr_readers(trees):
@@ -194,7 +94,7 @@ def unread_fields(package, *readers):
             if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
                 continue
             if any(_name(d) == "dataclass" for d in cls.decorator_list):
-                declared += [(path.stem, cls.name, name) for name, _, _ in _fields(cls)]
+                declared += [(path.stem, cls.name, name) for name in _fields(cls)]
             declared += [(path.stem, cls.name, fn.name) for fn in cls.body
                          if isinstance(fn, ast.FunctionDef)
                          and any(_name(d) == "property" for d in fn.decorator_list)]
@@ -273,7 +173,7 @@ def test_reports_the_fields_only_other_files_read(tmp_path):
 
 @pytest.fixture(scope="module")
 def unreached(tmp_path_factory):
-    """{heading: the public names listed under it} from one run of
+    """{heading: the public names or settings listed under it} from one run of
     `tests/reachability.py` on the isomlab of this checkout.  What the script
     prints is kept as `reachability.txt` in pytest's base temporary
     directory (`--basetemp`), for a log to show."""
@@ -282,7 +182,8 @@ def unreached(tmp_path_factory):
                           cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=600)
     (tmp_path_factory.getbasetemp() / "reachability.txt").write_text(proc.stdout)
-    lists, heading = {reachability.FUNCTIONS: [], reachability.MEMBERS: []}, None
+    lists = {reachability.FUNCTIONS: [], reachability.MEMBERS: [], reachability.SETTINGS: []}
+    heading = None
     for line in proc.stdout.splitlines():
         if line in lists:
             heading = line
@@ -303,6 +204,11 @@ def test_every_function_is_reached(unreached):
 def test_every_member_is_reached(unreached):
     # a public method or property that no verdict runs serves none
     assert unreached[reachability.MEMBERS] == []
+
+
+def test_every_default_has_a_caller(unreached):
+    # a default that only unit tests set serves no verdict
+    assert unreached[reachability.SETTINGS] == []
 
 
 @pytest.fixture
@@ -364,7 +270,7 @@ def traced_package(tmp_path, monkeypatch):
                     "    return mod.tested() + mod.main()\n")
     monkeypatch.syspath_prepend(str(tmp_path))
     try:
-        ran, called, result = reachability.traced(
+        ran, called, _, result = reachability.traced(
             pkg, lambda: (importlib.import_module("reachpkg.mod").run(),
                           importlib.import_module("reachunit").test()), [unit])
     finally:
@@ -397,6 +303,70 @@ def test_reports_exactly_the_members_nothing_reaches(traced_package):
         "mod.dead": [(33, "return 6")], "mod.idle": [(35, "return 7")],
         "mod.tested": [(37, "return inner()")], "mod.inner": [(39, "return 8")],
     }
+
+
+def test_reports_exactly_the_defaults_no_call_sets(tmp_path, monkeypatch):
+    # a recorded call sets a parameter by binding another value to it, by
+    # position or keyword, in a dataclass's generated __init__ too; a value
+    # equal to a number or string default, the default object itself, a
+    # call from a unit-test file other than main and a call in a branch that
+    # never runs set nothing; private callables and exception classes are
+    # not checked
+    pkg = tmp_path / "setpkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "NONE = None\n"
+        "def f(x, a=1, b=2.0, *, c=None, d='s'):\n"
+        "    return x\n"
+        "def g(x, e=0):\n"
+        "    return x\n"
+        "def _h(x, k=5):\n"
+        "    return x\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: list = field(default_factory=list)\n"
+        "    w: int = 0\n"
+        "    def m(self, v=1):\n"
+        "        return v\n"
+        "    @staticmethod\n"
+        "    def s(t=1):\n"
+        "        return t\n"
+        "class Refused(ValueError):\n"
+        "    def __init__(self, message, code=0):\n"
+        "        super().__init__(message)\n"
+        "def run():\n"
+        "    f(0, 5, 2, c=NONE, d='s')\n"
+        "    f(0, d='t')\n"
+        "    C(0, 1)\n"
+        "    C(0, z=[])\n"
+        "    C(0).m(1)\n"
+        "    C.s(t=2)\n"
+        "    if False:\n"
+        "        C(0, w=1)\n"
+        "    try:\n"
+        "        raise Refused('no')\n"
+        "    except Refused:\n"
+        "        pass\n"
+        "def main(flag=False):\n"
+        "    return flag\n"
+    )
+    unit = tmp_path / "setunit.py"
+    unit.write_text("from setpkg import mod\n"
+                    "def test():\n"
+                    "    return mod.g(0, e=1), mod.main(flag=True)\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        _, _, settings, _ = reachability.traced(
+            pkg, lambda: (importlib.import_module("setpkg.mod").run(),
+                          importlib.import_module("setunit").test()), [unit])
+    finally:
+        for name in ("setunit", "setpkg.mod", "setpkg"):
+            sys.modules.pop(name, None)
+    assert settings == ["mod.C.__init__(w)", "mod.C.m(v)", "mod.f(b)", "mod.f(c)", "mod.g(e)"]
 
 
 def unused_imports(*paths):

@@ -622,10 +622,10 @@ class SectorTable:
     there at the seed radius, for the sectors of the system's own
     requests; `truncations` holds the optimal truncation
     (k, bound) of each series at the seed radius.  The Stokes rays of each
-    system are found once for all its sectors, the seed directions of the
-    frames of each system are one array pass (so its arrays do not grow with
-    the number of systems), and the truncations of all series are one
-    stacked SVD, so all systems must share n.
+    system are found once for all its sectors, the seed directions of all
+    (system, sector) frames of the table are one array pass, and the
+    truncations of all series are one stacked SVD, so all systems must
+    share n.
     """
 
     def __init__(self, cfg: StokesConfig, requests):
@@ -644,22 +644,22 @@ class SectorTable:
         frames = sector_frames([sys.u for sys in self.systems], cfg.tau, sectors, uC=cfg.uC)
         self.frames = {(s, r): frame for s, row in enumerate(frames)
                        for r, frame in zip(sectors, row)}
-        self.angles, self.leakage = {}, {}
-        for s, (sys, rs) in enumerate(zip(self.systems, used)):
-            rs = sorted(rs)
-            angles, leakage = _seed_directions(
-                sys.u, np.array([self.frames[s, r].lo for r in rs]),
-                np.array([self.frames[s, r].hi for r in rs]), cfg.radius)
-            self.angles.update(((s, r), a) for r, a in zip(rs, angles))
-            self.leakage.update(((s, r), x) for r, x in zip(rs, leakage.tolist()))
+        seeded = [(s, r) for s, rs in enumerate(used) for r in sorted(rs)]
+        angles, leakage = _seed_directions(
+            np.array([self.systems[s].u for s, _ in seeded]),
+            np.array([self.frames[key].lo for key in seeded]),
+            np.array([self.frames[key].hi for key in seeded]), cfg.radius)
+        self.angles = dict(zip(seeded, angles))
+        self.leakage = dict(zip(seeded, leakage.tolist()))
         self.series = [np.asarray(F, dtype=complex).reshape(-1, n, n) for F in series.values()]
         self.truncations = optimal_truncations(self.series, cfg.radius)
 
 
 def _seed_directions(u, lo, hi, radius: float):
     """Per-column seed directions in the frames (lo, hi), two (F,) arrays, of
-    the system with exponents u, and the Stokes leakage of seeds there, for
-    all those frames in one array pass.
+    the systems with exponents u (F, n), one row per frame, and the Stokes
+    leakage of seeds there, for all those frames in one array pass; its
+    arrays grow with the number of frames F.
 
     For column j the contamination of the truncated-series seed by other
     solutions scales like exp(|z| Re(e^{i theta}(u_j - u_i))); picking theta
@@ -677,20 +677,21 @@ def _seed_directions(u, lo, hi, radius: float):
     the separation.
     Returns the angles (F, n) and the largest admixture in each frame (F,).
     """
+    F, n = u.shape
     pad = np.minimum(0.05, 0.1 * (hi - lo))
     a, b = (lo + pad)[:, None, None], (hi - pad)[:, None, None]
-    diff = u[:, None] - u[None, :]  # u_j - u_i at [j, i]
-    other = (diff != 0)[:, None]  # i != j and u_i != u_j
+    diff = u[:, :, None] - u[:, None, :]  # u_j - u_i at [f, j, i]
+    other = (diff != 0)[:, :, None]  # i != j and u_i != u_j
     # the peaks of column j's sinusoids, and where each two of them cross
     # (both crossings of a pair: arg(u_i - u_k) + theta = pi/2 or 3 pi/2)
-    cross = 0.5 * np.pi - np.angle(diff).ravel()
-    base = np.concatenate([np.pi - np.angle(diff + 1e-3 * diff.sum(axis=1, keepdims=True)),
-                           np.broadcast_to(cross, (len(u), cross.size))], axis=1)
+    cross = 0.5 * np.pi - np.angle(diff).reshape(F, 1, n * n)
+    base = np.concatenate([np.pi - np.angle(diff + 1e-3 * diff.sum(axis=2, keepdims=True)),
+                           np.broadcast_to(cross, (F, n, n * n))], axis=2)
     # their images in [a, a + 4 pi), which hold every frame, and the ends
     first = a + np.mod(base - a, 2 * np.pi)
-    ends = np.broadcast_to(np.concatenate([a, b], axis=2), first.shape[:2] + (2,))
+    ends = np.broadcast_to(np.concatenate([a, b], axis=2), (F, n, 2))
     thetas = np.concatenate([ends, first, first + 2 * np.pi], axis=2)  # (F, n, candidates)
-    d = -np.real(np.exp(1j * thetas)[..., None] * diff[:, None])  # (F, n, candidates, n)
+    d = -np.real(np.exp(1j * thetas)[..., None] * diff[:, :, None])  # (F, n, candidates, n)
     depth = np.where(other, d, np.inf).min(axis=3)
     depth[np.isinf(depth)] = 0.0
     score = np.where(thetas <= b, depth + 1e-3 * np.where(other, d, 0.0).sum(axis=3), -np.inf)

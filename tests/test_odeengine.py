@@ -619,8 +619,8 @@ class TestSeedDirections:
             u.append(complex(x, y) if step is None or not u else u[-1] + step)
         u = np.array([u[0]] * len(u) if all_equal else u)
         frame = SectorFrame(lo=lo, hi=lo + opening)
-        (angles,), _ = odeengine._seed_directions(u, np.array([frame.lo]), np.array([frame.hi]),
-                                                  20.0)
+        (angles,), _ = odeengine._seed_directions(u[None], np.array([frame.lo]),
+                                                  np.array([frame.hi]), 20.0)
         pad = min(0.05, 0.1 * (frame.hi - frame.lo))
         assert np.all((frame.lo + pad <= angles) & (angles <= frame.hi - pad))
         # the closed form takes the best of the candidates, among them the

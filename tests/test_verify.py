@@ -61,7 +61,7 @@ def sector_work(monkeypatch):
 
     def counted_seeds(u, lo, hi, radius):
         work["seeds"].append(len(lo))
-        work["frames_seeded"].update((u.tobytes(), a, b) for a, b in zip(lo, hi))
+        work["frames_seeded"].update((row.tobytes(), a, b) for row, a, b in zip(u, lo, hi))
         return seeds(u, lo, hi, radius)
 
     def counted_truncations(series, radius):
@@ -190,9 +190,9 @@ class TestCollectData:
         # first (S_{r+2}), in one frame pass that finds the rays of each
         # sample once
         assert sector_work["frames"] == [(3, (0, 1, 2, 3), 3)]
-        # seed directions in the sectors each sample uses, one pass per
-        # sample, each frame once
-        assert sector_work["seeds"] == [4, 3, 3]
+        # seed directions in the sectors each sample uses, one pass for
+        # the table, each (sample, sector) frame once
+        assert sector_work["seeds"] == [4 + 3 + 3]
         assert len(sector_work["frames_seeded"]) == 4 + 3 + 3
         # the series of each sample, in one stacked pass, each once
         assert [len(series) for series in sector_work["truncations"]] == [3]
@@ -457,8 +457,8 @@ class TestVerifyCoalescence:
         verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
         # seed directions in sectors r, r + 1, r + 2 of the frozen system and
         # of each sample, shared by its self- and frozen-seeded passes: one
-        # pass per system, each frame once
-        assert sector_work["seeds"] == [3] * (1 + GAP_COUNT)
+        # pass for the table, each (system, sector) frame once
+        assert sector_work["seeds"] == [3 * (1 + GAP_COUNT)]
         assert len(sector_work["frames_seeded"]) == 3 * (1 + GAP_COUNT)
         # the frozen series (frozen system and frozen-seeded passes) and the
         # series of each sample, all at the one seed radius: one stacked

@@ -133,45 +133,37 @@ def coalesced_pairs(u, A, tol: float) -> np.ndarray:
     return co
 
 
-def _coalesced_entries(sys, Fk, k, coalesced):
-    """Fill entries of F_k for coalesced pairs from the order-(k+1) relation.
+def _coalesced_columns(A, K, coalesced):
+    """The order-(k+1) relations that give the coalesced entries of F_1..F_K.
 
     For each column j, the relation at order k+1 couples the unknown entries
-    (F_k)_{ij} of the rows i coalesced with j linearly; the diagonal
-    coefficient is A_ii - A_jj + k, nonzero when diag(A) has no
-    negative-integer resonance inside the group.
+    (F_k)_{ij} of the rows i coalesced with j linearly:
+
+        (A_ii - A_jj + k)(F_k)_{ij} + sum_{p coalesced with j, p != i} A_ip (F_k)_{pj}
+            = -sum_{other p != i} A_ip (F_k)_{pj}.
+
+    Its matrix depends on k alone, so the K matrices of a column are inverted
+    in one batched call.  They are invertible: `coalesced_pairs` refuses a
+    group whose diagonal entries of A lie within 1e-8 of a non-zero integer
+    apart and couplings inside it above PATTERN_TOL, so each matrix is
+    diagonally dominant.  Returns (j, rows, others, inverses) per column with
+    coalesced rows: `others` are the p outside `rows` and j of each row's
+    right-hand side, and inverses[k - 1] is the inverse at order k, as lists
+    of Python scalars.
     """
-    A = sys.A
-    n = sys.n
+    n = len(A)
     d = np.diag(A)
+    out = []
     for j in range(n):
-        rows = np.flatnonzero(coalesced[:, j]).tolist()
-        if not rows:
+        rows = np.flatnonzero(coalesced[:, j])
+        if not len(rows):
             continue
-        m = len(rows)
-        Mmat = np.zeros((m, m), dtype=complex)
-        rhs = np.zeros(m, dtype=complex)
-        for a, i in enumerate(rows):
-            Mmat[a, a] = d[i] - d[j] + k
-            acc = 0.0 + 0.0j
-            for p in range(n):
-                if p == i:
-                    continue
-                if coalesced[p, j]:
-                    # unknown within the same group couples into the system
-                    Mmat[a, rows.index(p)] += A[i, p]
-                else:
-                    acc += A[i, p] * Fk[p, j]
-            rhs[a] = -acc
-        try:
-            x = np.linalg.solve(Mmat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError(
-                f"coalesced recursion singular at order {k} (diagonal resonance)",
-                order=k,
-            ) from exc
-        for a, i in enumerate(rows):
-            Fk[i, j] = x[a]
+        M = np.repeat(A[np.ix_(rows, rows)][None], K, axis=0)
+        diag = np.arange(len(rows))
+        M[:, diag, diag] = (d[rows] - d[j])[None, :] + np.arange(1, K + 1)[:, None]
+        others = [[p for p in range(n) if p != i and not coalesced[p, j]] for i in rows]
+        out.append((j, rows.tolist(), others, np.linalg.inv(M).tolist()))
+    return out
 
 
 def compute_formal_coefficients(
@@ -198,7 +190,7 @@ def compute_formal_coefficients(
     if coalesce_tol <= 0 and len(np.unique(u)) < n:
         raise CoincidentPointsError("coincident u_i; recursion divides by u_j - u_i")
     coalesced = coalesced_pairs(u, A, coalesce_tol)
-    any_coalesced = bool(coalesced.any())
+    columns = _coalesced_columns(A, K, coalesced)
 
     # Python complex scalars round +, - and * as numpy's scalars do, but not
     # /, so divisions stay numpy's; operands are complex, sums start from 0j.
@@ -226,10 +218,10 @@ def compute_formal_coefficients(
             Fk = np.zeros((n, n), dtype=complex).tolist()
             for i, j, g in pairs:
                 Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
-            if any_coalesced:
-                Fk = np.array(Fk)
-                _coalesced_entries(sys, Fk, k, coalesced)
-                Fk = Fk.tolist()
+            for j, rows, others, inverses in columns:
+                rhs = [-sum((Al[i][p] * Fk[p][j] for p in ps), 0j) for i, ps in zip(rows, others)]
+                for i, row in zip(rows, inverses[k - 1]):
+                    Fk[i][j] = sum((a * b for a, b in zip(row, rhs)), 0j)
             for i in range(n):
                 Fk[i][i] = complex(-dot(Fk, i, i) / kn)
             F_all.append(np.array(Fk))

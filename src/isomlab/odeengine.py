@@ -39,11 +39,17 @@ the end of the step of the solution that is I at its start), seeded with
 c_0 = I.  Coefficients are padded to a common dimension and degree; the
 local P, Q and the recurrence of all members are built at once, and every
 term is one batched product over the window of the last terms, shared by
-the n columns of a member.  The members are summed in chunks of STEP_CHUNK
-steps, so that the arrays of the term loop do not grow with the number of
-steps (only the transfer matrices do, 16 n^2 bytes a step).  The steps of
-each leg are multiplied into its matrix, one step index at a time, and each
-transport is carried through the matrices of its legs, Y <- L Y.
+the n columns of a member.  The oldest term of the window meets Q's leading
+coefficient alone, which the Taylor shift keeps: zero for `fuchsian_ode`,
+whose Q has degree N - 1 padded to N, and the diagonal Lambda - c for
+`irregular_ode`.  When that coefficient has no off-diagonal entry in any ODE
+of a batch, the product runs over the newer terms only and a diagonal
+coefficient adds its share elementwise.  The members are summed in chunks
+of STEP_CHUNK steps, so that the arrays of the term loop do not grow with
+the number of steps (only the transfer matrices do, 16 n^2 bytes a step).
+The steps of each leg are multiplied into its matrix, one step index at a
+time, and each transport is carried through the matrices of its legs,
+Y <- L Y.
 
 Stop rule: the loop over a chunk ends once every member has had two
 consecutive terms with ||c_k||_F <= TAIL_FRACTION * tol, which bounds
@@ -65,7 +71,7 @@ and `verify_coalescence` on all of theirs, and `fuchsian.monodromy_plan` is
 the plan of `fuchs_monodromy`.  The requests of one plan share one
 `SectorTable`: the frames of every (system, sector) pair from one ray
 computation per system, the seed directions (in closed form) and Stokes
-leakage of all frames of each system in one array pass, and the truncations
+leakage of all frames of the table in one array pass, and the truncations
 of all distinct series in one stacked SVD.  Every column of a system runs on
 the system's one ODE; the plan lays out the legs of each (system, sector,
 z*), sweeps cut at the seed angles, and the seed columns of each (system,
@@ -311,6 +317,13 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
     powers = np.arange(m)[:, None]
     d = m - 1
     tol2 = (TAIL_FRACTION * tol) ** 2
+    # slot 0 of a step matrix is Q's leading coefficient, scaled, and does
+    # not change with k (`_step_matrix`); with no off-diagonal entry in it
+    # the window product runs over slots 1..d, and a non-zero one adds its
+    # diagonal elementwise
+    lead = Q[-1]
+    first = 0 if lead[~np.eye(n, dtype=bool)].any() else 1
+    lead_diagonal = first == 1 and lead.any()
     # transfer matrices of the steps, summed STEP_CHUNK steps at a time
     T = np.empty((len(z0), n, n), dtype=complex)
     for a in range(0, len(z0), STEP_CHUNK):
@@ -319,6 +332,10 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
         B = len(members)
         M, slope = _step_matrix(P[:, members], Q[..., members], z0[sl] - center[members],
                                 h[sl], binom, idx, powers)
+        if lead_diagonal:
+            D0 = _diagonal(M)[0, :, None].copy()  # (n, 1, B)
+            lead_term = np.empty((n, n, B), dtype=complex)
+        M, slope = np.ascontiguousarray(M[:, first * n :]), slope[first:]
         diag = _diagonal(M)
         diag0 = diag.copy()
         # the latest terms c_j, seeded with c_0 = I; when the buffer is full
@@ -335,7 +352,9 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
                 j = 0
             np.add(diag0, k * slope[:, None], out=diag)
             c = G[j + m]
-            np.einsum("iwb,wcb->icb", M, G[j : j + m].reshape(-1, n, B), out=c)
+            np.einsum("iwb,wcb->icb", M, G[j + first : j + m].reshape(-1, n, B), out=c)
+            if lead_diagonal:
+                c += np.multiply(D0, G[j], out=lead_term)
             c *= 1.0 / (k + 1)
             total += c
             j += 1
@@ -461,7 +480,9 @@ def _step_matrix(P, Q, x0, h, binom, idx, powers):
     a sum over the window of the last m terms, in which slot s holds
     c_{k-d+s}.  Returns M (n, m n, B), with (k + 1) c_{k+1} = sum_w M[:, w]
     window[w] at k = 0, and the slope (m, B) by which the diagonal of each
-    slot's block of M grows with k.
+    slot's block of M grows with k.  Slot 0 is the leading coefficient of Q
+    times h^(d+1) / p_0 (the shift keeps it) with slope -p_{d+1} = 0, so it
+    does not change with k.
     """
     m, n, B = Q.shape[0], Q.shape[1], Q.shape[-1]
     shift = binom[..., None] * (x0 ** powers)[idx]  # Taylor shift to x0, (m, m, B)

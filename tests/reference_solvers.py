@@ -326,9 +326,10 @@ def truncated_formal(fs, z, arg_branch, K):
 
 def formal_coefficients_reference(sys, K: int, coalesce_tol: float = 0.0):
     """F_1..F_K of `compute_formal_coefficients` (its checks left out) by the
-    recursion on numpy complex scalars, entry by entry; the library runs it on
-    Python scalars and must reproduce every F_k bit for bit."""
-    from isomlab.formal import _coalesced_entries
+    recursion on numpy complex scalars, entry by entry, with the coalesced
+    entries of each column from one np.linalg.solve of its order-(k+1)
+    relation per order; the library runs the recursion on Python scalars and
+    inverts the relations of all orders at once."""
     from isomlab.geometry import coalescence_labels
 
     A, u, n = sys.A, sys.u, sys.n
@@ -346,8 +347,17 @@ def formal_coefficients_reference(sys, K: int, coalesce_tol: float = 0.0):
                 num = (d[i] - d[j] + k - 1) * Fprev[i, j]
                 num += sum(A[i, p] * Fprev[p, j] for p in range(n) if p != i)
                 Fk[i, j] = num / (u[j] - u[i])
-        if coalesced.any():
-            _coalesced_entries(sys, Fk, k, coalesced)
+        for j in range(n):
+            # (A_ii - A_jj + k)(F_k)_ij + sum_{p != i} A_ip (F_k)_pj = 0 for the
+            # rows i coalesced with j, whose entries are the unknowns
+            rows = [i for i in range(n) if coalesced[i, j]]
+            if not rows:
+                continue
+            M = np.array([[d[i] - d[j] + k if p == i else A[i, p] for p in rows]
+                          for i in rows])
+            rhs = np.array([-sum((A[i, p] * Fk[p, j] for p in range(n)
+                                  if p != i and not coalesced[p, j]), 0j) for i in rows])
+            Fk[rows, j] = np.linalg.solve(M, rhs)
         for i in range(n):
             acc = sum((A[i, p] * Fk[p, i] for p in range(n) if p != i), 0j)
             Fk[i, i] = -acc / k

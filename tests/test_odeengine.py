@@ -24,6 +24,7 @@ from scipy.integrate import solve_ivp
 from isomlab import odeengine
 from isomlab.errors import IntegrationError
 from isomlab.formal import FormalSolution, IrregularSystem, compute_formal_coefficients
+from isomlab.fuchsian import FuchsianSystem, monodromy_plan
 from isomlab.geometry import SectorFrame, sector_frames
 from isomlab.levelt import build_levelt_solution
 from isomlab.odeengine import (
@@ -210,6 +211,80 @@ class TestTaylorEngine:
             h = integrate_path(h, [Leg(za, zb)], tol=1e-12)
         assert np.max(np.abs(h.value - ref)) < 1e-11 * np.max(np.abs(ref))
         assert h.wronskian_drift < 1e-11
+
+
+class TestSlotStructure:
+    """Slot 0 of a step matrix is Q's leading coefficient times h^(d+1) / p_0,
+    constant in k; the term loop takes it out of the window product when no
+    ODE of the batch has an off-diagonal entry there."""
+
+    def test_leading_coefficient_zero_or_diagonal(self):
+        # zero in every fuchsian_ode, the infinity frame's included, and
+        # diagonal in every irregular_ode
+        rng = np.random.default_rng(33)
+        for N, n in [(1, 2), (2, 2), (3, 3), (4, 2), (5, 3)]:
+            poles = rng.normal(size=N) + 1j * rng.normal(size=N)
+            residues = [0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                        for _ in range(N - 1)]
+            residues.append(-sum(residues, np.zeros((n, n))))
+            jobs = monodromy_plan(FuchsianSystem(poles=poles, residues=tuple(residues))).jobs
+            assert len(jobs) == N + 1  # the loops and the infinity frame
+            for ode, _, _ in jobs:
+                assert len(ode.Q) == len(ode.P) and not ode.Q[-1].any()
+        for n in range(2, 6):
+            sys = seeded_system(40 + n, n)
+            lead = irregular_ode(sys, complex(np.mean(sys.u))).Q[-1]
+            assert np.array_equal(lead, np.diag(np.diag(lead))) and np.diag(lead).any()
+
+    @pytest.mark.parametrize("kind", ["irregular", "fuchsian"])
+    def test_slot_zero_is_the_scaled_leading_coefficient(self, kind):
+        rng = np.random.default_rng(35)
+        if kind == "irregular":
+            ode = irregular_ode(seeded_system(7, 3), 0.2 - 0.1j)
+        else:
+            A1, A2 = 0.3 * (rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3)))
+            ode = fuchsian_ode([0.0, 1.0, 0.5j], [A1, A2, -A1 - A2])
+        m, n, B = len(ode.P), ode.Q.shape[1], 6
+        x0 = 3.0 * np.exp(2j * np.pi * rng.random(B))
+        h = 0.1 * (rng.normal(size=B) + 1j * rng.normal(size=B))
+        binom, idx = odeengine._shift_tables(m)
+        M, slope = odeengine._step_matrix(
+            np.repeat(ode.P[:, None], B, axis=1), np.repeat(ode.Q[..., None], B, axis=3),
+            x0, h, binom, idx, np.arange(m)[:, None])
+        p0 = np.polyval(ode.P[::-1], x0)
+        want = ode.Q[-1][..., None] * (h ** m / p0)
+        # exact zeros stay exact: rtol alone, no atol
+        assert np.allclose(M[:, :n], want, rtol=1e-13, atol=0.0)
+        assert not slope[0].any()
+
+    def test_offdiagonal_leading_coefficient_against_dop853(self):
+        # (1 + 0.2 z) Y' = (Q_0 + Q_1 z) Y with a full Q_1 keeps slot 0 in the
+        # product, alone and in a batch with an irregular and a Fuchsian ODE,
+        # whose transports must not move
+        rng = np.random.default_rng(36)
+        Q = 0.3 * (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
+        assert Q[1, 0, 1] != 0 and Q[1, 1, 0] != 0
+        ode = odeengine.LinearODE(center=0j, P=np.array([1.0, 0.2], dtype=complex), Q=Q,
+                                  roots=np.array([-5.0 + 0j]))
+        corners = [0.5 + 0j, 1.5 + 1.0j, -0.5 + 1.5j]
+        legs = [Leg(za, zb) for za, zb in zip(corners[:-1], corners[1:])]
+        ref = np.eye(2, dtype=complex)
+        for za, zb in zip(corners[:-1], corners[1:]):
+
+            def f(t, y, za=za, zb=zb):
+                z = za + t * (zb - za)
+                return ((zb - za) * ((Q[0] + Q[1] * z) / (1.0 + 0.2 * z)) @ y.reshape(2, 2)).ravel()
+
+            ref = solve_ivp(f, (0.0, 1.0), ref.ravel(), method="DOP853",
+                            rtol=1e-13, atol=1e-13).y[:, -1].reshape(2, 2)
+        others = TestBatchedEngine.mixed_jobs()[3:5]
+        batch = transport_matrix(*zip(*([(ode, np.eye(2, dtype=complex), legs)] + others)),
+                                 tol=1e-12)
+        for got in (transport_matrix(ode, np.eye(2, dtype=complex), legs, tol=1e-12), batch[0]):
+            assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
+        for job, got in zip(others, batch[1:]):
+            alone = transport_matrix(*job, tol=1e-12)
+            assert np.max(np.abs(got - alone)) < 1e-12 * np.max(np.abs(alone))
 
 
 class TestBatchedEngine:

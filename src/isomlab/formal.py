@@ -145,11 +145,11 @@ def _coalesced_columns(A, K, coalesced):
     Its matrix depends on k alone, so the K matrices of a column are inverted
     in one batched call.  They are invertible: `coalesced_pairs` refuses a
     group whose diagonal entries of A lie within 1e-8 of a non-zero integer
-    apart and couplings inside it above PATTERN_TOL, so each matrix is
-    diagonally dominant.  Returns (j, rows, others, inverses) per column with
-    coalesced rows: `others` are the p outside `rows` and j of each row's
-    right-hand side, and inverses[k - 1] is the inverse at order k, as lists
-    of Python scalars.
+    apart, or whose couplings exceed PATTERN_TOL, so each matrix of a group
+    of fewer than 100 indices is diagonally dominant.  Returns, per column j
+    with coalesced rows, (j, rows, others, inverses): others[a] lists the p
+    of the right-hand side of row rows[a], and inverses[k - 1] is the
+    inverse at order k, as lists of Python scalars.
     """
     n = len(A)
     d = np.diag(A)

@@ -69,17 +69,24 @@ carries Levelt data, of some system and series) under one `StokesConfig`;
 `actual_solution` and `stokes_matrix` run it on one request, `collect_data`
 and `verify_coalescence` on all of theirs, and `fuchsian.monodromy_plan` is
 the plan of `fuchs_monodromy`.  The requests of one plan share one
-`SectorTable`: the frames of every (system, sector) pair from one ray
-computation per system, the seed directions (in closed form) and Stokes
-leakage of all frames of the table in one array pass, and the truncations
-of all distinct series in one stacked SVD.  Every column of a system runs on
-the system's one ODE; the plan lays out the legs of each (system, sector,
-z*), sweeps cut at the seed angles, and the seed columns of each (system,
-series, sector) once, so the engine steps what the transports share once; it
-assembles all Stokes matrices in one stacked pass.  Every number is the one
-the per-result computation gives, bit for bit: angles stay on math.atan2,
-and scalar complex arithmetic is not moved into arrays, whose products round
-differently.
+`SectorTable`: sectors repeat with period 2 pi (Balser, Jurkat and Lutz,
+SIAM J. Math. Anal. 12 (1981): Y_{r+2}(z) = Y_r(z e^{-2 pi i}) e^{2 pi i B}),
+so the frames of sectors 0 and 1 of every system come from one ray
+computation, their seed directions (in closed form) and Stokes leakage from
+one array pass, and the truncations of all distinct series from one stacked
+SVD; sector k is sector k mod 2 turned by 2 pi floor(k / 2).  Every point of
+a plan (seed, z*, stop) is made from the base-sheet angle, and the turn goes
+into the args alone, so sector r + 2 runs on the seeds and legs of sector r.
+Every column of a system runs on the system's one ODE, along a radial leg
+in to the system's circle, the circle's arcs to arg z* and a radial leg out
+to z*; the circle is cut once per system, at the seed angles of sectors 0
+and 1 and at the z* args, into elementary arcs, each one (ODE, leg) pair
+per direction, so the engine steps each of them once for every column,
+seeded pass, sector, sheet and z* that passes it; the plan assembles all
+Stokes matrices in one stacked pass.  The legs and seeds of a system depend
+on the system and the config alone, bit for bit, whatever other requests a
+plan holds: angles stay on math.atan2, and scalar complex arithmetic is not
+moved into arrays, whose products round differently.
 
 The Wronskian identity
 
@@ -109,7 +116,7 @@ from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrac
 
 from .errors import IntegrationError, SectorError
 from .formal import FormalSolution, IrregularSystem, optimal_truncations
-from .geometry import sector_frames
+from .geometry import TWO_PI, SectorFrame, mod_angle, sector_frames
 from .levelt import LeveltData, eval_levelt
 
 DEFAULT_TOL = 1e-11
@@ -121,6 +128,7 @@ STEP_FLOOR = 1e-9
 TAIL_FRACTION = 1e-2
 MAX_TERMS = 200
 STEP_CHUNK = 512  # steps summed together (bounds the term loop's arrays)
+CUT_TOL = 1e-12  # stops of a circle closer than this, mod 2 pi, are one stop
 
 
 def _polar(radius: float, arg: float) -> complex:
@@ -150,10 +158,12 @@ class PathPoint:
         return abs(self.z)
 
     @staticmethod
-    def from_polar(radius: float, arg: float) -> "PathPoint":
+    def from_polar(radius: float, arg: float, turns: int = 0) -> "PathPoint":
+        """The point at `radius` and `arg`, `turns` turns further on the
+        cover; z is made from `arg` alone, so it is the same on every turn."""
         if radius <= 0:
             raise ValueError("radius must be positive")
-        return PathPoint(z=_polar(radius, arg), arg=arg)
+        return PathPoint(z=_polar(radius, arg), arg=arg + TWO_PI * turns)
 
 
 @dataclass(frozen=True)
@@ -636,17 +646,28 @@ class SectorTable:
     distinct series (F_1..F_K as one (K, n, n) array), both in order of first
     use; requests share a series when they share its F tuple, as the
     frozen-seeded passes of verify_coalescence share the frozen one.
-    `frames` maps (system index, sector) to the sector frame, for every
-    system in every sector whose solution any request is made of
-    (`SectorRequest.sectors`); `angles` and `leakage` map it to the seed
-    direction of every column in the frame and the Stokes leakage of seeds
-    there at the seed radius, for the sectors of the system's own
-    requests; `truncations` holds the optimal truncation
-    (k, bound) of each series at the seed radius.  The Stokes rays of each
-    system are found once for all its sectors, the seed directions of all
-    (system, sector) frames of the table are one array pass, and the
-    truncations of all series are one stacked SVD, so all systems must
-    share n.
+
+    Sectors repeat with period 2 pi (Y_{r+2}(z) = Y_r(z e^{-2 pi i})
+    e^{2 pi i B}), so everything is found on the base sheet, for sectors 0
+    and 1 of every system, and sector k is sector k mod 2 turned by
+    2 pi floor(k / 2).  `frames` maps (system index, sector) to the sector
+    frame, and `angles` and `leakage` map it to the seed direction of every
+    column in the frame and the Stokes leakage of seeds there at the seed
+    radius, for the sectors of the system's own requests
+    (`SectorRequest.sectors`); `truncations` holds the optimal truncation
+    (k, bound) of each series at the seed radius.  Per system, `overlaps`
+    holds the (lo, hi) of the overlaps of sectors 0 and 1 and of 1 and 2,
+    `zstar_args` the base-sheet z* args by request kind ("stokes": the
+    midpoints of those overlaps; "sectorial": those of sectors 0 and 1),
+    and `circles` the `_Circle` on which its columns sweep, cut at the seed
+    angles of sectors 0 and 1 and at its Stokes z* args, so that each
+    Stokes request lays out its columns on legs that depend on the system
+    and the config alone, whatever else the plan holds; a system asked for
+    a sectorial solution, which no pipeline asks for, is cut at its
+    sectorial z* args too.  The Stokes rays of all systems are found in
+    one pass, the seed directions of all their base frames are one array
+    pass, and the truncations of all series are one stacked SVD, so all
+    systems must share n.
     """
 
     def __init__(self, cfg: StokesConfig, requests):
@@ -659,21 +680,59 @@ class SectorTable:
             raise ValueError("the systems of one sector table must share n")
         n = self.systems[0].n
         used = [set() for _ in self.systems]
+        sectorial = [False] * len(self.systems)  # asked for a sectorial solution
         for q in requests:
             used[self.system_index[id(q.sys)]].update(q.sectors)
-        sectors = sorted(set().union(*used))
-        frames = sector_frames([sys.u for sys in self.systems], cfg.tau, sectors, uC=cfg.uC)
-        self.frames = {(s, r): frame for s, row in enumerate(frames)
-                       for r, frame in zip(sectors, row)}
-        seeded = [(s, r) for s, rs in enumerate(used) for r in sorted(rs)]
+            sectorial[self.system_index[id(q.sys)]] |= q.kind == "sectorial"
+        base = sector_frames([sys.u for sys in self.systems], cfg.tau, (0, 1), uC=cfg.uC)
         angles, leakage = _seed_directions(
-            np.array([self.systems[s].u for s, _ in seeded]),
-            np.array([self.frames[key].lo for key in seeded]),
-            np.array([self.frames[key].hi for key in seeded]), cfg.radius)
-        self.angles = dict(zip(seeded, angles))
-        self.leakage = dict(zip(seeded, leakage.tolist()))
+            np.repeat([sys.u for sys in self.systems], 2, axis=0),
+            np.array([frame.lo for row in base for frame in row]),
+            np.array([frame.hi for row in base for frame in row]), cfg.radius)
+        angles = angles.reshape(len(self.systems), 2, n)
+        leakage = leakage.reshape(len(self.systems), 2).tolist()
+        self.frames, self.angles, self.leakage = {}, {}, {}
+        for s, ks in enumerate(used):
+            for k in sorted(ks):
+                turn = TWO_PI * (k // 2)
+                frame = base[s][k % 2]
+                self.frames[s, k] = SectorFrame(lo=frame.lo + turn, hi=frame.hi + turn)
+                self.angles[s, k] = angles[s, k % 2] + turn
+                self.leakage[s, k] = leakage[s][k % 2]
+        self.overlaps = [((f1.lo, f0.hi), (f0.lo + TWO_PI, f1.hi)) for f0, f1 in base]
+        self.zstar_args = [{"stokes": tuple(0.5 * (lo + hi) for lo, hi in overlap),
+                            "sectorial": (f0.midpoint, f1.midpoint)}
+                           for overlap, (f0, f1) in zip(self.overlaps, base)]
+        # stops, in the order `seeds` and `zstar` read their places: the
+        # Stokes z* args of sectors 0 and 1, the seed angles of sectors 0 and
+        # 1, and the sectorial z* args where asked
+        self.circles = [
+            _Circle(_arc_radius(cfg.radius, sys.u),
+                    [*args["stokes"], *a.ravel().tolist(), *args["sectorial"][: 2 * asked]])
+            for sys, args, a, asked in zip(self.systems, self.zstar_args, angles, sectorial)]
+        self.radius = cfg.radius
         self.series = [np.asarray(F, dtype=complex).reshape(-1, n, n) for F in series.values()]
         self.truncations = optimal_truncations(self.series, cfg.radius)
+
+    def seeds(self, s: int, k: int) -> tuple[list[complex], list[int]]:
+        """The seed points of system s's columns in sector k, at the seed
+        radius on the angles of their stops, and the places of those stops
+        on the cover of the system's circle."""
+        circle, n = self.circles[s], self.systems[s].n
+        places = [p + circle.turn * (k // 2) for p in circle.place[2 + n * (k % 2) :][:n]]
+        return [_polar(self.radius, circle.angle[p % circle.turn]) for p in places], places
+
+    def zstar(self, s: int, q: SectorRequest) -> tuple[PathPoint, int]:
+        """z* of request q of system s, at half the seed radius: its point
+        and its place on the cover of the system's circle.  The point is
+        made from the base-sheet arg, so that z* of sector r + 2 is that of
+        sector r, with its arg turned by 2 pi."""
+        kind, p, turns = q.kind, q.r % 2, q.r // 2
+        arg = self.zstar_args[s][kind][p]
+        circle = self.circles[s]
+        place = circle.place[p + (2 + 2 * self.systems[s].n) * (kind == "sectorial")]
+        place += circle.turn * turns
+        return PathPoint.from_polar(self.radius / 2.0, arg, turns), place
 
 
 def _seed_directions(u, lo, hi, radius: float):
@@ -722,34 +781,72 @@ def _seed_directions(u, lo, hi, radius: float):
     return angles, np.max(admixture, axis=(1, 2), where=diff != 0, initial=0.0)
 
 
-def _arc_radius(zstar: PathPoint, radius: float, rho_max: float):
-    """The radius of the columns' argument sweeps to `zstar`, and the radial
-    leg from the sweeps' end on arg z* out to z* that every column ends
-    with (none when they sweep at |z*|)."""
+def _arc_radius(radius: float, u) -> float:
+    """The radius of the argument sweeps of a system with exponents u, for
+    seeds at `radius` and z* at half of it."""
     # argument sweeps at large |z| let the dominant exponential swamp the
     # recessive one inside the relative tail criterion; sweep at moderate radius
-    rho_arc = min(zstar.radius, radius, max(0.5, 4.0 / max(rho_max, 1e-6)))
-    if abs(zstar.radius - rho_arc) > 1e-12:
-        return rho_arc, [Leg(_polar(rho_arc, zstar.arg), zstar.z)]
-    return rho_arc, []
+    rho_max = float(np.abs(u[:, None] - u[None, :]).max())
+    return min(radius / 2.0, max(0.5, 4.0 / max(rho_max, 1e-6)))
 
 
-def _column_legs(angles, zstar: PathPoint, radius: float, rho_max: float):
-    """The seed point of each column, at |z| = radius on its angle, and its
-    legs to zstar: a radial leg in from the seed, an argument sweep at
-    moderate radius, cut at the seed angles of the other columns that it
-    passes (so columns share the rest of their sweeps), and the radial leg
-    of `_arc_radius` out to z*."""
-    rho_arc, out = _arc_radius(zstar, radius, rho_max)
-    seeds, paths = [_polar(radius, theta) for theta in angles], []
-    for theta, seed in zip(angles, seeds):
-        legs = [Leg(seed, _polar(rho_arc, theta))] if rho_arc < radius else []
-        stops = [theta, *sorted({t for t in angles if (t - theta) * (zstar.arg - t) > 0},
-                                reverse=bool(zstar.arg < theta)), zstar.arg]
-        legs += [Leg(_polar(rho_arc, t0), _polar(rho_arc, t1), center=0j, sweep=t1 - t0)
-                 for t0, t1 in zip(stops[:-1], stops[1:])]
-        paths.append(legs + out)
-    return seeds, paths
+class _Circle:
+    """The circle |z| = radius on which the columns of one system sweep, cut
+    at `stops` (angles) into elementary arcs, each one Leg per direction.
+
+    Stops less than CUT_TOL apart mod 2 pi are one stop, made from the first
+    of them in `stops`: `angle` holds that angle of each distinct stop and
+    `point` its point.  The `turn` distinct stops are numbered in the order
+    of their angles mod 2 pi, and place P on the cover is stop P mod turn,
+    floor(P / turn) turns on; `place` holds the place of each of `stops`.
+    Every sweep between two places runs over the same arcs, whichever
+    column, sector, sheet or z* it serves.
+    """
+
+    def __init__(self, radius: float, stops):
+        key = [mod_angle(t) for t in stops]
+        groups = []  # the stops of each distinct stop, in order of key
+        for i in sorted(range(len(stops)), key=key.__getitem__):
+            if groups and key[i] - key[groups[-1][-1]] < CUT_TOL:
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        if len(groups) > 1 and key[groups[0][0]] + TWO_PI - key[groups[-1][-1]] < CUT_TOL:
+            groups[0] += groups.pop()
+        groups.sort(key=lambda g: key[min(g)])
+        first = [min(g) for g in groups]
+        self.radius, self.turn = radius, len(groups)
+        self.angle = [stops[i] for i in first]
+        self.key = [key[i] for i in first]
+        self.place = [0] * len(stops)
+        for g, members in enumerate(groups):
+            for i in members:
+                self.place[i] = g + self.turn * round((stops[i] - self.key[g]) / TWO_PI)
+        self.point = [_polar(radius, t) for t in self.angle]
+        ends = self.key + [self.key[0] + TWO_PI]
+        self.up = [Leg(self.point[g], self.point[(g + 1) % self.turn], center=0j,
+                       sweep=ends[g + 1] - ends[g]) for g in range(self.turn)]
+        self.down = [Leg(leg.b, leg.a, center=0j, sweep=-leg.sweep) for leg in self.up]
+
+    def turned(self, a: int, b: int) -> float:
+        """The arg of place b less that of place a, the same on every turn."""
+        return (self.key[b % self.turn] - self.key[a % self.turn]
+                + TWO_PI * (b // self.turn - a // self.turn))
+
+    def arcs(self, a: int, b: int) -> list[Leg]:
+        """The arcs from place a to place b."""
+        if b >= a:
+            return [self.up[p % self.turn] for p in range(a, b)]
+        return [self.down[p % self.turn] for p in range(a - 1, b - 1, -1)]
+
+
+def _column_legs(seeds, starts, end: int, circle: _Circle, out):
+    """The legs of each column from its seed point to z*: a radial leg in
+    from the seed to its place `start` on the circle, the arcs of the
+    circle from there to the place `end` of arg z*, and the legs `out` from
+    there to z*."""
+    return [[Leg(seed, circle.point[a % circle.turn]), *circle.arcs(a, end), *out]
+            for seed, a in zip(seeds, starts)]
 
 
 def sector_plan(cfg: StokesConfig, requests) -> Plan:
@@ -759,90 +856,98 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     The requests share one SectorTable.  One rule places z*, at half the
     seed radius: Y_r's on the midpoint of sector r, and S_r's on the
     midpoint of the overlap of sectors r and r + 1, where C_r reads the Y_r
-    of S_r (S_r and C_r are the same at every z there).  The Levelt solution
-    of C_r runs radially from inside |z*| / 2 to the end of the columns'
-    sweeps on arg z*, and on along their radial leg to z*, which the engine
-    steps once for both.  Each (system, sector, z*) lays out its column
-    legs once and each (system, series, sector) its seed columns once,
-    however many results are made of them; the columns of each solution Y_k are n
-    consecutive transports, and the engine steps each leg they share with
-    other transports once.  Every column of a system runs on one ODE, in the
-    gauge y e^{-c z} (c the mean of u), and is taken to its own gauge
-    y e^{-u_j z} z^{-b_j} by an exact scalar at z*, so the columns and both
-    seeded passes share their legs; a column's sweep is cut at the seed
-    angles it passes.  The solutions Y_k of all requests, and the Stokes
-    matrices among the results, are each assembled in one stacked pass.
+    of S_r (S_r and C_r are the same at every z there).  Every point (seed,
+    z*, stop) is made from the base-sheet angle of sector k mod 2, and the
+    2 pi floor(k / 2) of sector k goes into the args alone (z*'s and the
+    seed gauge's log z_j), so sector r + 2's seeds and legs are sector r's.
+    Every column of a system runs on one ODE, in the gauge y e^{-c z} (c
+    the mean of u), and is taken to its own gauge y e^{-u_j z} z^{-b_j} by
+    an exact scalar at z*: a radial leg in from its seed to the system's
+    circle (`SectorTable.circles`), the circle's arcs from there to arg z*
+    and a radial leg out to z*.  Each elementary arc of the circle is one
+    (ODE, leg) pair per direction, so the engine steps it once for every
+    column, seeded pass, sector, sheet and z* that passes it.  The Levelt
+    solution of C_r runs radially from inside |z*| / 2 to the circle on
+    arg z*, and on along the columns' radial leg to z*.  Each (system,
+    series, sector parity) lays out its seed columns once, however many
+    results are made of them; the columns of each solution Y_k are n
+    consecutive transports.  The solutions Y_k of all requests, and the
+    Stokes matrices among the results, are each assembled in one stacked
+    pass.
     """
     requests = list(requests)
     table = SectorTable(cfg, requests)
     R = cfg.radius
     n = table.systems[0].n
     eye = np.eye(n)
-    rho_max = np.abs(np.array([s.u[:, None] - s.u[None, :] for s in table.systems])
-                     ).max(axis=(1, 2)).tolist()
     centre = [complex(np.mean(sys.u)) for sys in table.systems]
     odes = [irregular_ode(sys, c) for sys, c in zip(table.systems, centre)]
-    overlaps, paths, seeds = {}, {}, {}
+    seeds = {}
     jobs, first, levelt = [], [], {}
     stokes = []  # the Stokes requests
-    # per Y_k: the job of its first column, z*, log z*, series, (system,
-    # sector) and seed error
-    columns, points, logs, series, owner, seed_error = ([] for _ in range(6))
+    # per Y_k: the job of its first column, z*, log z*, series, system,
+    # seed points, their args less arg z*, and seed error
+    columns, points, logs, series, owner, at, turned, seed_error = ([] for _ in range(8))
     for p, q in enumerate(requests):
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
-        frame = table.frames[s, q.r]
+        circle = table.circles[s]
         if q.kind == "stokes":
             stokes.append(p)
-            if (s, q.r) not in overlaps:
-                lo, hi = table.frames[s, q.r + 1].lo, frame.hi
-                if not hi - lo > 1e-9:
-                    raise SectorError(f"sectors {q.r} and {q.r + 1} do not overlap: ({lo}, {hi})")
-                overlaps[s, q.r] = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
-            zstar = overlaps[s, q.r]
-        else:
-            zstar = PathPoint.from_polar(R / 2.0, frame.midpoint)
+            lo, hi = table.overlaps[s][q.r % 2]
+            if not hi - lo > 1e-9:
+                raise SectorError(f"sectors {q.r} and {q.r + 1} do not overlap: ({lo}, {hi})")
+        zstar, end = table.zstar(s, q)
+        # the columns' radial leg out from the circle on arg z* to z*
+        arrive = circle.point[end % circle.turn]
+        out = [Leg(arrive, zstar.z)] if circle.radius < zstar.radius else []
         first.append(len(columns))
         for k in q.sectors:
-            if (s, k, zstar) not in paths:
-                paths[s, k, zstar] = _column_legs(table.angles[s, k].tolist(), zstar, R,
-                                                  rho_max[s])
-            at, legs = paths[s, k, zstar]
-            if (s, f, k) not in seeds:
+            z, places = table.seeds(s, k)
+            if (s, f, k % 2) not in seeds:
                 # column j of the optimally truncated series I + sum_k F_k z^-k
                 k_opt = table.truncations[f][0]
                 F = table.series[f][:k_opt].transpose(2, 1, 0)  # F[j] = F[:k_opt, :, j].T
-                z = np.array(at)[:, None] ** -np.arange(1.0, k_opt + 1)
-                seeds[s, f, k] = [eye[j] + F[j] @ z[j] for j in range(n)]
+                powers = np.array(z)[:, None] ** -np.arange(1.0, k_opt + 1)
+                seeds[s, f, k % 2] = [eye[j] + F[j] @ powers[j] for j in range(n)]
+            legs = _column_legs(z, places, end, circle, out)
             columns.append(len(jobs))
-            jobs += [(odes[s], y, lg) for y, lg in zip(seeds[s, f, k], legs)]
+            jobs += [(odes[s], y, lg) for y, lg in zip(seeds[s, f, k % 2], legs)]
             points.append(zstar)
             logs.append(np.log(zstar.radius) + 1j * zstar.arg)
             series.append(q.fs)
-            owner.append((s, k))
+            owner.append(s)
+            at.append(z)
+            turned.append([circle.turned(end, a) for a in places])
             seed_error.append(table.truncations[f][1] + table.leakage[s, k])
         if q.ld is not None:
-            # Y^(0) out to where the columns' sweeps end, and on along their
+            # Y^(0) out to the circle on arg z*, and on along the columns'
             # radial leg to z*; carried in the system's gauge e^{-c z}, and
             # taken back at z*
-            rho_arc, out = _arc_radius(zstar, R, rho_max[s])
             lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
             levelt[p] = len(jobs), np.exp(centre[s] * (zstar.z - lev.point.z))
-            jobs.append((odes[s], lev.value,
-                         [Leg(lev.point.z, _polar(rho_arc, zstar.arg)), *out]))
+            jobs.append((odes[s], lev.value, [Leg(lev.point.z, arrive), *out]))
 
     # column j of Y_k, seeded at z_j with the series value of y_j e^{-u_j z}
     # z^{-b_j}, ends at z* as y_j e^{-c z*} / (e^{(u_j - c) z_j} z_j^{b_j}),
-    # in the exponents u, b of its series and the centre c of its system
-    logs, c = np.array(logs), np.array([centre[s] for s, _ in owner])[:, None]
+    # in the exponents u, b of its series and the centre c of its system.
+    # Y_k = F_k E(z*), with E(z) = z^B e^{z u} in the system's u; F_k's
+    # scalars hold z_j^{b_j} / z*^{b_j}, whose arg comes from the places of
+    # z_j and z* on the circle, so it is the same on every sheet, and the
+    # sheet of sector k enters through E(z*) alone
+    zs = np.array([z.z for z in points])[:, None]
+    c = np.array([centre[s] for s in owner])[:, None]
     u, b = np.array([fs.u for fs in series]), np.array([fs.b for fs in series])
-    w = math.log(R) + 1j * np.array([table.angles[key] for key in owner])  # log z_j
-    gauge = np.exp(c * np.array([z.z for z in points])[:, None] + (u - c) * np.exp(w) + b * w)
+    u_sys = np.array([table.systems[s].u for s in owner])
+    grading = np.exp(b * np.array(logs)[:, None] + zs * u_sys)  # E(z*)
+    log_ratio = (math.log(R) - np.log([z.radius for z in points]))[:, None] + 1j * np.array(turned)
+    gauge = np.exp((c - u_sys) * zs + (u - c) * np.array(at) + b * log_ratio)
     seed_error = np.array(seed_error)
     blocks = np.array([first[p] for p in stokes], dtype=int)  # Y_r of each S_r
 
     def assemble(ends):
         cols = np.array([ends[job : job + n] for job in columns])
-        Y = np.ascontiguousarray(cols.transpose(0, 2, 1)) * gauge[:, None, :]
+        F = np.ascontiguousarray(cols.transpose(0, 2, 1)) * gauge[:, None, :]
+        Y = F * grading[:, None, :]
         sign, logdet = np.linalg.slogdet(Y)
         if np.any((sign == 0) | ~np.isfinite(logdet)):
             raise ValueError("fundamental matrix must be invertible")
@@ -852,8 +957,8 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
             C = {p: np.linalg.solve(ends[job] * scale, Y[first[p]])
                  for p, (job, scale) in levelt.items()}
             for p, res in zip(stokes, _stokes_results(
-                    [requests[p] for p in stokes], [points[b] for b in blocks], logs[blocks],
-                    Y[blocks], Y[blocks + 1], seed_error[blocks] + seed_error[blocks + 1],
+                    [requests[p] for p in stokes], [points[b] for b in blocks], grading[blocks],
+                    F[blocks], F[blocks + 1], seed_error[blocks] + seed_error[blocks + 1],
                     [C.get(p) for p in stokes], cfg.tol)):
                 results[p] = res
         return results
@@ -861,18 +966,14 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     return Plan(tuple(jobs), assemble)
 
 
-def _stokes_results(requests, zstars, w, Yr, Yr1, seed_error, C, tol: float):
-    """The StokesResults of `requests` from their Y_r and Y_{r+1} at z*, two
-    (P, n, n) stacks, in one stacked pass (see stokes_matrix); `w` holds
-    log z*, `seed_error` the sum of the seed errors of each pair and `C`
-    the connection matrix of each request (None without Levelt data)."""
-    n = Yr.shape[-1]
+def _stokes_results(requests, zstars, grading, Fr, Fr1, seed_error, C, tol: float):
+    """The StokesResults of `requests` from the F-gauge Y_r E(z*)^{-1} and
+    Y_{r+1} E(z*)^{-1} at z*, two (P, n, n) stacks, in one stacked pass (see
+    stokes_matrix); `grading` holds the diagonals of E(z*), `seed_error` the
+    sum of the seed errors of each pair and `C` the connection matrix of
+    each request (None without Levelt data)."""
+    n = Fr.shape[-1]
     u = np.array([q.sys.u for q in requests])
-    # E(z*) diagonals
-    grading = np.exp(np.array([q.fs.b for q in requests]) * w[:, None]
-                     + np.array([z.z for z in zstars])[:, None] * u)
-    Fr = Yr / grading[:, None, :]
-    Fr1 = Yr1 / grading[:, None, :]
     try:
         W = np.linalg.solve(Fr, Fr1)
     except np.linalg.LinAlgError:
@@ -981,7 +1082,9 @@ def levelt_handle(sys: IrregularSystem, ld: LeveltData, zstar: PathPoint,
     if not radius > 0:
         raise ValueError(f"the Levelt series of order {K} has no radius where its tail "
                          f"is below {bound:.1e}")
-    pt = PathPoint.from_polar(radius, zstar.arg)
+    # on the ray of z*'s own point, so that the start does not depend on
+    # which turn of the cover z* lies on
+    pt = PathPoint(zstar.z * (radius / zstar.radius), zstar.arg)
     Y0 = eval_levelt(ld, pt.z, pt.arg)
     return SolutionHandle(system=sys, point=pt, value=Y0)
 

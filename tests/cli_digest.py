@@ -10,9 +10,10 @@ op in-process through ``isomlab.cli.main`` and prints one line per op:
     <workload> <seed> <op> <exit codes> <sha256 of the exit codes, stdout and stderr>
 
 then one line per workload with the digest of all its ops.  With
-``--steps`` each op's line ends with the Taylor steps its calls took (the
-summed step count of every ``odeengine._schedule`` layout), and the
-workload's line with the mean over its ops.  It exits 1 if
+``--steps`` each op's line ends with the Taylor steps its calls took and the
+distinct (ODE, leg) pairs they stepped (the summed step and leg counts of
+every ``odeengine._schedule`` layout), and the workload's line with the
+means of both over its ops.  It exits 1 if
 an exception escaped ``cli.main`` in any call (exit code ``None``), after
 printing every line.  The inputs are
 written to a temporary directory under the same relative names on every run,
@@ -83,13 +84,13 @@ def op_outputs(workload: str, seed: int, ops: int = POOL):
 
 @contextlib.contextmanager
 def counted_steps():
-    """A list that collects the step count of every `odeengine._schedule`
-    layout made inside the block."""
+    """A list that collects the (step, leg) counts of every
+    `odeengine._schedule` layout made inside the block."""
     counts, schedule = [], odeengine._schedule
 
-    def counted(*args):
-        layout = schedule(*args)
-        counts.append(len(layout[0]))
+    def counted(odes, which, legs, names):
+        layout = schedule(odes, which, legs, names)
+        counts.append((len(layout[0]), len(legs)))
         return layout
 
     odeengine._schedule = counted
@@ -125,11 +126,12 @@ def main(argv=None) -> int:
                     total.update(line.encode())
                     codes = ",".join(str(code) for code, _, _ in results)
                     escaped += sum(code is None for code, _, _ in results)
-                    steps.append(sum(counts))
+                    steps.append([sum(c[i] for c in counts) for i in (0, 1)])
                     counts.clear()
-                    tail = f" {steps[-1]}" if args.steps else ""
+                    tail = " {} {}".format(*steps[-1]) if args.steps else ""
                     print(f"{name} {seed} {k} {codes} {line}{tail}", flush=True)
-            tail = f" {sum(steps) / len(steps):.1f}" if args.steps and steps else ""
+            mean = np.mean(steps, axis=0) if args.steps and steps else ()
+            tail = "".join(f" {x:.1f}" for x in mean)
             print(f"{name} all {total.hexdigest()}{tail}", flush=True)
     if escaped:
         print(f"{escaped} call(s) raised out of cli.main", file=sys.stderr)

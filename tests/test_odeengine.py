@@ -626,27 +626,37 @@ class TestSectorTable:
     def test_equals_the_per_frame_computation(self, n, kind):
         # frames, seed directions, leakage and truncations of the table are
         # bit for bit those of one frame, one set of seed candidates and one
-        # series at a time; two systems share one series, truncated once
+        # series at a time on the base sheet, sectors 0 and 1; sector k is
+        # sector k mod 2 turned by 2 pi floor(k / 2), which its own
+        # computation gives to round-off; two systems share one series,
+        # truncated once
         rng = np.random.default_rng(1400 + 10 * n + len(kind))
         systems, cfg = _table_case(rng, n, kind)
         series = [_random_series(rng, s) for s in systems]
         shared = FormalSolution(b=series[0].b, u=systems[1].u, F=series[0].F)
         requests = [SectorRequest(s, r, fs) for s, fs in zip(systems, series) for r in (0, 1)]
-        requests += [SectorRequest(systems[1], 2, shared, "sectorial")]
+        requests += [SectorRequest(systems[1], 2, shared, "sectorial"),
+                     SectorRequest(systems[2], -1, series[2], "sectorial")]
         table = SectorTable(cfg, requests)
         assert table.systems == systems
-        assert len(table.frames) == len(table.angles) == len(table.leakage) == 3 * len(systems)
+        assert len(table.frames) == len(table.angles) == len(table.leakage) == 3 * len(systems) + 1
         for (s, r), frame in table.frames.items():
             u = systems[s].u
-            assert frame == sector_bounds_reference(u, cfg.tau, r, cfg.uC)
+            base = sector_bounds_reference(u, cfg.tau, r % 2, cfg.uC)
+            turn = 2 * math.pi * (r // 2)
+            assert frame == SectorFrame(lo=base.lo + turn, hi=base.hi + turn)
+            want = sector_bounds_reference(u, cfg.tau, r, cfg.uC)
+            assert frame.lo == pytest.approx(want.lo, abs=1e-13)
+            assert frame.hi == pytest.approx(want.hi, abs=1e-13)
             # the degenerate policy's frame, the half-plane and a quarter turn
             # each side, comes when u^C is all one group: with n = 2 the
             # coalescing pair is all of u^C, degenerate too
             lo_hp, hi_hp = cfg.tau + (r - 2) * math.pi, cfg.tau + (r - 1) * math.pi
-            half_plane = (frame.lo, frame.hi) == (lo_hp - math.pi / 2, hi_hp + math.pi / 2)
+            half_plane = (abs(frame.lo - lo_hp + math.pi / 2) < 1e-13
+                          and abs(frame.hi - hi_hp - math.pi / 2) < 1e-13)
             assert half_plane == (cfg.uC is not None and len(set(cfg.uC)) == 1)
-            angles = column_seed_directions_reference(u, frame)
-            assert table.angles[s, r].tobytes() == angles.tobytes()
+            angles = column_seed_directions_reference(u, base)
+            assert table.angles[s, r].tobytes() == (angles + turn).tobytes()
             assert table.leakage[s, r] == leakage_reference(u, angles, cfg.radius)
         assert len(table.series) == len(table.truncations) == len(systems)
         for fs, F, trunc in zip(series, table.series, table.truncations):
@@ -704,22 +714,111 @@ class TestSeedDirections:
         assert np.all(got >= grid - 1e-12 * (1.0 + np.abs(u).max()))
 
 
+def arc_intervals(legs):
+    """The angles that each arc of `legs` covers, [start, end) mod 2 pi with
+    start in [0, 2 pi), by the sign of its sweep."""
+    out = {1: [], -1: []}
+    for leg in legs:
+        if leg.center is not None:
+            low = leg.a if leg.sweep > 0 else leg.b
+            start = math.atan2(low.imag, low.real) % (2 * math.pi)
+            out[1 if leg.sweep > 0 else -1].append((start, start + abs(leg.sweep)))
+    return out
+
+
+def assert_covered_at_most_once(intervals):
+    """No angle mod 2 pi lies in two of `intervals` (up to the merge of stops)."""
+    intervals = sorted(intervals)
+    if intervals:
+        starts = [start for start, _ in intervals[1:]] + [intervals[0][0] + 2 * math.pi]
+        for (_, end), start in zip(intervals, starts):
+            assert end <= start + 1e-11
+
+
 class TestColumnLegs:
     def test_sweeps_cut_at_the_seed_angles(self):
-        # seeds on both sides of arg z*, two at one angle: each path runs from
-        # its seed to z*, and the distinct arcs of all paths cover the angles
-        # from the outermost seeds to arg z* once
+        # z* first, then seeds on both sides of arg z*, two at one angle, one
+        # within CUT_TOL of another and one a turn below a third: each path
+        # runs from its seed to z* by the sweep of its own angle, and the
+        # distinct arcs of all paths cover each angle once per direction
         zstar = PathPoint.from_polar(10.0, 0.7)
-        angles = [0.1, 1.9, 0.5, 1.2, 0.5, -0.4]
-        seeds, paths = odeengine._column_legs(angles, zstar, 20.0, 1.0)
+        angles = [0.1, 1.9, 0.5, 1.2, 0.5, -0.4, 1.2 + 1e-13, 0.1 - 2 * math.pi]
+        circle = odeengine._Circle(4.0, [zstar.arg, *angles])
+        assert circle.turn == 6  # 0.7, 0.1, 1.9, 0.5, 1.2 and -0.4
+        end, places = circle.place[0], circle.place[1:]
+        out = [Leg(circle.point[end % circle.turn], zstar.z)]
+        seeds = [odeengine._polar(20.0, circle.angle[p % circle.turn]) for p in places]
+        paths = odeengine._column_legs(seeds, places, end, circle, out)
         for theta, seed, path in zip(angles, seeds, paths):
-            assert seed == odeengine._polar(20.0, theta) == path[0].a
+            assert path[0].a == seed and abs(seed - odeengine._polar(20.0, theta)) < 1e-11
             assert all(a.b == b.a for a, b in zip(path[:-1], path[1:]))
             assert path[-1].b == zstar.z
-            assert sum(leg.sweep for leg in path) == pytest.approx(0.7 - theta, abs=1e-15)
+            assert sum(leg.sweep for leg in path) == pytest.approx(0.7 - theta, abs=1e-12)
         arcs = {leg for path in paths for leg in path if leg.center is not None}
-        assert len(arcs) == 5
-        assert sum(abs(leg.sweep) for leg in arcs) == pytest.approx(1.9 - (-0.4), abs=1e-15)
+        # up: the full turn of the column a turn below 0.1; down: 1.9 to 0.7
+        assert len(arcs) == 6 + 2
+        covered = arc_intervals(arcs)
+        assert sum(b - a for a, b in covered[1]) == pytest.approx(2 * math.pi, abs=1e-12)
+        assert sum(b - a for a, b in covered[-1]) == pytest.approx(1.9 - 0.7, abs=1e-12)
+        for intervals in covered.values():
+            assert_covered_at_most_once(intervals)
+
+    def test_stops_merge_across_the_turn(self):
+        # a stop just below 2 pi mod 2 pi is the stop at 0, on its own turn:
+        # two stops, and a full turn runs over two arcs of positive sweep
+        circle = odeengine._Circle(4.0, [0.0, -1e-13, 3.0, 2 * math.pi - 1e-13])
+        assert circle.turn == 2 and circle.place == [0, 0, 1, 2]
+        arcs = circle.arcs(0, 2)
+        assert [leg.b for leg in arcs] == [circle.point[1], circle.point[0]]
+        assert all(leg.sweep > 0 for leg in arcs)
+        assert sum(leg.sweep for leg in arcs) == pytest.approx(2 * math.pi, abs=1e-15)
+
+    @FRAMES
+    def test_one_circle_per_system(self, sys, cfg, fs):
+        # across the requests of a plan, on several sheets and both sides of
+        # the base sheet, with and without Levelt data, and two systems: each
+        # column runs from its seed to z* by the sweep of its seed angle, and
+        # each system's distinct arcs cover each angle of its circle at most
+        # once per direction
+        other = IrregularSystem(u=sys.u * 1.3, A=sys.A * 0.8)
+        other_fs = compute_formal_coefficients(other, K=30, coalesce_tol=1e-9)
+        ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
+        requests = [SectorRequest(sys, r, fs) for r in (-1, 0, 1, 2, 3)]
+        requests += [SectorRequest(sys, 0, fs, ld=ld), SectorRequest(sys, 1, fs, "sectorial"),
+                     SectorRequest(other, 0, other_fs), SectorRequest(other, 2, other_fs)]
+        plan = sector_plan(cfg, requests)
+        table = SectorTable(cfg, requests)
+        job = 0
+        for q in requests:
+            s = table.system_index[id(q.sys)]
+            zstar, _ = table.zstar(s, q)
+            for k in q.sectors:
+                for theta in table.angles[s, k].tolist():
+                    _, _, path = plan.jobs[job]
+                    assert abs(path[0].a - odeengine._polar(cfg.radius, theta)) < 1e-11
+                    assert all(a.b == b.a for a, b in zip(path[:-1], path[1:]))
+                    assert path[-1].b == zstar.z
+                    assert sum(leg.sweep for leg in path) == pytest.approx(
+                        zstar.arg - theta, abs=1e-11)
+                    job += 1
+            job += q.ld is not None
+        assert job == len(plan.jobs)
+        for ode in {id(o): o for o, _, _ in plan.jobs}.values():
+            arcs = {leg for o, _, path in plan.jobs if o is ode for leg in path}
+            for intervals in arc_intervals(arcs).values():
+                assert_covered_at_most_once(intervals)
+
+    @FRAMES
+    def test_no_leg_shorter_than_the_stop_tolerance(self, sys, cfg, fs):
+        # a seed angle at arg z* up to round-off (the frozen system seeds
+        # columns on the ray of z*) makes no arc: stops closer than CUT_TOL
+        # are one stop
+        ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
+        requests = [SectorRequest(sys, r, fs, ld=ld) for r in (0, 1)]
+        requests += [SectorRequest(sys, 2, fs), SectorRequest(sys, 0, fs, "sectorial")]
+        legs = {leg for _, _, path in sector_plan(cfg, requests).jobs for leg in path}
+        for leg in legs:
+            assert (leg.length if leg.center is None else abs(leg.sweep)) >= 1e-12
 
 
 class TestSectorPlanOracle:
@@ -853,6 +952,39 @@ class TestStokesMatrix:
         phase = np.exp(2j * np.pi * np.diag(sys.A))
         conj = res0.S * (phase[None, :] / phase[:, None])
         assert np.max(np.abs(res2.S - conj)) < 1e-6
+
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("kind", ["plain", "widened"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sector_r_plus_two_runs_on_the_transports_of_sector_r(self, monkeypatch, n, kind, r):
+        # S_{r+2} next to S_r adds no (ODE, leg) pair and no Taylor step:
+        # sector r + 2's seeds and legs are sector r's, and only the args
+        # turn by 2 pi, so S_{r+2} = e^{-2 pi i B} S_r e^{2 pi i B} holds
+        # to round-off
+        rng = np.random.default_rng(2100 + 10 * n + len(kind))
+        (sys,), cfg = _table_case(rng, n, kind, count=1, scale=0.5, a_scale=0.4)
+        fs = compute_formal_coefficients(sys, K=30)
+        steps, schedule = [], odeengine._schedule
+
+        def counted(*args):
+            layout = schedule(*args)
+            steps.append(len(layout[0]))
+            return layout
+
+        monkeypatch.setattr(odeengine, "_schedule", counted)
+        pairs, totals = [], []
+        for requests in ([SectorRequest(sys, r, fs)],
+                         [SectorRequest(sys, r, fs), SectorRequest(sys, r + 2, fs)]):
+            plan = sector_plan(cfg, requests)
+            pairs.append({(o.P.tobytes(), o.Q.tobytes(), leg) for o, _, path in plan.jobs
+                          for leg in path})
+            steps.clear()
+            res, *res2 = run_plan(plan, cfg.tol)
+            totals.append(sum(steps))
+        assert pairs[0] == pairs[1] and totals[0] == totals[1] > 0
+        phase = np.exp(2j * np.pi * fs.b)
+        conj = res.S * (phase[None, :] / phase[:, None])
+        assert np.abs(res2[0].S - conj).max() <= 1e-12 * max(1.0, np.abs(res.S).max())
 
     def test_seed_radius_independence(self):
         sys = generic_system()

@@ -4,7 +4,14 @@ import pytest
 from isomlab import geometry, odeengine, verify
 from isomlab.errors import CoincidentPointsError, ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
-from isomlab.odeengine import SectorRequest, StokesConfig, join_plans, run_plan, sector_plan
+from isomlab.odeengine import (
+    SectorRequest,
+    StokesConfig,
+    join_plans,
+    run_plan,
+    sector_plan,
+    stokes_matrix,
+)
 from isomlab.verify import (
     COALESCENCE_TOL,
     GAP_COUNT,
@@ -187,13 +194,13 @@ class TestCollectData:
         samples = [U0, 0.5 * (U0 + U1), U1]
         collect_data(IrregularSystem(u=U0, A=GENERIC_A), samples, r=0, tau=0.3, order=32)
         # sectors r..r + 2 of every sample (S_r, S_{r+1}) and r + 3 of the
-        # first (S_{r+2}), in one frame pass that finds the rays of each
-        # sample once
-        assert sector_work["frames"] == [(3, (0, 1, 2, 3), 3)]
-        # seed directions in the sectors each sample uses, one pass for
+        # first (S_{r+2}) are sectors 0 and 1 turned, so one frame pass
+        # finds the rays of each sample once, for sectors 0 and 1
+        assert sector_work["frames"] == [(3, (0, 1), 3)]
+        # seed directions in those two frames of each sample, one pass for
         # the table, each (sample, sector) frame once
-        assert sector_work["seeds"] == [4 + 3 + 3]
-        assert len(sector_work["frames_seeded"]) == 4 + 3 + 3
+        assert sector_work["seeds"] == [2 * 3]
+        assert len(sector_work["frames_seeded"]) == 2 * 3
         # the series of each sample, in one stacked pass, each once
         assert [len(series) for series in sector_work["truncations"]] == [3]
 
@@ -449,17 +456,19 @@ class TestVerifyCoalescence:
 
     def test_each_sector_frame_computed_once(self, sector_work):
         verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
-        # sectors r, r + 1, r + 2 of the frozen system and of each sample, in
-        # one frame pass that finds the rays of each system once
-        assert sector_work["frames"] == [(1 + GAP_COUNT, (0, 1, 2), 1 + GAP_COUNT)]
+        # sectors r, r + 1, r + 2 of the frozen system and of each sample,
+        # sectors 0 and 1 turned, in one frame pass that finds the rays of
+        # each system once
+        assert sector_work["frames"] == [(1 + GAP_COUNT, (0, 1), 1 + GAP_COUNT)]
 
     def test_seed_data_computed_once(self, sector_work):
         verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
-        # seed directions in sectors r, r + 1, r + 2 of the frozen system and
-        # of each sample, shared by its self- and frozen-seeded passes: one
-        # pass for the table, each (system, sector) frame once
-        assert sector_work["seeds"] == [3 * (1 + GAP_COUNT)]
-        assert len(sector_work["frames_seeded"]) == 3 * (1 + GAP_COUNT)
+        # seed directions in sectors 0 and 1 of the frozen system and of
+        # each sample, whose turns are sectors r, r + 1 and r + 2, shared by
+        # its self- and frozen-seeded passes: one pass for the table, each
+        # (system, sector) frame once
+        assert sector_work["seeds"] == [2 * (1 + GAP_COUNT)]
+        assert len(sector_work["frames_seeded"]) == 2 * (1 + GAP_COUNT)
         # the frozen series (frozen system and frozen-seeded passes) and the
         # series of each sample, all at the one seed radius: one stacked
         # pass, each series once
@@ -469,6 +478,20 @@ class TestVerifyCoalescence:
         got, want = engine_jobs(
             monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
         assert_same_jobs(got, want)
+
+    def test_frozen_data_do_not_depend_on_the_batch(self, monkeypatch):
+        # the frozen system's S_r columns run on the same legs in the plan
+        # of all requests as in stokes_matrix on the frozen system alone,
+        # and the two S agree to the engine's batch round-off
+        jobs, cfg, requests = captured_plan(
+            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
+        frozen = requests[0]
+        alone = sector_plan(cfg, [frozen])
+        assert len(requests) == 2 + 4 * GAP_COUNT
+        assert_same_jobs(jobs[: len(alone.jobs)], list(alone.jobs))
+        batch = run_plan(sector_plan(cfg, requests), cfg.tol)[0].S
+        S = stokes_matrix(frozen.sys, frozen.r, cfg, frozen.fs).S
+        assert np.abs(batch - S).max() <= 1e-13 * np.abs(S).max()
 
     def test_one_ode_per_system_shared_by_both_passes(self, monkeypatch):
         # every column of a system runs on the system's one ODE, so the

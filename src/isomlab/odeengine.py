@@ -49,7 +49,13 @@ of STEP_CHUNK steps, so that the arrays of the term loop do not grow with
 the number of steps (only the transfer matrices do, 16 n^2 bytes a step).
 The steps of each leg are multiplied into its matrix, one step index at a
 time, and each transport is carried through the matrices of its legs,
-Y <- L Y.
+Y <- L Y.  An `Inverted` leg, a leg run backwards, is the one exception: the
+transition matrix of a reversed path is the inverse of the forward one, so
+the engine steps its forward leg, shared with every transport that runs
+that leg forwards, and chains the inverse, all such inverses of a batch
+coming from one batched np.linalg.inv.  Only the clockwise sweeps of sector
+plans are Inverted; every other leg, Fuchsian spokes and the legs given to
+`integrate_path` among them, is stepped as it runs.
 
 Stop rule: the loop over a chunk ends once every member has had two
 consecutive terms with ||c_k||_F <= TAIL_FRACTION * tol, which bounds
@@ -77,13 +83,16 @@ one array pass, and the truncations of all distinct series from one stacked
 SVD; sector k is sector k mod 2 turned by 2 pi floor(k / 2).  Every point of
 a plan (seed, z*, stop) is made from the base-sheet angle, and the turn goes
 into the args alone, so sector r + 2 runs on the seeds and legs of sector r.
-Every column of a system runs on the system's one ODE, along a radial leg
-in to the system's circle, the circle's arcs to arg z* and a radial leg out
-to z*; the circle is cut once per system, at the seed angles of sectors 0
-and 1 and at the z* args, into elementary arcs, each one (ODE, leg) pair
-per direction, so the engine steps each of them once for every column,
-seeded pass, sector, sheet and z* that passes it; the plan assembles all
-Stokes matrices in one stacked pass.  The legs and seeds of a system depend
+Every z* lies on its system's circle, the circle of the argument sweeps:
+S_r and C_r are the same at every z* of their overlap, and at the small
+|z*| of the circle the regrading by E(z*) amplifies less.  Every column of
+a system runs on the system's one ODE, along a radial leg in to the circle
+and the circle's arcs to z*; the circle is cut once per system, at the
+seed angles of sectors 0 and 1 and at the z* args, into elementary arcs,
+each one (ODE, leg) pair stepped counterclockwise, which a clockwise sweep
+runs Inverted, so the engine steps each of them once for every column,
+seeded pass, sector, sheet, z* and direction that passes it; the plan
+assembles all Stokes matrices in one stacked pass.  The legs and seeds of a system depend
 on the system and the config alone, bit for bit, whatever other requests a
 plan holds: angles stay on math.atan2, and scalar complex arithmetic is not
 moved into arrays, whose products round differently.
@@ -210,6 +219,18 @@ class Leg:
 
 
 @dataclass(frozen=True)
+class Inverted(Leg):
+    """The leg from a to b that the engine runs as the inverse of its
+    `forward` leg, from b to a: the transition matrix of a reversed path is
+    the inverse of the forward one, so the forward leg is stepped once for
+    both directions."""
+
+    @property
+    def forward(self) -> Leg:
+        return Leg(self.b, self.a, self.center, -self.sweep)
+
+
+@dataclass(frozen=True)
 class LinearODE:
     """P(z) Y' = Q(z) Y with scalar P and n x n matrix polynomial Q.
 
@@ -285,7 +306,8 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
     transport (ODE, dimension, degree and path may differ between entries),
     and the list of final values is returned.  Either way each distinct
     (ODE, leg) pair is stepped and summed once, and the transports are
-    chained through the matrices of their legs (module docstring).  `tol` is
+    chained through the matrices of their legs, the inverse of its forward
+    leg's matrix for an `Inverted` leg (module docstring).  `tol` is
     the relative accuracy asked of each transport.  Raises IntegrationError,
     naming the transport and its segment, when a leg runs into a singular
     point (before any series is summed) or a series fails to converge.
@@ -299,12 +321,15 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
     ode_index, odes = {}, []
     pair_index, pair_ode, pair_leg, names = {}, [], [], []
     route = np.full((len(ode), max(map(len, legs), default=0)), -1)
+    backward = np.zeros(route.shape, dtype=bool)  # the Inverted legs, by route entry
     for job, (o, path) in enumerate(zip(ode, legs)):
         k = ode_index.setdefault(
             (o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()), len(odes))
         if k == len(odes):
             odes.append(o)
         for seg, leg in enumerate(path):
+            if isinstance(leg, Inverted):
+                leg, backward[job, seg] = leg.forward, True
             p = pair_index.setdefault((k, leg), len(names))
             if p == len(names):
                 pair_ode.append(k)
@@ -386,6 +411,12 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
     for a, b in zip(starts[:-1], starts[1:]):
         running = leg_of[a:b]
         L[running] = T[a:b] @ L[running]
+    # an Inverted leg chains the inverse of its forward leg's matrix; all of
+    # them are inverted in one batch
+    if backward.any():
+        flipped, at = np.unique(route[backward], return_inverse=True)
+        L = np.concatenate([L, np.linalg.inv(L[flipped])])
+        route[backward] = len(pair_leg) + at
     # the transports, one leg at a time
     values = [np.asarray(V, dtype=complex) for V in Y0]
     cols = [V.reshape(len(V), -1) for V in values]
@@ -612,14 +643,13 @@ class StokesConfig:
 class SectorRequest:
     """One result of a sector plan, for `sys` seeded with the series `fs`:
     the Stokes matrix S_r (kind "stokes") or the sectorial solution Y_r
-    ("sectorial"), each at the z* that `sector_plan` places at half the seed
-    radius.  With the Levelt solution `ld` a Stokes request also gives the
-    connection matrix C_r, with Y_r = Y^(0) C_r, at that z* from the Y_r it
-    carries (C_r is the same at every z of sector r).  Y^(0) is evaluated
-    by levelt_handle on the branch of z*, inside |z*| / 2, and carried
-    radially to the point on arg z* where the columns' sweeps end and on
-    along the columns' own radial leg to z*, so both factors share their
-    arg bookkeeping and that leg."""
+    ("sectorial"), each at the z* that `sector_plan` places on the system's
+    circle of argument sweeps.  With the Levelt solution `ld` a Stokes
+    request also gives the connection matrix C_r, with Y_r = Y^(0) C_r, at
+    that z* from the Y_r it carries (C_r is the same at every z of sector
+    r).  Y^(0) is evaluated by levelt_handle on the branch of z*, inside
+    |z*| / 2, and carried radially out to z*, where the columns' sweeps end,
+    so both factors share their arg bookkeeping."""
 
     sys: IrregularSystem
     r: int
@@ -657,17 +687,16 @@ class SectorTable:
     (`SectorRequest.sectors`); `truncations` holds the optimal truncation
     (k, bound) of each series at the seed radius.  Per system, `overlaps`
     holds the (lo, hi) of the overlaps of sectors 0 and 1 and of 1 and 2,
-    `zstar_args` the base-sheet z* args by request kind ("stokes": the
-    midpoints of those overlaps; "sectorial": those of sectors 0 and 1),
-    and `circles` the `_Circle` on which its columns sweep, cut at the seed
-    angles of sectors 0 and 1 and at its Stokes z* args, so that each
-    Stokes request lays out its columns on legs that depend on the system
-    and the config alone, whatever else the plan holds; a system asked for
-    a sectorial solution, which no pipeline asks for, is cut at its
-    sectorial z* args too.  The Stokes rays of all systems are found in
-    one pass, the seed directions of all their base frames are one array
-    pass, and the truncations of all series are one stacked SVD, so all
-    systems must share n.
+    and `circles` the `_Circle` on which its columns sweep and its z* lie,
+    cut at the seed angles of sectors 0 and 1 and at its Stokes z* args
+    (the midpoints of those overlaps), so that each Stokes request lays out
+    its columns on legs that depend on the system and the config alone,
+    whatever else the plan holds; a system asked for a sectorial solution,
+    which no pipeline asks for, is cut at its sectorial z* args (the
+    midpoints of sectors 0 and 1) too.  The Stokes rays of all systems are
+    found in one pass, the seed directions of all their base frames are one
+    array pass, and the truncations of all series are one stacked SVD, so
+    all systems must share n.
     """
 
     def __init__(self, cfg: StokesConfig, requests):
@@ -700,16 +729,15 @@ class SectorTable:
                 self.angles[s, k] = angles[s, k % 2] + turn
                 self.leakage[s, k] = leakage[s][k % 2]
         self.overlaps = [((f1.lo, f0.hi), (f0.lo + TWO_PI, f1.hi)) for f0, f1 in base]
-        self.zstar_args = [{"stokes": tuple(0.5 * (lo + hi) for lo, hi in overlap),
-                            "sectorial": (f0.midpoint, f1.midpoint)}
-                           for overlap, (f0, f1) in zip(self.overlaps, base)]
         # stops, in the order `seeds` and `zstar` read their places: the
         # Stokes z* args of sectors 0 and 1, the seed angles of sectors 0 and
         # 1, and the sectorial z* args where asked
         self.circles = [
             _Circle(_arc_radius(cfg.radius, sys.u),
-                    [*args["stokes"], *a.ravel().tolist(), *args["sectorial"][: 2 * asked]])
-            for sys, args, a, asked in zip(self.systems, self.zstar_args, angles, sectorial)]
+                    [*(0.5 * (lo + hi) for lo, hi in overlap), *a.ravel().tolist(),
+                     *[f0.midpoint, f1.midpoint][: 2 * asked]])
+            for sys, overlap, (f0, f1), a, asked in zip(
+                self.systems, self.overlaps, base, angles, sectorial)]
         self.radius = cfg.radius
         self.series = [np.asarray(F, dtype=complex).reshape(-1, n, n) for F in series.values()]
         self.truncations = optimal_truncations(self.series, cfg.radius)
@@ -723,16 +751,13 @@ class SectorTable:
         return [_polar(self.radius, circle.angle[p % circle.turn]) for p in places], places
 
     def zstar(self, s: int, q: SectorRequest) -> tuple[PathPoint, int]:
-        """z* of request q of system s, at half the seed radius: its point
-        and its place on the cover of the system's circle.  The point is
-        made from the base-sheet arg, so that z* of sector r + 2 is that of
-        sector r, with its arg turned by 2 pi."""
-        kind, p, turns = q.kind, q.r % 2, q.r // 2
-        arg = self.zstar_args[s][kind][p]
+        """z* of request q of system s, on the system's circle: its point
+        and its place on the cover of the circle.  z* of sector r + 2 is that
+        of sector r, a turn on."""
         circle = self.circles[s]
-        place = circle.place[p + (2 + 2 * self.systems[s].n) * (kind == "sectorial")]
-        place += circle.turn * turns
-        return PathPoint.from_polar(self.radius / 2.0, arg, turns), place
+        place = circle.place[q.r % 2 + (2 + 2 * self.systems[s].n) * (q.kind == "sectorial")]
+        place += circle.turn * (q.r // 2)
+        return circle.at(place), place
 
 
 def _seed_directions(u, lo, hi, radius: float):
@@ -783,7 +808,7 @@ def _seed_directions(u, lo, hi, radius: float):
 
 def _arc_radius(radius: float, u) -> float:
     """The radius of the argument sweeps of a system with exponents u, for
-    seeds at `radius` and z* at half of it."""
+    seeds at `radius`, and of its z*: at most half the seed radius."""
     # argument sweeps at large |z| let the dominant exponential swamp the
     # recessive one inside the relative tail criterion; sweep at moderate radius
     rho_max = float(np.abs(u[:, None] - u[None, :]).max())
@@ -792,15 +817,15 @@ def _arc_radius(radius: float, u) -> float:
 
 class _Circle:
     """The circle |z| = radius on which the columns of one system sweep, cut
-    at `stops` (angles) into elementary arcs, each one Leg per direction.
+    at `stops` (angles) into elementary arcs, each one counterclockwise Leg.
 
     Stops less than CUT_TOL apart mod 2 pi are one stop, made from the first
     of them in `stops`: `angle` holds that angle of each distinct stop and
     `point` its point.  The `turn` distinct stops are numbered in the order
     of their angles mod 2 pi, and place P on the cover is stop P mod turn,
     floor(P / turn) turns on; `place` holds the place of each of `stops`.
-    Every sweep between two places runs over the same arcs, whichever
-    column, sector, sheet or z* it serves.
+    Every sweep between two places runs over the same arcs, in either
+    direction, whichever column, sector, sheet or z* it serves.
     """
 
     def __init__(self, radius: float, stops):
@@ -824,9 +849,15 @@ class _Circle:
                 self.place[i] = g + self.turn * round((stops[i] - self.key[g]) / TWO_PI)
         self.point = [_polar(radius, t) for t in self.angle]
         ends = self.key + [self.key[0] + TWO_PI]
-        self.up = [Leg(self.point[g], self.point[(g + 1) % self.turn], center=0j,
-                       sweep=ends[g + 1] - ends[g]) for g in range(self.turn)]
-        self.down = [Leg(leg.b, leg.a, center=0j, sweep=-leg.sweep) for leg in self.up]
+        self.legs = [Leg(self.point[g], self.point[(g + 1) % self.turn], center=0j,
+                         sweep=ends[g + 1] - ends[g]) for g in range(self.turn)]
+
+    def at(self, place: int) -> PathPoint:
+        """The point of `place` on the cover: the point of its stop, made
+        from the stop's angle, with the arg of the place's turn."""
+        g = place % self.turn
+        turns = place // self.turn - round((self.angle[g] - self.key[g]) / TWO_PI)
+        return PathPoint.from_polar(self.radius, self.angle[g], turns)
 
     def turned(self, a: int, b: int) -> float:
         """The arg of place b less that of place a, the same on every turn."""
@@ -834,18 +865,20 @@ class _Circle:
                 + TWO_PI * (b // self.turn - a // self.turn))
 
     def arcs(self, a: int, b: int) -> list[Leg]:
-        """The arcs from place a to place b."""
-        if b >= a:
-            return [self.up[p % self.turn] for p in range(a, b)]
-        return [self.down[p % self.turn] for p in range(a - 1, b - 1, -1)]
+        """The arcs from place a to place b: counterclockwise the circle's
+        legs, clockwise their `Inverted` legs, so that the engine steps each
+        arc once, counterclockwise, whichever way its columns run."""
+        if b < a:
+            return [Inverted(leg.b, leg.a, leg.center, -leg.sweep)
+                    for leg in reversed(self.arcs(b, a))]
+        return [self.legs[p % self.turn] for p in range(a, b)]
 
 
-def _column_legs(seeds, starts, end: int, circle: _Circle, out):
+def _column_legs(seeds, starts, end: int, circle: _Circle):
     """The legs of each column from its seed point to z*: a radial leg in
-    from the seed to its place `start` on the circle, the arcs of the
-    circle from there to the place `end` of arg z*, and the legs `out` from
-    there to z*."""
-    return [[Leg(seed, circle.point[a % circle.turn]), *circle.arcs(a, end), *out]
+    from the seed to its place `start` on the circle, and the arcs of the
+    circle from there to the place `end` of z*, clockwise ones `Inverted`."""
+    return [[Leg(seed, circle.point[a % circle.turn]), *circle.arcs(a, end)]
             for seed, a in zip(seeds, starts)]
 
 
@@ -853,27 +886,27 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     """The transports of `requests` (SectorRequests), assembled into their
     results in request order: a StokesResult or a SolutionHandle each.
 
-    The requests share one SectorTable.  One rule places z*, at half the
-    seed radius: Y_r's on the midpoint of sector r, and S_r's on the
-    midpoint of the overlap of sectors r and r + 1, where C_r reads the Y_r
-    of S_r (S_r and C_r are the same at every z there).  Every point (seed,
-    z*, stop) is made from the base-sheet angle of sector k mod 2, and the
-    2 pi floor(k / 2) of sector k goes into the args alone (z*'s and the
-    seed gauge's log z_j), so sector r + 2's seeds and legs are sector r's.
+    The requests share one SectorTable.  One rule places z*, on the
+    system's circle of argument sweeps (`_arc_radius`): Y_r's on the
+    midpoint of sector r, and S_r's on the midpoint of the overlap of
+    sectors r and r + 1, where C_r reads the Y_r of S_r (S_r and C_r are
+    the same at every z there).  Every point (seed, z*, stop) is made from
+    the base-sheet angle of sector k mod 2, and the 2 pi floor(k / 2) of
+    sector k goes into the args alone (z*'s and the seed gauge's log z_j),
+    so sector r + 2's seeds and legs are sector r's.
     Every column of a system runs on one ODE, in the gauge y e^{-c z} (c
     the mean of u), and is taken to its own gauge y e^{-u_j z} z^{-b_j} by
     an exact scalar at z*: a radial leg in from its seed to the system's
-    circle (`SectorTable.circles`), the circle's arcs from there to arg z*
-    and a radial leg out to z*.  Each elementary arc of the circle is one
-    (ODE, leg) pair per direction, so the engine steps it once for every
-    column, seeded pass, sector, sheet and z* that passes it.  The Levelt
-    solution of C_r runs radially from inside |z*| / 2 to the circle on
-    arg z*, and on along the columns' radial leg to z*.  Each (system,
-    series, sector parity) lays out its seed columns once, however many
-    results are made of them; the columns of each solution Y_k are n
-    consecutive transports.  The solutions Y_k of all requests, and the
-    Stokes matrices among the results, are each assembled in one stacked
-    pass.
+    circle (`SectorTable.circles`) and the circle's arcs from there to z*.
+    Each elementary arc of the circle is one (ODE, leg) pair, stepped
+    counterclockwise, which a clockwise sweep runs `Inverted`, so the
+    engine steps it once for every column, seeded pass, sector, sheet, z*
+    and direction that passes it.  The Levelt solution of C_r runs
+    radially from inside |z*| / 2 out to z*.  Each (system, series, sector
+    parity) lays out its seed columns once, however many results are made
+    of them; the columns of each solution Y_k are n consecutive transports.
+    The solutions Y_k of all requests, and the Stokes matrices among the
+    results, are each assembled in one stacked pass.
     """
     requests = list(requests)
     table = SectorTable(cfg, requests)
@@ -897,9 +930,6 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
             if not hi - lo > 1e-9:
                 raise SectorError(f"sectors {q.r} and {q.r + 1} do not overlap: ({lo}, {hi})")
         zstar, end = table.zstar(s, q)
-        # the columns' radial leg out from the circle on arg z* to z*
-        arrive = circle.point[end % circle.turn]
-        out = [Leg(arrive, zstar.z)] if circle.radius < zstar.radius else []
         first.append(len(columns))
         for k in q.sectors:
             z, places = table.seeds(s, k)
@@ -909,7 +939,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                 F = table.series[f][:k_opt].transpose(2, 1, 0)  # F[j] = F[:k_opt, :, j].T
                 powers = np.array(z)[:, None] ** -np.arange(1.0, k_opt + 1)
                 seeds[s, f, k % 2] = [eye[j] + F[j] @ powers[j] for j in range(n)]
-            legs = _column_legs(z, places, end, circle, out)
+            legs = _column_legs(z, places, end, circle)
             columns.append(len(jobs))
             jobs += [(odes[s], y, lg) for y, lg in zip(seeds[s, f, k % 2], legs)]
             points.append(zstar)
@@ -920,12 +950,11 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
             turned.append([circle.turned(end, a) for a in places])
             seed_error.append(table.truncations[f][1] + table.leakage[s, k])
         if q.ld is not None:
-            # Y^(0) out to the circle on arg z*, and on along the columns'
-            # radial leg to z*; carried in the system's gauge e^{-c z}, and
-            # taken back at z*
+            # Y^(0) radially out to z* on the circle; carried in the system's
+            # gauge e^{-c z}, and taken back at z*
             lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
             levelt[p] = len(jobs), np.exp(centre[s] * (zstar.z - lev.point.z))
-            jobs.append((odes[s], lev.value, [Leg(lev.point.z, arrive), *out]))
+            jobs.append((odes[s], lev.value, [Leg(lev.point.z, zstar.z)]))
 
     # column j of Y_k, seeded at z_j with the series value of y_j e^{-u_j z}
     # z^{-b_j}, ends at z* as y_j e^{-c z*} / (e^{(u_j - c) z_j} z_j^{b_j}),
@@ -1014,15 +1043,15 @@ def _stokes_results(requests, zstars, grading, Fr, Fr1, seed_error, C, tol: floa
 def actual_solution(sys: IrregularSystem, r: int, tau: float, fs: FormalSolution,
                     tol: float = DEFAULT_TOL) -> SolutionHandle:
     """Sectorial solution Y_r of `sys` seeded with the series `fs`, in the
-    plain frames of tau, at z* on the midpoint of sector r at half the seed
-    radius.
+    plain frames of tau, at z* on the midpoint of sector r, on the circle of
+    the argument sweeps.
 
     Each column is seeded with the optimally truncated formal series at the
     seed radius on the direction inside S_r where its exponential is most
     recessive (there the seed's contamination by other solutions is below
     the truncation error) and transported to the common point: a radial leg
-    in from its seed, an argument sweep at moderate radius and a radial leg
-    out to z*.  Widened frames are planned by a `SectorRequest`.
+    in from its seed and an argument sweep at moderate radius to z*.
+    Widened frames are planned by a `SectorRequest`.
     """
     cfg = StokesConfig(tau=tau, tol=tol)
     return run_plan(sector_plan(cfg, [SectorRequest(sys, r, fs, "sectorial")]), tol)[0]
@@ -1050,8 +1079,9 @@ class StokesResult:
 
 def stokes_matrix(sys: IrregularSystem, r: int, cfg: StokesConfig,
                   fs: FormalSolution) -> StokesResult:
-    """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint, |z*| = R/2,
-    of `sys` seeded with the series `fs`: the one-request sector plan.
+    """S_r = Y_r(z*)^{-1} Y_{r+1}(z*) at the sector-overlap midpoint on the
+    circle of the argument sweeps, of `sys` seeded with the series `fs`: the
+    one-request sector plan.
 
     Both sectorial solutions are transported to the same point of the cover;
     the quotient is formed in the F-gauge and regraded entrywise, so required
@@ -1070,7 +1100,8 @@ def levelt_handle(sys: IrregularSystem, ld: LeveltData, zstar: PathPoint,
     truncated series is accurate only near 0.  It is evaluated at the
     largest radius where its last two terms ||Psi_k||_F r^k are at most
     TAIL_FRACTION * tol, the engine's own stop rule, and at most |z*| / 2,
-    so that the radial leg out to z* keeps a positive length.
+    so that the radial leg out to z*, on the circle of the sector plan's
+    argument sweeps, keeps a positive length.
     """
     K, bound = ld.K, TAIL_FRACTION * tol
     if K < 2:

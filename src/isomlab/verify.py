@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResonanceError, WallError
+from .errors import WallError
 from .formal import (
     FormalSolution,
     IrregularSystem,
@@ -249,11 +249,15 @@ def ray_family_series(A0, uC, v, order: int = 4):
     with base the sum at Omega_m = 0 on the coalescing pairs, and X the
     coalescing entries x of A_{m+1}.  On those pairs this reads
     ((m + 1) I - L) x = base, where L is the matrix of x -> [X, A_0] there,
-    L[(c,d),(a,b)] = delta_ca (A_0)_bd - delta_bd (A_0)_ca; a singular solve
-    (diagonal entries of a group differing by an integer, which
-    `_coalescing_mask` refuses before the recursion starts) raises
-    ResonanceError.  B = diag(A) is constant along a strong family, so the
-    diagonal of every A_{m+1} is set to exactly zero.
+    L[(c,d),(a,b)] = delta_ca (A_0)_bd - delta_bd (A_0)_ca.  That matrix is
+    invertible: `_coalescing_mask` refuses an A_0 whose coalescing pairs
+    have diagonal entries within 1e-8 of a non-zero integer apart, so the
+    diagonal entry m + 1 + (A_0)_cc - (A_0)_dd of row (c, d) is larger than
+    1e-8 in modulus, and couplings within a group above PATTERN_TOL, so the
+    2 (g - 2) other entries of the row, in a group of g indices, are each at
+    most PATTERN_TOL = 1e-10; for groups of fewer than 50 indices the matrix
+    is diagonally dominant.  B = diag(A) is constant along a strong family,
+    so the diagonal of every A_{m+1} is set to exactly zero.
     """
     A0 = np.asarray(A0, dtype=complex)
     ref = np.asarray(uC, dtype=complex).reshape(-1)
@@ -274,12 +278,7 @@ def ray_family_series(A0, uC, v, order: int = 4):
         R = off * (coeffs[m] - G * R) / D
         omega.append(R * G)
         base = sum(W @ coeffs[m - t] - coeffs[m - t] @ W for t, W in enumerate(omega))
-        try:
-            x = np.linalg.solve((m + 1) * np.eye(len(a)) - L, base[co])
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError(
-                f"ray-family recursion singular at order {m + 1}", order=m + 1
-            ) from exc
+        x = np.linalg.solve((m + 1) * np.eye(len(a)) - L, base[co])
         X = np.zeros_like(A0)
         X[co] = x
         nxt = (base + X @ A0 - A0 @ X) / (m + 1)

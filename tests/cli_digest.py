@@ -10,15 +10,17 @@ op in-process through ``isomlab.cli.main`` and prints one line per op:
     <workload> <seed> <op> <exit codes> <sha256 of the exit codes, stdout and stderr>
 
 then one line per workload with the digest of all its ops.  With
-``--steps`` each op's line ends with the Taylor steps its calls took and the
+``--steps`` each op's line ends with the Taylor steps its calls took, the
 distinct (ODE, leg) pairs they stepped (the summed step and leg counts of
-every ``odeengine._schedule`` layout), and the workload's line with the
-means of both over its ops.  It exits 1 if
-an exception escaped ``cli.main`` in any call (exit code ``None``), after
-printing every line.  The inputs are
-written to a temporary directory under the same relative names on every run,
-so two checkouts give equal lines exactly when their output is equal: run
-the script once against the ``src/`` of each and diff what it prints.
+every ``odeengine._schedule`` layout) and the backward arcs they ran as the
+inverse of a stepped leg (the distinct (ODE, leg) pairs of the
+``odeengine.Inverted`` legs of every ``odeengine.transport_matrix`` batch),
+and the workload's line with the means of the three over its ops.  It exits
+1 if an exception escaped ``cli.main`` in any call (exit code ``None``),
+after printing every line.  The inputs are written to a temporary
+directory under the same relative names on every run, so two checkouts give
+equal lines exactly when their output is equal: run the script once against
+the ``src/`` of each and diff what it prints.
 """
 
 from __future__ import annotations
@@ -84,20 +86,29 @@ def op_outputs(workload: str, seed: int, ops: int = POOL):
 
 @contextlib.contextmanager
 def counted_steps():
-    """A list that collects the (step, leg) counts of every
-    `odeengine._schedule` layout made inside the block."""
-    counts, schedule = [], odeengine._schedule
+    """A list that collects (steps, legs, 0) of every `odeengine._schedule`
+    layout and (0, 0, backward arcs) of every `odeengine.transport_matrix`
+    batch made inside the block."""
+    counts, schedule, transport = [], odeengine._schedule, odeengine.transport_matrix
 
     def counted(odes, which, legs, names):
         layout = schedule(odes, which, legs, names)
-        counts.append((len(layout[0]), len(legs)))
+        counts.append((len(layout[0]), len(legs), 0))
         return layout
 
-    odeengine._schedule = counted
+    def counted_transport(ode, Y0, legs, *rest):
+        # a single transport reaches the engine again as a batch of one
+        if not isinstance(ode, odeengine.LinearODE):
+            backward = {(o.P.tobytes(), o.Q.tobytes(), leg) for o, path in zip(ode, legs)
+                        for leg in path if isinstance(leg, odeengine.Inverted)}
+            counts.append((0, 0, len(backward)))
+        return transport(ode, Y0, legs, *rest)
+
+    odeengine._schedule, odeengine.transport_matrix = counted, counted_transport
     try:
         yield counts
     finally:
-        odeengine._schedule = schedule
+        odeengine._schedule, odeengine.transport_matrix = schedule, transport
 
 
 def digest(results) -> str:
@@ -114,7 +125,8 @@ def main(argv=None) -> int:
                    default=sorted(workloads.WORKLOADS))
     p.add_argument("--ops", type=int, default=POOL)
     p.add_argument("--steps", action="store_true",
-                   help="append each op's Taylor steps, and the mean per op of each workload")
+                   help="append each op's Taylor steps, stepped legs and backward arcs, "
+                        "and their means per op of each workload")
     args = p.parse_args(argv)
     escaped = 0
     with counted_steps() as counts:
@@ -126,9 +138,9 @@ def main(argv=None) -> int:
                     total.update(line.encode())
                     codes = ",".join(str(code) for code, _, _ in results)
                     escaped += sum(code is None for code, _, _ in results)
-                    steps.append([sum(c[i] for c in counts) for i in (0, 1)])
+                    steps.append([sum(c[i] for c in counts) for i in (0, 1, 2)])
                     counts.clear()
-                    tail = " {} {}".format(*steps[-1]) if args.steps else ""
+                    tail = " {} {} {}".format(*steps[-1]) if args.steps else ""
                     print(f"{name} {seed} {k} {codes} {line}{tail}", flush=True)
             mean = np.mean(steps, axis=0) if args.steps and steps else ()
             tail = "".join(f" {x:.1f}" for x in mean)

@@ -230,14 +230,14 @@ def column_ode(sys, shift_u, shift_b):
 def sector_results_reference(cfg, requests):
     """What odeengine.sector_plan makes of `requests`, with the seeds of its
     SectorTable, by the per-column plan: every column on its own ODE, in its
-    own gauge y e^{-u_j z} z^{-b_j}, along a radial leg in from its seed, one
-    uncut sweep to arg z* and a radial leg out to z*, and the Levelt solution
-    of a Stokes request that carries Levelt data on the system's own ODE,
-    radially out to where the sweeps end and on along the columns' radial
-    leg.  z* is at half the seed radius: on the midpoint of the overlap of
-    sectors r and r + 1 for a Stokes request, on that of sector r for a
-    sectorial one.  Returns (S, C_r) of a Stokes request
-    (C_r None without Levelt data) and Y_r(z*) of a sectorial one."""
+    own gauge y e^{-u_j z} z^{-b_j}, along a radial leg in from its seed and
+    one uncut sweep, stepped in its own direction, to z*, and the Levelt
+    solution of a Stokes request that carries Levelt data on the system's
+    own ODE, radially out to z*.  z* is on the circle of the sweeps, at
+    min(R / 2, max(0.5, 4 / max |u_i - u_j|)): on the midpoint of the
+    overlap of sectors r and r + 1 for a Stokes request, on that of sector r
+    for a sectorial one.  Returns (S, C_r) of a Stokes request (C_r None
+    without Levelt data) and Y_r(z*) of a sectorial one."""
     import math
 
     from isomlab.odeengine import (
@@ -255,25 +255,22 @@ def sector_results_reference(cfg, requests):
     out = []
     for q in requests:
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
+        rho = min(R / 2.0, max(0.5, 4.0 / max(
+            np.abs(q.sys.u[:, None] - q.sys.u[None, :]).max(), 1e-6)))
         if q.kind == "stokes":
             lo, hi = table.frames[s, q.r + 1].lo, table.frames[s, q.r].hi
-            zstar = PathPoint.from_polar(R / 2.0, 0.5 * (lo + hi))
+            zstar = PathPoint.from_polar(rho, 0.5 * (lo + hi))
         else:
-            zstar = PathPoint.from_polar(R / 2.0, table.frames[s, q.r].midpoint)
-        rho = min(zstar.radius, R, max(0.5, 4.0 / max(
-            np.abs(q.sys.u[:, None] - q.sys.u[None, :]).max(), 1e-6)))
+            zstar = PathPoint.from_polar(rho, table.frames[s, q.r].midpoint)
         k_opt = table.truncations[f][0]
         F = table.series[f][:k_opt]
         E = np.exp(q.fs.u * zstar.z + q.fs.b * (math.log(zstar.radius) + 1j * zstar.arg))
-        end = _polar(rho, zstar.arg)  # where the sweeps end
-        radial = [Leg(end, zstar.z)] if abs(zstar.radius - rho) > 1e-12 else []
         G = []  # the columns y_j e^{-u_j z} z^{-b_j} at z*
         for k in q.sectors:
             odes, seeds, paths = [], [], []
             for j, theta in enumerate(table.angles[s, k].tolist()):
                 seed, turn = _polar(R, theta), _polar(rho, theta)
-                legs = [Leg(seed, turn)] if rho < R else []
-                legs += [Leg(turn, end, center=0j, sweep=zstar.arg - theta), *radial]
+                legs = [Leg(seed, turn), Leg(turn, zstar.z, center=0j, sweep=zstar.arg - theta)]
                 odes.append(column_ode(q.sys, q.fs.u[j], q.fs.b[j]))
                 seeds.append(np.eye(q.sys.n)[j] + F[:, :, j].T @ seed ** -np.arange(1.0, k_opt + 1))
                 paths.append(legs)
@@ -284,8 +281,8 @@ def sector_results_reference(cfg, requests):
         C = None
         if q.ld is not None:
             lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
-            V = transport_matrix(irregular_ode(q.sys), lev.value,
-                                 [Leg(lev.point.z, end), *radial], cfg.tol)
+            V = transport_matrix(irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)],
+                                 cfg.tol)
             C = np.linalg.solve(V, G[0] * E)
         # the quotient in the F-gauge, regraded (see odeengine.stokes_matrix)
         out.append((np.linalg.solve(G[0], G[1]) * E[None, :] / E[:, None], C))
@@ -371,7 +368,6 @@ def ray_family_series_reference(A0, uC, v, order: int = 4):
     re-evaluated with each coalescing entry of A_{m+1} set to 1 in turn, with
     per-entry geometric sums for the ratios A_ab / (u_a - u_b), and the small
     linear system of the coalescing entries is read off the differences."""
-    from isomlab.errors import ResonanceError
     from isomlab.geometry import coalescence_labels
 
     A0 = np.asarray(A0, dtype=complex)
@@ -424,12 +420,7 @@ def ray_family_series_reference(A0, uC, v, order: int = 4):
             rhs[a_idx] = base[p]
             for b_idx in range(k):
                 Mmat[a_idx, b_idx] = cols[b_idx][p]
-        try:
-            x = np.linalg.solve((m + 1) * np.eye(k) - Mmat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError(
-                f"ray-family recursion singular at order {m + 1}", order=m + 1
-            ) from exc
+        x = np.linalg.solve((m + 1) * np.eye(k) - Mmat, rhs)
         Anext = g_coeff(coeffs, m, {p: x[i] for i, p in enumerate(unknowns)}) / (m + 1)
         np.fill_diagonal(Anext, 0.0)
         for i, p in enumerate(unknowns):

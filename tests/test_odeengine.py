@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_solvers import (
     column_ode,
@@ -28,6 +28,7 @@ from isomlab.fuchsian import FuchsianSystem, monodromy_plan
 from isomlab.geometry import SectorFrame, sector_frames
 from isomlab.levelt import build_levelt_solution
 from isomlab.odeengine import (
+    Inverted,
     Leg,
     PathPoint,
     SectorRequest,
@@ -67,7 +68,7 @@ def connection(sys, r, ld, cfg, fs):
 
 def connection_at(sys, r, ld, cfg, fs, zstar):
     """C_r at `zstar`, on the ray of the z* of Y_r, from the public pieces:
-    Y_r carried radially in to it from its z*, unless it is there, against
+    Y_r carried radially to it from its z*, unless it is there, against
     Y^(0), carried radially out to it from where levelt_handle evaluates it."""
     Y = actual_solution(sys, r, cfg.tau, fs, tol=cfg.tol)
     if zstar.z != Y.point.z:
@@ -714,15 +715,21 @@ class TestSeedDirections:
         assert np.all(got >= grid - 1e-12 * (1.0 + np.abs(u).max()))
 
 
+def stepped(leg):
+    """The leg that the engine steps for `leg`: its forward leg if it is
+    Inverted, else the leg itself."""
+    return leg.forward if isinstance(leg, Inverted) else leg
+
+
 def arc_intervals(legs):
     """The angles that each arc of `legs` covers, [start, end) mod 2 pi with
-    start in [0, 2 pi), by the sign of its sweep."""
-    out = {1: [], -1: []}
+    start in [0, 2 pi); every arc must run counterclockwise."""
+    out = []
     for leg in legs:
         if leg.center is not None:
-            low = leg.a if leg.sweep > 0 else leg.b
-            start = math.atan2(low.imag, low.real) % (2 * math.pi)
-            out[1 if leg.sweep > 0 else -1].append((start, start + abs(leg.sweep)))
+            assert leg.sweep > 0, leg
+            start = math.atan2(leg.a.imag, leg.a.real) % (2 * math.pi)
+            out.append((start, start + leg.sweep))
     return out
 
 
@@ -739,29 +746,31 @@ class TestColumnLegs:
     def test_sweeps_cut_at_the_seed_angles(self):
         # z* first, then seeds on both sides of arg z*, two at one angle, one
         # within CUT_TOL of another and one a turn below a third: each path
-        # runs from its seed to z* by the sweep of its own angle, and the
-        # distinct arcs of all paths cover each angle once per direction
-        zstar = PathPoint.from_polar(10.0, 0.7)
+        # runs from its seed to z* on the circle by the sweep of its own
+        # angle, and the arcs that the engine steps for all paths run
+        # counterclockwise and cover each angle once
+        zstar = PathPoint.from_polar(4.0, 0.7)
         angles = [0.1, 1.9, 0.5, 1.2, 0.5, -0.4, 1.2 + 1e-13, 0.1 - 2 * math.pi]
         circle = odeengine._Circle(4.0, [zstar.arg, *angles])
         assert circle.turn == 6  # 0.7, 0.1, 1.9, 0.5, 1.2 and -0.4
         end, places = circle.place[0], circle.place[1:]
-        out = [Leg(circle.point[end % circle.turn], zstar.z)]
+        assert circle.point[end % circle.turn] == zstar.z
         seeds = [odeengine._polar(20.0, circle.angle[p % circle.turn]) for p in places]
-        paths = odeengine._column_legs(seeds, places, end, circle, out)
+        paths = odeengine._column_legs(seeds, places, end, circle)
         for theta, seed, path in zip(angles, seeds, paths):
             assert path[0].a == seed and abs(seed - odeengine._polar(20.0, theta)) < 1e-11
             assert all(a.b == b.a for a, b in zip(path[:-1], path[1:]))
             assert path[-1].b == zstar.z
             assert sum(leg.sweep for leg in path) == pytest.approx(0.7 - theta, abs=1e-12)
-        arcs = {leg for path in paths for leg in path if leg.center is not None}
-        # up: the full turn of the column a turn below 0.1; down: 1.9 to 0.7
-        assert len(arcs) == 6 + 2
+        # the full turn of the column a turn below 0.1 steps every arc; the
+        # columns at 1.9 and 1.2 run back to 0.7 over two of them, inverted
+        arcs = {stepped(leg) for path in paths for leg in path if leg.center is not None}
+        assert len(arcs) == 6
         covered = arc_intervals(arcs)
-        assert sum(b - a for a, b in covered[1]) == pytest.approx(2 * math.pi, abs=1e-12)
-        assert sum(b - a for a, b in covered[-1]) == pytest.approx(1.9 - 0.7, abs=1e-12)
-        for intervals in covered.values():
-            assert_covered_at_most_once(intervals)
+        assert sum(b - a for a, b in covered) == pytest.approx(2 * math.pi, abs=1e-12)
+        assert_covered_at_most_once(covered)
+        inverted = {leg for path in paths for leg in path if isinstance(leg, Inverted)}
+        assert sum(leg.sweep for leg in inverted) == pytest.approx(0.7 - 1.9, abs=1e-12)
 
     def test_stops_merge_across_the_turn(self):
         # a stop just below 2 pi mod 2 pi is the stop at 0, on its own turn:
@@ -778,8 +787,8 @@ class TestColumnLegs:
         # across the requests of a plan, on several sheets and both sides of
         # the base sheet, with and without Levelt data, and two systems: each
         # column runs from its seed to z* by the sweep of its seed angle, and
-        # each system's distinct arcs cover each angle of its circle at most
-        # once per direction
+        # the arcs that the engine steps for each system cover each angle of
+        # its circle at most once, whichever way its columns run
         other = IrregularSystem(u=sys.u * 1.3, A=sys.A * 0.8)
         other_fs = compute_formal_coefficients(other, K=30, coalesce_tol=1e-9)
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
@@ -804,9 +813,20 @@ class TestColumnLegs:
             job += q.ld is not None
         assert job == len(plan.jobs)
         for ode in {id(o): o for o, _, _ in plan.jobs}.values():
-            arcs = {leg for o, _, path in plan.jobs if o is ode for leg in path}
-            for intervals in arc_intervals(arcs).values():
-                assert_covered_at_most_once(intervals)
+            arcs = {stepped(leg) for o, _, path in plan.jobs if o is ode for leg in path}
+            assert_covered_at_most_once(arc_intervals(arcs))
+
+    @FRAMES
+    def test_no_stepped_arc_runs_clockwise(self, sys, cfg, fs):
+        # a column that sweeps clockwise runs the arcs as Inverted legs, so
+        # every (ODE, leg) pair that the engine steps for a plan of sectors
+        # -1..2 runs counterclockwise, and some columns do run clockwise
+        requests = [SectorRequest(sys, r, fs) for r in (-1, 0, 1, 2)]
+        paths = [path for _, _, path in sector_plan(cfg, requests).jobs]
+        legs = [leg for path in paths for leg in path]
+        assert all(stepped(leg).sweep > 0 for leg in legs if leg.center is not None)
+        assert all(isinstance(leg, Inverted) == (leg.sweep < 0) for leg in legs)
+        assert any(isinstance(leg, Inverted) for leg in legs)
 
     @FRAMES
     def test_no_leg_shorter_than_the_stop_tolerance(self, sys, cfg, fs):
@@ -816,9 +836,33 @@ class TestColumnLegs:
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
         requests = [SectorRequest(sys, r, fs, ld=ld) for r in (0, 1)]
         requests += [SectorRequest(sys, 2, fs), SectorRequest(sys, 0, fs, "sectorial")]
-        legs = {leg for _, _, path in sector_plan(cfg, requests).jobs for leg in path}
+        legs = {stepped(leg) for _, _, path in sector_plan(cfg, requests).jobs for leg in path}
         for leg in legs:
             assert (leg.length if leg.center is None else abs(leg.sweep)) >= 1e-12
+
+
+class TestInvertedArcs:
+    @pytest.mark.parametrize("case", ["generic", "widened", "seeded-plain", "seeded-widened"])
+    def test_matches_the_clockwise_transport(self, case):
+        # the columns of a plan that sweep clockwise over their circle's
+        # arcs, which the engine runs as inverted counterclockwise arcs,
+        # match the same columns stepped clockwise directly
+        if case.startswith("seeded"):
+            rng = np.random.default_rng(2300 + len(case))
+            (sys,), cfg = _table_case(rng, 3, case[7:], count=1, scale=0.5, a_scale=0.4)
+            fs = compute_formal_coefficients(sys, K=30)
+        else:
+            sys, cfg, fs = FRAME_CASES[case == "widened"]
+        requests = [SectorRequest(sys, r, fs) for r in (-1, 0, 1, 2)]
+        jobs = [job for job in sector_plan(cfg, requests).jobs
+                if any(isinstance(leg, Inverted) for leg in job[2])]
+        assert jobs
+        odes, seeds, paths = zip(*jobs)
+        direct = [[Leg(leg.a, leg.b, leg.center, leg.sweep) for leg in path] for path in paths]
+        got = transport_matrix(odes, seeds, paths, cfg.tol)
+        want = transport_matrix(odes, seeds, direct, cfg.tol)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-11 * np.linalg.norm(w)
 
 
 class TestSectorPlanOracle:
@@ -873,14 +917,14 @@ class TestActualSolution:
         fs = compute_formal_coefficients(sys, K=40)
 
         def sectorial(radius):
-            # Y_0 at half the seed radius on the midpoint of sector 0
+            # Y_0 on the sweep circle, on the midpoint of sector 0
             cfg = StokesConfig(tau=0.3, radius=radius, tol=1e-12)
             return run_plan(sector_plan(cfg, [SectorRequest(sys, 0, fs, "sectorial")]),
                             cfg.tol)[0]
 
-        # both at |z| = 6: the second carried radially in from 12
+        # both at |z| = 4, the sweep circle of GENERIC_A for either radius
         y1, y2 = sectorial(12.0), sectorial(24.0)
-        y2 = integrate_path(y2, [Leg(y2.point.z, y1.point.z)], tol=1e-12)
+        assert y1.point == y2.point and y1.point.radius == pytest.approx(4.0)
 
         def seed_error(radius):
             # the first omitted term at the seed radius plus the Stokes
@@ -986,6 +1030,35 @@ class TestStokesMatrix:
         conj = res.S * (phase[None, :] / phase[:, None])
         assert np.abs(res2[0].S - conj).max() <= 1e-12 * max(1.0, np.abs(res.S).max())
 
+    @staticmethod
+    def duality_error(sys, r=0):
+        """|S_r(-u, -A^T) - S_r(u, A)^{-T}| relative to |S_r(u, A)^{-T}|, both
+        largest entries: Y^{-T} solves the dual system, which has the same
+        Stokes rays and sectors."""
+        cfg = StokesConfig(tau=0.3)
+        dual = IrregularSystem(u=-sys.u, A=-sys.A.T)
+        S, S_dual = (stokes_matrix(s, r, cfg, compute_formal_coefficients(s, K=30)).S
+                     for s in (sys, dual))
+        want = np.linalg.inv(S).T
+        return np.abs(S_dual - want).max() / np.abs(want).max()
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_duality_on_generic_a(self, r):
+        assert self.duality_error(generic_system(), r) <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           st.lists(st.floats(-0.4, 0.4), min_size=8, max_size=8))
+    def test_duality_on_drawn_systems(self, coords, entries):
+        # n = 2 at unit scale, as the benchmark draws them: |u_0 - u_1| >= 0.6
+        # and tau at least 0.1 from every Stokes ray mod pi
+        from isomlab.geometry import _margin
+
+        u = np.array(coords[:2]) + 1j * np.array(coords[2:])
+        assume(abs(u[0] - u[1]) >= 0.6 and _margin(0.3, subclass_rays(u)) >= 0.1)
+        A = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
+        assert self.duality_error(IrregularSystem(u=u, A=A)) <= 1e-10
+
     def test_seed_radius_independence(self):
         sys = generic_system()
         fs = compute_formal_coefficients(sys, K=36)
@@ -1014,9 +1087,10 @@ class TestConnectionMatrix:
     ])
     def test_default_zstar_equals_the_sector_midpoint(self, sys, r):
         # Y^(0)(z)^{-1} Y_r(z) is constant, so C_r at the default z* (that of
-        # S_r, in the overlap of sectors r and r + 1) is C_r at the midpoint
-        # of sector r, where no Stokes matrix reads Y_r; `mid` is the z* of
-        # the Y_r of actual_solution, so connection_at carries nothing
+        # S_r, on the circle in the overlap of sectors r and r + 1) is C_r at
+        # the midpoint of sector r at half the seed radius, where no Stokes
+        # matrix reads Y_r; connection_at carries the Y_r of actual_solution
+        # radially out to it from the circle
         cfg = StokesConfig(tau=0.3)
         fs = compute_formal_coefficients(sys, K=30)
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
@@ -1027,9 +1101,9 @@ class TestConnectionMatrix:
 
     @pytest.mark.parametrize("r", [0, 1])
     def test_shares_the_legs_of_its_stokes_matrix(self, monkeypatch, r):
-        # next to S_r, C_r costs only the first piece of its Levelt leg:
-        # its columns are those of Y_r that S_r carries, and the Levelt
-        # leg's radial piece out to z* is theirs
+        # next to S_r, C_r costs only its Levelt leg out to the circle: its
+        # columns are those of Y_r that S_r carries, which end at z* on the
+        # circle
         sys = generic_system()
         cfg = StokesConfig(tau=0.3)
         fs = compute_formal_coefficients(sys, K=30)
@@ -1048,9 +1122,9 @@ class TestConnectionMatrix:
             steps.clear()
             run_plan(plan, cfg.tol)
             totals.append(sum(steps))
-        ode, _, (first, out) = plan.jobs[-1]  # the Levelt leg, in two pieces
-        assert out.a == first.b and out in plan.jobs[0][2]
-        assert totals[1] - totals[0] == step_count(ode, [first]) > 0
+        ode, _, (leg,) = plan.jobs[-1]  # the Levelt leg, radially out to z*
+        assert leg.b == plan.jobs[0][2][-1].b
+        assert totals[1] - totals[0] == step_count(ode, [leg]) > 0
 
     @FRAMES
     def test_connection_chain(self, sys, cfg, fs):

@@ -693,10 +693,13 @@ class SectorTable:
     its columns on legs that depend on the system and the config alone,
     whatever else the plan holds; a system asked for a sectorial solution,
     which no pipeline asks for, is cut at its sectorial z* args (the
-    midpoints of sectors 0 and 1) too.  The Stokes rays of all systems are
-    found in one pass, the seed directions of all their base frames are one
-    array pass, and the truncations of all series are one stacked SVD, so
-    all systems must share n.
+    midpoints of sectors 0 and 1) too.  `layouts` holds one column layout
+    per (system, sector, z*), built by `layout` on first use, which every
+    Y_k with that key runs on, whichever its series (the self- and
+    frozen-seeded Y_k of a verify_coalescence sample share theirs).  The
+    Stokes rays of all systems are found in one pass, the seed directions of
+    all their base frames are one array pass, and the truncations of all
+    series are one stacked SVD, so all systems must share n.
     """
 
     def __init__(self, cfg: StokesConfig, requests):
@@ -729,7 +732,7 @@ class SectorTable:
                 self.angles[s, k] = angles[s, k % 2] + turn
                 self.leakage[s, k] = leakage[s][k % 2]
         self.overlaps = [((f1.lo, f0.hi), (f0.lo + TWO_PI, f1.hi)) for f0, f1 in base]
-        # stops, in the order `seeds` and `zstar` read their places: the
+        # stops, in the order `layout` and `zstar` read their places: the
         # Stokes z* args of sectors 0 and 1, the seed angles of sectors 0 and
         # 1, and the sectorial z* args where asked
         self.circles = [
@@ -739,16 +742,26 @@ class SectorTable:
             for sys, overlap, (f0, f1), a, asked in zip(
                 self.systems, self.overlaps, base, angles, sectorial)]
         self.radius = cfg.radius
+        self.layouts = {}
         self.series = [np.asarray(F, dtype=complex).reshape(-1, n, n) for F in series.values()]
         self.truncations = optimal_truncations(self.series, cfg.radius)
 
-    def seeds(self, s: int, k: int) -> tuple[list[complex], list[int]]:
-        """The seed points of system s's columns in sector k, at the seed
-        radius on the angles of their stops, and the places of those stops
-        on the cover of the system's circle."""
-        circle, n = self.circles[s], self.systems[s].n
-        places = [p + circle.turn * (k // 2) for p in circle.place[2 + n * (k % 2) :][:n]]
-        return [_polar(self.radius, circle.angle[p % circle.turn]) for p in places], places
+    def layout(self, s: int, k: int, end: int):
+        """The columns of system s in sector k that end at the place `end` of
+        z* on the system's circle: their seed points, at the seed radius on
+        the angles of their stops, the legs of each from its seed to z*
+        (`_column_legs`, from the places of those stops on the cover of the
+        circle) and the args of the seeds less that of z*.  Laid out once
+        per (system, sector, z* place) and kept in `layouts`, so every Y_k
+        with that key, whichever its series, runs on the same leg lists."""
+        key = s, k, end
+        if key not in self.layouts:
+            circle, n = self.circles[s], self.systems[s].n
+            places = [p + circle.turn * (k // 2) for p in circle.place[2 + n * (k % 2) :][:n]]
+            z = [_polar(self.radius, circle.angle[p % circle.turn]) for p in places]
+            self.layouts[key] = (z, _column_legs(z, places, end, circle),
+                                 [circle.turned(end, a) for a in places])
+        return self.layouts[key]
 
     def zstar(self, s: int, q: SectorRequest) -> tuple[PathPoint, int]:
         """z* of request q of system s, on the system's circle: its point
@@ -903,8 +916,10 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     engine steps it once for every column, seeded pass, sector, sheet, z*
     and direction that passes it.  The Levelt solution of C_r runs
     radially from inside |z*| / 2 out to z*.  Each (system, series, sector
-    parity) lays out its seed columns once, however many results are made
-    of them; the columns of each solution Y_k are n consecutive transports.
+    parity) computes its seed columns once, and each (system, sector, z*) its
+    layout, the seed points and legs of the columns (`SectorTable.layout`),
+    however many results are made of them; the columns of each solution Y_k
+    are n consecutive transports.
     The solutions Y_k of all requests, and the Stokes matrices among the
     results, are each assembled in one stacked pass.
     """
@@ -923,7 +938,6 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     columns, points, logs, series, owner, at, turned, seed_error = ([] for _ in range(8))
     for p, q in enumerate(requests):
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
-        circle = table.circles[s]
         if q.kind == "stokes":
             stokes.append(p)
             lo, hi = table.overlaps[s][q.r % 2]
@@ -932,14 +946,13 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
         zstar, end = table.zstar(s, q)
         first.append(len(columns))
         for k in q.sectors:
-            z, places = table.seeds(s, k)
+            z, legs, turns = table.layout(s, k, end)
             if (s, f, k % 2) not in seeds:
                 # column j of the optimally truncated series I + sum_k F_k z^-k
                 k_opt = table.truncations[f][0]
                 F = table.series[f][:k_opt].transpose(2, 1, 0)  # F[j] = F[:k_opt, :, j].T
                 powers = np.array(z)[:, None] ** -np.arange(1.0, k_opt + 1)
                 seeds[s, f, k % 2] = [eye[j] + F[j] @ powers[j] for j in range(n)]
-            legs = _column_legs(z, places, end, circle)
             columns.append(len(jobs))
             jobs += [(odes[s], y, lg) for y, lg in zip(seeds[s, f, k % 2], legs)]
             points.append(zstar)
@@ -947,7 +960,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
             series.append(q.fs)
             owner.append(s)
             at.append(z)
-            turned.append([circle.turned(end, a) for a in places])
+            turned.append(turns)
             seed_error.append(table.truncations[f][1] + table.leakage[s, k])
         if q.ld is not None:
             # Y^(0) radially out to z* on the circle; carried in the system's

@@ -7,10 +7,10 @@ monodromy data (S_r, S_{r+1}, B, D, L, C_r) per sample and compare.
 
 Coalescence runs probe the limit u -> u^C for a residue matrix carrying the
 required zero pattern on coalescing pairs.  For each gap in a geometric
-schedule, the strong flow is integrated outward from an initialization point
-at a fraction of that gap (where the family's value is the frozen matrix up
-to O(gap)), and Stokes data are extracted in the widened sector frame
-anchored at u^C.  The coalescing-pair entries then decay linearly in the
+schedule, the family's value on a ray out of u^C comes from its Taylor germ
+there (the frozen matrix up to O(gap)), which the strong flow, integrated
+outward along the ray from the innermost sample, checks, and Stokes data are
+extracted in the widened sector frame anchored at u^C.  The coalescing-pair entries then decay linearly in the
 gap, and the full matrices converge to the data of the frozen system, which
 are computed directly from the coalescence-aware recursion.
 """
@@ -350,9 +350,10 @@ def verify_coalescence(
 
     The sampled family comes from the local Taylor germ of the coalesced
     strong family along the ray (ray_family_series); the strong flow is
-    additionally integrated outward from the innermost sample through all of
-    them and compared against the germ, so the reported family is backed by
-    two independent constructions.
+    additionally integrated outward along the ray, one segment from the
+    innermost sample to the outermost, and its end value compared against
+    the germ's (`flow_vs_germ`), so the reported family is backed by two
+    independent constructions.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -383,7 +384,7 @@ def verify_coalescence(
     coeffs = ray_family_series(A0, ref, v, order=GERM_ORDER)
     A_k = [eval_ray_family(coeffs, g) for g in gaps]
     end, _ = integrate_flow(IrregularSystem(u=samples[-1], A=A_k[-1]),
-                            UPath(waypoints=tuple(samples[::-1])), tol=tol, guard=0.0)
+                            UPath.line(samples[-1], samples[0]), tol=tol, guard=0.0)
     flow_vs_germ = float(np.max(np.abs(end.A - A_k[0])))
 
     # per sample r and r + 1, self-seeded (each sample's own formal series)

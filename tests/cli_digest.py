@@ -15,7 +15,10 @@ distinct (ODE, leg) pairs they stepped (the summed step and leg counts of
 every ``odeengine._schedule`` layout) and the backward arcs they ran as the
 inverse of a stepped leg (the distinct (ODE, leg) pairs of the
 ``odeengine.Inverted`` legs of every ``odeengine.transport_matrix`` batch),
-and the workload's line with the means of the three over its ops.  It exits
+then the collocation steps its flows took (the calls of ``isoflow._sweeps``,
+rejected steps included) and their Picard sweeps (the right-hand-side
+evaluations of those calls), and the workload's line with the means of the
+five over its ops.  It exits
 1 if an exception escaped ``cli.main`` in any call (exit code ``None``),
 after printing every line.  The inputs are written to a temporary
 directory under the same relative names on every run, so two checkouts give
@@ -41,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 
-from isomlab import cli, odeengine  # noqa: E402
+from isomlab import cli, isoflow, odeengine  # noqa: E402
 
 POOL = 64  # ops per seed, as in perfbench/worker.py
 
@@ -86,14 +89,16 @@ def op_outputs(workload: str, seed: int, ops: int = POOL):
 
 @contextlib.contextmanager
 def counted_steps():
-    """A list that collects (steps, legs, 0) of every `odeengine._schedule`
-    layout and (0, 0, backward arcs) of every `odeengine.transport_matrix`
-    batch made inside the block."""
-    counts, schedule, transport = [], odeengine._schedule, odeengine.transport_matrix
+    """A list that collects (steps, legs, 0, 0, 0) of every
+    `odeengine._schedule` layout, (0, 0, backward arcs, 0, 0) of every
+    `odeengine.transport_matrix` batch, and (0, 0, 0, 1, sweeps) of every
+    collocation step (`isoflow._sweeps` call) made inside the block."""
+    counts = []
+    schedule, transport, sweeps = odeengine._schedule, odeengine.transport_matrix, isoflow._sweeps
 
     def counted(odes, which, legs, names):
         layout = schedule(odes, which, legs, names)
-        counts.append((len(layout[0]), len(legs), 0))
+        counts.append((len(layout[0]), len(legs), 0, 0, 0))
         return layout
 
     def counted_transport(ode, Y0, legs, *rest):
@@ -101,14 +106,28 @@ def counted_steps():
         if not isinstance(ode, odeengine.LinearODE):
             backward = {(o.P.tobytes(), o.Q.tobytes(), leg) for o, path in zip(ode, legs)
                         for leg in path if isinstance(leg, odeengine.Inverted)}
-            counts.append((0, 0, len(backward)))
+            counts.append((0, 0, len(backward), 0, 0))
         return transport(ode, Y0, legs, *rest)
 
+    def counted_sweeps(f, y, h, tol):
+        evals = [0]
+
+        def rhs(X):
+            evals[0] += 1
+            return f(X)
+
+        try:
+            return sweeps(rhs, y, h, tol)
+        finally:
+            counts.append((0, 0, 0, 1, evals[0]))
+
     odeengine._schedule, odeengine.transport_matrix = counted, counted_transport
+    isoflow._sweeps = counted_sweeps
     try:
         yield counts
     finally:
         odeengine._schedule, odeengine.transport_matrix = schedule, transport
+        isoflow._sweeps = sweeps
 
 
 def digest(results) -> str:
@@ -125,8 +144,9 @@ def main(argv=None) -> int:
                    default=sorted(workloads.WORKLOADS))
     p.add_argument("--ops", type=int, default=POOL)
     p.add_argument("--steps", action="store_true",
-                   help="append each op's Taylor steps, stepped legs and backward arcs, "
-                        "and their means per op of each workload")
+                   help="append each op's Taylor steps, stepped legs, backward arcs, "
+                        "collocation steps and Picard sweeps, and their means per op of "
+                        "each workload")
     args = p.parse_args(argv)
     escaped = 0
     with counted_steps() as counts:
@@ -138,9 +158,9 @@ def main(argv=None) -> int:
                     total.update(line.encode())
                     codes = ",".join(str(code) for code, _, _ in results)
                     escaped += sum(code is None for code, _, _ in results)
-                    steps.append([sum(c[i] for c in counts) for i in (0, 1, 2)])
+                    steps.append([sum(c[i] for c in counts) for i in range(5)])
                     counts.clear()
-                    tail = " {} {} {}".format(*steps[-1]) if args.steps else ""
+                    tail = " {} {} {} {} {}".format(*steps[-1]) if args.steps else ""
                     print(f"{name} {seed} {k} {codes} {line}{tail}", flush=True)
             mean = np.mean(steps, axis=0) if args.steps and steps else ()
             tail = "".join(f" {x:.1f}" for x in mean)

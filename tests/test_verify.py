@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from isomlab import geometry, odeengine, verify
+from isomlab import geometry, isoflow, odeengine, verify
 from isomlab.errors import CoincidentPointsError, ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
+from isomlab.isoflow import UPath, integrate_flow
 from isomlab.odeengine import (
     SectorRequest,
     StokesConfig,
@@ -297,8 +298,6 @@ GERM_CASES = (
 
 class TestRayFamilySeries:
     def test_matches_flow(self):
-        from isomlab.isoflow import UPath, integrate_flow
-
         v = coalescing_direction(UC3, 0.3)
         coeffs = ray_family_series(A3, UC3, v, order=5)
         s = 0.01
@@ -512,11 +511,70 @@ class TestVerifyCoalescence:
         alone = sector_plan(cfg, self_seeded).jobs
         assert len(alone) < len(jobs) and pairs(jobs) == pairs(alone)
 
+    def test_both_passes_share_one_layout_per_system_sector_and_zstar(self, monkeypatch):
+        # the frozen-seeded Y_k of each sample run on the leg lists of its
+        # self-seeded ones: Y_r and Y_{r+1} of S_r and Y_{r+1} and Y_{r+2} of
+        # S_{r+1} of each system are laid out once, 28 layouts where laying
+        # out every Y_k of the plan takes 52
+        built = []
+        column_legs = odeengine._column_legs
+        monkeypatch.setattr(odeengine, "_column_legs",
+                            lambda *args: built.append(1) or column_legs(*args))
+        jobs, cfg, requests = captured_plan(
+            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
+        assert len(built) == 4 * (1 + GAP_COUNT) == 28
+        per = 2 * len(UC3)  # the columns of Y_r and Y_{r+1} of one S_r
+        assert len(jobs) == per * len(requests) == per * (2 + 4 * GAP_COUNT)
+        for i in range(GAP_COUNT):
+            first = per * (2 + 4 * i)  # the self-seeded S_r, S_{r+1}, then the frozen-seeded
+            self_seeded, driven = jobs[first : first + 2 * per], jobs[first + 2 * per :][: 2 * per]
+            assert requests[2 + 4 * i + 2].fs.F is requests[0].fs.F
+            assert all(a is b for (_, _, a), (_, _, b) in zip(self_seeded, driven))
+        # laid out anew for every Y_k, the plan hands the engine equal jobs
+        layout = odeengine.SectorTable.layout
+
+        def fresh(table, *key):
+            table.layouts.clear()
+            return layout(table, *key)
+
+        built.clear()
+        monkeypatch.setattr(odeengine.SectorTable, "layout", fresh)
+        unshared = list(sector_plan(cfg, requests).jobs)
+        assert len(built) == 2 * len(requests) == 52
+        assert_same_jobs(jobs, unshared)
+
+    @pytest.mark.parametrize("A0", [A3, vanishing_family(UC3, 7)[0]], ids=["crit7", "seeded"])
+    def test_one_ray_segment_matches_the_waypoints(self, A0):
+        # the samples lie on one ray, so the flow from the innermost to the
+        # outermost over the one segment ends where the flow through every
+        # sample does
+        v = coalescing_direction(UC3, 0.3)
+        gaps = 0.1 * 2.0 ** -np.arange(1, GAP_COUNT + 1)
+        samples = [UC3 + g * v for g in gaps]
+        start = IrregularSystem(u=samples[-1],
+                                A=eval_ray_family(ray_family_series(A0, UC3, v, 6), gaps[-1]))
+        line, _ = integrate_flow(start, UPath.line(samples[-1], samples[0]), guard=0.0)
+        waypoints, _ = integrate_flow(start, UPath(tuple(samples[::-1])), guard=0.0)
+        assert np.max(np.abs(line.A)) > 0.1
+        assert np.max(np.abs(line.A - waypoints.A)) <= 1e-14
+
+    def test_validation_flow_takes_six_steps_at_most(self, monkeypatch):
+        # the validation flow runs one segment, whose steps grow away from
+        # the collision at s = 0; stopping at every sample took 10 steps
+        steps = []
+        sweeps = isoflow._sweeps
+        monkeypatch.setattr(isoflow, "_sweeps", lambda *args: steps.append(1) or sweeps(*args))
+        rep = verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
+        assert rep.flow_vs_germ < 1e-13
+        assert 0 < len(steps) <= 6
+
     @pytest.mark.parametrize("eps", [1e-5, 1e-6])
     def test_gaps_below_the_flow_guard(self, eps):
-        # every sample gap lies below the flow's default guard of 1e-6, and
-        # each ray segment moves its gaps by no more than they already are,
-        # so its steps are long in t although short next to that guard
+        # every sample gap lies below the flow's default guard of 1e-6; the
+        # validation flow runs one segment along the ray, out from the
+        # innermost sample, and its step floor and steps scale with the gaps
+        # at its ends, so its steps are long in t although short next to
+        # that guard
         rep = verify_coalescence(A3, UC3, tau=0.3, eps=eps)
         assert rep.gaps[0] == eps / 2 and rep.flow_vs_germ < 1e-15
         assert rep.verdict

@@ -10,9 +10,10 @@ required zero pattern on coalescing pairs.  For each gap in a geometric
 schedule, the family's value on a ray out of u^C comes from its Taylor germ
 there (the frozen matrix up to O(gap)), which the strong flow, integrated
 outward along the ray from the innermost sample, checks, and Stokes data are
-extracted in the widened sector frame anchored at u^C.  The coalescing-pair entries then decay linearly in the
-gap, and the full matrices converge to the data of the frozen system, which
-are computed directly from the coalescence-aware recursion.
+extracted in the widened sector frame anchored at u^C.  The coalescing-pair
+entries then decay linearly in the gap, and the full matrices converge to
+the data of the frozen system, which are computed directly from the
+coalescence-aware recursion.
 """
 
 from __future__ import annotations

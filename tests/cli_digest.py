@@ -12,18 +12,17 @@ op in-process through ``isomlab.cli.main`` and prints one line per op:
 then one line per workload with the digest of all its ops.  With
 ``--steps`` each op's line ends with the Taylor steps its calls took, the
 distinct (ODE, leg) pairs they stepped (the summed step and leg counts of
-every ``odeengine._schedule`` layout) and the backward arcs they ran as the
+every ``odeengine._schedule`` layout), the backward arcs they ran as the
 inverse of a stepped leg (the distinct (ODE, leg) pairs of the
 ``odeengine.Inverted`` legs of every ``odeengine.transport_matrix`` batch),
-then the collocation steps its flows took (the calls of ``isoflow._sweeps``,
+the collocation steps its flows took (the calls of ``isoflow._sweeps``,
 rejected steps included) and their Picard sweeps (the right-hand-side
 evaluations of those calls), and the workload's line with the means of the
-five over its ops.  It exits
-1 if an exception escaped ``cli.main`` in any call (exit code ``None``),
-after printing every line.  The inputs are written to a temporary
-directory under the same relative names on every run, so two checkouts give
-equal lines exactly when their output is equal: run the script once against
-the ``src/`` of each and diff what it prints.
+five over its ops.  It exits 1 if an exception escaped ``cli.main`` in any
+call (exit code ``None``), after printing every line.  The inputs are
+written to a temporary directory under the same relative names on every
+run, so two checkouts give equal lines exactly when their output is equal:
+run the script once against the ``src/`` of each and diff what it prints.
 """
 
 from __future__ import annotations
@@ -91,8 +90,9 @@ def op_outputs(workload: str, seed: int, ops: int = POOL):
 def counted_steps():
     """A list that collects (steps, legs, 0, 0, 0) of every
     `odeengine._schedule` layout, (0, 0, backward arcs, 0, 0) of every
-    `odeengine.transport_matrix` batch, and (0, 0, 0, 1, sweeps) of every
-    collocation step (`isoflow._sweeps` call) made inside the block."""
+    `odeengine.transport_matrix` batch, (0, 0, 0, 1, 0) of every collocation
+    step (`isoflow._sweeps` call) and (0, 0, 0, 0, 1) of every Picard sweep
+    (right-hand side of such a call) made inside the block."""
     counts = []
     schedule, transport, sweeps = odeengine._schedule, odeengine.transport_matrix, isoflow._sweeps
 
@@ -110,16 +110,8 @@ def counted_steps():
         return transport(ode, Y0, legs, *rest)
 
     def counted_sweeps(f, y, h, tol):
-        evals = [0]
-
-        def rhs(X):
-            evals[0] += 1
-            return f(X)
-
-        try:
-            return sweeps(rhs, y, h, tol)
-        finally:
-            counts.append((0, 0, 0, 1, evals[0]))
+        counts.append((0, 0, 0, 1, 0))
+        return sweeps(lambda X: counts.append((0, 0, 0, 0, 1)) or f(X), y, h, tol)
 
     odeengine._schedule, odeengine.transport_matrix = counted, counted_transport
     isoflow._sweeps = counted_sweeps

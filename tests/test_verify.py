@@ -527,7 +527,8 @@ class TestVerifyCoalescence:
         assert len(jobs) == per * len(requests) == per * (2 + 4 * GAP_COUNT)
         for i in range(GAP_COUNT):
             first = per * (2 + 4 * i)  # the self-seeded S_r, S_{r+1}, then the frozen-seeded
-            self_seeded, driven = jobs[first : first + 2 * per], jobs[first + 2 * per :][: 2 * per]
+            self_seeded = jobs[first : first + 2 * per]
+            driven = jobs[first + 2 * per : first + 4 * per]
             assert requests[2 + 4 * i + 2].fs.F is requests[0].fs.F
             assert all(a is b for (_, _, a), (_, _, b) in zip(self_seeded, driven))
         # laid out anew for every Y_k, the plan hands the engine equal jobs
@@ -560,7 +561,8 @@ class TestVerifyCoalescence:
 
     def test_validation_flow_takes_six_steps_at_most(self, monkeypatch):
         # the validation flow runs one segment, whose steps grow away from
-        # the collision at s = 0; stopping at every sample took 10 steps
+        # the collision at s = 0 (a stop at every sample cuts them short, to
+        # 10 steps)
         steps = []
         sweeps = isoflow._sweeps
         monkeypatch.setattr(isoflow, "_sweeps", lambda *args: steps.append(1) or sweeps(*args))

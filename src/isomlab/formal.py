@@ -1,10 +1,10 @@
 """Formal fundamental solution Y_F(z,u) = F(z,u) z^B e^{z Lambda}.
 
 Provides the formal monodromy exponent B = diag(A), the one coefficient
-recursion for F_1..F_K (with a branch for coalesced pairs), resonance
-detection on the diagonal of A, the one check of the coalescence
-conditions on coalesced pairs, the optimal truncation of the series and the
-residual of its defining identity.
+recursion for F_1..F_K (with a branch for coalesced pairs), run on a stack
+of systems of one n, resonance detection on the diagonal of A, the one
+check of the coalescence conditions on coalesced pairs, the optimal
+truncation of the series and the residual of its defining identity.
 
 The recursion comes from matching Laurent coefficients of
 d/dz Y = (Lambda + A/z) Y order by order:
@@ -18,6 +18,17 @@ determined by the order-(k+1) relation, which is solvable exactly when
 A_ii - A_jj is not a negative integer.  That degenerate branch requires the
 vanishing pattern A_ij = 0 on coalesced pairs.
 
+The recursion runs over (S, n, n) arrays one order at a time, and every
+product and every sum in it is an `np.einsum`.  numpy's complex einsum
+forms each product as (a.re b.re - a.im b.im, a.re b.im + a.im b.re)
+without a fused multiply-add and sums the terms in index order from 0,
+exactly as Python's complex scalars do; complex `*` and `@` run loops
+that numpy dispatches by CPU, and where those fuse a multiply and an add
+the product rounds differently.  Divisions are numpy's array divisions,
+which round as its scalar divisions.  So each series is bit for bit the one
+that the same recursion on Python scalars gives, on every machine, and a
+series does not depend on the stack it was built in.
+
 Along the strong isomonodromy flow the same F meets the u-side relation
 [F_{l+1}, E_i] = [F_1, E_i] F_l - d_i F_l of the Pfaffian system, so a
 recursion built on that relation could only reproduce this one.
@@ -25,6 +36,7 @@ recursion built on that relation could only reproduce this one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +128,6 @@ def coalesced_pairs(u, A, tol: float) -> np.ndarray:
     """
     label = coalescence_labels(u, tol)
     co = (label[:, None] == label[None, :]) & ~np.eye(len(label), dtype=bool)
-    if not co.any():
-        return co
     bad = co & (np.abs(A) > PATTERN_TOL)
     if bad.any():
         i, j = np.argwhere(np.triu(bad | bad.T))[0]
@@ -134,7 +144,8 @@ def coalesced_pairs(u, A, tol: float) -> np.ndarray:
 
 
 def _coalesced_columns(A, K, coalesced):
-    """The order-(k+1) relations that give the coalesced entries of F_1..F_K.
+    """The order-(k+1) relations that give the coalesced entries of F_1..F_K
+    of a stack of systems, A and `coalesced` of shape (S, n, n).
 
     For each column j, the relation at order k+1 couples the unknown entries
     (F_k)_{ij} of the rows i coalesced with j linearly:
@@ -146,88 +157,94 @@ def _coalesced_columns(A, K, coalesced):
     in one batched call.  They are invertible: `coalesced_pairs` refuses a
     group whose diagonal entries of A lie within 1e-8 of a non-zero integer
     apart, or whose couplings exceed PATTERN_TOL, so each matrix of a group
-    of fewer than 100 indices is diagonally dominant.  Returns, per column j
-    with coalesced rows, (j, rows, others, inverses): others[a] lists the p
-    of the right-hand side of row rows[a], and inverses[k - 1] is the
-    inverse at order k, as lists of Python scalars.
+    of fewer than 100 indices is diagonally dominant.  Returns one tuple
+    (rows, rest, couplings, inverses) per number r of coalesced rows, for
+    the m columns (s, j) with r of them: the flat places in the stack of
+    their rows (m, r) and of the p of the right-hand side (m, n - r), every
+    p not coalesced with j (j among them), the A_ip of those p (m, r, n - r),
+    and inverses[k - 1] (m, r, r) the inverses at order k.
     """
-    n = len(A)
-    d = np.diag(A)
-    out = []
-    for j in range(n):
-        rows = np.flatnonzero(coalesced[:, j])
-        if not len(rows):
-            continue
-        M = np.repeat(A[np.ix_(rows, rows)][None], K, axis=0)
+    S, n, _ = A.shape
+    d = np.diagonal(A, axis1=1, axis2=2)
+    groups = {}
+    for s, j in zip(*np.nonzero(coalesced.any(axis=1))):
+        rows, rest = np.flatnonzero(coalesced[s, :, j]), np.flatnonzero(~coalesced[s, :, j])
+        M = np.repeat(A[s][np.ix_(rows, rows)][None], K, axis=0)
         diag = np.arange(len(rows))
-        M[:, diag, diag] = (d[rows] - d[j])[None, :] + np.arange(1, K + 1)[:, None]
-        others = [[p for p in range(n) if p != i and not coalesced[p, j]] for i in rows]
-        out.append((j, rows.tolist(), others, np.linalg.inv(M).tolist()))
-    return out
+        M[:, diag, diag] = (d[s, rows] - d[s, j])[None, :] + np.arange(1, K + 1)[:, None]
+        groups.setdefault(len(rows), []).append(
+            ((s * n + rows) * n + j, (s * n + rest) * n + j, A[s][np.ix_(rows, rest)], M))
+    return [(np.array(rows), np.array(rest), np.array(couplings),
+             np.linalg.inv(np.stack(M, axis=1)))
+            for rows, rest, couplings, M in (zip(*g) for g in groups.values())]
 
 
 def compute_formal_coefficients(
-    sys: IrregularSystem,
+    systems: IrregularSystem | Sequence[IrregularSystem],
     K: int = 10,
-    coalesce_tol: float = 0.0,
-) -> FormalSolution:
-    """Compute F_1..F_K of the formal solution by the z-side Laurent
-    recursion.
+    coalesce_tol: float | Sequence[float] = 0.0,
+) -> FormalSolution | list[FormalSolution]:
+    """Compute F_1..F_K of the formal solutions of a stack of systems of one
+    n by the z-side Laurent recursion, all systems one order at a time.
 
-    It requires pairwise distinct u_i unless `coalesce_tol` > 0, in which
-    case the pairs that `coalesced_pairs` finds at coalesce_tol are treated
-    as coalesced, after it checked the vanishing and resonance conditions
-    on them.
+    `systems` is one IrregularSystem, whose FormalSolution is returned, or a
+    sequence of them, whose list of FormalSolutions is returned.
+    `coalesce_tol` is one tolerance for every system or one per system.  A
+    system requires pairwise distinct u_i unless its tolerance is > 0, in
+    which case the pairs that `coalesced_pairs` finds at that tolerance are
+    treated as coalesced, after it checked the vanishing and resonance
+    conditions on them.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-
-    A = sys.A
-    u = sys.u
-    n = sys.n
-    d = np.diag(A)
-
-    if coalesce_tol <= 0 and len(np.unique(u)) < n:
+    stack = [systems] if isinstance(systems, IrregularSystem) else list(systems)
+    if len({s.n for s in stack}) > 1:
+        raise ValueError("the systems of one stack must share n")
+    S, n = len(stack), stack[0].n
+    A = np.array([s.A for s in stack]).reshape(S, n, n)
+    u = np.array([s.u for s in stack]).reshape(S, n)
+    d = np.diagonal(A, axis1=1, axis2=2)
+    eye = np.eye(n, dtype=bool)
+    tols = np.broadcast_to(coalesce_tol, S)
+    if (u[tols <= 0, :, None] == u[tols <= 0, None, :])[:, ~eye].any():
         raise CoincidentPointsError("coincident u_i; recursion divides by u_j - u_i")
-    coalesced = coalesced_pairs(u, A, coalesce_tol)
+    coalesced = np.zeros((S, n, n), dtype=bool)
+    for s in np.flatnonzero(tols > 0):
+        coalesced[s] = coalesced_pairs(u[s], A[s], tols[s])
+    pairs = ~coalesced & ~eye
+    gap = np.where(pairs, u[:, None, :] - u[:, :, None], 1)  # u_j - u_i
     columns = _coalesced_columns(A, K, coalesced)
 
-    # Python complex scalars round +, - and * as numpy's scalars do, but not
-    # /, so divisions stay numpy's; operands are complex, sums start from 0j.
-    Al = A.tolist()
-    dd = (d[:, None] - d[None, :]).tolist()
-    gap = u[None, :] - u[:, None]  # u_j - u_i, numpy scalars
-    off = np.argwhere(~coalesced & ~np.eye(n, dtype=bool)).tolist()
-    pairs = [(i, j, gap[i, j]) for i, j in off]
-    one = complex(1)
+    # the numerator of (F_k)_ij sums A_ip (F_{k-1})_pj over p != i ascending,
+    # then adds ((A_ii - A_jj + k) - 1)(F_{k-1})_ij: its term q is
+    # W[k - 1, s, i, j, q] times F_{k-1} at the flat place take[s, i, j, q]
+    q, col = np.arange(n - 1), np.arange(n)[:, None]
+    order = np.concatenate([q + (q >= col), col], axis=1)
+    take = (np.arange(S)[:, None, None, None] * n + order[:, None, :]) * n + col
+    W = np.empty((K, S, n, n, n), dtype=complex)
+    W[..., :-1] = A[:, col, order[:, :-1]][:, :, None, :]
+    W[..., -1] = (d[:, :, None] - d[:, None, :]) + np.arange(1, K + 1)[:, None, None, None] - 1
+    A_zero = np.where(eye, 0, A)  # the diagonal rule's terms with p = i read (F_k)_ii = 0
+    ks = np.arange(1, K + 1, dtype=complex)[:, None]
 
-    def dot(M, i, j):  # sum_{p != i} A_ip M_pj
-        acc = 0j
-        for p in range(n):
-            if p != i:
-                acc = acc + Al[i][p] * M[p][j]
-        return acc
-
-    F_all: list[np.ndarray] = []
-    P = np.eye(n, dtype=complex).tolist()  # F_{k-1}
+    F = np.zeros((K, S, n, n), dtype=complex)
+    flat = F.reshape(K, S * n * n)
+    diag = np.einsum("ksii->ksi", F)
+    prev = np.tile(np.eye(n, dtype=complex), (S, 1)).reshape(-1)  # F_{k-1}, flat
     # the late terms of a divergent series may overflow, to inf and then nan;
     # a non-finite F_k is never a truncation point (optimal_truncations)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, K + 1):
-            kc, kn = complex(k), np.complex128(k)
-            Fk = np.zeros((n, n), dtype=complex).tolist()
-            for i, j, g in pairs:
-                Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
-            for j, rows, others, inverses in columns:
-                rhs = [-sum((Al[i][p] * Fk[p][j] for p in ps), 0j) for i, ps in zip(rows, others)]
-                for i, row in zip(rows, inverses[k - 1]):
-                    Fk[i][j] = sum((a * b for a, b in zip(row, rhs)), 0j)
-            for i in range(n):
-                Fk[i][i] = complex(-dot(Fk, i, i) / kn)
-            F_all.append(np.array(Fk))
-            P = Fk
+        for k in range(K):
+            np.divide(np.einsum("sijq,sijq->sij", W[k], prev[take]), gap, out=F[k], where=pairs)
+            for rows, rest, couplings, inverses in columns:
+                rhs = np.negative(np.einsum("map,mp->ma", couplings, flat[k][rest]))
+                flat[k][rows] = np.einsum("mab,mb->ma", inverses[k], rhs)
+            acc = np.einsum("sip,spi->si", A_zero, F[k])
+            np.divide(np.negative(acc, out=acc), ks[k], out=diag[k])
+            prev = flat[k]
 
-    return FormalSolution(b=d.copy(), u=u.copy(), F=tuple(F_all))
+    out = [FormalSolution(b=d[s].copy(), u=u[s].copy(), F=tuple(F[:, s])) for s in range(S)]
+    return out[0] if isinstance(systems, IrregularSystem) else out
 
 
 def optimal_truncations(series, radius: float) -> list[tuple[int, float]]:

@@ -28,13 +28,15 @@ from .isoflow import UPath
 
 
 def complex_from_pair(obj, where: str) -> complex:
-    """[re, im] as a complex; booleans and non-finite numbers are refused."""
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   and math.isfinite(x) for x in obj)
-    ):
+    """[re, im] as a complex; booleans and numbers that no finite float holds
+    are refused."""
+    try:
+        ok = isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in obj)
+    except OverflowError:  # an integer beyond every float
+        ok = False
+    if not ok:
         raise InputFormatError(f"{where}: expected [re, im] of finite numbers, got {obj!r}")
     return complex(obj[0], obj[1])
 

@@ -118,8 +118,8 @@ def collect_data(
     # S_r with C_r and S_{r+1} of every sample; C_{r+1} of the first sample,
     # with S_{r+2} last, is what stokes_relation_check reads
     requests = []
-    for p, (cur, ld) in enumerate(zip(systems, levelt)):
-        fs = compute_formal_coefficients(cur, K=order)
+    series = compute_formal_coefficients(systems, K=order)
+    for p, (cur, ld, fs) in enumerate(zip(systems, levelt, series)):
         requests += [SectorRequest(cur, r, fs, ld=ld),
                      SectorRequest(cur, r + 1, fs, ld=ld if p == 0 else None)]
     *results, S_r2 = run_plan(sector_plan(cfg, requests + [
@@ -375,12 +375,6 @@ def verify_coalescence(
     gaps = np.array([eps * 2.0 ** (-k) for k in range(1, GAP_COUNT + 1)])
     samples = np.array([ref + g * v for g in gaps])
 
-    # frozen system data in the widened frame (coalescence-aware recursion)
-    frozen = IrregularSystem(u=ref, A=A0)
-    fs0 = compute_formal_coefficients(frozen, K=order, coalesce_tol=COALESCENCE_TOL)
-    cfg = StokesConfig(tau=tau, tol=tol, uC=ref)
-    requests = [SectorRequest(frozen, r, fs0), SectorRequest(frozen, r + 1, fs0)]
-
     # sampled family: Taylor germ along the ray, flow-validated
     coeffs = ray_family_series(A0, ref, v, order=GERM_ORDER)
     A_k = [eval_ray_family(coeffs, g) for g in gaps]
@@ -388,14 +382,22 @@ def verify_coalescence(
                             UPath.line(samples[-1], samples[0]), tol=tol, guard=0.0)
     flow_vs_germ = float(np.max(np.abs(end.A - A_k[0])))
 
+    # the frozen system's series is coalescence-aware, each sample's is not;
+    # all of them are one stacked recursion
+    frozen = IrregularSystem(u=ref, A=A0)
+    sample_systems = [IrregularSystem(u=ref + g * v, A=Ak) for g, Ak in zip(gaps, A_k)]
+    fs0, *sample_series = compute_formal_coefficients(
+        [frozen, *sample_systems], K=order, coalesce_tol=[COALESCENCE_TOL] + [0.0] * GAP_COUNT)
+    # frozen system data in the widened frame
+    cfg = StokesConfig(tau=tau, tol=tol, uC=ref)
+    requests = [SectorRequest(frozen, r, fs0), SectorRequest(frozen, r + 1, fs0)]
+
     # per sample r and r + 1, self-seeded (each sample's own formal series)
     # and frozen-seeded (only the frozen system's series, with the sample's
     # own exponentials), both in the sample's sector frames; all of it is one
     # sector table and one transport batch, in which the frozen-seeded passes
     # share the frozen series and its truncation
-    for g, Ak in zip(gaps, A_k):
-        sysk = IrregularSystem(u=ref + g * v, A=Ak)
-        fsk = compute_formal_coefficients(sysk, K=order)
+    for sysk, fsk in zip(sample_systems, sample_series):
         fs_driven = FormalSolution(b=fs0.b, u=sysk.u, F=fs0.F)
         requests += [SectorRequest(sysk, k, fs) for fs in (fsk, fs_driven) for k in (r, r + 1)]
     S0_frozen, S1_frozen, *sampled = run_plan(sector_plan(cfg, requests), tol)

@@ -16,10 +16,12 @@ every ``odeengine._schedule`` layout), the backward arcs they ran as the
 inverse of a stepped leg (the distinct (ODE, leg) pairs of the
 ``odeengine.Inverted`` legs of every ``odeengine.transport_matrix`` batch),
 the collocation steps its flows took (the calls of ``isoflow._sweeps``,
-rejected steps included) and their Picard sweeps (the right-hand-side
-evaluations of those calls), and the workload's line with the means of the
-five over its ops.  It exits 1 if an exception escaped ``cli.main`` in any
-call (exit code ``None``), after printing every line.  The inputs are
+rejected steps included), their Picard sweeps (the right-hand-side
+evaluations of those calls), the calls of the formal recursion
+(``formal.compute_formal_coefficients``) and the formal series those calls
+built, and the workload's line with the means of the seven over its ops.
+It exits 1 if an exception escaped ``cli.main`` in any call (exit code
+``None``), after printing every line.  The inputs are
 written to a temporary directory under the same relative names on every
 run, so two checkouts give equal lines exactly when their output is equal:
 run the script once against the ``src/`` of each and diff what it prints.
@@ -43,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 
-from isomlab import cli, isoflow, odeengine  # noqa: E402
+from isomlab import cli, formal, isoflow, odeengine, verify  # noqa: E402
 
 POOL = 64  # ops per seed, as in perfbench/worker.py
 
@@ -88,17 +90,20 @@ def op_outputs(workload: str, seed: int, ops: int = POOL):
 
 @contextlib.contextmanager
 def counted_steps():
-    """A list that collects (steps, legs, 0, 0, 0) of every
-    `odeengine._schedule` layout, (0, 0, backward arcs, 0, 0) of every
-    `odeengine.transport_matrix` batch, (0, 0, 0, 1, 0) of every collocation
-    step (`isoflow._sweeps` call) and (0, 0, 0, 0, 1) of every Picard sweep
-    (right-hand side of such a call) made inside the block."""
+    """A list that collects (steps, legs, 0, ...) of every
+    `odeengine._schedule` layout, (0, 0, backward arcs, 0, ...) of every
+    `odeengine.transport_matrix` batch, (0, 0, 0, 1, 0, ...) of every
+    collocation step (`isoflow._sweeps` call), (0, 0, 0, 0, 1, 0, 0) of
+    every Picard sweep (right-hand side of such a call) and (0, ..., 1,
+    series) of every call of the formal recursion made inside the block,
+    each a 7-tuple."""
     counts = []
     schedule, transport, sweeps = odeengine._schedule, odeengine.transport_matrix, isoflow._sweeps
+    recursion, callers = formal.compute_formal_coefficients, (cli, verify)
 
     def counted(odes, which, legs, names):
         layout = schedule(odes, which, legs, names)
-        counts.append((len(layout[0]), len(legs), 0, 0, 0))
+        counts.append((len(layout[0]), len(legs), 0, 0, 0, 0, 0))
         return layout
 
     def counted_transport(ode, Y0, legs, *rest):
@@ -106,20 +111,31 @@ def counted_steps():
         if not isinstance(ode, odeengine.LinearODE):
             backward = {(o.P.tobytes(), o.Q.tobytes(), leg) for o, path in zip(ode, legs)
                         for leg in path if isinstance(leg, odeengine.Inverted)}
-            counts.append((0, 0, len(backward), 0, 0))
+            counts.append((0, 0, len(backward), 0, 0, 0, 0))
         return transport(ode, Y0, legs, *rest)
 
     def counted_sweeps(f, y, h, tol):
-        counts.append((0, 0, 0, 1, 0))
-        return sweeps(lambda X: counts.append((0, 0, 0, 0, 1)) or f(X), y, h, tol)
+        counts.append((0, 0, 0, 1, 0, 0, 0))
+        return sweeps(lambda X: counts.append((0, 0, 0, 0, 1, 0, 0)) or f(X), y, h, tol)
+
+    def counted_recursion(systems, *rest, **kwargs):
+        # one system gives one FormalSolution, a stack a list of them
+        series = recursion(systems, *rest, **kwargs)
+        built = 1 if isinstance(series, formal.FormalSolution) else len(series)
+        counts.append((0, 0, 0, 0, 0, 1, built))
+        return series
 
     odeengine._schedule, odeengine.transport_matrix = counted, counted_transport
     isoflow._sweeps = counted_sweeps
+    for mod in callers:
+        mod.compute_formal_coefficients = counted_recursion
     try:
         yield counts
     finally:
         odeengine._schedule, odeengine.transport_matrix = schedule, transport
         isoflow._sweeps = sweeps
+        for mod in callers:
+            mod.compute_formal_coefficients = recursion
 
 
 def digest(results) -> str:
@@ -137,8 +153,8 @@ def main(argv=None) -> int:
     p.add_argument("--ops", type=int, default=POOL)
     p.add_argument("--steps", action="store_true",
                    help="append each op's Taylor steps, stepped legs, backward arcs, "
-                        "collocation steps and Picard sweeps, and their means per op of "
-                        "each workload")
+                        "collocation steps, Picard sweeps, formal recursion calls and formal "
+                        "series, and their means per op of each workload")
     args = p.parse_args(argv)
     escaped = 0
     with counted_steps() as counts:
@@ -150,9 +166,9 @@ def main(argv=None) -> int:
                     total.update(line.encode())
                     codes = ",".join(str(code) for code, _, _ in results)
                     escaped += sum(code is None for code, _, _ in results)
-                    steps.append([sum(c[i] for c in counts) for i in range(5)])
+                    steps.append([sum(c[i] for c in counts) for i in range(7)])
                     counts.clear()
-                    tail = " {} {} {} {} {}".format(*steps[-1]) if args.steps else ""
+                    tail = "".join(f" {x}" for x in steps[-1]) if args.steps else ""
                     print(f"{name} {seed} {k} {codes} {line}{tail}", flush=True)
             mean = np.mean(steps, axis=0) if args.steps and steps else ()
             tail = "".join(f" {x:.1f}" for x in mean)

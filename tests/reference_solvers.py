@@ -325,8 +325,9 @@ def formal_coefficients_reference(sys, K: int, coalesce_tol: float = 0.0):
     """F_1..F_K of `compute_formal_coefficients` (its checks left out) by the
     recursion on numpy complex scalars, entry by entry, with the coalesced
     entries of each column from one np.linalg.solve of its order-(k+1)
-    relation per order; the library runs the recursion on Python scalars and
-    inverts the relations of all orders at once."""
+    relation per order; the library runs the recursion as one einsum program
+    over a stack of systems and inverts the relations of all orders at
+    once."""
     from isomlab.geometry import coalescence_labels
 
     A, u, n = sys.A, sys.u, sys.n
@@ -359,6 +360,77 @@ def formal_coefficients_reference(sys, K: int, coalesce_tol: float = 0.0):
             acc = sum((A[i, p] * Fk[p, i] for p in range(n) if p != i), 0j)
             Fk[i, i] = -acc / k
         F_all.append(Fk)
+    return F_all
+
+
+def _coalesced_columns_scalar(A, K, coalesced):
+    """The order-(k+1) relations of the coalesced entries, as the scalar
+    recursion of `formal_coefficients_scalar` reads them: per column j with
+    coalesced rows, (j, rows, others, inverses), with others[a] the p of the
+    right-hand side of row rows[a] and inverses[k - 1] the inverse at order
+    k, as lists of Python scalars."""
+    n = len(A)
+    d = np.diag(A)
+    out = []
+    for j in range(n):
+        rows = np.flatnonzero(coalesced[:, j])
+        if not len(rows):
+            continue
+        M = np.repeat(A[np.ix_(rows, rows)][None], K, axis=0)
+        diag = np.arange(len(rows))
+        M[:, diag, diag] = (d[rows] - d[j])[None, :] + np.arange(1, K + 1)[:, None]
+        others = [[p for p in range(n) if p != i and not coalesced[p, j]] for i in rows]
+        out.append((j, rows.tolist(), others, np.linalg.inv(M).tolist()))
+    return out
+
+
+def formal_coefficients_scalar(sys, K: int, coalesce_tol: float = 0.0):
+    """F_1..F_K of `compute_formal_coefficients` by the recursion on Python
+    complex scalars, one entry and one product at a time, with the coalesced
+    entries from the inverted order-(k+1) relations (the byte oracle of the
+    stacked einsum recursion).  Python scalars never fuse a multiply and an
+    add, and they sum in index order from 0j."""
+    from isomlab.formal import coalesced_pairs
+
+    A = sys.A
+    u = sys.u
+    n = sys.n
+    d = np.diag(A)
+    coalesced = coalesced_pairs(u, A, coalesce_tol)
+    columns = _coalesced_columns_scalar(A, K, coalesced)
+
+    # Python complex scalars round +, - and * as numpy's scalars do, but not
+    # /, so divisions stay numpy's; operands are complex, sums start from 0j.
+    Al = A.tolist()
+    dd = (d[:, None] - d[None, :]).tolist()
+    gap = u[None, :] - u[:, None]  # u_j - u_i, numpy scalars
+    off = np.argwhere(~coalesced & ~np.eye(n, dtype=bool)).tolist()
+    pairs = [(i, j, gap[i, j]) for i, j in off]
+    one = complex(1)
+
+    def dot(M, i, j):  # sum_{p != i} A_ip M_pj
+        acc = 0j
+        for p in range(n):
+            if p != i:
+                acc = acc + Al[i][p] * M[p][j]
+        return acc
+
+    F_all = []
+    P = np.eye(n, dtype=complex).tolist()  # F_{k-1}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K + 1):
+            kc, kn = complex(k), np.complex128(k)
+            Fk = np.zeros((n, n), dtype=complex).tolist()
+            for i, j, g in pairs:
+                Fk[i][j] = complex(((dd[i][j] + kc - one) * P[i][j] + dot(P, i, j)) / g)
+            for j, rows, others, inverses in columns:
+                rhs = [-sum((Al[i][p] * Fk[p][j] for p in ps), 0j) for i, ps in zip(rows, others)]
+                for i, row in zip(rows, inverses[k - 1]):
+                    Fk[i][j] = sum((a * b for a, b in zip(row, rhs)), 0j)
+            for i in range(n):
+                Fk[i][i] = complex(-dot(Fk, i, i) / kn)
+            F_all.append(np.array(Fk))
+            P = Fk
     return F_all
 
 

@@ -622,6 +622,22 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert "u[1]" in err
 
+    @pytest.mark.parametrize("kind", ["system", "path"])
+    def test_number_beyond_every_float_refused(self, capsys, tmp_path, kind):
+        # an integer literal that no float holds is malformed input, not an
+        # OverflowError out of main
+        huge = 10 ** 400
+        doc = {"u": [[0.0, 0.0], [1.0, 0.0]],
+               "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]]}
+        path = {"waypoints": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.2, 0.0]]]}
+        (doc["u"] if kind == "system" else path["waypoints"][1])[1] = [huge, 0.0]
+        argv = ["flow", "--system", write_json(tmp_path / "sys.json", doc),
+                "--path", write_json(tmp_path / "path.json", path)]
+        code, out, err = run(capsys, argv)
+        where = "u[1]" if kind == "system" else "waypoints[1][1]"
+        assert code == 1 and out == ""
+        assert err == f"error: {where}: expected [re, im] of finite numbers, got [{huge}, 0.0]\n"
+
     def test_fractional_dimension_refused(self, capsys, tmp_path):
         doc = {"n": 2.9, "u": [[0.0, 0.0], [1.0, 0.0]],
                "A": [[[0.2, 0.0], [1.0, 0.0]], [[0.7, 0.0], [-0.4, 0.0]]]}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,11 @@ from isomlab.formal import (
     optimal_truncations,
 )
 from isomlab.isoflow import UPath, integrate_flow
-from reference_solvers import formal_coefficients_reference, truncated_formal
+from reference_solvers import (
+    formal_coefficients_reference,
+    formal_coefficients_scalar,
+    truncated_formal,
+)
 
 # criterion 7's A0: its exact zeros make signed zeros in the recursion
 CRIT7_A0 = np.array(
@@ -114,19 +120,24 @@ class TestCoalescedRecursion:
 
 
 class TestBitIdentity:
-    """The recursion on Python scalars gives every F_k bit for bit as the
-    numpy-scalar one does, so nothing built on the series moves.  With
-    coalesced pairs the library multiplies by the inverse of each order's
-    relation where the reference solves it, which rounds differently, so
-    there every F_k agrees to 1e-14 relative to its largest entry."""
+    """The stacked einsum recursion gives every F_k of every series of a
+    stack bit for bit as the recursion on Python scalars does
+    (`formal_coefficients_scalar`, the byte oracle), coalesced entries
+    included, so nothing built on the series moves.  Without coalesced pairs
+    the recursion on numpy scalars (`formal_coefficients_reference`) gives
+    the same bytes too; with them it solves each order's relation where the
+    library multiplies by its inverse, which rounds differently, so there
+    every F_k agrees with it to 1e-14 relative to its largest entry."""
 
     @staticmethod
-    def assert_same_bytes(sys, K, **kwargs):
-        got = compute_formal_coefficients(sys, K=K, **kwargs).F
-        want = formal_coefficients_reference(sys, K, **kwargs)
-        assert len(got) == len(want) == K
-        for k, (a, b) in enumerate(zip(got, want), start=1):
-            assert a.tobytes() == b.tobytes(), f"F_{k} differs"
+    def assert_same_bytes(systems, K, coalesce_tol=0.0):
+        got = compute_formal_coefficients(systems, K=K, coalesce_tol=coalesce_tol)
+        assert len(got) == len(systems)
+        for fs, sys, tol in zip(got, systems, np.broadcast_to(coalesce_tol, len(systems))):
+            want = formal_coefficients_scalar(sys, K, tol)
+            assert len(fs.F) == len(want) == K
+            for k, (a, b) in enumerate(zip(fs.F, want), start=1):
+                assert a.tobytes() == b.tobytes(), f"F_{k} differs"
 
     @staticmethod
     def assert_close(sys, K, coalesce_tol):
@@ -139,26 +150,70 @@ class TestBitIdentity:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_seeded_systems(self, n):
         rng = np.random.default_rng(500 + n)
+        for size in (1, 2, 7):
+            self.assert_same_bytes([random_system(rng, n) for _ in range(size)], 30)
         for _ in range(3):
-            self.assert_same_bytes(random_system(rng, n), 30)
+            sys = random_system(rng, n)
+            got = compute_formal_coefficients(sys, K=30).F
+            want = formal_coefficients_reference(sys, 30)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_exact_zeros(self):
-        for A in (CRIT7_A0, -CRIT7_A0):
-            self.assert_same_bytes(IrregularSystem(u=[0.0, 0.5, 1.0], A=A), 30)
+        self.assert_same_bytes([IrregularSystem(u=[0.0, 0.5, 1.0], A=A)
+                                for A in (CRIT7_A0, -CRIT7_A0)], 30)
 
     @pytest.mark.parametrize("u, coalesce_tol", [([0.0, 0.0, 1.0], 1e-9),
                                                  ([0.0, 1e-3, 1.0], 1e-2)])
     def test_coalesced_system(self, u, coalesce_tol):
-        self.assert_close(IrregularSystem(u=u, A=CRIT7_A0), 30, coalesce_tol)
+        sys = IrregularSystem(u=u, A=CRIT7_A0)
+        self.assert_same_bytes([sys], 30, coalesce_tol)
+        self.assert_close(sys, 30, coalesce_tol)
 
     def test_coalesced_groups_of_two_and_three(self):
         # complex diagonals and couplings, groups {0, 1, 2} and {3, 4}
         rng = np.random.default_rng(33)
         u = np.array([0.0, 0.0, 0.0, 1.0, 1.0]) + 0.5j
+        systems = []
         for _ in range(3):
             A = 0.4 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
             A[(u[:, None] == u[None, :]) & ~np.eye(5, dtype=bool)] = 0.0
-            self.assert_close(IrregularSystem(u=u, A=A), 30, 1e-9)
+            systems.append(IrregularSystem(u=u, A=A))
+            self.assert_close(systems[-1], 30, 1e-9)
+        self.assert_same_bytes(systems, 30, 1e-9)
+
+    def test_frozen_and_samples_in_one_stack(self):
+        # verify_coalescence's stack: the frozen system coalesced at its
+        # tolerance, each sample at 0, which leaves its near pair uncoalesced
+        frozen = IrregularSystem(u=[0.0, 0.0, 1.0], A=CRIT7_A0)
+        samples = [IrregularSystem(u=[0.0, g, 1.0], A=CRIT7_A0) for g in (0.05, 1e-3, 1e-10)]
+        self.assert_same_bytes([frozen, *samples], 30, [1e-9, 0.0, 0.0, 0.0])
+
+    def test_order_zero(self):
+        frozen = IrregularSystem(u=[0.0, 0.0, 1.0], A=CRIT7_A0)
+        assert compute_formal_coefficients(frozen, K=0, coalesce_tol=1e-9).F == ()
+        fss = compute_formal_coefficients([frozen, frozen], K=0, coalesce_tol=1e-9)
+        assert [fs.F for fs in fss] == [(), ()]
+        self.assert_same_bytes([frozen], 0, 1e-9)
+
+    def test_overflowed_tail(self):
+        # the late terms at a 1.6e-3 gap overflow, to inf and then nan; each
+        # sits where the oracle has it, the finite parts keep their bytes,
+        # and no RuntimeWarning is raised
+        sys = IrregularSystem(u=[0.0, 1.6e-3, 1.0], A=CRIT7_A0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array(compute_formal_coefficients(sys, K=80).F).view(float)
+            want = np.array(formal_coefficients_scalar(sys, 80)).view(float)
+        assert not np.isfinite(want).all() and np.isfinite(want[0]).all()
+        assert (np.isnan(got) == np.isnan(want)).all()
+        assert (np.isinf(got) == np.isinf(want)).all()
+        finite = np.isfinite(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+
+    def test_stack_must_share_n(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="share n"):
+            compute_formal_coefficients([random_system(rng, 2), random_system(rng, 3)], K=2)
 
 
 class TestCheckResonances:

@@ -36,6 +36,7 @@ recursion built on that relation could only reproduce this one.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -46,6 +47,12 @@ from .geometry import coalescence_labels
 from .matrixcore import as_square
 
 PATTERN_TOL = 1e-10  # |A_ij| at a coalesced pair that counts as zero
+# a truncation term is never the least when its lower bound exceeds its
+# series' least upper bound by these: far above the relative error of the
+# bounds and of an SVD's largest singular value at n <= 8, and far above
+# the absolute error of any product that underflows
+BRACKET_MARGIN = 1e-12
+BRACKET_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -251,24 +258,49 @@ def optimal_truncations(series, radius: float) -> list[tuple[int, float]]:
     """For each series, given as its F_1..F_K, the index k minimizing
     ||F_k|| R^-k and the value there (the seed error bound): the divergent
     series stops before its smallest term, and the bound is the magnitude of
-    the first omitted term.  The norms of all series come from one stacked
-    SVD, so the series must share n; a non-finite F_k (an overflowed late
-    term) has the norm +inf and stays out of the SVD."""
+    the first omitted term.
+
+    Only a term that can be the least needs its 2-norm.  The Frobenius norms
+    of all terms, one array pass, bracket it: ||F||_F / sqrt(n) <= ||F||_2 <=
+    ||F||_F (Golub and Van Loan, Matrix Computations, 2.3).  A term whose
+    lower bound exceeds the least upper bound of its series, by more than
+    BRACKET_MARGIN relative and BRACKET_FLOOR absolute, rounds above the term
+    that has that upper bound, so it is never the least and reads +inf, as a
+    non-finite F_k (an overflowed late term) does.  The 2-norms of the other
+    terms come from one stacked SVD, so the series must share n, and every
+    (k, bound) is the one that the SVD of every term gives."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     stacks = [np.asarray(F) for F in series]
-    full = [F for F in stacks if len(F)]
-    full = np.concatenate(full) if full else np.zeros((0, 1, 1))
+    powers = [float(radius) ** -np.arange(1, len(F) + 1) for F in stacks]  # R^-k
+    lengths = [len(F) for F in stacks if len(F)]
+    if not lengths:
+        return [(0, np.inf)] * len(stacks)
+    full = np.concatenate([F for F in stacks if len(F)])
     finite = np.isfinite(full).all(axis=(1, 2))
+    # ||F_k||_F R^-k, over the largest entry first, so that no square overflows
+    entries = np.where(finite[:, None, None], np.abs(full), 0.0)
+    top = entries.max(axis=(1, 2))[:, None, None]
+    scaled = np.divide(entries, top, out=np.zeros_like(entries), where=top > 0)
+    ratio = np.sqrt(np.square(scaled).sum(axis=(1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 R^-k with R^-k = inf is nan
+        size = top[:, 0, 0] * np.concatenate(powers)
+        upper = np.where(finite, size * ratio, np.inf)
+        lower = size * (ratio / math.sqrt(full.shape[-1]))
+        least = np.repeat(np.minimum.reduceat(upper, np.cumsum([0, *lengths[:-1]])), lengths)
+        # a nan bound compares false, so its term keeps its SVD
+        never = lower * (1 - BRACKET_MARGIN) > least * (1 + BRACKET_MARGIN) + BRACKET_FLOOR
+    wanted = finite & ~never
     norms = np.full(len(full), np.inf)
-    norms[finite] = np.linalg.svd(full[finite], compute_uv=False)[:, 0]
+    norms[wanted] = np.linalg.svd(full[wanted], compute_uv=False)[:, 0]
     out, a = [], 0
-    for F in stacks:
+    for F, power in zip(stacks, powers):
         if not len(F):
             out.append((0, np.inf))
             continue
-        with np.errstate(invalid="ignore"):  # inf times an underflowed R^-k is nan
-            terms = norms[a : a + len(F)] * float(radius) ** -np.arange(1, len(F) + 1)
+        # a term may overflow, and inf times an underflowed R^-k is nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = norms[a : a + len(F)] * power
         a += len(F)
         k = int(np.argmin(np.where(np.isnan(terms), np.inf, terms)))
         out.append((k + 1, float(terms[k])) if terms[k] < np.inf else (0, np.inf))

@@ -51,8 +51,8 @@ The steps of each leg are multiplied into its matrix, one step index at a
 time, and each transport is carried through the matrices of its legs,
 Y <- L Y.  An `Inverted` leg, a leg run backwards, is the one exception: the
 transition matrix of a reversed path is the inverse of the forward one, so
-the engine steps its forward leg, shared with every transport that runs
-that leg forwards, and chains the inverse, all such inverses of a batch
+the engine steps its forward leg, the leg it was made from, shared with
+every transport that runs that leg forwards, and chains the inverse, all such inverses of a batch
 coming from one batched np.linalg.inv.  Only the clockwise sweeps of sector
 plans are Inverted; every other leg, Fuchsian spokes and the legs given to
 `integrate_path` among them, is stepped as it runs.
@@ -79,8 +79,10 @@ the plan of `fuchs_monodromy`.  The requests of one plan share one
 SIAM J. Math. Anal. 12 (1981): Y_{r+2}(z) = Y_r(z e^{-2 pi i}) e^{2 pi i B}),
 so the frames of sectors 0 and 1 of every system come from one ray
 computation, their seed directions (in closed form) and Stokes leakage from
-one array pass, and the truncations of all distinct series from one stacked
-SVD; sector k is sector k mod 2 turned by 2 pi floor(k / 2).  Every point of
+one array pass, the truncations of all distinct series from one Frobenius
+pass and one stacked SVD, and the seed columns of every (system, series,
+sector parity) from one stacked product; sector k is sector k mod 2 turned
+by 2 pi floor(k / 2).  Every point of
 a plan (seed, z*, stop) is made from the base-sheet angle, and the turn goes
 into the args alone, so sector r + 2 runs on the seeds and legs of sector r.
 Every z* lies on its system's circle, the circle of the argument sweeps:
@@ -218,16 +220,18 @@ class Leg:
         return f"arc {self.a:.6g} -> {self.b:.6g} about {self.center:.6g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Inverted(Leg):
-    """The leg from a to b that the engine runs as the inverse of its
-    `forward` leg, from b to a: the transition matrix of a reversed path is
-    the inverse of the forward one, so the forward leg is stepped once for
-    both directions."""
+    """The leg `forward` run backwards, from its b to its a, which the
+    engine runs as the inverse of `forward`: the transition matrix of a
+    reversed path is the inverse of the forward one, so the forward leg is
+    stepped once for both directions.  It compares and hashes by its own a,
+    b, center and sweep, as every Leg does."""
 
-    @property
-    def forward(self) -> Leg:
-        return Leg(self.b, self.a, self.center, -self.sweep)
+    def __init__(self, forward: Leg):
+        for name, value in (("a", forward.b), ("b", forward.a), ("center", forward.center),
+                            ("sweep", -forward.sweep), ("forward", forward)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -317,16 +321,19 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
     # the distinct ODEs, keyed by their coefficients, and the distinct
     # (ODE, leg) pairs, numbered in order of first use; `names` holds the
     # (transport, segment) of each pair's first use, `route` the pairs of
-    # each transport in path order
-    ode_index, odes = {}, []
+    # each transport in path order.  Each ODE object's coefficients are read
+    # once, `known` holding its index by object
+    ode_index, odes, known = {}, [], {}
     pair_index, pair_ode, pair_leg, names = {}, [], [], []
     route = np.full((len(ode), max(map(len, legs), default=0)), -1)
     backward = np.zeros(route.shape, dtype=bool)  # the Inverted legs, by route entry
     for job, (o, path) in enumerate(zip(ode, legs)):
-        k = ode_index.setdefault(
-            (o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()), len(odes))
-        if k == len(odes):
-            odes.append(o)
+        k = known.get(id(o))
+        if k is None:
+            k = known[id(o)] = ode_index.setdefault(
+                (o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()), len(odes))
+            if k == len(odes):
+                odes.append(o)
         for seg, leg in enumerate(path):
             if isinstance(leg, Inverted):
                 leg, backward[job, seg] = leg.forward, True
@@ -696,10 +703,17 @@ class SectorTable:
     midpoints of sectors 0 and 1) too.  `layouts` holds one column layout
     per (system, sector, z*), built by `layout` on first use, which every
     Y_k with that key runs on, whichever its series (the self- and
-    frozen-seeded Y_k of a verify_coalescence sample share theirs).  The
-    Stokes rays of all systems are found in one pass, the seed directions of
-    all their base frames are one array pass, and the truncations of all
-    series are one stacked SVD, so all systems must share n.
+    frozen-seeded Y_k of a verify_coalescence sample share theirs).
+    `radials` maps (system index, sector parity) to the radial leg of each
+    column, in from its seed to the circle, one Leg per stop of the circle,
+    so columns seeded on one angle, in either sector parity, share it, and
+    `seed_columns` maps (system index, series index, sector parity) to the
+    seed value of each column there, a row each.  The Stokes rays of all
+    systems are found in one pass, the seed directions of all their base
+    frames are one array pass, the truncations of all series one Frobenius
+    pass and one stacked SVD (`optimal_truncations`), and the seed columns
+    of all (system, series, sector parity) sets one stacked product
+    (`_seed_columns`), so all systems must share n.
     """
 
     def __init__(self, cfg: StokesConfig, requests):
@@ -741,25 +755,40 @@ class SectorTable:
                      *[f0.midpoint, f1.midpoint][: 2 * asked]])
             for sys, overlap, (f0, f1), a, asked in zip(
                 self.systems, self.overlaps, base, angles, sectorial)]
-        self.radius = cfg.radius
+        self.radials = {}
+        for s, ks in enumerate(used):
+            circle, radial = self.circles[s], {}  # the radial leg of each stop
+            for parity in sorted({k % 2 for k in ks}):
+                stops = [p % circle.turn for p in circle.place[2 + n * parity :][:n]]
+                for g in stops:
+                    if g not in radial:
+                        radial[g] = Leg(_polar(cfg.radius, circle.angle[g]), circle.point[g])
+                self.radials[s, parity] = [radial[g] for g in stops]
         self.layouts = {}
         self.series = [np.asarray(F, dtype=complex).reshape(-1, n, n) for F in series.values()]
         self.truncations = optimal_truncations(self.series, cfg.radius)
+        sets = list(dict.fromkeys(
+            (self.system_index[id(q.sys)], self.series_index[id(q.fs.F)], k % 2)
+            for q in requests for k in q.sectors))
+        self.seed_columns = dict(zip(sets, _seed_columns(
+            self.series, [k for k, _ in self.truncations], [f for _, f, _ in sets],
+            [[leg.a for leg in self.radials[s, parity]] for s, _, parity in sets])))
 
     def layout(self, s: int, k: int, end: int):
         """The columns of system s in sector k that end at the place `end` of
-        z* on the system's circle: their seed points, at the seed radius on
-        the angles of their stops, the legs of each from its seed to z*
-        (`_column_legs`, from the places of those stops on the cover of the
-        circle) and the args of the seeds less that of z*.  Laid out once
-        per (system, sector, z* place) and kept in `layouts`, so every Y_k
-        with that key, whichever its series, runs on the same leg lists."""
+        z* on the system's circle: their seed points, the legs of each from
+        its seed to z* (`_column_legs`, from its radial leg and the places of
+        the seeds' stops on the cover of the circle) and the args of the
+        seeds less that of z*.  Laid out once per (system, sector, z* place)
+        and kept in `layouts`, so every Y_k with that key, whichever its
+        series, runs on the same leg lists."""
         key = s, k, end
         if key not in self.layouts:
             circle, n = self.circles[s], self.systems[s].n
             places = [p + circle.turn * (k // 2) for p in circle.place[2 + n * (k % 2) :][:n]]
-            z = [_polar(self.radius, circle.angle[p % circle.turn]) for p in places]
-            self.layouts[key] = (z, _column_legs(z, places, end, circle),
+            radials = self.radials[s, k % 2]
+            self.layouts[key] = ([leg.a for leg in radials],
+                                 _column_legs(radials, places, end, circle),
                                  [circle.turned(end, a) for a in places])
         return self.layouts[key]
 
@@ -838,7 +867,8 @@ class _Circle:
     of their angles mod 2 pi, and place P on the cover is stop P mod turn,
     floor(P / turn) turns on; `place` holds the place of each of `stops`.
     Every sweep between two places runs over the same arcs, in either
-    direction, whichever column, sector, sheet or z* it serves.
+    direction, whichever column, sector, sheet or z* it serves: the circle
+    holds each arc once, in `legs`, and its `Inverted` twin, in `inverted`.
     """
 
     def __init__(self, radius: float, stops):
@@ -864,6 +894,7 @@ class _Circle:
         ends = self.key + [self.key[0] + TWO_PI]
         self.legs = [Leg(self.point[g], self.point[(g + 1) % self.turn], center=0j,
                          sweep=ends[g + 1] - ends[g]) for g in range(self.turn)]
+        self.inverted = [Inverted(leg) for leg in self.legs]
 
     def at(self, place: int) -> PathPoint:
         """The point of `place` on the cover: the point of its stop, made
@@ -879,20 +910,44 @@ class _Circle:
 
     def arcs(self, a: int, b: int) -> list[Leg]:
         """The arcs from place a to place b: counterclockwise the circle's
-        legs, clockwise their `Inverted` legs, so that the engine steps each
-        arc once, counterclockwise, whichever way its columns run."""
+        `legs`, clockwise their `inverted` twins, so that the engine steps
+        each arc once, counterclockwise, whichever way its columns run."""
         if b < a:
-            return [Inverted(leg.b, leg.a, leg.center, -leg.sweep)
-                    for leg in reversed(self.arcs(b, a))]
+            return [self.inverted[p % self.turn] for p in range(a - 1, b - 1, -1)]
         return [self.legs[p % self.turn] for p in range(a, b)]
 
 
-def _column_legs(seeds, starts, end: int, circle: _Circle):
-    """The legs of each column from its seed point to z*: a radial leg in
+def _column_legs(radials, starts, end: int, circle: _Circle):
+    """The legs of each column from its seed point to z*: its radial leg in
     from the seed to its place `start` on the circle, and the arcs of the
     circle from there to the place `end` of z*, clockwise ones `Inverted`."""
-    return [[Leg(seed, circle.point[a % circle.turn]), *circle.arcs(a, end)]
-            for seed, a in zip(seeds, starts)]
+    return [[radial, *circle.arcs(a, end)] for radial, a in zip(radials, starts)]
+
+
+def _seed_columns(series, orders, which, points):
+    """The seed columns of sets of columns, all in one stacked product: set
+    i is seeded with the series series[which[i]] (F_1..F_K, (K, n, n)),
+    truncated after its orders[which[i]] terms, at the seed points
+    points[i] (n,), and its column j is column j of I + sum_k F_k z^-k at
+    the seed point z of column j.  Returns one (n, n) array per set, whose
+    row j is column j.
+
+    The series are zero-padded to one length and the powers of every set
+    are zero past its order.  The sum over k is one np.einsum, which sums
+    the terms in index order from 0 and forms each product as Python's
+    complex scalars do (see `formal`); a padded term adds an exact +0, which
+    changes a sum only by the sign of a zero, and adding I rounds both signs
+    alike, so a column does not depend on the sets it is evaluated with."""
+    n = series[0].shape[-1]
+    top = max(orders, default=0)
+    padded = np.zeros((len(series), top, n, n), dtype=complex)
+    for F, K, pad in zip(series, orders, padded):
+        pad[:K] = F[:K]
+    K = np.array(orders)[which][:, None, None]
+    z = np.array(points, dtype=complex).reshape(len(which), n)[..., None]
+    powers = np.zeros((len(which), n, top), dtype=complex)
+    np.power(z, -np.arange(1.0, top + 1), out=powers, where=np.arange(top) < K)
+    return np.eye(n) + np.einsum("ikrj,ijk->ijr", padded[which], powers)
 
 
 def sector_plan(cfg: StokesConfig, requests) -> Plan:
@@ -915,11 +970,12 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     counterclockwise, which a clockwise sweep runs `Inverted`, so the
     engine steps it once for every column, seeded pass, sector, sheet, z*
     and direction that passes it.  The Levelt solution of C_r runs
-    radially from inside |z*| / 2 out to z*.  Each (system, series, sector
-    parity) computes its seed columns once, and each (system, sector, z*) its
-    layout, the seed points and legs of the columns (`SectorTable.layout`),
-    however many results are made of them; the columns of each solution Y_k
-    are n consecutive transports.
+    radially from inside |z*| / 2 out to z*.  The table computes the seed
+    columns of every (system, series, sector parity) once, all in one
+    stacked product, and each (system, sector, z*) its layout, the seed
+    points and legs of the columns (`SectorTable.layout`), however many
+    results are made of them; every leg is one object, however many columns
+    run it.  The columns of each solution Y_k are n consecutive transports.
     The solutions Y_k of all requests, and the Stokes matrices among the
     results, are each assembled in one stacked pass.
     """
@@ -927,10 +983,8 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     table = SectorTable(cfg, requests)
     R = cfg.radius
     n = table.systems[0].n
-    eye = np.eye(n)
     centre = [complex(np.mean(sys.u)) for sys in table.systems]
     odes = [irregular_ode(sys, c) for sys, c in zip(table.systems, centre)]
-    seeds = {}
     jobs, first, levelt = [], [], {}
     stokes = []  # the Stokes requests
     # per Y_k: the job of its first column, z*, log z*, series, system,
@@ -947,14 +1001,8 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
         first.append(len(columns))
         for k in q.sectors:
             z, legs, turns = table.layout(s, k, end)
-            if (s, f, k % 2) not in seeds:
-                # column j of the optimally truncated series I + sum_k F_k z^-k
-                k_opt = table.truncations[f][0]
-                F = table.series[f][:k_opt].transpose(2, 1, 0)  # F[j] = F[:k_opt, :, j].T
-                powers = np.array(z)[:, None] ** -np.arange(1.0, k_opt + 1)
-                seeds[s, f, k % 2] = [eye[j] + F[j] @ powers[j] for j in range(n)]
             columns.append(len(jobs))
-            jobs += [(odes[s], y, lg) for y, lg in zip(seeds[s, f, k % 2], legs)]
+            jobs += [(odes[s], y, lg) for y, lg in zip(table.seed_columns[s, f, k % 2], legs)]
             points.append(zstar)
             logs.append(np.log(zstar.radius) + 1j * zstar.arg)
             series.append(q.fs)

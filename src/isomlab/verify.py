@@ -234,9 +234,11 @@ def _coalescing_mask(A0: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return co
 
 
-def ray_family_series(A0, uC, v, order: int = 4):
+def ray_family_series(A0, uC, v, co, order: int = 4):
     """Taylor coefficients [A_0, ..., A_order] of the coalesced strong family
-    along the ray u(s) = u^C + s v, with A(s) = sum_m A_m s^m.
+    along the ray u(s) = u^C + s v, with A(s) = sum_m A_m s^m, where `co` is
+    the mask of the coalescing pairs of u^C that `_coalescing_mask` gave for
+    A_0 (verify_coalescence decides it once for every step).
 
     Write D_ab = u^C_a - u^C_b and G_ab = v_a - v_b.  The flow is
     dA/ds = [Omega, A] with Omega = R o G (entrywise), where
@@ -251,7 +253,7 @@ def ray_family_series(A0, uC, v, order: int = 4):
     coalescing entries x of A_{m+1}.  On those pairs this reads
     ((m + 1) I - L) x = base, where L is the matrix of x -> [X, A_0] there,
     L[(c,d),(a,b)] = delta_ca (A_0)_bd - delta_bd (A_0)_ca.  That matrix is
-    invertible: `_coalescing_mask` refuses an A_0 whose coalescing pairs
+    invertible: `_coalescing_mask` refused an A_0 whose coalescing pairs
     have diagonal entries within 1e-8 of a non-zero integer apart, so the
     diagonal entry m + 1 + (A_0)_cc - (A_0)_dd of row (c, d) is larger than
     1e-8 in modulus, and couplings within a group above PATTERN_TOL, so the
@@ -265,7 +267,6 @@ def ray_family_series(A0, uC, v, order: int = 4):
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != ref.shape:
         raise ValueError(f"v has {v.size} entries, u^C has {ref.size}")
-    co = _coalescing_mask(A0, ref)
     D = ref[:, None] - ref[None, :]
     G = v[:, None] - v[None, :]
     if np.any(G[co] == 0):
@@ -376,7 +377,7 @@ def verify_coalescence(
     samples = np.array([ref + g * v for g in gaps])
 
     # sampled family: Taylor germ along the ray, flow-validated
-    coeffs = ray_family_series(A0, ref, v, order=GERM_ORDER)
+    coeffs = ray_family_series(A0, ref, v, co, order=GERM_ORDER)
     A_k = [eval_ray_family(coeffs, g) for g in gaps]
     end, _ = integrate_flow(IrregularSystem(u=samples[-1], A=A_k[-1]),
                             UPath.line(samples[-1], samples[0]), tol=tol, guard=0.0)

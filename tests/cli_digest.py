@@ -18,8 +18,10 @@ inverse of a stepped leg (the distinct (ODE, leg) pairs of the
 the collocation steps its flows took (the calls of ``isoflow._sweeps``,
 rejected steps included), their Picard sweeps (the right-hand-side
 evaluations of those calls), the calls of the formal recursion
-(``formal.compute_formal_coefficients``) and the formal series those calls
-built, and the workload's line with the means of the seven over its ops.
+(``formal.compute_formal_coefficients``), the formal series those calls
+built and the series terms F_k whose 2-norm ``formal.optimal_truncations``
+took by SVD, and the workload's line with the means of the eight over its
+ops.
 It exits 1 if an exception escaped ``cli.main`` in any call (exit code
 ``None``), after printing every line.  The inputs are
 written to a temporary directory under the same relative names on every
@@ -93,17 +95,19 @@ def counted_steps():
     """A list that collects (steps, legs, 0, ...) of every
     `odeengine._schedule` layout, (0, 0, backward arcs, 0, ...) of every
     `odeengine.transport_matrix` batch, (0, 0, 0, 1, 0, ...) of every
-    collocation step (`isoflow._sweeps` call), (0, 0, 0, 0, 1, 0, 0) of
-    every Picard sweep (right-hand side of such a call) and (0, ..., 1,
-    series) of every call of the formal recursion made inside the block,
-    each a 7-tuple."""
+    collocation step (`isoflow._sweeps` call), (0, 0, 0, 0, 1, 0, ...) of
+    every Picard sweep (right-hand side of such a call), (0, ..., 1,
+    series, 0) of every call of the formal recursion and (0, ..., terms) of
+    every SVD that `formal.optimal_truncations` takes, of a stack of that
+    many terms, made inside the block, each an 8-tuple."""
     counts = []
     schedule, transport, sweeps = odeengine._schedule, odeengine.transport_matrix, isoflow._sweeps
     recursion, callers = formal.compute_formal_coefficients, (cli, verify)
+    svd, truncations = np.linalg.svd, formal.optimal_truncations.__code__
 
     def counted(odes, which, legs, names):
         layout = schedule(odes, which, legs, names)
-        counts.append((len(layout[0]), len(legs), 0, 0, 0, 0, 0))
+        counts.append((len(layout[0]), len(legs), 0, 0, 0, 0, 0, 0))
         return layout
 
     def counted_transport(ode, Y0, legs, *rest):
@@ -111,22 +115,29 @@ def counted_steps():
         if not isinstance(ode, odeengine.LinearODE):
             backward = {(o.P.tobytes(), o.Q.tobytes(), leg) for o, path in zip(ode, legs)
                         for leg in path if isinstance(leg, odeengine.Inverted)}
-            counts.append((0, 0, len(backward), 0, 0, 0, 0))
+            counts.append((0, 0, len(backward), 0, 0, 0, 0, 0))
         return transport(ode, Y0, legs, *rest)
 
     def counted_sweeps(f, y, h, tol):
-        counts.append((0, 0, 0, 1, 0, 0, 0))
-        return sweeps(lambda X: counts.append((0, 0, 0, 0, 1, 0, 0)) or f(X), y, h, tol)
+        counts.append((0, 0, 0, 1, 0, 0, 0, 0))
+        return sweeps(lambda X: counts.append((0, 0, 0, 0, 1, 0, 0, 0)) or f(X), y, h, tol)
 
     def counted_recursion(systems, *rest, **kwargs):
         # one system gives one FormalSolution, a stack a list of them
         series = recursion(systems, *rest, **kwargs)
         built = 1 if isinstance(series, formal.FormalSolution) else len(series)
-        counts.append((0, 0, 0, 0, 0, 1, built))
+        counts.append((0, 0, 0, 0, 0, 1, built, 0))
         return series
+
+    def counted_svd(a, *args, **kwargs):
+        # numpy's own callers of svd, and the library's others, go uncounted
+        if sys._getframe(1).f_code is truncations:
+            counts.append((0, 0, 0, 0, 0, 0, 0, len(a)))
+        return svd(a, *args, **kwargs)
 
     odeengine._schedule, odeengine.transport_matrix = counted, counted_transport
     isoflow._sweeps = counted_sweeps
+    np.linalg.svd = counted_svd
     for mod in callers:
         mod.compute_formal_coefficients = counted_recursion
     try:
@@ -134,6 +145,7 @@ def counted_steps():
     finally:
         odeengine._schedule, odeengine.transport_matrix = schedule, transport
         isoflow._sweeps = sweeps
+        np.linalg.svd = svd
         for mod in callers:
             mod.compute_formal_coefficients = recursion
 
@@ -153,8 +165,9 @@ def main(argv=None) -> int:
     p.add_argument("--ops", type=int, default=POOL)
     p.add_argument("--steps", action="store_true",
                    help="append each op's Taylor steps, stepped legs, backward arcs, "
-                        "collocation steps, Picard sweeps, formal recursion calls and formal "
-                        "series, and their means per op of each workload")
+                        "collocation steps, Picard sweeps, formal recursion calls, formal "
+                        "series and series terms taken by SVD, and their means per op of "
+                        "each workload")
     args = p.parse_args(argv)
     escaped = 0
     with counted_steps() as counts:
@@ -166,7 +179,7 @@ def main(argv=None) -> int:
                     total.update(line.encode())
                     codes = ",".join(str(code) for code, _, _ in results)
                     escaped += sum(code is None for code, _, _ in results)
-                    steps.append([sum(c[i] for c in counts) for i in range(7)])
+                    steps.append([sum(c[i] for c in counts) for i in range(8)])
                     counts.clear()
                     tail = "".join(f" {x}" for x in steps[-1]) if args.steps else ""
                     print(f"{name} {seed} {k} {codes} {line}{tail}", flush=True)

@@ -309,6 +309,31 @@ def optimal_truncation_reference(F, radius):
     return k + 1, float(terms[k])
 
 
+def optimal_truncations_svd(series, radius: float) -> list[tuple[int, float]]:
+    """`formal.optimal_truncations` by the full scan it replaced, verbatim:
+    the 2-norm of every finite F_k from one stacked SVD, the byte oracle of
+    its Frobenius bracket."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    stacks = [np.asarray(F) for F in series]
+    full = [F for F in stacks if len(F)]
+    full = np.concatenate(full) if full else np.zeros((0, 1, 1))
+    finite = np.isfinite(full).all(axis=(1, 2))
+    norms = np.full(len(full), np.inf)
+    norms[finite] = np.linalg.svd(full[finite], compute_uv=False)[:, 0]
+    out, a = [], 0
+    for F in stacks:
+        if not len(F):
+            out.append((0, np.inf))
+            continue
+        with np.errstate(invalid="ignore"):  # inf times an underflowed R^-k is nan
+            terms = norms[a : a + len(F)] * float(radius) ** -np.arange(1, len(F) + 1)
+        a += len(F)
+        k = int(np.argmin(np.where(np.isnan(terms), np.inf, terms)))
+        out.append((k + 1, float(terms[k])) if terms[k] < np.inf else (0, np.inf))
+    return out
+
+
 def truncated_formal(fs, z, arg_branch, K):
     """(I + sum_{k<=K} F_k z^-k) z^B e^{z Lambda} at a point of the cover:
     the truncated formal solution, with z^B on the given continuous

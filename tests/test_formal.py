@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isomlab.errors import CoincidentPointsError, ResonanceError
 from isomlab.formal import (
@@ -15,6 +17,7 @@ from isomlab.isoflow import UPath, integrate_flow
 from reference_solvers import (
     formal_coefficients_reference,
     formal_coefficients_scalar,
+    optimal_truncations_svd,
     truncated_formal,
 )
 
@@ -214,6 +217,127 @@ class TestBitIdentity:
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="share n"):
             compute_formal_coefficients([random_system(rng, 2), random_system(rng, 3)], K=2)
+
+
+@st.composite
+def truncation_stacks(draw):
+    """A stack of one to four series of one n = 2..8, of K = 0..40 terms
+    each, and a radius: divergent series whose terms grow like k! rate^k,
+    all-zero series, series whose least term recurs exactly (equal terms,
+    exact ties at R = 1) or up to round-off (equal up to row order and
+    phases), series of unitary and rank-one terms, whose 2-norms, all 1,
+    lie at the two ends of the Frobenius bracket, and series whose late
+    terms overflowed to inf and nan, at radii from below 1 to where R^-k
+    underflows."""
+    n = draw(st.integers(2, 8))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 20.0, 1e10, 1e160, 1e300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = []
+    for _ in range(draw(st.integers(1, 4))):
+        K = draw(st.integers(0, 40))
+        kind = draw(st.sampled_from(
+            ["divergent", "zero", "tied", "near tie", "bracket ends", "overflowed"]))
+        rate = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+        M = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
+        F = M * np.cumprod(np.arange(1, K + 1) * rate)[:, None, None]
+        if kind == "zero":
+            F[:] = 0
+        elif kind in ("tied", "near tie") and K:
+            # the least term, at m and after, recurs over a window
+            m, width = draw(st.integers(0, K - 1)), draw(st.integers(1, 4))
+            scale = 1.0 + np.abs(np.arange(K) - m) * (np.arange(K) >= m + width)
+            F = M[m] * scale[:, None, None]
+            if kind == "near tie":
+                phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(K, n, 1)))
+                F = np.array([f[rng.permutation(n)] for f in F]) * phases
+        elif kind == "bracket ends" and K:
+            x, y = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in (M[:, 0], M[:, 1]))
+            unitary = rng.integers(0, 2, size=K).astype(bool)[:, None, None]
+            F = np.where(unitary, np.linalg.qr(M)[0], x[:, :, None] * y[:, None, :].conj())
+        elif kind == "overflowed" and K > 2:
+            F[draw(st.integers(1, K - 1)) :] = np.inf
+            F[-1, 0, 0] = complex(np.nan, np.nan)
+        series.append(F)
+    return series, radius
+
+
+class TestTruncationOracle:
+    """The Frobenius bracket of `optimal_truncations` leaves out of the SVD
+    only terms that cannot be the least, so it picks the (k, bound) of the
+    full scan it replaced (`optimal_truncations_svd`), bit for bit, and
+    warns of nothing."""
+
+    @staticmethod
+    def assert_same(series, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = optimal_truncations(series, radius)
+        with np.errstate(over="ignore"):  # the full scan overflows where R < 1
+            want = optimal_truncations_svd(series, radius)
+        assert [(k, float(b).hex()) for k, b in got] == [(k, float(b).hex()) for k, b in want]
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(truncation_stacks())
+    @example(([np.zeros((0, 3, 3)), np.zeros((5, 3, 3))], 20.0))
+    @example(([np.ones((4, 2, 2)), np.array([np.eye(2)] * 2)], 1.0))
+    def test_matches_the_full_scan(self, case):
+        self.assert_same(*case)
+
+    def test_exact_ties_keep_the_first(self):
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        F = np.array([3 * M, M, M, 2 * M, M])
+        assert self.assert_same([F], 1.0) == [(2, float(np.linalg.norm(M, 2)))]
+
+    def test_ties_at_the_ends_of_the_bracket(self):
+        # a unitary term, whose 2-norm is its lower bound ||F||_F / sqrt(n),
+        # and a rank-one term, whose 2-norm is its upper bound ||F||_F, both
+        # of 2-norm 1 at R = 1: their SVDs and bounds round a few ulps
+        # apart, either way, which the margin covers
+        for unitary, rank_one in self.bracket_ends(200):
+            self.assert_same([np.array([unitary, rank_one]), np.array([rank_one, unitary])], 1.0)
+
+    def test_ties_of_subnormal_terms(self):
+        # the same two terms as the 37th and 38th of a series at R = 1e8,
+        # scaled to tie at 1e-317: the terms and their bounds are subnormal
+        # and round to a grid 5e-324 apart, far coarser than the margin,
+        # which BRACKET_FLOOR covers
+        for unitary, rank_one in self.bracket_ends(200):
+            F = np.array([unitary] * 38)
+            F[36:] = 1e-21 * unitary, 1e-13 * rank_one
+            G = np.array([unitary] * 36 + [1e-21 * rank_one, 1e-13 * unitary])
+            self.assert_same([F, G], 1e8)
+
+    @staticmethod
+    def bracket_ends(count):
+        """Pairs of a random unitary and a random rank-one matrix of one
+        n = 2..8, both of 2-norm 1."""
+        rng = np.random.default_rng(21)
+        for _ in range(count):
+            n = int(rng.integers(2, 9))
+            M = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+            x, y = M[1, 0] / np.linalg.norm(M[1, 0]), M[2, 0] / np.linalg.norm(M[2, 0])
+            yield np.linalg.qr(M[0])[0], np.outer(x, y.conj())
+
+    @pytest.mark.parametrize("radius", [20.0, 1e10, 1e300])
+    def test_underflowed_powers(self, radius):
+        # R^-k underflows to 0 for late k, where every finite term reads 0
+        rng = np.random.default_rng(4)
+        F = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
+        self.assert_same([F, np.zeros((40, 4, 4)), F[:3]], radius)
+
+    @pytest.mark.parametrize("radius", [0.5, 10.0, 20.0, 1e300])
+    def test_overflowed_series(self, radius):
+        # the order-80 series of TestBitIdentity.test_overflowed_tail, whose
+        # late terms are inf and then nan, in one stack with a finite series
+        sys = IrregularSystem(u=[0.0, 1.6e-3, 1.0], A=CRIT7_A0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = np.array(compute_formal_coefficients(sys, K=80).F)
+        other = compute_formal_coefficients(IrregularSystem(u=[0.0, 0.5, 1.0], A=CRIT7_A0), K=30).F
+        assert np.isinf(F).any() and np.isnan(F).any()
+        self.assert_same([F, other], radius)
 
 
 class TestCheckResonances:

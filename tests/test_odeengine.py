@@ -756,7 +756,8 @@ class TestColumnLegs:
         end, places = circle.place[0], circle.place[1:]
         assert circle.point[end % circle.turn] == zstar.z
         seeds = [odeengine._polar(20.0, circle.angle[p % circle.turn]) for p in places]
-        paths = odeengine._column_legs(seeds, places, end, circle)
+        radials = [Leg(seed, circle.point[p % circle.turn]) for seed, p in zip(seeds, places)]
+        paths = odeengine._column_legs(radials, places, end, circle)
         for theta, seed, path in zip(angles, seeds, paths):
             assert path[0].a == seed and abs(seed - odeengine._polar(20.0, theta)) < 1e-11
             assert all(a.b == b.a for a, b in zip(path[:-1], path[1:]))

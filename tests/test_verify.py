@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isomlab import geometry, isoflow, odeengine, verify
+from isomlab import formal, geometry, isoflow, odeengine, verify
 from isomlab.errors import CoincidentPointsError, ResonanceError, WallError
 from isomlab.formal import IrregularSystem, compute_formal_coefficients
 from isomlab.isoflow import UPath, integrate_flow
@@ -30,6 +30,15 @@ from isomlab.verify import (
 GENERIC_A = np.array([[0.2, 1.0], [0.7, -0.4]], dtype=complex)
 U0 = np.array([0.0, 1.0], dtype=complex)
 U1 = np.array([0.3 + 0.2j, 1.2], dtype=complex)
+
+
+def germ(A0, uC, v, order=4):
+    """The family germ as verify_coalescence builds it: the coalescing mask,
+    decided once (it refuses an A0 of the wrong shape, a u^C with no
+    coalescing pair, and an A0 that breaks the vanishing or the resonance
+    condition there), handed to ray_family_series."""
+    A0, uC = np.asarray(A0, dtype=complex), np.asarray(uC, dtype=complex)
+    return ray_family_series(A0, uC, v, verify._coalescing_mask(A0, uC), order=order)
 
 
 @pytest.fixture
@@ -299,7 +308,7 @@ GERM_CASES = (
 class TestRayFamilySeries:
     def test_matches_flow(self):
         v = coalescing_direction(UC3, 0.3)
-        coeffs = ray_family_series(A3, UC3, v, order=5)
+        coeffs = germ(A3, UC3, v, order=5)
         s = 0.01
         sys0 = IrregularSystem(u=UC3 + s * v, A=eval_ray_family(coeffs, s))
         end, _ = integrate_flow(
@@ -309,7 +318,7 @@ class TestRayFamilySeries:
 
     def test_preserves_diagonal(self):
         v = coalescing_direction(UC3, 0.3)
-        coeffs = ray_family_series(A3, UC3, v, order=4)
+        coeffs = germ(A3, UC3, v, order=4)
         for C in coeffs[1:]:
             assert np.max(np.abs(np.diag(C))) < 1e-12
 
@@ -318,7 +327,7 @@ class TestRayFamilySeries:
         # past A_0 have an exactly zero diagonal, so every sample keeps
         # diag(A_0) bit for bit (and its column ODEs equal the frozen ones)
         v = coalescing_direction(UC3, 0.3)
-        coeffs = ray_family_series(A3, UC3, v, order=6)
+        coeffs = germ(A3, UC3, v, order=6)
         for C in coeffs[1:]:
             assert not np.diag(C).any()
         for g in 0.1 * 2.0 ** -np.arange(1, 11):
@@ -330,7 +339,7 @@ class TestRayFamilySeries:
         from isomlab.formal import compute_formal_coefficients
 
         v = coalescing_direction(UC3, 0.3)
-        coeffs = ray_family_series(A3, UC3, v, order=6)
+        coeffs = germ(A3, UC3, v, order=6)
         norms = []
         for g in (0.1, 0.03, 0.01, 0.003, 0.001):
             sysg = IrregularSystem(u=UC3 + g * v, A=eval_ray_family(coeffs, g))
@@ -340,7 +349,7 @@ class TestRayFamilySeries:
 
     def test_vanishing_entries_linear(self):
         v = coalescing_direction(UC3, 0.3)
-        coeffs = ray_family_series(A3, UC3, v, order=4)
+        coeffs = germ(A3, UC3, v, order=4)
         # A_{01}(s) = c s + O(s^2) with c != 0 for this generic family
         assert abs(coeffs[1][0, 1]) > 1e-4
         assert abs(coeffs[0][0, 1]) == 0.0
@@ -351,7 +360,7 @@ class TestRayFamilySeries:
         from reference_solvers import ray_family_series_reference
 
         v = coalescing_direction(uC, 0.3)
-        got = ray_family_series(A0, uC, v, order=6)
+        got = germ(A0, uC, v, order=6)
         want = ray_family_series_reference(A0, uC, v, order=6)
         assert len(got) == len(want) == 7
         for G, W in zip(got, want):
@@ -360,23 +369,23 @@ class TestRayFamilySeries:
     def test_refuses_malformed_inputs(self):
         v = coalescing_direction(UC3, 0.3)
         with pytest.raises(ValueError, match="v has"):
-            ray_family_series(A3, UC3, v[:2])
+            germ(A3, UC3, v[:2])
         with pytest.raises(ValueError, match="A0 has shape"):
-            ray_family_series(A3[:2, :2], UC3, v)
+            germ(A3[:2, :2], UC3, v)
         with pytest.raises(ValueError, match="no coalescing pair"):
-            ray_family_series(A3, [0.0, 1.0, 2.0], v)
+            germ(A3, [0.0, 1.0, 2.0], v)
 
     def test_refuses_family_not_vanishing_at_the_pair(self):
         # the vanishing condition verify_coalescence imposes, at the germ too
         with pytest.raises(CoincidentPointsError, match="vanishing condition"):
-            ray_family_series(np.ones((2, 2)), np.zeros(2), [-0.5, 0.5])
+            germ(np.ones((2, 2)), np.zeros(2), [-0.5, 0.5])
 
     def test_resonant_order_raises(self):
         # full 2x2 coalescence: L = diag(A_11 - A_00, A_00 - A_11), so
         # (m + 1) I - L would be singular at order m + 1 = A_11 - A_00 = 2;
         # the resonant pair is refused before the recursion starts
         with pytest.raises(ResonanceError, match=r"integers \[\(0, 1, -2\), \(1, 0, 2\)\]"):
-            ray_family_series(np.diag([0.0, 2.0]), np.zeros(2), [-0.5, 0.5], order=4)
+            germ(np.diag([0.0, 2.0]), np.zeros(2), [-0.5, 0.5], order=4)
 
 
 class TestCoalescingDirection:
@@ -544,6 +553,49 @@ class TestVerifyCoalescence:
         assert len(built) == 2 * len(requests) == 52
         assert_same_jobs(jobs, unshared)
 
+    def test_coalesced_pairs_decided_once_per_module(self, monkeypatch):
+        # verify_coalescence decides the mask once and hands it to the germ;
+        # the frozen series decides its own pairs from its coalesce_tol
+        calls = []
+        for mod in (verify, formal):
+            monkeypatch.setattr(mod, "coalesced_pairs", lambda *args, f=mod.coalesced_pairs,
+                                name=mod.__name__: calls.append(name) or f(*args))
+        verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
+        assert calls == ["isomlab.verify", "isomlab.formal"]
+
+    def test_equal_legs_are_one_object(self, monkeypatch):
+        # the circle of each system holds each arc and its Inverted twin, and
+        # the table each (system, sector parity, column) its radial leg, so
+        # any two legs of the plan equal by value are one object, and an
+        # Inverted leg's forward leg is the circle's own; the engine makes
+        # no Leg to step it and steps what it did when each plan built its
+        # own legs: 64 distinct (ODE, leg) pairs in 387 Taylor steps
+        engine, schedule = odeengine.transport_matrix, odeengine._schedule
+        jobs, cfg, _ = captured_plan(
+            monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
+        legs = [leg for _, _, path in jobs for leg in path]
+        one = {}
+        for leg in legs:
+            assert one.setdefault(leg, leg) is leg
+        inverted = [leg for leg in legs if isinstance(leg, odeengine.Inverted)]
+        assert len(set(inverted)) < len(inverted)
+        assert all(one.get(leg.forward, leg.forward) is leg.forward for leg in inverted)
+        assert any(leg.forward in one for leg in inverted)
+        made, laid_out = [], []
+        for cls in (odeengine.Leg, odeengine.Inverted):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__:
+                                made.append(1) or init(self, *args))
+
+        def counted(odes, which, legs, names):
+            layout = schedule(odes, which, legs, names)
+            laid_out.append((len(legs), len(layout[0])))
+            return layout
+
+        monkeypatch.setattr(odeengine, "_schedule", counted)
+        assert len(engine(*zip(*jobs), cfg.tol)) == len(jobs)
+        assert not made
+        assert laid_out == [(64, 387)]
+
     @pytest.mark.parametrize("A0", [A3, vanishing_family(UC3, 7)[0]], ids=["crit7", "seeded"])
     def test_one_ray_segment_matches_the_waypoints(self, A0):
         # the samples lie on one ray, so the flow from the innermost to the
@@ -553,7 +605,7 @@ class TestVerifyCoalescence:
         gaps = 0.1 * 2.0 ** -np.arange(1, GAP_COUNT + 1)
         samples = [UC3 + g * v for g in gaps]
         start = IrregularSystem(u=samples[-1],
-                                A=eval_ray_family(ray_family_series(A0, UC3, v, 6), gaps[-1]))
+                                A=eval_ray_family(germ(A0, UC3, v, 6), gaps[-1]))
         line, _ = integrate_flow(start, UPath.line(samples[-1], samples[0]), guard=0.0)
         waypoints, _ = integrate_flow(start, UPath(tuple(samples[::-1])), guard=0.0)
         assert np.max(np.abs(line.A)) > 0.1

@@ -42,7 +42,7 @@ from .fuchsian import (
 )
 from .isoflow import integrate_flow
 from .levelt import build_levelt_solution, compute_levelt_exponents, monodromy_exponential
-from .odeengine import StokesConfig, join_plans, run_plan, stokes_matrix
+from .odeengine import StokesConfig, run_plan, stokes_matrix
 from .verify import (
     collect_data,
     data_drift,
@@ -225,7 +225,7 @@ def cmd_schlesinger(args) -> int:
     }
     if args.monodromy:
         # both ends in one engine batch
-        M0, M1 = run_plan(join_plans([monodromy_plan(fsys), monodromy_plan(final)]), args.tol)
+        M0, M1 = run_plan(monodromy_plan([fsys, final]), args.tol)
         drift = max(float(np.max(np.abs(a - b))) for a, b in zip(M0, M1))
         report["monodromy_drift"] = drift
         # reported only: the loop basis is not yet ordered by angle, so the

@@ -8,11 +8,10 @@ velocities; it takes a system and returns it at the path's end, as
 `isoflow.integrate_flow` does, with nothing carried.  `schlesinger_rhs` is
 the per-direction reference.  Also numeric monodromy with a deterministic
 loop basis from the one basepoint `default_basepoint` (`monodromy_plan`,
-whose plans for several systems join into one engine batch), the
-finite-difference Schlesinger residual separating strong
-(Schlesinger) from weak (non-Schlesinger) families, and the explicit
-rational counterexample family with trivial monodromy but u-dependent
-connection matrix.
+one engine batch for any number of systems), the finite-difference
+Schlesinger residual separating strong (Schlesinger) from weak
+(non-Schlesinger) families, and the explicit rational counterexample
+family with trivial monodromy but u-dependent connection matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/layertrac
 from .errors import WallError
 from .matrixcore import as_square
 from .isoflow import UPath, _difference_quotients, _integrate
-from .odeengine import Leg, Plan, fuchsian_ode, run_plan
+from .odeengine import Leg, Plan, fuchsian_ode, leg_table, run_plan
 
 LOOP_RADIUS = 0.25  # loop radius over the distance to the nearest other pole or basepoint
 FRAME_REACH = 0.7  # the infinity frame needs |z0| >= max |u_i| / FRAME_REACH
@@ -162,7 +161,8 @@ def default_basepoint(sys: FuchsianSystem) -> complex:
 
 def _infinity_frame(sys: FuchsianSystem, z0: complex):
     """The transport that gives, at z0, the solution normalized to I at
-    z = infinity: an (ode, Y0, legs) job, or None when that solution is I.
+    z = infinity, from I at w = 0: its ODE and its leg, or None when that
+    solution is I.
 
     In w = 1/z the system reads dY/dw = -sum_i A_i u_i/(1 - u_i w) Y
     = sum_{u_i != 0} A_i/(w - 1/u_i) Y, which is regular at w = 0 because the
@@ -183,32 +183,40 @@ def _infinity_frame(sys: FuchsianSystem, z0: complex):
     inner = [(1.0 / ui, Ai) for ui, Ai in zip(sys.poles, sys.residues) if ui != 0]
     if not inner:
         return None
-    ode = fuchsian_ode([w for w, _ in inner], [Ai for _, Ai in inner])
-    return ode, np.eye(sys.n, dtype=complex), [Leg(0j, w0)]
+    return fuchsian_ode([w for w, _ in inner], [Ai for _, Ai in inner]), Leg(0j, w0)
 
 
-def monodromy_plan(sys: FuchsianSystem) -> Plan:
-    """The transports of fuchs_monodromy, assembled into M_1..M_N: the N
-    loops carry the identity at the basepoint z0 next to the infinity frame
-    Y0, and by linearity M_i = Y0^{-1} T_i Y0 for the loop transport T_i
-    of I."""
-    z0 = default_basepoint(sys)
-    ode = fuchsian_ode(sys.poles, sys.residues)
-    eye = np.eye(sys.n, dtype=complex)
-    jobs = [
-        (ode, eye, _loop_legs(z0, complex(ui),
-                              LOOP_RADIUS * min(sys.nearest_gap(i), abs(ui - z0))))
-        for i, ui in enumerate(sys.poles)
-    ]
-    frame = _infinity_frame(sys, z0)
-    if frame is not None:
-        jobs.append(frame)
+def monodromy_plan(systems) -> Plan:
+    """The transports of fuchs_monodromy for each of `systems` (of one
+    dimension n), in one batch, assembled into the list of their
+    M_1..M_N: per system the N loops carry the identity at the basepoint
+    z0 next to the infinity frame Y0, and by linearity M_i = Y0^{-1} T_i Y0
+    for the loop transport T_i of I."""
+    odes, paths, ode_of, blocks = [], [], [], []
+    for sys in systems:
+        z0 = default_basepoint(sys)
+        blocks.append(len(paths))
+        paths += [_loop_legs(z0, complex(ui), LOOP_RADIUS * min(sys.nearest_gap(i), abs(ui - z0)))
+                  for i, ui in enumerate(sys.poles)]
+        ode_of += [len(odes)] * sys.N
+        odes.append(fuchsian_ode(sys.poles, sys.residues))
+        frame = _infinity_frame(sys, z0)
+        if frame is not None:
+            ode_of.append(len(odes))
+            odes.append(frame[0])
+            paths.append([frame[1]])
+    legs, routes = leg_table(paths, ode_of)
+    eye = np.eye(systems[0].n, dtype=complex)
 
     def assemble(ends):
-        Y0 = ends[sys.N] if frame is not None else eye
-        return [np.linalg.solve(Y0, T @ Y0) for T in ends[: sys.N]]
+        out = []
+        for sys, a, b in zip(systems, blocks, blocks[1:] + [len(paths)]):
+            Y0 = ends[a + sys.N] if b > a + sys.N else eye  # the frame, if any
+            out.append([np.linalg.solve(Y0, T @ Y0) for T in ends[a : a + sys.N]])
+        return out
 
-    return Plan(tuple(jobs), assemble)
+    return Plan(tuple(odes), legs, routes, np.zeros(routes.shape, dtype=bool),
+                np.repeat(eye[None], len(paths), axis=0), assemble)
 
 
 def fuchs_monodromy(sys: FuchsianSystem, tol: float = 1e-12) -> list[np.ndarray]:
@@ -226,7 +234,7 @@ def fuchs_monodromy(sys: FuchsianSystem, tol: float = 1e-12) -> list[np.ndarray]
     the frame in which Schlesinger flows keep the monodromy matrices
     constant entrywise.
     """
-    return run_plan(monodromy_plan(sys), tol)
+    return run_plan(monodromy_plan([sys]), tol)[0]
 
 
 def product_relation_residual(mons) -> float:

@@ -29,33 +29,31 @@ is summed.  A path that runs into a zero of P drives the step below
 STEP_FLOOR times max(|z0|, segment length); the engine then raises
 IntegrationError naming the transport, the segment and the singular point.
 
-Lockstep batches: `transport_matrix` takes one transport or a list of them.
-The unit of work is the distinct leg: ODEs are keyed by their coefficients
-and legs by value, and each distinct (ODE, leg) pair is stepped and summed
-once, however many transports run it.  The steps of all distinct legs are
-laid out together, one step index at a time, and summed at once: each step
-is one member of a single term loop, its transfer matrix T_s (the value at
-the end of the step of the solution that is I at its start), seeded with
-c_0 = I.  Coefficients are padded to a common dimension and degree; the
-local P, Q and the recurrence of all members are built at once, and every
-term is one batched product over the window of the last terms, shared by
-the n columns of a member.  The oldest term of the window meets Q's leading
-coefficient alone, which the Taylor shift keeps: zero for `fuchsian_ode`,
-whose Q has degree N - 1 padded to N, and the diagonal Lambda - c for
-`irregular_ode`.  When that coefficient has no off-diagonal entry in any ODE
-of a batch, the product runs over the newer terms only and a diagonal
-coefficient adds its share elementwise.  The members are summed in chunks
-of STEP_CHUNK steps, so that the arrays of the term loop do not grow with
-the number of steps (only the transfer matrices do, 16 n^2 bytes a step).
-The steps of each leg are multiplied into its matrix, one step index at a
-time, and each transport is carried through the matrices of its legs,
-Y <- L Y.  An `Inverted` leg, a leg run backwards, is the one exception: the
-transition matrix of a reversed path is the inverse of the forward one, so
-the engine steps its forward leg, the leg it was made from, shared with
-every transport that runs that leg forwards, and chains the inverse, all such inverses of a batch
-coming from one batched np.linalg.inv.  Only the clockwise sweeps of sector
-plans are Inverted; every other leg, Fuchsian spokes and the legs given to
-`integrate_path` among them, is stepped as it runs.
+Lockstep batches: `transport_matrix` takes a batch of transports as
+arrays: the ODEs, a leg table with one row per distinct (ODE, leg), the
+route of each transport (its rows in path order, a row run backward
+flagged) and the stack of start values; it returns the stack of end
+values.  Each row is stepped and summed once, however many transports run
+it, the rows in order of first use along the routes.  The steps of all rows
+are laid out together, one step index at a time, and summed at once: each
+step is one member of a single term loop, its transfer matrix T_s (the
+value at the end of the step of the solution that is I at its start),
+seeded with c_0 = I.  Coefficients are padded to a common dimension and
+degree; the local P, Q and the recurrence of all members are built at once,
+and every term is one batched product over the window of the last terms,
+shared by the n columns of a member.  The oldest term of the window meets
+Q's leading coefficient alone, which the Taylor shift keeps: zero for
+`fuchsian_ode`, whose Q has degree N - 1 padded to N, and the diagonal
+Lambda - c for `irregular_ode`.  When that coefficient has no off-diagonal
+entry in any ODE of a batch, the product runs over the newer terms only and
+a diagonal coefficient adds its share elementwise.  The members are summed
+in chunks of STEP_CHUNK steps, so that the arrays of the term loop do not
+grow with the number of steps (only the transfer matrices do, 16 n^2 bytes
+a step).  The steps of each row are multiplied into its matrix L, one step
+index at a time, and each transport is carried through the matrices of its
+route, Y <- L Y; a row run backward chains L^{-1}, the transition matrix of
+the reversed path, all such inverses of a batch from one np.linalg.inv.
+Only the clockwise sweeps of sector plans run backward.
 
 Stop rule: the loop over a chunk ends once every member has had two
 consecutive terms with ||c_k||_F <= TAIL_FRACTION * tol, which bounds
@@ -67,37 +65,28 @@ of Stokes quotients, at or below what tol promises.  MAX_TERMS only bounds
 a series that fails to converge; the term buffer holds 2m terms and moves
 the window of the last m to its front when it is full.
 
-Pipelines build `Plan`s, the (ode, Y0, legs) transports of a result and the
-function that assembles it from their end values, and run all of them in one
-batch.  `sector_plan` plans a list of `SectorRequest`s (a sectorial solution
-Y_r or a Stokes matrix S_r, with the connection matrix C_r when the request
-carries Levelt data, of some system and series) under one `StokesConfig`;
+Pipelines build `Plan`s, the engine's arrays for the transports of a result
+and the function that assembles it from their end values, and run all of
+them in one batch.  `sector_plan` plans a list of `SectorRequest`s (a
+sectorial solution Y_r or a Stokes matrix S_r, with the connection matrix
+C_r when the request carries Levelt data) under one `StokesConfig`;
 `actual_solution` and `stokes_matrix` run it on one request, `collect_data`
 and `verify_coalescence` on all of theirs, and `fuchsian.monodromy_plan` is
 the plan of `fuchs_monodromy`.  The requests of one plan share one
 `SectorTable`: sectors repeat with period 2 pi (Balser, Jurkat and Lutz,
 SIAM J. Math. Anal. 12 (1981): Y_{r+2}(z) = Y_r(z e^{-2 pi i}) e^{2 pi i B}),
-so the frames of sectors 0 and 1 of every system come from one ray
-computation, their seed directions (in closed form) and Stokes leakage from
-one array pass, the truncations of all distinct series from one Frobenius
-pass and one stacked SVD, and the seed columns of every (system, series,
-sector parity) from one stacked product; sector k is sector k mod 2 turned
-by 2 pi floor(k / 2).  Every point of
-a plan (seed, z*, stop) is made from the base-sheet angle, and the turn goes
-into the args alone, so sector r + 2 runs on the seeds and legs of sector r.
-Every z* lies on its system's circle, the circle of the argument sweeps:
-S_r and C_r are the same at every z* of their overlap, and at the small
-|z*| of the circle the regrading by E(z*) amplifies less.  Every column of
-a system runs on the system's one ODE, along a radial leg in to the circle
-and the circle's arcs to z*; the circle is cut once per system, at the
-seed angles of sectors 0 and 1 and at the z* args, into elementary arcs,
-each one (ODE, leg) pair stepped counterclockwise, which a clockwise sweep
-runs Inverted, so the engine steps each of them once for every column,
-seeded pass, sector, sheet, z* and direction that passes it; the plan
-assembles all Stokes matrices in one stacked pass.  The legs and seeds of a system depend
-on the system and the config alone, bit for bit, whatever other requests a
-plan holds: angles stay on math.atan2, and scalar complex arithmetic is not
-moved into arrays, whose products round differently.
+so all of it is found for sectors 0 and 1 of every system, each kind in one
+array pass, and sector k is sector k mod 2 turned by 2 pi floor(k / 2), the
+turn going into the args alone.  Every column of a system runs on the
+system's one ODE, along a radial leg in to the circle of the argument
+sweeps and the circle's arcs to z*; each arc is one row, stepped
+counterclockwise, which a clockwise sweep runs backward.  Every z* lies on
+that circle: S_r and C_r are the same at every z* of their overlap, and at
+the small |z*| of the circle the regrading by E(z*) amplifies less.
+The legs and seeds of a system depend on the system and the config alone,
+bit for bit, whatever other requests a plan holds: angles stay on
+math.atan2, and scalar complex arithmetic is not moved into arrays, whose
+products round differently.
 
 The Wronskian identity
 
@@ -208,30 +197,30 @@ class Leg:
     center: complex | None = None
     sweep: float = 0.0
 
-    @property
-    def length(self) -> float:
-        if self.center is None:
-            return abs(self.b - self.a)
-        return abs(self.a - self.center) * abs(self.sweep)
 
-    def __str__(self) -> str:
-        if self.center is None:
-            return f"line {self.a:.6g} -> {self.b:.6g}"
-        return f"arc {self.a:.6g} -> {self.b:.6g} about {self.center:.6g}"
+# a row of a leg table: the leg from a to b, a line (center NaN) or the arc
+# about center turning by sweep, on the ODE of index `ode`
+LEG = np.dtype([("a", complex), ("b", complex), ("center", complex), ("sweep", float),
+                ("ode", np.intp)])
 
 
-@dataclass(frozen=True, init=False)
-class Inverted(Leg):
-    """The leg `forward` run backwards, from its b to its a, which the
-    engine runs as the inverse of `forward`: the transition matrix of a
-    reversed path is the inverse of the forward one, so the forward leg is
-    stepped once for both directions.  It compares and hashes by its own a,
-    b, center and sweep, as every Leg does."""
+def leg_table(paths, ode):
+    """The leg table of transports that run legs of their own, path j (a
+    list of Legs) on the ODE of index ode[j], and their routes (J, S): the
+    rows of path j in order, padded with -1."""
+    rows = [(leg.a, leg.b, np.nan if leg.center is None else leg.center, leg.sweep, k)
+            for path, k in zip(paths, ode) for leg in path]
+    lengths = np.array([len(path) for path in paths])
+    routes = np.full((len(paths), lengths.max()), -1)
+    routes[np.arange(routes.shape[1]) < lengths[:, None]] = np.arange(len(rows))
+    return np.array(rows, dtype=LEG), routes
 
-    def __init__(self, forward: Leg):
-        for name, value in (("a", forward.b), ("b", forward.a), ("center", forward.center),
-                            ("sweep", -forward.sweep), ("forward", forward)):
-            object.__setattr__(self, name, value)
+
+def _describe(row) -> str:
+    """A leg table row as the engine's errors name it."""
+    a, b, center = (complex(row[key]) for key in ("a", "b", "center"))
+    return f"line {a:.6g} -> {b:.6g}" if math.isnan(center.real) else (
+        f"arc {a:.6g} -> {b:.6g} about {center:.6g}")
 
 
 @dataclass(frozen=True)
@@ -301,50 +290,37 @@ def fuchsian_ode(poles, residues) -> LinearODE:
                      roots=poles)
 
 
-def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
-    """Carry solutions of P Y' = Q Y along legs by Taylor steps.
+def transport_matrix(odes, legs, routes, backward, starts, tol: float = DEFAULT_TOL):
+    """Carry solutions of P Y' = Q Y along legs by Taylor steps, a batch of
+    transports at once.
 
-    One transport: `ode` is a LinearODE, Y0 a full matrix or a single
-    column and `legs` a sequence of Legs; the final value is returned.  A
-    batch: `ode`, `Y0` and `legs` are equal-length sequences, one entry per
-    transport (ODE, dimension, degree and path may differ between entries),
-    and the list of final values is returned.  Either way each distinct
-    (ODE, leg) pair is stepped and summed once, and the transports are
-    chained through the matrices of their legs, the inverse of its forward
-    leg's matrix for an `Inverted` leg (module docstring).  `tol` is
+    `odes` are the LinearODEs of the batch (dimension and degree may
+    differ) and `legs` its leg table (`LEG` rows), each row one (ODE, leg)
+    pair.  Transport j runs the rows routes[j] (J, S) in path order, padded
+    with -1; where backward[j] (J, S) is set it runs the row from b to a, as
+    the inverse of the row's matrix.  `starts` (J, n, c) holds the start
+    values, n the largest dimension of the ODEs and c the most columns of
+    any transport, zero-padded; the end values are returned in the same
+    stack.  Each row that a route runs is stepped and summed once, the rows
+    in order of first use along the routes (module docstring).  `tol` is
     the relative accuracy asked of each transport.  Raises IntegrationError,
-    naming the transport and its segment, when a leg runs into a singular
-    point (before any series is summed) or a series fails to converge.
+    naming the first transport and segment that run the row, when a leg
+    runs into a singular point (before any series is summed) or a series
+    fails to converge.
     """
-    if isinstance(ode, LinearODE):
-        return transport_matrix([ode], [Y0], [legs], tol)[0]
-    # the distinct ODEs, keyed by their coefficients, and the distinct
-    # (ODE, leg) pairs, numbered in order of first use; `names` holds the
-    # (transport, segment) of each pair's first use, `route` the pairs of
-    # each transport in path order.  Each ODE object's coefficients are read
-    # once, `known` holding its index by object
-    ode_index, odes, known = {}, [], {}
-    pair_index, pair_ode, pair_leg, names = {}, [], [], []
-    route = np.full((len(ode), max(map(len, legs), default=0)), -1)
-    backward = np.zeros(route.shape, dtype=bool)  # the Inverted legs, by route entry
-    for job, (o, path) in enumerate(zip(ode, legs)):
-        k = known.get(id(o))
-        if k is None:
-            k = known[id(o)] = ode_index.setdefault(
-                (o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()), len(odes))
-            if k == len(odes):
-                odes.append(o)
-        for seg, leg in enumerate(path):
-            if isinstance(leg, Inverted):
-                leg, backward[job, seg] = leg.forward, True
-            p = pair_index.setdefault((k, leg), len(names))
-            if p == len(names):
-                pair_ode.append(k)
-                pair_leg.append(leg)
-                names.append((job, seg))
-            route[job, seg] = p
-    pair_ode = np.array(pair_ode, dtype=int)
-    z0, h, leg_of, starts = _schedule(odes, pair_ode, pair_leg, names)
+    # the rows that the routes run, in order of first use; `names` holds the
+    # (transport, segment) of each one's first use, `route` its number in
+    # that order
+    used = np.flatnonzero(routes >= 0)
+    rows, first = np.unique(routes.ravel()[used], return_index=True)
+    order = np.argsort(first)
+    label = np.empty(len(legs), dtype=int)
+    label[rows[order]] = np.arange(len(rows))
+    route = np.where(routes >= 0, label[routes], -1)
+    names = np.stack(np.divmod(used[first[order]], routes.shape[1]), axis=1)
+    pair_leg = legs[rows[order]]
+    pair_ode = pair_leg["ode"]
+    z0, h, leg_of, starts_at = _schedule(odes, pair_leg, names)
     ode_of = pair_ode[leg_of]
     # coefficients of every ODE, padded to a common dimension and degree
     n = max(o.Q.shape[1] for o in odes)
@@ -410,31 +386,26 @@ def transport_matrix(ode, Y0, legs, tol: float = DEFAULT_TOL):
             job, seg = names[leg_of[e]]
             raise IntegrationError(
                 f"Taylor series of transport {job} did not converge on segment "
-                f"{seg} ({pair_leg[leg_of[e]]}) at z = {z0[e]:.6g}"
+                f"{seg} ({_describe(pair_leg[leg_of[e]])}) at z = {z0[e]:.6g}"
             )
         T[sl] = total.transpose(2, 0, 1)
-    # the matrix of each distinct leg, one step index at a time
+    # the matrix of each row, one step index at a time
     L = np.tile(np.eye(n, dtype=complex), (len(pair_leg), 1, 1))
-    for a, b in zip(starts[:-1], starts[1:]):
+    for a, b in zip(starts_at[:-1], starts_at[1:]):
         running = leg_of[a:b]
         L[running] = T[a:b] @ L[running]
-    # an Inverted leg chains the inverse of its forward leg's matrix; all of
-    # them are inverted in one batch
+    # a backward run chains the inverse of its row's matrix; all of them are
+    # inverted in one batch
     if backward.any():
         flipped, at = np.unique(route[backward], return_inverse=True)
         L = np.concatenate([L, np.linalg.inv(L[flipped])])
         route[backward] = len(pair_leg) + at
     # the transports, one leg at a time
-    values = [np.asarray(V, dtype=complex) for V in Y0]
-    cols = [V.reshape(len(V), -1) for V in values]
-    Y = np.zeros((len(ode), n, max(V.shape[1] for V in cols)), dtype=complex)
-    for job, V in enumerate(cols):
-        Y[job, : V.shape[0], : V.shape[1]] = V
+    Y = np.array(starts, dtype=complex)
     for seg in range(route.shape[1]):
         running = np.flatnonzero(route[:, seg] >= 0)
         Y[running] = L[route[running, seg]] @ Y[running]
-    return [Y[job, : V.shape[0], : V.shape[1]].reshape(values[job].shape)
-            for job, V in enumerate(cols)]
+    return Y
 
 
 def _sum_squares(c):
@@ -443,9 +414,10 @@ def _sum_squares(c):
     return (v.real**2 + v.imag**2).sum(axis=0)
 
 
-def _schedule(odes, which, legs, names):
-    """The Taylor steps of `legs`, leg k on the LinearODE odes[which[k]],
-    laid out for all legs at once, one step index at a time.
+def _schedule(odes, legs, names):
+    """The Taylor steps of the leg table `legs`, row k on the LinearODE
+    odes[legs["ode"][k]], laid out for all rows at once, one step index at a
+    time.
 
     The steps depend on the geometry alone (step rule in the module
     docstring), so a leg into a singular point is refused up front;
@@ -468,14 +440,15 @@ def _schedule(odes, which, legs, names):
     growth = np.array([o.growth for o in odes])
     hgrow = np.full(len(odes), np.inf)
     np.divide(STEP_GROWTH, growth, out=hgrow, where=growth > 0)
-    roots, hgrow = roots[which], hgrow[which]
-    a = np.array([leg.a for leg in legs], dtype=complex)
-    b = np.array([leg.b for leg in legs], dtype=complex)
-    arc = np.array([leg.center is not None for leg in legs], dtype=bool)
-    base = np.where(arc, [0j if leg.center is None else leg.center for leg in legs], a)
+    roots, hgrow = roots[legs["ode"]], hgrow[legs["ode"]]
+    a, b, sweep = legs["a"], legs["b"], legs["sweep"]
+    arc = ~np.isnan(legs["center"])
+    base = np.where(arc, legs["center"], a)
     span = np.where(arc, a - base, b - a)
-    isweep = 1j * np.array([leg.sweep for leg in legs], dtype=float)
-    length = np.array([leg.length for leg in legs], dtype=float)
+    isweep = 1j * sweep
+    # hypot, as Python's complex abs takes it (numpy's complex abs rounds
+    # differently on SIMD loops)
+    length = np.hypot(span.real, span.imag) * np.where(arc, np.abs(sweep), 1.0)
     live = np.arange(len(legs))
     t = np.zeros(len(legs))
     z = a
@@ -507,8 +480,8 @@ def _schedule(odes, which, legs, names):
         k = min(refused)
         near, gap, z0 = refused[k]
         raise IntegrationError(
-            f"transport {names[k][0]}, segment {names[k][1]} ({legs[k]}), runs into the "
-            f"singular point {complex(near):.6g} (distance {gap:.3g} "
+            f"transport {names[k][0]}, segment {names[k][1]} ({_describe(legs[k])}), runs into "
+            f"the singular point {complex(near):.6g} (distance {gap:.3g} "
             f"at z = {complex(z0):.6g})"
         )
     starts = np.cumsum([len(s) for s in legs_of])
@@ -558,32 +531,24 @@ def _diagonal(M):
 class Plan:
     """Transports to run and what to make of their final values.
 
-    `jobs` holds (ode, Y0, legs) triples for transport_matrix; `assemble`
-    maps the list of their final values to the result.  Plans are built
-    first and run together, so that a whole pipeline is one lockstep batch.
+    `odes`, `legs`, `routes`, `backward` and `starts` are the arguments of
+    transport_matrix; `assemble` maps the stack of end values to the
+    result.  Plans are built first and run together, so that a whole
+    pipeline is one lockstep batch.
     """
 
-    jobs: tuple
-    assemble: Callable[[list], Any]
-
-
-def join_plans(plans) -> Plan:
-    """One plan running all of `plans`; its result is the list of theirs."""
-    plans = list(plans)
-
-    def assemble(ends):
-        results, b = [], 0
-        for p in plans:
-            results.append(p.assemble(ends[b : b + len(p.jobs)]))
-            b += len(p.jobs)
-        return results
-
-    return Plan(tuple(job for p in plans for job in p.jobs), assemble)
+    odes: tuple
+    legs: np.ndarray
+    routes: np.ndarray
+    backward: np.ndarray
+    starts: np.ndarray
+    assemble: Callable[[np.ndarray], Any]
 
 
 def run_plan(plan: Plan, tol: float = DEFAULT_TOL):
     """Run every transport of the plan in one transport_matrix batch."""
-    return plan.assemble(transport_matrix(*zip(*plan.jobs), tol) if plan.jobs else [])
+    return plan.assemble(transport_matrix(plan.odes, plan.legs, plan.routes, plan.backward,
+                                          plan.starts, tol))
 
 
 def integrate_path(start: SolutionHandle, legs, tol: float = DEFAULT_TOL) -> SolutionHandle:
@@ -606,7 +571,9 @@ def integrate_path(start: SolutionHandle, legs, tol: float = DEFAULT_TOL) -> Sol
         arg += leg.sweep if leg.center is not None else float(np.angle(leg.b / leg.a))
         z = leg.b
     end = PathPoint(z, arg)
-    Y = transport_matrix(irregular_ode(sys), start.value, legs, tol=tol)
+    table, routes = leg_table([legs], [0])
+    Y, = transport_matrix([irregular_ode(sys)], table, routes, np.zeros(routes.shape, dtype=bool),
+                          start.value[None], tol)
     # Wronskian: d log det Y = (tr Lambda + tr A / z) dz
     trL = np.trace(sys.Lambda)
     trA = np.trace(sys.A)
@@ -684,36 +651,28 @@ class SectorTable:
     use; requests share a series when they share its F tuple, as the
     frozen-seeded passes of verify_coalescence share the frozen one.
 
-    Sectors repeat with period 2 pi (Y_{r+2}(z) = Y_r(z e^{-2 pi i})
-    e^{2 pi i B}), so everything is found on the base sheet, for sectors 0
-    and 1 of every system, and sector k is sector k mod 2 turned by
-    2 pi floor(k / 2).  `frames` maps (system index, sector) to the sector
-    frame, and `angles` and `leakage` map it to the seed direction of every
-    column in the frame and the Stokes leakage of seeds there at the seed
-    radius, for the sectors of the system's own requests
-    (`SectorRequest.sectors`); `truncations` holds the optimal truncation
-    (k, bound) of each series at the seed radius.  Per system, `overlaps`
-    holds the (lo, hi) of the overlaps of sectors 0 and 1 and of 1 and 2,
-    and `circles` the `_Circle` on which its columns sweep and its z* lie,
-    cut at the seed angles of sectors 0 and 1 and at its Stokes z* args
-    (the midpoints of those overlaps), so that each Stokes request lays out
-    its columns on legs that depend on the system and the config alone,
-    whatever else the plan holds; a system asked for a sectorial solution,
-    which no pipeline asks for, is cut at its sectorial z* args (the
-    midpoints of sectors 0 and 1) too.  `layouts` holds one column layout
-    per (system, sector, z*), built by `layout` on first use, which every
-    Y_k with that key runs on, whichever its series (the self- and
-    frozen-seeded Y_k of a verify_coalescence sample share theirs).
-    `radials` maps (system index, sector parity) to the radial leg of each
-    column, in from its seed to the circle, one Leg per stop of the circle,
-    so columns seeded on one angle, in either sector parity, share it, and
-    `seed_columns` maps (system index, series index, sector parity) to the
-    seed value of each column there, a row each.  The Stokes rays of all
-    systems are found in one pass, the seed directions of all their base
-    frames are one array pass, the truncations of all series one Frobenius
-    pass and one stacked SVD (`optimal_truncations`), and the seed columns
-    of all (system, series, sector parity) sets one stacked product
-    (`_seed_columns`), so all systems must share n.
+    Everything is found on the base sheet, for sectors 0 and 1 of every
+    system (module docstring).  `frames` maps (system index, sector) to the
+    sector frame, and `angles` and `leakage` map it to the seed direction of
+    every column in the frame and the Stokes leakage of seeds there at the
+    seed radius, for the sectors of the system's own requests;
+    `truncations` holds the optimal truncation (k, bound) of each series at
+    the seed radius.  Per system, `overlaps` holds the (lo, hi) of the
+    overlaps of sectors 0 and 1 and of 1 and 2, and `circles` the `_Circle`
+    on which its columns sweep and its z* lie, cut at the seed angles of
+    sectors 0 and 1 and at its z* args (the midpoints of those overlaps, and
+    of sectors 0 and 1 for a system asked for a sectorial solution).  `legs`
+    holds the rows (`LEG` tuples) of the columns' leg table: per system the
+    arcs of its circle, from row arcs[s], and the radial leg, in from its
+    seed to the circle, of each stop that seeds a column, whose rows
+    `radials` maps (system index, sector parity) to, a row per column.
+    `layouts` maps each (system, sector, z*) to its column layout
+    (`layout`), which every Y_k with that key runs on, whichever its
+    series.  `seed_columns` (sets, n, n) holds
+    the seed value of each column of each (system index, series index,
+    sector parity), a row each, in the order of `seed_set`.  The rays,
+    seed directions, truncations and seed columns are each one array pass
+    over all systems or series, so all systems must share n.
     """
 
     def __init__(self, cfg: StokesConfig, requests):
@@ -755,41 +714,52 @@ class SectorTable:
                      *[f0.midpoint, f1.midpoint][: 2 * asked]])
             for sys, overlap, (f0, f1), a, asked in zip(
                 self.systems, self.overlaps, base, angles, sectorial)]
-        self.radials = {}
+        # the rows of the leg table: each system's arcs, on the system's ODE,
+        # then the radial leg of each of its stops that seeds a column
+        rows, self.arcs, self.radials = [], [], {}
         for s, ks in enumerate(used):
-            circle, radial = self.circles[s], {}  # the radial leg of each stop
+            circle, radial = self.circles[s], {}  # the row of each stop's radial leg
+            self.arcs.append(len(rows))
+            rows += [(circle.point[g], circle.point[(g + 1) % circle.turn], 0j, sweep, s)
+                     for g, sweep in enumerate(circle.sweep)]
             for parity in sorted({k % 2 for k in ks}):
                 stops = [p % circle.turn for p in circle.place[2 + n * parity :][:n]]
                 for g in stops:
                     if g not in radial:
-                        radial[g] = Leg(_polar(cfg.radius, circle.angle[g]), circle.point[g])
+                        radial[g] = len(rows)
+                        rows.append((_polar(cfg.radius, circle.angle[g]), circle.point[g],
+                                     np.nan, 0.0, s))
                 self.radials[s, parity] = [radial[g] for g in stops]
-        self.layouts = {}
+        self.legs = rows
+        self.layouts, self.paths, self.clockwise = {}, [], []
         self.series = [np.asarray(F, dtype=complex).reshape(-1, n, n) for F in series.values()]
         self.truncations = optimal_truncations(self.series, cfg.radius)
         sets = list(dict.fromkeys(
             (self.system_index[id(q.sys)], self.series_index[id(q.fs.F)], k % 2)
             for q in requests for k in q.sectors))
-        self.seed_columns = dict(zip(sets, _seed_columns(
+        self.seed_set = {key: i for i, key in enumerate(sets)}
+        self.seed_columns = _seed_columns(
             self.series, [k for k, _ in self.truncations], [f for _, f, _ in sets],
-            [[leg.a for leg in self.radials[s, parity]] for s, _, parity in sets])))
+            [[rows[r][0] for r in self.radials[s, parity]] for s, _, parity in sets])
 
     def layout(self, s: int, k: int, end: int):
         """The columns of system s in sector k that end at the place `end` of
-        z* on the system's circle: their seed points, the legs of each from
-        its seed to z* (`_column_legs`, from its radial leg and the places of
-        the seeds' stops on the cover of the circle) and the args of the
-        seeds less that of z*.  Laid out once per (system, sector, z* place)
-        and kept in `layouts`, so every Y_k with that key, whichever its
-        series, runs on the same leg lists."""
+        z* on the system's circle: the index i of their routes, paths[i : i
+        + n] (each its radial leg, in from its seed to the place of the
+        seed's stop on the cover of the circle, and the circle's arcs from
+        there to z*, clockwise ones backward, as flagged in `clockwise`),
+        and the args of the seeds less that of z*.  Laid out once per
+        (system, sector, z* place) and kept in `layouts`, so every Y_k with
+        that key, whichever its series, runs on the same routes."""
         key = s, k, end
         if key not in self.layouts:
             circle, n = self.circles[s], self.systems[s].n
             places = [p + circle.turn * (k // 2) for p in circle.place[2 + n * (k % 2) :][:n]]
-            radials = self.radials[s, k % 2]
-            self.layouts[key] = ([leg.a for leg in radials],
-                                 _column_legs(radials, places, end, circle),
-                                 [circle.turned(end, a) for a in places])
+            self.layouts[key] = len(self.paths), [circle.turned(end, a) for a in places]
+            for radial, a in zip(self.radials[s, k % 2], places):
+                arcs, clockwise = circle.arcs(a, end)
+                self.paths.append([radial, *(self.arcs[s] + g for g in arcs)])
+                self.clockwise.append(clockwise)
         return self.layouts[key]
 
     def zstar(self, s: int, q: SectorRequest) -> tuple[PathPoint, int]:
@@ -867,8 +837,8 @@ class _Circle:
     of their angles mod 2 pi, and place P on the cover is stop P mod turn,
     floor(P / turn) turns on; `place` holds the place of each of `stops`.
     Every sweep between two places runs over the same arcs, in either
-    direction, whichever column, sector, sheet or z* it serves: the circle
-    holds each arc once, in `legs`, and its `Inverted` twin, in `inverted`.
+    direction, whichever column, sector, sheet or z* it serves: arc g runs
+    counterclockwise from stop g to stop g + 1 (mod turn) by sweep[g].
     """
 
     def __init__(self, radius: float, stops):
@@ -892,9 +862,7 @@ class _Circle:
                 self.place[i] = g + self.turn * round((stops[i] - self.key[g]) / TWO_PI)
         self.point = [_polar(radius, t) for t in self.angle]
         ends = self.key + [self.key[0] + TWO_PI]
-        self.legs = [Leg(self.point[g], self.point[(g + 1) % self.turn], center=0j,
-                         sweep=ends[g + 1] - ends[g]) for g in range(self.turn)]
-        self.inverted = [Inverted(leg) for leg in self.legs]
+        self.sweep = [b - a for a, b in zip(ends[:-1], ends[1:])]
 
     def at(self, place: int) -> PathPoint:
         """The point of `place` on the cover: the point of its stop, made
@@ -908,20 +876,13 @@ class _Circle:
         return (self.key[b % self.turn] - self.key[a % self.turn]
                 + TWO_PI * (b // self.turn - a // self.turn))
 
-    def arcs(self, a: int, b: int) -> list[Leg]:
-        """The arcs from place a to place b: counterclockwise the circle's
-        `legs`, clockwise their `inverted` twins, so that the engine steps
-        each arc once, counterclockwise, whichever way its columns run."""
+    def arcs(self, a: int, b: int) -> tuple[list[int], bool]:
+        """The arcs from place a to place b, by index, and whether they run
+        clockwise, each backward: the engine steps each arc once,
+        counterclockwise, whichever way its columns run."""
         if b < a:
-            return [self.inverted[p % self.turn] for p in range(a - 1, b - 1, -1)]
-        return [self.legs[p % self.turn] for p in range(a, b)]
-
-
-def _column_legs(radials, starts, end: int, circle: _Circle):
-    """The legs of each column from its seed point to z*: its radial leg in
-    from the seed to its place `start` on the circle, and the arcs of the
-    circle from there to the place `end` of z*, clockwise ones `Inverted`."""
-    return [[radial, *circle.arcs(a, end)] for radial, a in zip(radials, starts)]
+            return [p % self.turn for p in range(a - 1, b - 1, -1)], True
+        return [p % self.turn for p in range(a, b)], False
 
 
 def _seed_columns(series, orders, which, points):
@@ -958,26 +919,14 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     system's circle of argument sweeps (`_arc_radius`): Y_r's on the
     midpoint of sector r, and S_r's on the midpoint of the overlap of
     sectors r and r + 1, where C_r reads the Y_r of S_r (S_r and C_r are
-    the same at every z there).  Every point (seed, z*, stop) is made from
-    the base-sheet angle of sector k mod 2, and the 2 pi floor(k / 2) of
-    sector k goes into the args alone (z*'s and the seed gauge's log z_j),
-    so sector r + 2's seeds and legs are sector r's.
-    Every column of a system runs on one ODE, in the gauge y e^{-c z} (c
-    the mean of u), and is taken to its own gauge y e^{-u_j z} z^{-b_j} by
-    an exact scalar at z*: a radial leg in from its seed to the system's
-    circle (`SectorTable.circles`) and the circle's arcs from there to z*.
-    Each elementary arc of the circle is one (ODE, leg) pair, stepped
-    counterclockwise, which a clockwise sweep runs `Inverted`, so the
-    engine steps it once for every column, seeded pass, sector, sheet, z*
-    and direction that passes it.  The Levelt solution of C_r runs
-    radially from inside |z*| / 2 out to z*.  The table computes the seed
-    columns of every (system, series, sector parity) once, all in one
-    stacked product, and each (system, sector, z*) its layout, the seed
-    points and legs of the columns (`SectorTable.layout`), however many
-    results are made of them; every leg is one object, however many columns
-    run it.  The columns of each solution Y_k are n consecutive transports.
-    The solutions Y_k of all requests, and the Stokes matrices among the
-    results, are each assembled in one stacked pass.
+    the same at every z there).  Every column of a system runs on one ODE,
+    in the gauge y e^{-c z} (c the mean of u), along the routes of its
+    layout (`SectorTable.layout`), and is taken to its own gauge
+    y e^{-u_j z} z^{-b_j} by an exact scalar at z*; the columns of each Y_k
+    are n consecutive transports.  The Levelt solution of C_r runs radially
+    from inside |z*| / 2 out to z*.  The solutions Y_k of all requests, and
+    the Stokes matrices among the results, are each assembled in one
+    stacked pass.
     """
     requests = list(requests)
     table = SectorTable(cfg, requests)
@@ -985,11 +934,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     n = table.systems[0].n
     centre = [complex(np.mean(sys.u)) for sys in table.systems]
     odes = [irregular_ode(sys, c) for sys, c in zip(table.systems, centre)]
-    jobs, first, levelt = [], [], {}
-    stokes = []  # the Stokes requests
-    # per Y_k: the job of its first column, z*, log z*, series, system,
-    # seed points, their args less arg z*, and seed error
-    columns, points, logs, series, owner, at, turned, seed_error = ([] for _ in range(8))
+    jobs, first, levelt, blocks, stokes = 0, [], {}, [], []  # stokes: the Stokes requests
     for p, q in enumerate(requests):
         s, f = table.system_index[id(q.sys)], table.series_index[id(q.fs.F)]
         if q.kind == "stokes":
@@ -998,24 +943,48 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
             if not hi - lo > 1e-9:
                 raise SectorError(f"sectors {q.r} and {q.r + 1} do not overlap: ({lo}, {hi})")
         zstar, end = table.zstar(s, q)
-        first.append(len(columns))
+        first.append(len(blocks))
         for k in q.sectors:
-            z, legs, turns = table.layout(s, k, end)
-            columns.append(len(jobs))
-            jobs += [(odes[s], y, lg) for y, lg in zip(table.seed_columns[s, f, k % 2], legs)]
-            points.append(zstar)
-            logs.append(np.log(zstar.radius) + 1j * zstar.arg)
-            series.append(q.fs)
-            owner.append(s)
-            at.append(z)
-            turned.append(turns)
-            seed_error.append(table.truncations[f][1] + table.leakage[s, k])
+            blocks.append((jobs, *table.layout(s, k, end), table.seed_set[s, f, k % 2], zstar,
+                           np.log(zstar.radius) + 1j * zstar.arg, q.fs, s,
+                           table.truncations[f][1] + table.leakage[s, k]))
+            jobs += n
         if q.ld is not None:
             # Y^(0) radially out to z* on the circle; carried in the system's
             # gauge e^{-c z}, and taken back at z*
             lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
-            levelt[p] = len(jobs), np.exp(centre[s] * (zstar.z - lev.point.z))
-            jobs.append((odes[s], lev.value, [Leg(lev.point.z, zstar.z)]))
+            levelt[p] = (jobs, np.exp(centre[s] * (zstar.z - lev.point.z)),
+                         (lev.point.z, zstar.z, np.nan, 0.0, s), lev.value)
+            jobs += 1
+    # per Y_k: the job of its first column, the index of its columns'
+    # routes, their args less arg z*, its seed set, z*, log z*, series,
+    # system and seed error
+    columns, paths, turned, sets, points, logs, series, owner, seed_error = zip(*blocks)
+
+    # the transports: the columns of each Y_k run the routes of its layout
+    # from the seed columns of its set, each Levelt solution its leg
+    lengths = np.array([len(path) for path in table.paths])
+    segments = np.arange(lengths.max())
+    filled = segments < lengths[:, None]
+    laid = np.full(filled.shape, -1)
+    laid[filled] = [row for path in table.paths for row in path]
+    filled[:, 0] = False  # the radial legs run forward
+    index = np.arange(n)
+    column_jobs = (np.array(columns)[:, None] + index).ravel()
+    paths = (np.array(paths)[:, None] + index).ravel()
+    routes = np.full((jobs, len(segments)), -1)
+    backward = np.zeros(routes.shape, dtype=bool)
+    routes[column_jobs] = laid[paths]
+    backward[column_jobs] = (filled & np.array(table.clockwise)[:, None])[paths]
+    starts = np.zeros((jobs, n, n if levelt else 1), dtype=complex)
+    starts[column_jobs, :, 0] = table.seed_columns[list(sets)].reshape(-1, n)
+    legs = table.legs
+    if levelt:
+        lev_jobs, _, lev_legs, lev_starts = zip(*levelt.values())
+        routes[list(lev_jobs), 0] = len(legs) + np.arange(len(lev_jobs))
+        starts[list(lev_jobs)] = lev_starts
+        legs = legs + list(lev_legs)
+    legs = np.array(legs, dtype=LEG)
 
     # column j of Y_k, seeded at z_j with the series value of y_j e^{-u_j z}
     # z^{-b_j}, ends at z* as y_j e^{-c z*} / (e^{(u_j - c) z_j} z_j^{b_j}),
@@ -1030,12 +999,13 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
     u_sys = np.array([table.systems[s].u for s in owner])
     grading = np.exp(b * np.array(logs)[:, None] + zs * u_sys)  # E(z*)
     log_ratio = (math.log(R) - np.log([z.radius for z in points]))[:, None] + 1j * np.array(turned)
-    gauge = np.exp((c - u_sys) * zs + (u - c) * np.array(at) + b * log_ratio)
+    at = legs["a"][routes[column_jobs, 0]].reshape(-1, n)  # the seed points, radial legs' a
+    gauge = np.exp((c - u_sys) * zs + (u - c) * at + b * log_ratio)
     seed_error = np.array(seed_error)
     blocks = np.array([first[p] for p in stokes], dtype=int)  # Y_r of each S_r
 
     def assemble(ends):
-        cols = np.array([ends[job : job + n] for job in columns])
+        cols = ends[column_jobs, :, 0].reshape(len(columns), n, n)
         F = np.ascontiguousarray(cols.transpose(0, 2, 1)) * gauge[:, None, :]
         Y = F * grading[:, None, :]
         sign, logdet = np.linalg.slogdet(Y)
@@ -1045,7 +1015,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                    if q.kind == "sectorial" else None for q, b in zip(requests, first)]
         if stokes:
             C = {p: np.linalg.solve(ends[job] * scale, Y[first[p]])
-                 for p, (job, scale) in levelt.items()}
+                 for p, (job, scale, _, _) in levelt.items()}
             for p, res in zip(stokes, _stokes_results(
                     [requests[p] for p in stokes], [points[b] for b in blocks], grading[blocks],
                     F[blocks], F[blocks + 1], seed_error[blocks] + seed_error[blocks + 1],
@@ -1053,7 +1023,7 @@ def sector_plan(cfg: StokesConfig, requests) -> Plan:
                 results[p] = res
         return results
 
-    return Plan(tuple(jobs), assemble)
+    return Plan(tuple(odes), legs, routes, backward, starts, assemble)
 
 
 def _stokes_results(requests, zstars, grading, Fr, Fr1, seed_error, C, tol: float):

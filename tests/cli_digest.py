@@ -11,10 +11,10 @@ op in-process through ``isomlab.cli.main`` and prints one line per op:
 
 then one line per workload with the digest of all its ops.  With
 ``--steps`` each op's line ends with the Taylor steps its calls took, the
-distinct (ODE, leg) pairs they stepped (the summed step and leg counts of
-every ``odeengine._schedule`` layout), the backward arcs they ran as the
-inverse of a stepped leg (the distinct (ODE, leg) pairs of the
-``odeengine.Inverted`` legs of every ``odeengine.transport_matrix`` batch),
+distinct (ODE, leg) pairs they stepped (the summed step and leg-table row
+counts of every ``odeengine._schedule`` layout), the backward arcs they ran
+as the inverse of a stepped leg (the distinct leg-table rows that the
+routes of every ``odeengine.transport_matrix`` batch run backward),
 the collocation steps its flows took (the calls of ``isoflow._sweeps``,
 rejected steps included), their Picard sweeps (the right-hand-side
 evaluations of those calls), the calls of the formal recursion
@@ -105,18 +105,15 @@ def counted_steps():
     recursion, callers = formal.compute_formal_coefficients, (cli, verify)
     svd, truncations = np.linalg.svd, formal.optimal_truncations.__code__
 
-    def counted(odes, which, legs, names):
-        layout = schedule(odes, which, legs, names)
+    def counted(odes, legs, names):
+        layout = schedule(odes, legs, names)
         counts.append((len(layout[0]), len(legs), 0, 0, 0, 0, 0, 0))
         return layout
 
-    def counted_transport(ode, Y0, legs, *rest):
-        # a single transport reaches the engine again as a batch of one
-        if not isinstance(ode, odeengine.LinearODE):
-            backward = {(o.P.tobytes(), o.Q.tobytes(), leg) for o, path in zip(ode, legs)
-                        for leg in path if isinstance(leg, odeengine.Inverted)}
-            counts.append((0, 0, len(backward), 0, 0, 0, 0, 0))
-        return transport(ode, Y0, legs, *rest)
+    def counted_transport(odes, legs, routes, backward, *rest):
+        # the rows that some transport runs backward
+        counts.append((0, 0, len(np.unique(routes[backward])), 0, 0, 0, 0, 0))
+        return transport(odes, legs, routes, backward, *rest)
 
     def counted_sweeps(f, y, h, tol):
         counts.append((0, 0, 0, 1, 0, 0, 0, 0))

@@ -64,6 +64,13 @@ def poly_fuchsian_ode(poles, residues):
     return np.poly(x)[::-1].astype(complex), Q
 
 
+def describe(leg) -> str:
+    """A Leg as the engine's errors name it."""
+    if leg.center is None:
+        return f"line {leg.a:.6g} -> {leg.b:.6g}"
+    return f"arc {leg.a:.6g} -> {leg.b:.6g} about {leg.center:.6g}"
+
+
 def schedule_reference(odes, which, legs, names):
     """The step layout of odeengine._schedule, one step index at a time,
     with every per-leg array indexed by the live legs on every step index."""
@@ -83,7 +90,8 @@ def schedule_reference(odes, which, legs, names):
     arc = np.array([leg.center is not None for leg in legs], dtype=bool)
     c = np.array([0j if leg.center is None else leg.center for leg in legs], dtype=complex)
     sweep = np.array([leg.sweep for leg in legs], dtype=float)
-    length = np.array([leg.length for leg in legs], dtype=float)
+    length = np.array([abs(leg.b - leg.a) if leg.center is None
+                       else abs(leg.a - leg.center) * abs(leg.sweep) for leg in legs], dtype=float)
     t = np.zeros(len(legs))
     z = a.copy()
     live = np.arange(len(legs))
@@ -116,12 +124,262 @@ def schedule_reference(odes, which, legs, names):
         k = min(refused)
         near, gap, z0 = refused[k]
         raise IntegrationError(
-            f"transport {names[k][0]}, segment {names[k][1]} ({legs[k]}), runs into the "
+            f"transport {names[k][0]}, segment {names[k][1]} ({describe(legs[k])}), runs into the "
             f"singular point {complex(near):.6g} (distance {gap:.3g} "
             f"at z = {complex(z0):.6g})"
         )
     starts = np.cumsum([len(s) for s in legs_of])
     return np.concatenate(z0s), np.concatenate(hs), np.concatenate(legs_of), starts
+
+
+class Reversed:
+    """A leg run backwards, from its b to its a, as job interfaces spell a
+    backward run: `forward` is the leg run; it compares and hashes by its
+    own a, b, center and sweep, so a reversed leg never equals a forward
+    one."""
+
+    def __init__(self, forward):
+        self.forward = forward
+        self.a, self.b = forward.b, forward.a
+        self.center, self.sweep = forward.center, -forward.sweep
+
+    def _key(self):
+        return self.a, self.b, self.center, self.sweep
+
+    def __eq__(self, other):
+        return isinstance(other, Reversed) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Reversed({self.forward})"
+
+
+def transport_matrix_reference(ode, Y0, legs, tol):
+    """The transport engine with a per-job interface, the byte oracle of
+    odeengine.transport_matrix: one transport (a LinearODE, a matrix or
+    column Y0 and a list of Legs) or a batch of them (equal-length
+    sequences), each distinct (ODE, leg) pair, by coefficient bytes and leg
+    value, stepped once in order of first use, and a `Reversed` leg chained
+    as the inverse of its forward leg's matrix; returns the end value, or
+    the list of them, each in the shape of its Y0.  The term loop and the
+    chaining are the engine's own, `odeengine._step_matrix` and its
+    helpers shared, and the steps are laid out by `schedule_reference`."""
+    from isomlab import odeengine
+    from isomlab.errors import IntegrationError
+    from isomlab.odeengine import (
+        MAX_TERMS,
+        TAIL_FRACTION,
+        LinearODE,
+        _diagonal,
+        _shift_tables,
+        _step_matrix,
+        _sum_squares,
+    )
+
+    if isinstance(ode, LinearODE):
+        return transport_matrix_reference([ode], [Y0], [legs], tol)[0]
+    ode_index, odes = {}, []
+    pair_index, pair_ode, pair_leg, names = {}, [], [], []
+    route = np.full((len(ode), max(map(len, legs), default=0)), -1)
+    backward = np.zeros(route.shape, dtype=bool)
+    for job, (o, path) in enumerate(zip(ode, legs)):
+        k = ode_index.setdefault(
+            (o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()), len(odes))
+        if k == len(odes):
+            odes.append(o)
+        for seg, leg in enumerate(path):
+            if isinstance(leg, Reversed):
+                leg, backward[job, seg] = leg.forward, True
+            p = pair_index.setdefault((k, leg), len(names))
+            if p == len(names):
+                pair_ode.append(k)
+                pair_leg.append(leg)
+                names.append((job, seg))
+            route[job, seg] = p
+    pair_ode = np.array(pair_ode, dtype=int)
+    z0, h, leg_of, starts = schedule_reference(odes, pair_ode, pair_leg, names)
+    ode_of = pair_ode[leg_of]
+    n = max(o.Q.shape[1] for o in odes)
+    m = max(len(o.P) for o in odes)
+    P = np.zeros((m, len(odes)), dtype=complex)
+    Q = np.zeros((m, n, n, len(odes)), dtype=complex)
+    for k, o in enumerate(odes):
+        P[: len(o.P), k] = o.P
+        Q[: len(o.P), : o.Q.shape[1], : o.Q.shape[1], k] = o.Q
+    center = np.array([o.center for o in odes], dtype=complex)
+    binom, idx = _shift_tables(m)
+    powers = np.arange(m)[:, None]
+    d = m - 1
+    tol2 = (TAIL_FRACTION * tol) ** 2
+    lead = Q[-1]
+    first = 0 if lead[~np.eye(n, dtype=bool)].any() else 1
+    lead_diagonal = first == 1 and lead.any()
+    T = np.empty((len(z0), n, n), dtype=complex)
+    for a in range(0, len(z0), odeengine.STEP_CHUNK):
+        sl = slice(a, a + odeengine.STEP_CHUNK)
+        members = ode_of[sl]
+        B = len(members)
+        M, slope = _step_matrix(P[:, members], Q[..., members], z0[sl] - center[members],
+                                h[sl], binom, idx, powers)
+        if lead_diagonal:
+            D0 = _diagonal(M)[0, :, None].copy()
+            lead_term = np.empty((n, n, B), dtype=complex)
+        M, slope = np.ascontiguousarray(M[:, first * n :]), slope[first:]
+        diag = _diagonal(M)
+        diag0 = diag.copy()
+        G = np.zeros((2 * m, n, n, B), dtype=complex)
+        G[d] = np.eye(n)[..., None]
+        total = G[d].copy()
+        small = np.zeros(B, dtype=bool)
+        done = np.zeros(B, dtype=bool)
+        j = 0
+        for k in range(MAX_TERMS):
+            if j + m == len(G):
+                G[:m] = G[j:]
+                j = 0
+            np.add(diag0, k * slope[:, None], out=diag)
+            c = G[j + m]
+            np.einsum("iwb,wcb->icb", M, G[j + first : j + m].reshape(-1, n, B), out=c)
+            if lead_diagonal:
+                c += np.multiply(D0, G[j], out=lead_term)
+            c *= 1.0 / (k + 1)
+            total += c
+            j += 1
+            tiny = _sum_squares(c) <= tol2
+            done |= small & tiny
+            small = tiny
+            if np.count_nonzero(done) == B:
+                break
+        else:
+            e = a + int(np.argmin(done))
+            job, seg = names[leg_of[e]]
+            raise IntegrationError(
+                f"Taylor series of transport {job} did not converge on segment "
+                f"{seg} ({describe(pair_leg[leg_of[e]])}) at z = {z0[e]:.6g}"
+            )
+        T[sl] = total.transpose(2, 0, 1)
+    L = np.tile(np.eye(n, dtype=complex), (len(pair_leg), 1, 1))
+    for a, b in zip(starts[:-1], starts[1:]):
+        running = leg_of[a:b]
+        L[running] = T[a:b] @ L[running]
+    if backward.any():
+        flipped, at = np.unique(route[backward], return_inverse=True)
+        L = np.concatenate([L, np.linalg.inv(L[flipped])])
+        route[backward] = len(pair_leg) + at
+    values = [np.asarray(V, dtype=complex) for V in Y0]
+    cols = [V.reshape(len(V), -1) for V in values]
+    Y = np.zeros((len(ode), n, max(V.shape[1] for V in cols)), dtype=complex)
+    for job, V in enumerate(cols):
+        Y[job, : V.shape[0], : V.shape[1]] = V
+    for seg in range(route.shape[1]):
+        running = np.flatnonzero(route[:, seg] >= 0)
+        Y[running] = L[route[running, seg]] @ Y[running]
+    return [Y[job, : V.shape[0], : V.shape[1]].reshape(values[job].shape)
+            for job, V in enumerate(cols)]
+
+
+def job_tables(jobs):
+    """The arguments of odeengine.transport_matrix for (ode, Y0, legs) jobs,
+    legs `Reversed` where they run backward: one ODE per distinct
+    coefficient bytes, one leg-table row per distinct (ODE, leg) in order
+    of first use, as transport_matrix_reference numbers its pairs, and the
+    start values zero-padded into one stack."""
+    from isomlab.odeengine import LEG
+
+    ode_index, odes, row_index, rows = {}, [], {}, []
+    routes = np.full((len(jobs), max(len(path) for _, _, path in jobs)), -1)
+    backward = np.zeros(routes.shape, dtype=bool)
+    for job, (o, _, path) in enumerate(jobs):
+        k = ode_index.setdefault(
+            (o.center, o.Q.shape, o.P.tobytes(), o.Q.tobytes(), o.roots.tobytes()), len(odes))
+        if k == len(odes):
+            odes.append(o)
+        for seg, leg in enumerate(path):
+            if isinstance(leg, Reversed):
+                leg, backward[job, seg] = leg.forward, True
+            routes[job, seg] = row_index.setdefault((k, leg), len(rows))
+            if routes[job, seg] == len(rows):
+                rows.append((leg.a, leg.b, np.nan if leg.center is None else leg.center,
+                             leg.sweep, k))
+    values = [np.asarray(Y0, dtype=complex).reshape(len(Y0), -1) for _, Y0, _ in jobs]
+    starts = np.zeros((len(jobs), max(o.Q.shape[1] for o in odes),
+                       max(V.shape[1] for V in values)), dtype=complex)
+    for job, V in enumerate(values):
+        starts[job, : V.shape[0], : V.shape[1]] = V
+    return odes, np.array(rows, dtype=LEG), routes, backward, starts
+
+
+def run_jobs(jobs, tol=1e-11):
+    """The end values of (ode, Y0, legs) jobs by odeengine.transport_matrix
+    (see job_tables), each in the shape of its Y0."""
+    from isomlab.odeengine import transport_matrix
+
+    ends = transport_matrix(*job_tables(jobs), tol)
+    shapes = [np.shape(Y0) for _, Y0, _ in jobs]
+    return [Y[: shape[0], : (shape + (1,))[1]].reshape(shape) for Y, shape in zip(ends, shapes)]
+
+
+def jobs_of(odes, legs, routes, backward, starts):
+    """The (ode, Y0, legs) jobs of transport_matrix's arguments, as
+    transport_matrix_reference takes them: the Legs of each route, a
+    backward run `Reversed`, and each start value without the zero columns
+    that pad it (a single column as a vector).  Equal rows give one Leg
+    object."""
+    from isomlab.odeengine import Leg
+
+    made = {}  # row -> (its Leg, the Leg reversed)
+
+    def leg(row, back):
+        if row not in made:
+            a, b, center = (complex(legs[row][key]) for key in ("a", "b", "center"))
+            forward = Leg(a, b, None if np.isnan(center) else center, float(legs[row]["sweep"]))
+            made[row] = forward, Reversed(forward)
+        return made[row][back]
+
+    jobs = []
+    for route, back, Y0 in zip(routes.tolist(), backward.tolist(), starts):
+        used = np.flatnonzero(np.any(Y0 != 0, axis=0))
+        Y0 = Y0[:, : used[-1] + 1 if len(used) else 1]
+        path = [leg(row, b) for row, b in zip(route, back) if row >= 0]
+        jobs.append((odes[legs["ode"][route[0]]], Y0[:, 0] if Y0.shape[1] == 1 else Y0, path))
+    return jobs
+
+
+def join_plans(plans):
+    """One odeengine Plan running all of `plans`, their transports in order,
+    each plan's leg rows and ODE indices offset past those of the plans
+    before it and its routes and starts padded to the widest; its result is
+    the list of theirs."""
+    from isomlab.odeengine import Plan
+
+    plans = list(plans)
+    jobs = np.cumsum([0] + [len(p.routes) for p in plans])
+    n, c = (max(p.starts.shape[i] for p in plans) for i in (1, 2))
+    routes = np.full((jobs[-1], max(p.routes.shape[1] for p in plans)), -1)
+    backward = np.zeros(routes.shape, dtype=bool)
+    starts = np.zeros((jobs[-1], n, c), dtype=complex)
+    legs, odes = [], []
+    for p, a, b in zip(plans, jobs[:-1], jobs[1:]):
+        w = p.routes.shape[1]
+        routes[a:b, :w] = np.where(p.routes >= 0, p.routes + sum(map(len, legs)), -1)
+        backward[a:b, :w] = p.backward
+        starts[a:b, : p.starts.shape[1], : p.starts.shape[2]] = p.starts
+        legs.append(p.legs.copy())
+        legs[-1]["ode"] += len(odes)
+        odes += p.odes
+
+    def assemble(ends):
+        return [p.assemble(ends[a:b, : p.starts.shape[1], : p.starts.shape[2]])
+                for p, a, b in zip(plans, jobs[:-1], jobs[1:])]
+
+    return Plan(tuple(odes), np.concatenate(legs), routes, backward, starts, assemble)
+
+
+def plan_jobs(plan):
+    """The (ode, Y0, legs) jobs of a Plan (see jobs_of)."""
+    return jobs_of(plan.odes, plan.legs, plan.routes, plan.backward, plan.starts)
 
 
 def subclass_rays(u, uC=None):
@@ -247,7 +505,6 @@ def sector_results_reference(cfg, requests):
         _polar,
         irregular_ode,
         levelt_handle,
-        transport_matrix,
     )
 
     table = SectorTable(cfg, requests)
@@ -274,15 +531,15 @@ def sector_results_reference(cfg, requests):
                 odes.append(column_ode(q.sys, q.fs.u[j], q.fs.b[j]))
                 seeds.append(np.eye(q.sys.n)[j] + F[:, :, j].T @ seed ** -np.arange(1.0, k_opt + 1))
                 paths.append(legs)
-            G.append(np.array(transport_matrix(odes, seeds, paths, cfg.tol)).T)
+            G.append(np.array(run_jobs(list(zip(odes, seeds, paths)), cfg.tol)).T)
         if q.kind == "sectorial":
             out.append(G[0] * E)
             continue
         C = None
         if q.ld is not None:
             lev = levelt_handle(q.sys, q.ld, zstar, cfg.tol)
-            V = transport_matrix(irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)],
-                                 cfg.tol)
+            V, = run_jobs([(irregular_ode(q.sys), lev.value, [Leg(lev.point.z, zstar.z)])],
+                          cfg.tol)
             C = np.linalg.solve(V, G[0] * E)
         # the quotient in the F-gauge, regraded (see odeengine.stokes_matrix)
         out.append((np.linalg.solve(G[0], G[1]) * E[None, :] / E[:, None], C))

@@ -22,7 +22,7 @@ from isomlab.fuchsian import (
 )
 from isomlab.isoflow import UPath, _difference_quotients
 from isomlab.levelt import build_levelt_solution, compute_levelt_exponents
-from isomlab.odeengine import join_plans, run_plan
+from isomlab.odeengine import run_plan
 
 
 def pole_holomorphic_part(sys, i, K):
@@ -213,7 +213,7 @@ class TestFuchsMonodromy:
         systems = [random_fuchsian(rng),
                    FuchsianSystem(poles=[0.0, 1.0 + 0.3j, 2.0, 0.8 + 1.5j],
                                   residues=tuple(residues))]
-        joined = run_plan(join_plans([monodromy_plan(s) for s in systems]), 1e-12)
+        joined = run_plan(monodromy_plan(systems), 1e-12)
         for sys, mons in zip(systems, joined):
             for got, ref in zip(mons, fuchs_monodromy(sys, tol=1e-12)):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -7,17 +7,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_solvers import (
+    Reversed,
     column_ode,
     column_seed_directions_grid,
     column_seed_directions_reference,
     leakage_reference,
+    job_tables,
+    jobs_of,
+    join_plans,
     optimal_truncation_reference,
+    plan_jobs,
     poly_fuchsian_ode,
+    run_jobs,
     schedule_reference,
     sector_bounds_reference,
     sector_results_reference,
     seed_objective,
     subclass_rays,
+    transport_matrix_reference,
 )
 from scipy.integrate import solve_ivp
 
@@ -28,7 +35,6 @@ from isomlab.fuchsian import FuchsianSystem, monodromy_plan
 from isomlab.geometry import SectorFrame, sector_frames
 from isomlab.levelt import build_levelt_solution
 from isomlab.odeengine import (
-    Inverted,
     Leg,
     PathPoint,
     SectorRequest,
@@ -39,6 +45,7 @@ from isomlab.odeengine import (
     fuchsian_ode,
     integrate_path,
     irregular_ode,
+    leg_table,
     levelt_handle,
     monodromy_loop,
     run_plan,
@@ -80,8 +87,8 @@ def connection_at(sys, r, ld, cfg, fs, zstar):
 
 def step_count(ode, legs) -> int:
     """The Taylor steps of one transport of `ode` along `legs`."""
-    return len(odeengine._schedule([ode], [0] * len(legs), legs,
-                                   [(0, seg) for seg in range(len(legs))])[0])
+    table, _ = leg_table([legs], [0])
+    return len(odeengine._schedule([ode], table, [(0, seg) for seg in range(len(legs))])[0])
 
 
 def sector_frame(u, tau, r):
@@ -228,9 +235,9 @@ class TestSlotStructure:
             residues = [0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
                         for _ in range(N - 1)]
             residues.append(-sum(residues, np.zeros((n, n))))
-            jobs = monodromy_plan(FuchsianSystem(poles=poles, residues=tuple(residues))).jobs
-            assert len(jobs) == N + 1  # the loops and the infinity frame
-            for ode, _, _ in jobs:
+            plan = monodromy_plan([FuchsianSystem(poles=poles, residues=tuple(residues))])
+            assert len(plan.routes) == N + 1  # the loops and the infinity frame
+            for ode in plan.odes:
                 assert len(ode.Q) == len(ode.P) and not ode.Q[-1].any()
         for n in range(2, 6):
             sys = seeded_system(40 + n, n)
@@ -279,12 +286,11 @@ class TestSlotStructure:
             ref = solve_ivp(f, (0.0, 1.0), ref.ravel(), method="DOP853",
                             rtol=1e-13, atol=1e-13).y[:, -1].reshape(2, 2)
         others = TestBatchedEngine.mixed_jobs()[3:5]
-        batch = transport_matrix(*zip(*([(ode, np.eye(2, dtype=complex), legs)] + others)),
-                                 tol=1e-12)
-        for got in (transport_matrix(ode, np.eye(2, dtype=complex), legs, tol=1e-12), batch[0]):
+        batch = run_jobs([(ode, np.eye(2, dtype=complex), legs)] + others, tol=1e-12)
+        for got in (run_jobs([(ode, np.eye(2, dtype=complex), legs)], tol=1e-12)[0], batch[0]):
             assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
         for job, got in zip(others, batch[1:]):
-            alone = transport_matrix(*job, tol=1e-12)
+            alone, = run_jobs([job], tol=1e-12)
             assert np.max(np.abs(got - alone)) < 1e-12 * np.max(np.abs(alone))
 
 
@@ -325,10 +331,10 @@ class TestBatchedEngine:
 
     def test_mixed_batch_matches_separate_transports(self):
         jobs = self.mixed_jobs()
-        batch = transport_matrix(*zip(*jobs), tol=1e-12)
+        batch = run_jobs(jobs, tol=1e-12)
         for job, got in zip(jobs, batch):
-            alone = transport_matrix(*job, tol=1e-12)
-            ref = transport_matrix(*job, tol=1e-14)
+            alone, = run_jobs([job], tol=1e-12)
+            ref, = run_jobs([job], tol=1e-14)
             assert got.shape == np.shape(job[1])
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - alone)) < 1e-12 * scale
@@ -343,7 +349,7 @@ class TestBatchedEngine:
         with pytest.raises(
             IntegrationError, match=r"transport 2, segment 1 .* singular point 0\+0j"
         ):
-            transport_matrix(*zip(*jobs))
+            run_jobs(jobs)
         assert time.perf_counter() - t0 < 1.0
 
     @staticmethod
@@ -367,10 +373,10 @@ class TestBatchedEngine:
 
     def test_one_step_and_long_transports_in_one_batch(self):
         jobs = self.short_and_long_jobs()
-        batch = transport_matrix(*zip(*jobs), tol=1e-12)
+        batch = run_jobs(jobs, tol=1e-12)
         for job, got in zip(jobs, batch):
-            alone = transport_matrix(*job, tol=1e-12)
-            ref = transport_matrix(*job, tol=1e-14)
+            alone, = run_jobs([job], tol=1e-12)
+            ref, = run_jobs([job], tol=1e-14)
             assert got.shape == np.shape(job[1])
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - alone)) < 1e-12 * scale
@@ -379,9 +385,9 @@ class TestBatchedEngine:
     def test_chunks_split_a_step_index(self, monkeypatch):
         # chunks of 7 steps end inside the steps of one step index
         jobs = self.short_and_long_jobs()
-        whole = transport_matrix(*zip(*jobs), tol=1e-12)
+        whole = run_jobs(jobs, tol=1e-12)
         monkeypatch.setattr(odeengine, "STEP_CHUNK", 7)
-        for got, ref in zip(transport_matrix(*zip(*jobs), tol=1e-12), whole):
+        for got, ref in zip(run_jobs(jobs, tol=1e-12), whole):
             assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_term_loop_passes_do_not_grow_with_steps(self, monkeypatch):
@@ -403,7 +409,7 @@ class TestBatchedEngine:
         for batch in (jobs[-2:-1], jobs):
             passes.clear()
             chunks.clear()
-            transport_matrix(*zip(*batch), tol=1e-12)
+            run_jobs(batch, tol=1e-12)
             counts.append((len(passes), len(chunks)))
         (one_step, _), (all_steps, nchunks) = counts
         # one pass per series term: the ~470 steps of the batch take about
@@ -424,12 +430,12 @@ class TestBatchedEngine:
         monkeypatch.setattr(odeengine, "transport_matrix", captured)
         A0 = np.array([[0.10, 0.00, 0.06], [0.00, 0.10, 0.09], [0.075, -0.05, 0.45]])
         verify_coalescence(A0, [0.0, 0.0, 1.0], tau=0.3, eps=0.1)
-        (odes, Y0s, legs, tol), = batches
-        steps = sum(step_count(o, lg) for o, lg in zip(odes, legs))
-        assert len(odes) > 100 and steps > 2000
+        (*args, tol), = batches
+        steps = sum(step_count(o, lg) for o, _, lg in jobs_of(*args))
+        assert len(args[2]) > 100 and steps > 2000
         tracemalloc.start()
         try:
-            transport_matrix(odes, Y0s, legs, tol)
+            transport_matrix(*args, tol)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,10 +484,10 @@ class TestDistinctLegs:
 
     def test_matches_separate_transports(self):
         jobs = self.shared_jobs()
-        batch = transport_matrix(*zip(*jobs), tol=1e-12)
+        batch = run_jobs(jobs, tol=1e-12)
         for job, got in zip(jobs, batch):
-            alone = transport_matrix(*job, tol=1e-12)
-            ref = transport_matrix(*job, tol=1e-14)
+            alone, = run_jobs([job], tol=1e-12)
+            ref, = run_jobs([job], tol=1e-14)
             assert got.shape == np.shape(job[1])
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - alone)) < 1e-12 * scale
@@ -503,7 +509,7 @@ class TestDistinctLegs:
             return step_matrix(P, Q, x0, h, *args)
 
         monkeypatch.setattr(odeengine, "_step_matrix", counted)
-        transport_matrix(*zip(*jobs), tol=1e-12)
+        run_jobs(jobs, tol=1e-12)
         assert sum(summed) == expected
 
     def test_refusal_on_a_shared_leg_is_named(self):
@@ -518,7 +524,111 @@ class TestDistinctLegs:
         with pytest.raises(
             IntegrationError, match=r"transport 1, segment 1 .* singular point 0\+0j"
         ):
-            transport_matrix(*zip(*jobs))
+            run_jobs(jobs)
+
+
+def pipeline_plans():
+    """The plans of three pipelines, with the tol of each: the sector plans
+    of verify_coalescence (criterion 7, backward arcs) and collect_data
+    (Levelt jobs of n columns next to single columns), and the monodromy
+    plan of two Fuchsian systems."""
+    from isomlab import verify
+
+    plans, build = [], verify.sector_plan
+
+    def captured(cfg, requests):
+        plans.append((build(cfg, requests), cfg.tol))
+        return plans[-1][0]
+
+    verify.sector_plan = captured
+    try:
+        verify.verify_coalescence(CRIT7_A0, CRIT7_UC, tau=0.3, eps=0.1)
+        verify.collect_data(generic_system(), [[0.0, 1.0], [0.3 + 0.2j, 1.2]], r=0, tau=0.3)
+    finally:
+        verify.sector_plan = build
+    rng = np.random.default_rng(39)
+    systems = []
+    for N in (3, 4):
+        A = 0.3 * (rng.normal(size=(N, 2, 2)) + 1j * rng.normal(size=(N, 2, 2)))
+        systems.append(FuchsianSystem(poles=rng.normal(size=N) + 1j * rng.normal(size=N),
+                                      residues=tuple(A - A.mean(axis=0))))
+    plans.append((monodromy_plan(systems), 1e-12))
+    return plans
+
+
+class TestByteOracle:
+    """transport_matrix against the per-job engine that it replaced,
+    `transport_matrix_reference`, end values byte for byte: the leg table
+    steps the distinct legs that value keying finds, in the same order, and
+    the stack of start values has the padded shape of the per-job one."""
+
+    @staticmethod
+    def assert_same_bytes(args, tol):
+        jobs = jobs_of(*args)
+        got = transport_matrix(*args, tol)
+        want = transport_matrix_reference(*zip(*jobs), tol)
+        for Y, (_, Y0, _), V in zip(got, jobs, want):
+            n, c = np.shape(Y0)[0], (np.shape(Y0) + (1,))[1]
+            assert V.shape == np.shape(Y0)
+            assert Y[:n, :c].reshape(V.shape).tobytes() == V.tobytes()
+            assert not Y[n:].any() and not Y[:, c:].any()
+
+    @pytest.mark.parametrize("which", ["coalescence", "collect-data", "monodromy"])
+    def test_pipeline_plans(self, which):
+        plan, tol = pipeline_plans()[["coalescence", "collect-data", "monodromy"].index(which)]
+        jobs = plan_jobs(plan)
+        shapes = {np.shape(Y0) for _, Y0, _ in jobs}
+        if which == "coalescence":
+            assert plan.backward.any() and shapes == {(3,)}
+        if which == "collect-data":
+            assert shapes == {(2,), (2, 2)}  # columns and the Levelt jobs
+        self.assert_same_bytes((plan.odes, plan.legs, plan.routes, plan.backward, plan.starts),
+                               tol)
+
+    def test_joined_plans_in_two_chunks(self, monkeypatch):
+        # all three plans in one batch: ODEs of dimension 2 and 3 and degree
+        # 1 to 4, and more steps than one chunk holds
+        plan = join_plans([p for p, _ in pipeline_plans()])
+        steps, schedule = [], odeengine._schedule
+        monkeypatch.setattr(odeengine, "_schedule",
+                            lambda *args: steps.append(len(schedule(*args)[0])) or schedule(*args))
+        self.assert_same_bytes((plan.odes, plan.legs, plan.routes, plan.backward, plan.starts),
+                               1e-11)
+        assert steps[0] > odeengine.STEP_CHUNK
+
+    def test_row_order_and_unused_rows(self):
+        # the engine steps the rows in order of first use along the routes,
+        # whatever their order in the table, and steps no row that no route
+        # runs: the same chunks of more than one chunk's steps
+        plan = join_plans([p for p, _ in pipeline_plans()])
+        args = [plan.odes, plan.legs, plan.routes, plan.backward, plan.starts]
+        want = transport_matrix(*args, 1e-11)
+        legs = np.concatenate([plan.legs, plan.legs[:5]])  # five rows that no route runs
+        perm = np.random.default_rng(3).permutation(len(legs))
+        args[1:3] = legs[perm], np.where(plan.routes >= 0, np.argsort(perm)[plan.routes], -1)
+        assert transport_matrix(*args, 1e-11).tobytes() == want.tobytes()
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_refusal_names_the_first_run(self, backward):
+        # a leg through the pole at 0, run by transports 1 and 2: the error
+        # names the first transport and segment that run it, forward or
+        # backward, as the per-job engine does
+        ode = irregular_ode(generic_system())
+        ok, through = Leg(2.0 + 0j, 2.0 + 1j), Leg(-3.0 + 0j, 3.0 + 0j)
+        jobs = [(ode, np.eye(2), [ok]),
+                (ode, np.eye(2)[:, 0], [ok, Reversed(through) if backward else through]),
+                (ode, np.eye(2), [through, ok])]
+        with pytest.raises(IntegrationError) as want:
+            transport_matrix_reference(*zip(*jobs), 1e-11)
+        args = job_tables(jobs)
+        assert args[3].any() == backward
+        with pytest.raises(IntegrationError,
+                           match=r"^transport 1, segment 1 \(line -3\+0j -> 3\+0j\), runs into "
+                                 r"the singular point 0\+0j") as got:
+            transport_matrix(*args, 1e-11)
+        assert str(got.value) == str(want.value)
 
 
 class TestScheduleAndCoefficients:
@@ -571,16 +681,18 @@ class TestScheduleAndCoefficients:
     @given(st.lists(st.tuples(st.sampled_from(range(len(ODES))), legs),
                     min_size=1, max_size=8))
     def test_schedule_matches_reference(self, batch):
+        # the layout of a leg table is that of its Legs, lengths and all
         args = (self.ODES, np.array([k for k, _ in batch]), [leg for _, leg in batch],
                 [(i, 0) for i in range(len(batch))])
+        table, _ = leg_table([[leg] for _, leg in batch], [k for k, _ in batch])
         try:
             expected = schedule_reference(*args)
         except IntegrationError as exc:
             with pytest.raises(IntegrationError) as got:
-                odeengine._schedule(*args)
+                odeengine._schedule(self.ODES, table, args[3])
             assert str(got.value) == str(exc)
             return
-        got = odeengine._schedule(*args)
+        got = odeengine._schedule(self.ODES, table, args[3])
         for x, y in zip(got, expected):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
@@ -716,9 +828,9 @@ class TestSeedDirections:
 
 
 def stepped(leg):
-    """The leg that the engine steps for `leg`: its forward leg if it is
-    Inverted, else the leg itself."""
-    return leg.forward if isinstance(leg, Inverted) else leg
+    """The leg that the engine steps for `leg`: its forward leg if it runs
+    backward, else the leg itself."""
+    return leg.forward if isinstance(leg, Reversed) else leg
 
 
 def arc_intervals(legs):
@@ -757,7 +869,14 @@ class TestColumnLegs:
         assert circle.point[end % circle.turn] == zstar.z
         seeds = [odeengine._polar(20.0, circle.angle[p % circle.turn]) for p in places]
         radials = [Leg(seed, circle.point[p % circle.turn]) for seed, p in zip(seeds, places)]
-        paths = odeengine._column_legs(radials, places, end, circle)
+        # each path: its radial leg and the circle's arcs from its place to
+        # z*, arc g from stop g by sweep[g], clockwise ones reversed
+        arcs = [Leg(circle.point[g], circle.point[(g + 1) % circle.turn], center=0j, sweep=sweep)
+                for g, sweep in enumerate(circle.sweep)]
+        paths = []
+        for radial, a in zip(radials, places):
+            run, clockwise = circle.arcs(a, end)
+            paths.append([radial, *(Reversed(arcs[g]) if clockwise else arcs[g] for g in run)])
         for theta, seed, path in zip(angles, seeds, paths):
             assert path[0].a == seed and abs(seed - odeengine._polar(20.0, theta)) < 1e-11
             assert all(a.b == b.a for a, b in zip(path[:-1], path[1:]))
@@ -770,7 +889,7 @@ class TestColumnLegs:
         covered = arc_intervals(arcs)
         assert sum(b - a for a, b in covered) == pytest.approx(2 * math.pi, abs=1e-12)
         assert_covered_at_most_once(covered)
-        inverted = {leg for path in paths for leg in path if isinstance(leg, Inverted)}
+        inverted = {leg for path in paths for leg in path if isinstance(leg, Reversed)}
         assert sum(leg.sweep for leg in inverted) == pytest.approx(0.7 - 1.9, abs=1e-12)
 
     def test_stops_merge_across_the_turn(self):
@@ -778,10 +897,9 @@ class TestColumnLegs:
         # two stops, and a full turn runs over two arcs of positive sweep
         circle = odeengine._Circle(4.0, [0.0, -1e-13, 3.0, 2 * math.pi - 1e-13])
         assert circle.turn == 2 and circle.place == [0, 0, 1, 2]
-        arcs = circle.arcs(0, 2)
-        assert [leg.b for leg in arcs] == [circle.point[1], circle.point[0]]
-        assert all(leg.sweep > 0 for leg in arcs)
-        assert sum(leg.sweep for leg in arcs) == pytest.approx(2 * math.pi, abs=1e-15)
+        assert circle.arcs(0, 2) == ([0, 1], False) and circle.arcs(2, 0) == ([1, 0], True)
+        assert all(sweep > 0 for sweep in circle.sweep)
+        assert sum(circle.sweep) == pytest.approx(2 * math.pi, abs=1e-15)
 
     @FRAMES
     def test_one_circle_per_system(self, sys, cfg, fs):
@@ -796,7 +914,7 @@ class TestColumnLegs:
         requests = [SectorRequest(sys, r, fs) for r in (-1, 0, 1, 2, 3)]
         requests += [SectorRequest(sys, 0, fs, ld=ld), SectorRequest(sys, 1, fs, "sectorial"),
                      SectorRequest(other, 0, other_fs), SectorRequest(other, 2, other_fs)]
-        plan = sector_plan(cfg, requests)
+        jobs = plan_jobs(sector_plan(cfg, requests))
         table = SectorTable(cfg, requests)
         job = 0
         for q in requests:
@@ -804,7 +922,7 @@ class TestColumnLegs:
             zstar, _ = table.zstar(s, q)
             for k in q.sectors:
                 for theta in table.angles[s, k].tolist():
-                    _, _, path = plan.jobs[job]
+                    _, _, path = jobs[job]
                     assert abs(path[0].a - odeengine._polar(cfg.radius, theta)) < 1e-11
                     assert all(a.b == b.a for a, b in zip(path[:-1], path[1:]))
                     assert path[-1].b == zstar.z
@@ -812,22 +930,22 @@ class TestColumnLegs:
                         zstar.arg - theta, abs=1e-11)
                     job += 1
             job += q.ld is not None
-        assert job == len(plan.jobs)
-        for ode in {id(o): o for o, _, _ in plan.jobs}.values():
-            arcs = {stepped(leg) for o, _, path in plan.jobs if o is ode for leg in path}
+        assert job == len(jobs)
+        for ode in {id(o): o for o, _, _ in jobs}.values():
+            arcs = {stepped(leg) for o, _, path in jobs if o is ode for leg in path}
             assert_covered_at_most_once(arc_intervals(arcs))
 
     @FRAMES
     def test_no_stepped_arc_runs_clockwise(self, sys, cfg, fs):
-        # a column that sweeps clockwise runs the arcs as Inverted legs, so
-        # every (ODE, leg) pair that the engine steps for a plan of sectors
-        # -1..2 runs counterclockwise, and some columns do run clockwise
+        # a column that sweeps clockwise runs the arcs backward, so every
+        # (ODE, leg) pair that the engine steps for a plan of sectors -1..2
+        # runs counterclockwise, and some columns do run clockwise
         requests = [SectorRequest(sys, r, fs) for r in (-1, 0, 1, 2)]
-        paths = [path for _, _, path in sector_plan(cfg, requests).jobs]
+        paths = [path for _, _, path in plan_jobs(sector_plan(cfg, requests))]
         legs = [leg for path in paths for leg in path]
         assert all(stepped(leg).sweep > 0 for leg in legs if leg.center is not None)
-        assert all(isinstance(leg, Inverted) == (leg.sweep < 0) for leg in legs)
-        assert any(isinstance(leg, Inverted) for leg in legs)
+        assert all(isinstance(leg, Reversed) == (leg.sweep < 0) for leg in legs)
+        assert any(isinstance(leg, Reversed) for leg in legs)
 
     @FRAMES
     def test_no_leg_shorter_than_the_stop_tolerance(self, sys, cfg, fs):
@@ -837,17 +955,18 @@ class TestColumnLegs:
         ld = build_levelt_solution(sys.A, [sys.Lambda], K=20)
         requests = [SectorRequest(sys, r, fs, ld=ld) for r in (0, 1)]
         requests += [SectorRequest(sys, 2, fs), SectorRequest(sys, 0, fs, "sectorial")]
-        legs = {stepped(leg) for _, _, path in sector_plan(cfg, requests).jobs for leg in path}
+        legs = {stepped(leg) for _, _, path in plan_jobs(sector_plan(cfg, requests))
+                for leg in path}
         for leg in legs:
-            assert (leg.length if leg.center is None else abs(leg.sweep)) >= 1e-12
+            assert (abs(leg.b - leg.a) if leg.center is None else abs(leg.sweep)) >= 1e-12
 
 
 class TestInvertedArcs:
     @pytest.mark.parametrize("case", ["generic", "widened", "seeded-plain", "seeded-widened"])
     def test_matches_the_clockwise_transport(self, case):
         # the columns of a plan that sweep clockwise over their circle's
-        # arcs, which the engine runs as inverted counterclockwise arcs,
-        # match the same columns stepped clockwise directly
+        # arcs, which the engine runs as the inverses of counterclockwise
+        # arcs, match the same columns stepped clockwise directly
         if case.startswith("seeded"):
             rng = np.random.default_rng(2300 + len(case))
             (sys,), cfg = _table_case(rng, 3, case[7:], count=1, scale=0.5, a_scale=0.4)
@@ -855,13 +974,13 @@ class TestInvertedArcs:
         else:
             sys, cfg, fs = FRAME_CASES[case == "widened"]
         requests = [SectorRequest(sys, r, fs) for r in (-1, 0, 1, 2)]
-        jobs = [job for job in sector_plan(cfg, requests).jobs
-                if any(isinstance(leg, Inverted) for leg in job[2])]
+        jobs = [job for job in plan_jobs(sector_plan(cfg, requests))
+                if any(isinstance(leg, Reversed) for leg in job[2])]
         assert jobs
-        odes, seeds, paths = zip(*jobs)
-        direct = [[Leg(leg.a, leg.b, leg.center, leg.sweep) for leg in path] for path in paths]
-        got = transport_matrix(odes, seeds, paths, cfg.tol)
-        want = transport_matrix(odes, seeds, direct, cfg.tol)
+        direct = [(ode, seed, [Leg(leg.a, leg.b, leg.center, leg.sweep) for leg in path])
+                  for ode, seed, path in jobs]
+        got = run_jobs(jobs, cfg.tol)
+        want = run_jobs(direct, cfg.tol)
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w) <= 1e-11 * np.linalg.norm(w)
 
@@ -1021,7 +1140,7 @@ class TestStokesMatrix:
         for requests in ([SectorRequest(sys, r, fs)],
                          [SectorRequest(sys, r, fs), SectorRequest(sys, r + 2, fs)]):
             plan = sector_plan(cfg, requests)
-            pairs.append({(o.P.tobytes(), o.Q.tobytes(), leg) for o, _, path in plan.jobs
+            pairs.append({(o.P.tobytes(), o.Q.tobytes(), leg) for o, _, path in plan_jobs(plan)
                           for leg in path})
             steps.clear()
             res, *res2 = run_plan(plan, cfg.tol)
@@ -1123,8 +1242,9 @@ class TestConnectionMatrix:
             steps.clear()
             run_plan(plan, cfg.tol)
             totals.append(sum(steps))
-        ode, _, (leg,) = plan.jobs[-1]  # the Levelt leg, radially out to z*
-        assert leg.b == plan.jobs[0][2][-1].b
+        jobs = plan_jobs(plan)
+        ode, _, (leg,) = jobs[-1]  # the Levelt leg, radially out to z*
+        assert leg.b == jobs[0][2][-1].b
         assert totals[1] - totals[0] == step_count(ode, [leg]) > 0
 
     @FRAMES

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_solvers import join_plans, jobs_of, plan_jobs
 
 from isomlab import formal, geometry, isoflow, odeengine, verify
 from isomlab.errors import CoincidentPointsError, ResonanceError, WallError
@@ -8,7 +9,6 @@ from isomlab.isoflow import UPath, integrate_flow
 from isomlab.odeengine import (
     SectorRequest,
     StokesConfig,
-    join_plans,
     run_plan,
     sector_plan,
     stokes_matrix,
@@ -93,9 +93,9 @@ def sector_work(monkeypatch):
     return work
 
 
-def captured_plan(monkeypatch, pipeline):
-    """The jobs `pipeline` hands the engine in its one batch, and the config
-    and requests of its one sector plan."""
+def captured_batch(monkeypatch, pipeline):
+    """The arguments that `pipeline` hands the engine in its one batch, less
+    the tol, and the config and requests of its one sector plan."""
     batches, built = [], []
     engine, plan = odeengine.transport_matrix, verify.sector_plan
     monkeypatch.setattr(odeengine, "transport_matrix",
@@ -103,16 +103,23 @@ def captured_plan(monkeypatch, pipeline):
     monkeypatch.setattr(verify, "sector_plan",
                         lambda cfg, requests: built.append((cfg, requests)) or plan(cfg, requests))
     pipeline()
-    (odes, Y0s, legs, _), = batches
+    (*args, _), = batches
     (cfg, requests), = built
-    return list(zip(odes, Y0s, legs)), cfg, requests
+    return args, cfg, requests
+
+
+def captured_plan(monkeypatch, pipeline):
+    """The jobs `pipeline` hands the engine in its one batch (`jobs_of`),
+    and the config and requests of its one sector plan."""
+    args, cfg, requests = captured_batch(monkeypatch, pipeline)
+    return jobs_of(*args), cfg, requests
 
 
 def engine_jobs(monkeypatch, pipeline):
     """The jobs `pipeline` hands the engine, and those of one sector plan per
     request of its sector plan, each built alone, joined in request order."""
     got, cfg, requests = captured_plan(monkeypatch, pipeline)
-    return got, list(join_plans([sector_plan(cfg, [q]) for q in requests]).jobs)
+    return got, plan_jobs(join_plans([sector_plan(cfg, [q]) for q in requests]))
 
 
 def ode_key(o):
@@ -494,9 +501,9 @@ class TestVerifyCoalescence:
         jobs, cfg, requests = captured_plan(
             monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
         frozen = requests[0]
-        alone = sector_plan(cfg, [frozen])
+        alone = plan_jobs(sector_plan(cfg, [frozen]))
         assert len(requests) == 2 + 4 * GAP_COUNT
-        assert_same_jobs(jobs[: len(alone.jobs)], list(alone.jobs))
+        assert_same_jobs(jobs[: len(alone)], alone)
         batch = run_plan(sector_plan(cfg, requests), cfg.tol)[0].S
         S = stokes_matrix(frozen.sys, frozen.r, cfg, frozen.fs).S
         assert np.abs(batch - S).max() <= 1e-13 * np.abs(S).max()
@@ -517,29 +524,31 @@ class TestVerifyCoalescence:
         frozen = requests[0]
         self_seeded = [q for q in requests if q.fs.F is not frozen.fs.F or q.sys is frozen.sys]
         assert 0 < len(self_seeded) < len(requests)
-        alone = sector_plan(cfg, self_seeded).jobs
+        alone = plan_jobs(sector_plan(cfg, self_seeded))
         assert len(alone) < len(jobs) and pairs(jobs) == pairs(alone)
 
     def test_both_passes_share_one_layout_per_system_sector_and_zstar(self, monkeypatch):
-        # the frozen-seeded Y_k of each sample run on the leg lists of its
+        # the frozen-seeded Y_k of each sample run on the routes of its
         # self-seeded ones: Y_r and Y_{r+1} of S_r and Y_{r+1} and Y_{r+2} of
         # S_{r+1} of each system are laid out once, 28 layouts where laying
-        # out every Y_k of the plan takes 52
+        # out every Y_k of the plan takes 52 (one circle sweep per column)
         built = []
-        column_legs = odeengine._column_legs
-        monkeypatch.setattr(odeengine, "_column_legs",
-                            lambda *args: built.append(1) or column_legs(*args))
-        jobs, cfg, requests = captured_plan(
+        arcs = odeengine._Circle.arcs
+        monkeypatch.setattr(odeengine._Circle, "arcs",
+                            lambda *args: built.append(1) or arcs(*args))
+        args, cfg, requests = captured_batch(
             monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
-        assert len(built) == 4 * (1 + GAP_COUNT) == 28
+        jobs, (_, _, routes, backward, _) = jobs_of(*args), args
+        assert len(built) == len(UC3) * 4 * (1 + GAP_COUNT) == len(UC3) * 28
         per = 2 * len(UC3)  # the columns of Y_r and Y_{r+1} of one S_r
         assert len(jobs) == per * len(requests) == per * (2 + 4 * GAP_COUNT)
         for i in range(GAP_COUNT):
             first = per * (2 + 4 * i)  # the self-seeded S_r, S_{r+1}, then the frozen-seeded
-            self_seeded = jobs[first : first + 2 * per]
-            driven = jobs[first + 2 * per : first + 4 * per]
+            self_seeded = slice(first, first + 2 * per)
+            driven = slice(first + 2 * per, first + 4 * per)
             assert requests[2 + 4 * i + 2].fs.F is requests[0].fs.F
-            assert all(a is b for (_, _, a), (_, _, b) in zip(self_seeded, driven))
+            assert np.array_equal(routes[self_seeded], routes[driven])
+            assert np.array_equal(backward[self_seeded], backward[driven])
         # laid out anew for every Y_k, the plan hands the engine equal jobs
         layout = odeengine.SectorTable.layout
 
@@ -549,8 +558,8 @@ class TestVerifyCoalescence:
 
         built.clear()
         monkeypatch.setattr(odeengine.SectorTable, "layout", fresh)
-        unshared = list(sector_plan(cfg, requests).jobs)
-        assert len(built) == 2 * len(requests) == 52
+        unshared = plan_jobs(sector_plan(cfg, requests))
+        assert len(built) == len(UC3) * 2 * len(requests) == len(UC3) * 52
         assert_same_jobs(jobs, unshared)
 
     def test_coalesced_pairs_decided_once_per_module(self, monkeypatch):
@@ -563,36 +572,33 @@ class TestVerifyCoalescence:
         verify_coalescence(A3, UC3, tau=0.3, eps=0.1)
         assert calls == ["isomlab.verify", "isomlab.formal"]
 
-    def test_equal_legs_are_one_object(self, monkeypatch):
-        # the circle of each system holds each arc and its Inverted twin, and
-        # the table each (system, sector parity, column) its radial leg, so
-        # any two legs of the plan equal by value are one object, and an
-        # Inverted leg's forward leg is the circle's own; the engine makes
-        # no Leg to step it and steps what it did when each plan built its
-        # own legs: 64 distinct (ODE, leg) pairs in 387 Taylor steps
-        engine, schedule = odeengine.transport_matrix, odeengine._schedule
-        jobs, cfg, _ = captured_plan(
+    def test_equal_legs_are_one_row(self, monkeypatch):
+        # the table holds each arc of each system's circle and each (system,
+        # sector parity, column) radial leg once, so no two rows that the
+        # routes run are equal, and the clockwise runs of an arc in many
+        # columns are runs of one row backward; the engine makes no Leg to
+        # step them and steps what it did when each plan built its own legs:
+        # 64 distinct (ODE, leg) pairs in 387 Taylor steps
+        schedule = odeengine._schedule
+        (odes, legs, routes, backward, starts), cfg, _ = captured_batch(
             monkeypatch, lambda: verify_coalescence(A3, UC3, tau=0.3, eps=0.1))
-        legs = [leg for _, _, path in jobs for leg in path]
-        one = {}
-        for leg in legs:
-            assert one.setdefault(leg, leg) is leg
-        inverted = [leg for leg in legs if isinstance(leg, odeengine.Inverted)]
-        assert len(set(inverted)) < len(inverted)
-        assert all(one.get(leg.forward, leg.forward) is leg.forward for leg in inverted)
-        assert any(leg.forward in one for leg in inverted)
+        run = np.unique(routes[routes >= 0])
+        assert len(np.unique(legs[run])) == len(run) == 64
+        assert len(np.unique(routes[backward])) < np.count_nonzero(backward)
+        assert np.isin(routes[backward], routes[~backward]).any()  # rows run both ways
         made, laid_out = [], []
-        for cls in (odeengine.Leg, odeengine.Inverted):
-            monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__:
-                                made.append(1) or init(self, *args))
+        init = odeengine.Leg.__init__
+        monkeypatch.setattr(odeengine.Leg, "__init__",
+                            lambda self, *args: made.append(1) or init(self, *args))
 
-        def counted(odes, which, legs, names):
-            layout = schedule(odes, which, legs, names)
+        def counted(odes, legs, names):
+            layout = schedule(odes, legs, names)
             laid_out.append((len(legs), len(layout[0])))
             return layout
 
         monkeypatch.setattr(odeengine, "_schedule", counted)
-        assert len(engine(*zip(*jobs), cfg.tol)) == len(jobs)
+        ends = odeengine.transport_matrix(odes, legs, routes, backward, starts, cfg.tol)
+        assert ends.shape == starts.shape
         assert not made
         assert laid_out == [(64, 387)]
 
